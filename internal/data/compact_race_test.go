@@ -101,17 +101,29 @@ func TestCompactConcurrentStableReads(t *testing.T) {
 	// one final pass after they are done — by then every writer round has
 	// retired a version, so a zero total means compaction is broken, not
 	// that the loop lost the scheduling race.
+	//
+	// Each pass is also checked against the full walk over every chain
+	// (fullWalkDrops, dirty_test.go): what is droppable below a frontier
+	// already taken cannot change under the racing writers, so the
+	// dirty-set walk must drop exactly that many versions.
 	compDone := make(chan struct{})
+	compact := func() {
+		gate.Lock()
+		defer gate.Unlock()
+		f := frontier()
+		want := fullWalkDrops(s, f)["a"]
+		got := s.Compact(f)
+		if got != want {
+			t.Errorf("Compact(%d) dropped %d versions, the full walk %d", f, got, want)
+		}
+		dropped.Add(int64(got))
+	}
 	go func() {
 		defer close(compDone)
 		for !done.Load() {
-			gate.Lock()
-			dropped.Add(int64(s.Compact(frontier())))
-			gate.Unlock()
+			compact()
 		}
-		gate.Lock()
-		dropped.Add(int64(s.Compact(frontier())))
-		gate.Unlock()
+		compact()
 	}()
 
 	wg.Wait()

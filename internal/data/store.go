@@ -144,6 +144,15 @@ type Store struct {
 	// every chain.
 	tagged map[string][]chainRef
 
+	// dirty marks the items whose chain grew since Compact last left it
+	// fully compacted (a single resolved version). Every installing
+	// applyVersion and Set marks; only Compact clears. The runtime's
+	// checkpoint reads the set twice under one cut: DirtySnapshot names
+	// the items a delta batch must journal, and Compact walks the same
+	// items — so a checkpoint costs O(items mutated since the previous
+	// one), not O(items stored).
+	dirty map[string]struct{}
+
 	// clock is the stamp of the newest installed version. It is updated
 	// under mu *after* the version is in its chain, so a reader that
 	// loads clock=T without the mutex is guaranteed every version with
@@ -184,6 +193,7 @@ func NewStore() *Store {
 	s := &Store{
 		chains:  make(map[string][]version),
 		tagged:  make(map[string][]chainRef),
+		dirty:   make(map[string]struct{}),
 		resolve: make(chan struct{}),
 	}
 	s.stamps = &s.local
@@ -301,6 +311,7 @@ func (s *Store) applyVersion(op Op, owner string, pair uint64) (Result, error) {
 		s.tagged[owner] = append(s.tagged[owner], chainRef{item: op.Item, ts: ts})
 	}
 	s.chains[op.Item] = append(chain, v)
+	s.dirty[op.Item] = struct{}{}
 	s.clock.Store(ts)
 	s.applied.Add(1)
 	return Result{Value: next, Prev: prev, TS: ts}, nil
@@ -561,10 +572,13 @@ func (s *Store) VersionCount(item string) int {
 	return len(s.chains[item])
 }
 
-// Compact garbage-collects version chains below keepFrom, returning the
-// number of versions dropped. Safe to run concurrently with readers and
-// writers; callers must not hold snapshots older than keepFrom (the
-// runtime derives keepFrom from its active-snapshot frontier).
+// Compact garbage-collects the version chains of the dirty items below
+// keepFrom, returning the number of versions dropped. A clean item's
+// chain is a single resolved version already, so walking the dirty set
+// drops exactly what a walk over every chain would. Safe to run
+// concurrently with readers and writers; callers must not hold snapshots
+// older than keepFrom (the runtime derives keepFrom from its
+// active-snapshot frontier).
 //
 // Only a *prefix* of each chain is dropped, and a version is droppable
 // only when both its install stamp and its retirement stamp sit strictly
@@ -577,11 +591,17 @@ func (s *Store) VersionCount(item string) int {
 // newest droppable version is retained as the chain base: it carries the
 // value StableRead reports just below an unresolved version and the
 // value ReadAt falls back to at the frontier.
+//
+// An item's mark is cleared once its chain is down to one resolved
+// version: nothing is left to drop until the next mutation marks it
+// again. An item a live attempt or an old snapshot still pins stays
+// marked, and a later Compact (and DirtySnapshot) revisits it.
 func (s *Store) Compact(keepFrom uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := 0
-	for item, chain := range s.chains {
+	for item := range s.dirty {
+		chain := s.chains[item]
 		cut := 0
 		for cut < len(chain) {
 			v := chain[cut]
@@ -592,11 +612,14 @@ func (s *Store) Compact(keepFrom uint64) int {
 		}
 		// Keep the newest droppable version as the chain base.
 		cut--
-		if cut <= 0 {
-			continue
+		if cut > 0 {
+			chain = append([]version(nil), chain[cut:]...)
+			s.chains[item] = chain
+			dropped += cut
 		}
-		s.chains[item] = append([]version(nil), chain[cut:]...)
-		dropped += cut
+		if len(chain) == 1 && chain[0].retired != 0 {
+			delete(s.dirty, item)
+		}
 	}
 	return dropped
 }
@@ -615,6 +638,7 @@ func (s *Store) Set(item string, v int64) {
 	defer s.mu.Unlock()
 	ts := s.stamps.Add(1)
 	s.chains[item] = append(s.chains[item], version{ts: ts, val: v, mode: ModeWrite, retired: ts})
+	s.dirty[item] = struct{}{}
 	s.clock.Store(ts)
 }
 
@@ -628,6 +652,28 @@ func (s *Store) Snapshot() map[string]int64 {
 		out[k] = tailVal(chain)
 	}
 	return out
+}
+
+// DirtySnapshot copies the current values of the dirty items: those
+// mutated since Compact last left their chain fully compacted. It is the
+// delta a checkpoint journals; the caller excludes mutators (the
+// runtime's cut) from here until the Compact that clears the marks, so
+// no value changes between being journaled and being unmarked.
+func (s *Store) DirtySnapshot() map[string]int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]int64, len(s.dirty))
+	for k := range s.dirty {
+		out[k] = tailVal(s.chains[k])
+	}
+	return out
+}
+
+// Len returns the number of items the store holds.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.chains)
 }
 
 // Applied returns the number of operations applied.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -15,15 +16,17 @@ import (
 
 // Checkpointing keeps a long-running runtime's memory and recovery time
 // flat: at a *cut* — a moment with no mutation half-journaled and no
-// commit half-published — the runtime (1) snapshots every store into the
-// WAL as a checkpoint batch (TypeCkItem items + self-anchoring
-// TypeCheckpoint marker), (2) folds the certifier's fully-committed
-// history out of the incremental engine (front.Incremental.Checkpoint)
-// and prunes the recorder and the certifier's event index to match, (3)
-// compacts the MVCC version chains below the oldest active snapshot
-// frontier, and (4) deletes WAL segments wholly older than the
-// truncation barrier. Recovery (sched.Recover) then replays only the
-// tail since the marker.
+// commit half-published — the runtime (1) journals the store items
+// mutated since the previous cut as a checkpoint batch (TypeCkItem items
+// + self-anchoring TypeCheckpoint marker), (2) folds the certifier's
+// fully-committed history out of the incremental engine
+// (front.Incremental.Checkpoint) and prunes the recorder and the
+// certifier's event index to match, (3) compacts the MVCC version chains
+// below the oldest active snapshot frontier, and (4) deletes WAL
+// segments wholly older than the truncation barrier. Recovery (sched.Recover) then replays only the
+// tail since the marker. Steps (1) and (3) walk only the stores' dirty
+// sets (data.Store.DirtySnapshot), so a cut costs O(items mutated since
+// the previous one), not O(items stored).
 //
 // The cut is a sync.RWMutex (ckState.gate): every journal-then-mutate
 // window — a leaf apply, a compensation, a whole commit publication, and
@@ -35,12 +38,26 @@ import (
 // is exactly the invariant that lets redo skip everything at or below
 // the marker. Lock order: gate before Runtime.mu, everywhere.
 //
+// Base and delta batches. A batch is a *base* — every item of every
+// store — when it is the first of its log (fresh, or re-attached by
+// Recover), or when this cut's items together with the delta items
+// journaled since the last base would reach the stores' item count;
+// otherwise it is a *delta*, the dirty items only. Recovery's baseline
+// is the seeds overlaid, in log order, by every ck-item below the last
+// marker, so base ⊕ deltas restores what one full snapshot would; the
+// amortisation rule keeps the ck-items a log retains below twice the
+// item count without a tuning knob. A dirty mark is cleared only by the
+// compaction that follows a durable marker (and only once the chain is
+// fully compacted), so a cut that fails or crashes between batch and
+// marker leaves every mark set and the next cut journals a superset.
+//
 // The truncation barrier protects two things the tail replay still
-// needs: the checkpoint batch itself, and the journaled applies of
-// attempts that were in flight at the cut (their undo information; the
-// checkpoint snapshot contains their un-committed effects, so recovery
-// must be able to invert them). The barrier is the minimum of the
-// batch's first LSN and every in-flight attempt's first apply LSN.
+// needs: the last base batch with every delta after it, and the
+// journaled applies of attempts that were in flight at the cut (their
+// undo information; the batch contains their un-committed effects, so
+// recovery must be able to invert them). The barrier is the minimum of
+// the last base's first LSN and every in-flight attempt's first apply
+// LSN.
 
 // ErrOverload rejects a Submit at the admission gate while the runtime
 // is above its high memory watermark; the caller should back off and
@@ -69,6 +86,8 @@ type CheckpointConfig struct {
 // CheckpointStats reports one completed checkpoint.
 type CheckpointStats struct {
 	LSN             uint64 // LSN of the checkpoint marker (0 without a WAL)
+	Items           int    // TypeCkItem records journaled before the marker
+	Base            bool   // the batch holds every store item, not just the dirty ones
 	Roots           int    // committed roots folded out of the certifier
 	Nodes           int    // forest nodes pruned (certifier or recorder)
 	SegmentsDeleted int    // WAL segments removed by TruncateBefore
@@ -122,6 +141,10 @@ type ckState struct {
 	inflight map[string]uint64     // txn -> first journaled-apply LSN of its live attempt
 	snaps    map[*attempt]struct{} // active attempts with a registered snapshot (oldest stamp in attempt.snapLow)
 
+	// Base/delta bookkeeping, touched only inside the cut (gate.Lock).
+	baseFirst uint64 // first LSN of this log's last complete base batch (0 = none yet)
+	sinceBase int    // delta ck-items journaled since that base
+
 	sinceCk  atomic.Int64 // commits since the last checkpoint
 	running  atomic.Bool  // a checkpoint is in progress
 	throttle atomic.Bool  // high watermark tripped; Submit rejects with ErrOverload
@@ -173,9 +196,9 @@ func (ck *ckState) drop(a *attempt) {
 }
 
 // barrier returns the truncation barrier: no WAL record at or above it
-// may be deleted. batchFirst is the checkpoint batch's first LSN.
-func (ck *ckState) barrier(batchFirst uint64) uint64 {
-	b := batchFirst
+// may be deleted. Called inside the cut, after a durable marker.
+func (ck *ckState) barrier() uint64 {
+	b := ck.baseFirst
 	ck.mu.Lock()
 	for _, lsn := range ck.inflight {
 		if lsn < b {
@@ -245,10 +268,11 @@ func (r *Runtime) liveNodes() int {
 	return len(r.rec.nodes)
 }
 
-// Checkpoint takes one checkpoint now: store snapshots journaled as a
-// WAL checkpoint batch, certifier and recorder folded to their live
-// tails, MVCC chains compacted at the active-snapshot frontier, and
-// segments wholly behind the truncation barrier deleted. Concurrent
+// Checkpoint takes one checkpoint now: the stores' dirty items (or, for
+// a base, all items) journaled as a WAL checkpoint batch, certifier and
+// recorder folded to their live tails, MVCC chains compacted at the
+// active-snapshot frontier, and segments wholly behind the truncation
+// barrier deleted. Concurrent
 // Submits keep running; they only pause for the cut itself. Returns
 // (nil, nil) when another checkpoint is already in progress. A crash
 // injected at the "checkpoint" fault sites surfaces as ErrCrashed, like
@@ -288,6 +312,10 @@ func (r *Runtime) Checkpoint() (st *CheckpointStats, err error) {
 	r.ckNodesPruned.Add(int64(st.Nodes))
 	r.ckSegsTruncated.Add(int64(st.SegmentsDeleted))
 	r.ckVersionsDropped.Add(int64(st.VersionsDropped))
+	r.ckItems.Add(int64(st.Items))
+	if st.Base {
+		r.ckBases.Add(1)
+	}
 	r.ck.sinceCk.Store(0)
 	r.relieveOverload()
 	return st, nil
@@ -300,54 +328,48 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	r.ck.gate.Lock()
 	defer r.ck.gate.Unlock()
 
-	// 1. Journal the store snapshots. With the gate held exclusively no
-	// mutation is half-journaled: everything already in the log is fully
-	// reflected in these values, everything after the marker is not at
-	// all.
-	var batchFirst, markerLSN uint64
+	// 1. Journal the batch. With the gate held exclusively no mutation is
+	// half-journaled: everything already in the log is fully reflected in
+	// these values, everything after the marker is not at all.
 	if r.wal != nil {
-		items := r.checkpointItems()
-		meta := ckMeta{
-			walMeta: walMeta{
-				Version:  1,
-				Protocol: r.protocol.String(),
-				Topology: topologyToDoc(r.topo),
-				Certify:  r.Certifying(),
-			},
-			Seq:       r.seq.Load(),
-			Committed: r.commits.Load(),
+		base := r.ck.baseFirst == 0
+		var items []wal.Record
+		if !base {
+			items = r.checkpointItems(false)
+			base = r.ck.sinceBase+len(items) >= r.storeItems()
 		}
-		r.qmu.Lock()
-		for _, q := range r.quarantined {
-			meta.Quarantines = append(meta.Quarantines, ckQuarantine{
-				Component: q.Component, Txn: q.Txn,
-				Item: q.Op.Item, Mode: string(q.Op.Mode), Impl: string(q.Op.Impl),
-				Arg: q.Op.Arg, Err: q.Err.Error(),
-			})
+		if base {
+			items = r.checkpointItems(true)
 		}
-		r.qmu.Unlock()
-		blob, err := json.Marshal(meta)
+		blob, err := r.ckMetaBlob()
 		if err != nil {
 			return err
 		}
+		var batchFirst uint64
 		if len(items) > 0 {
-			first, err := r.wal.AppendBatch(items)
-			if err != nil {
+			if batchFirst, err = r.wal.AppendBatch(items); err != nil {
 				return r.ckWALErr(err)
 			}
-			batchFirst = first
+			if !base {
+				// Counted even if the marker below fails: the records are
+				// in the log and the retention bound is about the log.
+				r.ck.sinceBase += len(items)
+			}
 		}
 		// Crash site "checkpoint:marker": the items are journaled but the
 		// marker is not — an incomplete checkpoint recovery must ignore.
 		r.fireCrash("", "checkpoint", "marker", nil)
-		markerLSN, err = r.wal.AppendCheckpoint(nil, wal.Record{Meta: blob})
+		markerLSN, err := r.wal.AppendCheckpoint(nil, wal.Record{Meta: blob})
 		if err != nil {
 			return r.ckWALErr(err)
 		}
-		if batchFirst == 0 {
-			batchFirst = markerLSN
+		if base {
+			if batchFirst == 0 {
+				batchFirst = markerLSN
+			}
+			r.ck.baseFirst, r.ck.sinceBase = batchFirst, 0
 		}
-		st.LSN = markerLSN
+		st.LSN, st.Items, st.Base = markerLSN, len(items), base
 	}
 
 	// 2. Fold the committed history out of the certifier, prune the
@@ -381,6 +403,8 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	// active optimistic attempt may still validate at (snapshots register
 	// under the gate's read side, so the registry is complete here); with
 	// no snapshot outstanding, everything below the clock is fair game.
+	// This is also where dirty marks are cleared — after the marker, so
+	// an early return above leaves every journaled item marked.
 	frontier := r.ck.frontier(r.seq.Load() + 1)
 	for _, c := range r.comps {
 		if c.store != nil {
@@ -390,7 +414,7 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 
 	// 4. Truncate the log behind the barrier.
 	if r.wal != nil {
-		n, err := r.wal.TruncateBefore(r.ck.barrier(batchFirst))
+		n, err := r.wal.TruncateBefore(r.ck.barrier())
 		if err != nil {
 			return r.ckWALErr(err)
 		}
@@ -399,21 +423,24 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	return nil
 }
 
-// checkpointItems snapshots every store as TypeCkItem records, in
-// deterministic (component, item) order.
-func (r *Runtime) checkpointItems() []wal.Record {
+// checkpointItems snapshots the stores as TypeCkItem records, in
+// deterministic (component, item) order: every item for a base batch,
+// the dirty items for a delta.
+func (r *Runtime) checkpointItems(base bool) []wal.Record {
 	names := make([]string, 0, len(r.comps))
-	for n := range r.comps {
-		names = append(names, n)
+	for n, c := range r.comps {
+		if c.store != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	var items []wal.Record
 	for _, n := range names {
-		c := r.comps[n]
-		if c.store == nil {
-			continue
+		store := r.comps[n].store
+		snap := store.DirtySnapshot()
+		if base {
+			snap = store.Snapshot()
 		}
-		snap := c.store.Snapshot()
 		keys := make([]string, 0, len(snap))
 		for it := range snap {
 			keys = append(keys, it)
@@ -424,6 +451,50 @@ func (r *Runtime) checkpointItems() []wal.Record {
 		}
 	}
 	return items
+}
+
+// storeItems is the item count a base batch would journal.
+func (r *Runtime) storeItems() int {
+	n := 0
+	for _, c := range r.comps {
+		if c.store != nil {
+			n += c.store.Len()
+		}
+	}
+	return n
+}
+
+// ckMetaBlob encodes the marker's ckMeta: the static walMeta document
+// built once at EnableWAL/Recover, with the cut's clock, commit count and
+// quarantines spliced in as its trailing fields — byte for byte what
+// json.Marshal(ckMeta{...}) writes, without re-encoding the topology
+// inside the cut.
+func (r *Runtime) ckMetaBlob() ([]byte, error) {
+	b := make([]byte, 0, len(r.walMetaJSON)+64)
+	b = append(b, r.walMetaJSON[:len(r.walMetaJSON)-1]...)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, r.seq.Load(), 10)
+	b = append(b, `,"committed":`...)
+	b = strconv.AppendInt(b, r.commits.Load(), 10)
+	r.qmu.Lock()
+	qs := make([]ckQuarantine, 0, len(r.quarantined))
+	for _, q := range r.quarantined {
+		qs = append(qs, ckQuarantine{
+			Component: q.Component, Txn: q.Txn,
+			Item: q.Op.Item, Mode: string(q.Op.Mode), Impl: string(q.Op.Impl),
+			Arg: q.Op.Arg, Err: q.Err.Error(),
+		})
+	}
+	r.qmu.Unlock()
+	if len(qs) > 0 {
+		qb, err := json.Marshal(qs)
+		if err != nil {
+			return nil, err
+		}
+		b = append(b, `,"quarantines":`...)
+		b = append(b, qb...)
+	}
+	return append(b, '}'), nil
 }
 
 // ckWALErr maps a closed (crash-abandoned) log to ErrCrashed, like every

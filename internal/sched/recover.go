@@ -24,10 +24,12 @@ import (
 //
 // Redo replays, against freshly built stores, the baseline and then the
 // tail. Without a checkpoint the baseline is the TypeSeed records and the
-// tail is everything; with one, the baseline is the checkpoint's item
-// snapshot and redo skips every record at or below the marker — the cut
-// (see checkpoint.go) guarantees each journaled mutation's effect is
-// either fully inside the snapshot or fully after the marker, never half
+// tail is everything; with one, the baseline is the seeds overlaid in log
+// order by every ck-item below the last marker — the last base batch and
+// the delta batches since (see checkpoint.go), which together hold every
+// item's value at the last cut — and redo skips every record at or below
+// the marker: the cut guarantees each journaled mutation's effect is
+// either fully inside the batches or fully after the marker, never half
 // of each.
 //
 // Undo inverts — in reverse log order — each surviving apply of a
@@ -136,6 +138,14 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		return nil, fmt.Errorf("sched: bad WAL topology: %w", err)
 	}
 	rt := topo.NewRuntime(protocol)
+	// The recovered runtime's markers carry the configuration this log
+	// was written under. Its first cut is a base batch (ckState starts
+	// with no base), which is what lets ck-items of a checkpoint that
+	// crashed before its marker sit below later markers harmlessly: the
+	// base overlays every one of them.
+	if rt.walMetaJSON, err = json.Marshal(meta); err != nil {
+		return nil, err
+	}
 
 	// --- Analysis ---
 	type applyRec struct {
@@ -215,10 +225,10 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		}
 		return c.store, nil
 	}
-	// Baseline: seed records, overlaid (in log order, so later checkpoints
-	// win) by the item snapshots of every complete checkpoint. Trailing
-	// ck-items above the last marker belong to a checkpoint that never
-	// completed and are skipped.
+	// Baseline: seed records, overlaid (in log order, so later batches
+	// win) by every ck-item below the last marker — base ⊕ deltas.
+	// Trailing ck-items above the last marker belong to a checkpoint that
+	// never completed and are skipped.
 	for i, rec := range recs {
 		var baseline bool
 		switch rec.Type {

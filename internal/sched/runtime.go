@@ -160,6 +160,8 @@ type Metrics struct {
 	// Checkpoint/GC counters (zero unless EnableCheckpoints is on or
 	// Checkpoint was called explicitly).
 	CheckpointsTaken  int64 // completed checkpoint cuts
+	CheckpointItems   int64 // TypeCkItem records those cuts journaled (base and delta batches)
+	CheckpointBases   int64 // cuts whose batch was a base (every store item)
 	NodesPruned       int64 // forest nodes folded out of the certifier engine
 	SegmentsTruncated int64 // WAL segments deleted by TruncateBefore
 	VersionsCompacted int64 // MVCC versions dropped by Store.Compact at checkpoints
@@ -190,6 +192,9 @@ func (m Metrics) String() string {
 	if m.CheckpointsTaken+m.OverloadThrottles > 0 {
 		fmt.Fprintf(&b, " checkpoints=%d nodes-pruned=%d segments-truncated=%d versions-compacted=%d overload-throttles=%d",
 			m.CheckpointsTaken, m.NodesPruned, m.SegmentsTruncated, m.VersionsCompacted, m.OverloadThrottles)
+	}
+	if m.CheckpointItems+m.CheckpointBases > 0 {
+		fmt.Fprintf(&b, " checkpoint-items=%d checkpoint-bases=%d", m.CheckpointItems, m.CheckpointBases)
 	}
 	return b.String()
 }
@@ -246,6 +251,11 @@ type Runtime struct {
 	crashed atomic.Bool // simulated-crash flag: every Submit drains with ErrCrashed
 	crashes atomic.Int64
 
+	// walMetaJSON is the encoded walMeta document of the attached log,
+	// built once (EnableWAL, Recover) and spliced into every checkpoint
+	// marker (ckMetaBlob).
+	walMetaJSON []byte
+
 	walErrMu sync.Mutex
 	walErr   error // first filesystem error recorded while staging a simulated crash
 
@@ -255,6 +265,8 @@ type Runtime struct {
 	ckNodesPruned     atomic.Int64
 	ckSegsTruncated   atomic.Int64
 	ckVersionsDropped atomic.Int64
+	ckItems           atomic.Int64
+	ckBases           atomic.Int64
 	overloadThrottles atomic.Int64
 
 	// MaxRetries bounds retries per transaction (safety net; wait-die
@@ -380,6 +392,8 @@ func (r *Runtime) Metrics() Metrics {
 		ValidationAborts:     r.valAborts.Load(),
 		ValidationRefreshes:  r.valRefreshes.Load(),
 		CheckpointsTaken:     r.ckTaken.Load(),
+		CheckpointItems:      r.ckItems.Load(),
+		CheckpointBases:      r.ckBases.Load(),
 		NodesPruned:          r.ckNodesPruned.Load(),
 		SegmentsTruncated:    r.ckSegsTruncated.Load(),
 		VersionsCompacted:    r.ckVersionsDropped.Load(),

@@ -411,8 +411,10 @@ func TestSequencesRecorded(t *testing.T) {
 	for _, s := range seqs {
 		total += len(s)
 	}
+	// The counters also count the operations of attempts wait-die
+	// sacrificed; the sequences hold committed work only.
 	m := rt.Metrics()
-	if int64(total) != m.LeafOps+m.Invokes {
-		t.Fatalf("sequence events = %d, want %d", total, m.LeafOps+m.Invokes)
+	if ran := m.LeafOps + m.Invokes; int64(total) > ran || m.Aborts == 0 && int64(total) != ran {
+		t.Fatalf("sequence events = %d, the runtime counted %d operations over %d aborted attempts", total, ran, m.Aborts)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"compositetx/internal/wal"
 )
@@ -80,36 +79,20 @@ func (r *Runtime) EnableWAL(cfg WALConfig) error {
 		l.Close()
 		return err
 	}
-	// Seed baseline: deterministic (sorted) order so identical setups
-	// produce identical logs.
-	names := make([]string, 0, len(r.comps))
-	for n := range r.comps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		c := r.comps[n]
-		if c.store == nil {
-			continue
-		}
-		snap := c.store.Snapshot()
-		items := make([]string, 0, len(snap))
-		for it := range snap {
-			items = append(items, it)
-		}
-		sort.Strings(items)
-		for _, it := range items {
-			if _, err := l.Append(wal.Record{Type: wal.TypeSeed, Comp: n, Item: it, Prev: snap[it]}); err != nil {
-				l.Close()
-				return err
-			}
+	// Seed baseline: what a base checkpoint batch would hold, in the same
+	// deterministic order, so identical setups produce identical logs.
+	for _, rec := range r.checkpointItems(true) {
+		rec.Type = wal.TypeSeed
+		if _, err := l.Append(rec); err != nil {
+			l.Close()
+			return err
 		}
 	}
 	if err := l.Sync(); err != nil {
 		l.Close()
 		return err
 	}
-	r.wal = l
+	r.wal, r.walMetaJSON = l, blob
 	return nil
 }
 

@@ -3,11 +3,13 @@ package sim
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
 	"compositetx/internal/data"
 	"compositetx/internal/sched"
+	"compositetx/internal/wal"
 )
 
 // E14 — bounded-memory streaming certification. A long-running certified
@@ -19,7 +21,11 @@ import (
 // the horizon) and "checkpoint" (both stay flat, bounded by the cadence).
 // Each cell also recovers from its WAL at the end and reports how much of
 // the log the recovery actually replayed — with checkpoints, the tail
-// since the last marker rather than the whole history.
+// since the last marker rather than the whole history. A cut journals the
+// items its window touched (a delta) or, by the amortisation rule, every
+// item (a base), so the table also reports ck-items per cut and the log
+// bytes left on disk, and each cell counts the ck-items its log retains
+// since the last base — never more than twice the store's item count.
 
 // CheckpointSoakConfig parameterizes the E14 soak.
 type CheckpointSoakConfig struct {
@@ -58,8 +64,12 @@ type ckPoint struct {
 	p95         time.Duration
 	liveHeap    uint64 // HeapAlloc after a forced GC at end of run (bytes)
 	checkpoints int64
-	walRecords  int    // records on disk at the end of the run
-	tailRecords int    // records recovery actually replayed
+	ckItems     int64 // TypeCkItem records the cuts journaled, base and delta
+	storeItems  int   // items across the stores
+	sinceBase   int   // ck-items on disk from the last base batch on
+	logBytes    int64 // segment bytes on disk at the end of the run
+	walRecords  int   // records on disk at the end of the run
+	tailRecords int   // records recovery actually replayed
 	recoverTime time.Duration
 	recovered   bool // recovery verdict Comp-C and commit count exact
 }
@@ -125,8 +135,12 @@ func measureCheckpointCell(cfg CheckpointSoakConfig, horizon int, mode string) (
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	pt.liveHeap = ms.HeapAlloc
-	pt.checkpoints = m.CheckpointsTaken
+	pt.checkpoints, pt.ckItems = m.CheckpointsTaken, m.CheckpointItems
+	pt.storeItems = rt.Store("east").Len() + rt.Store("west").Len()
 	if err := rt.CloseWAL(); err != nil {
+		return pt, err
+	}
+	if pt.logBytes, pt.sinceBase, err = retainedLog(dir, pt.storeItems); err != nil {
 		return pt, err
 	}
 
@@ -142,6 +156,41 @@ func measureCheckpointCell(cfg CheckpointSoakConfig, horizon int, mode string) (
 	total := rec.Runtime.Store("east").Get("acct") + rec.Runtime.Store("west").Get("acct")
 	pt.recovered = rec.Verdict.Correct && rec.Stats.Committed == horizon && total == initial
 	return pt, nil
+}
+
+// retainedLog reads what a finished run left on disk: the bytes of its
+// segments, and the ck-items from its last base batch on. A base is
+// recognised from outside as a batch holding every store item.
+func retainedLog(dir string, storeItems int) (bytes int64, sinceBase int, err error) {
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			return 0, 0, err
+		}
+		bytes += fi.Size()
+	}
+	recs, _, err := wal.ReadAll(dir)
+	if err != nil {
+		return 0, 0, err
+	}
+	batch := 0
+	for _, rec := range recs {
+		switch rec.Type {
+		case wal.TypeCkItem:
+			batch++
+			sinceBase++
+		case wal.TypeCheckpoint:
+			if batch == storeItems {
+				sinceBase = batch
+			}
+			batch = 0
+		}
+	}
+	return bytes, sinceBase, nil
 }
 
 // checkpointCells measures the full (horizon × mode) grid.
@@ -169,17 +218,21 @@ func E14Checkpoint(cfg CheckpointSoakConfig) *Table {
 		ID: "E14",
 		Title: fmt.Sprintf("Bounded-memory streaming certification (cadence %d, %d clients, certified bank transfers)",
 			cfg.Every, cfg.Clients),
-		Header: []string{"horizon", "mode", "tx/s", "p95", "live heap", "checkpoints", "log records", "replayed at recovery", "recovery", "verdict"},
+		Header: []string{"horizon", "mode", "tx/s", "p95", "live heap", "checkpoints", "ck-items/cut", "log bytes", "log records", "replayed at recovery", "recovery", "verdict"},
 	}
 	points, err := checkpointCells(cfg)
 	if err != nil {
-		t.AddRow("error", err.Error(), "-", "-", "-", "-", "-", "-", "-", "-")
+		t.AddRow("error", err.Error(), "-", "-", "-", "-", "-", "-", "-", "-", "-", "-")
 		return t
 	}
 	for _, pt := range points {
 		verdict := "Comp-C, conserved"
 		if !pt.recovered {
 			verdict = "VIOLATION"
+		}
+		perCut := "-"
+		if pt.checkpoints > 0 {
+			perCut = fmt.Sprintf("%.1f", float64(pt.ckItems)/float64(pt.checkpoints))
 		}
 		t.AddRow(
 			pt.horizon,
@@ -188,13 +241,15 @@ func E14Checkpoint(cfg CheckpointSoakConfig) *Table {
 			pt.p95.Round(time.Microsecond).String(),
 			fmt.Sprintf("%.1f MB", float64(pt.liveHeap)/(1<<20)),
 			pt.checkpoints,
+			perCut,
+			pt.logBytes,
 			pt.walRecords,
 			pt.tailRecords,
 			pt.recoverTime.Round(time.Millisecond).String(),
 			verdict,
 		)
 	}
-	t.Note = "expected: in the unbounded rows the retained heap, on-disk log, records replayed at " +
+	t.Note = "expected: in the unbounded rows the retained heap, on-disk log (bytes and records), records replayed at " +
 		"recovery, and recovery time all grow ~10x with the horizon — and throughput collapses, because " +
 		"the certifier's per-commit cost grows with the unfolded forest; in the checkpointed rows all of " +
 		"them stay flat — bounded by the cadence, not the horizon — recovery replays only the tail since " +
@@ -221,6 +276,8 @@ func CheckpointBenchmarks() []BenchResult {
 			"p95Ns":        float64(pt.p95.Nanoseconds()),
 			"liveHeapMB":   float64(pt.liveHeap) / (1 << 20),
 			"checkpoints":  float64(pt.checkpoints),
+			"ckItems":      float64(pt.ckItems),
+			"logBytes":     float64(pt.logBytes),
 			"walRecords":   float64(pt.walRecords),
 			"tailRecords":  float64(pt.tailRecords),
 			"recoverNs":    float64(pt.recoverTime.Nanoseconds()),

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +11,34 @@ import (
 
 	"compositetx/internal/sched"
 )
+
+// perfGates is set by the Makefile's wall-clock targets (make mvcc /
+// distperf / certperf). A throughput ratio depends on how busy the
+// machine is, so `go test ./...` asserts only the deterministic facts of
+// the E13/E16/E17 runs — commits, rejects, conservation, fast-path and
+// fsync-window counts — and logs the ratio.
+var perfGates = os.Getenv("COMPOSITETX_PERF") != ""
+
+// perfReps is the best-of-N a cell gets: n when its ratio is gated, one
+// run when only its counts are.
+func perfReps(n int) int {
+	if perfGates {
+		return n
+	}
+	return 1
+}
+
+// wallClockGate fails when ratio is under min — under perfGates only.
+func wallClockGate(t *testing.T, what string, ratio, min float64) {
+	t.Helper()
+	if !perfGates {
+		t.Logf("%s: %.2fx (the >=%.1fx gate runs with COMPOSITETX_PERF=1)", what, ratio, min)
+		return
+	}
+	if ratio < min {
+		t.Fatalf("%s: %.2fx, want >=%.1fx", what, ratio, min)
+	}
+}
 
 func TestE1Figure3Fails(t *testing.T) {
 	tab := E1Figure3()
@@ -199,7 +228,8 @@ func TestE16GroupCommitBeatsPerTxnFsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E16 runs WAL-backed clusters at 64-way concurrency; skipped in -short")
 	}
-	const conc, perClient, reps = 64, 15, 3
+	const conc, perClient = 64, 15
+	reps := perfReps(3)
 	base, err := measureE16("chan", false, conc, perClient, reps)
 	if err != nil {
 		t.Fatalf("per-txn cell: %v", err)
@@ -217,21 +247,17 @@ func TestE16GroupCommitBeatsPerTxnFsync(t *testing.T) {
 		t.Fatalf("group cell did not coalesce: %d windows for %d forces", grouped.windows, grouped.forces)
 	}
 	// The committed headline (BENCH_checker.json) is >=2x at 64 concurrent
-	// roots; the test gate is looser so slow CI machines don't flake.
-	if speedup := grouped.tps / base.tps; speedup < 1.4 {
-		t.Fatalf("group %.0f tx/s vs per-txn %.0f tx/s (%.2fx); want clearly faster (>=1.4x)",
-			grouped.tps, base.tps, speedup)
-	}
+	// roots; the `make distperf` gate is looser so slow CI machines don't
+	// flake.
+	wallClockGate(t, "group vs per-txn fsync tx/s", grouped.tps/base.tps, 1.4)
 }
 
 func TestE17PipelineBeatsSerialCertify(t *testing.T) {
 	if testing.Short() {
-		t.Skip("E17 measures wall-clock certified throughput at 8-way concurrency; skipped in -short")
+		t.Skip("E17 runs certified workloads at 8-way concurrency; skipped in -short")
 	}
-	if raceEnabled {
-		t.Skip("race instrumentation inflates the fixed per-commit cost and compresses the speedup ratio; `make certperf` gates the threshold uninstrumented and the byte-identity suite covers correctness under -race")
-	}
-	const conflict, clients, perClient, legs, reps = 10, 8, 60, 12, 3
+	const conflict, clients, perClient, legs = 10, 8, 60, 12
+	reps := perfReps(3)
 	serial, err := measureE17(certMode{name: "serial", on: true, opts: sched.CertifyOptions{Serial: true}},
 		conflict, clients, perClient, legs, reps)
 	if err != nil {
@@ -242,21 +268,29 @@ func TestE17PipelineBeatsSerialCertify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pipeline cell: %v", err)
 	}
-	for _, pt := range []e17Point{serial, pipeline} {
+	// With no conflicts at all, every commit is footprint-disjoint: all of
+	// them take the fast path except the one that introduces the schedules
+	// and invocation edges (a nodes-only delta cannot).
+	disjoint, err := measureE17(certMode{name: "pipeline", on: true}, 0, clients, perClient, legs, 1)
+	if err != nil {
+		t.Fatalf("zero-conflict cell: %v", err)
+	}
+	for _, pt := range []e17Point{serial, pipeline, disjoint} {
 		if !pt.ok {
-			t.Fatalf("E17 %s cell lost commits or rejected: %+v", pt.mode, pt)
+			t.Fatalf("E17 %s/%d%% cell lost commits or rejected: %+v", pt.mode, pt.conflict, pt)
 		}
 	}
 	if pipeline.fastPath == 0 {
 		t.Fatal("pipeline cell never took the footprint fast path on the low-conflict workload")
 	}
-	// The committed headline (BENCH_checker.json, `make certperf`) is ≥2x
-	// at 8 clients on the ≤10%-conflict mix; the CI gate asserts the full
-	// claim since the pipeline's margin is wide there.
-	if speedup := pipeline.tps / serial.tps; speedup < 2.0 {
-		t.Fatalf("pipeline %.0f tx/s vs serial %.0f tx/s (%.2fx); want >=2x at %d clients / %d%% conflict",
-			pipeline.tps, serial.tps, speedup, clients, conflict)
+	if disjoint.fastPath < int64(disjoint.committed)-1 {
+		t.Fatalf("zero-conflict cell: %d of %d commits took the fast path, want all but the first",
+			disjoint.fastPath, disjoint.committed)
 	}
+	// The committed headline (BENCH_checker.json) is ≥2x at 8 clients on
+	// the ≤10%-conflict mix; `make certperf` asserts the full claim, on an
+	// uninstrumented build.
+	wallClockGate(t, "pipeline vs serial certified tx/s", pipeline.tps/serial.tps, 2.0)
 }
 
 func TestE12IncrementalBeatsFullRecheck(t *testing.T) {
@@ -300,11 +334,11 @@ func TestE13MVCCBeatsLockOnlyAtHighReadRatio(t *testing.T) {
 	}
 	// The committed curve's shape (DefaultMVCCConfig) at the 90% cell
 	// only: shared pool, per-step think time, best-of-N reps per cell to
-	// ride out scheduler noise. The committed headline is >=2x; the test
-	// gate is looser so slow CI machines don't flake.
+	// ride out scheduler noise. The committed headline is >=2x; the
+	// `make mvcc` gate is looser so slow CI machines don't flake.
 	cfg := DefaultMVCCConfig()
 	cfg.ReadRatios = []float64{0.9}
-	cfg.Reps = 4
+	cfg.Reps = perfReps(4)
 	points := mvccCurves(cfg)
 	var lock, mvcc, certified *mvccPoint
 	for i := range points {
@@ -328,10 +362,7 @@ func TestE13MVCCBeatsLockOnlyAtHighReadRatio(t *testing.T) {
 	if certified.rejects != 0 {
 		t.Fatalf("certifier rejected %d validated optimistic commits", certified.rejects)
 	}
-	if speedup := mvcc.tps / lock.tps; speedup < 1.3 {
-		t.Fatalf("mvcc %.0f tx/s vs lock %.0f tx/s (%.2fx); want clearly faster (>=1.3x)",
-			mvcc.tps, lock.tps, speedup)
-	}
+	wallClockGate(t, "mvcc vs lock-only tx/s at 90% reads", mvcc.tps/lock.tps, 1.3)
 }
 
 func TestE14CheckpointBoundsRecovery(t *testing.T) {
@@ -359,10 +390,19 @@ func TestE14CheckpointBoundsRecovery(t *testing.T) {
 		}
 		cells[fmt.Sprintf("%s/%d", pt.mode, pt.horizon)] = pt
 	}
-	ck5 := cells["checkpoint/600"]
+	ck1, ck5 := cells["checkpoint/120"], cells["checkpoint/600"]
 	un1, un5 := cells["unbounded/120"], cells["unbounded/600"]
 	if ck5.checkpoints == 0 {
 		t.Fatal("the checkpointed soak took no checkpoints")
+	}
+	// The retention bound of the base/delta rule, a count: whatever mix of
+	// batches the cuts wrote, the log holds under 2x the store's items in
+	// ck-items from its last base on.
+	for _, pt := range []ckPoint{ck1, ck5} {
+		if pt.sinceBase == 0 || pt.sinceBase > 2*pt.storeItems {
+			t.Fatalf("checkpoint/%d: %d ck-items since the last base over %d store items",
+				pt.horizon, pt.sinceBase, pt.storeItems)
+		}
 	}
 	// Unbounded recovery replays the whole history: ~5x growth.
 	if g := float64(un5.tailRecords) / float64(un1.tailRecords); g < 3 {

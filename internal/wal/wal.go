@@ -620,14 +620,19 @@ func (l *Log) doSyncLocked() error {
 	return nil
 }
 
+// rotateLocked switches to a fresh segment. The old file is closed only
+// once the new one exists, so a failed creation (disk full, a name
+// collision) fails this append and leaves the log appendable: the next
+// append retries the rotation.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
+	old := l.f
+	if err := l.createSegment(l.seg + 1); err != nil {
 		return err
 	}
-	return l.createSegment(l.seg + 1)
+	return old.Close()
 }
 
 func (l *Log) createSegment(idx int) error {

@@ -376,6 +376,55 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
+// TestFailedRotationLeavesLogAppendable squats a directory on the next
+// segment's name: the append that has to rotate fails, nothing is lost,
+// and once the name is free the next append rotates and the log reads
+// back gap-free.
+func TestFailedRotationLeavesLogAppendable(t *testing.T) {
+	dir := t.TempDir()
+	// One byte per segment: every append rotates first, so the record
+	// with LSN n lands in segment n+1.
+	l, _, err := Open(dir, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleRecords(5)
+	for _, rec := range want[:3] {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	squat := filepath.Join(dir, segmentName(5))
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(want[3]); err == nil {
+		t.Fatal("append rotated onto a name a directory holds")
+	}
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range want[3:] {
+		lsn, err := l.Append(rec)
+		if err != nil {
+			t.Fatalf("append after the failed rotation: %v", err)
+		}
+		if lsn != uint64(4+i) {
+			t.Fatalf("LSN %d after the failed rotation, want %d", lsn, 4+i)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadAll(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("log after a failed rotation:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestDecodeRejectsUnknownType ensures forward-compat failures are loud.
 func TestDecodeRejectsUnknownType(t *testing.T) {
 	if _, err := decodeBody([]byte{byte(typeMax)}); err == nil {
