@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify race chaos crash mvcc soak net distperf certperf bench benchsmoke benchtest experiments clean
+.PHONY: all build test verify race chaos crash mvcc soak net distperf certperf fuzz loc bench benchsmoke benchtest experiments clean
 
 all: build test
 
@@ -25,12 +25,14 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestTrigger|TestSeededFaults|TestCompensation' ./internal/sched
 
 # crash runs the durability suite under the race detector: WAL torn-tail
-# and rotation cases, every deterministic crash site, recovery idempotence,
-# deterministic replay, the crash-chaos conservation soak, and the E11
-# crash matrix.
+# and rotation cases (and the frame-scanner fuzz seeds), every
+# deterministic crash site, recovery idempotence, deterministic replay, the
+# crash-chaos conservation soak, the replay law on the journal seam's
+# store-replay core with the parent-written format-freeze corpus
+# (TestJournal, TestCorpus), and the E11 crash matrix.
 crash:
 	$(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run 'TestCrash|TestRecover|TestDeterministicReplay|TestEnableWAL' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestCrash|TestRecover|TestDeterministicReplay|TestEnableWAL|TestJournal|TestCorpus' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestE11' ./internal/sim
 
 # mvcc runs the multi-version data layer and optimistic-execution suite
@@ -87,16 +89,32 @@ distperf:
 	$(GO) test -race -count=1 -run 'TestForce|TestAbandon' ./internal/wal
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE16' ./internal/sim
 
-# certperf runs the certifier-pipeline gate: the byte-identity property
-# suite under the race detector (pipelined/fast-path admission must leave
-# the certified system byte-identical to the always-admit engine, plus
-# rejection-rebuild and WAL-ordering regressions), and the E17 throughput
-# gate (the pipeline must certify at >=2x the serial baseline at 8
-# clients on the <=10%-conflict mix, with the fast path actually taken).
-# The E17 gate is not under -race: it measures wall-clock throughput.
+# certperf runs the certifier gate: the byte-identity property suite under
+# the race detector (pipelined/fast-path admission must leave the
+# certified system byte-identical to an always-admit oracle engine, plus
+# rejection-rebuild and WAL-ordering regressions), and the E17 overhead
+# gate (certified throughput at least a third of the uncertified ceiling
+# at 8 clients on the 10%-conflict mix, with the fast path actually
+# taken). The E17 gate is not under -race: it measures wall-clock
+# throughput.
 certperf:
 	$(GO) test -race -count=1 -run 'TestCertify|TestPipeline|TestAbsorb' ./internal/sched ./internal/front
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE17' ./internal/sim
+
+# fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
+# seeds alone run under `go test ./...`): the WAL frame scanner and the
+# model decoder.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 20s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCheck -fuzztime 20s ./internal/model
+
+# loc prints the non-test Go lines per package and in total (bench/ is its
+# own module and not counted) — the number CHANGES.md quotes when a PR
+# claims lines removed.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		printf '%6d %s\n' $$(cat $$(ls $$dir/*.go | grep -v _test.go) | wc -l) $$pkg; \
+	done | awk '{print; n += $$1} END {printf "%6d total\n", n}'
 
 # bench regenerates BENCH_checker.json: the E1/E2/E7 tables, the E10
 # chaos-recovery, E11 crash-matrix, E12 online-certification, E13
@@ -107,9 +125,8 @@ certperf:
 # append under each group-commit setting, full crash recovery, E14
 # tail/recovery growth across the horizon spread, end-to-end 2PC latency
 # per transport, E16 group-commit vs per-txn-fsync throughput at 64
-# concurrent clients, E17 certified commit throughput per certifier mode
-# with uncertified-baseline cells and the pipeline-vs-serial speedup and
-# certification-overhead ratios). See DESIGN.md §7.1.
+# concurrent clients, E17 certified and uncertified commit throughput
+# with the certification-overhead ratio). See DESIGN.md §7.1.
 bench:
 	$(GO) run ./cmd/compbench -only E1,E2,E7,E10,E11,E12,E13,E14,E15,E16,E17 -json BENCH_checker.json
 

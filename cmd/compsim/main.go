@@ -562,8 +562,6 @@ func main() {
 	groupCommit := flag.Bool("group-commit", false, "coalesce 2PC force points through the WAL flush daemon: one shared fsync per flush window instead of one per force (requires -distributed)")
 	distConc := flag.Int("dist-conc", 0, "sustained distributed-throughput comparison at N concurrent clients on disjoint account pairs: per-txn fsync vs. group commit, tps + p50/p99 (implies -distributed on the bank topology; -roots sets total transfers)")
 	certify := flag.Bool("certify", false, "certify every commit online against Comp-C and reject violating ones")
-	certFastPath := flag.Bool("cert-fastpath", true, "absorb footprint-disjoint commits past the certifier engine (requires -certify; disable to force every commit through full admission)")
-	certSerial := flag.Bool("cert-serial", false, "run the pre-pipeline serial certifier: delta build and admission inline under the global commit lock (requires -certify)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every N commits: fold certified history, prune the recorder, compact MVCC chains, truncate the WAL (0 = never)")
 	optimistic := flag.Bool("optimistic", false, "serve leaf reads from MVCC snapshots and validate them at commit instead of taking semantic read locks")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -660,7 +658,6 @@ func main() {
 		rt.Exec = ctx.ExecOptimistic
 	}
 	if *certify {
-		rt.CertOpts = ctx.CertifyOptions{Serial: *certSerial, NoFastPath: !*certFastPath}
 		if err := rt.EnableCertify(); err != nil {
 			fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
 			exit(2)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The coalesced writer must put the exact same bytes on the wire as the
@@ -110,7 +111,12 @@ func TestTCPCoalesceStats(t *testing.T) {
 		seen[m.ID] = true
 	}
 
+	// The writer counts a batch after flushing it, so the last delivery can
+	// beat the last count: wait for the counter, not for the receiver.
 	st := n.CoalesceStats()
+	for deadline := time.Now().Add(2 * time.Second); st.Messages < uint64(total) && time.Now().Before(deadline); st = n.CoalesceStats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Messages != uint64(total) {
 		t.Fatalf("coalesce messages=%d, want %d", st.Messages, total)
 	}

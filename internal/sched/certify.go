@@ -83,21 +83,6 @@ func (e *CertifyError) Error() string {
 
 func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
-// CertifyOptions tunes the certification pipeline. Set Runtime.CertOpts
-// before EnableCertify.
-type CertifyOptions struct {
-	// Serial restores the pre-pipeline commit path: delta construction and
-	// admission run inline under the runtime mutex, with the fast path
-	// disabled too — the faithful PR-4 baseline the E17 comparison
-	// measures against. Never faster.
-	Serial bool
-	// NoFastPath disables the footprint-disjointness fast path, forcing
-	// every admitted stage through the full engine admission (the
-	// always-admit reference the byte-identity property tests compare
-	// against).
-	NoFastPath bool
-}
-
 func certKey(comp, item string) string { return comp + "\x00" + item }
 
 // stampedEvent is one admitted conflict-relevant event, tagged with the
@@ -163,24 +148,6 @@ func (ix *certIndex) probe(key string, lo, hi uint64, mt *data.ModeTable, mode d
 		i := sort.Search(len(me.evs), func(i int) bool { return me.evs[i].epoch > lo })
 		for ; i < len(me.evs) && me.evs[i].epoch <= hi; i++ {
 			fn(me.evs[i].event)
-		}
-	}
-	sh.mu.RUnlock()
-}
-
-// probeFlat is the faithful PR-4 scan the Serial baseline measures
-// against: every indexed event under the key is visited and checked
-// against the committing event's mode one pair at a time — no per-mode
-// sublist screening, no epoch windowing of the scan. Results are
-// identical to probe's; the cost is the pre-pipeline per-commit cost.
-func (ix *certIndex) probeFlat(key string, lo, hi uint64, mt *data.ModeTable, mode data.Mode, fn func(event)) {
-	sh := ix.shard(key)
-	sh.mu.RLock()
-	for _, me := range sh.m[key] {
-		for _, se := range me.evs {
-			if mt.ModeConflicts(me.mode, mode) && se.epoch > lo && se.epoch <= hi {
-				fn(se.event)
-			}
 		}
 	}
 	sh.mu.RUnlock()
@@ -256,7 +223,6 @@ func (ix *certIndex) reset() {
 // certifier is the runtime's online Comp-C certifier.
 type certifier struct {
 	modes map[string]*data.ModeTable // component mode tables (read-only after New)
-	opts  CertifyOptions
 
 	// epoch counts absorbed stages; every indexed event carries the epoch
 	// of the stage that absorbed it. A builder snapshots it out of lock:
@@ -313,13 +279,8 @@ type certifier struct {
 }
 
 func newCertifier(r *Runtime) *certifier {
-	opts := r.CertOpts
-	if opts.Serial {
-		opts.NoFastPath = true // the PR-4 baseline had no fast path
-	}
 	c := &certifier{
 		modes: make(map[string]*data.ModeTable, len(r.comps)),
-		opts:  opts,
 		// PropagateInputs mirrors RecordedSystem's Definition 4 item 7
 		// propagation, so the certified history matches the recorder.
 		inc:         front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
@@ -440,16 +401,10 @@ func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTic
 		t.ekeys = append(t.ekeys, key)
 	}
 	for i, e := range t.evs {
-		if c.opts.Serial {
-			c.index.probeFlat(t.ekeys[i], 0, t.snapEpoch, c.modes[e.comp], e.mode, func(p event) {
-				pairSeq(&t.snapPairs, p, e)
-			})
-		} else {
-			c.index.probe(t.ekeys[i], 0, t.snapEpoch, c.modes[e.comp], e.mode, func(p event) {
-				t.notePeer(p.parentTx)
-				pairSeq(&t.snapPairs, p, e)
-			})
-		}
+		c.index.probe(t.ekeys[i], 0, t.snapEpoch, c.modes[e.comp], e.mode, func(p event) {
+			t.notePeer(p.parentTx)
+			pairSeq(&t.snapPairs, p, e)
+		})
 		// Intra-stage sweep: earlier events of the same key pair with e.
 		for j := 0; j < i; j++ {
 			if t.ekeys[j] == t.ekeys[i] {
@@ -580,8 +535,7 @@ func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	d.Conflicts = pairs
 	d.WeakOut = pairs
 
-	if len(pairs) == 0 && len(d.Schedules) == 0 && !c.opts.NoFastPath &&
-		c.inc.NodesOnlyEligible(d) {
+	if len(pairs) == 0 && len(d.Schedules) == 0 && c.inc.NodesOnlyEligible(d) {
 		// Footprint-disjoint: park the stage for lazy absorption instead of
 		// applying it. Its events still enter the conflict index (so a later
 		// conflicting stage finds it and flushes it), but the engine — and
@@ -849,7 +803,7 @@ func orderDecls(decls []nodeDecl) []nodeDecl {
 // the journaled metadata record would not carry the certify flag, so a
 // recovery of that log would silently drop certification.
 func (r *Runtime) EnableCertify() error {
-	if r.wal != nil {
+	if r.wal.attached() {
 		return ErrCertifyAfterWAL
 	}
 	return r.enableCertify()
@@ -925,9 +879,6 @@ func (r *Runtime) certify(a *attempt) error {
 	if c == nil {
 		return nil
 	}
-	if c.opts.Serial {
-		return r.certifySerial(c, a)
-	}
 	t := c.buildTicket(a.root, a.stage)
 	c.enqueue(t)
 	res := <-t.res
@@ -938,27 +889,6 @@ func (r *Runtime) certify(a *attempt) error {
 	if res.verdict != nil {
 		r.certRejects.Add(1)
 		return &CertifyError{Root: a.root, Verdict: res.verdict}
-	}
-	return nil
-}
-
-// certifySerial is the pre-pipeline baseline (CertifyOptions.Serial):
-// construction and admission both inline under the global runtime mutex,
-// exactly the old commit critical section. Kept for the E17 comparison.
-func (r *Runtime) certifySerial(c *certifier, a *attempt) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := c.buildTicket(a.root, a.stage)
-	c.mu.Lock()
-	v, err := c.admitLocked(t)
-	c.mu.Unlock()
-	c.putTicket(t)
-	if err != nil {
-		return err
-	}
-	if v != nil {
-		r.certRejects.Add(1)
-		return &CertifyError{Root: a.root, Verdict: v}
 	}
 	return nil
 }

@@ -52,56 +52,49 @@ func encodeSystem(t *testing.T, sys *model.System) []byte {
 // clients (so admission interleaves with delta construction, and under
 // -race the pipeline's synchronization is exercised for real) — the
 // certifier's accumulated system is byte-identical to a fresh
-// always-admit oracle engine replaying the same admitted deltas. Run for
-// the default (fast-path) pipeline and with the fast path disabled; the
+// always-admit oracle engine replaying the same admitted deltas; the
 // fast path must fire on the disjoint-leaning mixes.
 func TestCertifyPipelineByteIdentity(t *testing.T) {
 	sawFast := false
-	for _, opts := range []CertifyOptions{{}, {NoFastPath: true}} {
-		for seed := int64(1); seed <= 4; seed++ {
-			for _, mix := range []struct {
-				name        string
-				items       int
-				read, write float64
-			}{
-				{"conflicting", 2, 0.2, 0.6},
-				{"disjoint-leaning", 64, 0.7, 0.1},
-			} {
-				topo := DiamondTopology()
-				rt := topo.NewRuntime(Hybrid)
-				rt.CertOpts = opts
-				if err := rt.EnableCertify(); err != nil {
-					t.Fatal(err)
-				}
-				progs := GenPrograms(topo, WorkloadParams{
-					Roots: 24, StepsPerTx: 3, Items: mix.items,
-					ReadRatio: mix.read, WriteRatio: mix.write, Seed: seed,
-				})
-				if err := Run(rt, progs, 8); err != nil {
-					t.Fatal(err)
-				}
-				m := rt.Metrics()
-				if m.Commits != 24 || m.CertifyRejects != 0 {
-					t.Fatalf("%s/seed%d: commits=%d rejects=%d, want 24/0", mix.name, seed, m.Commits, m.CertifyRejects)
-				}
-				if opts.NoFastPath && m.CertifyFastPath != 0 {
-					t.Fatalf("%s/seed%d: fast path fired %d times with NoFastPath set", mix.name, seed, m.CertifyFastPath)
-				}
-				if m.CertifyFastPath > 0 {
-					sawFast = true
-				}
-				got := encodeSystem(t, rt.CertifiedSystem())
-				want := encodeSystem(t, oracleReplay(t, rt))
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s/seed%d (fastpath=%v): certified system diverged from always-admit oracle:\ncertified: %s\noracle:    %s",
-						mix.name, seed, !opts.NoFastPath, got, want)
-				}
-				// The certified history and the recorder's committed
-				// projection agree on the verdict and the node population.
-				rec := rt.RecordedSystem()
-				if cs := rt.CertifiedSystem(); cs.NumNodes() != rec.NumNodes() {
-					t.Fatalf("%s/seed%d: certifier has %d nodes, recorder %d", mix.name, seed, cs.NumNodes(), rec.NumNodes())
-				}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, mix := range []struct {
+			name        string
+			items       int
+			read, write float64
+		}{
+			{"conflicting", 2, 0.2, 0.6},
+			{"disjoint-leaning", 64, 0.7, 0.1},
+		} {
+			topo := DiamondTopology()
+			rt := topo.NewRuntime(Hybrid)
+			if err := rt.EnableCertify(); err != nil {
+				t.Fatal(err)
+			}
+			progs := GenPrograms(topo, WorkloadParams{
+				Roots: 24, StepsPerTx: 3, Items: mix.items,
+				ReadRatio: mix.read, WriteRatio: mix.write, Seed: seed,
+			})
+			if err := Run(rt, progs, 8); err != nil {
+				t.Fatal(err)
+			}
+			m := rt.Metrics()
+			if m.Commits != 24 || m.CertifyRejects != 0 {
+				t.Fatalf("%s/seed%d: commits=%d rejects=%d, want 24/0", mix.name, seed, m.Commits, m.CertifyRejects)
+			}
+			if m.CertifyFastPath > 0 {
+				sawFast = true
+			}
+			got := encodeSystem(t, rt.CertifiedSystem())
+			want := encodeSystem(t, oracleReplay(t, rt))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s/seed%d: certified system diverged from always-admit oracle:\ncertified: %s\noracle:    %s",
+					mix.name, seed, got, want)
+			}
+			// The certified history and the recorder's committed
+			// projection agree on the verdict and the node population.
+			rec := rt.RecordedSystem()
+			if cs := rt.CertifiedSystem(); cs.NumNodes() != rec.NumNodes() {
+				t.Fatalf("%s/seed%d: certifier has %d nodes, recorder %d", mix.name, seed, cs.NumNodes(), rec.NumNodes())
 			}
 		}
 	}
@@ -191,53 +184,6 @@ func TestCertifyRejectionRebuild(t *testing.T) {
 	ok, err := front.IsCompC(rt.RecordedSystem())
 	if err != nil || !ok {
 		t.Fatalf("committed history after rejection+rebuild must be Comp-C (ok=%v err=%v)", ok, err)
-	}
-}
-
-// TestCertifySerialBaseline pins the CertifyOptions.Serial escape hatch:
-// the pre-pipeline path still certifies correctly (it is the E17
-// baseline), rejects violations, and never takes the fast path.
-func TestCertifySerialBaseline(t *testing.T) {
-	topo := DiamondTopology()
-	rt := topo.NewRuntime(Hybrid)
-	rt.CertOpts = CertifyOptions{Serial: true}
-	if err := rt.EnableCertify(); err != nil {
-		t.Fatal(err)
-	}
-	progs := GenPrograms(topo, WorkloadParams{
-		Roots: 16, StepsPerTx: 3, Items: 8,
-		ReadRatio: 0.4, WriteRatio: 0.3, Seed: 7,
-	})
-	if err := Run(rt, progs, 4); err != nil {
-		t.Fatal(err)
-	}
-	m := rt.Metrics()
-	if m.Commits != 16 || m.CertifyRejects != 0 {
-		t.Fatalf("commits=%d rejects=%d, want 16/0", m.Commits, m.CertifyRejects)
-	}
-	if m.CertifyFastPath != 0 {
-		t.Fatalf("serial baseline took the fast path %d times", m.CertifyFastPath)
-	}
-	got := encodeSystem(t, rt.CertifiedSystem())
-	want := encodeSystem(t, oracleReplay(t, rt))
-	if !bytes.Equal(got, want) {
-		t.Fatal("serial certifier diverged from always-admit oracle")
-	}
-
-	rt2 := DiamondTopology().NewRuntime(OpenNested)
-	rt2.CertOpts = CertifyOptions{Serial: true}
-	if err := rt2.EnableCertify(); err != nil {
-		t.Fatal(err)
-	}
-	errA, errB := submitCrossedWrites(t, rt2, "TA", "TB")
-	rejects := 0
-	for _, err := range []error{errA, errB} {
-		if err != nil && errors.Is(err, ErrCertifyViolation) {
-			rejects++
-		}
-	}
-	if rejects != 1 {
-		t.Fatalf("serial baseline: want exactly one rejection, got %d (A=%v B=%v)", rejects, errA, errB)
 	}
 }
 

@@ -331,7 +331,7 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	// 1. Journal the batch. With the gate held exclusively no mutation is
 	// half-journaled: everything already in the log is fully reflected in
 	// these values, everything after the marker is not at all.
-	if r.wal != nil {
+	if r.wal.attached() {
 		base := r.ck.baseFirst == 0
 		var items []wal.Record
 		if !base {
@@ -347,8 +347,8 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 		}
 		var batchFirst uint64
 		if len(items) > 0 {
-			if batchFirst, err = r.wal.AppendBatch(items); err != nil {
-				return r.ckWALErr(err)
+			if batchFirst, err = r.wal.appendBatch(items); err != nil {
+				return err
 			}
 			if !base {
 				// Counted even if the marker below fails: the records are
@@ -359,9 +359,9 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 		// Crash site "checkpoint:marker": the items are journaled but the
 		// marker is not — an incomplete checkpoint recovery must ignore.
 		r.fireCrash("", "checkpoint", "marker", nil)
-		markerLSN, err := r.wal.AppendCheckpoint(nil, wal.Record{Meta: blob})
+		markerLSN, err := r.wal.log.AppendCheckpoint(nil, wal.Record{Meta: blob})
 		if err != nil {
-			return r.ckWALErr(err)
+			return crashErr(err)
 		}
 		if base {
 			if batchFirst == 0 {
@@ -413,10 +413,10 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	}
 
 	// 4. Truncate the log behind the barrier.
-	if r.wal != nil {
-		n, err := r.wal.TruncateBefore(r.ck.barrier())
+	if r.wal.attached() {
+		n, err := r.wal.log.TruncateBefore(r.ck.barrier())
 		if err != nil {
-			return r.ckWALErr(err)
+			return crashErr(err)
 		}
 		st.SegmentsDeleted = n
 	}
@@ -441,14 +441,7 @@ func (r *Runtime) checkpointItems(base bool) []wal.Record {
 		if base {
 			snap = store.Snapshot()
 		}
-		keys := make([]string, 0, len(snap))
-		for it := range snap {
-			keys = append(keys, it)
-		}
-		sort.Strings(keys)
-		for _, it := range keys {
-			items = append(items, wal.Record{Type: wal.TypeCkItem, Comp: n, Item: it, Prev: snap[it]})
-		}
+		items = itemRecords(items, wal.TypeCkItem, n, snap)
 	}
 	return items
 }
@@ -495,15 +488,6 @@ func (r *Runtime) ckMetaBlob() ([]byte, error) {
 		b = append(b, qb...)
 	}
 	return append(b, '}'), nil
-}
-
-// ckWALErr maps a closed (crash-abandoned) log to ErrCrashed, like every
-// other journaling path.
-func (r *Runtime) ckWALErr(err error) error {
-	if errors.Is(err, wal.ErrClosed) {
-		return ErrCrashed
-	}
-	return err
 }
 
 // maybeCheckpoint runs the automatic cadence after a commit: a

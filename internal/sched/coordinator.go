@@ -52,9 +52,9 @@ type Coordinator struct {
 	topo     *Topology
 	comps    map[string]*dcomp
 	mux      *comm.Mux
-	wal      *wal.Log
+	wal      journal
 	group    bool          // coalesce force points through wal.Force
-	clock    atomic.Uint64 // Lamport clock; event-sequence authority
+	clock    lamport       // event-sequence authority
 	tsc      atomic.Uint64 // wait-die timestamp source
 	crashed  atomic.Bool
 	crash    *distCrashState
@@ -141,26 +141,13 @@ func (c *Coordinator) start(every time.Duration) {
 	go c.redeliverLoop(every)
 }
 
-func (c *Coordinator) tick() uint64 { return c.clock.Add(1) }
-
-func (c *Coordinator) mergeClock(remote uint64) {
-	for {
-		cur := c.clock.Load()
-		if remote <= cur || c.clock.CompareAndSwap(cur, remote) {
-			return
-		}
-	}
-}
-
 // crashNow simulates a coordinator crash: log abandoned, endpoint closed
 // (participant queries go unanswered until recovery re-registers it).
 func (c *Coordinator) crashNow() {
 	if !c.crashed.CompareAndSwap(false, true) {
 		return
 	}
-	if c.wal != nil {
-		c.wal.Abandon(nil)
-	}
+	c.wal.abandon(nil)
 	close(c.stop)
 	c.mux.Close()
 }
@@ -169,9 +156,7 @@ func (c *Coordinator) close() {
 	if c.crashed.CompareAndSwap(false, true) {
 		close(c.stop)
 		c.mux.Close()
-		if c.wal != nil {
-			c.wal.Close()
-		}
+		c.wal.close()
 	}
 	c.bg.Wait()
 }
@@ -185,7 +170,7 @@ func (c *Coordinator) handle(m comm.Message) {
 	if c.crashed.Load() || m.Kind != comm.KindQuery {
 		return
 	}
-	c.mergeClock(m.Clock)
+	c.clock.merge(m.Clock)
 	rep := comm.Message{Kind: comm.KindQueryReply, OK: true, Txn: m.Txn, Attempt: m.Attempt}
 	c.mu.Lock()
 	if ct, ok := c.committed[m.Txn]; ok {
@@ -194,7 +179,7 @@ func (c *Coordinator) handle(m comm.Message) {
 		rep.Code = dcodeRetry
 	}
 	c.mu.Unlock()
-	rep.Clock = c.tick()
+	rep.Clock = c.clock.tick()
 	c.mux.Reply(m, rep)
 }
 
@@ -204,7 +189,7 @@ func (c *Coordinator) call(to string, req comm.Message) (comm.Message, error) {
 	if c.crashed.Load() {
 		return comm.Message{}, ErrCrashed
 	}
-	req.Clock = c.tick()
+	req.Clock = c.clock.tick()
 	rep, err := c.mux.Call(to, req, c.rpcTimeout, c.rpcRetries)
 	if err != nil {
 		if c.crashed.Load() || errors.Is(err, comm.ErrClosed) {
@@ -215,7 +200,7 @@ func (c *Coordinator) call(to string, req comm.Message) (comm.Message, error) {
 		}
 		return comm.Message{}, fmt.Errorf("sched: rpc %s to %s: %w", req.Kind, to, err)
 	}
-	c.mergeClock(rep.Clock)
+	c.clock.merge(rep.Clock)
 	return rep, nil
 }
 
@@ -401,7 +386,7 @@ func (c *Coordinator) leafOp(a *dattempt, dc *dcomp, parent, id model.NodeID, op
 	if !rep.OK {
 		return fmt.Errorf("sched: apply %s at %s: %w", op, id, replyErr(dc.name, rep))
 	}
-	seq := c.tick()
+	seq := c.clock.tick()
 	if op.Physical() == data.ModeRead {
 		a.values = append(a.values, rep.Value)
 	}
@@ -441,14 +426,14 @@ func (c *Coordinator) invoke(a *dattempt, caller *dcomp, parent, id model.NodeID
 		if !rep.OK {
 			return fmt.Errorf("sched: invoke %s at %s: %w", semItem, id, replyErr(caller.name, rep))
 		}
-		seq = c.tick()
+		seq = c.clock.tick()
 	}
 
 	if err := c.exec(a, id, inv); err != nil {
 		return err
 	}
 	if seq == 0 {
-		seq = c.tick()
+		seq = c.clock.tick()
 	}
 	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
 	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
@@ -531,25 +516,11 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 	// what committed; the participant list in the decision's Meta is what
 	// recovery re-delivers to.
 	partsJSON, _ := json.Marshal(parts)
-	recs := make([]wal.Record, 0, len(a.stage.nodes)+len(a.stage.events)+1)
-	for _, n := range a.stage.nodes {
-		recs = append(recs, wal.Record{
-			Type: wal.TypeNode, Txn: a.txn,
-			Node: string(n.id), Parent: string(n.parent), Sched: n.sched,
-		})
-	}
-	for _, e := range a.stage.events {
-		recs = append(recs, wal.Record{
-			Type: wal.TypeEvent, Txn: a.txn,
-			Node: string(e.op), Parent: string(e.parentTx),
-			Comp: e.comp, Item: e.item, Mode: string(e.mode), Seq: e.seq,
-		})
-	}
-	recs = append(recs, wal.Record{
+	recs := stageRecords(a.txn, a.stage, wal.Record{
 		Type: wal.TypeDecision, Txn: a.txn, Mode: "commit",
 		Node: attemptStr(a.attempt), Seq: a.ts, Meta: partsJSON,
 	})
-	if err := c.forceBatch(recs); err != nil {
+	if err := c.wal.force(recs, c.group); err != nil {
 		// A non-crash WAL failure means this transaction can never commit
 		// (no durable decision) but every participant is prepared and
 		// holding locks. Clear the inflight entry — termination queries
@@ -620,7 +591,7 @@ func (c *Coordinator) fanDecide(txn string, attempt uint32, parts []string, comm
 	}
 	c.mu.Unlock()
 	if done {
-		c.journal(wal.Record{Type: wal.TypeEnd, Txn: txn})
+		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
 	}
 }
 
@@ -701,7 +672,7 @@ func (c *Coordinator) redeliverLoop(every time.Duration) {
 		}
 		c.mu.Unlock()
 		for _, txn := range ended {
-			c.journal(wal.Record{Type: wal.TypeEnd, Txn: txn})
+			c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
 		}
 	}
 }
@@ -717,44 +688,6 @@ func (c *Coordinator) unended() int {
 		}
 	}
 	return n
-}
-
-func (c *Coordinator) journal(rec wal.Record) (uint64, error) {
-	if c.wal == nil {
-		return 0, nil
-	}
-	lsn, err := c.wal.Append(rec)
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return 0, ErrCrashed
-		}
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// forceBatch makes recs durable before returning. In group-commit mode
-// the wait goes through the coalesced Force API: N roots committing
-// concurrently share one decision fsync instead of paying one each.
-func (c *Coordinator) forceBatch(recs []wal.Record) error {
-	if c.wal == nil {
-		return nil
-	}
-	var err error
-	if c.group {
-		err = <-c.wal.Force(recs)
-	} else {
-		if _, err = c.wal.AppendBatch(recs); err == nil {
-			err = c.wal.Sync()
-		}
-	}
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return ErrCrashed
-		}
-		return err
-	}
-	return nil
 }
 
 // RecordedSystem assembles the committed distributed execution for the

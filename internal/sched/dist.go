@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -147,10 +145,6 @@ type partMeta struct {
 
 func coordDir(root string) string      { return filepath.Join(root, "coord") }
 func partDir(root, name string) string { return filepath.Join(root, "part-"+name) }
-func parseAttempt(node string) uint32 {
-	n, _ := strconv.Atoi(strings.TrimPrefix(node, "attempt-"))
-	return uint32(n)
-}
 
 // DistMetrics is a cluster-wide counter snapshot.
 type DistMetrics struct {
@@ -203,17 +197,10 @@ type Cluster struct {
 	parts map[string]*Participant
 }
 
-// StartCluster builds and starts a fresh cluster.
-func StartCluster(cfg DistConfig) (*Cluster, error) {
-	cfg = cfg.normalized()
-	if cfg.Topo == nil || len(cfg.Topo.Specs) == 0 {
-		return nil, errors.New("sched: distributed cluster needs a topology")
-	}
-	for _, spec := range cfg.Topo.Specs {
-		if spec.Name == coordName {
-			return nil, fmt.Errorf("sched: component name %q is reserved for the coordinator", coordName)
-		}
-	}
+// newCluster builds the shell every cluster starts from: the configured
+// transport, wrapped in the fault injector when the plan asks for one.
+// cfg must be normalized and carry its topology.
+func newCluster(cfg DistConfig) *Cluster {
 	cl := &Cluster{cfg: cfg, topo: cfg.Topo, crash: &distCrashState{}, parts: map[string]*Participant{}}
 	cl.base = cfg.Net
 	if cl.base == nil {
@@ -228,6 +215,25 @@ func StartCluster(cfg DistConfig) (*Cluster, error) {
 		cl.faults = comm.NewFaultNetwork(cl.base, cfg.NetFaults)
 		cl.net = cl.faults
 	}
+	return cl
+}
+
+// StartCluster builds and starts a fresh cluster. With a durability root,
+// each store-bearing participant starts a log of its metadata plus one
+// seed record per preloaded item, and the coordinator a decision log of
+// its metadata (protocol + topology), each fsynced before the node
+// connects.
+func StartCluster(cfg DistConfig) (*Cluster, error) {
+	cfg = cfg.normalized()
+	if cfg.Topo == nil || len(cfg.Topo.Specs) == 0 {
+		return nil, errors.New("sched: distributed cluster needs a topology")
+	}
+	for _, spec := range cfg.Topo.Specs {
+		if spec.Name == coordName {
+			return nil, fmt.Errorf("sched: component name %q is reserved for the coordinator", coordName)
+		}
+	}
+	cl := newCluster(cfg)
 
 	for _, spec := range cfg.Topo.Specs {
 		p := newParticipant(spec.Name, spec, cfg, cl.crash)
@@ -236,103 +242,72 @@ func StartCluster(cfg DistConfig) (*Cluster, error) {
 				p.store.Set(item, v)
 			}
 			if cfg.WALRoot != "" {
-				if err := cl.enablePartWAL(p); err != nil {
+				meta, err := json.Marshal(partMeta{Version: 1, Part: p.name})
+				if err == nil {
+					seeds := itemRecords(nil, wal.TypeSeed, p.name, p.store.Snapshot())
+					p.wal, err = attachFresh(partDir(cfg.WALRoot, p.name), cl.walOptions(), meta, seeds)
+				}
+				if err != nil {
 					cl.Close()
-					return nil, err
+					return nil, fmt.Errorf("sched: participant %s: %w", p.name, err)
 				}
 			}
 		}
-		ep, err := cl.net.Endpoint(spec.Name)
-		if err != nil {
+		if err := cl.join(p); err != nil {
 			cl.Close()
 			return nil, err
 		}
-		p.connect(ep)
-		p.start()
-		cl.parts[spec.Name] = p
 	}
 
 	coord := newCoordinator(cfg, cfg.Topo, cl.crash)
 	if cfg.WALRoot != "" {
-		if err := cl.enableCoordWAL(coord); err != nil {
+		meta, err := json.Marshal(walMeta{
+			Version: 1, Protocol: cfg.Protocol.String(),
+			Topology: topologyToDoc(cfg.Topo), Dist: true,
+		})
+		if err == nil {
+			coord.wal, err = attachFresh(coordDir(cfg.WALRoot), cl.walOptions(), meta, nil)
+		}
+		if err != nil {
 			cl.Close()
-			return nil, err
+			return nil, fmt.Errorf("sched: coordinator: %w", err)
 		}
 	}
-	ep, err := cl.net.Endpoint(coordName)
-	if err != nil {
+	if err := cl.joinCoordinator(coord); err != nil {
 		cl.Close()
 		return nil, err
 	}
-	coord.connect(ep)
-	coord.start(cfg.QueryAfter)
-	cl.coord = coord
 	return cl, nil
 }
 
-// enablePartWAL attaches a fresh log to a store-bearing participant:
-// metadata plus one seed record per preloaded item, fsynced.
-func (cl *Cluster) enablePartWAL(p *Participant) error {
-	dir := partDir(cl.cfg.WALRoot, p.name)
-	l, existing, err := wal.Open(dir, cl.walOptions())
+// join puts a fully built (or rebuilt) participant on the network and
+// registers it; on failure its log is closed.
+func (cl *Cluster) join(p *Participant) error {
+	ep, err := cl.net.Endpoint(p.name)
 	if err != nil {
+		p.wal.close()
 		return err
 	}
-	if existing != 0 {
-		l.Close()
-		return fmt.Errorf("sched: participant %s: %w", p.name, ErrWALExists)
-	}
-	meta, _ := json.Marshal(partMeta{Version: 1, Part: p.name})
-	recs := []wal.Record{{Type: wal.TypeMeta, Meta: meta}}
-	snap := p.store.Snapshot()
-	items := make([]string, 0, len(snap))
-	for item := range snap {
-		items = append(items, item)
-	}
-	sort.Strings(items)
-	for _, item := range items {
-		recs = append(recs, wal.Record{Type: wal.TypeSeed, Comp: p.name, Item: item, Prev: snap[item]})
-	}
-	if _, err := l.AppendBatch(recs); err != nil {
-		l.Close()
-		return err
-	}
-	if err := l.Sync(); err != nil {
-		l.Close()
-		return err
-	}
-	p.wal = l
+	p.connect(ep)
+	p.start()
+	cl.mu.Lock()
+	cl.parts[p.name] = p
+	cl.mu.Unlock()
 	return nil
 }
 
-// enableCoordWAL attaches a fresh decision log to the coordinator.
-func (cl *Cluster) enableCoordWAL(c *Coordinator) error {
-	dir := coordDir(cl.cfg.WALRoot)
-	l, existing, err := wal.Open(dir, cl.walOptions())
+// joinCoordinator is join for the coordinator.
+func (cl *Cluster) joinCoordinator(c *Coordinator) error {
+	ep, err := cl.net.Endpoint(coordName)
 	if err != nil {
+		c.wal.close()
 		return err
 	}
-	if existing != 0 {
-		l.Close()
-		return fmt.Errorf("sched: coordinator: %w", ErrWALExists)
-	}
-	meta, err := json.Marshal(walMeta{
-		Version: 1, Protocol: cl.cfg.Protocol.String(),
-		Topology: topologyToDoc(cl.topo), Dist: true,
-	})
-	if err != nil {
-		l.Close()
-		return err
-	}
-	if _, err := l.Append(wal.Record{Type: wal.TypeMeta, Meta: meta}); err != nil {
-		l.Close()
-		return err
-	}
-	if err := l.Sync(); err != nil {
-		l.Close()
-		return err
-	}
-	c.wal = l
+	c.connect(ep)
+	c.start(cl.cfg.QueryAfter)
+	cl.mu.Lock()
+	cl.coord = c
+	cl.mu.Unlock()
 	return nil
 }
 
@@ -420,16 +395,7 @@ func (cl *Cluster) RecoverParticipant(name string) error {
 			return err
 		}
 	}
-	ep, err := cl.net.Endpoint(name)
-	if err != nil {
-		return err
-	}
-	p.connect(ep)
-	p.start()
-	cl.mu.Lock()
-	cl.parts[name] = p
-	cl.mu.Unlock()
-	return nil
+	return cl.join(p)
 }
 
 func (cl *Cluster) rebuildParticipant(p *Participant) error {
@@ -445,105 +411,76 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 		attempt uint32
 		ts      uint64
 	}
-	type applyRec struct {
-		lsn uint64
-		rec wal.Record
-	}
 	var (
-		applies     []applyRec
-		seeds       []wal.Record
-		cancelled   = map[uint64]bool{}
-		compensated = map[uint64]bool{}
-		prepared    = map[string]pstate{}
-		committed   = map[string]bool{}
-		abortedAt   = map[string]uint32{}
+		sl        = scanStoreLog(recs, info)
+		prepared  = map[string]pstate{}
+		committed = map[string]bool{}
+		abortedAt = map[string]uint32{}
 	)
-	for i, rec := range recs {
-		lsn := info.FirstLSN + uint64(i)
-		switch rec.Type {
-		case wal.TypeSeed:
-			seeds = append(seeds, rec)
-		case wal.TypeApply:
-			applies = append(applies, applyRec{lsn, rec})
-		case wal.TypeApplyFail:
-			cancelled[rec.Ref] = true
-		case wal.TypeComp:
-			compensated[rec.Ref] = true
-		case wal.TypePrepare:
-			prepared[rec.Txn] = pstate{attempt: parseAttempt(rec.Node), ts: rec.Seq}
-		case wal.TypeDecision:
-			if rec.Mode == "commit" {
-				committed[rec.Txn] = true
-			} else if at := parseAttempt(rec.Node); at > abortedAt[rec.Txn] {
-				abortedAt[rec.Txn] = at
-			}
-			delete(prepared, rec.Txn)
-		}
-	}
-
-	// Redo: seeds, then every surviving apply and compensation in a
-	// single pass in log order. ModeWrite compensations write back Prev
-	// and are non-commutative with later applies of other transactions,
-	// so the replay must preserve the logged interleaving exactly —
-	// compensated applies then net out, whatever the crash interleaved.
-	for _, rec := range seeds {
-		p.store.Set(rec.Item, rec.Prev)
-	}
-	for i, rec := range recs {
-		lsn := info.FirstLSN + uint64(i)
-		switch rec.Type {
-		case wal.TypeApply:
-			if cancelled[lsn] {
-				continue
-			}
-		case wal.TypeComp:
-		default:
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Type != wal.TypePrepare && rec.Type != wal.TypeDecision {
 			continue
 		}
-		if _, err := p.store.Apply(opOf(rec)); err != nil {
-			return fmt.Errorf("sched: participant %s redo of %s record %d: %w", p.name, rec.Type, lsn, err)
+		at, err := parseAttempt(rec.Node)
+		if err != nil {
+			return fmt.Errorf("sched: participant %s: %s record at LSN %d: %w", p.name, rec.Type, sl.lsn(i), err)
 		}
+		if rec.Type == wal.TypePrepare {
+			prepared[rec.Txn] = pstate{attempt: at, ts: rec.Seq}
+			continue
+		}
+		if rec.Mode == "commit" {
+			committed[rec.Txn] = true
+		} else if at > abortedAt[rec.Txn] {
+			abortedAt[rec.Txn] = at
+		}
+		delete(prepared, rec.Txn)
 	}
 
-	// Reopen for appending before the undo pass journals its CLRs.
-	log, _, err := wal.Open(dir, cl.walOptions())
-	if err != nil {
+	storeOf := func(comp string) (*data.Store, error) {
+		if comp != p.name {
+			return nil, fmt.Errorf("sched: participant %s: log references store component %q", p.name, comp)
+		}
+		return p.store, nil
+	}
+	if _, err := sl.redo(storeOf); err != nil {
 		return err
 	}
-	p.wal = log
 
 	// Undo: un-compensated applies of transactions with no durable
 	// outcome and no prepare — they can never commit (a commit decision
 	// requires this participant's durable prepare), so presumed abort
-	// applies. In-doubt transactions keep their effects.
+	// applies. In-doubt transactions keep their effects; their applies
+	// come back to rebuild each one's undo log (in log order), so a later
+	// abort decision can still compensate it.
+	log, err := reattach(dir, cl.walOptions())
+	if err != nil {
+		return err
+	}
+	_, kept, err := sl.undo(log, storeOf, func(txn string) txnFate {
+		if committed[txn] {
+			return fateWinner
+		}
+		if _, ok := prepared[txn]; ok {
+			return fateInDoubt
+		}
+		return fateLoser
+	})
+	if err != nil {
+		return err
+	}
+	if err := log.sync(); err != nil {
+		log.close()
+		return err
+	}
+	p.wal = log
 	inDoubtUndo := map[string][]pundo{}
-	for i := len(applies) - 1; i >= 0; i-- {
-		lsn, rec := applies[i].lsn, applies[i].rec
-		if cancelled[lsn] || compensated[lsn] || committed[rec.Txn] {
-			continue
-		}
-		if _, ok := prepared[rec.Txn]; ok {
-			// Rebuild the in-doubt transaction's undo log (in log order)
-			// so a later abort decision can still compensate it.
-			op := opOf(rec)
-			undo := inDoubtUndo[rec.Txn]
-			inDoubtUndo[rec.Txn] = append([]pundo{{op: op, res: data.Result{Prev: rec.Prev}, lsn: lsn}}, undo...)
-			continue
-		}
-		inv, ok := data.Inverse(opOf(rec), data.Result{Prev: rec.Prev})
-		if !ok {
-			continue
-		}
-		if _, err := log.Append(wal.Record{
-			Type: wal.TypeComp, Txn: rec.Txn, Comp: p.name,
-			Item: inv.Item, Mode: string(inv.Mode), Impl: string(inv.Impl),
-			Arg: inv.Arg, Ref: lsn,
-		}); err != nil {
-			return err
-		}
-		if _, err := p.store.Apply(inv); err != nil {
-			return fmt.Errorf("sched: participant %s undo of record %d: %w", p.name, lsn, err)
-		}
+	for k := len(kept) - 1; k >= 0; k-- {
+		i := kept[k]
+		rec := &recs[i]
+		inDoubtUndo[rec.Txn] = append(inDoubtUndo[rec.Txn],
+			pundo{op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: sl.lsn(int(i))})
 	}
 
 	// Register in-doubt transactions: prepared, effects intact, locks
@@ -559,16 +496,10 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 			lastTouch: time.Now(),
 		}
 		for _, u := range tx.undo {
-			table, mode := p.modes, u.op.Mode
-			switch p.protocol {
-			case Global2PL:
-				table, mode = p.rwTable, data.ModeWrite
-			case NoCC:
-				table = nil
-			}
-			if table != nil {
+			if table, mode := p.lockSpace(u.op); table != nil {
 				deadline := time.Now().Add(cl.cfg.LockWait)
 				if err := p.lm.acquireUntil(table, u.op.Item, mode, txn, st.ts, WaitDie, nil, deadline); err != nil {
+					log.close()
 					return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.name, u.op.Item, txn, err)
 				}
 			}
@@ -586,6 +517,21 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 	return nil
 }
 
+// readCoordLog reads a coordinator's decision log once and decodes the
+// configuration it was written under.
+func readCoordLog(root string) ([]wal.Record, Protocol, *Topology, error) {
+	dir := coordDir(root)
+	recs, info, err := wal.ReadAll(dir)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	meta, proto, topo, err := readLogMeta(dir, recs, info)
+	if err == nil && !meta.Dist {
+		err = fmt.Errorf("sched: %q is not a distributed log root (use Recover)", root)
+	}
+	return recs, proto, topo, err
+}
+
 // RecoverCoordinator rebuilds a crashed coordinator from its decision
 // log: the committed projection (nodes, events) for re-verification, the
 // commit set for the termination protocol, and re-delivery of every
@@ -601,33 +547,17 @@ func (cl *Cluster) RecoverCoordinator() error {
 	if cl.cfg.WALRoot == "" {
 		return errors.New("sched: volatile coordinator cannot recover")
 	}
-	dir := coordDir(cl.cfg.WALRoot)
-	recs, _, err := wal.ReadAll(dir)
+	recs, _, _, err := readCoordLog(cl.cfg.WALRoot)
 	if err != nil {
 		return err
 	}
-	if len(recs) == 0 || recs[0].Type != wal.TypeMeta {
-		return errors.New("sched: coordinator log has no metadata record")
-	}
-	var meta walMeta
-	if err := json.Unmarshal(recs[0].Meta, &meta); err != nil {
-		return fmt.Errorf("sched: coordinator metadata: %w", err)
-	}
-	if !meta.Dist {
-		return errors.New("sched: log is not a distributed coordinator log (use Recover)")
-	}
-	proto, err := ParseProtocol(meta.Protocol)
-	if err != nil {
-		return err
-	}
-	topo, err := topologyFromDoc(meta.Topology, false)
-	if err != nil {
-		return err
-	}
-	cfg := cl.cfg
-	cfg.Protocol = proto
+	return cl.recoverCoordinator(recs)
+}
 
-	c := newCoordinator(cfg, topo, cl.crash)
+// recoverCoordinator is RecoverCoordinator over records already read (a
+// decision log is never truncated: recs[i] has LSN i+1).
+func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
+	c := newCoordinator(cl.cfg, cl.topo, cl.crash)
 	var maxSeq, maxTS uint64
 	staged := map[string]*stagedRecord{}
 	stagedOf := func(txn string) *stagedRecord {
@@ -636,17 +566,10 @@ func (cl *Cluster) RecoverCoordinator() error {
 		}
 		return staged[txn]
 	}
-	for _, rec := range recs {
-		switch rec.Type {
-		case wal.TypeNode:
-			stagedOf(rec.Txn).declareNode(nodeDecl{
-				id: model.NodeID(rec.Node), parent: model.NodeID(rec.Parent), sched: rec.Sched,
-			})
-		case wal.TypeEvent:
-			stagedOf(rec.Txn).addEvent(event{
-				seq: rec.Seq, comp: rec.Comp, op: model.NodeID(rec.Node),
-				parentTx: model.NodeID(rec.Parent), item: rec.Item, mode: data.Mode(rec.Mode),
-			})
+	for i := range recs {
+		switch rec := &recs[i]; rec.Type {
+		case wal.TypeNode, wal.TypeEvent:
+			stagedOf(rec.Txn).absorb(rec)
 			if rec.Seq > maxSeq {
 				maxSeq = rec.Seq
 			}
@@ -654,10 +577,19 @@ func (cl *Cluster) RecoverCoordinator() error {
 			if rec.Mode != "commit" {
 				continue
 			}
-			var parts []string
-			json.Unmarshal(rec.Meta, &parts)
-			ct := &coTxn{attempt: parseAttempt(rec.Node), parts: parts, pending: map[string]bool{}}
-			for _, p := range parts {
+			// A commit decision that does not decode must not be guessed
+			// at: without its participants it would be retired unheard,
+			// under attempt 0 every query for the real attempt would be
+			// answered "abort" for a committed transaction.
+			ct := &coTxn{pending: map[string]bool{}}
+			var err error
+			if ct.attempt, err = parseAttempt(rec.Node); err == nil {
+				err = json.Unmarshal(rec.Meta, &ct.parts)
+			}
+			if err != nil {
+				return fmt.Errorf("sched: coordinator log: commit decision of %s at LSN %d: %w", rec.Txn, i+1, err)
+			}
+			for _, p := range ct.parts {
 				ct.pending[p] = true
 			}
 			c.committed[rec.Txn] = ct
@@ -676,22 +608,11 @@ func (cl *Cluster) RecoverCoordinator() error {
 	c.clock.Store(maxSeq)
 	c.tsc.Store(maxTS + 1<<32)
 
-	log, _, err := wal.Open(dir, cl.walOptions())
-	if err != nil {
+	var err error
+	if c.wal, err = reattach(coordDir(cl.cfg.WALRoot), cl.walOptions()); err != nil {
 		return err
 	}
-	c.wal = log
-	ep, err := cl.net.Endpoint(coordName)
-	if err != nil {
-		log.Close()
-		return err
-	}
-	c.connect(ep)
-	c.start(cl.cfg.QueryAfter)
-	cl.mu.Lock()
-	cl.coord = c
-	cl.mu.Unlock()
-	return nil
+	return cl.joinCoordinator(c)
 }
 
 // RecoverCluster rebuilds a whole cluster from its durability root in a
@@ -708,51 +629,20 @@ func RecoverCluster(cfg DistConfig) (*Cluster, error) {
 	if cfg.WALRoot == "" {
 		return nil, errors.New("sched: RecoverCluster needs a WAL root")
 	}
-	recs, _, err := wal.ReadAll(coordDir(cfg.WALRoot))
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 || recs[0].Type != wal.TypeMeta {
-		return nil, errors.New("sched: coordinator log has no metadata record")
-	}
-	var meta walMeta
-	if err := json.Unmarshal(recs[0].Meta, &meta); err != nil {
-		return nil, fmt.Errorf("sched: coordinator metadata: %w", err)
-	}
-	if !meta.Dist {
-		return nil, fmt.Errorf("sched: %q is not a distributed log root (use Recover)", cfg.WALRoot)
-	}
-	proto, err := ParseProtocol(meta.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	topo, err := topologyFromDoc(meta.Topology, false)
+	recs, proto, topo, err := readCoordLog(cfg.WALRoot)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Protocol, cfg.Topo, cfg.Seeds = proto, topo, nil
 
-	cl := &Cluster{cfg: cfg, topo: topo, crash: &distCrashState{}, parts: map[string]*Participant{}}
-	cl.base = cfg.Net
-	if cl.base == nil {
-		if cfg.Transport == "tcp" {
-			cl.base = comm.NewTCPNetwork()
-		} else {
-			cl.base = comm.NewChanNetwork()
-		}
-	}
-	cl.net = cl.base
-	if cfg.NetFaults.Enabled() {
-		cl.faults = comm.NewFaultNetwork(cl.base, cfg.NetFaults)
-		cl.net = cl.faults
-	}
+	cl := newCluster(cfg)
 	for _, spec := range topo.Specs {
 		if err := cl.RecoverParticipant(spec.Name); err != nil {
 			cl.Close()
 			return nil, err
 		}
 	}
-	if err := cl.RecoverCoordinator(); err != nil {
+	if err := cl.recoverCoordinator(recs); err != nil {
 		cl.Close()
 		return nil, err
 	}
@@ -813,11 +703,11 @@ func (cl *Cluster) StoreSnapshot(name string) map[string]int64 {
 // Metrics snapshots cluster-wide counters.
 func (cl *Cluster) Metrics() DistMetrics {
 	m := DistMetrics{}
-	addGroup := func(l *wal.Log) {
-		if l == nil {
+	addGroup := func(j journal) {
+		if !j.attached() {
 			return
 		}
-		gs := l.GroupStats()
+		gs := j.log.GroupStats()
 		m.GroupForces += gs.Forces
 		m.GroupWindows += gs.Windows
 		if gs.MaxBatch > m.GroupMaxBatch {

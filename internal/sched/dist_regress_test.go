@@ -2,11 +2,15 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"compositetx/internal/comm"
 	"compositetx/internal/data"
+	"compositetx/internal/wal"
 )
 
 // Regression suite for review findings against the distributed runtime:
@@ -228,5 +232,70 @@ func TestDistRedeliveryCarriesAttempt(t *testing.T) {
 	// The transfer must have actually committed at both participants.
 	if east := cl.StoreSnapshot("east")["acct"]; east == distInitial {
 		t.Fatalf("east acct = %d (unchanged): the commit never landed", east)
+	}
+}
+
+// TestDistRecoverRejectsMalformedDecision pins that recovery never guesses
+// at a CRC-valid but undecodable outcome record. A coordinator commit
+// decision without a readable participant list used to recover with no
+// participants (retired with TypeEnd on the first re-delivery tick, nobody
+// told); one without a readable attempt recovered as attempt 0 (every
+// termination query for the real attempt answered "abort" for a committed
+// transaction). Both — and a participant prepare with an unreadable
+// attempt — must fail recovery with a message naming the record.
+func TestDistRecoverRejectsMalformedDecision(t *testing.T) {
+	for _, tc := range []struct {
+		name, dir string
+		rec       wal.Record
+	}{
+		{"participant list", "coord", wal.Record{Type: wal.TypeDecision, Txn: "Tx", Mode: "commit",
+			Node: attemptStr(3), Seq: 9, Meta: []byte(`["east",`)}},
+		{"coordinator attempt", "coord", wal.Record{Type: wal.TypeDecision, Txn: "Tx", Mode: "commit",
+			Node: "attempt-three", Seq: 9, Meta: []byte(`["east"]`)}},
+		{"participant attempt", "part-east", wal.Record{Type: wal.TypePrepare, Txn: "Tx",
+			Node: "3", Comp: "east", Seq: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := distConfig(t, Hybrid, "chan", true)
+			cl, err := StartCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Submit("T1", transferPrograms(1)[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Settle(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(cfg.WALRoot, tc.dir)
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := l.Append(tc.rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := RecoverCluster(DistConfig{WALRoot: cfg.WALRoot})
+			if err == nil {
+				rec.Close()
+				t.Fatal("recovery accepted an undecodable outcome record")
+			}
+			if want := fmt.Sprintf("LSN %d", lsn); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the record (%s)", err, want)
+			}
+			// A failed recovery leaves the log closed: it opens again.
+			l, _, err = wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+		})
 	}
 }

@@ -1,0 +1,448 @@
+package sched
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+
+	"compositetx/internal/data"
+	"compositetx/internal/model"
+	"compositetx/internal/wal"
+)
+
+// Journal and replay: everything the three kinds of node — the
+// single-process Runtime, the distributed Coordinator and each Participant
+// — know about the write-ahead log lives in this file. Writing is the
+// journal type (append, force, attaching a fresh log) and the record
+// codecs that map runtime structs onto wal.Record fields; reading is the
+// store-replay core (scanStoreLog, redo, undo), which rebuilds stores from
+// any log that journals applies and compensations. The nodes differ only
+// in *whose log this is*: which records decide a transaction's fate, and
+// what they do with the applies of a transaction that is neither winner
+// nor loser — and that difference is one fate function handed to undo.
+
+// journal is a node's handle on its write-ahead log; the zero value is a
+// volatile node and every method is a no-op on it. An append against a
+// crash-abandoned log surfaces as ErrCrashed so the transaction drains
+// like every other participant of the crash.
+type journal struct{ log *wal.Log }
+
+// crashErr maps a closed (crash-abandoned) log to ErrCrashed.
+func crashErr(err error) error {
+	if errors.Is(err, wal.ErrClosed) {
+		return ErrCrashed
+	}
+	return err
+}
+
+func (j journal) attached() bool { return j.log != nil }
+
+// append journals one record and returns its LSN (0 when volatile).
+func (j journal) append(rec wal.Record) (uint64, error) {
+	if j.log == nil {
+		return 0, nil
+	}
+	lsn, err := j.log.Append(rec)
+	return lsn, crashErr(err)
+}
+
+// appendBatch journals records contiguously (commit and checkpoint
+// batches) and returns the LSN of the first.
+func (j journal) appendBatch(recs []wal.Record) (uint64, error) {
+	if j.log == nil {
+		return 0, nil
+	}
+	first, err := j.log.AppendBatch(recs)
+	return first, crashErr(err)
+}
+
+// force makes recs durable before returning — the durability points of
+// 2PC. In group-commit mode the wait goes through the coalesced Force
+// API, so concurrent transactions forcing on this log share one fsync;
+// otherwise the caller pays its own append+sync.
+func (j journal) force(recs []wal.Record, group bool) error {
+	if j.log == nil || len(recs) == 0 {
+		return nil
+	}
+	var err error
+	if group {
+		err = <-j.log.Force(recs)
+	} else if _, err = j.log.AppendBatch(recs); err == nil {
+		err = j.log.Sync()
+	}
+	return crashErr(err)
+}
+
+func (j journal) sync() error {
+	if j.log == nil {
+		return nil
+	}
+	return crashErr(j.log.Sync())
+}
+
+// close flushes and closes the log (a clean shutdown; the log stays
+// recoverable and replayable).
+func (j journal) close() error {
+	if j.log == nil {
+		return nil
+	}
+	return j.log.Close()
+}
+
+// abandon leaves the log exactly as the OS would after a process crash
+// (see wal.Log.Abandon).
+func (j journal) abandon(torn *wal.Record) error {
+	if j.log == nil {
+		return nil
+	}
+	return j.log.Abandon(torn)
+}
+
+// records returns the number of records journaled so far.
+func (j journal) records() uint64 {
+	if j.log == nil {
+		return 0
+	}
+	return j.log.Records()
+}
+
+// attachFresh starts a new log in dir: the metadata record followed by
+// one seed record per preloaded store item, fsynced before the first
+// transaction can touch it. An existing non-empty log is rejected with
+// ErrWALExists: a node only ever appends to a log it started, and
+// recovery owns reopening.
+func attachFresh(dir string, opts wal.Options, meta []byte, seeds []wal.Record) (journal, error) {
+	l, existing, err := wal.Open(dir, opts)
+	if err != nil {
+		return journal{}, err
+	}
+	if existing > 0 {
+		l.Close()
+		return journal{}, fmt.Errorf("%w: %q holds %d records", ErrWALExists, dir, existing)
+	}
+	j := journal{log: l}
+	if _, err = j.append(wal.Record{Type: wal.TypeMeta, Meta: meta}); err == nil {
+		if _, err = j.appendBatch(seeds); err == nil {
+			err = j.sync()
+		}
+	}
+	if err != nil {
+		l.Close()
+		return journal{}, err
+	}
+	return j, nil
+}
+
+// reattach reopens a crashed node's log for appending, so recovery's own
+// compensations and markers are journaled write-ahead like everything
+// else (this also physically truncates the torn tail).
+func reattach(dir string, opts wal.Options) (journal, error) {
+	l, _, err := wal.Open(dir, opts)
+	return journal{log: l}, err
+}
+
+// --- Record codecs ---
+
+// applyRecord is the write-ahead record of one store mutation, with the
+// before-value recovery needs to invert it.
+func applyRecord(txn, node, comp string, op data.Op, prev int64) wal.Record {
+	return wal.Record{
+		Type: wal.TypeApply, Txn: txn, Node: node, Comp: comp,
+		Item: op.Item, Mode: string(op.Mode), Impl: string(op.Impl),
+		Arg: op.Arg, Prev: prev,
+	}
+}
+
+// compRecord is the write-ahead record of a compensation: the inverse
+// operation about to execute, and the LSN of the apply it undoes.
+func compRecord(txn, comp string, inverse data.Op, ref uint64) wal.Record {
+	return wal.Record{
+		Type: wal.TypeComp, Txn: txn, Comp: comp,
+		Item: inverse.Item, Mode: string(inverse.Mode), Impl: string(inverse.Impl),
+		Arg: inverse.Arg, Ref: ref,
+	}
+}
+
+// opOf reconstructs the store operation an apply or compensation record
+// journaled.
+func opOf(rec *wal.Record) data.Op {
+	return data.Op{Mode: data.Mode(rec.Mode), Item: rec.Item, Arg: rec.Arg, Impl: data.Mode(rec.Impl)}
+}
+
+// itemRecords appends one record of type typ per item of a store
+// snapshot, in item order, so identical states produce identical logs.
+func itemRecords(dst []wal.Record, typ wal.Type, comp string, snap map[string]int64) []wal.Record {
+	keys := make([]string, 0, len(snap))
+	for it := range snap {
+		keys = append(keys, it)
+	}
+	sort.Strings(keys)
+	for _, it := range keys {
+		dst = append(dst, wal.Record{Type: typ, Comp: comp, Item: it, Prev: snap[it]})
+	}
+	return dst
+}
+
+// stageRecords encodes a committing attempt's staged record — every node
+// declaration and event, closed by the terminator (the commit marker, or
+// a coordinator's commit decision) — as one contiguous batch. A
+// transaction is recovered as committed iff the terminator survives; the
+// batch being contiguous and the log being flushed in order means a
+// durable terminator implies the durable presence of everything it
+// covers.
+func stageRecords(txn string, stage *stagedRecord, terminator wal.Record) []wal.Record {
+	recs := make([]wal.Record, 0, len(stage.nodes)+len(stage.events)+1)
+	for _, n := range stage.nodes {
+		recs = append(recs, wal.Record{
+			Type: wal.TypeNode, Txn: txn,
+			Node: string(n.id), Parent: string(n.parent), Sched: n.sched,
+		})
+	}
+	for _, e := range stage.events {
+		recs = append(recs, wal.Record{
+			Type: wal.TypeEvent, Txn: txn,
+			Node: string(e.op), Parent: string(e.parentTx),
+			Comp: e.comp, Item: e.item, Mode: string(e.mode), Seq: e.seq,
+		})
+	}
+	return append(recs, terminator)
+}
+
+// absorb is stageRecords' inverse: a TypeNode or TypeEvent record is
+// decoded back into the staged record; other types are ignored.
+func (s *stagedRecord) absorb(rec *wal.Record) {
+	switch rec.Type {
+	case wal.TypeNode:
+		s.declareNode(nodeDecl{
+			id: model.NodeID(rec.Node), parent: model.NodeID(rec.Parent), sched: rec.Sched,
+		})
+	case wal.TypeEvent:
+		s.addEvent(event{
+			seq: rec.Seq, comp: rec.Comp,
+			op: model.NodeID(rec.Node), parentTx: model.NodeID(rec.Parent),
+			item: rec.Item, mode: data.Mode(rec.Mode),
+		})
+	}
+}
+
+func attemptStr(a uint32) string { return fmt.Sprintf("attempt-%d", a) }
+
+// parseAttempt inverts attemptStr. Log bytes are input from outside the
+// program: an attempt that does not parse is an error, never attempt 0.
+func parseAttempt(node string) (uint32, error) {
+	digits, ok := strings.CutPrefix(node, "attempt-")
+	n, err := strconv.ParseUint(digits, 10, 32)
+	if !ok || err != nil {
+		return 0, fmt.Errorf("malformed attempt %q", node)
+	}
+	return uint32(n), nil
+}
+
+// readLogMeta decodes the configuration a runtime or coordinator log was
+// written under: from the last checkpoint marker when there is one (the
+// segment holding the TypeMeta record may have been truncated away) —
+// with the cumulative state the cut recorded — from the leading metadata
+// record otherwise.
+func readLogMeta(dir string, recs []wal.Record, info wal.ScanInfo) (ck ckMeta, protocol Protocol, topo *Topology, err error) {
+	if info.CheckpointLSN > 0 {
+		if err = json.Unmarshal(recs[info.CheckpointLSN-info.FirstLSN].Meta, &ck); err != nil {
+			return ck, 0, nil, fmt.Errorf("sched: bad checkpoint metadata: %w", err)
+		}
+	} else if len(recs) == 0 || recs[0].Type != wal.TypeMeta {
+		return ck, 0, nil, fmt.Errorf("sched: %q does not start with a WAL metadata record", dir)
+	} else if err = json.Unmarshal(recs[0].Meta, &ck.walMeta); err != nil {
+		return ck, 0, nil, fmt.Errorf("sched: bad WAL metadata: %w", err)
+	}
+	if protocol, err = ParseProtocol(ck.Protocol); err != nil {
+		return ck, 0, nil, fmt.Errorf("sched: bad WAL metadata: %w", err)
+	}
+	if topo, err = topologyFromDoc(ck.Topology, false); err != nil {
+		return ck, 0, nil, fmt.Errorf("sched: bad WAL topology: %w", err)
+	}
+	return ck, protocol, topo, nil
+}
+
+// --- Store replay: analysis, redo, undo ---
+
+// Classification of one journaled apply, per record index.
+const (
+	markCancelled   uint8 = 1 << iota // TypeApplyFail: the apply never executed
+	markCompensated                   // TypeComp: an inverse is on record
+	markQuarantined                   // TypeQuarantine: the inverse never took effect
+)
+
+// storeLog is the analysis of one log's store records. It indexes into
+// the records as read — nothing is copied.
+type storeLog struct {
+	recs    []wal.Record
+	first   uint64  // LSN of recs[0]
+	ckLSN   uint64  // last complete checkpoint marker (0 = none)
+	applies []int32 // indices of the TypeApply records, in log order
+	marks   []uint8 // per record index: mark* bits of the apply journaled there
+}
+
+func (sl *storeLog) lsn(i int) uint64 { return sl.first + uint64(i) }
+
+// applyAt returns the index of the surviving apply record at LSN ref; a
+// reference into a truncated segment (or to anything else) has no apply
+// left to classify.
+func (sl *storeLog) applyAt(ref uint64) (int, bool) {
+	if ref < sl.first || ref-sl.first >= uint64(len(sl.recs)) || sl.recs[ref-sl.first].Type != wal.TypeApply {
+		return 0, false
+	}
+	return int(ref - sl.first), true
+}
+
+func (sl *storeLog) mark(ref uint64, m uint8) {
+	if i, ok := sl.applyAt(ref); ok {
+		sl.marks[i] |= m
+	}
+}
+
+// scanStoreLog is the analysis pass: it walks the log once and classifies
+// every journaled apply (cancelled by TypeApplyFail, compensated by
+// TypeComp, leaked by TypeQuarantine). The last *complete* checkpoint —
+// TypeCkItem batches terminated by a TypeCheckpoint marker — comes with
+// the scan; trailing items without a marker are a crash mid-checkpoint
+// and are ignored. Classifying *transactions* is the caller's half of
+// analysis: its answer reaches undo as the fate function.
+func scanStoreLog(recs []wal.Record, info wal.ScanInfo) *storeLog {
+	sl := &storeLog{recs: recs, first: info.FirstLSN, ckLSN: info.CheckpointLSN, marks: make([]uint8, len(recs))}
+	for i := range recs {
+		switch rec := &recs[i]; rec.Type {
+		case wal.TypeApply:
+			sl.applies = append(sl.applies, int32(i))
+		case wal.TypeApplyFail:
+			sl.mark(rec.Ref, markCancelled)
+		case wal.TypeComp:
+			sl.mark(rec.Ref, markCompensated)
+		case wal.TypeQuarantine:
+			sl.mark(rec.Ref, markQuarantined)
+		}
+	}
+	return sl
+}
+
+// redo replays, against freshly built stores, the baseline and then the
+// tail, in a single pass in log order. Without a checkpoint the baseline
+// is the TypeSeed records and the tail is everything; with one, the
+// baseline is the seeds overlaid in log order (later batches win) by
+// every ck-item below the last marker — the last base batch and the delta
+// batches since (see checkpoint.go), which together hold every item's
+// value at the last cut — and redo skips every record at or below the
+// marker: the cut guarantees each journaled mutation's effect is either
+// fully inside the batches or fully after the marker, never half of each.
+// The tail is every surviving apply and compensation: ModeWrite
+// compensations write back Prev and are non-commutative with later
+// applies of other transactions, so the replay must preserve the logged
+// interleaving exactly — compensated applies then net out, whatever the
+// crash interleaved. Returns the number of operations replayed.
+func (sl *storeLog) redo(storeOf func(comp string) (*data.Store, error)) (int, error) {
+	redone := 0
+	for i := range sl.recs {
+		rec, lsn := &sl.recs[i], sl.lsn(i)
+		baseline := false
+		switch rec.Type {
+		case wal.TypeSeed:
+			baseline = true
+		case wal.TypeCkItem:
+			if lsn > sl.ckLSN {
+				continue // a checkpoint that never completed
+			}
+			baseline = true
+		case wal.TypeApply:
+			if lsn <= sl.ckLSN || sl.marks[i]&markCancelled != 0 {
+				continue
+			}
+		case wal.TypeComp:
+			if lsn <= sl.ckLSN {
+				continue
+			}
+			if a, ok := sl.applyAt(rec.Ref); ok && sl.marks[a]&markQuarantined != 0 {
+				continue // the compensation never took effect; keep the leak
+			}
+		default:
+			continue
+		}
+		s, err := storeOf(rec.Comp)
+		if err != nil {
+			return redone, err
+		}
+		if baseline {
+			s.Set(rec.Item, rec.Prev)
+			continue
+		}
+		if _, err := s.Apply(opOf(rec)); err != nil {
+			return redone, fmt.Errorf("sched: redo of %s record %d: %w", rec.Type, lsn, err)
+		}
+		redone++
+	}
+	return redone, nil
+}
+
+// txnFate is what the owner of a log says about a transaction with
+// surviving un-compensated applies.
+type txnFate uint8
+
+const (
+	fateLoser   txnFate = iota // no durable outcome and none possible: undo
+	fateWinner                 // durably committed: keep
+	fateInDoubt                // prepared, outcome owed by someone else: keep, hand back
+)
+
+// undo inverts — in reverse log order — each surviving apply of a loser
+// transaction that has neither a cancellation, a compensation nor a
+// quarantine on record, journaling each inverse through j before applying
+// it. Applies of transactions in flight at the checkpoint are included:
+// they survive truncation by construction (the truncation barrier never
+// passes an in-flight attempt's first apply), and their effects are
+// inside the snapshot with no durable outcome, so the inversion is
+// exactly right. The journaled inverses make recovery idempotent in the
+// ARIES compensation-log-record sense: recovering the recovered log again
+// finds every loser apply already compensated and has nothing to undo.
+// Quarantined compensations are deliberately NOT repaired: the leak
+// happened, and the recovered node re-reports it. An in-doubt
+// transaction keeps its effects; the indices of its applies are handed
+// back, last apply first, so the caller can rebuild its undo list. The
+// log is closed on every error path. Returns the number of inverses
+// applied.
+func (sl *storeLog) undo(j journal, storeOf func(comp string) (*data.Store, error), fate func(txn string) txnFate) (undone int, inDoubt []int32, err error) {
+	defer func() {
+		if err != nil {
+			j.close()
+		}
+	}()
+	for k := len(sl.applies) - 1; k >= 0; k-- {
+		i := int(sl.applies[k])
+		if sl.marks[i] != 0 {
+			continue
+		}
+		rec, lsn := &sl.recs[i], sl.lsn(i)
+		switch fate(rec.Txn) {
+		case fateWinner:
+			continue
+		case fateInDoubt:
+			inDoubt = append(inDoubt, int32(i))
+			continue
+		}
+		inv, ok := data.Inverse(opOf(rec), data.Result{Prev: rec.Prev})
+		if !ok {
+			continue
+		}
+		if _, err := j.append(compRecord(rec.Txn, rec.Comp, inv, lsn)); err != nil {
+			return undone, nil, err
+		}
+		s, err := storeOf(rec.Comp)
+		if err != nil {
+			return undone, nil, err
+		}
+		if _, err := s.Apply(inv); err != nil {
+			return undone, nil, fmt.Errorf("sched: undo of apply record %d: %w", lsn, err)
+		}
+		undone++
+	}
+	return undone, inDoubt, nil
+}

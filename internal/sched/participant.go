@@ -84,6 +84,21 @@ func (c *distCrashState) fire(site, part, txn string) bool {
 	return true
 }
 
+// lamport is a node's logical clock: tick stamps a local event or an
+// outgoing message, merge folds in the clock of a received one.
+type lamport struct{ atomic.Uint64 }
+
+func (c *lamport) tick() uint64 { return c.Add(1) }
+
+func (c *lamport) merge(remote uint64) {
+	for {
+		cur := c.Load()
+		if remote <= cur || c.CompareAndSwap(cur, remote) {
+			return
+		}
+	}
+}
+
 // pdedup deduplicates one step's delivery: the first arrival executes and
 // records its reply, duplicates (RPC retries reuse the same correlation
 // ID; the fault injector clones messages outright) wait on done and
@@ -128,9 +143,9 @@ type Participant struct {
 	store    *data.Store // nil for components without stores
 	lm       *lockManager
 	mux      *comm.Mux
-	wal      *wal.Log // nil when volatile or storeless
-	group    bool     // coalesce force points through wal.Force
-	clock    atomic.Uint64
+	wal      journal // zero when volatile or storeless
+	group    bool    // coalesce force points through wal.Force
+	clock    lamport
 	crashed  atomic.Bool
 	crash    *distCrashState
 
@@ -203,17 +218,6 @@ func (p *Participant) start() {
 	go p.sweeper()
 }
 
-func (p *Participant) tickClock() uint64 { return p.clock.Add(1) }
-
-func (p *Participant) mergeClock(remote uint64) {
-	for {
-		cur := p.clock.Load()
-		if remote <= cur || p.clock.CompareAndSwap(cur, remote) {
-			return
-		}
-	}
-}
-
 // crashNow simulates a participant crash: the log is abandoned (its
 // unsynced tail discarded), lock waiters drain with ErrCrashed, and the
 // endpoint closes so in-flight messages to this node vanish. Recovery is
@@ -222,9 +226,7 @@ func (p *Participant) crashNow() {
 	if !p.crashed.CompareAndSwap(false, true) {
 		return
 	}
-	if p.wal != nil {
-		p.wal.Abandon(nil)
-	}
+	p.wal.abandon(nil)
 	p.lm.wake()
 	close(p.stop)
 	p.mux.Close()
@@ -236,51 +238,9 @@ func (p *Participant) close() {
 		p.lm.wake()
 		close(p.stop)
 		p.mux.Close()
-		if p.wal != nil {
-			p.wal.Close()
-		}
+		p.wal.close()
 	}
 	p.sweeps.Wait()
-}
-
-// journal appends one record when a WAL is attached.
-func (p *Participant) journal(rec wal.Record) (uint64, error) {
-	if p.wal == nil {
-		return 0, nil
-	}
-	lsn, err := p.wal.Append(rec)
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return 0, ErrCrashed
-		}
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// force makes recs durable before returning — the durability points of
-// 2PC. In group-commit mode the wait goes through the coalesced Force
-// API, so concurrent transactions forcing on this log share one fsync;
-// otherwise the caller pays its own append+sync.
-func (p *Participant) force(recs []wal.Record) error {
-	if p.wal == nil || len(recs) == 0 {
-		return nil
-	}
-	var err error
-	if p.group {
-		err = <-p.wal.Force(recs)
-	} else {
-		if _, err = p.wal.AppendBatch(recs); err == nil {
-			err = p.wal.Sync()
-		}
-	}
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return ErrCrashed
-		}
-		return err
-	}
-	return nil
 }
 
 // handle dispatches one inbound request. The mux runs each delivery on
@@ -291,7 +251,7 @@ func (p *Participant) handle(m comm.Message) {
 	if p.crashed.Load() {
 		return // a crashed node answers nothing
 	}
-	p.mergeClock(m.Clock)
+	p.clock.merge(m.Clock)
 	switch m.Kind {
 	case comm.KindApply:
 		p.handleApply(m)
@@ -308,7 +268,7 @@ func (p *Participant) handle(m comm.Message) {
 
 func (p *Participant) reply(req comm.Message, rep comm.Message) {
 	rep.Txn, rep.Attempt, rep.Node = req.Txn, req.Attempt, req.Node
-	rep.Clock = p.tickClock()
+	rep.Clock = p.clock.tick()
 	p.mux.Reply(req, rep)
 }
 
@@ -368,6 +328,26 @@ func (p *Participant) finish(req comm.Message, st *pdedup, rep comm.Message) {
 	p.reply(req, rep)
 }
 
+// lockSpace picks the lock table and mode a store operation is locked
+// under (a nil table takes no lock). Distributed commit is strict at
+// every protocol: locks are held to the decision (2PC's prepared state
+// pins them anyway), so the protocols differ only in the lock space —
+// semantic mode-table locks for the nested protocols, physical read/write
+// locks under Global2PL, nothing under NoCC.
+func (p *Participant) lockSpace(op data.Op) (*data.ModeTable, data.Mode) {
+	switch p.protocol {
+	case Global2PL:
+		if op.Physical() == data.ModeRead {
+			return p.rwTable, data.ModeRead
+		}
+		return p.rwTable, data.ModeWrite
+	case NoCC:
+		return nil, op.Mode
+	default:
+		return p.modes, op.Mode
+	}
+}
+
 func (p *Participant) handleApply(m comm.Message) {
 	tx, st, first, stale := p.admit(m)
 	if stale {
@@ -386,23 +366,7 @@ func (p *Participant) handleApply(m comm.Message) {
 	}
 	op := data.Op{Mode: data.Mode(m.Mode), Item: m.Item, Arg: m.Arg, Impl: data.Mode(m.Impl)}
 
-	// Locking. Distributed commit is strict at every protocol: locks are
-	// held to the decision (2PC's prepared state pins them anyway), so
-	// the protocols differ only in the lock space — semantic mode-table
-	// locks for the nested protocols, physical read/write locks under
-	// Global2PL, nothing under NoCC.
-	var table *data.ModeTable
-	mode := op.Mode
-	switch p.protocol {
-	case Global2PL:
-		table = p.rwTable
-		if mode = op.Physical(); mode != data.ModeRead {
-			mode = data.ModeWrite
-		}
-	case NoCC:
-	default:
-		table = p.modes
-	}
+	table, mode := p.lockSpace(op)
 	if table != nil {
 		deadline := time.Now().Add(time.Duration(m.Wait))
 		if err := p.lm.acquireUntil(table, op.Item, mode, m.Txn, m.TS, WaitDie, nil, deadline); err != nil {
@@ -437,19 +401,15 @@ func (p *Participant) handleApply(m comm.Message) {
 	var res data.Result
 	var err error
 	if op.Physical() != data.ModeRead {
-		rec := wal.Record{
-			Type: wal.TypeApply, Txn: m.Txn, Node: m.Node, Comp: p.name,
-			Item: op.Item, Mode: string(op.Mode), Impl: string(op.Impl),
-			Arg: op.Arg, Prev: p.store.Get(op.Item),
-		}
-		if lsn, err = p.journal(rec); err != nil {
+		rec := applyRecord(m.Txn, m.Node, p.name, op, p.store.Get(op.Item))
+		if lsn, err = p.wal.append(rec); err != nil {
 			p.mu.Unlock()
 			p.finish(m, st, lockErrReply(comm.KindApplyReply, err))
 			return
 		}
 		res, err = p.store.Apply(op)
 		if err != nil && lsn != 0 {
-			p.journal(wal.Record{Type: wal.TypeApplyFail, Txn: m.Txn, Ref: lsn})
+			p.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: m.Txn, Ref: lsn})
 		}
 	} else {
 		res, err = p.store.Apply(op)
@@ -556,7 +516,7 @@ func (p *Participant) handlePrepare(m comm.Message) {
 			Type: wal.TypePrepare, Txn: m.Txn, Node: attemptStr(m.Attempt),
 			Comp: p.name, Seq: m.TS,
 		}
-		if err := p.force([]wal.Record{rec}); err != nil {
+		if err := p.wal.force([]wal.Record{rec}, p.group); err != nil {
 			vote = lockErrReply(comm.KindVote, err)
 		}
 	}
@@ -616,7 +576,7 @@ func (p *Participant) handleDecide(m comm.Message) {
 	recs := p.decisionRecordsLocked(m.Txn, tx, m.Commit)
 	p.mu.Unlock()
 
-	err := p.force(recs)
+	err := p.wal.force(recs, p.group)
 	p.mu.Lock()
 	if err != nil {
 		tx.decideDone = nil // a redelivery may retry the decision
@@ -650,20 +610,20 @@ func (p *Participant) decisionRecordsLocked(txn string, tx *ptxn, commit bool) [
 	// are forced as one batch before any inverse executes — recovery
 	// replays applies and compensations in log order, so any crash in
 	// between nets out.
-	var recs []wal.Record
+	return append(p.compRecords(txn, tx), wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: "abort"})
+}
+
+// compRecords encodes an attempt's rollback: one compensation record per
+// invertible mutation, in reverse order.
+func (p *Participant) compRecords(txn string, tx *ptxn) []wal.Record {
+	recs := make([]wal.Record, 0, len(tx.undo)+1)
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		u := tx.undo[i]
-		inv, ok := data.Inverse(u.op, u.res)
-		if !ok {
-			continue
+		if inv, ok := data.Inverse(u.op, u.res); ok {
+			recs = append(recs, compRecord(txn, p.name, inv, u.lsn))
 		}
-		recs = append(recs, wal.Record{
-			Type: wal.TypeComp, Txn: txn, Comp: p.name,
-			Item: inv.Item, Mode: string(inv.Mode), Impl: string(inv.Impl),
-			Arg: inv.Arg, Ref: u.lsn,
-		})
 	}
-	return append(recs, wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: "abort"})
+	return recs
 }
 
 // applyDecisionLocked finalizes a decided attempt under p.mu once its
@@ -687,7 +647,7 @@ func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 // upgrades, coordinator aborts of prepared attempts, termination-protocol
 // answers) use it; the hot Decide path pipelines through handleDecide.
 func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) error {
-	if err := p.force(p.decisionRecordsLocked(txn, tx, commit)); err != nil {
+	if err := p.wal.force(p.decisionRecordsLocked(txn, tx, commit), p.group); err != nil {
 		return err
 	}
 	p.applyDecisionLocked(txn, tx, commit)
@@ -736,30 +696,9 @@ func (p *Participant) handleAbort(m comm.Message) {
 // tombstone.
 func (p *Participant) rollbackLocked(txn string, tx *ptxn) {
 	if len(tx.undo) > 0 {
-		var recs []wal.Record
-		for i := len(tx.undo) - 1; i >= 0; i-- {
-			u := tx.undo[i]
-			inv, ok := data.Inverse(u.op, u.res)
-			if !ok {
-				continue
-			}
-			recs = append(recs, wal.Record{
-				Type: wal.TypeComp, Txn: txn, Comp: p.name,
-				Item: inv.Item, Mode: string(inv.Mode), Impl: string(inv.Impl),
-				Arg: inv.Arg, Ref: u.lsn,
-			})
-		}
-		recs = append(recs, wal.Record{Type: wal.TypeAbort, Txn: txn})
-		if p.wal != nil {
-			p.wal.AppendBatch(recs)
-		}
+		p.wal.appendBatch(append(p.compRecords(txn, tx), wal.Record{Type: wal.TypeAbort, Txn: txn}))
 	}
-	p.undoLocked(tx)
-	if tx.attempt > p.aborted[txn] {
-		p.aborted[txn] = tx.attempt
-	}
-	delete(p.txns, txn)
-	p.lm.release(txn)
+	p.applyDecisionLocked(txn, tx, false)
 }
 
 func (p *Participant) undoLocked(tx *ptxn) {
@@ -829,7 +768,7 @@ func (p *Participant) sweeper() {
 func (p *Participant) resolveInDoubt(txn string, tx *ptxn) {
 	p.queries.Add(1)
 	rep, err := p.mux.Call(p.coord,
-		comm.Message{Kind: comm.KindQuery, Txn: txn, Attempt: tx.attempt, Clock: p.tickClock()},
+		comm.Message{Kind: comm.KindQuery, Txn: txn, Attempt: tx.attempt, Clock: p.clock.tick()},
 		p.rpcTimeout, p.rpcRetries)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -858,5 +797,3 @@ func (p *Participant) inDoubt() int {
 	}
 	return n
 }
-
-func attemptStr(a uint32) string { return fmt.Sprintf("attempt-%d", a) }

@@ -12,38 +12,15 @@ import (
 )
 
 // Crash recovery: rebuild a runtime — stores AND recorded execution —
-// from nothing but a WAL directory, in the classic three passes.
+// from nothing but a WAL directory. The stores come back through the
+// store-replay core (journal.go: analysis, redo, undo); what is the
+// runtime's own is the classification of transactions — committed iff the
+// commit marker is durable, aborted iff marked, in flight otherwise — and
+// everything a runtime has beside its stores.
 //
-// Analysis walks the log once and classifies every transaction (committed
-// iff its commit marker is durable, aborted iff marked, in-flight
-// otherwise) and every journaled apply (cancelled by TypeApplyFail,
-// compensated by TypeComp, leaked by TypeQuarantine). It also locates the
-// last *complete* checkpoint — TypeCkItem store snapshot terminated by a
-// TypeCheckpoint marker; trailing items without a marker are a crash
-// mid-checkpoint and are ignored.
-//
-// Redo replays, against freshly built stores, the baseline and then the
-// tail. Without a checkpoint the baseline is the TypeSeed records and the
-// tail is everything; with one, the baseline is the seeds overlaid in log
-// order by every ck-item below the last marker — the last base batch and
-// the delta batches since (see checkpoint.go), which together hold every
-// item's value at the last cut — and redo skips every record at or below
-// the marker: the cut guarantees each journaled mutation's effect is
-// either fully inside the batches or fully after the marker, never half
-// of each.
-//
-// Undo inverts — in reverse log order — each surviving apply of a
-// non-committed transaction that has neither a compensation nor a
-// quarantine on record, journaling each inverse (and a final abort marker
-// per transaction) before applying it. Applies of transactions in flight
-// at the checkpoint survive truncation by construction (the truncation
-// barrier never passes an in-flight attempt's first apply), and their
-// effects are inside the snapshot, so the inversion is exactly right. The
-// journaled inverses make recovery idempotent in the ARIES
-// compensation-log-record sense: recovering the recovered log again finds
-// every in-flight apply already compensated and has nothing to undo.
-// Quarantined compensations are deliberately NOT repaired: the leak
-// happened, the recovered runtime re-reports it — from the marker's
+// Every in-flight transaction is a loser: its surviving applies are
+// undone, and a final abort marker per transaction is journaled after the
+// inverses. Quarantined compensations are re-reported — from the marker's
 // metadata for pre-checkpoint leaks, from surviving TypeQuarantine
 // records for the tail.
 //
@@ -100,42 +77,13 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckLSN := info.CheckpointLSN
-	lsnOf := func(i int) uint64 { return info.FirstLSN + uint64(i) }
-
-	// Runtime configuration: from the last checkpoint marker when there is
-	// one (the segment holding the TypeMeta record may have been truncated
-	// away), from the leading metadata record otherwise.
-	var meta walMeta
-	var ck ckMeta
-	if ckLSN > 0 {
-		for i := len(recs) - 1; i >= 0; i-- {
-			if recs[i].Type == wal.TypeCheckpoint {
-				if err := json.Unmarshal(recs[i].Meta, &ck); err != nil {
-					return nil, fmt.Errorf("sched: bad checkpoint metadata: %w", err)
-				}
-				break
-			}
-		}
-		meta = ck.walMeta
-	} else {
-		if len(recs) == 0 || recs[0].Type != wal.TypeMeta {
-			return nil, fmt.Errorf("sched: %q does not start with a WAL metadata record", cfg.Dir)
-		}
-		if err := json.Unmarshal(recs[0].Meta, &meta); err != nil {
-			return nil, fmt.Errorf("sched: bad WAL metadata: %w", err)
-		}
+	ck, protocol, topo, err := readLogMeta(cfg.Dir, recs, info)
+	if err != nil {
+		return nil, err
 	}
+	meta := ck.walMeta
 	if meta.Dist {
 		return nil, fmt.Errorf("sched: %q is a distributed coordinator log; recover it with RecoverCoordinator", cfg.Dir)
-	}
-	protocol, err := ParseProtocol(meta.Protocol)
-	if err != nil {
-		return nil, fmt.Errorf("sched: bad WAL metadata: %w", err)
-	}
-	topo, err := topologyFromDoc(meta.Topology, false)
-	if err != nil {
-		return nil, fmt.Errorf("sched: bad WAL topology: %w", err)
 	}
 	rt := topo.NewRuntime(protocol)
 	// The recovered runtime's markers carry the configuration this log
@@ -148,38 +96,19 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	}
 
 	// --- Analysis ---
-	type applyRec struct {
-		lsn uint64 // absolute LSN
-		rec wal.Record
-	}
+	sl := scanStoreLog(recs, info)
+	ckLSN := sl.ckLSN
 	var (
-		applies     []applyRec
-		applyByLSN  = map[uint64]wal.Record{}
-		cancelled   = map[uint64]bool{}
-		compensated = map[uint64]bool{}
-		quarantined = map[uint64]bool{}
 		committed   = map[string]bool{}
 		aborted     = map[string]bool{}
-		active      = map[string]bool{} // txns with any journaled mutation
-		tailCommits int                 // commit markers above the checkpoint
+		tailCommits int // commit markers above the checkpoint
 		maxSeq      = ck.Seq
 	)
-	for i, rec := range recs {
-		lsn := lsnOf(i)
-		switch rec.Type {
-		case wal.TypeApply:
-			applies = append(applies, applyRec{lsn: lsn, rec: rec})
-			applyByLSN[lsn] = rec
-			active[rec.Txn] = true
-		case wal.TypeApplyFail:
-			cancelled[rec.Ref] = true
-		case wal.TypeComp:
-			compensated[rec.Ref] = true
-		case wal.TypeQuarantine:
-			quarantined[rec.Ref] = true
+	for i := range recs {
+		switch rec := &recs[i]; rec.Type {
 		case wal.TypeCommit:
 			committed[rec.Txn] = true
-			if lsn > ckLSN {
+			if sl.lsn(i) > ckLSN {
 				tailCommits++
 			}
 		case wal.TypeAbort:
@@ -208,16 +137,7 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		}
 	}
 
-	// Reopen the log for appending before the undo pass, so recovery's
-	// own compensations and abort markers are journaled write-ahead like
-	// everything else (this also physically truncates the torn tail).
-	log, _, err := wal.Open(cfg.Dir, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
-	if err != nil {
-		return nil, err
-	}
-	rt.wal = log
-
-	// --- Redo ---
+	// --- Redo, undo ---
 	storeOf := func(comp string) (*data.Store, error) {
 		c := rt.comps[comp]
 		if c == nil || c.store == nil {
@@ -225,102 +145,42 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		}
 		return c.store, nil
 	}
-	// Baseline: seed records, overlaid (in log order, so later batches
-	// win) by every ck-item below the last marker — base ⊕ deltas.
-	// Trailing ck-items above the last marker belong to a checkpoint that
-	// never completed and are skipped.
-	for i, rec := range recs {
-		var baseline bool
-		switch rec.Type {
-		case wal.TypeSeed:
-			baseline = true
-		case wal.TypeCkItem:
-			baseline = lsnOf(i) < ckLSN
-		}
-		if !baseline {
-			continue
-		}
-		s, err := storeOf(rec.Comp)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		s.Set(rec.Item, rec.Prev)
+	if stats.Redone, err = sl.redo(storeOf); err != nil {
+		return nil, err
 	}
-	for i, rec := range recs {
-		lsn := lsnOf(i)
-		if lsn <= ckLSN {
-			continue // inside the snapshot already (the cut's invariant)
-		}
-		switch rec.Type {
-		case wal.TypeApply:
-			if cancelled[lsn] {
-				continue
-			}
-		case wal.TypeComp:
-			if quarantined[rec.Ref] {
-				continue // the compensation never took effect; keep the leak
-			}
-		default:
-			continue
-		}
-		s, err := storeOf(rec.Comp)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		if _, err := s.Apply(opOf(rec)); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("sched: redo of %s record %d: %w", rec.Type, lsn, err)
-		}
-		stats.Redone++
+	log, err := reattach(cfg.Dir, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
+	if err != nil {
+		return nil, err
 	}
-
-	// --- Undo ---
-	// Every surviving apply of a non-committed transaction is inverted,
-	// including pre-checkpoint ones: the truncation barrier kept them
-	// alive precisely because their effects sit inside the checkpoint
-	// snapshot with no durable outcome.
-	for i := len(applies) - 1; i >= 0; i-- {
-		lsn, rec := applies[i].lsn, applies[i].rec
-		if committed[rec.Txn] || cancelled[lsn] || compensated[lsn] || quarantined[lsn] {
-			continue
+	rt.wal = log
+	stats.Undone, _, err = sl.undo(log, storeOf, func(txn string) txnFate {
+		if committed[txn] {
+			return fateWinner
 		}
-		inv, ok := data.Inverse(opOf(rec), data.Result{Prev: rec.Prev})
-		if !ok {
-			continue
-		}
-		if _, err := log.Append(wal.Record{
-			Type: wal.TypeComp, Txn: rec.Txn, Comp: rec.Comp,
-			Item: inv.Item, Mode: string(inv.Mode), Impl: string(inv.Impl),
-			Arg: inv.Arg, Ref: lsn,
-		}); err != nil {
-			log.Close()
-			return nil, err
-		}
-		s, err := storeOf(rec.Comp)
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		if _, err := s.Apply(inv); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("sched: undo of apply record %d: %w", lsn, err)
-		}
-		stats.Undone++
+		return fateLoser
+	})
+	if err != nil {
+		return nil, err
 	}
-	for txn := range active {
+	// Abort markers, one per in-flight transaction (marking it aborted as
+	// it goes), in log order of their first journaled mutations; then one
+	// fsync for everything recovery appended.
+	for _, i := range sl.applies {
+		txn := recs[i].Txn
 		if committed[txn] || aborted[txn] {
 			continue
 		}
+		aborted[txn] = true
 		stats.InFlight++
-		if _, err := log.Append(wal.Record{Type: wal.TypeAbort, Txn: txn}); err != nil {
-			log.Close()
-			return nil, err
+		if _, err = log.append(wal.Record{Type: wal.TypeAbort, Txn: txn}); err != nil {
+			break
 		}
 	}
-	if err := log.Sync(); err != nil {
-		log.Close()
+	if err == nil {
+		err = log.sync()
+	}
+	if err != nil {
+		log.close()
 		return nil, err
 	}
 
@@ -334,14 +194,15 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 			Err: errors.New(q.Err),
 		})
 	}
-	for i, rec := range recs {
-		if rec.Type != wal.TypeQuarantine || lsnOf(i) <= ckLSN {
+	for i := range recs {
+		if recs[i].Type != wal.TypeQuarantine || sl.lsn(i) <= ckLSN {
 			continue
 		}
-		apl, ok := applyByLSN[rec.Ref]
+		a, ok := sl.applyAt(recs[i].Ref)
 		if !ok {
 			continue
 		}
+		apl := &recs[a]
 		rt.quarantine(Quarantine{
 			Component: apl.Comp, Txn: apl.Txn, Op: opOf(apl),
 			Err: errors.New("sched: compensation quarantined before crash (from WAL)"),
@@ -352,23 +213,13 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	// --- Rebuild the committed projection (tail since the checkpoint) ---
 	// The recorder holds only the tail, exactly as the live runtime's did
 	// after the cut pruned it; the folded prefix's verdict is sealed.
-	for i, rec := range recs {
-		if lsnOf(i) <= ckLSN || !committed[rec.Txn] {
-			continue
-		}
-		switch rec.Type {
-		case wal.TypeNode:
-			rt.rec.nodes = append(rt.rec.nodes, nodeDecl{
-				id: model.NodeID(rec.Node), parent: model.NodeID(rec.Parent), sched: rec.Sched,
-			})
-		case wal.TypeEvent:
-			rt.rec.events = append(rt.rec.events, event{
-				seq: rec.Seq, comp: rec.Comp,
-				op: model.NodeID(rec.Node), parentTx: model.NodeID(rec.Parent),
-				item: rec.Item, mode: data.Mode(rec.Mode),
-			})
+	var tail stagedRecord
+	for i := range recs {
+		if sl.lsn(i) > ckLSN && committed[recs[i].Txn] {
+			tail.absorb(&recs[i])
 		}
 	}
+	rt.rec.nodes, rt.rec.events = tail.nodes, tail.events
 	rt.commits.Store(int64(stats.Committed))
 	// Resume the global sequence past both the journaled high-water mark
 	// (including the checkpoint's recorded clock) and anything the
@@ -403,9 +254,4 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		}
 	}
 	return out, nil
-}
-
-// opOf reconstructs the store operation a WAL record journaled.
-func opOf(rec wal.Record) data.Op {
-	return data.Op{Mode: data.Mode(rec.Mode), Item: rec.Item, Arg: rec.Arg, Impl: data.Mode(rec.Impl)}
 }

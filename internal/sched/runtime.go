@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"compositetx/internal/data"
-	"compositetx/internal/wal"
 )
 
 // Protocol selects the concurrency-control discipline.
@@ -245,8 +244,8 @@ type Runtime struct {
 	qmu         sync.Mutex
 	quarantined []Quarantine
 
-	// Durability (nil wal = volatile runtime; see EnableWAL, Recover).
-	wal     *wal.Log
+	// Durability (zero wal = volatile runtime; see EnableWAL, Recover).
+	wal     journal
 	topo    *Topology   // retained for WAL metadata; nil when built via New with bare specs
 	crashed atomic.Bool // simulated-crash flag: every Submit drains with ErrCrashed
 	crashes atomic.Int64
@@ -300,11 +299,6 @@ type Runtime struct {
 	// attempt aborts with ErrValidation and re-executes. 0 disables
 	// refreshing: every invalidated read aborts immediately.
 	RefreshRetries int
-
-	// CertOpts tunes the certification pipeline (serial baseline,
-	// fast-path toggle). Set before EnableCertify; changes afterwards
-	// have no effect on the live certifier.
-	CertOpts CertifyOptions
 }
 
 // New builds a runtime for the given protocol and component topology.
@@ -399,9 +393,7 @@ func (r *Runtime) Metrics() Metrics {
 		VersionsCompacted:    r.ckVersionsDropped.Load(),
 		OverloadThrottles:    r.overloadThrottles.Load(),
 	}
-	if r.wal != nil {
-		m.WALRecords = int64(r.wal.Records())
-	}
+	m.WALRecords = int64(r.wal.records())
 	if r.cert != nil {
 		m.CertifyFastPath = r.cert.fastPath.Load()
 		m.CertifyRebuildNanos = r.cert.rebuildNanos.Load()

@@ -202,7 +202,7 @@ func (r *Runtime) Submit(name string, root Invocation) (res *TxResult, err error
 			// error.
 			if cerr := r.certify(a); cerr != nil {
 				r.rollback(a)
-				r.journal(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
+				r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
 				return nil, cerr
 			}
 			if jerr := r.publishCommit(a, rootID); jerr != nil {
@@ -236,21 +236,21 @@ func (r *Runtime) Submit(name string, root Invocation) (res *TxResult, err error
 			// A client-supplied deadline is final; an OpTimeout window
 			// renews per attempt.
 			if !root.Deadline.IsZero() && !time.Now().Before(root.Deadline) {
-				r.journal(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
+				r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
 				return nil, err
 			}
 		default:
 			if errors.Is(err, ErrClientAbort) {
 				r.clientAborts.Add(1)
 			}
-			r.journal(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
+			r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
 			return nil, err
 		}
 		retries++
 		// The budget check precedes the backoff: the final failed attempt
 		// returns immediately instead of sleeping first.
 		if retries > r.MaxRetries {
-			r.journal(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
+			r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
 			return nil, fmt.Errorf("%w (last abort: %w)", ErrTooManyRetries, err)
 		}
 		// Jittered exponential backoff before retrying with the same
@@ -282,8 +282,11 @@ func (r *Runtime) publishCommit(a *attempt, rootID model.NodeID) error {
 	// Crash site "commit": fires before the commit batch is
 	// journaled, so recovery must undo this transaction.
 	r.fireCrash("", string(rootID), "commit", nil)
-	if jerr := r.journalCommit(a); jerr != nil {
-		return jerr
+	if r.wal.attached() {
+		txn := string(rootID)
+		if _, jerr := r.wal.appendBatch(stageRecords(txn, a.stage, wal.Record{Type: wal.TypeCommit, Txn: txn})); jerr != nil {
+			return jerr
+		}
 	}
 	// Crash site "post-commit": the commit record is durable but
 	// locks are abandoned and the record never merged — recovery
@@ -393,11 +396,7 @@ func (r *Runtime) compensate(a *attempt, from int) {
 		// of any checkpoint cut, like the forward apply they invert.
 		r.ck.gate.RLock(a.ts)
 		if u.lsn != 0 {
-			if _, jerr := r.journal(wal.Record{
-				Type: wal.TypeComp, Txn: string(a.root), Comp: u.comp,
-				Item: inv.Item, Mode: string(inv.Mode), Impl: string(inv.Impl),
-				Arg: inv.Arg, Ref: u.lsn,
-			}); jerr != nil {
+			if _, jerr := r.wal.append(compRecord(string(a.root), u.comp, inv, u.lsn)); jerr != nil {
 				r.ck.gate.RUnlock(a.ts)
 				// The log is gone (crash) or unwritable: the process is
 				// effectively dead, recovery owns the remaining undo.
@@ -423,7 +422,7 @@ func (r *Runtime) compensate(a *attempt, from int) {
 				// Supersede the journaled compensation: it never took
 				// effect, recovery must keep the forward effect leaked
 				// and re-report the quarantine.
-				r.journal(wal.Record{Type: wal.TypeQuarantine, Txn: string(a.root), Ref: u.lsn})
+				r.wal.append(wal.Record{Type: wal.TypeQuarantine, Txn: string(a.root), Ref: u.lsn})
 			}
 			r.quarantine(Quarantine{Component: u.comp, Txn: string(a.root), Op: u.op, Err: err})
 		}
@@ -555,17 +554,13 @@ func (r *Runtime) leafOp(a *attempt, comp *component, parent model.NodeID, id mo
 	var res data.Result
 	var err error
 	if op.Physical() != data.ModeRead {
-		rec := wal.Record{
-			Type: wal.TypeApply, Txn: string(a.root), Node: string(id),
-			Comp: comp.name, Item: op.Item, Mode: string(op.Mode), Impl: string(op.Impl),
-			Arg: op.Arg, Prev: comp.store.Get(op.Item),
-		}
+		rec := applyRecord(string(a.root), string(id), comp.name, op, comp.store.Get(op.Item))
 		r.fireCrash(comp.name, string(a.root), string(id), &rec)
 		err = func() error {
 			r.ck.gate.RLock(a.ts)
 			defer r.ck.gate.RUnlock(a.ts)
 			var jerr error
-			if lsn, jerr = r.journal(rec); jerr != nil {
+			if lsn, jerr = r.wal.append(rec); jerr != nil {
 				return jerr
 			}
 			if lsn != 0 {
@@ -584,7 +579,7 @@ func (r *Runtime) leafOp(a *attempt, comp *component, parent model.NodeID, id mo
 		if lsn != 0 {
 			// The journaled apply never executed: append a cancellation
 			// so recovery does not replay it.
-			r.journal(wal.Record{Type: wal.TypeApplyFail, Txn: string(a.root), Ref: lsn})
+			r.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: string(a.root), Ref: lsn})
 		}
 		return fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
 	}

@@ -61,118 +61,32 @@ type walMeta struct {
 // store item, fsynced before the first transaction can touch it. Call
 // after seeding stores and before submitting transactions.
 func (r *Runtime) EnableWAL(cfg WALConfig) error {
-	l, existing, err := wal.Open(cfg.Dir, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
-	if err != nil {
-		return err
-	}
-	if existing > 0 {
-		l.Close()
-		return fmt.Errorf("%w: %q holds %d records", ErrWALExists, cfg.Dir, existing)
-	}
 	meta := walMeta{Version: 1, Protocol: r.protocol.String(), Topology: topologyToDoc(r.topo), Certify: r.Certifying()}
 	blob, err := json.Marshal(meta)
 	if err != nil {
-		l.Close()
-		return err
-	}
-	if _, err := l.Append(wal.Record{Type: wal.TypeMeta, Meta: blob}); err != nil {
-		l.Close()
 		return err
 	}
 	// Seed baseline: what a base checkpoint batch would hold, in the same
 	// deterministic order, so identical setups produce identical logs.
-	for _, rec := range r.checkpointItems(true) {
-		rec.Type = wal.TypeSeed
-		if _, err := l.Append(rec); err != nil {
-			l.Close()
-			return err
-		}
+	seeds := r.checkpointItems(true)
+	for i := range seeds {
+		seeds[i].Type = wal.TypeSeed
 	}
-	if err := l.Sync(); err != nil {
-		l.Close()
+	j, err := attachFresh(cfg.Dir, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes}, blob, seeds)
+	if err != nil {
 		return err
 	}
-	r.wal, r.walMetaJSON = l, blob
+	r.wal, r.walMetaJSON = j, blob
 	return nil
 }
 
 // CloseWAL flushes and closes the log (a clean shutdown; the log stays
 // recoverable and replayable).
-func (r *Runtime) CloseWAL() error {
-	if r.wal == nil {
-		return nil
-	}
-	return r.wal.Close()
-}
+func (r *Runtime) CloseWAL() error { return r.wal.close() }
 
 // WALRecords returns the number of records journaled so far (0 without a
 // WAL).
-func (r *Runtime) WALRecords() uint64 {
-	if r.wal == nil {
-		return 0
-	}
-	return r.wal.Records()
-}
-
-// journal appends one record when a WAL is attached. An append against a
-// crash-abandoned log surfaces as ErrCrashed so the transaction drains
-// like every other participant of the crash.
-func (r *Runtime) journal(rec wal.Record) (uint64, error) {
-	if r.wal == nil {
-		return 0, nil
-	}
-	lsn, err := r.wal.Append(rec)
-	if err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return 0, ErrCrashed
-		}
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// journalBatch appends records contiguously (commit batches).
-func (r *Runtime) journalBatch(recs []wal.Record) error {
-	if r.wal == nil {
-		return nil
-	}
-	if _, err := r.wal.AppendBatch(recs); err != nil {
-		if errors.Is(err, wal.ErrClosed) {
-			return ErrCrashed
-		}
-		return err
-	}
-	return nil
-}
-
-// journalCommit journals a committing attempt's staged record — every
-// node declaration and event, terminated by the commit marker — as one
-// contiguous batch. A transaction is recovered as committed iff the
-// commit marker survives; the batch being contiguous and the log being
-// flushed in order means a durable commit marker implies the durable
-// presence of everything it covers.
-func (r *Runtime) journalCommit(a *attempt) error {
-	if r.wal == nil {
-		return nil
-	}
-	txn := string(a.root)
-	recs := make([]wal.Record, 0, len(a.stage.nodes)+len(a.stage.events)+1)
-	for _, n := range a.stage.nodes {
-		recs = append(recs, wal.Record{
-			Type: wal.TypeNode, Txn: txn,
-			Node: string(n.id), Parent: string(n.parent), Sched: n.sched,
-		})
-	}
-	for _, e := range a.stage.events {
-		recs = append(recs, wal.Record{
-			Type: wal.TypeEvent, Txn: txn,
-			Node: string(e.op), Parent: string(e.parentTx),
-			Comp: e.comp, Item: e.item, Mode: string(e.mode), Seq: e.seq,
-		})
-	}
-	recs = append(recs, wal.Record{Type: wal.TypeCommit, Txn: txn})
-	return r.journalBatch(recs)
-}
+func (r *Runtime) WALRecords() uint64 { return r.wal.records() }
 
 // noteWALErr records the first filesystem error hit while staging a
 // simulated crash image (wal.Abandon). The crash itself proceeds — a real
@@ -209,12 +123,10 @@ type crashPanic struct{}
 func (r *Runtime) crashNow(torn *wal.Record) {
 	if r.crashed.CompareAndSwap(false, true) {
 		r.crashes.Add(1)
-		if r.wal != nil {
-			if err := r.wal.Abandon(torn); err != nil {
-				// A real crash gets no error handling either; record the
-				// staging failure so tests surface filesystem problems.
-				r.noteWALErr(err)
-			}
+		if err := r.wal.abandon(torn); err != nil {
+			// A real crash gets no error handling either; record the
+			// staging failure so tests surface filesystem problems.
+			r.noteWALErr(err)
 		}
 		r.globalLM.wake()
 		for _, c := range r.comps {

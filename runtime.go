@@ -66,10 +66,6 @@ type (
 	// Comp-C violation witness. Matches ErrCertifyViolation with
 	// errors.Is.
 	CertifyError = sched.CertifyError
-	// CertifyOptions tunes the certification pipeline (Runtime.CertOpts):
-	// the serial pre-pipeline baseline and the footprint-disjointness
-	// fast-path toggle.
-	CertifyOptions = sched.CertifyOptions
 
 	// CheckpointConfig installs the bounded-memory checkpoint cadence and
 	// overload watermarks (Runtime.EnableCheckpoints): every N commits the
