@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify race chaos crash mvcc soak net distperf certperf fuzz loc bench benchsmoke benchtest experiments clean
+.PHONY: all build test verify race chaos crash mvcc soak net distperf certperf fuzz loc benchtest experiments clean
 
 all: build test
 
@@ -102,11 +102,12 @@ certperf:
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE17' ./internal/sim
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
-# seeds alone run under `go test ./...`): the WAL frame scanner and the
-# model decoder.
+# seeds alone run under `go test ./...`): the WAL frame scanner, the
+# model decoder and the message decoder.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 20s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheck -fuzztime 20s ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/comm
 
 # loc prints the non-test Go lines per package and in total (bench/ is its
 # own module and not counted) — the number CHANGES.md quotes when a PR
@@ -116,28 +117,9 @@ loc:
 		printf '%6d %s\n' $$(cat $$(ls $$dir/*.go | grep -v _test.go) | wc -l) $$pkg; \
 	done | awk '{print; n += $$1} END {printf "%6d total\n", n}'
 
-# bench regenerates BENCH_checker.json: the E1/E2/E7 tables, the E10
-# chaos-recovery, E11 crash-matrix, E12 online-certification, E13
-# MVCC-vs-lock, E14 bounded-memory checkpoint, E15 network-chaos and E16
-# distributed-throughput tables, plus checker, incremental-certification,
-# WAL, checkpoint and distributed-commit microbenchmarks (ns/op,
-# CheckBatch worker scaling, E12 incremental-vs-full per-commit cost, WAL
-# append under each group-commit setting, full crash recovery, E14
-# tail/recovery growth across the horizon spread, end-to-end 2PC latency
-# per transport, E16 group-commit vs per-txn-fsync throughput at 64
-# concurrent clients, E17 certified and uncertified commit throughput
-# with the certification-overhead ratio). See DESIGN.md §7.1.
-bench:
-	$(GO) run ./cmd/compbench -only E1,E2,E7,E10,E11,E12,E13,E14,E15,E16,E17 -json BENCH_checker.json
-
-# benchsmoke runs every benchmark for exactly one iteration — a CI smoke
-# test that the bench harness still compiles and completes, not a
-# measurement.
-benchsmoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
 # benchtest vets and tests the repo benchmark (bench/ is its own module,
-# so `go test ./...` at the root does not reach it).
+# so `go test ./...` at the root does not reach it). Every number the repo
+# reports is produced there: see bench/README.md.
 benchtest:
 	cd bench && $(GO) vet . && $(GO) test .
 

@@ -3,30 +3,20 @@
 //
 // Usage:
 //
-//	compbench [-only E4] [-samples n] [-json out.json]
+//	compbench [-only E4] [-samples n]
 //
-// -only accepts a comma-separated list (e.g. -only E1,E2,E7). With -json,
-// the selected tables plus the checker, incremental-certification, WAL,
-// MVCC and distributed-commit microbenchmarks (ns/op for the E1/E2
-// units, the E7 scaling configurations, CheckBatch throughput at 1 vs 8
-// workers, the E12 incremental-vs-full per-commit cost, WAL append under
-// each group-commit setting, full crash recovery, the E13 MVCC-vs-lock
-// curve cells, the E14 bounded-memory checkpoint soak, end-to-end
-// 2PC latency per transport for E15, and the E16 sustained distributed
-// throughput cells at 64 concurrent clients, and the E17 certified
-// commit throughput cells at 8 clients across the conflict spread) are
-// also written to the
-// given file; the repository keeps the result as BENCH_checker.json so
-// the perf trajectory is machine-readable across PRs.
+// -only accepts a comma-separated list (e.g. -only E1,E2,E7). The tables
+// reproduce verdicts and counts; the timing columns are one run on this
+// machine — the repo's measurements are bench/ (see bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"compositetx/internal/sim"
@@ -78,17 +68,9 @@ func startProfiles(cpu, mem string) {
 	}
 }
 
-// benchDoc is the -json output shape (persisted as BENCH_checker.json).
-type benchDoc struct {
-	CPUs       int               `json:"cpus"`
-	Tables     []*sim.Table      `json:"tables"`
-	Benchmarks []sim.BenchResult `json:"benchmarks"`
-}
-
 func main() {
 	only := flag.String("only", "", "run a subset of experiments, comma-separated (E1..E17)")
 	samples := flag.Int("samples", 0, "override sample count for statistical experiments")
-	jsonOut := flag.String("json", "", "also write tables + checker benchmarks to this file as JSON")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -96,76 +78,23 @@ func main() {
 	startProfiles(*cpuProfile, *memProfile)
 	defer stopProfiles()
 
-	run := map[string]func() *sim.Table{
-		"E1":  sim.E1Figure3,
-		"E2":  sim.E2Figure4,
-		"E3":  func() *sim.Table { return sim.E3Theorems(pick(*samples, 150)) },
-		"E4":  func() *sim.Table { return sim.E4Containment(pick(*samples, 400)) },
-		"E5":  func() *sim.Table { return sim.E5Commutativity(pick(*samples, 300)) },
-		"E6":  func() *sim.Table { return sim.E6Protocols(sim.DefaultRunConfig()) },
-		"E7":  sim.E7CheckerScaling,
-		"E8":  func() *sim.Table { return sim.E8Coverage(pick(*samples, 12)) },
-		"E9":  func() *sim.Table { return sim.E9Deadlock(sim.DefaultRunConfig()) },
-		"E10": func() *sim.Table { return sim.E10Chaos(sim.DefaultChaosConfig()) },
-		"E11": func() *sim.Table { return sim.E11CrashMatrix(sim.DefaultCrashConfig()) },
-		"E12": func() *sim.Table { return sim.E12Incremental(sim.DefaultRunConfig()) },
-		"E13": func() *sim.Table { return sim.E13MVCC(sim.DefaultMVCCConfig()) },
-		"E14": func() *sim.Table { return sim.E14Checkpoint(sim.DefaultCheckpointConfig()) },
-		"E15": func() *sim.Table { return sim.E15NetChaos(sim.DefaultNetChaosConfig()) },
-		"E16": func() *sim.Table { return sim.E16DistThroughput(sim.DefaultDistPerfConfig()) },
-		"E17": func() *sim.Table { return sim.E17CertThroughput(sim.DefaultCertPerfConfig()) },
-	}
-	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17"}
+	run := sim.Experiments
 	if *only != "" {
-		ids = nil
+		run = nil
 		for _, id := range strings.Split(*only, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			if id == "" {
 				continue
 			}
-			if _, ok := run[id]; !ok {
+			i := slices.IndexFunc(sim.Experiments, func(e sim.Experiment) bool { return e.ID == id })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "compbench: unknown experiment %q\n", id)
 				exit(2)
 			}
-			ids = append(ids, id)
+			run = append(run, sim.Experiments[i])
 		}
 	}
-
-	var tables []*sim.Table
-	for _, id := range ids {
-		t := run[id]()
-		t.Render(os.Stdout)
-		tables = append(tables, t)
+	for _, e := range run {
+		e.Run(*samples).Render(os.Stdout)
 	}
-
-	if *jsonOut != "" {
-		fmt.Fprintln(os.Stderr, "compbench: running checker benchmarks...")
-		doc := benchDoc{
-			CPUs:       runtime.NumCPU(),
-			Tables:     tables,
-			Benchmarks: append(append(append(append(append(append(append(sim.CheckerBenchmarks(), sim.IncrementalBenchmarks()...), sim.WALBenchmarks()...), sim.MVCCBenchmarks()...), sim.CheckpointBenchmarks()...), sim.DistBenchmarks()...), sim.DistPerfBenchmarks()...), sim.CertPerfBenchmarks()...),
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compbench: %v\n", err)
-			exit(2)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "compbench: %v\n", err)
-			exit(2)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "compbench: %v\n", err)
-			exit(2)
-		}
-	}
-}
-
-func pick(override, def int) int {
-	if override > 0 {
-		return override
-	}
-	return def
 }

@@ -35,12 +35,8 @@
 // With -group-commit a distributed run coalesces every 2PC force point
 // (participant prepares and decisions, coordinator decisions) through the
 // WAL flush daemon, so concurrent transactions share one fsync per flush
-// window instead of paying one each. -dist-conc N runs the sustained
-// throughput comparison directly: N concurrent clients on disjoint
-// account pairs, per-transaction fsync vs. group commit, with tps,
-// client-observed p50/p99 latency and the speedup:
-//
-//	compsim -dist-conc 64 -roots 1600
+// window instead of paying one each (compbench -only E16 measures the
+// payoff).
 package main
 
 import (
@@ -51,11 +47,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	ctx "compositetx"
@@ -325,38 +318,11 @@ func runDistributed(topoName string, topo *ctx.Topology, proto ctx.Protocol, cfg
 		Roots: roots, StepsPerTx: steps, Items: items,
 		ReadRatio: readRatio, WriteRatio: writeRatio, Seed: seed,
 	})
-	crashed := func() bool {
-		return cl.CoordinatorCrashed() || len(cl.CrashedParticipants()) > 0
-	}
-	var firstErr atomic.Value
-	start := time.Now()
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				_, err := cl.Submit(fmt.Sprintf("T%d", i+1), programs[i])
-				if err != nil && !errors.Is(err, ctx.ErrCrashed) && !crashed() {
-					firstErr.CompareAndSwap(nil, err)
-				}
-			}
-		}()
-	}
-	for i := range programs {
-		if crashed() {
-			break
-		}
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
+	outcomes, elapsed := ctx.Drive(haltOnCrash{cl}, programs, clients)
 
 	fmt.Printf("topology=%s protocol=%s roots=%d clients=%d transport=%s distributed=true\n",
 		topoName, proto, roots, clients, cfg.Transport)
-	if crashed() {
+	if clusterCrashed(cl) {
 		node := "coordinator"
 		if ps := cl.CrashedParticipants(); len(ps) > 0 {
 			node = "participant " + strings.Join(ps, ",")
@@ -366,9 +332,11 @@ func runDistributed(topoName string, topo *ctx.Topology, proto ctx.Protocol, cfg
 		fmt.Printf("recover with: compsim -recover %s\n", cfg.WALRoot)
 		exit(3)
 	}
-	if e, _ := firstErr.Load().(error); e != nil {
-		fmt.Fprintf(os.Stderr, "compsim: %v\n", e)
-		exit(1)
+	for _, o := range outcomes {
+		if o.Err != nil {
+			fmt.Fprintf(os.Stderr, "compsim: %v\n", o.Err)
+			exit(1)
+		}
 	}
 	if err := cl.Settle(15 * time.Second); err != nil {
 		fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
@@ -388,150 +356,20 @@ func runDistributed(topoName string, topo *ctx.Topology, proto ctx.Protocol, cfg
 	}
 }
 
-// distPerfSeed seeds every -dist-conc account; transfers move 1 per leg,
-// so a run never exhausts an account.
-const distPerfSeed = int64(1 << 20)
-
-// latPercentile picks the q-quantile of the observed latencies.
-func latPercentile(lat []time.Duration, q float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lat...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(q*float64(len(s)-1))]
+func clusterCrashed(cl *ctx.Cluster) bool {
+	return cl.CoordinatorCrashed() || len(cl.CrashedParticipants()) > 0
 }
 
-// runDistPerf is the -dist-conc mode: the sustained distributed commit
-// throughput comparison at one concurrency level. conc clients each
-// transfer on their own disjoint east/west account pair (so lock
-// contention cannot mask fsync cost), once with a per-transaction fsync
-// at every 2PC force point and once with the force points coalesced
-// through the WAL flush daemon. Both runs must conserve value on every
-// account pair and pass the Comp-C audit.
-func runDistPerf(transport string, conc, roots int, walDir string) {
-	perClient := roots / conc
-	if perClient < 1 {
-		perClient = 1
+// haltOnCrash stops a drive at a crash fault: once either side is down,
+// the programs not yet started fail at once instead of timing out
+// against a dead node.
+type haltOnCrash struct{ cl *ctx.Cluster }
+
+func (h haltOnCrash) Submit(name string, root ctx.Invocation) (*ctx.TxResult, error) {
+	if clusterCrashed(h.cl) {
+		return nil, ctx.ErrCrashed
 	}
-	dir := walDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "compsim-distperf-*")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
-			exit(2)
-		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-
-	run := func(group bool, sub string) float64 {
-		seeds := map[string]int64{}
-		for c := 0; c < conc; c++ {
-			seeds[fmt.Sprintf("a%d", c)] = distPerfSeed
-		}
-		cl, err := ctx.StartCluster(ctx.DistConfig{
-			Protocol: ctx.Hybrid, Topo: ctx.BankTopology(),
-			Transport: transport,
-			WALRoot:   filepath.Join(dir, sub), SyncEvery: 64,
-			RPCTimeout: 250 * time.Millisecond, RPCRetries: 3,
-			LockWait: 500 * time.Millisecond, MaxRetries: 30,
-			AbandonAfter: 10 * time.Second, QueryAfter: 2 * time.Second,
-			SweepEvery:  time.Second,
-			Seeds:       map[string]map[string]int64{"east": seeds},
-			GroupCommit: group,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
-			exit(2)
-		}
-		defer cl.Close()
-
-		var (
-			mu      sync.Mutex
-			lat     = make([]time.Duration, 0, conc*perClient)
-			firstEr atomic.Value
-			wg      sync.WaitGroup
-		)
-		start := time.Now()
-		for c := 0; c < conc; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				item := fmt.Sprintf("a%d", c)
-				mine := make([]time.Duration, 0, perClient)
-				for i := 0; i < perClient; i++ {
-					prog := ctx.Invocation{Component: "bank", Steps: []ctx.Step{
-						{Invoke: &ctx.Invocation{Component: "east", Item: item, Mode: ctx.ModeIncr,
-							Steps: []ctx.Step{{Op: &ctx.Op{Mode: ctx.ModeIncr, Item: item, Arg: -1}}}}},
-						{Invoke: &ctx.Invocation{Component: "west", Item: item, Mode: ctx.ModeIncr,
-							Steps: []ctx.Step{{Op: &ctx.Op{Mode: ctx.ModeIncr, Item: item, Arg: 1}}}}},
-					}}
-					t0 := time.Now()
-					if _, err := cl.Submit(fmt.Sprintf("C%d-%d", c, i), prog); err != nil {
-						firstEr.CompareAndSwap(nil, fmt.Errorf("client %d txn %d: %w", c, i, err))
-						return
-					}
-					mine = append(mine, time.Since(t0))
-				}
-				mu.Lock()
-				lat = append(lat, mine...)
-				mu.Unlock()
-			}(c)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if e, _ := firstEr.Load().(error); e != nil {
-			fmt.Fprintf(os.Stderr, "compsim: %v\n", e)
-			exit(1)
-		}
-		if err := cl.Settle(10 * time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
-			exit(1)
-		}
-
-		m := cl.Metrics()
-		tps := float64(m.Commits) / elapsed.Seconds()
-		mode := "per-txn-fsync"
-		if group {
-			mode = "group-commit"
-		}
-		fmt.Printf("%-13s %7.0f tx/s  p50=%-9s p99=%-9s committed=%d\n",
-			mode, tps,
-			latPercentile(lat, 0.50).Round(time.Microsecond),
-			latPercentile(lat, 0.99).Round(time.Microsecond),
-			m.Commits)
-		fmt.Println("  " + m.String())
-
-		east, west := cl.StoreSnapshot("east"), cl.StoreSnapshot("west")
-		conserved := int(m.Commits) == conc*perClient
-		for c := 0; c < conc; c++ {
-			item := fmt.Sprintf("a%d", c)
-			if east[item]+west[item] != distPerfSeed || west[item] != int64(perClient) {
-				conserved = false
-			}
-		}
-		if !conserved {
-			fmt.Printf("  conservation: VIOLATED\n")
-			exit(1)
-		}
-		v, err := cl.Audit()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
-			exit(2)
-		}
-		fmt.Printf("  conserved; recorded execution: %s\n", v)
-		if !v.Correct {
-			exit(1)
-		}
-		return tps
-	}
-
-	fmt.Printf("topology=bank protocol=hybrid transport=%s conc=%d per-client=%d distributed=true\n",
-		transport, conc, perClient)
-	base := run(false, "per-txn")
-	grouped := run(true, "group")
-	fmt.Printf("group-commit speedup: %.2fx\n", grouped/base)
+	return h.cl.Submit(name, root)
 }
 
 func main() {
@@ -560,7 +398,6 @@ func main() {
 	rpcTimeout := flag.Duration("rpc-timeout", 0, "distributed per-attempt RPC deadline (0 = default 25ms)")
 	distCrash := flag.String("dist-crash", "", `distributed crash trigger "txn:site[:participant]", e.g. T5:coord-post-decision or T5:part-prepare:east (requires -distributed and -wal)`)
 	groupCommit := flag.Bool("group-commit", false, "coalesce 2PC force points through the WAL flush daemon: one shared fsync per flush window instead of one per force (requires -distributed)")
-	distConc := flag.Int("dist-conc", 0, "sustained distributed-throughput comparison at N concurrent clients on disjoint account pairs: per-txn fsync vs. group commit, tps + p50/p99 (implies -distributed on the bank topology; -roots sets total transfers)")
 	certify := flag.Bool("certify", false, "certify every commit online against Comp-C and reject violating ones")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every N commits: fold certified history, prune the recorder, compact MVCC chains, truncate the WAL (0 = never)")
 	optimistic := flag.Bool("optimistic", false, "serve leaf reads from MVCC snapshots and validate them at commit instead of taking semantic read locks")
@@ -615,11 +452,6 @@ func main() {
 		exit(2)
 	}
 
-	if *distConc > 0 {
-		runDistPerf(*transport, *distConc, *roots, *walDir)
-		stopProfiles()
-		return
-	}
 	if *distributed {
 		netPlan, err := parseNetFaults(*netFaults, *faultSeed)
 		if err != nil {

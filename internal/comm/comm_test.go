@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,19 +39,53 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestMessageDecodeRejectsCorrupt(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Fatal("decode of empty body succeeded")
-	}
-	if _, err := Decode([]byte{0xEE}); err == nil {
-		t.Fatal("decode of unknown kind succeeded")
-	}
 	b := Encode(nil, Message{Kind: KindApply, Txn: "T1", Item: "x"})
-	if _, err := Decode(b[:len(b)-2]); err == nil {
-		t.Fatal("decode of truncated body succeeded")
+	// With From, ID and Txn empty the attempt uvarint sits at byte 4; the
+	// flags byte is third from the end (flags, code, empty Err).
+	p := Encode(nil, Message{Kind: KindPrepare, Attempt: 1})
+	wideAttempt := append(binary.AppendUvarint(append([]byte(nil), p[:4]...), 1<<32+1), p[5:]...)
+	badFlags := append([]byte(nil), p...)
+	badFlags[len(badFlags)-3] |= 4
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"empty body", nil},
+		{"unknown kind", []byte{0xEE}},
+		{"truncated body", b[:len(b)-2]},
+		{"trailing bytes", append(append([]byte(nil), b...), 0, 0)},
+		{"attempt 2^32+1 would narrow to attempt 1", wideAttempt},
+		{"undefined flag bit", badFlags},
+	} {
+		if m, err := Decode(tc.body); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", tc.name, m)
+		}
 	}
-	if _, err := Decode(append(b, 0, 0)); err == nil {
-		t.Fatal("decode with trailing bytes succeeded")
+}
+
+// FuzzDecode: the decoder must never panic on arbitrary bytes, and what
+// it accepts must survive a re-encode unchanged — every field a frame
+// carries is a field Encode writes.
+func FuzzDecode(f *testing.F) {
+	for k := KindApply; k < kindMax; k++ {
+		f.Add(Encode(nil, Message{Kind: k, From: "coord", ID: 42, Txn: "T7", Attempt: 3, TS: 99,
+			Clock: 1001, Node: "T7/1/2", Item: "acct", Mode: "incr", Impl: "w", Arg: -250,
+			Wait: int64(5 * time.Millisecond), Value: -3, Seq: 4097, OK: true, Commit: true,
+			Code: 3, Err: "presumed abort"}))
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return // corrupt input is fine; panics are not
+		}
+		again, err := Decode(Encode(nil, m))
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", m, err)
+		}
+		if again != m {
+			t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", again, m)
+		}
+	})
 }
 
 // deliverAll drains n messages from ep, failing the test on close.

@@ -23,6 +23,7 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Kind names a protocol message. Requests flow coordinator → participant
@@ -171,7 +172,8 @@ func Decode(b []byte) (Message, error) {
 	m.From = d.str()
 	m.ID = d.uvarint()
 	m.Txn = d.str()
-	m.Attempt = uint32(d.uvarint())
+	attempt := d.uvarint()
+	m.Attempt = uint32(attempt)
 	m.TS = d.uvarint()
 	m.Clock = d.uvarint()
 	m.Node = d.str()
@@ -189,6 +191,13 @@ func Decode(b []byte) (Message, error) {
 	m.Err = d.str()
 	if d.err != nil {
 		return m, fmt.Errorf("comm: corrupt %s message: %w", m.Kind, d.err)
+	}
+	// A narrowed attempt would be deduplicated against the wrong attempt.
+	if attempt > math.MaxUint32 {
+		return m, fmt.Errorf("comm: corrupt %s message: attempt %d overflows 32 bits", m.Kind, attempt)
+	}
+	if flags&^3 != 0 {
+		return m, fmt.Errorf("comm: corrupt %s message: undefined flag bits %#x", m.Kind, flags)
 	}
 	if len(d.b) != 0 {
 		return m, fmt.Errorf("comm: %d trailing bytes in %s message", len(d.b), m.Kind)

@@ -227,9 +227,10 @@ func Check(sys *model.System, opts Options) (*Verdict, error) {
 // CheckReference is the string-keyed reduction Check ran before the
 // interned-index engine existed, kept verbatim as the reference oracle:
 // the property tests in indexed_test.go assert Check ≡ CheckReference on
-// random workloads, and the sim benchmarks time it so BENCH_checker.json
-// carries the engine speedup. It works on a normalized clone and does not
-// mutate sys. Use Check; this exists for testing and benchmarking only.
+// random workloads, and bench/ times it against Check (the
+// front.reference_ratio probe, see bench/README.md). It works on a
+// normalized clone and does not mutate sys. Use Check; this exists for
+// testing and benchmarking only.
 func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
 	if err := sys.ValidateStructure(); err != nil {
 		return nil, err

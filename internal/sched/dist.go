@@ -42,17 +42,10 @@ type DistConfig struct {
 	// GroupCommit routes every 2PC force point (coordinator decision,
 	// participant prepare/decide) through the WAL's coalescing Force API:
 	// concurrent transactions share flush-daemon fsyncs instead of paying
-	// one each. Correctness-neutral — each force still completes before
-	// its dependent protocol message is sent.
+	// one each, the daemon holding each window open DefaultGroupWindow so
+	// they pile into one. Correctness-neutral — each force still completes
+	// before its dependent protocol message is sent.
 	GroupCommit bool
-	// GroupWindow/GroupMaxRecords tune the flush daemon (see wal.Options).
-	// Zero defaults to DefaultGroupWindow: the daemon holds each window
-	// open briefly so concurrent force points pile into one fsync —
-	// worth far more than its added latency whenever fsyncs are the
-	// commit bottleneck. Negative is natural batching (flush as soon as
-	// idle, no added latency, batching only while a flush is in flight).
-	GroupWindow     time.Duration
-	GroupMaxRecords int
 
 	// RPC policy: per-attempt deadline and capped-backoff retry budget
 	// for every message the coordinator or a participant sends.
@@ -110,31 +103,20 @@ func (cfg DistConfig) normalized() DistConfig {
 	return cfg
 }
 
-// DefaultGroupWindow is the flush-daemon window a GroupCommit cluster
-// uses when DistConfig.GroupWindow is zero. One millisecond is small
-// against every protocol timeout in the config but long enough that a
-// window collects the force points of every transaction concurrently at
-// a force point, so fsync cost per commit drops to O(1/batch).
+// DefaultGroupWindow is the flush-daemon window of a GroupCommit
+// cluster. One millisecond is small against every protocol timeout in
+// the config but long enough that a window collects the force points of
+// every transaction concurrently at a force point, so fsync cost per
+// commit drops to O(1/batch).
 const DefaultGroupWindow = time.Millisecond
 
 // walOptions builds the log options every cluster log opens with.
 func (cl *Cluster) walOptions() wal.Options {
-	window := cl.cfg.GroupWindow
+	opts := wal.Options{SyncEvery: cl.cfg.SyncEvery}
 	if cl.cfg.GroupCommit {
-		switch {
-		case window == 0:
-			window = DefaultGroupWindow
-		case window < 0:
-			window = 0 // natural batching
-		}
-	} else {
-		window = 0
+		opts.GroupWindow = DefaultGroupWindow
 	}
-	return wal.Options{
-		SyncEvery:       cl.cfg.SyncEvery,
-		GroupWindow:     window,
-		GroupMaxRecords: cl.cfg.GroupMaxRecords,
-	}
+	return opts
 }
 
 // partMeta is the TypeMeta payload of a participant log.

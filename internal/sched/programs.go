@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compositetx/internal/data"
@@ -226,32 +227,62 @@ func Jitter(programs []Invocation, maxDelay time.Duration, seed int64) []Invocat
 	return out
 }
 
-// Run submits every program on a pool of client goroutines and waits for
-// all commits. Programs are named T1..Tn by index. It returns the first
-// submission error, if any.
-func Run(rt *Runtime, programs []Invocation, clients int) error {
-	if clients < 1 {
-		clients = 1
+// Submitter is what Drive feeds: a *Runtime, a *Cluster, or a wrapper
+// that answers some submissions itself.
+type Submitter interface {
+	Submit(name string, root Invocation) (*TxResult, error)
+}
+
+// Outcome is what one program's submission came to.
+type Outcome struct {
+	Latency time.Duration // Submit's wall time as its client saw it
+	Err     error
+}
+
+// Drive is the closed-loop client pool every run goes through: clients
+// goroutines (at least one) each take the next unsubmitted program,
+// submit it as T<index+1> and record its outcome, so every program is
+// submitted exactly once whatever the others returned. It returns the
+// outcomes indexed like programs and the wall time of the whole drain.
+// What an error means — fail the run, tolerate ErrCrashed, discard a
+// rep — is the caller's loop over the outcomes. Names are built before
+// the clock starts: the times are the commit path's, not Sprintf's.
+func Drive(s Submitter, programs []Invocation, clients int) ([]Outcome, time.Duration) {
+	names := make([]string, len(programs))
+	for i := range names {
+		names[i] = fmt.Sprintf("T%d", i+1)
 	}
-	work := make(chan int)
-	errs := make(chan error, len(programs))
+	out := make([]Outcome, len(programs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	start := time.Now()
+	for c := 0; c < max(clients, 1); c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if _, err := rt.Submit(fmt.Sprintf("T%d", i+1), programs[i]); err != nil {
-					errs <- err
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(programs) {
+					return
 				}
+				t0 := time.Now()
+				_, err := s.Submit(names[i], programs[i])
+				out[i] = Outcome{Latency: time.Since(t0), Err: err}
 			}
 		}()
 	}
-	for i := range programs {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
-	close(errs)
-	return <-errs
+	return out, time.Since(start)
+}
+
+// Run drives every program through rt (named T1..Tn by index) and returns
+// the error of the lowest-indexed program that failed, if any.
+func Run(rt *Runtime, programs []Invocation, clients int) error {
+	outcomes, _ := Drive(rt, programs, clients)
+	for _, o := range outcomes {
+		if o.Err != nil {
+			return o.Err
+		}
+	}
+	return nil
 }

@@ -62,9 +62,7 @@ func E10Chaos(cfg RunConfig) *Table {
 				if cfg.StepDelay > 0 {
 					progs = sched.Jitter(progs, cfg.StepDelay, mix.plan.Seed)
 				}
-				start := time.Now()
-				err := sched.Run(rt, progs, cfg.Clients)
-				elapsed := time.Since(start)
+				_, elapsed, err := runTimed(rt, progs, cfg.Clients)
 				if err != nil {
 					t.AddRow(tc.name, p.String(), mix.name, "error", "-", "-", "-", "-", err.Error())
 					continue

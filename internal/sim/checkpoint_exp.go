@@ -256,47 +256,3 @@ func E14Checkpoint(cfg CheckpointSoakConfig) *Table {
 		"the last marker, and every cell still recovers to a Comp-C-correct, conserved state"
 	return t
 }
-
-// CheckpointBenchmarks is the machine-readable face of E14 for
-// BENCH_checker.json: per-cell throughput plus the boundedness ratios the
-// CI gate tracks (tail-records and recovery-time growth across the 10x
-// horizon spread).
-func CheckpointBenchmarks() []BenchResult {
-	cfg := DefaultCheckpointConfig()
-	points, err := checkpointCells(cfg)
-	if err != nil {
-		panic(err)
-	}
-	// Growth across the horizon spread, per mode.
-	small := map[string]ckPoint{}
-	var out []BenchResult
-	for _, pt := range points {
-		metrics := map[string]float64{
-			"txPerSec":     pt.tps,
-			"p95Ns":        float64(pt.p95.Nanoseconds()),
-			"liveHeapMB":   float64(pt.liveHeap) / (1 << 20),
-			"checkpoints":  float64(pt.checkpoints),
-			"ckItems":      float64(pt.ckItems),
-			"logBytes":     float64(pt.logBytes),
-			"walRecords":   float64(pt.walRecords),
-			"tailRecords":  float64(pt.tailRecords),
-			"recoverNs":    float64(pt.recoverTime.Nanoseconds()),
-			"horizon":      float64(pt.horizon),
-			"correct":      b2f(pt.recovered),
-			"cadenceEvery": float64(cfg.Every),
-		}
-		if base, ok := small[pt.mode]; ok && base.tailRecords > 0 {
-			metrics["tailGrowth"] = float64(pt.tailRecords) / float64(base.tailRecords)
-			metrics["recoverGrowth"] = float64(pt.recoverTime) / float64(base.recoverTime)
-			metrics["heapGrowth"] = float64(pt.liveHeap) / float64(base.liveHeap)
-		} else {
-			small[pt.mode] = pt
-		}
-		out = append(out, BenchResult{
-			Name:    fmt.Sprintf("E14Checkpoint/horizon=%d/mode=%s", pt.horizon, pt.mode),
-			NsPerOp: 1e9 / pt.tps,
-			Metrics: metrics,
-		})
-	}
-	return out
-}

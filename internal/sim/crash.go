@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"compositetx/internal/data"
 	"compositetx/internal/sched"
-	"compositetx/internal/wal"
 )
 
 // E11 — the crash matrix: crash site × topology × protocol. Every cell
@@ -136,39 +133,6 @@ func crashTopos() []crashTopo {
 	}
 }
 
-// runCrashCell drains the workload through a crash-tolerant client pool.
-func runCrashCell(rt *sched.Runtime, progs []sched.Invocation, clients int) (commits int, runErr error) {
-	var ok atomic.Int64
-	var firstErr atomic.Value
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				_, err := rt.Submit(fmt.Sprintf("T%d", i+1), progs[i])
-				switch {
-				case err == nil:
-					ok.Add(1)
-				case errors.Is(err, sched.ErrCrashed):
-				default:
-					firstErr.CompareAndSwap(nil, err)
-				}
-			}
-		}()
-	}
-	for i := range progs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if e, _ := firstErr.Load().(error); e != nil {
-		return int(ok.Load()), e
-	}
-	return int(ok.Load()), nil
-}
-
 // storeTotal sums every item of every component store.
 func storeTotal(rt *sched.Runtime, topo *sched.Topology) int64 {
 	var total int64
@@ -238,8 +202,13 @@ func runE11Cell(tc crashTopo, site crashSiteSpec, p sched.Protocol, cfg RunConfi
 	if cfg.StepDelay > 0 {
 		progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 	}
-	if _, err := runCrashCell(rt, progs, cfg.Clients); err != nil {
-		return nil, err
+	// Every submission after the crash returns ErrCrashed; anything else
+	// is the cell's failure.
+	outcomes, _ := sched.Drive(rt, progs, cfg.Clients)
+	for _, o := range outcomes {
+		if o.Err != nil && !errors.Is(o.Err, sched.ErrCrashed) {
+			return nil, o.Err
+		}
 	}
 	if !rt.Crashed() {
 		return nil, fmt.Errorf("crash trigger at %q never fired", site.step)
@@ -275,89 +244,4 @@ func DefaultCrashConfig() RunConfig {
 		ReadRatio: 0.2, WriteRatio: 0, StepDelay: 60 * time.Microsecond,
 		Seed: 19,
 	}
-}
-
-// WALBenchmarks times the durability path for BENCH_checker.json: append
-// throughput across the group-commit settings, and full crash recovery
-// (read + redo/undo + Comp-C re-check) at two log sizes.
-func WALBenchmarks() []BenchResult {
-	const minDur = 100 * time.Millisecond
-	var out []BenchResult
-
-	rec := wal.Record{
-		Type: wal.TypeApply, Txn: "T42", Node: "T42/1/1", Comp: "east",
-		Item: "acct", Mode: "incr", Impl: "incr", Arg: -25, Prev: 975,
-	}
-	for _, bc := range []struct {
-		name string
-		sync int
-	}{
-		{"sync=1", 1},
-		{"sync=64", 64},
-		{"sync=none", -1},
-	} {
-		dir, err := os.MkdirTemp("", "compositetx-walbench-*")
-		if err != nil {
-			panic(err)
-		}
-		l, _, err := wal.Open(dir, wal.Options{SyncEvery: bc.sync})
-		if err != nil {
-			panic(err)
-		}
-		ns := timeOp(minDur, func() {
-			if _, err := l.Append(rec); err != nil {
-				panic(err)
-			}
-		})
-		records := float64(l.Records())
-		l.Close()
-		os.RemoveAll(dir)
-		out = append(out, BenchResult{
-			Name:    "BenchmarkWALAppend/" + bc.name,
-			NsPerOp: ns,
-			Metrics: map[string]float64{"records": records},
-		})
-	}
-
-	for _, roots := range []int{32, 128} {
-		dir, err := os.MkdirTemp("", "compositetx-recbench-*")
-		if err != nil {
-			panic(err)
-		}
-		topo := sched.BankTopology()
-		rt := topo.NewRuntime(sched.Hybrid)
-		rt.Store("east").Set("acct", 100000)
-		if err := rt.EnableWAL(sched.WALConfig{Dir: dir, SyncEvery: 64}); err != nil {
-			panic(err)
-		}
-		for i := 0; i < roots; i++ {
-			amt := int64(i%7 + 1)
-			prog := sched.Invocation{Component: "bank", Steps: []sched.Step{
-				transferLeg("east", "acct", -amt),
-				transferLeg("west", "acct", amt),
-			}}
-			if _, err := rt.Submit(fmt.Sprintf("T%d", i+1), prog); err != nil {
-				panic(err)
-			}
-		}
-		if err := rt.CloseWAL(); err != nil {
-			panic(err)
-		}
-		var records float64
-		ns := timeOp(minDur, func() {
-			r, err := sched.Recover(sched.WALConfig{Dir: dir})
-			if err != nil {
-				panic(err)
-			}
-			records = float64(r.Stats.Records)
-			r.Runtime.CloseWAL()
-		})
-		os.RemoveAll(dir)
-		out = append(out, BenchResult{
-			Name:    fmt.Sprintf("BenchmarkRecovery/roots=%d", roots),
-			NsPerOp: ns,
-			Metrics: map[string]float64{"records": records},
-		})
-	}
-	return out
 }

@@ -225,48 +225,3 @@ func runE15Cell(p sched.Protocol, mix e15Mix, site e15Site, roots int) ([]any, e
 func DefaultNetChaosConfig() RunConfig {
 	return RunConfig{Roots: 12, Clients: 1, Seed: 7}
 }
-
-// DistBenchmarks times the distributed commit path for
-// BENCH_checker.json: end-to-end 2PC latency per committed transfer on
-// each transport, against a durable two-branch cluster.
-func DistBenchmarks() []BenchResult {
-	const minDur = 100 * time.Millisecond
-	var out []BenchResult
-	for _, transport := range []string{"chan", "tcp"} {
-		dir, err := os.MkdirTemp("", "compositetx-distbench-*")
-		if err != nil {
-			panic(err)
-		}
-		cl, err := sched.StartCluster(sched.DistConfig{
-			Protocol:  sched.Hybrid,
-			Topo:      sched.BankTopology(),
-			Transport: transport,
-			WALRoot:   dir,
-			SyncEvery: 64,
-			Seeds:     map[string]map[string]int64{"east": {"acct": e15Initial}},
-		})
-		if err != nil {
-			panic(err)
-		}
-		i := 0
-		ns := timeOp(minDur, func() {
-			i++
-			prog, _ := e15Transfer(i)
-			if _, err := cl.Submit(fmt.Sprintf("B%d", i), prog); err != nil {
-				panic(err)
-			}
-		})
-		if err := cl.Settle(5 * time.Second); err != nil {
-			panic(err)
-		}
-		commits := float64(cl.Metrics().Commits)
-		cl.Close()
-		os.RemoveAll(dir)
-		out = append(out, BenchResult{
-			Name:    "BenchmarkDistCommit/" + transport,
-			NsPerOp: ns,
-			Metrics: map[string]float64{"commits": commits},
-		})
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"compositetx/internal/sched"
@@ -11,14 +10,15 @@ import (
 
 // E16 — sustained distributed commit throughput: concurrency × force mode
 // × transport. Every cell drives a WAL-backed two-branch cluster with N
-// concurrent clients, each transferring on its own account pair (disjoint
-// items, so lock contention cannot mask the fsync cost the experiment
-// isolates). The per-txn-fsync column forces every 2PC force point with
-// its own fsync; the group column routes the same force points through
-// the WAL flush daemon, so concurrent commits share O(1) fsyncs per
-// window. The measurement is commits/s plus client-observed p50/p99
-// latency, and every cell must conserve value across its account pairs
-// with every submitted transfer committed.
+// concurrent clients over N account pairs, the transfers dealt round-robin
+// across the pairs (the transfers in flight are on disjoint items, so lock
+// contention cannot mask the fsync cost the experiment isolates). The
+// per-txn-fsync column forces every 2PC force point with its own fsync;
+// the group column routes the same force points through the WAL flush
+// daemon, so concurrent commits share O(1) fsyncs per window. The
+// measurement is commits/s plus client-observed p50/p99 latency, and
+// every cell must conserve value across its account pairs with every
+// submitted transfer committed.
 
 // e16Seed is the per-account seed; transfers move 1 per leg, so a cell
 // never exhausts the escrow quota.
@@ -29,7 +29,7 @@ type DistPerfConfig struct {
 	Conc       []int    // concurrent clients per cell
 	PerClient  int      // transfers each client submits
 	Transports []string // "chan", "tcp"
-	Reps       int      // best-of-N reps per cell (0 = 2), rides out scheduler noise
+	Reps       int      // best-of-N reps per cell (0 = 1), rides out scheduler noise
 }
 
 // DefaultDistPerfConfig sizes E16 for compbench: enough concurrency to
@@ -45,28 +45,27 @@ func DefaultDistPerfConfig() DistPerfConfig {
 
 // e16Point is one measured cell.
 type e16Point struct {
+	rep       // ok: every transfer committed and every account pair conserved
 	transport string
 	group     bool
 	conc      int
 	committed int
-	tps       float64
 	p50, p99  time.Duration
 	windows   uint64 // shared fsync windows (group mode only)
 	forces    uint64
-	conserved bool
 }
 
-func (pt e16Point) mode() string {
-	if pt.group {
+func forceMode(group bool) string {
+	if group {
 		return "group"
 	}
 	return "per-txn-fsync"
 }
 
-// runE16Cell measures one cell: conc clients × perClient transfers, each
-// client on its own disjoint east/west account pair.
-func runE16Cell(transport string, group bool, conc, perClient int) (e16Point, error) {
-	pt := e16Point{transport: transport, group: group, conc: conc}
+// runE16Cell measures one cell: conc clients draining perClient transfers
+// on each of conc disjoint east/west account pairs.
+func runE16Cell(transport string, group bool, conc, perClient int) (*e16Point, error) {
+	pt := &e16Point{transport: transport, group: group, conc: conc}
 
 	dir, err := os.MkdirTemp("", "compositetx-e16-*")
 	if err != nil {
@@ -104,42 +103,19 @@ func runE16Cell(transport string, group bool, conc, perClient int) (e16Point, er
 	}
 	defer cl.Close()
 
-	var (
-		mu   sync.Mutex
-		lat  = make([]time.Duration, 0, conc*perClient)
-		errc = make(chan error, conc)
-		wg   sync.WaitGroup
-	)
-	start := time.Now()
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
+	progs := make([]sched.Invocation, 0, conc*perClient)
+	for i := 0; i < perClient; i++ {
+		for c := 0; c < conc; c++ {
 			item := fmt.Sprintf("a%d", c)
-			mine := make([]time.Duration, 0, perClient)
-			for i := 0; i < perClient; i++ {
-				prog := sched.Invocation{Component: "bank", Steps: []sched.Step{
-					transferLeg("east", item, -1),
-					transferLeg("west", item, 1),
-				}}
-				t0 := time.Now()
-				if _, err := cl.Submit(fmt.Sprintf("C%d-%d", c, i), prog); err != nil {
-					errc <- fmt.Errorf("client %d txn %d: %w", c, i, err)
-					return
-				}
-				mine = append(mine, time.Since(t0))
-			}
-			mu.Lock()
-			lat = append(lat, mine...)
-			mu.Unlock()
-		}(c)
+			progs = append(progs, sched.Invocation{Component: "bank", Steps: []sched.Step{
+				transferLeg("east", item, -1),
+				transferLeg("west", item, 1),
+			}})
+		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
+	lat, elapsed, err := runTimed(cl, progs, conc)
+	if err != nil {
 		return pt, err
-	default:
 	}
 	if err := cl.Settle(10 * time.Second); err != nil {
 		return pt, err
@@ -154,38 +130,14 @@ func runE16Cell(transport string, group bool, conc, perClient int) (e16Point, er
 	pt.windows = m.GroupWindows
 
 	east, west := cl.StoreSnapshot("east"), cl.StoreSnapshot("west")
-	pt.conserved = pt.committed == conc*perClient
+	pt.ok = pt.committed == conc*perClient
 	for c := 0; c < conc; c++ {
 		item := fmt.Sprintf("a%d", c)
 		if east[item]+west[item] != e16Seed || west[item] != int64(perClient) {
-			pt.conserved = false
+			pt.ok = false
 		}
 	}
 	return pt, nil
-}
-
-// measureE16 runs one cell reps times and keeps the best-throughput rep
-// (the E13 methodology: best-of-N rides out scheduler noise on loaded CI
-// machines). Both force modes get the same treatment, and the cell is
-// conserved only if EVERY rep conserved.
-func measureE16(transport string, group bool, conc, perClient, reps int) (e16Point, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var best e16Point
-	conserved := true
-	for i := 0; i < reps; i++ {
-		pt, err := runE16Cell(transport, group, conc, perClient)
-		if err != nil {
-			return pt, err
-		}
-		conserved = conserved && pt.conserved
-		if i == 0 || pt.tps > best.tps {
-			best = pt
-		}
-	}
-	best.conserved = conserved
-	return best, nil
 }
 
 // E16DistThroughput runs the matrix and renders one row per cell.
@@ -199,27 +151,25 @@ func E16DistThroughput(cfg DistPerfConfig) *Table {
 	// speedup[transport][conc] = grouped tps / per-txn tps, noted below.
 	base := map[string]float64{}
 	var notes []string
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 2
-	}
 	for _, transport := range cfg.Transports {
 		for _, conc := range cfg.Conc {
 			for _, group := range []bool{false, true} {
-				pt, err := measureE16(transport, group, conc, cfg.PerClient, reps)
+				pt, err := bestOf(cfg.Reps, func() (*e16Point, error) {
+					return runE16Cell(transport, group, conc, cfg.PerClient)
+				})
 				if err != nil {
-					t.AddRow(transport, pt.mode(), conc, "error", "-", "-", "-", "-", err.Error())
+					t.AddRow(transport, forceMode(group), conc, "error", "-", "-", "-", "-", err.Error())
 					continue
 				}
 				verdict := "conserved"
-				if !pt.conserved {
+				if !pt.ok {
 					verdict = "VIOLATED"
 				}
 				windows := "-"
 				if pt.group {
 					windows = fmt.Sprintf("%d (%d forces)", pt.windows, pt.forces)
 				}
-				t.AddRow(transport, pt.mode(), conc, pt.committed,
+				t.AddRow(transport, forceMode(group), conc, pt.committed,
 					fmt.Sprintf("%.0f", pt.tps),
 					pt.p50.Round(time.Microsecond).String(),
 					pt.p99.Round(time.Microsecond).String(),
@@ -238,45 +188,4 @@ func E16DistThroughput(cfg DistPerfConfig) *Table {
 		"O(windows) instead of O(transactions)); every cell conserved with all transfers committed. " +
 		"group-vs-per-txn speedup: " + fmt.Sprint(notes)
 	return t
-}
-
-// DistPerfBenchmarks measures the E16 headline cells for
-// BENCH_checker.json: 64 concurrent clients, both force modes, both
-// transports — the grouped/per-txn tps ratio at conc=64 is the committed
-// ≥2x claim.
-func DistPerfBenchmarks() []BenchResult {
-	const conc, perClient, reps = 64, 25, 2
-	var out []BenchResult
-	base := map[string]float64{}
-	for _, transport := range []string{"chan", "tcp"} {
-		for _, group := range []bool{false, true} {
-			pt, err := measureE16(transport, group, conc, perClient, reps)
-			if err != nil {
-				panic(err)
-			}
-			if !pt.conserved {
-				panic(fmt.Sprintf("E16 bench cell %s/%s not conserved", transport, pt.mode()))
-			}
-			metrics := map[string]float64{
-				"tps":   pt.tps,
-				"p50Ns": float64(pt.p50.Nanoseconds()),
-				"p99Ns": float64(pt.p99.Nanoseconds()),
-			}
-			if group {
-				metrics["fsyncWindows"] = float64(pt.windows)
-				metrics["groupForces"] = float64(pt.forces)
-				if b := base[transport]; b > 0 {
-					metrics["speedupVsPerTxn"] = pt.tps / b
-				}
-			} else {
-				base[transport] = pt.tps
-			}
-			out = append(out, BenchResult{
-				Name:    fmt.Sprintf("E16DistThroughput/%s/%s/conc=%d", transport, pt.mode(), conc),
-				NsPerOp: float64(pt.p50.Nanoseconds()),
-				Metrics: metrics,
-			})
-		}
-	}
-	return out
 }

@@ -40,6 +40,17 @@ type incrementalCost struct {
 
 func (c incrementalCost) speedup() float64 { return c.fullNs / c.incNs }
 
+// timeOp measures fn by repetition until minDur elapses, returning ns/op.
+func timeOp(minDur time.Duration, fn func()) float64 {
+	start := time.Now()
+	reps := 0
+	for time.Since(start) < minDur {
+		fn()
+		reps++
+	}
+	return float64(time.Since(start).Nanoseconds()) / float64(reps)
+}
+
 func measureIncremental(sys *model.System, minDur time.Duration) incrementalCost {
 	deltas := front.DecomposeByRoot(sys)
 	cost := incrementalCost{nodes: sys.NumNodes(), commits: len(deltas)}
@@ -126,9 +137,7 @@ func measureCertify(name string, mk func() *sched.Topology, cfg RunConfig) certi
 		if cfg.StepDelay > 0 {
 			progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 		}
-		start := time.Now()
-		err := sched.Run(rt, progs, cfg.Clients)
-		elapsed := time.Since(start)
+		_, elapsed, err := runTimed(rt, progs, cfg.Clients)
 		if err != nil {
 			return out
 		}
@@ -197,26 +206,4 @@ func E12Incremental(cfg RunConfig) *Table {
 		"commit through one engine, so commits that used to overlap now queue at the admission point; " +
 		"that is the measured price of rejecting violations at commit time instead of detecting them post-hoc"
 	return t
-}
-
-// IncrementalBenchmarks is the machine-readable face of E12's checker half
-// for BENCH_checker.json: amortized per-commit cost of incremental
-// certification vs full recheck on the same commit streams.
-func IncrementalBenchmarks() []BenchResult {
-	const minDur = 100 * time.Millisecond
-	var out []BenchResult
-	for _, sys := range e12Streams() {
-		c := measureIncremental(sys, minDur)
-		out = append(out, BenchResult{
-			Name:    fmt.Sprintf("E12Incremental/nodes=%d", c.nodes),
-			NsPerOp: c.incNs,
-			Metrics: map[string]float64{
-				"commits":     float64(c.commits),
-				"fullNsPerOp": c.fullNs,
-				"speedup":     c.speedup(),
-				"nodes":       float64(c.nodes),
-			},
-		})
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"compositetx/internal/front"
@@ -57,88 +55,22 @@ func DefaultMVCCConfig() MVCCConfig {
 
 // mvccPoint is one measured cell of the curve.
 type mvccPoint struct {
+	rep       // ok: the recorded execution passed the checker
 	readRatio float64
 	mode      string // "lock", "mvcc", "mvcc+certify"
-	tps       float64
 	p50, p95  time.Duration
 	valAborts int64
 	lockWaits int64
 	rejects   int64
-	correct   bool
 }
 
-// runTimed drives the programs through a client pool, recording per-tx
-// commit latency.
-func runTimed(rt *sched.Runtime, progs []sched.Invocation, clients int) ([]time.Duration, time.Duration, error) {
-	lat := make([]time.Duration, len(progs))
-	idx := make(chan int, len(progs))
-	for i := range progs {
-		idx <- i
-	}
-	close(idx)
-	errc := make(chan error, clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t0 := time.Now()
-				if _, err := rt.Submit(fmt.Sprintf("T%d", i+1), progs[i]); err != nil {
-					errc <- err
-					return
-				}
-				lat[i] = time.Since(t0)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, 0, err
-	default:
-	}
-	return lat, elapsed, nil
-}
-
-func percentile(lat []time.Duration, p float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// measureMVCC runs one cell cfg.Reps times and keeps the best-throughput
-// rep; the cell is correct only if every rep's record passed the checker.
-func measureMVCC(cfg MVCCConfig, ratio float64, mode string) mvccPoint {
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	var best mvccPoint
-	allCorrect := true
-	for i := 0; i < reps; i++ {
-		pt := measureMVCCOnce(cfg, ratio, mode)
-		allCorrect = allCorrect && pt.correct
-		if i == 0 || pt.tps > best.tps {
-			best = pt
-		}
-	}
-	best.correct = allCorrect
-	return best
-}
-
-// measureMVCCOnce runs one rep of one cell: the shared-pool workload on a
+// measureMVCC runs one rep of one cell: the shared-pool workload on a
 // single store-owning component, reads at the given ratio, the remainder
 // writes (the conflicts that matter are read vs write in both directions —
-// the semantic table already lets incr/incr overlap in both modes).
-func measureMVCCOnce(cfg MVCCConfig, ratio float64, mode string) mvccPoint {
-	pt := mvccPoint{readRatio: ratio, mode: mode}
+// the semantic table already lets incr/incr overlap in both modes). A
+// run that failed to commit everything reads as tps 0, not ok.
+func measureMVCC(cfg MVCCConfig, ratio float64, mode string) *mvccPoint {
+	pt := &mvccPoint{readRatio: ratio, mode: mode}
 	topo := sched.StackTopology(1)
 	rt := topo.NewRuntime(sched.OpenNested)
 	switch mode {
@@ -171,22 +103,24 @@ func measureMVCCOnce(cfg MVCCConfig, ratio float64, mode string) mvccPoint {
 	sys := rt.RecordedSystem()
 	if verr := sys.Validate(); verr == nil {
 		if ok, cerr := front.IsCompC(sys); cerr == nil && ok {
-			pt.correct = true
+			pt.ok = true
 		}
 	}
 	return pt
 }
 
-// mvccCurves measures the full grid under cfg.CPUs.
-func mvccCurves(cfg MVCCConfig) []mvccPoint {
+// mvccCurves measures the full grid under cfg.CPUs, each cell best of
+// cfg.Reps.
+func mvccCurves(cfg MVCCConfig) []*mvccPoint {
 	if cfg.CPUs > 0 {
 		prev := runtime.GOMAXPROCS(cfg.CPUs)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	var out []mvccPoint
+	var out []*mvccPoint
 	for _, ratio := range cfg.ReadRatios {
 		for _, mode := range []string{"lock", "mvcc", "mvcc+certify"} {
-			out = append(out, measureMVCC(cfg, ratio, mode))
+			pt, _ := bestOf(cfg.Reps, func() (*mvccPoint, error) { return measureMVCC(cfg, ratio, mode), nil })
+			out = append(out, pt)
 		}
 	}
 	return out
@@ -213,7 +147,7 @@ func E13MVCC(cfg MVCCConfig) *Table {
 			speedup = fmt.Sprintf("%.2fx", pt.tps/baseline[pt.readRatio])
 		}
 		verdict := "Comp-C"
-		if !pt.correct {
+		if !pt.ok {
 			verdict = "VIOLATION"
 		}
 		if pt.mode == "mvcc+certify" {
@@ -239,53 +173,4 @@ func E13MVCC(cfg MVCCConfig) *Table {
 		"optimistic commits pass the live Comp-C certifier with zero rejects, i.e. validate-at-commit " +
 		"and certification agree"
 	return t
-}
-
-// MVCCBenchmarks is the machine-readable face of E13 for
-// BENCH_checker.json: per-cell throughput, latency percentiles and the
-// speedup of mvcc over the lock-only baseline at the same read ratio.
-func MVCCBenchmarks() []BenchResult {
-	cfg := DefaultMVCCConfig()
-	points := mvccCurves(cfg)
-	baseline := make(map[float64]float64)
-	for _, pt := range points {
-		if pt.mode == "lock" {
-			baseline[pt.readRatio] = pt.tps
-		}
-	}
-	var out []BenchResult
-	for _, pt := range points {
-		if pt.tps == 0 {
-			continue
-		}
-		metrics := map[string]float64{
-			"txPerSec":         pt.tps,
-			"p50Ns":            float64(pt.p50.Nanoseconds()),
-			"p95Ns":            float64(pt.p95.Nanoseconds()),
-			"validationAborts": float64(pt.valAborts),
-			"lockWaits":        float64(pt.lockWaits),
-			"readRatio":        pt.readRatio,
-			"cpus":             float64(cfg.CPUs),
-			"correct":          b2f(pt.correct),
-		}
-		if pt.mode != "lock" && baseline[pt.readRatio] > 0 {
-			metrics["speedupVsLock"] = pt.tps / baseline[pt.readRatio]
-		}
-		if pt.mode == "mvcc+certify" {
-			metrics["certifyRejects"] = float64(pt.rejects)
-		}
-		out = append(out, BenchResult{
-			Name:    fmt.Sprintf("E13MVCC/reads=%.2f/mode=%s", pt.readRatio, pt.mode),
-			NsPerOp: 1e9 / pt.tps,
-			Metrics: metrics,
-		})
-	}
-	return out
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -43,9 +43,7 @@ func runOnce(topo *sched.Topology, p sched.Protocol, cfg RunConfig) (row []strin
 	if cfg.StepDelay > 0 {
 		progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 	}
-	start := time.Now()
-	err := sched.Run(rt, progs, cfg.Clients)
-	elapsed := time.Since(start)
+	_, elapsed, err := runTimed(rt, progs, cfg.Clients)
 	if err != nil {
 		return []string{p.String(), "error: " + err.Error(), "-", "-", "-", "-"}, false
 	}
@@ -137,9 +135,7 @@ func E9Deadlock(cfg RunConfig) *Table {
 			if cfg.StepDelay > 0 {
 				progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 			}
-			start := time.Now()
-			err := sched.Run(rt, progs, cfg.Clients)
-			elapsed := time.Since(start)
+			_, elapsed, err := runTimed(rt, progs, cfg.Clients)
 			if err != nil {
 				t.AddRow(w.name, pol.String(), "error", "-", "-", err.Error())
 				continue

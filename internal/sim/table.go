@@ -1,7 +1,7 @@
 // Package sim is the experiment harness: it regenerates every artifact in
 // the reproduction's experiment index (DESIGN.md §7, EXPERIMENTS.md) as a
-// formatted table (E1–E15). The cmd/compbench tool and the top-level benchmarks are
-// thin wrappers around this package.
+// formatted table (E1–E17, listed by Experiments). cmd/compbench prints
+// them; timings as measurements live in bench/ (bench/README.md).
 package sim
 
 import (
@@ -11,14 +11,13 @@ import (
 	"unicode/utf8"
 )
 
-// Table is one experiment artifact: a titled grid of rows. The JSON shape
-// is what cmd/compbench -json writes into BENCH_checker.json.
+// Table is one experiment artifact: a titled grid of rows.
 type Table struct {
-	ID     string     `json:"id"` // experiment id, e.g. "E4"
-	Title  string     `json:"title"`
-	Note   string     `json:"note,omitempty"` // one-paragraph interpretation of the result
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
+	ID     string // experiment id, e.g. "E4"
+	Title  string
+	Note   string // one-paragraph interpretation of the result
+	Header []string
+	Rows   [][]string
 }
 
 // AddRow appends a row, stringifying the cells.
@@ -81,25 +80,39 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-n)
 }
 
-// RenderAll runs every experiment and renders the tables in order.
-func RenderAll(w io.Writer) {
-	for _, t := range All() {
-		t.Render(w)
-	}
+// Experiment is one entry of the experiment index: its id and the
+// constructor that runs it at compbench's sizing. A positive samples
+// overrides the sample count of the statistical experiments (E3–E5, E8);
+// the others ignore it.
+type Experiment struct {
+	ID  string
+	Run func(samples int) *Table
 }
 
-// All runs every experiment with its default parameters.
-func All() []*Table {
-	return []*Table{
-		E1Figure3(),
-		E2Figure4(),
-		E3Theorems(150),
-		E4Containment(400),
-		E5Commutativity(300),
-		E6Protocols(DefaultRunConfig()),
-		E7CheckerScaling(),
-		E8Coverage(12),
-		E9Deadlock(DefaultRunConfig()),
-		E12Incremental(DefaultRunConfig()),
+// Experiments is the index in id order — what cmd/compbench iterates.
+var Experiments = []Experiment{
+	{"E1", func(int) *Table { return E1Figure3() }},
+	{"E2", func(int) *Table { return E2Figure4() }},
+	{"E3", func(n int) *Table { return E3Theorems(pick(n, 150)) }},
+	{"E4", func(n int) *Table { return E4Containment(pick(n, 400)) }},
+	{"E5", func(n int) *Table { return E5Commutativity(pick(n, 300)) }},
+	{"E6", func(int) *Table { return E6Protocols(DefaultRunConfig()) }},
+	{"E7", func(int) *Table { return E7CheckerScaling() }},
+	{"E8", func(n int) *Table { return E8Coverage(pick(n, 12)) }},
+	{"E9", func(int) *Table { return E9Deadlock(DefaultRunConfig()) }},
+	{"E10", func(int) *Table { return E10Chaos(DefaultChaosConfig()) }},
+	{"E11", func(int) *Table { return E11CrashMatrix(DefaultCrashConfig()) }},
+	{"E12", func(int) *Table { return E12Incremental(DefaultRunConfig()) }},
+	{"E13", func(int) *Table { return E13MVCC(DefaultMVCCConfig()) }},
+	{"E14", func(int) *Table { return E14Checkpoint(DefaultCheckpointConfig()) }},
+	{"E15", func(int) *Table { return E15NetChaos(DefaultNetChaosConfig()) }},
+	{"E16", func(int) *Table { return E16DistThroughput(DefaultDistPerfConfig()) }},
+	{"E17", func(int) *Table { return E17CertThroughput(DefaultCertPerfConfig()) }},
+}
+
+func pick(override, def int) int {
+	if override > 0 {
+		return override
 	}
+	return def
 }

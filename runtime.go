@@ -2,6 +2,7 @@ package compositetx
 
 import (
 	"io"
+	"time"
 
 	"compositetx/internal/comm"
 	"compositetx/internal/data"
@@ -27,6 +28,9 @@ type (
 	Step = sched.Step
 	// TxResult reports a committed transaction.
 	TxResult = sched.TxResult
+	// Submitter is what Drive feeds; Outcome is one program's result.
+	Submitter = sched.Submitter
+	Outcome   = sched.Outcome
 	// Metrics aggregates runtime counters.
 	Metrics = sched.Metrics
 	// WorkloadParams configures GenPrograms.
@@ -275,6 +279,13 @@ func GenPrograms(t *Topology, p WorkloadParams) []Invocation {
 // Run submits every program on a pool of client goroutines.
 func Run(rt *Runtime, programs []Invocation, clients int) error {
 	return sched.Run(rt, programs, clients)
+}
+
+// Drive is the client pool under Run for anything with a Submit method
+// (a *Runtime, a *Cluster): every program submitted once as T<index+1>,
+// its latency and error returned by index, plus the wall time.
+func Drive(s Submitter, programs []Invocation, clients int) ([]Outcome, time.Duration) {
+	return sched.Drive(s, programs, clients)
 }
 
 // DecodeTopology reads a topology from its JSON representation (see
