@@ -74,7 +74,9 @@ soak:
 # RPC deadline/retry), the coordinator/participant 2PC tests (all four
 # protocols x both transports, sentinel errors through the RPC layer,
 # crash windows + recovery, the duplicate/reorder idempotence seed
-# sweep), and the E15 network-chaos atomicity gate.
+# sweep, and the lazy-commit protocol tests: a lost lazy record, the
+# LSN-reuse schedule, the read-only vote, the counted cost, CheckEnded),
+# and the E15 network-chaos atomicity gate.
 net:
 	$(GO) test -race -count=1 ./internal/comm
 	$(GO) test -race -count=1 -run 'TestDist' ./internal/sched
@@ -83,8 +85,10 @@ net:
 # distperf runs the group-commit throughput gate: the E16 sustained
 # distributed-throughput comparison at 64 concurrent clients on the
 # channel transport, asserting the coalesced force path beats per-txn
-# fsync (and the WAL force/flush-daemon suite under the race detector).
-# Not under -race: the gate measures wall-clock throughput.
+# fsync, and the WAL force/flush-daemon suite under the race detector —
+# including the counted gather test (one forcer: a window per force; 64
+# forcers: at most a quarter as many windows as forces).
+# The E16 gate is not under -race: it measures wall-clock throughput.
 distperf:
 	$(GO) test -race -count=1 -run 'TestForce|TestAbandon' ./internal/wal
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE16' ./internal/sim

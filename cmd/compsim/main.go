@@ -33,7 +33,7 @@
 //	compsim -recover /tmp/bank.d
 //
 // With -group-commit a distributed run coalesces every 2PC force point
-// (participant prepares and decisions, coordinator decisions) through the
+// (participant prepares and aborts, coordinator decisions) through the
 // WAL flush daemon, so concurrent transactions share one fsync per flush
 // window instead of paying one each (compbench -only E16 measures the
 // payoff).

@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -235,13 +238,78 @@ func TestTCPFrameCRCPoisonsConnection(t *testing.T) {
 	}
 }
 
+// The reader is buffered, so one segment may hold several frames and a
+// frame may straddle segments: both frames of a single write arrive, in
+// order; a frame split across two writes arrives whole; and a bad CRC in
+// the middle of a segment still poisons the connection — the frame before
+// it is delivered, the one after it never is.
+func TestTCPTwoFramesOneSegment(t *testing.T) {
+	n := NewTCPNetwork()
+	defer n.Close()
+	b, _ := n.Endpoint("b")
+	addr, err := n.addrOf("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	frame := func(id uint64) []byte {
+		var buf bytes.Buffer
+		if err := writeFrameTo(&buf, Encode(nil, Message{Kind: KindApply, ID: id, Txn: "T1"})); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	write := func(p []byte) {
+		t.Helper()
+		if _, err := c.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantIDs := func(ids ...uint64) {
+		t.Helper()
+		for i, m := range deliverAll(t, b, len(ids)) {
+			if m.ID != ids[i] {
+				t.Fatalf("delivery %d: got ID %d, want %d", i, m.ID, ids[i])
+			}
+		}
+	}
+
+	write(append(frame(1), frame(2)...))
+	wantIDs(1, 2)
+
+	f3 := frame(3)
+	write(f3[:5])
+	write(f3[5:])
+	wantIDs(3)
+
+	bad := frame(5)
+	bad[len(bad)-1] ^= 0xff
+	write(append(append(frame(4), bad...), frame(6)...))
+	wantIDs(4)
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a bad CRC: %v", err)
+	}
+	a, _ := n.Endpoint("a")
+	if err := a.Send("b", Message{Kind: KindApply, ID: 7}); err != nil {
+		t.Fatal(err)
+	}
+	wantIDs(7)
+}
+
 func TestFaultNetworkDeterministicSameSeed(t *testing.T) {
 	run := func(seed int64) NetStats {
 		inner := NewChanNetwork()
 		f := NewFaultNetwork(inner, NetFaultPlan{
 			Seed: seed, DropProb: 0.2, DupProb: 0.2, DelayProb: 0.2,
 			ReorderProb: 0.2, PartitionProb: 0.05,
-			Delay: 100 * time.Microsecond, PartitionWindow: time.Millisecond,
+			// A partition outlasts the run: when one heals is a wall-clock
+			// fact, and every rng draw after it would depend on that.
+			Delay: 100 * time.Microsecond, PartitionWindow: time.Hour,
 		})
 		a, _ := f.Endpoint("a")
 		if _, err := f.Endpoint("b"); err != nil {
@@ -255,8 +323,6 @@ func TestFaultNetworkDeterministicSameSeed(t *testing.T) {
 		return st
 	}
 	s1, s2 := run(7), run(7)
-	// Partition decisions depend on wall-clock windows, so compare only
-	// the purely rng-driven counters.
 	if s1.Dropped != s2.Dropped || s1.Sent != s2.Sent {
 		t.Fatalf("same seed diverged: %+v vs %+v", s1, s2)
 	}

@@ -111,9 +111,34 @@ func (f *FaultNetwork) Endpoint(name string) (Endpoint, error) {
 // Close stops injecting (in-flight delayed messages are flushed
 // immediately) and closes the inner network.
 func (f *FaultNetwork) Close() error {
+	f.mu.Lock()
 	f.closed.Store(true)
+	f.mu.Unlock()
 	f.pending.Wait()
 	return f.inner.Close()
+}
+
+// background runs deliver on a goroutine Close waits for, after d. A Send
+// that races Close (a handler still replying) must not Add to the group
+// Close is already waiting on: once closed, deliver runs inline, at once.
+func (f *FaultNetwork) background(d time.Duration, deliver func()) {
+	f.mu.Lock()
+	closed := f.closed.Load()
+	if !closed {
+		f.pending.Add(1)
+	}
+	f.mu.Unlock()
+	if closed {
+		deliver()
+		return
+	}
+	go func() {
+		defer f.pending.Done()
+		if !f.closed.Load() {
+			time.Sleep(d)
+		}
+		deliver()
+	}()
 }
 
 type faultEndpoint struct {
@@ -219,25 +244,13 @@ func (e *faultEndpoint) Send(to string, m Message) error {
 
 // later delivers m to `to` after d on a background goroutine.
 func (f *FaultNetwork) later(d time.Duration, ep Endpoint, to string, m Message) {
-	f.pending.Add(1)
-	go func() {
-		defer f.pending.Done()
-		if !f.closed.Load() {
-			time.Sleep(d)
-		}
-		_ = ep.Send(to, m)
-	}()
+	f.background(d, func() { _ = ep.Send(to, m) })
 }
 
 // flushAfter releases the link's held message after d if no later Send
 // has released it already.
 func (f *FaultNetwork) flushAfter(d time.Duration, ep Endpoint, key linkKey) {
-	f.pending.Add(1)
-	go func() {
-		defer f.pending.Done()
-		if !f.closed.Load() {
-			time.Sleep(d)
-		}
+	f.background(d, func() {
 		f.mu.Lock()
 		link := f.links[key]
 		var m *Message
@@ -249,5 +262,5 @@ func (f *FaultNetwork) flushAfter(d time.Duration, ep Endpoint, key linkKey) {
 		if m != nil {
 			_ = ep.Send(key.to, *m)
 		}
-	}()
+	})
 }

@@ -43,11 +43,13 @@ const (
 	KindLock
 	KindLockReply
 	// KindPrepare starts phase one of 2PC: the participant forces a
-	// prepare record and votes.
+	// prepare record and votes — or, with nothing journaled, votes READ
+	// and drops out of phase two.
 	KindPrepare
 	KindVote
 	// KindDecide delivers the coordinator's decision (Commit field); the
-	// participant forces a decision record, finalizes, and acks.
+	// participant journals a decision record (a commit lazily, its LSN in
+	// the ack's Seq; an abort forced), finalizes, and acks.
 	KindDecide
 	KindAck
 	// KindAbort rolls back an unprepared transaction at the participant
@@ -115,7 +117,7 @@ type Message struct {
 
 	Txn     string // root transaction
 	Attempt uint32 // root retry attempt; participants reject stale attempts
-	TS      uint64 // root wait-die timestamp (global deadlock prevention)
+	TS      uint64 // requests: root wait-die timestamp; vote/ack: the participant's incarnation
 	Clock   uint64 // sender's Lamport clock at send
 
 	Node string // forest node ID of the step (apply/lock)
@@ -126,8 +128,8 @@ type Message struct {
 
 	Wait int64 // lock-wait budget in nanoseconds (apply/lock requests)
 
-	Value int64  // reply: leaf read value
-	Seq   uint64 // reply: globally unique event stamp
+	Value int64  // apply reply: leaf read value; vote/ack: the participant log's durable LSN watermark
+	Seq   uint64 // ack: LSN of the lazy commit record (0 = nothing to wait for)
 
 	OK     bool   // vote yes / generic success
 	Commit bool   // decide & query-reply: commit (true) or abort (false)

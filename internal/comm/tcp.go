@@ -171,8 +171,12 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 		delete(e.inConns, c)
 		e.mu.Unlock()
 	}()
+	// Buffered: the sender packs a batch of frames into one write, and an
+	// unbuffered reader would pay two read syscalls per frame to take them
+	// apart again.
+	r := bufio.NewReaderSize(c, 64<<10)
 	for {
-		m, err := readFrame(c)
+		m, err := readFrame(r)
 		if err != nil {
 			return // EOF, poisoned frame, or connection closed
 		}

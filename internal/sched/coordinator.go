@@ -28,15 +28,30 @@ type dcomp struct {
 	modes    *data.ModeTable
 }
 
-// coTxn tracks one durably committed transaction until every participant
-// acked its decision (then TypeEnd retires it from re-delivery). attempt
-// is the attempt that committed — re-delivered Decides and termination-
-// protocol answers are only valid for that attempt.
+// coTxn tracks one durably committed transaction until every updater in
+// pending holds a durable commit record for it (then TypeEnd retires it
+// from re-delivery). attempt is the attempt that committed — re-delivered
+// Decides and termination-protocol answers are only valid for that attempt.
 type coTxn struct {
 	attempt uint32
 	parts   []string
-	pending map[string]bool
+	pending []string
 	ended   bool
+}
+
+// lazyAck is one commit a participant acked ahead of its log, at lsn.
+type lazyAck struct {
+	txn string
+	ct  *coTxn
+	lsn uint64
+}
+
+// partDurable is what one participant has reported about its log: its
+// incarnation, the highest durable watermark seen under it, and the lazy
+// acks still above the watermark (one list per participant, reused).
+type partDurable struct {
+	inc, mark uint64
+	lazy      []lazyAck
 }
 
 // Coordinator is the root scheduler of the distributed runtime. It walks
@@ -67,8 +82,9 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	rec       *recorder
-	inflight  map[string]bool   // txns between first RPC and decision (Query -> retry)
-	committed map[string]*coTxn // durable commit decisions
+	inflight  map[string]bool         // txns between first RPC and decision (Query -> retry)
+	committed map[string]*coTxn       // durable commit decisions
+	durable   map[string]*partDurable // per participant: watermark and lazy acks
 	active    int
 
 	commits    atomic.Int64
@@ -76,6 +92,7 @@ type Coordinator struct {
 	redelivers atomic.Int64
 
 	stop chan struct{}
+	kick chan struct{} // buffered(1): run a re-delivery round now
 	bg   sync.WaitGroup
 }
 
@@ -116,7 +133,9 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		rec:       newRecorder(),
 		inflight:  map[string]bool{},
 		committed: map[string]*coTxn{},
+		durable:   map[string]*partDurable{},
 		stop:      make(chan struct{}),
+		kick:      make(chan struct{}, 1),
 	}
 	for _, spec := range topo.Specs {
 		modes := spec.Modes
@@ -124,6 +143,7 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 			modes = data.SemanticTable()
 		}
 		c.comps[spec.Name] = &dcomp{name: spec.Name, hasStore: spec.HasStore, modes: modes}
+		c.durable[spec.Name] = &partDurable{}
 	}
 	return c
 }
@@ -455,57 +475,115 @@ func (c *Coordinator) abortAttempt(a *dattempt) {
 	wg.Wait()
 }
 
+// observe folds the durability report on a vote or ack from part — its
+// incarnation (TS) and durable watermark (Value) — into that participant's
+// state, files the ack of ct's lazy commit record (ct non-nil), and
+// retires every commit the watermark has passed. A newer incarnation means
+// the participant crashed: the old one's lazy acks may name records the
+// crash dropped and LSNs the new life re-uses, so they are forgotten and
+// stay pending for re-delivery; an older incarnation's report is ignored.
+func (c *Coordinator) observe(part string, rep comm.Message, txn string, ct *coTxn) {
+	var ended []string
+	c.mu.Lock()
+	d := c.durable[part]
+	if rep.TS > d.inc {
+		clear(d.lazy)
+		d.inc, d.mark, d.lazy = rep.TS, 0, d.lazy[:0]
+	}
+	if rep.TS == d.inc {
+		d.mark = max(d.mark, uint64(rep.Value))
+		if ct != nil {
+			d.lazy = append(d.lazy, lazyAck{txn, ct, rep.Seq})
+		}
+		keep := d.lazy[:0]
+		for _, a := range d.lazy {
+			if a.lsn > d.mark {
+				keep = append(keep, a)
+			} else if a.ct.settle(part) {
+				ended = append(ended, a.txn)
+			}
+		}
+		clear(d.lazy[len(keep):])
+		d.lazy = keep
+	}
+	c.mu.Unlock()
+	for _, txn := range ended {
+		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
+	}
+}
+
+// settle strikes part off the pending list (a no-op if a re-delivered ack
+// already did) and reports, once, that the transaction has ended.
+func (ct *coTxn) settle(part string) bool {
+	for i, p := range ct.pending {
+		if p == part {
+			ct.pending = append(ct.pending[:i], ct.pending[i+1:]...)
+			break
+		}
+	}
+	if len(ct.pending) > 0 || ct.ended {
+		return false
+	}
+	ct.ended = true
+	return true
+}
+
 // commit2PC drives presumed-abort two-phase commit for a fully executed
 // attempt: collect votes, force the decision (with the staged execution
-// record in the same batch), fan the decision out, and retire the
-// transaction with a non-forced TypeEnd once every participant acked.
+// record in the same batch), and fan it out to the updaters — the
+// participants that did not vote READ. Their commit records are lazy, so
+// phase two costs a round trip and no force; observe appends the
+// non-forced TypeEnd once every updater's record is known durable.
 func (c *Coordinator) commit2PC(a *dattempt) error {
-	parts := make([]string, 0, len(a.touched))
-	for p := range a.touched {
-		parts = append(parts, p)
-	}
-	sort.Strings(parts)
-
 	// Phase one. Votes are collected in parallel; any no-vote or vote
 	// timeout turns the decision into the (unlogged, presumed) abort.
 	var abortCause error
-	if len(parts) > 0 {
-		type vres struct {
-			part string
-			rep  comm.Message
-			err  error
-		}
-		ch := make(chan vres, len(parts))
-		for _, part := range parts {
-			go func(part string) {
-				rep, err := c.call(part, comm.Message{Kind: comm.KindPrepare, Txn: a.txn, Attempt: a.attempt, TS: a.ts})
-				ch <- vres{part, rep, err}
-			}(part)
-		}
-		for range parts {
-			v := <-ch
-			if v.err != nil {
-				if errors.Is(v.err, ErrCrashed) {
-					abortCause = ErrCrashed
-				} else if abortCause == nil {
-					abortCause = fmt.Errorf("sched: prepare at %s: %w", v.part, v.err)
-				}
-			} else if !v.rep.OK && abortCause == nil {
-				abortCause = fmt.Errorf("sched: vote no: %w", replyErr(v.part, v.rep))
+	type vres struct {
+		part string
+		rep  comm.Message
+		err  error
+	}
+	ch := make(chan vres, len(a.touched))
+	for part := range a.touched {
+		go func(part string) {
+			rep, err := c.call(part, comm.Message{Kind: comm.KindPrepare, Txn: a.txn, Attempt: a.attempt, TS: a.ts})
+			ch <- vres{part, rep, err}
+		}(part)
+	}
+	// A participant that voted READ is done: it holds nothing and hears
+	// nothing more, whatever the decision. The rest are the updaters.
+	updaters := make([]string, 0, len(a.touched))
+	for range a.touched {
+		v := <-ch
+		if v.err == nil {
+			c.observe(v.part, v.rep, "", nil)
+			if v.rep.OK && v.rep.Code == dcodeReadOnly {
+				continue
 			}
 		}
+		updaters = append(updaters, v.part)
+		if v.err != nil {
+			if errors.Is(v.err, ErrCrashed) {
+				abortCause = ErrCrashed
+			} else if abortCause == nil {
+				abortCause = fmt.Errorf("sched: prepare at %s: %w", v.part, v.err)
+			}
+		} else if !v.rep.OK && abortCause == nil {
+			abortCause = fmt.Errorf("sched: vote no: %w", replyErr(v.part, v.rep))
+		}
 	}
+	sort.Strings(updaters)
 	if errors.Is(abortCause, ErrCrashed) {
 		return ErrCrashed
 	}
 	if abortCause != nil {
 		c.setInflight(a.txn, false)
-		c.fanDecide(a.txn, a.attempt, parts, false, nil)
+		c.fanDecide(a.txn, a.attempt, updaters, false, nil)
 		return abortCause
 	}
 
 	// Crash site: unanimous yes votes, decision not yet durable. Every
-	// participant is prepared and in doubt; recovery presumes abort.
+	// updater is prepared and in doubt; recovery presumes abort.
 	if c.crash.fire(DistCrashCoordPre, "", a.txn) {
 		c.crashNow()
 		return ErrCrashed
@@ -513,37 +591,38 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 
 	// Force the commit decision. The staged record rides in the same
 	// contiguous batch, so a durable decision implies a durable record of
-	// what committed; the participant list in the decision's Meta is what
+	// what committed; the updater list in the decision's Meta is what
 	// recovery re-delivers to.
-	partsJSON, _ := json.Marshal(parts)
+	partsJSON, _ := json.Marshal(updaters)
 	recs := stageRecords(a.txn, a.stage, wal.Record{
 		Type: wal.TypeDecision, Txn: a.txn, Mode: "commit",
 		Node: attemptStr(a.attempt), Seq: a.ts, Meta: partsJSON,
 	})
 	if err := c.wal.force(recs, c.group); err != nil {
 		// A non-crash WAL failure means this transaction can never commit
-		// (no durable decision) but every participant is prepared and
-		// holding locks. Clear the inflight entry — termination queries
-		// must get the presumed abort, not retry-forever — and fan the
-		// abort out so the locks drain now. A crash leaves both to
-		// recovery, which rebuilds from the log.
+		// (no durable decision) but every updater is prepared and holding
+		// locks. Clear the inflight entry — termination queries must get
+		// the presumed abort, not retry-forever — and fan the abort out so
+		// the locks drain now. A crash leaves both to recovery, which
+		// rebuilds from the log.
 		if !errors.Is(err, ErrCrashed) {
 			c.setInflight(a.txn, false)
-			c.fanDecide(a.txn, a.attempt, parts, false, nil)
+			c.fanDecide(a.txn, a.attempt, updaters, false, nil)
 		}
 		return err
 	}
 
-	ct := &coTxn{attempt: a.attempt, parts: parts, pending: map[string]bool{}}
-	for _, p := range parts {
-		ct.pending[p] = true
-	}
+	ct := &coTxn{attempt: a.attempt, parts: updaters, pending: append([]string(nil), updaters...)}
+	ct.ended = len(updaters) == 0
 	c.mu.Lock()
 	c.committed[a.txn] = ct
 	delete(c.inflight, a.txn)
 	c.rec.merge(a.stage)
 	c.mu.Unlock()
 	c.commits.Add(1)
+	if ct.ended {
+		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: a.txn})
+	}
 
 	// Crash site: the decision is durable but no participant knows it.
 	// Recovery must re-deliver from the log alone.
@@ -554,53 +633,31 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 
 	// Phase two. Undelivered decisions stay pending; the re-delivery loop
 	// (and participant queries) finish them.
-	c.fanDecide(a.txn, a.attempt, parts, true, ct)
+	c.fanDecide(a.txn, a.attempt, updaters, true, ct)
 	return nil
 }
 
-// fanDecide sends the decision to every participant in parallel. For
-// commits, acked participants are cleared from ct.pending and a fully
-// acked transaction is retired with TypeEnd.
+// fanDecide sends the decision to the listed participants in parallel and
+// waits for the replies; a commit's (ct non-nil) acks go to observe.
 func (c *Coordinator) fanDecide(txn string, attempt uint32, parts []string, commit bool, ct *coTxn) {
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	acked := map[string]bool{}
 	for _, part := range parts {
 		wg.Add(1)
 		go func(part string) {
 			defer wg.Done()
 			rep, err := c.call(part, comm.Message{Kind: comm.KindDecide, Txn: txn, Attempt: attempt, Commit: commit})
-			if err == nil && rep.OK {
-				mu.Lock()
-				acked[part] = true
-				mu.Unlock()
+			if err == nil && rep.OK && ct != nil {
+				c.observe(part, rep, txn, ct)
 			}
 		}(part)
 	}
 	wg.Wait()
-	if ct == nil {
-		return
-	}
-	c.mu.Lock()
-	for part := range acked {
-		delete(ct.pending, part)
-	}
-	done := len(ct.pending) == 0 && !ct.ended
-	if done {
-		ct.ended = true
-	}
-	c.mu.Unlock()
-	if done {
-		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
-	}
 }
 
-// redeliverLoop re-sends committed decisions that miss acks — the
-// recovery path for participant crashes and lost Decides. Presumed-abort
-// needs no counterpart for aborts. Outstanding decisions are batched per
-// peer: one sender goroutine per participant drains all of that peer's
-// missing Decides in a tick, so a round is bounded by the slowest peer,
-// not by the number of unended transactions.
+// redeliverLoop re-sends committed decisions still owed a durable record,
+// on a tick and when Settle kicks it — the recovery path for participant
+// crashes and lost Decides, and what ends the last lazy commit of an idle
+// participant. Presumed-abort needs no counterpart for aborts.
 func (c *Coordinator) redeliverLoop(every time.Duration) {
 	defer c.bg.Done()
 	tick := time.NewTicker(every)
@@ -610,71 +667,52 @@ func (c *Coordinator) redeliverLoop(every time.Duration) {
 		case <-c.stop:
 			return
 		case <-tick.C:
+		case <-c.kick:
 		}
-		type item struct {
-			txn     string
-			attempt uint32
-		}
-		var txns []string
-		byPeer := map[string][]item{}
-		c.mu.Lock()
-		for txn, ct := range c.committed {
-			if ct.ended {
-				continue
-			}
-			txns = append(txns, txn)
-			for p := range ct.pending {
-				byPeer[p] = append(byPeer[p], item{txn, ct.attempt})
-			}
-		}
-		c.mu.Unlock()
-		if len(txns) == 0 {
+		c.redeliver()
+	}
+}
+
+// redeliver runs one round, batched per peer: one sender goroutine per
+// participant drains all of that peer's missing Decides, so a round is
+// bounded by the slowest peer, not by the number of unended transactions.
+func (c *Coordinator) redeliver() {
+	type item struct {
+		txn string
+		ct  *coTxn
+	}
+	unended := 0
+	byPeer := map[string][]item{}
+	c.mu.Lock()
+	for txn, ct := range c.committed {
+		if ct.ended {
 			continue
 		}
-		c.redelivers.Add(int64(len(txns)))
-
-		type ackKey struct{ txn, part string }
-		var ackMu sync.Mutex
-		acked := map[ackKey]bool{}
-		var wg sync.WaitGroup
-		for part, items := range byPeer {
-			wg.Add(1)
-			go func(part string, items []item) {
-				defer wg.Done()
-				for _, it := range items {
-					rep, err := c.call(part, comm.Message{Kind: comm.KindDecide, Txn: it.txn, Attempt: it.attempt, Commit: true})
-					if err == nil && rep.OK {
-						ackMu.Lock()
-						acked[ackKey{it.txn, part}] = true
-						ackMu.Unlock()
-					}
-				}
-			}(part, items)
-		}
-		wg.Wait()
-
-		var ended []string
-		c.mu.Lock()
-		for _, txn := range txns {
-			ct := c.committed[txn]
-			if ct == nil || ct.ended {
-				continue
-			}
-			for part := range ct.pending {
-				if acked[ackKey{txn, part}] {
-					delete(ct.pending, part)
-				}
-			}
-			if len(ct.pending) == 0 {
-				ct.ended = true
-				ended = append(ended, txn)
-			}
-		}
-		c.mu.Unlock()
-		for _, txn := range ended {
-			c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
+		unended++
+		for _, p := range ct.pending {
+			byPeer[p] = append(byPeer[p], item{txn, ct})
 		}
 	}
+	c.mu.Unlock()
+	if unended == 0 {
+		return
+	}
+	c.redelivers.Add(int64(unended))
+
+	var wg sync.WaitGroup
+	for part, items := range byPeer {
+		wg.Add(1)
+		go func(part string, items []item) {
+			defer wg.Done()
+			for _, it := range items {
+				rep, err := c.call(part, comm.Message{Kind: comm.KindDecide, Txn: it.txn, Attempt: it.ct.attempt, Commit: true})
+				if err == nil && rep.OK {
+					c.observe(part, rep, it.txn, it.ct)
+				}
+			}
+		}(part, items)
+	}
+	wg.Wait()
 }
 
 // unended counts committed transactions still awaiting acks.

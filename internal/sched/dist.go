@@ -39,11 +39,10 @@ type DistConfig struct {
 	WALRoot   string
 	SyncEvery int
 
-	// GroupCommit routes every 2PC force point (coordinator decision,
-	// participant prepare/decide) through the WAL's coalescing Force API:
-	// concurrent transactions share flush-daemon fsyncs instead of paying
-	// one each, the daemon holding each window open DefaultGroupWindow so
-	// they pile into one. Correctness-neutral — each force still completes
+	// GroupCommit routes every 2PC force point (participant prepare,
+	// coordinator decision, participant abort) through the WAL's coalescing
+	// Force API: concurrent transactions share flush-daemon fsyncs instead
+	// of paying one each. Correctness-neutral — each force still completes
 	// before its dependent protocol message is sent.
 	GroupCommit bool
 
@@ -103,20 +102,9 @@ func (cfg DistConfig) normalized() DistConfig {
 	return cfg
 }
 
-// DefaultGroupWindow is the flush-daemon window of a GroupCommit
-// cluster. One millisecond is small against every protocol timeout in
-// the config but long enough that a window collects the force points of
-// every transaction concurrently at a force point, so fsync cost per
-// commit drops to O(1/batch).
-const DefaultGroupWindow = time.Millisecond
-
 // walOptions builds the log options every cluster log opens with.
 func (cl *Cluster) walOptions() wal.Options {
-	opts := wal.Options{SyncEvery: cl.cfg.SyncEvery}
-	if cl.cfg.GroupCommit {
-		opts.GroupWindow = DefaultGroupWindow
-	}
-	return opts
+	return wal.Options{SyncEvery: cl.cfg.SyncEvery}
 }
 
 // partMeta is the TypeMeta payload of a participant log.
@@ -372,6 +360,9 @@ func (cl *Cluster) RecoverParticipant(name string) error {
 	}
 
 	p := newParticipant(name, spec, cl.cfg, cl.crash)
+	if old != nil {
+		p.inc = old.inc + 1
+	}
 	if p.store != nil && cl.cfg.WALRoot != "" {
 		if err := cl.rebuildParticipant(p); err != nil {
 			return err
@@ -563,7 +554,7 @@ func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
 			// at: without its participants it would be retired unheard,
 			// under attempt 0 every query for the real attempt would be
 			// answered "abort" for a committed transaction.
-			ct := &coTxn{pending: map[string]bool{}}
+			ct := &coTxn{}
 			var err error
 			if ct.attempt, err = parseAttempt(rec.Node); err == nil {
 				err = json.Unmarshal(rec.Meta, &ct.parts)
@@ -571,9 +562,8 @@ func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
 			if err != nil {
 				return fmt.Errorf("sched: coordinator log: commit decision of %s at LSN %d: %w", rec.Txn, i+1, err)
 			}
-			for _, p := range ct.parts {
-				ct.pending[p] = true
-			}
+			ct.pending = append([]string(nil), ct.parts...)
+			ct.ended = len(ct.parts) == 0
 			c.committed[rec.Txn] = ct
 			c.rec.merge(stagedOf(rec.Txn))
 			delete(staged, rec.Txn)
@@ -583,7 +573,7 @@ func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
 		case wal.TypeEnd:
 			if ct := c.committed[rec.Txn]; ct != nil {
 				ct.ended = true
-				ct.pending = map[string]bool{}
+				ct.pending = nil
 			}
 		}
 	}
@@ -632,13 +622,22 @@ func RecoverCluster(cfg DistConfig) (*Cluster, error) {
 }
 
 // Settle waits until no transaction is in doubt anywhere: every
-// committed decision acked by every participant, every prepared
-// participant transaction resolved. The re-delivery loop and the
-// termination protocol do the work; Settle just watches.
+// committed decision durably recorded at every updater, every prepared
+// participant transaction resolved. Re-delivery and the termination
+// protocol do the work; Settle watches, and kicks re-delivery rounds
+// rather than wait out the QueryAfter tick — the last lazy commit at each
+// participant stays unended until a round forces its tail.
 func (cl *Cluster) Settle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		pending := cl.coordinator().unended()
+		coord := cl.coordinator()
+		pending := coord.unended()
+		if pending > 0 {
+			select {
+			case coord.kick <- struct{}{}:
+			default:
+			}
+		}
 		doubt := 0
 		cl.mu.Lock()
 		parts := make([]*Participant, 0, len(cl.parts))
@@ -659,6 +658,51 @@ func (cl *Cluster) Settle(timeout time.Duration) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// CheckEnded verifies, from the logs under a durability root alone, the
+// rule that lets a coordinator forget a transaction: a TypeEnd implies a
+// commit record at every updater the commit decision names. Sharpest on
+// logs at rest or just crashed (Abandon leaves exactly the durable
+// prefix); of a live log it sees what is written, fsynced or not.
+func CheckEnded(root string) error {
+	recs, _, err := wal.ReadAll(coordDir(root))
+	if err != nil {
+		return err
+	}
+	updaters := map[string][]string{}
+	committedAt := map[string]map[string]bool{}
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Type == wal.TypeDecision && rec.Mode == "commit" {
+			var parts []string
+			if err := json.Unmarshal(rec.Meta, &parts); err != nil {
+				return fmt.Errorf("sched: commit decision of %s: %w", rec.Txn, err)
+			}
+			updaters[rec.Txn] = parts
+		}
+		if rec.Type != wal.TypeEnd {
+			continue
+		}
+		for _, part := range updaters[rec.Txn] {
+			if committedAt[part] == nil {
+				precs, _, err := wal.ReadAll(partDir(root, part))
+				if err != nil {
+					return err
+				}
+				committedAt[part] = map[string]bool{}
+				for _, pr := range precs {
+					if pr.Type == wal.TypeDecision && pr.Mode == "commit" {
+						committedAt[part][pr.Txn] = true
+					}
+				}
+			}
+			if !committedAt[part][rec.Txn] {
+				return fmt.Errorf("sched: %s is ended in the decision log but %s holds no commit record for it", rec.Txn, part)
+			}
+		}
+	}
+	return nil
 }
 
 // RecordedSystem assembles the committed execution for the checker.
@@ -740,7 +784,9 @@ func (cl *Cluster) NetStats() comm.NetStats {
 	return st
 }
 
-// Close shuts the whole cluster down cleanly.
+// Close shuts the whole cluster down cleanly. With every node up it first
+// runs one re-delivery round, so a cluster closed at rest has ended every
+// transaction and recovery has nothing to re-deliver.
 func (cl *Cluster) Close() error {
 	cl.mu.Lock()
 	coord := cl.coord
@@ -750,6 +796,9 @@ func (cl *Cluster) Close() error {
 	}
 	cl.mu.Unlock()
 	if coord != nil {
+		if !coord.crashed.Load() && len(cl.CrashedParticipants()) == 0 {
+			coord.redeliver()
+		}
 		coord.close()
 	}
 	for _, p := range parts {

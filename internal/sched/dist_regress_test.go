@@ -57,6 +57,7 @@ func TestDistRecoverLogOrderReplay(t *testing.T) {
 	if got := cl.StoreSnapshot("east")["acct"]; got != 7 {
 		t.Fatalf("recovered east acct = %d, want 7 (compensations replayed out of log order)", got)
 	}
+	distEnded(t, cfg.WALRoot)
 }
 
 // TestDistQueryPerAttempt pins the coordinator's termination-protocol
@@ -77,7 +78,7 @@ func TestDistQueryPerAttempt(t *testing.T) {
 	c.connect(ep)
 	t.Cleanup(c.close)
 	c.mu.Lock()
-	c.committed["Tc"] = &coTxn{attempt: 2, parts: []string{"east"}, pending: map[string]bool{}, ended: true}
+	c.committed["Tc"] = &coTxn{attempt: 2, parts: []string{"east"}, ended: true}
 	c.inflight["Tf"] = true
 	c.mu.Unlock()
 
@@ -112,14 +113,13 @@ func TestDistQueryPerAttempt(t *testing.T) {
 	}
 }
 
-// TestDistGroupCommitCrashBetweenFlushAndSend pins the coalesced force
-// path's crash window: with group commit on, a participant's force is a
-// shared group flush, and the armed crash lands after that flush
-// completes but before the dependent protocol send (the Vote after the
-// prepare force, the Ack after the decision force). The flushed records
-// must be durable — recovery rebuilds the in-doubt or decided state from
-// them — and the never-sent message must be recovered by retry,
-// re-delivery, or the termination protocol, never by a false ack.
+// TestDistGroupCommitCrashBetweenFlushAndSend pins the crash window
+// between a participant journaling a record and the protocol message that
+// reveals it (the Vote after the prepare's shared group flush, the Ack
+// after the decision record). A flushed prepare must be durable —
+// recovery rebuilds the in-doubt state from it — and the never-sent
+// message must be recovered by retry, re-delivery, or the termination
+// protocol, never by a false ack.
 func TestDistGroupCommitCrashBetweenFlushAndSend(t *testing.T) {
 	t.Run("decision-flush-before-ack", func(t *testing.T) {
 		cfg := distConfig(t, Hybrid, "chan", true)
@@ -128,7 +128,7 @@ func TestDistGroupCommitCrashBetweenFlushAndSend(t *testing.T) {
 
 		cl.SetCrash(DistCrash{Txn: "T1", Site: DistCrashPartDecide, Part: "east"})
 		// The coordinator's decision is durable and west acks, so Submit
-		// succeeds; east group-flushed its TypeDecision record and crashed
+		// succeeds; east journaled its TypeDecision record and crashed
 		// before the Ack went out.
 		if _, err := cl.Submit("T1", transferPrograms(1)[0]); err != nil {
 			t.Fatalf("T1: %v", err)
@@ -142,11 +142,12 @@ func TestDistGroupCommitCrashBetweenFlushAndSend(t *testing.T) {
 		distConserved(t, cl)
 		distAudit(t, cl)
 		if east := cl.StoreSnapshot("east")["acct"]; east == distInitial {
-			t.Fatalf("east acct = %d (unchanged): the group-flushed decision was lost", east)
+			t.Fatalf("east acct = %d (unchanged): the decision was lost", east)
 		}
 		if m := cl.Metrics(); m.GroupForces == 0 {
 			t.Fatalf("cell ran without the coalesced force path: %s", m)
 		}
+		distEnded(t, cfg.WALRoot)
 	})
 
 	t.Run("prepare-flush-before-vote", func(t *testing.T) {
@@ -190,6 +191,7 @@ func TestDistGroupCommitCrashBetweenFlushAndSend(t *testing.T) {
 		if m := cl.Metrics(); m.Commits != 1 {
 			t.Fatalf("commits = %d, want exactly 1: %s", m.Commits, m)
 		}
+		distEnded(t, cfg.WALRoot)
 	})
 }
 
@@ -233,6 +235,7 @@ func TestDistRedeliveryCarriesAttempt(t *testing.T) {
 	if east := cl.StoreSnapshot("east")["acct"]; east == distInitial {
 		t.Fatalf("east acct = %d (unchanged): the commit never landed", east)
 	}
+	distEnded(t, cfg.WALRoot)
 }
 
 // TestDistRecoverRejectsMalformedDecision pins that recovery never guesses

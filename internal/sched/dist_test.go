@@ -75,6 +75,15 @@ func distAudit(t *testing.T, cl *Cluster) {
 	}
 }
 
+// distEnded checks CheckEnded over the cluster's logs: no transaction is
+// ended at the coordinator before every updater holds its commit record.
+func distEnded(t *testing.T, root string) {
+	t.Helper()
+	if err := CheckEnded(root); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDistCommit runs sequential transfers through every protocol over
 // both transports, durable, and re-verifies the committed history.
 func TestDistCommit(t *testing.T) {

@@ -115,24 +115,30 @@ func (e countingEndpoint) Send(to string, m comm.Message) error {
 // retry, sweeper, decision re-delivery) far above commit latency, so the
 // only traffic is the protocol's own. A committed root costs
 //
-//	messages = 2 * (L + A + 2t)   every RPC is a request and a reply:
-//	                              L semantic-lock calls (one per
-//	                              invocation, at the caller), A leaf
-//	                              applies, and a Prepare and a Decide to
-//	                              each of the t participants touched
-//	forces   = 2n + 1             n prepares, the coordinator's decision,
-//	                              n participant decisions, over the n <= t
-//	                              touched participants that own a log
+//	messages = 2 * (L + A + 2t) - 2r  every RPC is a request and a reply:
+//	                                  L semantic-lock calls (one per
+//	                                  invocation, at the caller), A leaf
+//	                                  applies, a Prepare to each of the t
+//	                                  participants touched and a Decide to
+//	                                  each but the r that voted READ
+//	forces   = n + 1                  n prepares and the coordinator's
+//	                                  decision, over the n <= t - r updaters
+//	                                  that own a log; their n commit records
+//	                                  are appended unforced
 //
-// A bank transfer invokes east and west from bank: L = 2, A = 2, t = 3
-// (bank holds the two semantic locks but no store), n = 2 — 20 messages
-// and 5 forces, each held open DefaultGroupWindow.
+// A bank transfer invokes east and west from bank: L = 2, A = 2, t = 3,
+// r = 1 (bank holds the two semantic locks but no store), n = 2 — 18
+// messages and 3 forces. The lazy commit records cost no force of their
+// own: the next transfer's prepare force at each branch makes them durable
+// and its vote says so, which is when the coordinator ends a transfer —
+// exactly one is unended after every commit, with no re-delivery round.
 func TestDistCountedCommitCost(t *testing.T) {
-	const wantMsgs, wantForces = 2 * (2 + 2 + 2*3), 2*2 + 1
+	const wantMsgs, wantForces = 2*(2+2+2*3) - 2*1, 2 + 1
 	net := &countingNet{Network: comm.NewChanNetwork()}
 	cfg := distConfig(t, Hybrid, "chan", true)
 	cfg.Net = net
 	cfg.GroupCommit = true
+	cfg.SyncEvery = 64
 	cfg.RPCTimeout = 30 * time.Second
 	cfg.AbandonAfter, cfg.QueryAfter, cfg.SweepEvery = time.Minute, time.Minute, time.Minute
 	cl := startCluster(t, cfg)
@@ -143,8 +149,8 @@ func TestDistCountedCommitCost(t *testing.T) {
 			t.Fatalf("T%d: %v", i+1, err)
 		}
 		m := cl.Metrics()
-		if m.Retries != 0 {
-			t.Fatalf("T%d: a serial client retried: %s", i+1, m)
+		if m.Retries != 0 || m.Redelivers != 0 {
+			t.Fatalf("T%d: a serial client retried or re-delivered: %s", i+1, m)
 		}
 		if d := net.sent.Load() - msgs; d != wantMsgs {
 			t.Errorf("T%d: %d messages, want %d", i+1, d, wantMsgs)
@@ -152,7 +158,14 @@ func TestDistCountedCommitCost(t *testing.T) {
 		if d := m.GroupForces - forces; d != wantForces {
 			t.Errorf("T%d: %d forces, want %d", i+1, d, wantForces)
 		}
+		if n := cl.coordinator().unended(); n != 1 {
+			t.Errorf("T%d: %d transfers unended, want 1 (this one)", i+1, n)
+		}
 		msgs, forces = net.sent.Load(), m.GroupForces
 	}
+	if err := cl.Settle(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	distConserved(t, cl)
+	distEnded(t, cfg.WALRoot)
 }

@@ -212,10 +212,7 @@ func TestCorpusClusterLogs(t *testing.T) {
 	c.mu.Lock()
 	committed := map[string]any{}
 	for txn, ct := range c.committed {
-		var pending []string
-		for p := range ct.pending {
-			pending = append(pending, p)
-		}
+		pending := append([]string(nil), ct.pending...)
 		sort.Strings(pending)
 		committed[txn] = map[string]any{"attempt": ct.attempt, "parts": ct.parts, "pending": pending, "ended": ct.ended}
 	}
@@ -228,12 +225,14 @@ func TestCorpusClusterLogs(t *testing.T) {
 		"committed": committed, "clock": c.clock.Load(), "tsc": c.tsc.Load(),
 		"nodes": cl.RecordedSystem().NumNodes(), "verdict": verdict.String(),
 	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// What recovery itself appended, read before Close: recovery fsyncs
+	// its own records, and Close runs a re-delivery round of its own.
 	appended := map[string]any{}
 	for part, n := range before {
 		appended[part] = appendedSince(t, partDir(root, part), n)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Live: a second copy recovers with the default timers and settles —

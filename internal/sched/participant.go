@@ -16,10 +16,12 @@ import (
 // and one Participant per component, communicating over a comm.Network.
 // Every root transaction commits through presumed-abort two-phase commit:
 // the coordinator drives Apply/Lock traffic during execution, then
-// Prepare -> Vote -> Decide -> Ack. Participants force a TypePrepare
-// record before voting yes and a TypeDecision record before acking, so a
-// prepared transaction survives any single crash; the coordinator force-
-// logs only commit decisions (absence of a decision means abort).
+// Prepare -> Vote -> Decide -> Ack. A participant forces a TypePrepare
+// record before voting yes, so a prepared transaction survives any single
+// crash; the coordinator force-logs only commit decisions (absence of a
+// decision means abort). A participant's own commit record is lazy (see
+// handleDecide), and one that journaled nothing votes READ and is left
+// out of phase two (see handlePrepare).
 
 // Reply codes carried in Message.Code. Zero (with OK set) is success; the
 // coordinator maps the rest back onto the runtime's sentinel errors with
@@ -33,16 +35,17 @@ const (
 	dcodeStale          // attempt tombstoned (unilateral abort or newer attempt) -> ErrTimeout
 	dcodeRetry          // query answer: transaction still voting, ask again
 	dcodeFatal          // non-retryable store error; Err carries the text
+	dcodeReadOnly       // yes vote (OK set) of a participant with nothing to commit: no phase two
 )
 
 // Distributed crash sites (DistCrash.Site). Participant sites fire after
-// the corresponding force, before the message that would reveal it — the
-// exact windows presumed-abort 2PC must survive.
+// the corresponding record is journaled, before the message that would
+// reveal it — the exact windows presumed-abort 2PC must survive.
 const (
 	DistCrashCoordPre    = "coord-pre-decision"  // after unanimous yes votes, before the decision is forced
 	DistCrashCoordPost   = "coord-post-decision" // after the decision is forced, before any Decide is sent
 	DistCrashPartPrepare = "part-prepare"        // after the participant forces TypePrepare, before its vote
-	DistCrashPartDecide  = "part-decide"         // after the participant forces TypeDecision, before its ack
+	DistCrashPartDecide  = "part-decide"         // after the participant journals TypeDecision (a commit: unforced), before its ack
 )
 
 // DistCrash names one crash to inject into a distributed run: the root
@@ -118,16 +121,15 @@ type pundo struct {
 
 // ptxn is the participant-side state of one root transaction attempt.
 type ptxn struct {
-	attempt    uint32
-	ts         uint64 // root wait-die timestamp
-	steps      map[string]*pdedup
-	undo       []pundo
-	prepDone   chan struct{} // non-nil once a Prepare is being processed
-	vote       comm.Message  // recorded vote, valid after prepDone closes
-	decideDone chan struct{} // non-nil once a decision force is in flight
-	prepared   bool
-	querying   bool
-	lastTouch  time.Time
+	attempt   uint32
+	ts        uint64 // root wait-die timestamp
+	steps     map[string]*pdedup
+	undo      []pundo
+	prepDone  chan struct{} // non-nil once a Prepare is being processed
+	vote      comm.Message  // recorded vote, valid after prepDone closes
+	prepared  bool
+	querying  bool
+	lastTouch time.Time
 }
 
 // Participant is one component's half of the distributed runtime: its
@@ -149,16 +151,22 @@ type Participant struct {
 	crashed  atomic.Bool
 	crash    *distCrashState
 
+	// inc is the incarnation, bumped by RecoverParticipant and stamped on
+	// every vote and ack beside the log's durable watermark: a crash drops
+	// the unsynced tail and the next life re-uses its LSNs.
+	inc uint64
+
 	abandonAfter time.Duration
 	queryAfter   time.Duration
 	sweepEvery   time.Duration
 	rpcTimeout   time.Duration
 	rpcRetries   int
 
-	mu       sync.Mutex
-	txns     map[string]*ptxn
-	aborted  map[string]uint32 // txn -> highest attempt aborted (tombstones)
-	resolved map[string]bool   // txn -> terminally committed
+	mu        sync.Mutex
+	txns      map[string]*ptxn
+	aborted   map[string]uint32 // txn -> highest attempt aborted (tombstones)
+	resolved  map[string]bool   // txn -> terminally committed
+	readVoted map[string]uint32 // txn -> attempt voted READ and forgotten
 
 	stop     chan struct{}
 	sweeps   sync.WaitGroup
@@ -181,6 +189,7 @@ func newParticipant(name string, spec ComponentSpec, cfg DistConfig, crash *dist
 		lm:       newLockManager(),
 		crash:    crash,
 		group:    cfg.GroupCommit,
+		inc:      1,
 
 		abandonAfter: cfg.AbandonAfter,
 		queryAfter:   cfg.QueryAfter,
@@ -188,10 +197,11 @@ func newParticipant(name string, spec ComponentSpec, cfg DistConfig, crash *dist
 		rpcTimeout:   cfg.RPCTimeout,
 		rpcRetries:   cfg.RPCRetries,
 
-		txns:     map[string]*ptxn{},
-		aborted:  map[string]uint32{},
-		resolved: map[string]bool{},
-		stop:     make(chan struct{}),
+		txns:      map[string]*ptxn{},
+		aborted:   map[string]uint32{},
+		resolved:  map[string]bool{},
+		readVoted: map[string]uint32{},
+		stop:      make(chan struct{}),
 	}
 	p.lm.crashed = &p.crashed
 	if spec.HasStore {
@@ -269,6 +279,12 @@ func (p *Participant) handle(m comm.Message) {
 func (p *Participant) reply(req comm.Message, rep comm.Message) {
 	rep.Txn, rep.Attempt, rep.Node = req.Txn, req.Attempt, req.Node
 	rep.Clock = p.clock.tick()
+	if rep.Kind == comm.KindVote || rep.Kind == comm.KindAck {
+		rep.TS = p.inc
+		if p.wal.attached() {
+			rep.Value = int64(p.wal.log.SyncedLSN())
+		}
+	}
 	p.mux.Reply(req, rep)
 }
 
@@ -279,13 +295,11 @@ func (p *Participant) reply(req comm.Message, rep comm.Message) {
 func (p *Participant) admit(m comm.Message) (tx *ptxn, st *pdedup, first, stale bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.resolved[m.Txn] || m.Attempt <= p.aborted[m.Txn] {
+	if p.resolved[m.Txn] || m.Attempt <= p.aborted[m.Txn] || m.Attempt <= p.readVoted[m.Txn] {
 		return nil, nil, false, true
 	}
 	tx = p.txns[m.Txn]
-	if tx != nil && (tx.attempt > m.Attempt || tx.decideDone != nil) {
-		// A decision force in flight settles the attempt; nothing may
-		// touch it (or upgrade past it) until the outcome lands.
+	if tx != nil && tx.attempt > m.Attempt {
 		return nil, nil, false, true
 	}
 	if tx != nil && tx.attempt < m.Attempt {
@@ -295,7 +309,7 @@ func (p *Participant) admit(m comm.Message) (tx *ptxn, st *pdedup, first, stale 
 		// decided against it; presumed abort never commits a superseded
 		// attempt), an unprepared one with a plain rollback.
 		if tx.prepared {
-			if err := p.decideLocked(m.Txn, tx, false); err != nil {
+			if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
 				return nil, nil, false, true
 			}
 		} else {
@@ -381,10 +395,9 @@ func (p *Participant) handleApply(m comm.Message) {
 	// grant for a gone transaction is released; one racing a newer attempt
 	// of the same root is left in place (same lock owner — it drains at
 	// that attempt's decision). The journal + store mutation + undo append
-	// happen under p.mu so no abort can interleave with them; an in-flight
-	// decision force (decideDone) settles the attempt the same way.
+	// happen under p.mu so no abort can interleave with them.
 	p.mu.Lock()
-	if p.txns[m.Txn] != tx || p.resolved[m.Txn] || tx.decideDone != nil {
+	if p.txns[m.Txn] != tx || p.resolved[m.Txn] {
 		gone := p.txns[m.Txn] == nil
 		p.mu.Unlock()
 		if gone && table != nil {
@@ -447,7 +460,7 @@ func (p *Participant) handleLock(m comm.Message) {
 	}
 	// Same stale-grant re-validation as handleApply.
 	p.mu.Lock()
-	if p.txns[m.Txn] != tx || p.resolved[m.Txn] || tx.decideDone != nil {
+	if p.txns[m.Txn] != tx || p.resolved[m.Txn] {
 		gone := p.txns[m.Txn] == nil
 		p.mu.Unlock()
 		if gone {
@@ -478,9 +491,10 @@ func lockErrReply(kind comm.Kind, err error) comm.Message {
 }
 
 // handlePrepare runs phase one: force the prepare record (with the root's
-// wait-die timestamp, for lock re-acquisition at recovery), then vote.
-// Read-only participants vote yes without forcing anything — with no
-// journaled effects there is nothing a crash could lose.
+// wait-die timestamp, for lock re-acquisition at recovery), then vote. A
+// participant that journaled nothing for the attempt has nothing a crash
+// could lose and nothing a decision could change: it votes READ, releases
+// its locks (the root is past its lock point) and forgets the attempt.
 func (p *Participant) handlePrepare(m comm.Message) {
 	p.mu.Lock()
 	if p.resolved[m.Txn] || m.Attempt <= p.aborted[m.Txn] {
@@ -488,10 +502,15 @@ func (p *Participant) handlePrepare(m comm.Message) {
 		p.reply(m, comm.Message{Kind: comm.KindVote, Code: dcodeStale})
 		return
 	}
+	readVote := comm.Message{Kind: comm.KindVote, OK: true, Code: dcodeReadOnly}
 	tx := p.txns[m.Txn]
 	if tx == nil || tx.attempt != m.Attempt {
+		vote := comm.Message{Kind: comm.KindVote, Code: dcodeStale}
+		if tx == nil && p.readVoted[m.Txn] == m.Attempt {
+			vote = readVote // a duplicate of the Prepare already answered READ
+		}
 		p.mu.Unlock()
-		p.reply(m, comm.Message{Kind: comm.KindVote, Code: dcodeStale})
+		p.reply(m, vote)
 		return
 	}
 	if tx.prepDone != nil {
@@ -504,21 +523,26 @@ func (p *Participant) handlePrepare(m comm.Message) {
 		p.reply(m, vote)
 		return
 	}
+	if len(tx.undo) == 0 {
+		delete(p.txns, m.Txn)
+		p.readVoted[m.Txn] = m.Attempt
+		p.lm.release(m.Txn)
+		p.mu.Unlock()
+		p.reply(m, readVote)
+		return
+	}
 	done := make(chan struct{})
 	tx.prepDone = done
 	tx.lastTouch = time.Now()
-	hasWrites := len(tx.undo) > 0
 	p.mu.Unlock()
 
 	vote := comm.Message{Kind: comm.KindVote, OK: true}
-	if hasWrites {
-		rec := wal.Record{
-			Type: wal.TypePrepare, Txn: m.Txn, Node: attemptStr(m.Attempt),
-			Comp: p.name, Seq: m.TS,
-		}
-		if err := p.wal.force([]wal.Record{rec}, p.group); err != nil {
-			vote = lockErrReply(comm.KindVote, err)
-		}
+	rec := wal.Record{
+		Type: wal.TypePrepare, Txn: m.Txn, Node: attemptStr(m.Attempt),
+		Comp: p.name, Seq: m.TS,
+	}
+	if err := p.wal.force([]wal.Record{rec}, p.group); err != nil {
+		vote = lockErrReply(comm.KindVote, err)
 	}
 	p.mu.Lock()
 	if p.txns[m.Txn] != tx {
@@ -539,17 +563,14 @@ func (p *Participant) handlePrepare(m comm.Message) {
 	p.reply(m, vote)
 }
 
-// handleDecide runs phase two: force the decision record, apply it
-// (commit keeps the effects and releases locks; abort compensates in
-// reverse with journaled inverses first), then ack. Decides for unknown
-// or already-decided transactions ack idempotently.
-//
-// The force runs outside p.mu: the records are built under the mutex,
-// tx.decideDone marks the decision in flight (every other path treats the
-// attempt as settled and keeps hands off), and only the post-force state
-// transition retakes the mutex. N concurrent decisions on one participant
-// therefore share coalesced fsyncs instead of serializing a private fsync
-// each behind p.mu.
+// handleDecide runs phase two. A commit is lazy: the decision record is
+// appended unforced, the effects are kept, the locks release, and the ack
+// goes out at once naming the record's LSN — the coordinator holds the
+// transaction open until this log's durable watermark has passed it. A
+// crash that loses the record recovers in doubt and resolves to commit,
+// because the coordinator has not ended the transaction. An abort forces
+// its compensations and decision record first. Decides for unknown or
+// already-decided transactions ack idempotently.
 func (p *Participant) handleDecide(m comm.Message) {
 	if p.crashed.Load() {
 		return
@@ -558,59 +579,41 @@ func (p *Participant) handleDecide(m comm.Message) {
 	tx := p.txns[m.Txn]
 	if p.resolved[m.Txn] || tx == nil || tx.attempt != m.Attempt {
 		p.mu.Unlock()
+		// Settled by an earlier delivery, whose lazy commit record may still
+		// sit in the unsynced tail. This ack names no LSN to wait for, so the
+		// tail is made durable first — also the path by which re-delivery
+		// ends the last commit of an idle participant.
+		if m.Commit && p.wal.sync() != nil {
+			return
+		}
 		p.reply(m, comm.Message{Kind: comm.KindAck, OK: true})
 		return
 	}
-	if tx.decideDone != nil {
-		// Duplicate racing the first delivery's force: wait for the
-		// outcome, then reclassify from scratch.
-		done := tx.decideDone
-		p.mu.Unlock()
-		<-done
-		p.handleDecide(m)
-		return
-	}
-	done := make(chan struct{})
-	tx.decideDone = done
-	tx.lastTouch = time.Now()
-	recs := p.decisionRecordsLocked(m.Txn, tx, m.Commit)
+	lsn, err := p.decideLocked(m.Txn, tx, m.Commit)
 	p.mu.Unlock()
-
-	err := p.wal.force(recs, p.group)
-	p.mu.Lock()
 	if err != nil {
-		tx.decideDone = nil // a redelivery may retry the decision
-		p.mu.Unlock()
-		close(done)
 		return // crashed mid-decision; recovery resolves it
 	}
-	p.applyDecisionLocked(m.Txn, tx, m.Commit)
-	p.mu.Unlock()
-	close(done)
 	if p.crash.fire(DistCrashPartDecide, p.name, m.Txn) {
 		p.crashNow()
 		return
 	}
-	p.reply(m, comm.Message{Kind: comm.KindAck, OK: true})
+	p.reply(m, comm.Message{Kind: comm.KindAck, OK: true, Seq: lsn})
 }
 
-// decisionRecordsLocked builds what a decision must force before any of
-// its effects execute: the decision record for a commit, the journaled
-// compensations followed by the decision record for an abort. Empty when
-// the attempt journaled nothing (read-only here) — such a decision needs
-// no durability point.
-func (p *Participant) decisionRecordsLocked(txn string, tx *ptxn, commit bool) []wal.Record {
+func decisionRecord(txn string, tx *ptxn, mode string) wal.Record {
+	return wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: mode}
+}
+
+// abortRecords builds what the abort of a prepared attempt must force
+// before any inverse executes: the compensations and the decision record
+// as one batch — recovery replays applies and compensations in log order,
+// so any crash in between nets out. Empty when nothing was journaled.
+func (p *Participant) abortRecords(txn string, tx *ptxn) []wal.Record {
 	if len(tx.undo) == 0 {
 		return nil
 	}
-	if commit {
-		return []wal.Record{{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: "commit"}}
-	}
-	// Abort of a prepared transaction: the compensations and the decision
-	// are forced as one batch before any inverse executes — recovery
-	// replays applies and compensations in log order, so any crash in
-	// between nets out.
-	return append(p.compRecords(txn, tx), wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: "abort"})
+	return append(p.compRecords(txn, tx), decisionRecord(txn, tx, "abort"))
 }
 
 // compRecords encodes an attempt's rollback: one compensation record per
@@ -627,7 +630,7 @@ func (p *Participant) compRecords(txn string, tx *ptxn) []wal.Record {
 }
 
 // applyDecisionLocked finalizes a decided attempt under p.mu once its
-// records are durable: commit keeps the effects, abort compensates in
+// records are journaled: commit keeps the effects, abort compensates in
 // reverse; locks release, tombstones update.
 func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 	if commit {
@@ -642,16 +645,21 @@ func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 	p.lm.release(txn)
 }
 
-// decideLocked applies a decision wholly under p.mu: forced decision
-// record, effects, lock release, tombstones. The cold paths (attempt
-// upgrades, coordinator aborts of prepared attempts, termination-protocol
-// answers) use it; the hot Decide path pipelines through handleDecide.
-func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) error {
-	if err := p.wal.force(p.decisionRecordsLocked(txn, tx, commit), p.group); err != nil {
-		return err
+// decideLocked journals and applies a decision under p.mu: a commit record
+// appended lazily (its LSN returned for the ack), an abort batch forced.
+// Every path that settles a prepared attempt goes through it: Decide,
+// attempt upgrades, coordinator aborts, termination-protocol answers.
+func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) (lsn uint64, err error) {
+	if !commit {
+		err = p.wal.force(p.abortRecords(txn, tx), p.group)
+	} else if len(tx.undo) > 0 {
+		lsn, err = p.wal.append(decisionRecord(txn, tx, "commit"))
+	}
+	if err != nil {
+		return 0, err
 	}
 	p.applyDecisionLocked(txn, tx, commit)
-	return nil
+	return lsn, nil
 }
 
 // handleAbort aborts one unprepared attempt (the coordinator's retry
@@ -670,16 +678,8 @@ func (p *Participant) handleAbort(m comm.Message) {
 		p.reply(m, comm.Message{Kind: comm.KindAbortReply, OK: true})
 		return
 	}
-	if tx.decideDone != nil {
-		// A decision force is in flight; the coordinator only aborts an
-		// attempt it gave up on, so ack idempotently and let the decision
-		// land.
-		p.mu.Unlock()
-		p.reply(m, comm.Message{Kind: comm.KindAbortReply, OK: true})
-		return
-	}
 	if tx.prepared {
-		if err := p.decideLocked(m.Txn, tx, false); err != nil {
+		if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
 			p.mu.Unlock()
 			return
 		}
@@ -740,7 +740,7 @@ func (p *Participant) sweeper() {
 			switch {
 			case !tx.prepared && tx.prepDone == nil && idle > p.abandonAfter:
 				abandon = append(abandon, txn)
-			case tx.prepared && !tx.querying && tx.decideDone == nil && idle > p.queryAfter:
+			case tx.prepared && !tx.querying && idle > p.queryAfter:
 				tx.querying = true
 				query = append(query, inDoubtQuery{txn, tx})
 			}
@@ -772,15 +772,15 @@ func (p *Participant) resolveInDoubt(txn string, tx *ptxn) {
 		p.rpcTimeout, p.rpcRetries)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.txns[txn] != tx || !tx.prepared || tx.decideDone != nil {
-		return // the queried attempt is gone, superseded, or deciding; drop the answer
+	if p.txns[txn] != tx || !tx.prepared {
+		return // the queried attempt is gone or superseded; drop the answer
 	}
 	tx.querying = false
 	if err != nil || rep.Code == dcodeRetry {
 		tx.lastTouch = time.Now() // back off one QueryAfter window
 		return
 	}
-	if p.decideLocked(txn, tx, rep.Commit) == nil {
+	if _, err := p.decideLocked(txn, tx, rep.Commit); err == nil {
 		p.resolves.Add(1)
 	}
 }

@@ -22,7 +22,10 @@ import (
 // in-doubt set via the termination protocol, and checks what distributed
 // atomicity owes the paper's model: every transfer commits everywhere or
 // aborts everywhere (escrow conservation plus an exact per-cell balance),
-// and the merged committed history passes the Comp-C reduction.
+// and the merged committed history passes the Comp-C reduction. Each cell
+// also checks, from the logs, that the coordinator ended no transaction
+// before every updater held its commit record (sched.CheckEnded) — at the
+// end, and at each participant crash, when a lost lazy record would show.
 
 // e15Initial seeds the east account; transfers move value east → west,
 // so east+west must equal it at every quiescent point.
@@ -155,7 +158,13 @@ func runE15Cell(p sched.Protocol, mix e15Mix, site e15Site, roots int) ([]any, e
 					return
 				case <-tick.C:
 					for _, name := range cl.CrashedParticipants() {
-						if err := cl.RecoverParticipant(name); err != nil {
+						// The crashed log holds exactly its durable prefix: the
+						// moment an early TypeEnd would show.
+						err := sched.CheckEnded(dir)
+						if err == nil {
+							err = cl.RecoverParticipant(name)
+						}
+						if err != nil {
 							watchErr.CompareAndSwap(nil, err)
 							return
 						}
@@ -196,6 +205,9 @@ func runE15Cell(p sched.Protocol, mix e15Mix, site e15Site, roots int) ([]any, e
 	}
 	if e, _ := watchErr.Load().(error); e != nil {
 		return nil, e
+	}
+	if err := sched.CheckEnded(dir); err != nil {
+		return nil, err
 	}
 
 	east, west := cl.StoreSnapshot("east")["acct"], cl.StoreSnapshot("west")["acct"]

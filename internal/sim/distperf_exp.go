@@ -13,9 +13,10 @@ import (
 // concurrent clients over N account pairs, the transfers dealt round-robin
 // across the pairs (the transfers in flight are on disjoint items, so lock
 // contention cannot mask the fsync cost the experiment isolates). The
-// per-txn-fsync column forces every 2PC force point with its own fsync;
-// the group column routes the same force points through the WAL flush
-// daemon, so concurrent commits share O(1) fsyncs per window. The
+// per-txn-fsync column forces each of a commit's three force points (two
+// prepares, the decision) with its own fsync; the group column routes the
+// same force points through the WAL flush daemon, so concurrent commits
+// share O(1) fsyncs per window. The
 // measurement is commits/s plus client-observed p50/p99 latency, and
 // every cell must conserve value across its account pairs with every
 // submitted transfer committed.

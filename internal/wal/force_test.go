@@ -3,140 +3,184 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func forceRec(i int) Record {
 	return Record{Type: TypeDecision, Txn: fmt.Sprintf("T%d", i), Mode: "commit"}
 }
 
-// A window holds many concurrent forces and serves them with fewer
-// fsyncs than forces; every waiter completes nil and every record is
-// durable.
+// The counted shape of the yield gather, which cannot be noisy. One
+// forcer at a time never shares: every force is its own window. A crowd
+// of 64 shares: each window's gather lets every forcer that is runnable
+// reach its force point first, so windows stay at or below a quarter of
+// the forces (in practice a few per round). Every waiter completes nil
+// and every record is durable on reopen.
 func TestForceCoalescesWindows(t *testing.T) {
 	dir := t.TempDir()
-	l, n, err := Open(dir, Options{SyncEvery: -1, GroupWindow: 2 * time.Millisecond})
+	l, n, err := Open(dir, Options{SyncEvery: -1})
 	if err != nil || n != 0 {
 		t.Fatalf("open: n=%d err=%v", n, err)
 	}
-	const forces = 32
-	chans := make([]<-chan error, forces)
-	for i := 0; i < forces; i++ {
-		chans[i] = l.Force([]Record{forceRec(i)})
+	const serial = 16
+	for i := 0; i < serial; i++ {
+		if err := <-l.Force([]Record{forceRec(i)}); err != nil {
+			t.Fatalf("serial force %d: %v", i, err)
+		}
+		if got := l.SyncedLSN(); got != uint64(i+1) {
+			t.Fatalf("after serial force %d: SyncedLSN = %d, want %d", i, got, i+1)
+		}
 	}
-	for i, ch := range chans {
-		if err := <-ch; err != nil {
-			t.Fatalf("force %d: %v", i, err)
+	if gs := l.GroupStats(); gs.Forces != serial || gs.Windows != serial || gs.MaxBatch != 1 {
+		t.Fatalf("serial forcer: %+v, want %d forces in %d windows of 1", gs, serial, serial)
+	}
+
+	const crowd, rounds = 64, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, crowd*rounds)
+	for w := 0; w < crowd; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				errs <- <-l.Force([]Record{forceRec(1000*(w+1) + i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("crowd force: %v", err)
 		}
 	}
 	gs := l.GroupStats()
-	if gs.Forces != forces || gs.ForcedRecords != forces {
-		t.Fatalf("stats %+v, want %d forces/records", gs, forces)
+	forces, windows := gs.Forces-serial, gs.Windows-serial
+	if forces != crowd*rounds || gs.ForcedRecords != gs.Forces {
+		t.Fatalf("stats %+v, want %d crowd forces of one record", gs, crowd*rounds)
 	}
-	if gs.Windows == 0 || gs.Windows >= forces {
-		t.Fatalf("windows=%d not coalesced (forces=%d)", gs.Windows, forces)
+	if windows > forces/4 {
+		t.Fatalf("%d windows for %d concurrent forces: the gather did not coalesce (%+v)", windows, forces, gs)
 	}
-	if gs.MaxBatch < 2 {
-		t.Fatalf("maxbatch=%d, want >=2", gs.MaxBatch)
+	if got := l.SyncedLSN(); got != gs.Forces {
+		t.Fatalf("SyncedLSN = %d after %d completed forces", got, gs.Forces)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, _, err := ReadAll(dir)
-	if err != nil || len(recs) != forces {
-		t.Fatalf("readall: %d recs err=%v", len(recs), err)
+	if err != nil || uint64(len(recs)) != gs.Forces {
+		t.Fatalf("readall: %d recs err=%v, want %d", len(recs), err, gs.Forces)
 	}
 }
 
-// GroupMaxRecords flushes an open window early — forces complete even
-// though the window itself would stay open for an hour.
-func TestForceMaxRecordsFlushesEarly(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncEvery: -1, GroupWindow: time.Hour, GroupMaxRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	chans := make([]<-chan error, 8)
-	for i := range chans {
-		chans[i] = l.Force([]Record{forceRec(i)})
-	}
-	for i, ch := range chans {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatalf("force %d: %v", i, err)
+// forceCrowd runs n goroutines forcing one record after another until the
+// log closes under them; acked waits for them and returns the
+// transactions whose force completed nil — the ones a caller would have
+// acted on as durable.
+func forceCrowd(l *Log, n int) (acked func() map[string]bool) {
+	var mu sync.Mutex
+	ok := map[string]bool{}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				rec := forceRec(1000*(w+1) + i)
+				err := <-l.Force([]Record{rec})
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err == nil {
+					mu.Lock()
+					ok[rec.Txn] = true
+					mu.Unlock()
+				}
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("force %d did not complete; GroupMaxRecords did not flush early", i)
-		}
+		}(w)
 	}
-	if gs := l.GroupStats(); gs.Windows == 0 {
-		t.Fatalf("no flush window recorded: %+v", gs)
+	return func() map[string]bool {
+		wg.Wait()
+		return ok
 	}
 }
 
-// Abandon (crash) with a group flush pending: every waiter observes an
-// error — never a false durability ack — and the records are gone after
-// reopen.
-func TestForceAbandonFailsPendingWaiters(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncEvery: -1, GroupWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chans []<-chan error
-	for i := 0; i < 3; i++ {
-		chans = append(chans, l.Force([]Record{forceRec(i)}))
-	}
-	if err := l.Abandon(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		select {
-		case err := <-ch:
-			if !errors.Is(err, ErrClosed) {
-				t.Fatalf("waiter %d got %v, want ErrClosed", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("waiter %d hung after Abandon", i)
-		}
-	}
-	if err := <-l.Force([]Record{forceRec(99)}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("force after abandon: %v, want ErrClosed", err)
-	}
+func durableTxns(t *testing.T, dir string) map[string]bool {
+	t.Helper()
 	recs, _, err := ReadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("reopen found %d records; unsynced group flush must be lost", len(recs))
+	got := map[string]bool{}
+	for _, r := range recs {
+		got[r.Txn] = true
+	}
+	return got
+}
+
+// Abandon (crash) racing a crowd of forcers: no waiter hangs, and a nil
+// completion means the record is in the crash image — never a false
+// durability ack. Later forces fail with ErrClosed.
+func TestForceAbandonFailsPendingWaiters(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := forceCrowd(l, 16)
+		for l.GroupStats().Windows < uint64(1+round%4) {
+			runtime.Gosched()
+		}
+		if err := l.Abandon(nil); err != nil {
+			t.Fatal(err)
+		}
+		ok, durable := acked(), durableTxns(t, dir)
+		for txn := range ok {
+			if !durable[txn] {
+				t.Fatalf("round %d: force of %s completed nil but the record is not in the crash image", round, txn)
+			}
+		}
+		if err := <-l.Force([]Record{forceRec(99)}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("force after abandon: %v, want ErrClosed", err)
+		}
 	}
 }
 
-// A sync triggered by any path (explicit Sync here) completes pending
-// waiters: their bytes are flushed and fsynced with the rest of the
-// buffer.
+// Close and explicit Sync racing a crowd of forcers: a sync triggered by
+// any path completes the waiters pending at that moment (their bytes are
+// flushed and fsynced with the rest of the buffer), Close completes the
+// rest, and every nil completion is a record on disk.
 func TestForceCompletedByExplicitSync(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SyncEvery: -1, GroupWindow: time.Hour})
+	l, _, err := Open(dir, Options{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	ch := l.Force([]Record{forceRec(0)})
-	if err := l.Sync(); err != nil {
+	acked := forceCrowd(l, 16)
+	for l.GroupStats().Forces < 400 {
+		if err := l.Sync(); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		if l.SyncedLSN() > l.Records() {
+			t.Fatalf("SyncedLSN %d ahead of %d records", l.SyncedLSN(), l.Records())
+		}
+		runtime.Gosched()
+	}
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-ch:
-		if err != nil {
-			t.Fatalf("force: %v", err)
+	ok, durable := acked(), durableTxns(t, dir)
+	if len(ok) == 0 {
+		t.Fatal("no force completed before Close")
+	}
+	for txn := range ok {
+		if !durable[txn] {
+			t.Fatalf("force of %s completed nil but the record is not on disk", txn)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("explicit Sync did not complete the pending force")
 	}
 }
 

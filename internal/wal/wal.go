@@ -26,11 +26,10 @@
 // flush daemon coalesces every force request pending at flush time into
 // one contiguous write + one fsync, and completes all of their waiters
 // together. The fsync itself runs outside the log mutex, so while one
-// window's fsync is in flight new forces keep appending and form the
-// next window — with Options.GroupWindow zero (the default) this is
-// "natural batching": a force never waits longer than the fsync already
-// in flight, and the batch size grows exactly as fast as the disk is
-// slow.
+// fsync is in flight new forces keep appending and form the next cohort.
+// Before it captures a cohort the daemon gathers by yielding (gather):
+// no timer and no knob, a lone forcer pays one yield that finds nothing
+// to run, and the batch grows with the run queue.
 package wal
 
 import (
@@ -40,10 +39,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
 const (
@@ -74,17 +74,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size (0 = 8 MiB).
 	SegmentBytes int64
-
-	// GroupWindow holds the flush daemon open after a force request so
-	// later requests can join the same fsync. 0 (the default) is natural
-	// batching: the daemon flushes as soon as it is idle, adding no
-	// latency — requests still coalesce whenever a flush is already in
-	// flight, which is exactly when coalescing pays.
-	GroupWindow time.Duration
-	// GroupMaxRecords caps how many forced records may pile up inside an
-	// open GroupWindow before the daemon flushes early (0 = 512). Only
-	// meaningful with GroupWindow > 0.
-	GroupMaxRecords int
 }
 
 func (o Options) normalized() Options {
@@ -93,9 +82,6 @@ func (o Options) normalized() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.GroupMaxRecords <= 0 {
-		o.GroupMaxRecords = 512
 	}
 	return o
 }
@@ -142,6 +128,11 @@ type Log struct {
 	lsn      uint64 // records appended over the log's lifetime
 	sinceSyn int
 
+	// flushedLSN and syncedLSN shadow flushed and synced in record units:
+	// the last LSN written to the file, the last one known durable.
+	flushedLSN uint64
+	syncedLSN  atomic.Uint64
+
 	// segs tracks the on-disk segments in index order, with the absolute
 	// LSN of each segment's first record (or the next LSN to be written,
 	// for the empty current segment). TruncateBefore uses it to decide
@@ -153,14 +144,12 @@ type Log struct {
 	// window durable, so every pending waiter completes on every sync —
 	// including syncs triggered by SyncEvery, rotation or an explicit
 	// Sync, not just the daemon's.
-	waiters     []chan error
-	pendingRecs int
-	gstats      GroupStats
-	daemonOn    bool
-	daemonWG    sync.WaitGroup
-	kick        chan struct{} // buffered(1): work is pending
-	urgent      chan struct{} // buffered(1): flush now, skip the window
-	stopc       chan struct{}
+	waiters  []chan error
+	gstats   GroupStats
+	daemonOn bool
+	daemonWG sync.WaitGroup
+	kick     chan struct{} // buffered(1): work is pending
+	stopc    chan struct{}
 
 	closed    bool
 	abandoned bool // Abandon ran: the unsynced tail was truncated away
@@ -248,6 +237,8 @@ func Open(dir string, opts Options) (*Log, uint64, error) {
 		cum += counts[i]
 	}
 	l.lsn = base + count
+	l.flushedLSN = l.lsn
+	l.syncedLSN.Store(l.lsn)
 	return l, count, nil
 }
 
@@ -440,19 +431,11 @@ func (l *Log) Force(recs []Record) <-chan error {
 		}
 	}
 	l.waiters = append(l.waiters, ch)
-	l.pendingRecs += len(recs)
 	l.gstats.Forces++
 	l.gstats.ForcedRecords += uint64(len(recs))
 	l.startDaemonLocked()
-	urgent := l.opts.GroupWindow > 0 && l.pendingRecs >= l.opts.GroupMaxRecords
-	kick, urgentc := l.kick, l.urgent
+	kick := l.kick
 	l.mu.Unlock()
-	if urgent {
-		select {
-		case urgentc <- struct{}{}:
-		default:
-		}
-	}
 	select {
 	case kick <- struct{}{}:
 	default:
@@ -473,37 +456,46 @@ func (l *Log) startDaemonLocked() {
 	}
 	l.daemonOn = true
 	l.kick = make(chan struct{}, 1)
-	l.urgent = make(chan struct{}, 1)
 	l.stopc = make(chan struct{})
 	l.daemonWG.Add(1)
 	go l.flushDaemon()
 }
 
-// flushDaemon serves Force requests: each iteration optionally holds a
-// GroupWindow open for more requests to join, then flushes one window.
-// With GroupWindow == 0 the window is the duration of the previous fsync
-// itself (natural batching).
+// gatherRounds bounds the yields of one gather: a cohort still growing
+// after this many is collecting chains of wake-ups, not committers that
+// were runnable at the kick.
+const gatherRounds = 8
+
+// flushDaemon serves Force requests: after a kick it gathers the cohort
+// by yielding, then flushes it as one window.
 func (l *Log) flushDaemon() {
 	defer l.daemonWG.Done()
 	for {
 		select {
 		case <-l.stopc:
 			return
-		case <-l.urgent:
 		case <-l.kick:
-			if w := l.opts.GroupWindow; w > 0 {
-				t := time.NewTimer(w)
-				select {
-				case <-l.stopc:
-					t.Stop()
-					return
-				case <-l.urgent:
-					t.Stop()
-				case <-t.C:
-				}
-			}
 		}
+		l.gather()
 		l.flushGroup()
+	}
+}
+
+// gather yields the processor while the pending cohort grows: every
+// goroutine runnable now runs before Gosched returns, so each committer
+// on its way to a force point joins this window instead of paying for the
+// next one. A yield that adds no waiter ends the gather.
+func (l *Log) gather() {
+	n := -1
+	for round := 0; round < gatherRounds; round++ {
+		l.mu.Lock()
+		m := len(l.waiters)
+		l.mu.Unlock()
+		if m == n {
+			return
+		}
+		n = m
+		runtime.Gosched()
 	}
 }
 
@@ -531,13 +523,12 @@ func (l *Log) flushGroup() {
 	}
 	waiters := l.waiters
 	l.waiters = nil
-	l.pendingRecs = 0
 	l.gstats.Windows++
 	if n := uint64(len(waiters)); n > l.gstats.MaxBatch {
 		l.gstats.MaxBatch = n
 	}
 	err := l.flushLocked()
-	f, seg, target := l.f, l.seg, l.flushed
+	f, seg, target, targetLSN := l.f, l.seg, l.flushed, l.flushedLSN
 	needSync := err == nil && l.synced < target
 	l.mu.Unlock()
 
@@ -550,6 +541,7 @@ func (l *Log) flushGroup() {
 		case serr == nil:
 			if l.seg == seg && target > l.synced {
 				l.synced = target
+				l.syncedLSN.Store(targetLSN)
 			}
 		case l.seg != seg || l.synced >= target:
 			// Another sync path already made the cohort durable before our
@@ -582,6 +574,7 @@ func (l *Log) flushLocked() error {
 		return err
 	}
 	l.flushed = l.size
+	l.flushedLSN = l.lsn
 	l.buf = l.buf[:0]
 	return nil
 }
@@ -599,7 +592,6 @@ func (l *Log) syncLocked() error {
 			ch <- err
 		}
 		l.waiters = nil
-		l.pendingRecs = 0
 	}
 	return err
 }
@@ -616,6 +608,7 @@ func (l *Log) doSyncLocked() error {
 		return err
 	}
 	l.synced = l.flushed
+	l.syncedLSN.Store(l.flushedLSN)
 	l.sinceSyn = 0
 	return nil
 }
@@ -713,7 +706,6 @@ func (l *Log) Abandon(torn *Record) error {
 		ch <- ErrClosed
 	}
 	l.waiters = nil
-	l.pendingRecs = 0
 	if l.daemonOn {
 		close(l.stopc)
 	}
@@ -741,6 +733,12 @@ func (l *Log) Records() uint64 {
 	defer l.mu.Unlock()
 	return l.lsn
 }
+
+// SyncedLSN returns the durable watermark: every record with an LSN at or
+// below it has been fsynced. It only means something within one life of
+// the log — Abandon drops the unsynced tail and the next Open hands the
+// dropped LSNs out again.
+func (l *Log) SyncedLSN() uint64 { return l.syncedLSN.Load() }
 
 // scanSegment walks one segment, calling fn (when non-nil) per valid
 // record. It returns the record count, the offset of the first invalid
