@@ -6,18 +6,19 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func forceRec(i int) Record {
 	return Record{Type: TypeDecision, Txn: fmt.Sprintf("T%d", i), Mode: "commit"}
 }
 
-// The counted shape of the yield gather, which cannot be noisy. One
-// forcer at a time never shares: every force is its own window. A crowd
-// of 64 shares: each window's gather lets every forcer that is runnable
-// reach its force point first, so windows stay at or below a quarter of
-// the forces (in practice a few per round). Every waiter completes nil
-// and every record is durable on reopen.
+// The counted shape of the yield gather (no GroupWindow), which cannot be
+// noisy. One forcer at a time never shares: every force is its own
+// window. A crowd of 64 shares: each window's gather lets every forcer
+// that is runnable reach its force point first, so windows stay at or
+// below a quarter of the forces (in practice a few per round). Every
+// waiter completes nil and every record is durable on reopen.
 func TestForceCoalescesWindows(t *testing.T) {
 	dir := t.TempDir()
 	l, n, err := Open(dir, Options{SyncEvery: -1})
@@ -73,6 +74,47 @@ func TestForceCoalescesWindows(t *testing.T) {
 	recs, _, err := ReadAll(dir)
 	if err != nil || uint64(len(recs)) != gs.Forces {
 		t.Fatalf("readall: %d recs err=%v, want %d", len(recs), err, gs.Forces)
+	}
+}
+
+// A GroupWindow holds the daemon's window open instead of gathering by
+// yielding: forces issued inside it pile up unflushed (an hour never runs
+// out), any sync path completes them, and Close does not wait the hold out.
+func TestForceGroupWindowHolds(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SyncEvery: -1, GroupWindow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forces = 8
+	chans := make([]<-chan error, forces)
+	for i := range chans {
+		chans[i] = l.Force([]Record{forceRec(i)})
+		runtime.Gosched()
+	}
+	for i, ch := range chans {
+		select {
+		case err := <-ch:
+			t.Fatalf("force %d completed (%v) inside the window", i, err)
+		default:
+		}
+	}
+	if gs := l.GroupStats(); gs.Forces != forces || gs.Windows != 0 || l.SyncedLSN() != 0 {
+		t.Fatalf("inside the window: %+v, SyncedLSN %d; want %d forces, nothing flushed", gs, l.SyncedLSN(), forces)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range chans {
+		if err := <-ch; err != nil {
+			t.Fatalf("force %d after Sync: %v", i, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, _, err := ReadAll(dir); err != nil || len(recs) != forces {
+		t.Fatalf("readall: %d recs err=%v, want %d", len(recs), err, forces)
 	}
 }
 

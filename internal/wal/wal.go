@@ -27,9 +27,12 @@
 // one contiguous write + one fsync, and completes all of their waiters
 // together. The fsync itself runs outside the log mutex, so while one
 // fsync is in flight new forces keep appending and form the next cohort.
-// Before it captures a cohort the daemon gathers by yielding (gather):
-// no timer and no knob, a lone forcer pays one yield that finds nothing
-// to run, and the batch grows with the run queue.
+// Before it captures a cohort the daemon gathers it. With
+// Options.GroupWindow zero (the default) it gathers by yielding (gather):
+// no timer, a lone forcer pays one yield that finds nothing to run, and
+// the batch grows with the run queue. With a GroupWindow it holds the
+// window open that long instead, which trades commit latency for a batch
+// that also collects committers not yet runnable at the kick.
 package wal
 
 import (
@@ -44,6 +47,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 const (
@@ -74,6 +78,12 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// exceeds this size (0 = 8 MiB).
 	SegmentBytes int64
+
+	// GroupWindow holds the flush daemon open after a force request so
+	// later requests can join the same fsync. 0 (the default) gathers by
+	// yielding instead: the daemon lets every goroutine that is runnable
+	// now reach its force point, then flushes, adding no timed wait.
+	GroupWindow time.Duration
 }
 
 func (o Options) normalized() Options {
@@ -466,8 +476,9 @@ func (l *Log) startDaemonLocked() {
 // were runnable at the kick.
 const gatherRounds = 8
 
-// flushDaemon serves Force requests: after a kick it gathers the cohort
-// by yielding, then flushes it as one window.
+// flushDaemon serves Force requests: after a kick it gathers the cohort —
+// by holding GroupWindow open, or by yielding when there is none — then
+// flushes it as one window.
 func (l *Log) flushDaemon() {
 	defer l.daemonWG.Done()
 	for {
@@ -476,7 +487,17 @@ func (l *Log) flushDaemon() {
 			return
 		case <-l.kick:
 		}
-		l.gather()
+		if w := l.opts.GroupWindow; w > 0 {
+			t := time.NewTimer(w)
+			select {
+			case <-l.stopc:
+				t.Stop()
+				return
+			case <-t.C:
+			}
+		} else {
+			l.gather()
+		}
 		l.flushGroup()
 	}
 }
