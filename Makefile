@@ -42,7 +42,7 @@ crash:
 # netting, certified optimistic runs, seeded faults, crash recovery), and
 # the E13 throughput gate (mvcc must beat lock-only at 90% reads).
 # COMPOSITETX_PERF=1 turns on the wall-clock ratio thresholds of the
-# E13/E16/E17 tests; `go test ./...` asserts only their deterministic facts.
+# E12/E13/E16/E17 tests; `go test ./...` asserts only their deterministic facts.
 mvcc:
 	$(GO) test -race -count=1 ./internal/data
 	$(GO) test -race -count=1 -run 'TestMVCC' ./internal/sched
@@ -99,19 +99,22 @@ distperf:
 # rejection-rebuild and WAL-ordering regressions), and the E17 overhead
 # gate (certified throughput at least a third of the uncertified ceiling
 # at 8 clients on the 10%-conflict mix, with the fast path actually
-# taken). The E17 gate is not under -race: it measures wall-clock
-# throughput.
+# taken) with the E12 ratio (appending a commit's delta at least 5x
+# cheaper than rebuilding the engine over the prefix, at 256 commits).
+# The E12/E17 gates are not under -race: they measure wall-clock time.
 certperf:
 	$(GO) test -race -count=1 -run 'TestCertify|TestPipeline|TestAbsorb' ./internal/sched ./internal/front
-	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE17' ./internal/sim
+	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE12Incremental|TestE17' ./internal/sim
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
-# seeds alone run under `go test ./...`): the WAL frame scanner, the
-# model decoder and the message decoder.
+# seeds alone run under `go test ./...`, so under `make verify` too): the
+# WAL frame scanner, the model decoder, the message decoder and the
+# topology codec.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanSegment -fuzztime 20s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheck -fuzztime 20s ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 20s ./internal/comm
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTopology -fuzztime 20s ./internal/sched
 
 # loc prints the non-test Go lines per package and in total (bench/ is its
 # own module and not counted) — the number CHANGES.md quotes when a PR

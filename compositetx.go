@@ -119,9 +119,8 @@ type BatchResult = front.BatchResult
 
 // CheckBatch checks many recorded executions concurrently on a worker pool
 // of the given size (parallelism < 1 means one worker per CPU). Input
-// systems may alias each other; shared systems are interned once up front
-// so the fan-out phase never mutates them. A nil system yields an error
-// result in its slot without affecting the others.
+// systems may alias each other: Check only reads its system. A nil system
+// yields an error result in its slot without affecting the others.
 func CheckBatch(systems []*System, parallelism int, opts CheckOptions) []BatchResult {
 	return front.CheckBatch(systems, parallelism, opts)
 }

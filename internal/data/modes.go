@@ -16,6 +16,10 @@ type ModeTable struct {
 	bits  []uint64
 }
 
+// MaxModes is the number of distinct modes one table can hold (a conflict
+// row is one machine word); Declare panics past it.
+const MaxModes = 64
+
 // NewModeTable returns an empty table (everything commutes). Use Declare
 // to add conflicts.
 func NewModeTable() *ModeTable {
@@ -35,7 +39,7 @@ func (t *ModeTable) intern(m Mode) int {
 			return i
 		}
 	}
-	if len(t.modes) == 64 {
+	if len(t.modes) == MaxModes {
 		panic("data: ModeTable supports at most 64 distinct modes")
 	}
 	t.modes = append(t.modes, m)

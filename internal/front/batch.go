@@ -21,9 +21,8 @@ type BatchResult struct {
 // CheckBatch checks many systems concurrently on a worker pool and
 // returns one result per system, in input order. parallelism is the
 // number of workers; values < 1 select runtime.GOMAXPROCS(0). Nil systems
-// and duplicate pointers to the same system are allowed: every interner
-// is built sequentially up front, after which the per-check state is
-// private to each worker and the systems are only read.
+// and duplicate pointers to the same system are allowed: Check only reads
+// its system, and all per-check state is private to the worker.
 //
 // CheckBatch is how the experiment drivers (internal/sim) and cmd/compcheck
 // -parallel amortize checking across cores; single checks should call
@@ -38,15 +37,6 @@ func CheckBatch(systems []*model.System, parallelism int, opts Options) []BatchR
 	}
 	if parallelism > len(systems) {
 		parallelism = len(systems)
-	}
-
-	// Check mutates a system only by caching its interner; building them
-	// all before fanning out makes the concurrent phase read-only even
-	// when one *System appears at several indices.
-	for _, sys := range systems {
-		if sys != nil {
-			sys.Intern()
-		}
 	}
 
 	if parallelism == 1 {

@@ -120,12 +120,8 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 	// tables and grown rows) and replay the live suffix — a fold on a
 	// steady-state window then allocates almost nothing.
 	if inc.eng != nil {
-		if inc.eng.failed {
-			inc.eng = newIncEngine(inc, inc.levels)
-		} else {
-			inc.eng.reset()
-		}
-		inc.eng.apply(SystemDelta(inc.sys))
+		inc.eng.reset()
+		inc.eng.load(inc.sys)
 		if inc.eng.failed {
 			// Cannot happen: removing whole composite transactions from a
 			// correct execution only removes constraints (monotonicity),
@@ -142,7 +138,7 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 // foldWitness extracts the folded prefix's serial witness: the final
 // front's serial order restricted to the folded roots.
 func (inc *Incremental) foldWitness(folded map[model.NodeID]struct{}) []model.NodeID {
-	final := inc.eng.materializeFinal()
+	final := inc.eng.materialize(inc.eng.orderN)
 	serial, ok := final.SerialWitness()
 	if !ok {
 		return nil // unreachable for a non-degraded engine (CC sentinel)

@@ -108,8 +108,8 @@ func (f *Front) SerialWitness() ([]model.NodeID, bool) {
 // predicates (Definition 11 case 1); input orders are empty because leaves
 // are transactions of no schedule.
 //
-// The system must already be normalized (transitively closed orders); Check
-// normalizes a clone before calling this.
+// The system must already be normalized (transitively closed orders);
+// CheckReference normalizes a clone before calling this.
 func Level0(sys *model.System) *Front {
 	f := &Front{
 		Level:    0,

@@ -1,18 +1,20 @@
 package front
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"compositetx/internal/model"
 	"compositetx/internal/order"
 )
 
-// Incremental is the online Comp-C engine: it accumulates a composite
-// execution delta by delta and re-decides correctness after each append
-// by recomputing only the rows and levels a delta touches, instead of
-// rerunning the whole reduction the way Check does.
+// Incremental is the Comp-C engine of the package — the one production
+// implementation of the reduction of Definitions 15–16. It accumulates a
+// composite execution delta by delta and re-decides correctness after each
+// append by recomputing only the rows and levels a delta touches; Check is
+// the degenerate stream, one run of the same engine over a whole system.
 //
 // Soundness rests on monotonicity: appends only ever ADD nodes and pairs,
 // and with a fixed level assignment every derived set of the reduction —
@@ -25,12 +27,12 @@ import (
 // or a new invocation edge), the engine rebuilds from the accumulated
 // system; that happens at most once per topology edge, not per commit.
 //
-// Verdicts are identical to Check's (and so to CheckReference's): on
-// success the engine materializes the same final front, serial witness
-// and step reports; on failure it delegates the verdict to Check over
-// the accumulated system, so failure diagnostics — reason, witness
-// cycle, failed level — stay byte-identical. The property tests in
-// incremental_test.go assert this prefix by prefix.
+// Verdicts are identical to the string-keyed oracle's (CheckReference):
+// on success the engine materializes the same fronts, serial witness and
+// step reports; on failure it completes the relations of the level that
+// tripped and reads the reference's diagnostics off them (diagnose) —
+// reason, witness cycle, failed level, byte for byte. The property tests
+// in incremental_test.go assert this prefix by prefix.
 type Incremental struct {
 	opts        IncrementalOptions
 	sys         *model.System
@@ -67,16 +69,18 @@ func NewIncremental(opts IncrementalOptions) *Incremental {
 // mutate it; append through deltas instead.
 func (inc *Incremental) System() *model.System { return inc.sys }
 
-// Degraded reports whether the engine has observed a violation and is
-// delegating verdicts to the full checker (incorrectness is monotone, so
-// every later prefix is incorrect too).
+// Degraded reports whether the engine has observed a violation
+// (incorrectness is monotone, so every later prefix is incorrect too):
+// each later append rebuilds the engine from the accumulated system to
+// diagnose it.
 func (inc *Incremental) Degraded() bool { return inc.failed }
 
-// Rebuilds counts full engine rebuilds (level-assignment changes).
+// Rebuilds counts level-assignment changes; each forces a full engine
+// rebuild from the accumulated system.
 func (inc *Incremental) Rebuilds() int { return inc.rebuilds }
 
 // Append applies the delta and returns the verdict for the accumulated
-// execution, identical to Check over the same system. The delta is
+// execution, identical to CheckReference over the same system. The delta is
 // validated first and rejected all-or-nothing: on error nothing changed.
 func (inc *Incremental) Append(d *Delta) (*Verdict, error) {
 	return inc.append(d, true)
@@ -197,25 +201,35 @@ func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 		return nil, err
 	}
 	d.Apply(inc.sys)
-	if inc.failed {
-		return Check(inc.sys, Options{})
-	}
-	if inc.eng == nil || changed {
-		inc.levels = levels
-		inc.eng = newIncEngine(inc, levels)
+	rebuild := inc.eng == nil || changed
+	if rebuild {
 		inc.rebuilds++
-		inc.eng.apply(SystemDelta(inc.sys))
+	}
+	if rebuild || inc.failed {
+		inc.levels = levels
+		inc.eng = inc.newEngine()
+		inc.eng.load(inc.sys)
 	} else {
 		inc.eng.apply(d)
 	}
-	if inc.eng.failed {
-		inc.failed = true
-		return Check(inc.sys, Options{})
-	}
-	if !full {
+	inc.failed = inc.eng.failed
+	if !full && !inc.failed {
 		return nil, nil
 	}
-	return inc.eng.verdict()
+	return inc.eng.verdict(false)
+}
+
+// newEngine returns an empty engine over the accumulated system and the
+// current level assignment. It carries the previous engine's capacity
+// high-water mark across rebuilds: bitset rows are allocated lazily, so
+// the wide capacity costs only the live rows' width, and it spares the
+// rebuilt engine the doubling ladder of full-row re-widenings.
+func (inc *Incremental) newEngine() *incEngine {
+	capN := 0
+	if inc.eng != nil {
+		capN = inc.eng.capN
+	}
+	return newIncEngine(inc.sys, inc.levels, inc.opts.PropagateInputs, capN)
 }
 
 // applyIG folds the delta's invocation-graph additions (Definition 8)
@@ -314,14 +328,16 @@ type incLevel struct {
 }
 
 // incEngine holds the interned-index reduction state for a fixed level
-// assignment. It mirrors sysIndex (indexed.go) with two differences:
-// node indices are assigned in arrival order (the stream fixes them, not
-// lexicographic interning — determinism is restored by sorting at verdict
-// materialization), and every per-level structure is maintained
-// incrementally under pair insertion instead of being rebuilt per check.
+// assignment: every NodeID becomes an int32 so relation rows are bitset
+// words and membership is a bit test, and every per-level structure is
+// maintained incrementally under pair insertion. Node indices are assigned
+// in arrival order (the stream fixes them); everything a verdict exposes
+// is put in NodeID order when it is materialized.
 type incEngine struct {
-	inc    *Incremental
-	failed bool
+	sys       *model.System // indexed system; written only when propagate is set
+	propagate bool          // IncrementalOptions.PropagateInputs
+	failed    bool
+	failedAt  int // level whose queues tripped a reduction check, when failed
 
 	orderN   int // N, the highest schedule level
 	schedIDs []model.ScheduleID
@@ -361,20 +377,15 @@ type incEngine struct {
 	pObs, pWeakIn, pStrongIn, pE [][]ipair
 }
 
-func newIncEngine(inc *Incremental, levels map[model.ScheduleID]int) *incEngine {
+// newIncEngine returns an empty engine over sys's schedules. capN is the
+// initial width of the index space (at least 64); it grows on demand.
+func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate bool, capN int) *incEngine {
 	eng := &incEngine{
-		inc:      inc,
-		schedNum: map[model.ScheduleID]int{},
-		idx:      map[model.NodeID]int32{},
-		capN:     64,
-	}
-	// Carry the previous engine's capacity high-water mark across
-	// rebuilds (level changes and checkpoint folds). Bitset rows are
-	// allocated lazily, so the wide capacity costs only the live rows'
-	// width — but it spares every rebuilt engine the doubling ladder of
-	// full-row re-widenings as the next fold window refills.
-	if inc.eng != nil && inc.eng.capN > eng.capN {
-		eng.capN = inc.eng.capN
+		sys:       sys,
+		propagate: propagate,
+		schedNum:  map[model.ScheduleID]int{},
+		idx:       map[model.NodeID]int32{},
+		capN:      max(capN, 64),
 	}
 	for _, l := range levels {
 		if l > eng.orderN {
@@ -382,9 +393,9 @@ func newIncEngine(inc *Incremental, levels map[model.ScheduleID]int) *incEngine 
 		}
 	}
 	// sys.Schedules() is sorted by ID, so schedule numbers ascend with
-	// ScheduleID exactly as in sysIndex — schedsAt iteration order and
-	// Reduced concatenation match the reference without extra sorting.
-	for _, sc := range inc.sys.Schedules() {
+	// ScheduleID — schedsAt iteration order and Reduced concatenation match
+	// the reference without extra sorting.
+	for _, sc := range sys.Schedules() {
 		eng.schedNum[sc.ID] = len(eng.schedIDs)
 		eng.schedIDs = append(eng.schedIDs, sc.ID)
 		eng.slevel = append(eng.slevel, levels[sc.ID])
@@ -507,20 +518,14 @@ func (eng *incEngine) ensureCap(n int) {
 	}
 }
 
-// apply runs one delta through the engine: phase A routes every new node
-// and generating pair into per-level pending queues; phase B drains the
-// queues level by level (all pushes go strictly upward, so one pass
-// suffices). On any reduction failure the engine poisons itself.
+// apply runs one validated delta through the engine: phase A routes every
+// new node and generating pair into per-level pending queues; phase B
+// (drain) empties the queues level by level.
 func (eng *incEngine) apply(d *Delta) {
 	if eng.failed {
 		return
 	}
-	eng.ensureCap(len(eng.ids) + len(d.Nodes))
-	eng.pObs = resetQueues(eng.pObs, eng.orderN+1)
-	eng.pWeakIn = resetQueues(eng.pWeakIn, eng.orderN+1)
-	eng.pStrongIn = resetQueues(eng.pStrongIn, eng.orderN+1)
-	eng.pE = resetQueues(eng.pE, eng.orderN+1)
-
+	eng.begin(len(d.Nodes))
 	for _, dn := range d.Nodes {
 		eng.addNode(dn)
 	}
@@ -542,9 +547,109 @@ func (eng *incEngine) apply(d *Delta) {
 	for _, ip := range d.Intra {
 		eng.addIntra(int(eng.idx[ip.Tx]), int(eng.idx[ip.A]), int(eng.idx[ip.B]))
 	}
+	eng.drain()
+}
 
-	for l := 0; l <= eng.orderN && !eng.failed; l++ {
+// load runs a whole system through an empty engine as one delta, reading
+// sys in place: no Delta is built and nothing is copied. sys must be
+// structurally valid (model.System.ValidateStructure); its relation pairs
+// need not be — a pair naming an unknown node, or a node outside the
+// domain Definitions 2–3 give the relation (operations of the schedule
+// for conflicts and output orders, its transactions for input orders, the
+// transaction's own operations for intra orders), is ignored, which is
+// what validateDelta guarantees apply never sees.
+func (eng *incEngine) load(sys *model.System) {
+	ids := sys.NodeIDs()
+	eng.begin(len(ids))
+	var add func(id model.NodeID)
+	add = func(id model.NodeID) {
+		if _, done := eng.idx[id]; done {
+			return
+		}
+		nd := sys.Node(id)
+		if nd.Parent != "" {
+			add(nd.Parent) // parents first
+		}
+		eng.addNode(DeltaNode{ID: id, Parent: nd.Parent, Sched: nd.Sched})
+	}
+	for _, id := range ids {
+		add(id)
+	}
+
+	// pair resolves (a, b) to indices when both nodes are known and of[·]
+	// (opSched, sched or parent) maps both to want.
+	pair := func(of []int32, want int, a, b model.NodeID) (i, j int32, ok bool) {
+		i, iok := eng.idx[a]
+		j, jok := eng.idx[b]
+		ok = iok && jok && of[i] == int32(want) && of[j] == int32(want)
+		return i, j, ok
+	}
+	for s, id := range eng.schedIDs {
+		sc := sys.Schedule(id)
+		sc.Conflicts.Each(func(a, b model.NodeID) {
+			if i, j, ok := pair(eng.opSched, s, a, b); ok {
+				eng.addConflict(s, int(i), int(j))
+			}
+		})
+		weakOut := func(a, b model.NodeID) {
+			if i, j, ok := pair(eng.opSched, s, a, b); ok {
+				eng.addWeakOut(s, int(i), int(j))
+			}
+		}
+		sc.WeakOut.Each(weakOut)
+		sc.StrongOut.Each(weakOut) // ≪ ⊆ ≺
+		sc.WeakIn.Each(func(a, b model.NodeID) {
+			if i, j, ok := pair(eng.sched, s, a, b); ok {
+				eng.addWeakIn(s, int(i), int(j), false)
+			}
+		})
+		sc.StrongIn.Each(func(a, b model.NodeID) {
+			if i, j, ok := pair(eng.sched, s, a, b); ok {
+				eng.addWeakIn(s, int(i), int(j), true)
+			}
+		})
+	}
+	for t, id := range eng.ids {
+		if eng.sched[t] < 0 {
+			continue
+		}
+		intra := func(a, b model.NodeID) {
+			if i, j, ok := pair(eng.parent, t, a, b); ok {
+				eng.addIntra(t, int(i), int(j))
+			}
+		}
+		nd := sys.Node(id)
+		if nd.WeakIntra != nil {
+			nd.WeakIntra.Each(intra)
+		}
+		if nd.StrongIntra != nil {
+			nd.StrongIntra.Each(intra)
+		}
+	}
+	eng.drain()
+}
+
+// begin opens one pass: room for n more nodes, empty frontier queues.
+func (eng *incEngine) begin(n int) {
+	eng.ensureCap(len(eng.ids) + n)
+	eng.pObs = resetQueues(eng.pObs, eng.orderN+1)
+	eng.pWeakIn = resetQueues(eng.pWeakIn, eng.orderN+1)
+	eng.pStrongIn = resetQueues(eng.pStrongIn, eng.orderN+1)
+	eng.pE = resetQueues(eng.pE, eng.orderN+1)
+}
+
+// drain empties the frontier queues level by level (all pushes go strictly
+// upward, so one ascending pass suffices). On the first reduction failure
+// the engine poisons itself and remembers the level: everything below it
+// is fully drained, and the level's own queues still hold every pair the
+// early exit skipped — what diagnose needs.
+func (eng *incEngine) drain() {
+	for l := 0; l <= eng.orderN; l++ {
 		eng.processLevel(l)
+		if eng.failed {
+			eng.failedAt = l
+			return
+		}
 	}
 }
 
@@ -728,10 +833,10 @@ func (eng *incEngine) weakOutPair(s, x, y int) {
 		}
 		eng.pushObs(int(eng.entry[t]), int32(x), int32(y))
 	default:
-		if eng.inc.opts.PropagateInputs && eng.sched[x] == eng.sched[y] && eng.sched[x] >= 0 {
+		if eng.propagate && eng.sched[x] == eng.sched[y] && eng.sched[x] >= 0 {
 			c := int(eng.sched[x])
 			eng.addWeakIn(c, x, y, false)
-			eng.inc.sys.Schedule(eng.schedIDs[c]).WeakIn.Add(eng.ids[x], eng.ids[y])
+			eng.sys.Schedule(eng.schedIDs[c]).WeakIn.Add(eng.ids[x], eng.ids[y])
 		}
 	}
 	if eng.confDecl[s].Has(x, y) {
@@ -908,18 +1013,46 @@ func (eng *incEngine) processLevel(l int) {
 	}
 }
 
-// verdict assembles the success verdict, identical to Check's: the same
-// step reports (schedule-ascending, NodeID-sorted Reduced lists), the
-// same materialized final front, and the same serial witness.
-func (eng *incEngine) verdict() (*Verdict, error) {
+// verdict assembles the verdict of the accumulated execution, identical
+// to the reference's: the same step reports (schedule-ascending,
+// NodeID-sorted Reduced lists), the same materialized fronts (every level
+// the reduction built when keepFronts, else the final one on success), and
+// on success the same serial witness, on failure the same diagnostics.
+func (eng *incEngine) verdict(keepFronts bool) (*Verdict, error) {
 	v := &Verdict{Order: eng.orderN, FailedLevel: -1}
-	v.Steps = append(v.Steps, &StepReport{Level: 0})
-	for l := 1; l <= eng.orderN; l++ {
+	last := eng.orderN // level of the last step attempted
+	if eng.failed {
+		last = eng.failedAt
+	}
+	for l := 0; l <= last; l++ {
 		v.Steps = append(v.Steps, &StepReport{Level: l, Reduced: eng.reducedAt(l)})
 	}
-	final := eng.materializeFinal()
-	v.Fronts = []*Front{final}
 
+	if eng.failed {
+		rep := v.Steps[last]
+		if last == 0 {
+			// The level 0 front is built, not stepped to: the reference
+			// reports its CC failure in Reason only and keeps the front.
+			rep = &StepReport{}
+		}
+		if err := eng.diagnose(rep); err != nil {
+			return nil, err
+		}
+		v.FailedLevel, v.Reason = last, failReason(rep)
+		if keepFronts {
+			for l := 0; l <= max(last-1, 0); l++ {
+				v.Fronts = append(v.Fronts, eng.materialize(l))
+			}
+		}
+		return v, nil
+	}
+
+	for l := 0; l <= last; l++ {
+		if keepFronts || l == last {
+			v.Fronts = append(v.Fronts, eng.materialize(l))
+		}
+	}
+	final := v.Fronts[len(v.Fronts)-1]
 	if final.Len() != eng.rootCount {
 		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", eng.orderN, final.Len(), eng.rootCount)
 	}
@@ -933,9 +1066,193 @@ func (eng *incEngine) verdict() (*Verdict, error) {
 	return v, nil
 }
 
+// diagnose fills rep with the failure the reference reports for the level
+// that tripped. drain stopped at the first violated check it met, in
+// arrival order; the reference reports the first in its own order of
+// checks. So diagnose first completes the level's relations from the
+// still-pending queues without any early exit (every level below is fully
+// drained, so the queues hold every remaining generating pair), then asks
+// the reference's questions in the reference's order (Definition 16):
+// a group with cyclic internal constraints, smallest NodeID first
+// (FailCalculation); a cycle between groups (FailIsolation); a cycle in
+// observed order ∪ weak input order (FailCC — the only check at level 0).
+// The engine's own state is spent afterwards; a failed engine is never
+// applied to again.
+func (eng *incEngine) diagnose(rep *StepReport) error {
+	l := rep.Level
+	st := eng.lv[l]
+
+	if l >= 1 {
+		for _, p := range eng.pE[l] {
+			st.e.Add(int(p.a), int(p.b))
+		}
+		// Groups with an internal constraint pair are the only candidates
+		// for a missing calculation; q collects the pairs between groups.
+		q := order.NewIndexRelation(eng.capN)
+		groups := order.NewBitset(eng.capN)
+		inner := order.NewBitset(eng.capN)
+		st.e.Each(func(a, b int) {
+			ga, gb := eng.group(a, l), eng.group(b, l)
+			groups.Set(ga)
+			groups.Set(gb)
+			if ga != gb {
+				q.Add(ga, gb)
+			} else {
+				inner.Set(ga)
+			}
+		})
+		for _, g := range eng.sortedByID(inner) {
+			members := []int32{g} // a surviving node constrained against itself
+			if eng.isNewTxAt(int(g), l) {
+				members = eng.children[g]
+			}
+			if !subgraphCyclic(st.e, members) {
+				continue
+			}
+			mask := order.NewBitset(eng.capN)
+			for _, m := range members {
+				mask.Set(int(m))
+			}
+			rep.Failure = FailCalculation
+			rep.BadTransaction = eng.ids[g]
+			rep.Cycle = eng.findCycle(st.e, mask)
+			return nil
+		}
+		if c := eng.findCycle(q, groups); c != nil {
+			rep.Failure = FailIsolation
+			rep.Cycle = c
+			return nil
+		}
+	}
+
+	for _, p := range eng.pObs[l] {
+		st.obs.Insert(int(p.a), int(p.b))
+	}
+	u := st.obs.Rel().Clone()
+	u.Or(st.weakIn)
+	for _, p := range eng.pWeakIn[l] {
+		u.Add(int(p.a), int(p.b))
+	}
+	if c := eng.findCycle(u, st.nodes); c != nil {
+		rep.Failure = FailCC
+		rep.Cycle = c
+		return nil
+	}
+	return fmt.Errorf("front: reduction failed at level %d but no violated check was found (engine bug)", l)
+}
+
+// sortedByID lists the node indices of set in ascending NodeID order — the
+// order the string-keyed reference iterates in, which arrival-order
+// indices lack.
+func (eng *incEngine) sortedByID(set order.Bitset) []int32 {
+	out := indices(set)
+	slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(eng.ids[a], eng.ids[b]) })
+	return out
+}
+
+// indices lists the set bits of set, ascending.
+func indices(set order.Bitset) []int32 {
+	out := make([]int32, 0, set.Count())
+	set.Each(func(i int) { out = append(out, int32(i)) })
+	return out
+}
+
+// findCycle is Relation.FindCycle on rel restricted to the nodes of mask,
+// mirroring the reference exactly — white/grey/black DFS, roots and
+// successors visited in ascending NodeID order, identical back-edge cycle
+// reconstruction — so witness cycles match the string-keyed path byte for
+// byte. Returns nil when acyclic over mask.
+func (eng *incEngine) findCycle(rel *order.IndexRelation, mask order.Bitset) []model.NodeID {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make([]byte, len(eng.ids))
+	parent := make([]int32, len(eng.ids))
+	// One string sort ranks the masked nodes; successor lists then sort on
+	// the integer rank.
+	roots := eng.sortedByID(mask)
+	rank := make([]int32, len(eng.ids))
+	for k, u := range roots {
+		rank[u] = int32(k)
+	}
+	row := order.NewBitset(eng.capN)
+	successors := func(u int32) []int32 {
+		clear(row)
+		row.OrAnd(rel.Row(int(u)), mask)
+		out := indices(row)
+		slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(rank[a], rank[b]) })
+		return out
+	}
+
+	var cycle []model.NodeID
+	var dfs func(u int32) bool
+	dfs = func(u int32) bool {
+		color[u] = grey
+		for _, m := range successors(u) {
+			switch color[m] {
+			case white:
+				parent[m] = u
+				if dfs(m) {
+					return true
+				}
+			case grey:
+				// Back edge u -> m: reconstruct the path m ... u.
+				cycle = []model.NodeID{eng.ids[m]}
+				for x := u; x != m; x = parent[x] {
+					cycle = append(cycle, eng.ids[x])
+				}
+				slices.Reverse(cycle[1:])
+				return true
+			}
+		}
+		color[u] = black
+		return false
+	}
+	for _, u := range roots {
+		if color[u] == white && dfs(u) {
+			return cycle
+		}
+	}
+	return nil
+}
+
+// subgraphCyclic reports whether e restricted to members contains a cycle.
+func subgraphCyclic(e *order.IndexRelation, members []int32) bool {
+	if len(members) == 0 {
+		return false
+	}
+	color := make([]byte, len(members))
+	var dfs func(k int) bool
+	dfs = func(k int) bool {
+		color[k] = 1
+		row := e.Row(int(members[k]))
+		for k2, m := range members {
+			if !row.Has(int(m)) {
+				continue
+			}
+			if color[k2] == 1 {
+				return true
+			}
+			if color[k2] == 0 && dfs(k2) {
+				return true
+			}
+		}
+		color[k] = 2
+		return false
+	}
+	for k := range members {
+		if color[k] == 0 && dfs(k) {
+			return true
+		}
+	}
+	return false
+}
+
 // reducedAt lists the transactions entering the front at level l, per
 // ascending schedule, NodeIDs sorted — the arrival-order indices need an
-// explicit sort to reproduce the reference's lexicographic interning.
+// explicit sort to reproduce the reference's lexicographic order.
 func (eng *incEngine) reducedAt(l int) []model.NodeID {
 	var out []model.NodeID
 	for _, s := range eng.schedsAt[l] {
@@ -943,18 +1260,18 @@ func (eng *incEngine) reducedAt(l int) []model.NodeID {
 		for _, t := range eng.txs[s] {
 			ids = append(ids, eng.ids[t])
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		out = append(out, ids...)
 	}
 	return out
 }
 
-// materializeFinal converts the level-N state to the string-keyed Front
-// of the public API, exactly as sysIndex.materialize does.
-func (eng *incEngine) materializeFinal() *Front {
-	st := eng.lv[eng.orderN]
+// materialize converts the level-l state to the string-keyed Front of the
+// public API.
+func (eng *incEngine) materialize(l int) *Front {
+	st := eng.lv[l]
 	out := &Front{
-		Level:    eng.orderN,
+		Level:    l,
 		nodes:    make(map[model.NodeID]struct{}, st.nodes.Count()),
 		Obs:      order.New[model.NodeID](),
 		Con:      model.NewPairSet(),

@@ -104,7 +104,10 @@ func TestIncrementalPrefixExactJoin(t *testing.T) {
 // TestIncrementalPrefixExactGeneral sweeps general configurations: mixed
 // leaf and transaction operations exercise rule-1 lifting, multi-level
 // fronts and — because schedules are invoked gradually — engine rebuilds
-// on level-assignment changes.
+// on level-assignment changes. Each also runs relabelled, as a system and
+// as a stream that keeps its arrival order while the NodeID order reverses:
+// the generators name nodes in generation order, so only there does a
+// diagnosis read off arrival-order indices differ from the reference's.
 func TestIncrementalPrefixExactGeneral(t *testing.T) {
 	for _, depth := range []int{2, 3} {
 		for _, cr := range []float64{0.3, 0.7} {
@@ -113,7 +116,10 @@ func TestIncrementalPrefixExactGeneral(t *testing.T) {
 					Depth: depth, SchedsPerLevel: 2, Roots: 2, Fanout: 2,
 					LeafRate: 0.4, ConflictRate: cr, Seed: seed,
 				})
-				replayBoth(t, fmt.Sprintf("general/d%d/c%.1f/seed%d", depth, cr, seed), exec.Sys)
+				tag := fmt.Sprintf("general/d%d/c%.1f/seed%d", depth, cr, seed)
+				replayBoth(t, tag, exec.Sys)
+				replayBoth(t, tag+"/relabelled", relabel(exec.Sys))
+				replayPrefixExact(t, tag+"/relabelled-stream", relabelStream(front.DecomposeSteps(exec.Sys)))
 			}
 		}
 	}
@@ -241,6 +247,71 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 			if _, err := inc.Admit(d); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestDiagnosticsInNodeIDOrder is a hand-built stream whose roots arrive as
+// T10, T9, T2 — neither ascending nor descending NodeID order — and which
+// fails three ways in turn, each time with two candidate witnesses: one
+// the engine meets first in arrival order, one the reference meets first
+// in NodeID order. Every prefix must carry the reference's.
+func TestDiagnosticsInNodeIDOrder(t *testing.T) {
+	root := func(id model.NodeID, leaves ...model.NodeID) []front.DeltaNode {
+		nodes := []front.DeltaNode{{ID: id, Sched: "S"}}
+		for _, l := range leaves {
+			nodes = append(nodes, front.DeltaNode{ID: l, Parent: id})
+		}
+		return nodes
+	}
+	// ordered declares a ≺ b between conflicting operations of S.
+	ordered := func(d *front.Delta, a, b model.NodeID) {
+		d.Conflicts = append(d.Conflicts, front.DeltaPair{Sched: "S", A: a, B: b})
+		d.WeakOut = append(d.WeakOut, front.DeltaPair{Sched: "S", A: a, B: b})
+	}
+	first := &front.Delta{Schedules: []model.ScheduleID{"S"}, Nodes: root("T10", "T10.a")}
+	second := &front.Delta{Nodes: root("T9", "T9.a", "T9.b", "T9.c")}
+	ordered(second, "T9.a", "T10.a") // T9 before T10: still serializable
+	// T9 and T2 each precede the other: no isolated arrangement at level 1.
+	isolation := &front.Delta{Nodes: root("T2", "T2.a", "T2.b", "T2.c")}
+	ordered(isolation, "T9.a", "T2.a")
+	ordered(isolation, "T2.b", "T9.b")
+	// Both transactions get an intra order their schedule contradicts: no
+	// calculation for either, and the missing calculation is reported first.
+	calculation := &front.Delta{Intra: []front.DeltaIntra{
+		{Tx: "T9", A: "T9.a", B: "T9.b"},
+		{Tx: "T2", A: "T2.a", B: "T2.b"},
+	}}
+	ordered(calculation, "T9.b", "T9.a")
+	ordered(calculation, "T2.b", "T2.a")
+	// A cyclic output order between two leaves: the level 0 front is not CC.
+	level0 := &front.Delta{WeakOut: []front.DeltaPair{
+		{Sched: "S", A: "T9.c", B: "T2.c"},
+		{Sched: "S", A: "T2.c", B: "T9.c"},
+	}}
+	deltas := []*front.Delta{first, second, isolation, calculation, level0}
+
+	correct, failed, inc := replayPrefixExact(t, "three-roots", deltas)
+	if correct != 2 || failed != 3 {
+		t.Fatalf("%d correct and %d failed prefixes, want 2 and 3", correct, failed)
+	}
+	checkBothWays(t, "three-roots/whole", inc.System())
+
+	// The reference's witnesses, spelled out so that engine and oracle
+	// cannot drift to the arrival-order ones (T9 first) together.
+	want := []string{
+		"Comp-C: INCORRECT at level 1: transactions cannot be isolated: cycle [T2 T9]",
+		"Comp-C: INCORRECT at level 1: no calculation for transaction T2: cycle [T2.a T2.b]",
+		"Comp-C: INCORRECT at level 0: level 0 front not conflict consistent: cycle [T2.c]",
+	}
+	prefix := model.NewSystem()
+	for i, d := range deltas {
+		d.Apply(prefix)
+		if i < 2 {
+			continue
+		}
+		if v, err := front.Check(prefix, front.Options{}); err != nil || v.String() != want[i-2] {
+			t.Fatalf("prefix %d: %v (err %v), want %s", i, v, err, want[i-2])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package front_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -115,24 +116,24 @@ func TestRelabelingInvariance(t *testing.T) {
 	}
 }
 
-// relabel rewrites every node and schedule ID through a reversible mangle
-// that also reverses lexicographic order (prefix + inverted runes), to
-// shake out any accidental dependence on ID ordering.
-func relabel(sys *model.System) *model.System {
-	mangle := func(s string) string {
-		var b strings.Builder
-		b.WriteString("zz_")
-		for _, r := range s {
-			b.WriteRune('~' - (r-' ')%('~'-' '))
-		}
-		// Keep IDs unique even if the inversion collides by appending the
-		// original length marker.
-		fmt.Fprintf(&b, "_%d", len(s))
-		return b.String() + "_" + s // uniqueness guaranteed by the suffix
+// mangle renames an ID reversibly so that lexicographic order is reversed
+// (prefix + inverted runes), to shake out any accidental dependence on ID
+// ordering. Uniqueness is guaranteed by the original riding as a suffix.
+func mangle(s string) string {
+	var b strings.Builder
+	b.WriteString("zz_")
+	for _, r := range s {
+		b.WriteRune('~' - (r-' ')%('~'-' '))
 	}
-	mn := func(id model.NodeID) model.NodeID { return model.NodeID(mangle(string(id))) }
-	ms := func(id model.ScheduleID) model.ScheduleID { return model.ScheduleID(mangle(string(id))) }
+	fmt.Fprintf(&b, "_%d_%s", len(s), s)
+	return b.String()
+}
 
+func mn(id model.NodeID) model.NodeID         { return model.NodeID(mangle(string(id))) }
+func ms(id model.ScheduleID) model.ScheduleID { return model.ScheduleID(mangle(string(id))) }
+
+// relabel rewrites every node and schedule ID of sys through mangle.
+func relabel(sys *model.System) *model.System {
 	out := model.NewSystem()
 	for _, sc := range sys.Schedules() {
 		out.AddSchedule(ms(sc.ID))
@@ -259,4 +260,146 @@ func vouchedAbove(sys *model.System, a, b model.NodeID) bool {
 		pa, pb = pa2, pb2
 	}
 	return false
+}
+
+// relabelStream renames a delta stream through mangle, keeping the order of
+// the stream: nodes still arrive in the original's NodeID order, which is
+// now the reverse of their own — the input on which an engine that reads
+// diagnostics off arrival-order indices without sorting disagrees with the
+// reference.
+func relabelStream(deltas []*front.Delta) []*front.Delta {
+	pairs := func(ps []front.DeltaPair) []front.DeltaPair {
+		var out []front.DeltaPair
+		for _, p := range ps {
+			out = append(out, front.DeltaPair{Sched: ms(p.Sched), A: mn(p.A), B: mn(p.B)})
+		}
+		return out
+	}
+	out := make([]*front.Delta, len(deltas))
+	for i, d := range deltas {
+		r := &front.Delta{
+			Conflicts: pairs(d.Conflicts),
+			WeakOut:   pairs(d.WeakOut), StrongOut: pairs(d.StrongOut),
+			WeakIn: pairs(d.WeakIn), StrongIn: pairs(d.StrongIn),
+		}
+		for _, id := range d.Schedules {
+			r.Schedules = append(r.Schedules, ms(id))
+		}
+		for _, n := range d.Nodes {
+			rn := front.DeltaNode{ID: mn(n.ID)}
+			if n.Parent != "" {
+				rn.Parent = mn(n.Parent)
+			}
+			if n.Sched != "" {
+				rn.Sched = ms(n.Sched)
+			}
+			r.Nodes = append(r.Nodes, rn)
+		}
+		for _, ip := range d.Intra {
+			r.Intra = append(r.Intra, front.DeltaIntra{Tx: mn(ip.Tx), A: mn(ip.A), B: mn(ip.B), Strong: ip.Strong})
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// perturb adds k random relation pairs to sys, each inside the domain its
+// relation has (operations, transactions or one transaction's operations of
+// a schedule): the raw material of every failure kind, which the
+// generators — they record executions of well-behaved schedulers — hardly
+// produce: contradicted intra orders, input orders against observed ones.
+func perturb(sys *model.System, rng *rand.Rand, k int) {
+	scheds := sys.Schedules()
+	for ; k > 0; k-- {
+		sc := scheds[rng.Intn(len(scheds))]
+		txs := sys.Transactions(sc.ID)
+		if len(txs) == 0 {
+			continue
+		}
+		from := sys.Ops(sc.ID)
+		kind := rng.Intn(6)
+		switch kind {
+		case 2, 3:
+			from = txs
+		case 4, 5:
+			from = sys.Children(txs[rng.Intn(len(txs))])
+		}
+		if len(from) < 2 {
+			continue
+		}
+		a, b := from[rng.Intn(len(from))], from[rng.Intn(len(from))]
+		if a == b {
+			continue
+		}
+		switch kind {
+		case 0:
+			sc.WeakOut.Add(a, b)
+		case 1:
+			sc.StrongOut.Add(a, b)
+		case 2:
+			sc.WeakIn.Add(a, b)
+		case 3:
+			sc.StrongIn.Add(a, b)
+		default: // an intra order, contradicted by the schedule in case 5
+			nd := sys.Node(sys.Node(a).Parent)
+			if nd.WeakIntra == nil {
+				nd.WeakIntra = order.New[model.NodeID]()
+			}
+			nd.WeakIntra.Add(a, b)
+			if kind == 5 {
+				sc.AddConflict(a, b)
+				sc.WeakOut.Add(b, a)
+			}
+		}
+	}
+}
+
+// TestDiagnosticsMatchReferenceOnPerturbed: on perturbed executions Check
+// and every stream prefix — the system as generated, relabelled, and as a
+// relabelled stream in the original arrival order — carry the reference's
+// verdict, and the sweep meets every failure kind of a reduction step.
+// Systems in which the perturbation made a schedule's own order cyclic are
+// skipped: they break Definition 3, and the reference is no oracle there
+// (so the level 0 failure is left to TestDiagnosticsInNodeIDOrder).
+func TestDiagnosticsMatchReferenceOnPerturbed(t *testing.T) {
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 150; seed++ {
+		var sys *model.System
+		switch seed % 3 {
+		case 0:
+			sys = workload.General(workload.GeneralParams{Depth: 2 + int(seed%2), SchedsPerLevel: 2, Roots: 3,
+				Fanout: 2, LeafRate: 0.4, ConflictRate: 0.05, Seed: seed}).Sys
+		case 1:
+			sys = workload.Stack(workload.StackParams{Levels: 1 + int(seed%2), Roots: 3, Fanout: 2,
+				ConflictRate: 0.05, StrongRate: 0.2, Seed: seed}).Sys
+		case 2:
+			sys = workload.Join(workload.JoinParams{Tops: 2, RootsPerTop: 2, Fanout: 2, LeavesPerSub: 2,
+				ConflictRate: 0.05, TopConflictRate: 0.1, Seed: seed}).Sys
+		}
+		rng := rand.New(rand.NewSource(seed))
+		perturb(sys, rng, 1+rng.Intn(4))
+		cyclic := false
+		for _, sc := range sys.Schedules() {
+			cyclic = cyclic || order.UnionOf(sc.WeakOut, sc.StrongOut).HasCycle() || order.UnionOf(sc.WeakIn, sc.StrongIn).HasCycle()
+		}
+		if cyclic {
+			continue
+		}
+		tag := fmt.Sprintf("perturbed/seed%d", seed)
+		checkBothWays(t, tag, sys)
+		checkBothWays(t, tag+"/relabelled", relabel(sys))
+		replayBoth(t, tag, sys)
+		replayPrefixExact(t, tag+"/relabelled-stream", relabelStream(front.DecomposeSteps(sys)))
+
+		v, err := front.Check(sys, front.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[v.Steps[len(v.Steps)-1].Failure.String()]++
+	}
+	for _, kind := range []front.FailureKind{front.FailNone, front.FailCalculation, front.FailIsolation, front.FailCC} {
+		if seen[kind.String()] < 5 {
+			t.Errorf("only %d executions ended in %q; the sweep must cover every outcome (%v)", seen[kind.String()], kind, seen)
+		}
+	}
 }

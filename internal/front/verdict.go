@@ -142,15 +142,13 @@ type Options struct {
 // the system itself is malformed (recursive configuration); a well-formed
 // but incorrect execution yields Correct == false.
 //
-// Check runs the reduction on the interned-index engine (indexed.go): it
-// neither clones nor normalizes sys — schedule orders are closed on the
-// index side while building the per-check sysIndex. The only mutation of
-// sys is the cached node interner (model.System.Intern); for concurrent
-// checks of one shared System use CheckBatch, or call sys.Intern (or
-// Normalize) once beforehand. Verdicts are identical to the string-keyed
-// reference reduction, which CheckReference retains and the property
-// tests in indexed_test.go compare against; failure diagnostics use the
-// same lexicographic cycle search, so traces match byte for byte.
+// Check is a single-delta run of the package's one reduction engine
+// (incremental.go): after the input checks the engine indexes sys in
+// place — it neither clones, normalizes nor writes to it, so any number
+// of goroutines may check one System at once — and drains every level.
+// Verdicts, failure diagnostics included, are identical to those of the
+// string-keyed oracle CheckReference, which the property tests compare
+// against byte for byte.
 func Check(sys *model.System, opts Options) (*Verdict, error) {
 	if err := sys.ValidateStructure(); err != nil {
 		return nil, err
@@ -159,78 +157,32 @@ func Check(sys *model.System, opts Options) (*Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	si := buildSysIndex(sys, levels)
-	n := si.order
-
-	v := &Verdict{Order: n, FailedLevel: -1}
-	f := si.level0()
-	v.Steps = append(v.Steps, &StepReport{Level: 0})
-	if opts.KeepFronts {
-		v.Fronts = append(v.Fronts, si.materialize(f))
-	}
-	if c := si.ccCycle(f); c != nil {
-		v.FailedLevel = 0
-		v.Reason = fmt.Sprintf("level 0 front not conflict consistent: cycle %v", si.nodeIDs(c))
-		return v, nil
-	}
-
-	for f.level < n {
-		nf, rep := si.step(f)
-		v.Steps = append(v.Steps, rep)
-		if nf == nil {
-			v.FailedLevel = rep.Level
-			switch rep.Failure {
-			case FailCalculation:
-				v.Reason = fmt.Sprintf("no calculation for transaction %s: cycle %v", rep.BadTransaction, rep.Cycle)
-			case FailIsolation:
-				v.Reason = fmt.Sprintf("transactions cannot be isolated: cycle %v", rep.Cycle)
-			case FailCC:
-				v.Reason = fmt.Sprintf("level %d front not conflict consistent: cycle %v", rep.Level, rep.Cycle)
-			}
-			return v, nil
-		}
-		f = nf
-		if opts.KeepFronts {
-			v.Fronts = append(v.Fronts, si.materialize(f))
-		}
-	}
-
-	var final *Front
-	if opts.KeepFronts {
-		final = v.Fronts[len(v.Fronts)-1]
-	} else {
-		final = si.materialize(f)
-		v.Fronts = []*Front{final}
-	}
-
-	// The level-N front must consist of exactly the root transactions.
-	roots := sys.Roots()
-	if final.Len() != len(roots) {
-		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", n, final.Len(), len(roots))
-	}
-	for _, r := range roots {
-		if !final.Has(r) {
-			return nil, fmt.Errorf("front: root %s missing from level %d front", r, n)
-		}
-	}
-
-	serial, ok := final.SerialWitness()
-	if !ok {
-		// Cannot happen: the final front passed the CC check.
-		return nil, fmt.Errorf("front: CC level-%d front has no topological order", n)
-	}
-	v.Correct = true
-	v.SerialOrder = serial
-	return v, nil
+	eng := newIncEngine(sys, levels, false, sys.NumNodes())
+	eng.load(sys)
+	return eng.verdict(opts.KeepFronts)
 }
 
-// CheckReference is the string-keyed reduction Check ran before the
-// interned-index engine existed, kept verbatim as the reference oracle:
-// the property tests in indexed_test.go assert Check ≡ CheckReference on
-// random workloads, and bench/ times it against Check (the
-// front.reference_ratio probe, see bench/README.md). It works on a
-// normalized clone and does not mutate sys. Use Check; this exists for
-// testing and benchmarking only.
+// failReason is the Verdict.Reason line of a failed step report (a level 0
+// report describes the level 0 front, which only the CC check can fail).
+func failReason(rep *StepReport) string {
+	switch rep.Failure {
+	case FailCalculation:
+		return fmt.Sprintf("no calculation for transaction %s: cycle %v", rep.BadTransaction, rep.Cycle)
+	case FailIsolation:
+		return fmt.Sprintf("transactions cannot be isolated: cycle %v", rep.Cycle)
+	default:
+		return fmt.Sprintf("level %d front not conflict consistent: cycle %v", rep.Level, rep.Cycle)
+	}
+}
+
+// CheckReference is the oracle: the readable string-keyed reduction of
+// Definitions 15–16 (Level0 and Step in front.go and reduce.go), sharing
+// no code with the engine. The property tests assert the engine ≡
+// CheckReference on random workloads, every stream prefix included, and
+// bench/ compares verdicts and times the two (the front.reference_ratio
+// probe, see bench/README.md). It works on a normalized clone and does
+// not mutate sys. Use Check; this exists for testing and benchmarking
+// only.
 func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
 	if err := sys.ValidateStructure(); err != nil {
 		return nil, err
@@ -256,7 +208,7 @@ func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
 	}
 	if !f.IsCC() {
 		v.FailedLevel = 0
-		v.Reason = fmt.Sprintf("level 0 front not conflict consistent: cycle %v", f.ccCycle())
+		v.Reason = failReason(&StepReport{Level: 0, Failure: FailCC, Cycle: f.ccCycle()})
 		return v, nil
 	}
 
@@ -265,14 +217,7 @@ func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
 		v.Steps = append(v.Steps, rep)
 		if nf == nil {
 			v.FailedLevel = rep.Level
-			switch rep.Failure {
-			case FailCalculation:
-				v.Reason = fmt.Sprintf("no calculation for transaction %s: cycle %v", rep.BadTransaction, rep.Cycle)
-			case FailIsolation:
-				v.Reason = fmt.Sprintf("transactions cannot be isolated: cycle %v", rep.Cycle)
-			case FailCC:
-				v.Reason = fmt.Sprintf("level %d front not conflict consistent: cycle %v", rep.Level, rep.Cycle)
-			}
+			v.Reason = failReason(rep)
 			return v, nil
 		}
 		f = nf

@@ -4,17 +4,17 @@ import "slices"
 
 // Interner assigns every node of a System a stable dense int32 index, the
 // bridge between the string-keyed construction surface and the
-// interned-index relation core (order.IndexRelation) the checker runs on.
+// interned-index relation core (order.IndexRelation). The reduction engine
+// of internal/front interns on its own, in arrival order; this one serves
+// callers that want a whole system's relations on dense rows (bench/'s
+// order probes).
 //
 // Indices are assigned in lexicographic NodeID order, so ascending index
 // iteration over dense rows reproduces the deterministic lexicographic
-// iteration order the string-keyed code paths use — interned and
-// string-keyed computations therefore make identical tie-breaking
-// decisions.
+// iteration order the string-keyed code paths use.
 //
 // An Interner is immutable once built. The System caches one lazily and
-// invalidates the cache whenever its node set changes, so repeated checks
-// of the same system intern only once.
+// invalidates the cache whenever its node set changes.
 type Interner struct {
 	ids []NodeID
 	idx map[NodeID]int32
@@ -24,9 +24,7 @@ type Interner struct {
 // and caching it on first use. Any mutation of the node set (AddRoot,
 // AddTx, AddLeaf, RemoveTree, Decode) invalidates the cache.
 //
-// The cached build is NOT safe for concurrent first use; CheckBatch
-// pre-interns every system sequentially before fanning out, after which
-// concurrent reads are safe.
+// The cached build is NOT safe for concurrent first use.
 func (s *System) Intern() *Interner {
 	if s.interner == nil {
 		ids := make([]NodeID, 0, len(s.nodes))

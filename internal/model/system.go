@@ -291,11 +291,8 @@ func (s *System) Order() (int, error) {
 // orders are "in all cases, transitively closed" (Definition 1), but
 // builders and recorders typically supply generating pairs only. Validate
 // and the reduction both call Normalize-like closures internally; calling
-// it explicitly makes the stored system canonical. Normalize also builds
-// (and caches) the node interner, so a normalized system is ready for the
-// interned-index checker without further allocation.
+// it explicitly makes the stored system canonical.
 func (s *System) Normalize() {
-	s.Intern()
 	for _, sc := range s.schedules {
 		sc.WeakIn = sc.WeakIn.TransitiveClosure()
 		sc.StrongIn = sc.StrongIn.TransitiveClosure()

@@ -49,7 +49,8 @@ func TestInsertFuncReportsExactDelta(t *testing.T) {
 			}
 		}
 		// Final state must equal the batch closure of the same raw pairs.
-		want := collectPairs(CloseRelation(raw))
+		want := map[string]bool{}
+		raw.TransitiveClosure().Each(func(i, j int) { want[fmt.Sprintf("%d,%d", i, j)] = true })
 		if got := collectPairs(c); len(got) != len(want) {
 			t.Fatalf("seed %d: incremental closure has %d pairs, batch has %d", seed, len(got), len(want))
 		} else {
@@ -70,12 +71,12 @@ func TestInsertFuncMaintainsTranspose(t *testing.T) {
 		c.InsertFunc(rng.Intn(n), rng.Intn(n), func(x, y int) {})
 	}
 	c.Each(func(i, j int) {
-		if !c.PredRow(j).Has(i) {
+		if !c.pred.Row(j).Has(i) {
 			t.Fatalf("pred transpose missing (%d,%d)", i, j)
 		}
 	})
 	for i := 0; i < n; i++ {
-		c.PredRow(i).Each(func(j int) {
+		c.pred.Row(i).Each(func(j int) {
 			if !c.Has(j, i) {
 				t.Fatalf("stale pred pair (%d,%d)", j, i)
 			}

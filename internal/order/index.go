@@ -3,14 +3,11 @@ package order
 import "math/bits"
 
 // This file is the interned-index relation core: dense bitset-backed
-// relations over integer node indices. internal/front runs the whole
-// reduction of Definition 16 on these after interning every NodeID to an
-// int32 (see model.Interner); the string-keyed Relation remains the
-// construction and API surface and is converted at the Check boundary.
-//
-// Indices are expected to be assigned in lexicographic NodeID order, so
-// ascending index iteration reproduces the deterministic lexicographic
-// iteration order of Relation.
+// relations over integer node indices. internal/front's reduction engine
+// runs Definition 16 on these after interning every NodeID to an int32;
+// the string-keyed Relation remains the construction and API surface.
+// Iteration is in ascending index order; a caller that needs the
+// lexicographic NodeID order of Relation sorts on its side.
 
 // Bitset is a fixed-capacity dense bit vector. It is the row type of
 // IndexRelation, exported so the reduction hot path can compose rows with
@@ -23,9 +20,6 @@ func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 // Set sets bit i.
 func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear clears bit i.
-func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
-
 // Has reports whether bit i is set. A nil bitset has no bits.
 func (b Bitset) Has(i int) bool {
 	w := i / 64
@@ -36,26 +30,6 @@ func (b Bitset) Has(i int) bool {
 func (b Bitset) Or(o Bitset) {
 	for i := range o {
 		b[i] |= o[i]
-	}
-}
-
-// And sets b &= o; a nil o clears b.
-func (b Bitset) And(o Bitset) {
-	for i := range b {
-		if i < len(o) {
-			b[i] &= o[i]
-		} else {
-			b[i] = 0
-		}
-	}
-}
-
-// AndNot sets b &^= o.
-func (b Bitset) AndNot(o Bitset) {
-	for i := range o {
-		if i < len(b) {
-			b[i] &^= o[i]
-		}
 	}
 }
 
@@ -329,15 +303,6 @@ func NewClosedRelation(n int) *ClosedRelation {
 	return &ClosedRelation{succ: NewIndexRelation(n), pred: NewIndexRelation(n)}
 }
 
-// CloseRelation fully closes r and returns it as a ClosedRelation ready
-// for incremental updates.
-func CloseRelation(r *IndexRelation) *ClosedRelation {
-	succ := r.TransitiveClosure()
-	pred := NewIndexRelation(r.n)
-	succ.Each(func(i, j int) { pred.Add(j, i) })
-	return &ClosedRelation{succ: succ, pred: pred}
-}
-
 // Insert adds the pair (a, b) and restores transitive closure. For a pair
 // already implied it is O(1); otherwise it ORs the reach set of b into
 // every node that reaches a (and maintains the transpose), O((|pred*(a)| +
@@ -373,10 +338,6 @@ func (c *ClosedRelation) Has(a, b int) bool { return c.succ.Has(a, b) }
 
 // Row returns the (closed) successor set of a. Callers must not mutate it.
 func (c *ClosedRelation) Row(a int) Bitset { return c.succ.Row(a) }
-
-// PredRow returns the (closed) predecessor set of a. Callers must not
-// mutate it.
-func (c *ClosedRelation) PredRow(a int) Bitset { return c.pred.Row(a) }
 
 // Rel returns the underlying closed successor relation. Callers must not
 // mutate it; Clone first.

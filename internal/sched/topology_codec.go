@@ -135,6 +135,15 @@ func decodeModes(raw json.RawMessage) (*data.ModeTable, error) {
 	if err := json.Unmarshal(raw, &custom); err != nil {
 		return nil, fmt.Errorf("bad modes: %w", err)
 	}
+	// The table's own limit, checked here: a topology file or a log's
+	// metadata record is outside input, and Declare panics past it.
+	distinct := map[string]struct{}{}
+	for _, p := range custom.Conflicts {
+		distinct[p[0]], distinct[p[1]] = struct{}{}, struct{}{}
+	}
+	if len(distinct) > data.MaxModes {
+		return nil, fmt.Errorf("custom mode table names %d modes, at most %d are supported", len(distinct), data.MaxModes)
+	}
 	t := data.NewModeTable()
 	for _, p := range custom.Conflicts {
 		t.Declare(data.Mode(p[0]), data.Mode(p[1]))

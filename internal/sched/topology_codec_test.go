@@ -1,11 +1,17 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"compositetx/internal/data"
 	"compositetx/internal/front"
+	"compositetx/internal/wal"
 )
 
 const sampleTopology = `{
@@ -21,6 +27,22 @@ const sampleTopology = `{
   },
   "entries": ["shop"]
 }`
+
+// customModesTopology declares its own conflict table.
+const customModesTopology = `{
+	  "components": [{"name": "a", "store": true,
+	    "modes": {"conflicts": [["book","book"], ["book","cancel"]]}}],
+	  "entries": ["a"]
+	}`
+
+// tooManyModes names 65 distinct modes, one more than a table holds.
+var tooManyModes = func() string {
+	var pairs []string
+	for i := 0; i <= data.MaxModes; i++ {
+		pairs = append(pairs, fmt.Sprintf(`["m%d","m%d"]`, i, i))
+	}
+	return `{"components":[{"name":"a","modes":{"conflicts":[` + strings.Join(pairs, ",") + `]}}],"entries":["a"]}`
+}()
 
 func TestDecodeTopology(t *testing.T) {
 	topo, err := DecodeTopology(strings.NewReader(sampleTopology))
@@ -68,12 +90,7 @@ func TestDecodeTopologyModeTables(t *testing.T) {
 }
 
 func TestDecodeTopologyCustomModes(t *testing.T) {
-	in := `{
-	  "components": [{"name": "a", "store": true,
-	    "modes": {"conflicts": [["book","book"], ["book","cancel"]]}}],
-	  "entries": ["a"]
-	}`
-	topo, err := DecodeTopology(strings.NewReader(in))
+	topo, err := DecodeTopology(strings.NewReader(customModesTopology))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +120,7 @@ func TestDecodeTopologyRejectsBadInput(t *testing.T) {
 		"truncated json":    `{"components":[{"name":"a"`,
 		"truncated entries": `{"components":[{"name":"a"}],"entries":["a"`,
 	}
+	cases["too many modes"] = tooManyModes
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := DecodeTopology(strings.NewReader(in)); err == nil {
@@ -159,4 +177,62 @@ func TestEncodeTopologyRoundTrip(t *testing.T) {
 			t.Fatalf("children of %q lost: %v != %v", parent, got, kids)
 		}
 	}
+}
+
+// FuzzDecodeTopology: the topology decoder reads files an operator wrote
+// and metadata records recovery finds on disk. Arbitrary bytes must never
+// panic it, and whatever it accepts must survive EncodeTopology → decode
+// unchanged (mode tables compared by their conflict pairs: named tables
+// are persisted as explicit pairs). Seeds: the cases of this file and the
+// topology documents in the metadata records of the checked-in logs.
+func FuzzDecodeTopology(f *testing.F) {
+	f.Add([]byte(sampleTopology))
+	f.Add([]byte(customModesTopology))
+	f.Add([]byte(tooManyModes))
+	f.Add([]byte(`{"components":[{"name":"a","modes":null}],"children":{"a":[]},"entries":["a"]}`))
+	f.Add([]byte(`{"components":[{"name":"a"},{"name":"b"}],"children":{"a":["b"],"b":["a"]},"entries":["a"]}`))
+	f.Add([]byte(`{"components":[{"name":"a","modes":{"conflicts":"x"}}],"entries":["a"]}`))
+	f.Add([]byte(`{"components":[{"name":"a"`))
+	for _, dir := range []string{"single", filepath.Join("dist", "coord")} {
+		recs, _, err := wal.ReadAll(filepath.Join("testdata", "logs", dir))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, rec := range recs {
+			var meta struct{ Topology json.RawMessage }
+			if rec.Type == wal.TypeMeta && json.Unmarshal(rec.Meta, &meta) == nil && len(meta.Topology) > 0 {
+				f.Add([]byte(meta.Topology))
+			}
+		}
+	}
+
+	pairs := func(s ComponentSpec) [][2]data.Mode {
+		if s.Modes == nil {
+			return nil
+		}
+		return s.Modes.Pairs()
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		topo, err := DecodeTopology(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeTopology(&buf, topo); err != nil {
+			t.Fatalf("encoding an accepted topology: %v", err)
+		}
+		back, err := DecodeTopology(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decoding the encoded topology: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back.Children, topo.Children) || !reflect.DeepEqual(back.Entries, topo.Entries) || len(back.Specs) != len(topo.Specs) {
+			t.Fatalf("shape lost in the roundtrip:\n%+v\n%+v", topo, back)
+		}
+		for i, o := range topo.Specs {
+			b := back.Specs[i]
+			if b.Name != o.Name || b.HasStore != o.HasStore || (b.Modes == nil) != (o.Modes == nil) || !reflect.DeepEqual(pairs(b), pairs(o)) {
+				t.Fatalf("spec %d lost in the roundtrip: %+v != %+v", i, b, o)
+			}
+		}
+	})
 }

@@ -13,12 +13,13 @@ import (
 // table:
 //
 //  1. Checker side: a certifier must re-decide Comp-C after every root
-//     commit. The naive way re-runs the full reduction on the whole
-//     grown prefix each time (O(N) work per commit, O(N·R) per run); the
-//     incremental engine (front.Incremental) appends the commit's delta
-//     and touches only the affected reduction state. The table reports
-//     amortized per-commit cost of both on the same commit streams and
-//     the speedup — the tentpole's ≥10x-at-256-nodes acceptance gate.
+//     commit. The naive way runs front.Check on the whole grown prefix
+//     each time — a fresh engine built and drained over the history, O(N)
+//     work per commit, O(N·R) per run; a live front.Incremental appends
+//     the commit's delta and touches only the affected reduction state.
+//     Both are the same engine; the table reports the amortized
+//     per-commit cost of each on the same commit streams and the speedup
+//     (≥10x at 256 commits).
 //
 //  2. Runtime side: what live certification costs end-to-end. The same
 //     workload runs on the prototype runtime with certification off and
@@ -29,8 +30,9 @@ import (
 // incrementalCost measures one commit stream both ways: streaming the
 // per-root deltas of sys through a fresh incremental engine (Admit, the
 // certification hot path — on success it decides without materializing a
-// verdict), and the naive apply-then-full-recheck loop a certifier would
-// otherwise run. Costs are amortized ns per commit.
+// verdict), and the naive apply-then-Check loop a certifier would
+// otherwise run (the engine rebuilt over every prefix). Costs are
+// amortized ns per commit.
 type incrementalCost struct {
 	nodes   int
 	commits int
@@ -82,8 +84,8 @@ func measureIncremental(sys *model.System, minDur time.Duration) incrementalCost
 // executions of the prototype runtime on the diamond under the hybrid
 // protocol — exactly what a live certifier sees, and correct by
 // construction (random order-generated workloads are essentially never
-// Comp-C, and a violating prefix would poison the engine into
-// full-recheck delegation, measuring nothing). Short OLTP-style
+// Comp-C, and a violating prefix would degrade the engine into a rebuild
+// per append, measuring nothing). Short OLTP-style
 // transactions (two steps) keep commits fine-grained, the regime online
 // certification is for.
 func e12Streams() []*model.System {
