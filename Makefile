@@ -94,16 +94,18 @@ distperf:
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE16' ./internal/sim
 
 # certperf runs the certifier gate: the byte-identity property suite under
-# the race detector (pipelined/fast-path admission must leave the
-# certified system byte-identical to an always-admit oracle engine, plus
-# rejection-rebuild and WAL-ordering regressions), and the E17 overhead
+# the race detector, on one P (the schedule the benchmark measures) and
+# on two (admission under the certifier's mutex, fast path included, must
+# leave the certified system byte-identical to an always-admit oracle
+# engine and to the recorder's, plus fold-between-commits, rejection-
+# rebuild and WAL-ordering regressions), and the E17 overhead
 # gate (certified throughput at least a third of the uncertified ceiling
 # at 8 clients on the 10%-conflict mix, with the fast path actually
 # taken) with the E12 ratio (appending a commit's delta at least 5x
 # cheaper than rebuilding the engine over the prefix, at 256 commits).
 # The E12/E17 gates are not under -race: they measure wall-clock time.
 certperf:
-	$(GO) test -race -count=1 -run 'TestCertify|TestPipeline|TestAbsorb' ./internal/sched ./internal/front
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestPipeline|TestAbsorb' ./internal/sched ./internal/front
 	COMPOSITETX_PERF=1 $(GO) test -count=1 -run 'TestE12Incremental|TestE17' ./internal/sim
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the

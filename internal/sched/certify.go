@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,21 +23,20 @@ import (
 // instead of being detected post-hoc; the transaction is rolled back like
 // a client abort and the committed history stays Comp-C by construction.
 //
-// Certification is a three-stage pipeline that never touches Runtime.mu:
+// Certification is one critical section on the committing goroutine, and
+// it never touches Runtime.mu:
 //
-//  1. Out-of-lock delta construction. The committing goroutine orders its
-//     stage's node declarations (children-map topological emit), sorts its
-//     events, and derives every conflict pair — intra-stage pairs by a
-//     seq-ascending sweep, cross-stage pairs by probing the sharded
-//     conflict index at an epoch-stamped snapshot. No lock serializes this
-//     work across committers.
-//  2. Ticketed admission. Tickets enqueue in arrival order and a drainer
-//     goroutine (spawned on demand, exits when the queue runs dry) admits
-//     them one by one under the certifier's own mutex — the admission
-//     order is the certified commit order. Admission first reconciles the
-//     pairs added between the ticket's snapshot epoch and now; the
-//     committer meanwhile blocks on its per-ticket result channel, so
-//     delta construction and WAL work of other commits overlap admission.
+//  1. Out of lock, the committer builds what needs no shared state: it
+//     orders its stage's node declarations (children-map topological
+//     emit), sorts its events, derives their (component, item) keys and
+//     pairs the events inside the stage by a seq-ascending sweep.
+//  2. It takes the certifier's mutex once. Inside, it probes the conflict
+//     index for the cross-stage pairs, admits the stage (fast path or
+//     engine, below), appends the stage to the index and the delta tail,
+//     and unlocks. Lock order is admission order is certified commit
+//     order; nothing about a stage is decided outside the lock, so there
+//     is no snapshot to reconcile and a checkpoint fold (same mutex)
+//     cannot land between a probe and its admission.
 //  3. Footprint-disjointness fast path. A stage with zero cross-
 //     transaction conflict pairs, no new schedule and no new invocation
 //     edge extends the history trivially (an empty delta is trivially
@@ -85,79 +83,38 @@ func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
 func certKey(comp, item string) string { return comp + "\x00" + item }
 
-// stampedEvent is one admitted conflict-relevant event, tagged with the
-// epoch of the stage that absorbed it.
-type stampedEvent struct {
-	event
-	epoch uint64
-}
-
-// modeEvents is one key's admitted events of a single mode, in
-// nondecreasing epoch order. Segregating per mode is the index's
-// last-conflicting-epoch trick: a probe screens each sublist with ONE
-// mode-table check and skips commuting sublists wholesale, so a
+// modeEvents is one key's admitted events of a single mode, in admission
+// order. Segregating per mode lets a probe screen each sublist with ONE
+// mode-table check and skip commuting sublists wholesale, so a
 // read-mostly or counter-increment key (whose events all commute) costs
 // a probing commit nothing no matter how long its history grows.
 type modeEvents struct {
 	mode data.Mode
-	evs  []stampedEvent
+	evs  []event
 }
 
-const certShards = 16
+// certIndex is the per-(component, item) conflict index over the events
+// admitted since the last checkpoint fold. It is touched only under the
+// certifier mutex.
+type certIndex map[string][]modeEvents
 
-// certShard is one shard of the conflict index. The padding keeps each
-// shard's RWMutex on its own cache line, like ckGate's.
-type certShard struct {
-	mu sync.RWMutex
-	m  map[string][]modeEvents
-	_  [24]byte
-}
-
-// certIndex is the sharded per-(component, item) conflict index. Probes
-// run out-of-lock on committing goroutines; appends and resets run only
-// under the certifier mutex. Per-mode sublists are append-only in
-// nondecreasing epoch order, so an epoch window is a binary-searched
-// contiguous range.
-type certIndex struct {
-	seed   maphash.Seed
-	shards [certShards]certShard
-}
-
-func newCertIndex() *certIndex {
-	ix := &certIndex{seed: maphash.MakeSeed()}
-	for i := range ix.shards {
-		ix.shards[i].m = map[string][]modeEvents{}
-	}
-	return ix
-}
-
-func (ix *certIndex) shard(key string) *certShard {
-	return &ix.shards[maphash.String(ix.seed, key)%certShards]
-}
-
-// probe calls fn for every admitted event of key with epoch in (lo, hi]
-// whose mode conflicts with mode under the component's table. Commuting
-// sublists are skipped after a single table check each.
-func (ix *certIndex) probe(key string, lo, hi uint64, mt *data.ModeTable, mode data.Mode, fn func(event)) {
-	sh := ix.shard(key)
-	sh.mu.RLock()
-	for _, me := range sh.m[key] {
+// probe calls fn for every admitted event of key whose mode conflicts
+// with mode under the component's table. Commuting sublists are skipped
+// after a single table check each.
+func (ix certIndex) probe(key string, mt *data.ModeTable, mode data.Mode, fn func(event)) {
+	for _, me := range ix[key] {
 		if !mt.ModeConflicts(me.mode, mode) {
 			continue
 		}
-		i := sort.Search(len(me.evs), func(i int) bool { return me.evs[i].epoch > lo })
-		for ; i < len(me.evs) && me.evs[i].epoch <= hi; i++ {
-			fn(me.evs[i].event)
+		for _, p := range me.evs {
+			fn(p)
 		}
 	}
-	sh.mu.RUnlock()
 }
 
-// addStage appends one absorbed stage's events at the given epoch
-// (admission goroutine only; epochs are nondecreasing per key and mode).
-// Events are grouped by key so each distinct key costs one shard
-// acquisition and one map access instead of one per event.
-func (ix *certIndex) addStage(keys []string, evs []event, epoch uint64) {
+// addStage appends one absorbed stage's events. Events are grouped by key
+// so each distinct key costs one map access instead of one per event.
+func (ix certIndex) addStage(keys []string, evs []event) {
 	for i := range evs {
 		first := true
 		for j := 0; j < i; j++ {
@@ -169,9 +126,7 @@ func (ix *certIndex) addStage(keys []string, evs []event, epoch uint64) {
 		if !first {
 			continue
 		}
-		sh := ix.shard(keys[i])
-		sh.mu.Lock()
-		entries := sh.m[keys[i]]
+		entries := ix[keys[i]]
 		for j := i; j < len(evs); j++ {
 			if keys[j] != keys[i] {
 				continue
@@ -180,17 +135,16 @@ func (ix *certIndex) addStage(keys []string, evs []event, epoch uint64) {
 			found := false
 			for k := range entries {
 				if entries[k].mode == e.mode {
-					entries[k].evs = append(entries[k].evs, stampedEvent{event: e, epoch: epoch})
+					entries[k].evs = append(entries[k].evs, e)
 					found = true
 					break
 				}
 			}
 			if !found {
-				entries = append(entries, modeEvents{mode: e.mode, evs: []stampedEvent{{event: e, epoch: epoch}}})
+				entries = append(entries, modeEvents{mode: e.mode, evs: []event{e}})
 			}
 		}
-		sh.m[keys[i]] = entries
-		sh.mu.Unlock()
+		ix[keys[i]] = entries
 	}
 }
 
@@ -200,23 +154,18 @@ func (ix *certIndex) addStage(keys []string, evs []event, epoch uint64) {
 // immediately refilled by the next window — while keys idle since the
 // previous fold are dropped, so a retired item does not pin its slot
 // forever.
-func (ix *certIndex) reset() {
-	for i := range ix.shards {
-		sh := &ix.shards[i]
-		sh.mu.Lock()
-		for k, entries := range sh.m {
-			active := false
-			for j := range entries {
-				if len(entries[j].evs) > 0 {
-					entries[j].evs = entries[j].evs[:0]
-					active = true
-				}
-			}
-			if !active {
-				delete(sh.m, k)
+func (ix certIndex) reset() {
+	for k, entries := range ix {
+		active := false
+		for j := range entries {
+			if len(entries[j].evs) > 0 {
+				entries[j].evs = entries[j].evs[:0]
+				active = true
 			}
 		}
-		sh.mu.Unlock()
+		if !active {
+			delete(ix, k)
+		}
 	}
 }
 
@@ -224,21 +173,13 @@ func (ix *certIndex) reset() {
 type certifier struct {
 	modes map[string]*data.ModeTable // component mode tables (read-only after New)
 
-	// epoch counts absorbed stages; every indexed event carries the epoch
-	// of the stage that absorbed it. A builder snapshots it out of lock:
-	// events at or below the snapshot are probed during construction,
-	// events above it are reconciled at admission. foldGen counts
-	// checkpoint folds — a fold invalidates snapshot-probed pairs (their
-	// endpoints may be folded out), detected by a generation mismatch.
-	epoch   atomic.Uint64
-	foldGen atomic.Uint64
-
-	index *certIndex
-
-	// mu guards the engine state below. The admission drainer holds it per
-	// ticket batch; CertifiedSystem, the checkpoint fold and the liveNodes
-	// gauge take it as readers. Runtime.mu is never acquired inside it.
+	// mu guards everything below except the two counters and the ticket
+	// pool. A committer holds it from its first index probe to its stage's
+	// index append — the order in which committers take it is the certified
+	// commit order — and CertifiedSystem, the checkpoint fold and the
+	// liveNodes gauge take it too. Runtime.mu is never acquired inside it.
 	mu     sync.Mutex
+	index  certIndex
 	inc    *front.Incremental
 	scheds map[string]bool // component schedules already declared to the engine
 	// tail holds the deltas admitted since the last checkpoint fold, in
@@ -262,19 +203,13 @@ type certifier struct {
 	pendingNode map[model.NodeID]model.NodeID // any stage node -> its pending root
 	pendingN    int                           // nodes across pending (liveNodes gauge)
 
-	// Ticket queue: enqueue appends, the drainer (spawned on demand, gone
-	// when idle) processes strictly in arrival order.
-	qmu      sync.Mutex
-	queue    []*certTicket
-	draining bool
-
 	fastPath     atomic.Int64 // stages absorbed via the fast path
 	rebuildNanos atomic.Int64 // total wall time spent in rejection rebuilds
 
 	// tickets recycles certTickets across commits. Only the fields the
-	// admitted delta does NOT retain are pooled (the footprint slices, the
-	// result channel); nodes and pairs end up inside deltas held by the
-	// tail and the pending set, so those are freshly allocated per ticket.
+	// admitted delta does NOT retain are pooled (the footprint slices);
+	// nodes and pairs end up inside deltas held by the tail and the pending
+	// set, so those are freshly allocated per ticket.
 	tickets sync.Pool
 }
 
@@ -285,7 +220,7 @@ func newCertifier(r *Runtime) *certifier {
 		// propagation, so the certified history matches the recorder.
 		inc:         front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
 		scheds:      map[string]bool{},
-		index:       newCertIndex(),
+		index:       certIndex{},
 		pending:     map[model.NodeID]*front.Delta{},
 		pendingNode: map[model.NodeID]model.NodeID{},
 	}
@@ -295,21 +230,19 @@ func newCertifier(r *Runtime) *certifier {
 	return c
 }
 
-// certTicket is one commit's admission request. Everything in it is built
-// out of lock on the committing goroutine; admission only reconciles.
+// certTicket is one commit's admission request: what the committing
+// goroutine builds out of lock, plus the scratch admission fills in.
 type certTicket struct {
 	root  model.NodeID
 	nodes []front.DeltaNode // topologically ordered node declarations
 
-	// localPairs pairs events within the stage; snapPairs pairs stage
-	// events against the index at the snapshot epoch. Each entry is both a
+	// localPairs pairs events within the stage. Each entry is both a
 	// conflict and a weak-output pair (directed by seq).
 	localPairs []front.DeltaPair
-	snapPairs  []front.DeltaPair
 
-	// The stage's footprint for reconciliation and index append: the
-	// events in global seq order with their (component, item) keys
-	// precomputed alongside.
+	// The stage's footprint for the index probe and append: the events in
+	// global seq order with their (component, item) keys precomputed
+	// alongside.
 	evs   []event
 	ekeys []string
 
@@ -318,11 +251,6 @@ type certTicket struct {
 	// admitted nodes this stage's pairs reference. Admission flushes any
 	// of them still parked in the pending set before the full Admit.
 	peers []model.NodeID
-
-	snapEpoch uint64
-	foldGen   uint64
-
-	res chan certResult
 }
 
 // notePeer records a pair counterpart for the pre-admission flush.
@@ -334,43 +262,32 @@ func (t *certTicket) notePeer(n model.NodeID) {
 }
 
 // getTicket returns a recycled (or fresh) ticket with its pooled fields
-// reset; putTicket returns it once the committer has read its result.
+// reset; admit puts it back once the stage is decided.
 func (c *certifier) getTicket() *certTicket {
 	if v := c.tickets.Get(); v != nil {
 		t := v.(*certTicket)
 		t.root = ""
 		t.nodes = nil // retained by the admitted delta; never reused
 		t.localPairs = nil
-		t.snapPairs = nil
 		t.evs = t.evs[:0]
 		t.ekeys = t.ekeys[:0]
 		t.peers = t.peers[:0]
 		return t
 	}
-	return &certTicket{res: make(chan certResult, 1)}
+	return &certTicket{}
 }
 
-func (c *certifier) putTicket(t *certTicket) { c.tickets.Put(t) }
-
-type certResult struct {
-	verdict *front.Verdict
-	err     error
-}
-
-// buildTicket derives the committing stage's delta material exactly as
-// RecordedSystem derives the full system: new forest nodes (parents
-// first), and — per component, per item — a conflict plus weak-output
-// pair for every mode-conflicting event pair with distinct parent
-// transactions, directed by global sequence number. It runs on the
-// committing goroutine with no runtime lock held; cross-stage pairs come
-// from the conflict index at the snapshot epoch, pairs inside the stage
-// from a seq-ascending sweep. Schedule declarations are left to admission
-// (they depend on admission order).
+// buildTicket derives the part of the committing stage's delta that needs
+// no shared state, exactly as RecordedSystem derives it for the full
+// system: the new forest nodes (parents first), the events in global
+// sequence order with their index keys, and — per component, per item — a
+// conflict plus weak-output pair for every mode-conflicting pair of the
+// stage's own events with distinct parent transactions. It runs on the
+// committing goroutine with no lock held. Cross-stage pairs and schedule
+// declarations are left to admission: they depend on admission order.
 func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTicket {
 	t := c.getTicket()
 	t.root = root
-	t.foldGen = c.foldGen.Load()
-	t.snapEpoch = c.epoch.Load()
 	ordered := orderDecls(stage.nodes)
 	t.nodes = make([]front.DeltaNode, 0, len(ordered))
 	for _, n := range ordered {
@@ -399,37 +316,20 @@ func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTic
 			key = certKey(e.comp, e.item)
 		}
 		t.ekeys = append(t.ekeys, key)
-	}
-	for i, e := range t.evs {
-		c.index.probe(t.ekeys[i], 0, t.snapEpoch, c.modes[e.comp], e.mode, func(p event) {
-			t.notePeer(p.parentTx)
-			pairSeq(&t.snapPairs, p, e)
-		})
 		// Intra-stage sweep: earlier events of the same key pair with e.
 		for j := 0; j < i; j++ {
-			if t.ekeys[j] == t.ekeys[i] {
-				c.pairInto(&t.localPairs, t.evs[j], e)
+			if t.ekeys[j] == key && c.modes[e.comp].ModeConflicts(t.evs[j].mode, e.mode) {
+				pairSeq(&t.localPairs, t.evs[j], e)
 			}
 		}
 	}
 	return t
 }
 
-// pairInto appends the conflict/weak-output pair for two same-item events
-// of one component, if they belong to different parent transactions and
-// their modes conflict under the component's table.
-func (c *certifier) pairInto(dst *[]front.DeltaPair, p, e event) {
-	if !c.modes[e.comp].ModeConflicts(p.mode, e.mode) {
-		return
-	}
-	pairSeq(dst, p, e)
-}
-
 // pairSeq appends the conflict/weak-output pair for two events already
-// known to be mode-conflicting (the index probe screens per sublist), if
-// they belong to different parent transactions. The weak output order
-// follows the global sequence, exactly as the recorder's assembly sorts
-// events by seq before pairing.
+// known to be mode-conflicting, if they belong to different parent
+// transactions. The weak output order follows the global sequence,
+// exactly as the recorder's assembly sorts events by seq before pairing.
 func pairSeq(dst *[]front.DeltaPair, p, e event) {
 	if p.parentTx == e.parentTx {
 		return
@@ -441,74 +341,31 @@ func pairSeq(dst *[]front.DeltaPair, p, e event) {
 	*dst = append(*dst, front.DeltaPair{Sched: model.ScheduleID(a.comp), A: a.op, B: b.op})
 }
 
-// enqueue hands a ticket to the admission queue and guarantees a drainer
-// is running. Queue order is the admission order — and so the certified
-// commit order.
-func (c *certifier) enqueue(t *certTicket) {
-	c.qmu.Lock()
-	c.queue = append(c.queue, t)
-	spawn := !c.draining
-	if spawn {
-		c.draining = true
-	}
-	c.qmu.Unlock()
-	if spawn {
-		go c.drain()
-	}
-}
-
-// drain is the admission goroutine: it owns the engine for one ticket
-// batch at a time (amortizing the certifier mutex across a burst) and
-// exits when the queue runs dry, so an idle runtime holds no goroutine.
-func (c *certifier) drain() {
-	for {
-		c.qmu.Lock()
-		batch := c.queue
-		if len(batch) == 0 {
-			c.draining = false
-			c.qmu.Unlock()
-			return
-		}
-		c.queue = nil
-		c.qmu.Unlock()
-
-		c.mu.Lock()
-		for _, t := range batch {
-			v, err := c.admitLocked(t)
-			t.res <- certResult{verdict: v, err: err}
-		}
-		c.mu.Unlock()
-	}
+// admit certifies one stage: build out of lock, decide under the mutex.
+// A non-nil verdict is the rejection witness; an error reports a
+// malformed stage (certifier state unchanged).
+func (c *certifier) admit(root model.NodeID, stage *stagedRecord) (*front.Verdict, error) {
+	t := c.buildTicket(root, stage)
+	c.mu.Lock()
+	v, err := c.admitLocked(t)
+	c.mu.Unlock()
+	c.tickets.Put(t)
+	return v, err
 }
 
 // admitLocked decides one ticket against the admitted history (under
-// c.mu). It reconciles the conflict pairs added since the ticket's
-// snapshot, assembles the final delta, and either fast-path absorbs it or
-// runs the full engine admission. On a violation the stage is discarded,
-// the engine rebuilt from the admitted tail, and the failure verdict
-// returned. An error reports a malformed stage (certifier state
-// unchanged).
+// c.mu). It probes the conflict index for the stage's cross-stage pairs,
+// assembles the final delta, and either fast-path absorbs it or runs the
+// full engine admission. On a violation the stage is discarded, the
+// engine rebuilt from the admitted tail, and the failure verdict
+// returned.
 func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
-	cur := c.epoch.Load()
-	snapPairs, lo := t.snapPairs, t.snapEpoch
-	if t.foldGen != c.foldGen.Load() {
-		// A checkpoint folded the history after this ticket's snapshot: its
-		// snapshot-probed pairs may reference folded nodes. Drop them and
-		// re-derive against the post-fold index, which holds exactly the
-		// events absorbed since the fold.
-		snapPairs, lo = nil, 0
-	}
-	pairs := snapPairs
-	if lo != cur {
-		// Stages were absorbed between the snapshot and now: reconcile the
-		// window (lo, cur]. When nothing intervened — the common case —
-		// the snapshot pairs are already complete and no probe runs.
-		for i, e := range t.evs {
-			c.index.probe(t.ekeys[i], lo, cur, c.modes[e.comp], e.mode, func(p event) {
-				t.notePeer(p.parentTx)
-				pairSeq(&pairs, p, e)
-			})
-		}
+	var pairs []front.DeltaPair
+	for i, e := range t.evs {
+		c.index.probe(t.ekeys[i], c.modes[e.comp], e.mode, func(p event) {
+			t.notePeer(p.parentTx)
+			pairSeq(&pairs, p, e)
+		})
 	}
 	pairs = append(pairs, t.localPairs...)
 
@@ -569,9 +426,7 @@ func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 }
 
 // absorbLocked commits an admitted stage into the certifier's history:
-// schedules, the delta tail, and the conflict index. The epoch is bumped
-// only after every index append, so a builder that snapshots the new
-// epoch is guaranteed to see all of the stage's events in its probes.
+// schedules, the delta tail, and the conflict index.
 func (c *certifier) absorbLocked(t *certTicket, d *front.Delta) {
 	for _, n := range t.nodes {
 		if n.Sched != "" {
@@ -579,9 +434,7 @@ func (c *certifier) absorbLocked(t *certTicket, d *front.Delta) {
 		}
 	}
 	c.tail = append(c.tail, d)
-	ep := c.epoch.Load() + 1
-	c.index.addStage(t.ekeys, t.evs, ep)
-	c.epoch.Store(ep)
+	c.index.addStage(t.ekeys, t.evs)
 }
 
 // flushPeersLocked applies the pending stages owning the given nodes: a
@@ -684,8 +537,9 @@ func (c *certifier) rebuildLocked() error {
 
 // fold runs the checkpoint fold under the certifier mutex: fold the
 // committed roots out of the engine, clear the delta tail (the fold is
-// the new rebuild baseline), empty the conflict index, and bump the fold
-// generation so in-flight tickets re-derive their snapshot pairs.
+// the new rebuild baseline) and empty the conflict index. A committer
+// probes and admits inside one hold of the same mutex, so no stage ever
+// carries a pair derived before the fold into an admission after it.
 func (c *certifier) fold() (roots, nodes int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -710,7 +564,6 @@ func (c *certifier) fold() (roots, nodes int, err error) {
 	}
 	c.tail = nil
 	c.index.reset()
-	c.foldGen.Add(1)
 	return roots, nodes, nil
 }
 
@@ -821,10 +674,7 @@ func (r *Runtime) enableCertify() error {
 	}
 	r.mu.Unlock()
 	if seed != nil {
-		t := c.buildTicket("", seed)
-		c.mu.Lock()
-		v, err := c.admitLocked(t)
-		c.mu.Unlock()
+		v, err := c.admit("", seed)
 		if err != nil {
 			return err
 		}
@@ -832,20 +682,14 @@ func (r *Runtime) enableCertify() error {
 			return &CertifyError{Verdict: v}
 		}
 	}
-	r.mu.Lock()
-	r.cert = c
-	r.mu.Unlock()
+	r.cert.Store(c)
 	return nil
 }
 
-// certifier returns the live certifier (nil = off). The pointer is
-// published under Runtime.mu by enableCertify; everything behind it has
-// its own synchronization.
-func (r *Runtime) certifier() *certifier {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cert
-}
+// certifier returns the live certifier (nil = off): one atomic load of
+// the pointer enableCertify publishes once. Everything behind it has its
+// own synchronization.
+func (r *Runtime) certifier() *certifier { return r.cert.Load() }
 
 // Certifying reports whether live certification is enabled.
 func (r *Runtime) Certifying() bool {
@@ -869,26 +713,21 @@ func (r *Runtime) CertifiedSystem() *model.System {
 	return c.inc.System()
 }
 
-// certify admits a committing attempt's staged record. The delta is built
-// on this goroutine against an epoch snapshot of the conflict index, then
-// admitted in ticket order by the admission drainer — the global runtime
-// mutex is never taken. A nil return admits the commit; a CertifyError
-// rejects it.
+// certify admits a committing attempt's staged record on this goroutine,
+// under the certifier's mutex — the global runtime mutex is never taken.
+// A nil return admits the commit; a CertifyError rejects it.
 func (r *Runtime) certify(a *attempt) error {
 	c := r.certifier()
 	if c == nil {
 		return nil
 	}
-	t := c.buildTicket(a.root, a.stage)
-	c.enqueue(t)
-	res := <-t.res
-	c.putTicket(t)
-	if res.err != nil {
-		return res.err
+	v, err := c.admit(a.root, a.stage)
+	if err != nil {
+		return err
 	}
-	if res.verdict != nil {
+	if v != nil {
 		r.certRejects.Add(1)
-		return &CertifyError{Root: a.root, Verdict: res.verdict}
+		return &CertifyError{Root: a.root, Verdict: v}
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"compositetx/internal/model"
 	"compositetx/internal/wal"
 )
 
@@ -377,12 +376,11 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	// commit), so the whole prefix folds; the engine's later verdicts are
 	// unchanged by the multi-level serial-witness argument (see
 	// front.Incremental.Checkpoint). The certifier fold runs under the
-	// certifier's own mutex, serializing against the admission drainer:
-	// it also clears the admitted delta tail and the conflict index —
-	// pairs against folded events must never be generated again, that is
-	// the engine's fold contract — and bumps the fold generation so any
-	// in-flight ticket built against a pre-fold snapshot re-derives its
-	// cross-stage pairs at admission.
+	// certifier's own mutex, the one a committer holds from its index
+	// probe to its admission: it also clears the admitted delta tail and
+	// the conflict index — pairs against folded events must never be
+	// generated again, that is the engine's fold contract — and a commit
+	// is admitted either wholly before the fold or wholly after it.
 	if c := r.certifier(); c != nil {
 		roots, nodes, err := c.fold()
 		if err != nil {
@@ -553,16 +551,3 @@ func (r *Runtime) Checkpoints() int64 { return r.ckTaken.Load() }
 // Throttled reports whether the overload gate is currently rejecting new
 // roots.
 func (r *Runtime) Throttled() bool { return r.ck.throttle.Load() }
-
-// foldable is a debugging/test helper: the roots currently accumulated
-// in the certifier (nil when certification is off).
-func (r *Runtime) certifiedRoots() []model.NodeID {
-	c := r.certifier()
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_ = c.flushAllLocked() // parked stages are accumulated roots too
-	return c.inc.System().Roots()
-}

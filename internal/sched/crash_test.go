@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,34 +46,15 @@ func transferPrograms(n int) []Invocation {
 }
 
 // runToCrash submits every program, tolerating ErrCrashed (the expected
-// way a crashing run drains), and returns the commit count.
-func runToCrash(t *testing.T, rt *Runtime, progs []Invocation, clients int) int {
+// way a crashing run drains).
+func runToCrash(t *testing.T, rt *Runtime, progs []Invocation, clients int) {
 	t.Helper()
-	var commits atomic.Int64
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				_, err := rt.Submit(fmt.Sprintf("T%d", i+1), progs[i])
-				switch {
-				case err == nil:
-					commits.Add(1)
-				case errors.Is(err, ErrCrashed):
-				default:
-					t.Errorf("T%d: unexpected error: %v", i+1, err)
-				}
-			}
-		}()
+	outcomes, _ := Drive(rt, progs, clients)
+	for i, o := range outcomes {
+		if o.Err != nil && !errors.Is(o.Err, ErrCrashed) {
+			t.Errorf("T%d: unexpected error: %v", i+1, o.Err)
+		}
 	}
-	for i := range progs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return int(commits.Load())
 }
 
 func conserved(t *testing.T, rt *Runtime, initial int64) {

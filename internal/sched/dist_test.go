@@ -139,34 +139,18 @@ func TestDistVolatile(t *testing.T) {
 // expected drain of a crashing run), and returns the committed names.
 func distRun(t *testing.T, cl *Cluster, progs []Invocation, clients int) map[string]bool {
 	t.Helper()
-	var mu sync.Mutex
+	outcomes, _ := Drive(cl, progs, clients)
 	committed := map[string]bool{}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				name := fmt.Sprintf("T%d", i+1)
-				_, err := cl.Submit(name, progs[i])
-				switch {
-				case err == nil:
-					mu.Lock()
-					committed[name] = true
-					mu.Unlock()
-				case errors.Is(err, ErrCrashed):
-				default:
-					t.Errorf("%s: unexpected error: %v", name, err)
-				}
-			}
-		}()
+	for i, o := range outcomes {
+		name := fmt.Sprintf("T%d", i+1)
+		switch {
+		case o.Err == nil:
+			committed[name] = true
+		case errors.Is(o.Err, ErrCrashed):
+		default:
+			t.Errorf("%s: unexpected error: %v", name, o.Err)
+		}
 	}
-	for i := range progs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 	return committed
 }
 

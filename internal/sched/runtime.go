@@ -217,10 +217,12 @@ type Runtime struct {
 	subRetries   atomic.Int64
 	compFailures atomic.Int64
 
-	mu   sync.Mutex
-	rec  *recorder
-	cert *certifier // live Comp-C certification (nil = off); see EnableCertify
+	mu  sync.Mutex
+	rec *recorder
 
+	// cert is the live Comp-C certifier (nil = off), published once by
+	// EnableCertify and read with one atomic load per commit.
+	cert         atomic.Pointer[certifier]
 	certRejects  atomic.Int64
 	valAborts    atomic.Int64
 	valRefreshes atomic.Int64
@@ -394,9 +396,9 @@ func (r *Runtime) Metrics() Metrics {
 		OverloadThrottles:    r.overloadThrottles.Load(),
 	}
 	m.WALRecords = int64(r.wal.records())
-	if r.cert != nil {
-		m.CertifyFastPath = r.cert.fastPath.Load()
-		m.CertifyRebuildNanos = r.cert.rebuildNanos.Load()
+	if c := r.certifier(); c != nil {
+		m.CertifyFastPath = c.fastPath.Load()
+		m.CertifyRebuildNanos = c.rebuildNanos.Load()
 	}
 	m.LockWaits = r.globalLM.waitCount()
 	names := make([]string, 0, len(r.comps))

@@ -195,11 +195,12 @@ func (r *Runtime) Submit(name string, root Invocation) (res *TxResult, err error
 			// Commit-time certification (EnableCertify): the staged record
 			// is admitted against the Comp-C criterion before anything of
 			// the commit becomes durable. The delta is built on this
-			// goroutine against an epoch snapshot of the conflict index,
-			// then admitted in ticket order by the certifier's admission
-			// drainer — Runtime.mu is never taken. A rejected commit rolls
-			// back like a client abort — the violation witness rides the
-			// error.
+			// goroutine, then probed against the conflict index and
+			// admitted under the certifier's mutex, still on this
+			// goroutine — the order in which committers take that mutex
+			// is the certified commit order, and Runtime.mu is never
+			// taken. A rejected commit rolls back like a client abort —
+			// the violation witness rides the error.
 			if cerr := r.certify(a); cerr != nil {
 				r.rollback(a)
 				r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})

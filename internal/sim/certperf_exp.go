@@ -18,8 +18,9 @@ import (
 // conflict the certifier must order). The modes compared:
 //
 //	uncertified — EnableCertify off: the cost ceiling.
-//	pipeline    — EnableCertify: out-of-lock delta build, ticketed
-//	              admission, footprint fast path.
+//	certified   — EnableCertify: probe, admission and index append
+//	              under the certifier's mutex on the committing
+//	              goroutine, footprint fast path.
 //
 // The measurement is commits/s; every certified cell must commit all its
 // transactions with zero certify-rejects (the workload is generated
@@ -57,7 +58,7 @@ type certMode struct {
 }
 
 func certModes() []certMode {
-	return []certMode{{name: "uncertified"}, {name: "pipeline", on: true}}
+	return []certMode{{name: "uncertified"}, {name: "certified", on: true}}
 }
 
 // e17Point is one measured cell.
@@ -177,8 +178,8 @@ func E17CertThroughput(cfg CertPerfConfig) *Table {
 		}
 	}
 	t.Note = "expected: certified throughput converges toward the uncertified ceiling on low-conflict mixes " +
-		"(delta construction runs out of lock and disjoint commits take the fast path past the engine " +
-		"entirely); every certified cell commits everything with zero rejects. " +
-		"uncertified-vs-pipeline overhead: " + fmt.Sprint(overheads)
+		"(disjoint commits take the fast path past the engine entirely); " +
+		"every certified cell commits everything with zero rejects. " +
+		"uncertified-vs-certified overhead: " + fmt.Sprint(overheads)
 	return t
 }

@@ -269,13 +269,13 @@ func TestE17CertificationOverhead(t *testing.T) {
 		return pt
 	}
 	uncertified := cell(certMode{name: "uncertified"}, conflict, reps)
-	pipeline := cell(certMode{name: "pipeline", on: true}, conflict, reps)
+	certified := cell(certMode{name: "certified", on: true}, conflict, reps)
 	// With no conflicts at all, every commit is footprint-disjoint: all of
 	// them take the fast path except the one that introduces the schedules
 	// and invocation edges (a nodes-only delta cannot).
-	disjoint := cell(certMode{name: "pipeline", on: true}, 0, 1)
-	if pipeline.fastPath == 0 {
-		t.Fatal("pipeline cell never took the footprint fast path on the low-conflict workload")
+	disjoint := cell(certMode{name: "certified", on: true}, 0, 1)
+	if certified.fastPath == 0 {
+		t.Fatal("certified cell never took the footprint fast path on the low-conflict workload")
 	}
 	if disjoint.fastPath < int64(disjoint.committed)-1 {
 		t.Fatalf("zero-conflict cell: %d of %d commits took the fast path, want all but the first",
@@ -284,7 +284,7 @@ func TestE17CertificationOverhead(t *testing.T) {
 	// Recorded overhead at 8 clients on the 10%-conflict mix is 1.3-2.0x;
 	// `make certperf` gates certified throughput at a third of the
 	// uncertified ceiling or better, on an uninstrumented build.
-	wallClockGate(t, "certified vs uncertified tx/s", pipeline.tps/uncertified.tps, 1.0/3)
+	wallClockGate(t, "certified vs uncertified tx/s", certified.tps/uncertified.tps, 1.0/3)
 }
 
 // TestE12IncrementalBeatsFullRecheck pins what makes the incremental column
