@@ -9,11 +9,9 @@ import (
 // Checkpointing: once a prefix of roots is fully committed and certified
 // correct, the engine no longer needs its nodes to decide the correctness
 // of what follows — provided nothing that arrives later references them.
-// Checkpoint folds such a prefix into a compact CheckpointSummary (the
-// prefix's serial witness plus the boundary state of every front level)
-// and drops the folded nodes from the accumulated system and from every
-// per-level closure, so the engine's memory tracks the live suffix
-// instead of the whole history.
+// Checkpoint folds such a prefix: it drops the folded nodes from the
+// accumulated system and from every per-level closure, so the engine's
+// memory tracks the live suffix instead of the whole history.
 //
 // Soundness is the multi-level serial-witness argument (Börger/Schewe/
 // Wang; Biswas & Enea for the flat case): a fully committed, certified
@@ -37,30 +35,11 @@ import (
 // prefix across fold boundaries, on the same random stack/fork/join/
 // general streams the incremental engine is tested on.
 
-// CheckpointSummary describes one fold: what was dropped and the compact
-// facts retained about it.
+// CheckpointSummary describes one fold: the composite transactions and
+// forest nodes it dropped.
 type CheckpointSummary struct {
-	// Roots and Nodes count the composite transactions and forest nodes
-	// folded by this checkpoint.
 	Roots int
 	Nodes int
-	// Witness is the folded prefix's serial witness: the folded roots in
-	// an order consistent with the final front's observed order at fold
-	// time. For runtime streams — where every cross-boundary pair is
-	// directed prefix → suffix by the shared clock — concatenating
-	// successive checkpoint witnesses with a final verdict's SerialOrder
-	// yields a serial order of the entire history.
-	Witness []model.NodeID
-	// Boundary records, per front level, the state left behind: how many
-	// nodes remain live and how many were dropped at that level.
-	Boundary []LevelBoundary
-}
-
-// LevelBoundary is the per-level boundary conflict state of a fold.
-type LevelBoundary struct {
-	Level   int
-	Live    int // nodes still in the level-l front after the fold
-	Dropped int // nodes removed from the level-l front by the fold
 }
 
 // Checkpoints counts completed folds.
@@ -108,11 +87,6 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 	}
 	sum.Nodes = len(doomed)
 
-	if inc.eng != nil {
-		sum.Witness = inc.foldWitness(seen)
-		sum.Boundary = inc.foldBoundary(doomed)
-	}
-
 	inc.sys.RemoveTrees(roots)
 	// Rebuild over the pruned system. The level assignment is untouched
 	// (schedules persist through a fold), so the engine's skeleton is
@@ -133,40 +107,4 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 	}
 	inc.checkpoints++
 	return sum, nil
-}
-
-// foldWitness extracts the folded prefix's serial witness: the final
-// front's serial order restricted to the folded roots.
-func (inc *Incremental) foldWitness(folded map[model.NodeID]struct{}) []model.NodeID {
-	final := inc.eng.materialize(inc.eng.orderN)
-	serial, ok := final.SerialWitness()
-	if !ok {
-		return nil // unreachable for a non-degraded engine (CC sentinel)
-	}
-	out := make([]model.NodeID, 0, len(folded))
-	for _, id := range serial {
-		if _, is := folded[id]; is {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// foldBoundary snapshots the per-level boundary state of a fold: for
-// every front level, how many nodes survive and how many are dropped.
-func (inc *Incremental) foldBoundary(doomed map[model.NodeID]struct{}) []LevelBoundary {
-	eng := inc.eng
-	out := make([]LevelBoundary, 0, len(eng.lv))
-	for l, st := range eng.lv {
-		b := LevelBoundary{Level: l}
-		st.nodes.Each(func(i int) {
-			if _, dropped := doomed[eng.ids[i]]; dropped {
-				b.Dropped++
-			} else {
-				b.Live++
-			}
-		})
-		out = append(out, b)
-	}
-	return out
 }

@@ -56,13 +56,6 @@ type DeltaIntra struct {
 	Strong bool
 }
 
-// Empty reports whether the delta carries nothing.
-func (d *Delta) Empty() bool {
-	return len(d.Schedules) == 0 && len(d.Nodes) == 0 &&
-		len(d.Conflicts) == 0 && len(d.WeakOut) == 0 && len(d.StrongOut) == 0 &&
-		len(d.WeakIn) == 0 && len(d.StrongIn) == 0 && len(d.Intra) == 0
-}
-
 // Apply adds the delta to a model.System. The delta must be valid for the
 // system (Incremental validates before applying; direct callers get the
 // System builder's panics on misuse).

@@ -55,7 +55,3 @@ func (in *Interner) Index(id NodeID) int32 {
 
 // ID returns the NodeID at index i.
 func (in *Interner) ID(i int32) NodeID { return in.ids[i] }
-
-// IDs returns the interned NodeIDs in index (= lexicographic) order. The
-// slice is shared; callers must not modify it.
-func (in *Interner) IDs() []NodeID { return in.ids }

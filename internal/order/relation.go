@@ -235,14 +235,6 @@ func (r *Relation[T]) Restrict(keep func(T) bool) *Relation[T] {
 	return out
 }
 
-// RestrictTo is Restrict with an explicit node set.
-func (r *Relation[T]) RestrictTo(set map[T]struct{}) *Relation[T] {
-	return r.Restrict(func(n T) bool {
-		_, ok := set[n]
-		return ok
-	})
-}
-
 // Map returns a fresh relation with every node n replaced by f(n).
 // Pairs whose endpoints map to the same identifier are dropped (they would be
 // self-pairs introduced by contraction, which the quotient construction of

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,14 +297,10 @@ func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTic
 		})
 	}
 	t.evs = append(t.evs, stage.events...)
-	// The stage executed sequentially, so its events arrive in seq order
-	// already; sort only the exceptional out-of-order record.
-	for i := 1; i < len(t.evs); i++ {
-		if t.evs[i].seq < t.evs[i-1].seq {
-			sort.Slice(t.evs, func(i, j int) bool { return t.evs[i].seq < t.evs[j].seq })
-			break
-		}
-	}
+	// An invocation draws its seq when it takes its lock and appends its
+	// event after its subtree's, so every stage with an invocation arrives
+	// out of seq order. Seqs are unique: the order is total.
+	slices.SortFunc(t.evs, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
 	for i, e := range t.evs {
 		key := ""
 		for j := i - 1; j >= 0; j-- {
@@ -512,7 +509,7 @@ func (c *certifier) rebuildLocked() error {
 		}
 	}
 	if len(seed) > 0 {
-		sort.Slice(seed, func(i, j int) bool { return seed[i] < seed[j] })
+		slices.Sort(seed)
 		if _, err := fresh.Admit(&front.Delta{Schedules: seed}); err != nil {
 			return fmt.Errorf("sched: certifier rebuild: %w", err)
 		}

@@ -68,7 +68,6 @@ type Coordinator struct {
 	comps    map[string]*dcomp
 	mux      *comm.Mux
 	wal      journal
-	group    bool          // coalesce force points through wal.Force
 	clock    lamport       // event-sequence authority
 	tsc      atomic.Uint64 // wait-die timestamp source
 	crashed  atomic.Bool
@@ -122,7 +121,6 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		topo:     topo,
 		comps:    map[string]*dcomp{},
 		crash:    crash,
-		group:    cfg.GroupCommit,
 
 		rpcTimeout: cfg.RPCTimeout,
 		rpcRetries: cfg.RPCRetries,
@@ -598,7 +596,7 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 		Type: wal.TypeDecision, Txn: a.txn, Mode: "commit",
 		Node: attemptStr(a.attempt), Seq: a.ts, Meta: partsJSON,
 	})
-	if err := c.wal.force(recs, c.group); err != nil {
+	if err := c.wal.force(recs); err != nil {
 		// A non-crash WAL failure means this transaction can never commit
 		// (no durable decision) but every updater is prepared and holding
 		// locks. Clear the inflight entry — termination queries must get

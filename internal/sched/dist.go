@@ -386,11 +386,11 @@ func (cl *Cluster) RecoverParticipant(name string) error {
 }
 
 func (cl *Cluster) rebuildParticipant(p *Participant) error {
-	dir := partDir(cl.cfg.WALRoot, p.name)
-	recs, info, err := wal.ReadAll(dir)
+	scan, err := wal.ScanDir(partDir(cl.cfg.WALRoot, p.name))
 	if err != nil {
 		return err
 	}
+	recs := scan.Records
 
 	// Analysis. Prepared state is last-wins per transaction: a decision
 	// (or a fresh prepare of a later attempt) supersedes earlier marks.
@@ -399,7 +399,7 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 		ts      uint64
 	}
 	var (
-		sl        = scanStoreLog(recs, info)
+		sl        = scanStoreLog(recs, scan.Info)
 		prepared  = map[string]pstate{}
 		committed = map[string]bool{}
 		abortedAt = map[string]uint32{}
@@ -441,7 +441,7 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 	// applies. In-doubt transactions keep their effects; their applies
 	// come back to rebuild each one's undo log (in log order), so a later
 	// abort decision can still compensate it.
-	log, err := reattach(dir, cl.walOptions())
+	log, err := reopen(scan, cl.walOptions())
 	if err != nil {
 		return err
 	}
@@ -506,17 +506,17 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 
 // readCoordLog reads a coordinator's decision log once and decodes the
 // configuration it was written under.
-func readCoordLog(root string) ([]wal.Record, Protocol, *Topology, error) {
+func readCoordLog(root string) (*wal.Scan, Protocol, *Topology, error) {
 	dir := coordDir(root)
-	recs, info, err := wal.ReadAll(dir)
+	scan, err := wal.ScanDir(dir)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	meta, proto, topo, err := readLogMeta(dir, recs, info)
+	meta, proto, topo, err := readLogMeta(dir, scan.Records, scan.Info)
 	if err == nil && !meta.Dist {
 		err = fmt.Errorf("sched: %q is not a distributed log root (use Recover)", root)
 	}
-	return recs, proto, topo, err
+	return scan, proto, topo, err
 }
 
 // RecoverCoordinator rebuilds a crashed coordinator from its decision
@@ -534,17 +534,18 @@ func (cl *Cluster) RecoverCoordinator() error {
 	if cl.cfg.WALRoot == "" {
 		return errors.New("sched: volatile coordinator cannot recover")
 	}
-	recs, _, _, err := readCoordLog(cl.cfg.WALRoot)
+	scan, _, _, err := readCoordLog(cl.cfg.WALRoot)
 	if err != nil {
 		return err
 	}
-	return cl.recoverCoordinator(recs)
+	return cl.recoverCoordinator(scan)
 }
 
-// recoverCoordinator is RecoverCoordinator over records already read (a
+// recoverCoordinator is RecoverCoordinator over a log already read (a
 // decision log is never truncated: recs[i] has LSN i+1).
-func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
+func (cl *Cluster) recoverCoordinator(scan *wal.Scan) error {
 	c := newCoordinator(cl.cfg, cl.topo, cl.crash)
+	recs := scan.Records
 	var maxSeq, maxTS uint64
 	staged := map[string]*stagedRecord{}
 	stagedOf := func(txn string) *stagedRecord {
@@ -595,7 +596,7 @@ func (cl *Cluster) recoverCoordinator(recs []wal.Record) error {
 	c.tsc.Store(maxTS + 1<<32)
 
 	var err error
-	if c.wal, err = reattach(coordDir(cl.cfg.WALRoot), cl.walOptions()); err != nil {
+	if c.wal, err = reopen(scan, cl.walOptions()); err != nil {
 		return err
 	}
 	return cl.joinCoordinator(c)
@@ -615,7 +616,7 @@ func RecoverCluster(cfg DistConfig) (*Cluster, error) {
 	if cfg.WALRoot == "" {
 		return nil, errors.New("sched: RecoverCluster needs a WAL root")
 	}
-	recs, proto, topo, err := readCoordLog(cfg.WALRoot)
+	scan, proto, topo, err := readCoordLog(cfg.WALRoot)
 	if err != nil {
 		return nil, err
 	}
@@ -628,7 +629,7 @@ func RecoverCluster(cfg DistConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if err := cl.recoverCoordinator(recs); err != nil {
+	if err := cl.recoverCoordinator(scan); err != nil {
 		cl.Close()
 		return nil, err
 	}

@@ -28,7 +28,10 @@ import (
 // volatile node and every method is a no-op on it. An append against a
 // crash-abandoned log surfaces as ErrCrashed so the transaction drains
 // like every other participant of the crash.
-type journal struct{ log *wal.Log }
+type journal struct {
+	log   *wal.Log
+	group bool // opened with a group window: force points go through wal.Force
+}
 
 // crashErr maps a closed (crash-abandoned) log to ErrCrashed.
 func crashErr(err error) error {
@@ -60,15 +63,15 @@ func (j journal) appendBatch(recs []wal.Record) (uint64, error) {
 }
 
 // force makes recs durable before returning — the durability points of
-// 2PC. In group-commit mode the wait goes through the coalesced Force
-// API, so concurrent transactions forcing on this log share one fsync;
-// otherwise the caller pays its own append+sync.
-func (j journal) force(recs []wal.Record, group bool) error {
+// 2PC. On a log with a group window the wait goes through the coalesced
+// Force API, so concurrent transactions forcing on this log share one
+// fsync; otherwise the caller pays its own append+sync.
+func (j journal) force(recs []wal.Record) error {
 	if j.log == nil || len(recs) == 0 {
 		return nil
 	}
 	var err error
-	if group {
+	if j.group {
 		err = <-j.log.Force(recs)
 	} else if _, err = j.log.AppendBatch(recs); err == nil {
 		err = j.log.Sync()
@@ -123,7 +126,7 @@ func attachFresh(dir string, opts wal.Options, meta []byte, seeds []wal.Record) 
 		l.Close()
 		return journal{}, fmt.Errorf("%w: %q holds %d records", ErrWALExists, dir, existing)
 	}
-	j := journal{log: l}
+	j := journal{log: l, group: opts.GroupWindow > 0}
 	if _, err = j.append(wal.Record{Type: wal.TypeMeta, Meta: meta}); err == nil {
 		if _, err = j.appendBatch(seeds); err == nil {
 			err = j.sync()
@@ -136,12 +139,13 @@ func attachFresh(dir string, opts wal.Options, meta []byte, seeds []wal.Record) 
 	return j, nil
 }
 
-// reattach reopens a crashed node's log for appending, so recovery's own
-// compensations and markers are journaled write-ahead like everything
-// else (this also physically truncates the torn tail).
-func reattach(dir string, opts wal.Options) (journal, error) {
-	l, _, err := wal.Open(dir, opts)
-	return journal{log: l}, err
+// reopen positions a crashed node's log for appending after the records
+// its recovery scanned — no second read — so recovery's own compensations
+// and markers are journaled write-ahead like everything else (this also
+// physically truncates the torn tail).
+func reopen(s *wal.Scan, opts wal.Options) (journal, error) {
+	l, err := s.Open(opts)
+	return journal{log: l, group: opts.GroupWindow > 0}, err
 }
 
 // --- Record codecs ---

@@ -3,7 +3,10 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"compositetx/internal/data"
@@ -294,15 +297,17 @@ func lawSame(got, want map[string]int64) bool {
 }
 
 // lawReplay runs the core over the log in dir the way every node does:
-// scan, redo into fresh stores, reattach, undo, sync. It returns the store
-// contents, the LSNs handed back as in doubt, and what undo appended.
+// scan, redo into fresh stores, reopen from the scan, undo, sync. It returns
+// the store contents, the LSNs handed back as in doubt, and what undo
+// appended.
 func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64, []wal.Record) {
 	t.Helper()
-	recs, info, err := wal.ReadAll(dir)
+	scan, err := wal.ScanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := scanStoreLog(recs, info)
+	recs := scan.Records
+	sl := scanStoreLog(recs, scan.Info)
 	stores := map[string]*data.Store{}
 	storeOf := func(comp string) (*data.Store, error) {
 		if stores[comp] == nil {
@@ -313,7 +318,7 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 	if _, err := sl.redo(storeOf); err != nil {
 		t.Fatal(err)
 	}
-	j, err := reattach(dir, wal.Options{SyncEvery: -1})
+	j, err := reopen(scan, wal.Options{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,4 +440,171 @@ func TestJournalReplayLaw(t *testing.T) {
 		}
 	}
 	t.Logf("sweep: %v", saw)
+}
+
+// dirImage is the content of every file under dir, by relative path.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
+		if err != nil || fi.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		img[rel] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// writeLog starts a log in a fresh directory, hands it to fill and closes it.
+func writeLog(t *testing.T, opts wal.Options, fill func(l *wal.Log)) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// tearTail appends half a frame's worth of garbage to the log's last
+// segment: what reopening the log would truncate.
+func tearTail(t *testing.T, dir string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v", dir, err)
+	}
+	sort.Strings(segs)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{40, 0, 0, 0, 1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalReopenContinuity: the scan a recovery replays is the scan its
+// log reopens from. Over the format-freeze corpus, a torn tail, several
+// segments and a truncated checkpointed log, wal.ScanDir reads what
+// wal.ReadAll reads, and the log opened from the scan continues at the LSN
+// after the last record read, on a tail with nothing torn left.
+func TestJournalReopenContinuity(t *testing.T) {
+	lawRecs := genLawLog(7, false).recs
+	dist := corpusCopy(t, "dist")
+	dirs := map[string]string{
+		"corpus/single":    corpusCopy(t, "single"),
+		"corpus/coord":     coordDir(dist),
+		"corpus/part-east": partDir(dist, "east"),
+		"corpus/part-west": partDir(dist, "west"),
+		"torn-tail": writeLog(t, wal.Options{SyncEvery: -1}, func(l *wal.Log) {
+			l.AppendBatch(lawRecs)
+		}),
+		"multi-segment": writeLog(t, wal.Options{SyncEvery: -1, SegmentBytes: 256}, func(l *wal.Log) {
+			l.AppendBatch(lawRecs)
+		}),
+		"truncated": writeLog(t, wal.Options{SyncEvery: -1, SegmentBytes: 256}, func(l *wal.Log) {
+			l.AppendBatch(lawRecs)
+			marker, err := l.AppendCheckpoint([]wal.Record{{Comp: "a", Item: "x0", Prev: 1}}, wal.Record{Meta: []byte(`{}`)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := l.TruncateBefore(marker); err != nil || n == 0 {
+				t.Fatalf("TruncateBefore(%d) deleted %d segments, %v", marker, n, err)
+			}
+			l.AppendBatch(lawRecs[:5])
+		}),
+	}
+	tearTail(t, dirs["torn-tail"])
+	tearTail(t, dirs["truncated"])
+	for name, dir := range dirs {
+		recs, info, err := wal.ReadAll(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scan, err := wal.ScanDir(dir)
+		if err != nil || !reflect.DeepEqual(scan.Records, recs) || scan.Info != info {
+			t.Fatalf("%s: ScanDir read %d records %+v (%v), ReadAll %d records %+v", name, len(scan.Records), scan.Info, err, len(recs), info)
+		}
+		switch name {
+		case "torn-tail":
+			if info.TornBytes == 0 {
+				t.Fatalf("%s: nothing torn: %+v", name, info)
+			}
+		case "multi-segment":
+			if info.Segments < 3 {
+				t.Fatalf("%s: %+v", name, info)
+			}
+		case "truncated":
+			if info.FirstLSN <= 1 || info.CheckpointLSN == 0 || info.TornBytes == 0 {
+				t.Fatalf("%s: not a truncated, checkpointed, torn log: %+v", name, info)
+			}
+		}
+		l, err := scan.Open(wal.Options{SyncEvery: -1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		next := wal.Record{Type: wal.TypeAbort, Txn: "Tnext"}
+		want := info.FirstLSN + uint64(len(recs))
+		if lsn, err := l.Append(next); err != nil || lsn != want {
+			t.Fatalf("%s: first append after the scan = LSN %d, %v; want %d", name, lsn, err, want)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, info2, err := wal.ReadAll(dir)
+		if err != nil || info2.TornBytes != 0 || info2.FirstLSN != info.FirstLSN || info2.CheckpointLSN != info.CheckpointLSN ||
+			!reflect.DeepEqual(after, append(recs, next)) {
+			t.Fatalf("%s: reopened log reads %d records %+v (%v); want the %d scanned plus one, anchored as %+v", name, len(after), info2, err, len(recs), info)
+		}
+	}
+}
+
+// TestRecoverRefusedLeavesLogUntouched: a recovery that refuses a log has
+// not reopened it. Each log carries a torn tail, which reopening would
+// truncate; the directory must be byte-identical afterwards.
+func TestRecoverRefusedLeavesLogUntouched(t *testing.T) {
+	lawRecs := genLawLog(7, false).recs
+	badMeta := writeLog(t, wal.Options{SyncEvery: -1}, func(l *wal.Log) {
+		l.Append(wal.Record{Type: wal.TypeMeta, Meta: []byte(`{"protocol":`)})
+		l.AppendBatch(lawRecs[1:5]) // seeds: no marker whose metadata would be read instead
+	})
+	corrupt := writeLog(t, wal.Options{SyncEvery: -1, SegmentBytes: 256}, func(l *wal.Log) {
+		l.AppendBatch(lawRecs)
+	})
+	first := filepath.Join(corrupt, "00000001.seg")
+	raw, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(first, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{
+		"coordinator log":       coordDir(corpusCopy(t, "dist")),
+		"undecodable metadata":  badMeta,
+		"mid-log corrupt frame": corrupt,
+	} {
+		tearTail(t, dir)
+		before := dirImage(t, dir)
+		if rec, err := Recover(WALConfig{Dir: dir}); err == nil {
+			rec.Runtime.CloseWAL()
+			t.Fatalf("%s: Recover accepted it", name)
+		}
+		if !reflect.DeepEqual(dirImage(t, dir), before) {
+			t.Fatalf("%s: the refused recovery changed the log directory", name)
+		}
+	}
 }

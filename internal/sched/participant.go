@@ -146,7 +146,6 @@ type Participant struct {
 	lm       *lockManager
 	mux      *comm.Mux
 	wal      journal // zero when volatile or storeless
-	group    bool    // coalesce force points through wal.Force
 	clock    lamport
 	crashed  atomic.Bool
 	crash    *distCrashState
@@ -188,7 +187,6 @@ func newParticipant(name string, spec ComponentSpec, cfg DistConfig, crash *dist
 		rwTable:  data.RWTable(),
 		lm:       newLockManager(),
 		crash:    crash,
-		group:    cfg.GroupCommit,
 		inc:      1,
 
 		abandonAfter: cfg.AbandonAfter,
@@ -541,7 +539,7 @@ func (p *Participant) handlePrepare(m comm.Message) {
 		Type: wal.TypePrepare, Txn: m.Txn, Node: attemptStr(m.Attempt),
 		Comp: p.name, Seq: m.TS,
 	}
-	if err := p.wal.force([]wal.Record{rec}, p.group); err != nil {
+	if err := p.wal.force([]wal.Record{rec}); err != nil {
 		vote = lockErrReply(comm.KindVote, err)
 	}
 	p.mu.Lock()
@@ -651,7 +649,7 @@ func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 // attempt upgrades, coordinator aborts, termination-protocol answers.
 func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) (lsn uint64, err error) {
 	if !commit {
-		err = p.wal.force(p.abortRecords(txn, tx), p.group)
+		err = p.wal.force(p.abortRecords(txn, tx))
 	} else if len(tx.undo) > 0 {
 		lsn, err = p.wal.append(decisionRecord(txn, tx, "commit"))
 	}

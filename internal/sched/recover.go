@@ -73,10 +73,11 @@ type Recovered struct {
 // against Comp-C. On a verdict failure the Recovered value is returned
 // together with ErrRecoveredViolation.
 func Recover(cfg WALConfig) (*Recovered, error) {
-	recs, info, err := wal.ReadAll(cfg.Dir)
+	scan, err := wal.ScanDir(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
+	recs, info := scan.Records, scan.Info
 	ck, protocol, topo, err := readLogMeta(cfg.Dir, recs, info)
 	if err != nil {
 		return nil, err
@@ -148,7 +149,7 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	if stats.Redone, err = sl.redo(storeOf); err != nil {
 		return nil, err
 	}
-	log, err := reattach(cfg.Dir, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
+	log, err := reopen(scan, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
 	if err != nil {
 		return nil, err
 	}

@@ -25,9 +25,8 @@ import (
 // The measurement is commits/s; every certified cell must commit all its
 // transactions with zero certify-rejects (the workload is generated
 // conflict-serializable — clients conflict, but never violate Comp-C
-// under a sound protocol). The headline (gated by `make certperf`) is the
-// certification overhead at 8 clients on the 10%-conflict mix: the
-// uncertified ceiling within 3x of the certified throughput. The serial
+// under a sound protocol). The headline is the certification overhead at
+// 8 clients on the 10%-conflict mix (recorded 1.3-2.0x). The serial
 // and no-fast-path certifiers this matrix used to carry were deleted once
 // measured; their last cells are frozen in EXPERIMENTS.md E17.
 

@@ -166,9 +166,8 @@ func E13MVCC(cfg MVCCConfig) *Table {
 		)
 	}
 	t.Note = "expected: snapshot reads never queue behind writers holding semantic locks across their " +
-		"service time, so optimistic throughput pulls away as the read ratio grows — the CI gate " +
-		"(TestE13MVCCBeatsLockOnlyAtHighReadRatio) requires ≥1.3x at 90% reads, typical best-of-rep " +
-		"runs land 1.4–1.8x — at the price of validation aborts where a write lands inside a read's " +
+		"service time, so optimistic throughput pulls away as the read ratio grows — typical best-of-rep " +
+		"runs land 1.4–1.8x at 90% reads — at the price of validation aborts where a write lands inside a read's " +
 		"snapshot window (write-heavy 0.5 cells favor locking); the certified column shows validated " +
 		"optimistic commits pass the live Comp-C certifier with zero rejects, i.e. validate-at-commit " +
 		"and certification agree"

@@ -11,10 +11,11 @@ import (
 // FuzzScanSegment feeds the frame scanner arbitrary bytes after the
 // segment magic — a log's last segment is whatever a crash left there.
 // Whatever they are: no panic, no allocation driven by a length field the
-// bytes merely claim (maxRecordBytes bounds a frame), Open and ReadAll
-// agree on what is valid (both fail, or both find the same records and the
-// same torn tail), and after Open has truncated the tail a reopen finds
-// nothing torn.
+// bytes merely claim (maxRecordBytes bounds a frame), Open and ReadAll —
+// the scanner's two faces — agree on what is valid (both fail, or both
+// find the same records and the same torn tail), the opened log continues
+// at the LSN after the last record read, and after Open has truncated the
+// tail a reopen finds nothing torn.
 func FuzzScanSegment(f *testing.F) {
 	var valid []byte
 	for _, rec := range sampleRecords(9) {
@@ -57,9 +58,6 @@ func FuzzScanSegment(f *testing.F) {
 		if rerr != nil {
 			return
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if n != uint64(len(recs)) {
 			t.Fatalf("Open counts %d records, ReadAll %d", n, len(recs))
 		}
@@ -70,12 +68,19 @@ func FuzzScanSegment(f *testing.F) {
 		if want := int64(len(segMagic)+len(tail)) - info.TornBytes; fi.Size() != want {
 			t.Fatalf("Open left %d bytes, ReadAll saw %d torn of %d (want %d left)", fi.Size(), info.TornBytes, len(segMagic)+len(tail), want)
 		}
+		next := max(info.FirstLSN, 1) + n
+		if lsn, err := l.Append(Record{Type: TypeCommit, Txn: "Tnext"}); err != nil || lsn != next {
+			t.Fatalf("append after %d records from LSN %d = LSN %d, %v; want %d", n, info.FirstLSN, lsn, err, next)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 		again, info2, err := ReadAll(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info2.TornBytes != 0 || len(again) != len(recs) {
-			t.Fatalf("reopened log: %d records, %d torn bytes; want %d, 0", len(again), info2.TornBytes, len(recs))
+		if info2.TornBytes != 0 || len(again) != len(recs)+1 {
+			t.Fatalf("reopened log: %d records, %d torn bytes; want %d, 0", len(again), info2.TornBytes, len(recs)+1)
 		}
 	})
 }

@@ -104,7 +104,7 @@ type GroupStats struct {
 	MaxBatch      uint64 // most force waiters completed by a single window
 }
 
-// ScanInfo summarizes a ReadAll pass.
+// ScanInfo summarizes one scan of a log directory.
 type ScanInfo struct {
 	Segments  int
 	Records   int
@@ -170,6 +170,77 @@ type segMeta struct {
 	first uint64 // LSN of the segment's first record
 }
 
+// Scan is one read of a log directory: the valid records of every segment
+// in order, the torn tail classified, absolute LSNs anchored. Open
+// positions an append handle from it without reading the directory again,
+// so a recovering node replays exactly the records its reopened log
+// continues after: the first append returns Info.FirstLSN + len(Records).
+type Scan struct {
+	Records []Record
+	Info    ScanInfo
+
+	segs  []segMeta // on-disk segments, each with the LSN of its first record
+	tail  string    // path of the last segment
+	valid int64     // offset of the first invalid byte in tail
+}
+
+var errNoSegments = errors.New("wal: no log segments")
+
+// ScanDir reads the log in dir without touching it — the one scanner Open
+// and ReadAll are faces of. A torn tail on the last segment is reported in
+// Info and skipped; corruption anywhere else is an error.
+func ScanDir(dir string) (*Scan, error) {
+	paths, err := segmentFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("%w in %q", errNoSegments, dir)
+	}
+	s := &Scan{Info: ScanInfo{Segments: len(paths)}}
+	// Anchor absolute LSNs: the record at scan index j has LSN base+j+1,
+	// where base is the number of records truncated away before the first
+	// surviving segment. An untruncated log has base 0; a truncated one
+	// always retains its checkpoint marker, whose Ref is its own LSN.
+	var base uint64
+	for i, path := range paths {
+		s.segs = append(s.segs, segMeta{idx: segIndex(path), first: uint64(len(s.Records))})
+		s.tail = path
+		s.valid, s.Info.TornBytes, err = scanSegment(path, i == len(paths)-1, func(r Record) error {
+			s.Records = append(s.Records, r)
+			if r.Type == TypeCheckpoint {
+				n := uint64(len(s.Records))
+				if r.Ref < n {
+					return fmt.Errorf("checkpoint marker at index %d claims LSN %d", n-1, r.Ref)
+				}
+				base, s.Info.CheckpointLSN = r.Ref-n, r.Ref
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i := range s.segs {
+		s.segs[i].first += base + 1
+	}
+	s.Info.Records = len(s.Records)
+	if len(s.Records) > 0 {
+		s.Info.FirstLSN = base + 1
+	}
+	return s, nil
+}
+
+// ReadAll scans every record of the log in dir without opening it for
+// appending: ScanDir's records and summary.
+func ReadAll(dir string) ([]Record, ScanInfo, error) {
+	s, err := ScanDir(dir)
+	if err != nil {
+		return nil, ScanInfo{}, err
+	}
+	return s.Records, s.Info, nil
+}
+
 // Open opens (creating if necessary) the log in dir and positions it for
 // appending. Existing segments are scanned, a torn tail on the last
 // segment is physically truncated, and the number of valid records on
@@ -181,119 +252,54 @@ func Open(dir string, opts Options) (*Log, uint64, error) {
 	if dir == "" {
 		return nil, 0, errors.New("wal: empty directory")
 	}
-	opts = opts.normalized()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, 0, err
 	}
-	l := &Log{dir: dir, opts: opts}
-	segs, err := segmentFiles(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(segs) == 0 {
+	s, err := ScanDir(dir)
+	if errors.Is(err, errNoSegments) {
+		l := &Log{dir: dir, opts: opts.normalized()}
 		if err := l.createSegment(1); err != nil {
 			return nil, 0, err
 		}
 		return l, 0, nil
 	}
-	var count uint64
-	counts := make([]uint64, len(segs))
-	idx, markerIdx, markerRef := 0, -1, uint64(0)
-	for i, path := range segs {
-		last := i == len(segs)-1
-		n, validOff, _, err := scanSegment(path, last, func(r Record) {
-			if r.Type == TypeCheckpoint {
-				markerIdx, markerRef = idx, r.Ref
-			}
-			idx++
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		count += n
-		counts[i] = n
-		if !last {
-			continue
-		}
-		if err := os.Truncate(path, validOff); err != nil {
-			return nil, 0, err
-		}
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := f.Seek(validOff, 0); err != nil {
-			f.Close()
-			return nil, 0, err
-		}
-		l.f = f
-		l.seg = segIndex(path)
-		l.size, l.flushed, l.synced = validOff, validOff, validOff
+	if err != nil {
+		return nil, 0, err
 	}
-	// Anchor absolute LSNs: the record at scan index j has LSN base+j+1,
-	// where base is the number of records truncated away before the first
-	// surviving segment. An untruncated log has base 0; a truncated one
-	// always retains its checkpoint marker, whose Ref is its own LSN.
-	var base uint64
-	if markerIdx >= 0 {
-		if markerRef < uint64(markerIdx)+1 {
-			return nil, 0, fmt.Errorf("wal: checkpoint marker at index %d claims LSN %d", markerIdx, markerRef)
-		}
-		base = markerRef - uint64(markerIdx) - 1
-	}
-	cum := base
-	for i, path := range segs {
-		l.segs = append(l.segs, segMeta{idx: segIndex(path), first: cum + 1})
-		cum += counts[i]
-	}
-	l.lsn = base + count
-	l.flushedLSN = l.lsn
-	l.syncedLSN.Store(l.lsn)
-	return l, count, nil
+	l, err := s.Open(opts)
+	return l, uint64(len(s.Records)), err
 }
 
-// ReadAll scans every record of the log in dir without opening it for
-// appending. A torn tail on the last segment is reported in ScanInfo and
-// skipped; corruption anywhere else is an error.
-func ReadAll(dir string) ([]Record, ScanInfo, error) {
-	var info ScanInfo
-	segs, err := segmentFiles(dir)
+// Open positions a log for appending after the scanned records, physically
+// truncating the torn tail. The directory must not have been written since
+// the scan, and a scan opens once.
+func (s *Scan) Open(opts Options) (*Log, error) {
+	if err := os.Truncate(s.tail, s.valid); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(s.tail, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
-	if len(segs) == 0 {
-		return nil, info, fmt.Errorf("wal: no log segments in %q", dir)
+	if s.valid == 0 {
+		// A crash during segment creation tore the header itself: without
+		// it, the next scan would take everything appended here for torn.
+		s.valid = int64(len(segMagic))
+		_, err = f.Write([]byte(segMagic))
+	} else {
+		_, err = f.Seek(s.valid, 0)
 	}
-	info.Segments = len(segs)
-	var recs []Record
-	for i, path := range segs {
-		last := i == len(segs)-1
-		n, _, torn, err := scanSegment(path, last, func(r Record) {
-			recs = append(recs, r)
-		})
-		if err != nil {
-			return nil, info, err
-		}
-		info.Records += int(n)
-		if last {
-			info.TornBytes = torn
-		}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
-	// Anchor absolute LSNs from the last checkpoint marker (see Open).
-	var base uint64
-	for j, r := range recs {
-		if r.Type == TypeCheckpoint {
-			if r.Ref < uint64(j)+1 {
-				return nil, info, fmt.Errorf("wal: checkpoint marker at index %d claims LSN %d", j, r.Ref)
-			}
-			base = r.Ref - uint64(j) - 1
-			info.CheckpointLSN = r.Ref
-		}
-	}
-	if len(recs) > 0 {
-		info.FirstLSN = base + 1
-	}
-	return recs, info, nil
+	l := &Log{dir: filepath.Dir(s.tail), opts: opts.normalized(), f: f, segs: s.segs}
+	l.seg = s.segs[len(s.segs)-1].idx
+	l.size, l.flushed, l.synced = s.valid, s.valid, s.valid
+	l.lsn = s.segs[0].first - 1 + uint64(len(s.Records))
+	l.flushedLSN = l.lsn
+	l.syncedLSN.Store(l.lsn)
+	return l, nil
 }
 
 // Append journals one record, returning its LSN (1-based, monotone across
@@ -761,63 +767,52 @@ func (l *Log) Records() uint64 {
 // dropped LSNs out again.
 func (l *Log) SyncedLSN() uint64 { return l.syncedLSN.Load() }
 
-// scanSegment walks one segment, calling fn (when non-nil) per valid
-// record. It returns the record count, the offset of the first invalid
-// byte (= file size when the segment is fully valid), and the number of
-// torn bytes. Invalid frames in a non-final segment are corruption.
-func scanSegment(path string, last bool, fn func(Record)) (records uint64, validOff int64, tornBytes int64, err error) {
+// scanSegment walks one segment, calling fn per valid record. It returns
+// the offset of the first invalid byte (= file size when the segment is
+// fully valid) and the number of torn bytes after it. Invalid frames in a
+// non-final segment are corruption.
+func scanSegment(path string, last bool, fn func(Record) error) (validOff int64, tornBytes int64, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != segMagic {
 		if last {
 			// A crash during segment creation can leave a partial header;
 			// the whole file is a torn tail.
-			return 0, 0, int64(len(raw)), nil
+			return 0, int64(len(raw)), nil
 		}
-		return 0, 0, 0, fmt.Errorf("wal: %s: bad segment header", path)
+		return 0, 0, fmt.Errorf("wal: %s: bad segment header", path)
 	}
 	off := int64(len(segMagic))
-	for {
-		rem := int64(len(raw)) - off
-		if rem == 0 {
-			return records, off, 0, nil
-		}
-		torn := false
-		var frameLen int64
-		if rem < frameHeaderLen {
-			torn = true
-		} else {
-			ln := binary.LittleEndian.Uint32(raw[off:])
-			crc := binary.LittleEndian.Uint32(raw[off+4:])
-			if ln > maxRecordBytes || int64(frameHeaderLen)+int64(ln) > rem {
-				torn = true
-			} else {
-				body := raw[off+frameHeaderLen : off+frameHeaderLen+int64(ln)]
-				if crc32.ChecksumIEEE(body) != crc {
-					torn = true
-				} else {
-					rec, derr := decodeBody(body)
-					if derr != nil {
-						return 0, 0, 0, fmt.Errorf("wal: %s at offset %d: %w", path, off, derr)
-					}
-					if fn != nil {
-						fn(rec)
-					}
-					records++
-					frameLen = int64(frameHeaderLen) + int64(ln)
-				}
+	for off < int64(len(raw)) {
+		// A frame is whole when its header fits, its length is sane and
+		// within the file, and its body matches the CRC; anything else is
+		// where the valid prefix ends.
+		rest, whole := raw[off:], false
+		var body []byte
+		if len(rest) >= frameHeaderLen {
+			if ln := binary.LittleEndian.Uint32(rest); ln <= maxRecordBytes && frameHeaderLen+int64(ln) <= int64(len(rest)) {
+				body = rest[frameHeaderLen : frameHeaderLen+int64(ln)]
+				whole = crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(rest[4:])
 			}
 		}
-		if torn {
+		if !whole {
 			if !last {
-				return 0, 0, 0, fmt.Errorf("wal: %s: corrupt record at offset %d in non-final segment", path, off)
+				return 0, 0, fmt.Errorf("wal: %s: corrupt record at offset %d in non-final segment", path, off)
 			}
-			return records, off, rem, nil
+			return off, int64(len(rest)), nil
 		}
-		off += frameLen
+		rec, err := decodeBody(body)
+		if err == nil {
+			err = fn(rec)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: %s at offset %d: %w", path, off, err)
+		}
+		off += frameHeaderLen + int64(len(body))
 	}
+	return off, 0, nil
 }
 
 func segmentName(idx int) string { return fmt.Sprintf("%08d.seg", idx) }

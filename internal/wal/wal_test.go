@@ -213,6 +213,44 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
+// TestTornSegmentHeader crashes a rotation between creating the next
+// segment and writing its header: reopening must leave a segment the next
+// scan still reads, not one whose records it takes for a torn tail.
+func TestTornSegmentHeader(t *testing.T) {
+	for _, header := range []string{"", segMagic[:3]} {
+		dir := t.TempDir()
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sampleRecords(5)
+		if _, err := l.AppendBatch(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(2)), []byte(header), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, existing, err := Open(dir, Options{})
+		if err != nil || existing != 5 {
+			t.Fatalf("header %q: Open = %d records, %v; want 5", header, existing, err)
+		}
+		after := Record{Type: TypeAbort, Txn: "Tafter"}
+		if lsn, err := l.Append(after); err != nil || lsn != 6 {
+			t.Fatalf("header %q: append after reopen = LSN %d, %v; want 6", header, lsn, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, info, err := ReadAll(dir)
+		if err != nil || info.TornBytes != 0 || !reflect.DeepEqual(got, append(want, after)) {
+			t.Fatalf("header %q: rescan found %d records, %d torn bytes, %v; want 6, 0", header, len(got), info.TornBytes, err)
+		}
+	}
+}
+
 // TestAbandonDropsUnsynced checks the group-commit loss window: with
 // SyncEvery=4, Abandon after 10 appends must keep exactly the 8 synced
 // records and drop the 2 buffered ones.
