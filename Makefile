@@ -10,10 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the CI gate: vet + build + the full test suite under the race
-# detector (covering the sched runtime, the fault-injection chaos soak —
-# see `make chaos` for the soak alone — and the CheckBatch worker pool).
+# verify is the CI gate: gofmt-clean + vet + build + the full test suite
+# under the race detector (covering the sched runtime, the fault-injection
+# chaos soak — see `make chaos` for the soak alone — and the CheckBatch
+# worker pool).
 verify:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l . prints:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

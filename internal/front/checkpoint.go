@@ -90,12 +90,12 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 	inc.sys.RemoveTrees(roots)
 	// Rebuild over the pruned system. The level assignment is untouched
 	// (schedules persist through a fold), so the engine's skeleton is
-	// still valid: reset it in place (keeping the interning map, row
-	// tables and grown rows) and replay the live suffix — a fold on a
+	// still valid: reset it in place (keeping the interning map, slot
+	// tables and slabs) and replay the live suffix — a fold on a
 	// steady-state window then allocates almost nothing.
 	if inc.eng != nil {
 		inc.eng.reset()
-		inc.eng.load(inc.sys)
+		inc.eng.load(inc.sys, inc.sys.NodeIDs())
 		if inc.eng.failed {
 			// Cannot happen: removing whole composite transactions from a
 			// correct execution only removes constraints (monotonicity),

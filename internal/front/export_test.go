@@ -1,0 +1,20 @@
+package front
+
+import "compositetx/internal/model"
+
+// LoadedEngine loads sys into a Check-sized engine and returns the
+// checkpoint fold's engine path — reset, then load the same system — for
+// the byte-budget test; reload reports whether the engine failed.
+func LoadedEngine(sys *model.System) (reload func() bool, err error) {
+	ids, levels, err := sys.Structure()
+	if err != nil {
+		return nil, err
+	}
+	eng := newIncEngine(sys, levels, false, len(ids))
+	eng.load(sys, ids)
+	return func() bool {
+		eng.reset()
+		eng.load(sys, ids)
+		return eng.failed
+	}, nil
+}

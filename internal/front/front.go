@@ -12,7 +12,7 @@ package front
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"compositetx/internal/model"
 	"compositetx/internal/order"
@@ -52,7 +52,7 @@ func (f *Front) Nodes() []model.NodeID {
 	for n := range f.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"compositetx/internal/model"
@@ -208,7 +209,7 @@ func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 	if rebuild || inc.failed {
 		inc.levels = levels
 		inc.eng = inc.newEngine()
-		inc.eng.load(inc.sys)
+		inc.eng.load(inc.sys, inc.sys.NodeIDs())
 	} else {
 		inc.eng.apply(d)
 	}
@@ -223,7 +224,7 @@ func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 // current level assignment. It carries the previous engine's capacity
 // high-water mark across rebuilds: bitset rows are allocated lazily, so
 // the wide capacity costs only the live rows' width, and it spares the
-// rebuilt engine the doubling ladder of full-row re-widenings.
+// rebuilt engine the doubling ladder of slab re-layouts.
 func (inc *Incremental) newEngine() *incEngine {
 	capN := 0
 	if inc.eng != nil {
@@ -274,7 +275,7 @@ func (inc *Incremental) applyIG(d *Delta) (map[model.ScheduleID]int, bool, error
 		return nil, false, err
 	}
 	inc.ig = wig
-	if sameLevels(levels, inc.levels) {
+	if maps.Equal(levels, inc.levels) {
 		return levels, false, nil
 	}
 	return levels, true, nil
@@ -298,18 +299,6 @@ func igLevels(ig *order.Relation[model.ScheduleID]) (map[model.ScheduleID]int, e
 		levels[sc] = longest + 1
 	}
 	return levels, nil
-}
-
-func sameLevels(a, b map[model.ScheduleID]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // ipair is one pending pair of interned node indices.
@@ -378,19 +367,26 @@ type incEngine struct {
 }
 
 // newIncEngine returns an empty engine over sys's schedules. capN is the
-// initial width of the index space (at least 64); it grows on demand.
+// initial width of the index space (at least 64); it grows on demand. The
+// per-node tables are sized from it here, once: reset keeps them.
 func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate bool, capN int) *incEngine {
+	capN = max(capN, 64)
 	eng := &incEngine{
 		sys:       sys,
 		propagate: propagate,
 		schedNum:  map[model.ScheduleID]int{},
-		idx:       map[model.NodeID]int32{},
-		capN:      max(capN, 64),
+		capN:      capN,
+		ids:       make([]model.NodeID, 0, capN),
+		idx:       make(map[model.NodeID]int32, capN),
+		parent:    make([]int32, 0, capN),
+		sched:     make([]int32, 0, capN),
+		opSched:   make([]int32, 0, capN),
+		entry:     make([]int32, 0, capN),
+		exitL:     make([]int32, 0, capN),
+		children:  make([][]int32, 0, capN),
 	}
 	for _, l := range levels {
-		if l > eng.orderN {
-			eng.orderN = l
-		}
+		eng.orderN = max(eng.orderN, l)
 	}
 	// sys.Schedules() is sorted by ID, so schedule numbers ascend with
 	// ScheduleID — schedsAt iteration order and Reduced concatenation match
@@ -436,13 +432,13 @@ func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate 
 }
 
 // reset returns the engine to its empty state in place, keeping every
-// allocated structure — the interning map's buckets, the row tables and
-// the grown bitset rows — for the replay that follows a checkpoint
-// fold. Valid only while the level assignment is unchanged: the
-// per-schedule and per-level skeletons (and capN, so row widths stay
+// allocated structure — the interning map's buckets, the per-node tables,
+// the slot tables and the slabs — for the replay that follows a
+// checkpoint fold. Valid only while the level assignment is unchanged:
+// the per-schedule and per-level skeletons (and capN, so row widths stay
 // consistent) are retained, which spares the fold both the ~dozens of
-// fresh relation allocations and the doubling ladder of row
-// re-widenings as the next window refills.
+// fresh relation allocations and the doubling ladder of slab
+// re-layouts as the next window refills.
 func (eng *incEngine) reset() {
 	used := len(eng.ids)
 	eng.failed = false
@@ -552,14 +548,13 @@ func (eng *incEngine) apply(d *Delta) {
 
 // load runs a whole system through an empty engine as one delta, reading
 // sys in place: no Delta is built and nothing is copied. sys must be
-// structurally valid (model.System.ValidateStructure); its relation pairs
-// need not be — a pair naming an unknown node, or a node outside the
+// structurally valid and ids its sorted node IDs (model.System.Structure
+// gives both); its relation pairs need not be valid — a pair naming an unknown node, or a node outside the
 // domain Definitions 2–3 give the relation (operations of the schedule
 // for conflicts and output orders, its transactions for input orders, the
 // transaction's own operations for intra orders), is ignored, which is
 // what validateDelta guarantees apply never sees.
-func (eng *incEngine) load(sys *model.System) {
-	ids := sys.NodeIDs()
+func (eng *incEngine) load(sys *model.System, ids []model.NodeID) {
 	eng.begin(len(ids))
 	var add func(id model.NodeID)
 	add = func(id model.NodeID) {

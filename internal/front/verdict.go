@@ -143,22 +143,20 @@ type Options struct {
 // but incorrect execution yields Correct == false.
 //
 // Check is a single-delta run of the package's one reduction engine
-// (incremental.go): after the input checks the engine indexes sys in
-// place — it neither clones, normalizes nor writes to it, so any number
-// of goroutines may check one System at once — and drains every level.
+// (incremental.go): after the one structural pass (model.System.Structure:
+// validation, levels, sorted node IDs) the engine indexes sys in place —
+// it neither clones, normalizes nor writes to it, so any number of
+// goroutines may check one System at once — and drains every level.
 // Verdicts, failure diagnostics included, are identical to those of the
 // string-keyed oracle CheckReference, which the property tests compare
 // against byte for byte.
 func Check(sys *model.System, opts Options) (*Verdict, error) {
-	if err := sys.ValidateStructure(); err != nil {
-		return nil, err
-	}
-	levels, err := sys.Levels()
+	ids, levels, err := sys.Structure()
 	if err != nil {
 		return nil, err
 	}
-	eng := newIncEngine(sys, levels, false, sys.NumNodes())
-	eng.load(sys)
+	eng := newIncEngine(sys, levels, false, len(ids))
+	eng.load(sys, ids)
 	return eng.verdict(opts.KeepFronts)
 }
 

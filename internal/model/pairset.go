@@ -1,6 +1,9 @@
 package model
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // PairSet is a set of unordered, irreflexive pairs of node IDs. It stores
 // the symmetric conflict predicate CON_S of a schedule: Add(a,b) and
@@ -78,11 +81,8 @@ func (p *PairSet) Pairs() [][2]NodeID {
 	for k := range p.m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
+	slices.SortFunc(out, func(a, b [2]NodeID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	return out
 }
@@ -126,6 +126,6 @@ func (p *PairSet) Involving(n NodeID) []NodeID {
 			out = append(out, k[0])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

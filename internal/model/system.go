@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"compositetx/internal/order"
 )
@@ -97,7 +97,7 @@ func (s *System) Schedules() []*Schedule {
 	for id := range s.schedules {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := make([]*Schedule, len(ids))
 	for i, id := range ids {
 		out[i] = s.schedules[id]
@@ -114,14 +114,14 @@ func (s *System) NodeIDs() []NodeID {
 	for id := range s.nodes {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Children returns the operations of a transaction (O_t), sorted by ID.
 func (s *System) Children(id NodeID) []NodeID {
 	kids := append([]NodeID(nil), s.children[id]...)
-	sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
+	slices.Sort(kids)
 	return kids
 }
 
@@ -133,7 +133,7 @@ func (s *System) Roots() []NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -145,7 +145,7 @@ func (s *System) Leaves() []NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -186,7 +186,7 @@ func (s *System) Transactions(sched ScheduleID) []NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -197,7 +197,7 @@ func (s *System) Ops(sched ScheduleID) []NodeID {
 	for _, t := range s.Transactions(sched) {
 		out = append(out, s.children[t]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -212,7 +212,7 @@ func (s *System) Descendants(id NodeID) []NodeID {
 		out = append(out, n)
 		stack = append(stack, s.children[n]...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -220,7 +220,7 @@ func (s *System) Descendants(id NodeID) []NodeID {
 // Definition 6) rooted at the given root: the root and all its descendants.
 func (s *System) CompositeTransaction(root NodeID) []NodeID {
 	out := append([]NodeID{root}, s.Descendants(root)...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -235,40 +235,20 @@ func (s *System) InvocationGraph() *order.Relation[ScheduleID] {
 		if n.Sched == "" || n.Parent == "" {
 			continue
 		}
-		caller := s.OpSchedule(n.ID)
-		if caller != "" && caller != n.Sched {
-			ig.Add(caller, n.Sched)
-		} else if caller == n.Sched {
-			// Self-invocation: recorded so validation can reject it.
-			ig.Add(caller, n.Sched)
+		// A self-invocation is recorded too, so validation can reject it.
+		if p := s.nodes[n.Parent]; p != nil && p.Sched != "" {
+			ig.Add(p.Sched, n.Sched)
 		}
 	}
 	return ig
 }
 
-// Levels computes the level of every schedule (Definition 9: one plus the
-// length of the longest IG path starting at the schedule). It fails if the
-// invocation graph is cyclic, i.e. the configuration is recursive, which
-// Definition 4 item 6 forbids.
+// Levels computes the level of every schedule (Definition 9). It fails on
+// a structurally unsound system (see Structure), in particular a recursive
+// configuration, which Definition 4 item 6 forbids.
 func (s *System) Levels() (map[ScheduleID]int, error) {
-	ig := s.InvocationGraph()
-	sorted, ok := ig.TopoSort()
-	if !ok {
-		return nil, fmt.Errorf("model: invocation graph is cyclic (recursive configuration): %v", ig.FindCycle())
-	}
-	levels := make(map[ScheduleID]int, len(sorted))
-	// Longest path from each node: process in reverse topological order.
-	for i := len(sorted) - 1; i >= 0; i-- {
-		sc := sorted[i]
-		longest := 0
-		for _, succ := range ig.Successors(sc) {
-			if l := levels[succ]; l > longest {
-				longest = l
-			}
-		}
-		levels[sc] = longest + 1
-	}
-	return levels, nil
+	_, levels, err := s.Structure()
+	return levels, err
 }
 
 // Order returns N, the highest schedule level in the system (Definition 9),

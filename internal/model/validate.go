@@ -12,13 +12,35 @@ import (
 // The reduction (internal/front) requires exactly these properties; the
 // order-theoretic axioms of Definition 3 are checked by Validate on top.
 func (s *System) ValidateStructure() error {
+	_, _, err := s.Structure()
+	return err
+}
+
+// Structure is the one structural pass behind ValidateStructure and
+// Levels: the node IDs sorted and the level of every schedule (Definition
+// 9: one plus the length of the longest IG path starting at it), or an
+// error joining every violation. front.Check needs all three and pays
+// for one sort and one invocation graph.
+func (s *System) Structure() (sortedIDs []NodeID, levels map[ScheduleID]int, err error) {
 	var errs []error
 	add := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	for _, id := range s.NodeIDs() {
+	ids := s.NodeIDs()
+	// walk colours each node with the number of the parent-chain walk that
+	// first reached it; a walk that runs into its own colour found a cycle.
+	walk := make(map[*Node]int, len(ids))
+	cyclic := false
+	for k, id := range ids {
 		n := s.nodes[id]
+		for cur := n; cur != nil; cur = s.nodes[cur.Parent] {
+			if walk[cur] != 0 {
+				cyclic = cyclic || walk[cur] == k+1
+				break
+			}
+			walk[cur] = k + 1
+		}
 		if n.Parent != "" {
 			p := s.nodes[n.Parent]
 			switch {
@@ -40,24 +62,26 @@ func (s *System) ValidateStructure() error {
 			add("leaf %s carries intra-transaction orders", id)
 		}
 	}
-	// Parent chains must terminate (no cycles among parent pointers).
-	for _, id := range s.NodeIDs() {
-		seen := map[NodeID]bool{}
-		for cur := id; cur != ""; {
-			if seen[cur] {
-				add("node %s: cyclic parent chain through %s", id, cur)
-				break
+	if cyclic {
+		// Only a cycle pays for the per-node walk that words its errors.
+		for _, id := range ids {
+			seen := map[NodeID]bool{}
+			for cur := id; cur != ""; {
+				if seen[cur] {
+					add("node %s: cyclic parent chain through %s", id, cur)
+					break
+				}
+				seen[cur] = true
+				n := s.nodes[cur]
+				if n == nil {
+					break
+				}
+				cur = n.Parent
 			}
-			seen[cur] = true
-			n := s.nodes[cur]
-			if n == nil {
-				break
-			}
-			cur = n.Parent
 		}
 	}
 	if len(errs) > 0 {
-		return errors.Join(errs...)
+		return nil, nil, errors.Join(errs...)
 	}
 
 	// Definition 4 item 6: no recursion; IG acyclic.
@@ -67,10 +91,24 @@ func (s *System) ValidateStructure() error {
 			add("schedule %s invokes itself", sc.ID)
 		}
 	}
-	if c := ig.FindCycle(); c != nil {
-		add("invocation graph is cyclic: %v", c)
+	sorted, ok := ig.TopoSort()
+	if !ok {
+		add("invocation graph is cyclic: %v", ig.FindCycle())
 	}
-	return errors.Join(errs...)
+	if len(errs) > 0 {
+		return nil, nil, errors.Join(errs...)
+	}
+	levels = make(map[ScheduleID]int, len(sorted))
+	// Longest path from each node: process in reverse topological order.
+	for i := len(sorted) - 1; i >= 0; i-- {
+		sc := sorted[i]
+		longest := 0
+		for _, succ := range ig.Successors(sc) {
+			longest = max(longest, levels[succ])
+		}
+		levels[sc] = longest + 1
+	}
+	return ids, levels, nil
 }
 
 // Validate checks the system against the model's axioms (Definitions 2, 3

@@ -35,13 +35,25 @@ func (r *Relation[T]) TransitiveClosure() *Relation[T] {
 		succ[i] = append(succ[i], int32(idx[b]))
 	})
 
+	comp, reach := componentReach(n, succ)
+	for i := 0; i < n; i++ {
+		a := nodes[i]
+		reach[comp[i]].Each(func(j int) {
+			out.Add(a, nodes[j])
+		})
+	}
+	return out
+}
+
+// componentReach condenses the index graph into its strongly connected
+// components and returns the component of every node and, per component,
+// the set of nodes reachable from it — its own members included only when
+// it is cyclic (more than one member, or a self-loop).
+func componentReach(n int, succ [][]int32) (comp []int, reach []Bitset) {
 	comp, order := sccCondensation(n, succ)
 
-	// reach[c] is the set of nodes reachable from component c (excluding
-	// the component's own members unless it is cyclic; members are added
-	// when expanding per-node below).
 	nComp := len(order)
-	reach := make([]Bitset, nComp)
+	reach = make([]Bitset, nComp)
 	members := make([][]int32, nComp)
 	cyclic := make([]bool, nComp)
 	for i := 0; i < n; i++ {
@@ -81,14 +93,7 @@ func (r *Relation[T]) TransitiveClosure() *Relation[T] {
 		}
 		reach[c] = rs
 	}
-
-	for i := 0; i < n; i++ {
-		a := nodes[i]
-		reach[comp[i]].Each(func(j int) {
-			out.Add(a, nodes[j])
-		})
-	}
-	return out
+	return comp, reach
 }
 
 // sccCondensation runs iterative Tarjan over the index graph and returns

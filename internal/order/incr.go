@@ -4,8 +4,8 @@ import "math/bits"
 
 // This file adds the two primitives the incremental Comp-C engine
 // (internal/front.Incremental) needs on top of the interned-index core:
-// growing the index space of a live relation without invalidating its
-// rows, and closure insertion that reports exactly the pairs it newly
+// growing the index space of a live relation without losing its pairs,
+// and closure insertion that reports exactly the pairs it newly
 // derived (the frontier the engine propagates to the next reduction
 // level).
 
@@ -24,24 +24,24 @@ func (b Bitset) Grow(n int) Bitset {
 	return nb
 }
 
-// Grow widens the index space to [0, n), keeping every pair. Allocated
-// rows are re-widened eagerly so they stay composable with fresh rows.
+// Grow widens the index space to [0, n), keeping every pair. The slab is
+// laid out again in one pass — wider rows, and a last chunk no longer cut
+// short at the old n — so every row stays composable with fresh ones.
 func (r *IndexRelation) Grow(n int) {
 	if n <= r.n {
 		return
 	}
-	words := (n + 63) / 64
-	if words > r.words {
-		for i, row := range r.rows {
-			if row != nil {
-				r.rows[i] = row.Grow(n)
-			}
+	old := *r
+	r.n, r.words, r.chunks = n, (n+63)/64, nil
+	if r.slot != nil {
+		r.slot = append(r.slot, make([]int32, n-len(r.slot))...)
+	}
+	r.reserve(r.rows)
+	for i, k := range old.slot {
+		if k != 0 {
+			copy(r.Row(i), old.Row(i))
 		}
 	}
-	if n > len(r.rows) {
-		r.rows = append(r.rows, make([]Bitset, n-len(r.rows))...)
-	}
-	r.n, r.words = n, words
 }
 
 // Grow widens the index space of the closed relation (and its transpose)
@@ -51,29 +51,35 @@ func (c *ClosedRelation) Grow(n int) {
 	c.pred.Grow(n)
 }
 
+// snapshot returns row ∪ {k} in the scratch bitset *buf: InsertFunc's loops
+// modify the very rows their source and target sets are derived from.
+func (c *ClosedRelation) snapshot(buf *Bitset, row Bitset, k int) Bitset {
+	if len(*buf) != c.succ.words {
+		*buf = make(Bitset, c.succ.words)
+	}
+	clear(*buf)
+	copy(*buf, row)
+	buf.Set(k)
+	return *buf
+}
+
 // InsertFunc is Insert with a delta callback: it adds (a, b), restores
-// transitive closure, and calls fn once for every pair (x, y) that was
-// NOT in the closure before this call and is now — including (a, b)
-// itself when it was new. Callback order is per-source ascending. The
-// callback must not mutate the relation.
+// transitive closure, and calls fn (when not nil) once for every pair
+// (x, y) that was NOT in the closure before this call and is now —
+// including (a, b) itself when it was new. Callback order is per-source
+// ascending. The callback must not mutate the relation.
 func (c *ClosedRelation) InsertFunc(a, b int, fn func(x, y int)) {
 	if c.succ.Has(a, b) {
 		return
 	}
-	// Snapshot before mutation, exactly as Insert does: the loops below
-	// modify the very rows the source/target sets are derived from.
-	targets := c.succ.Row(b).Clone()
-	if targets == nil {
-		targets = NewBitset(c.succ.n)
-	}
-	targets.Set(b)
-	sources := c.pred.Row(a).Clone()
-	if sources == nil {
-		sources = NewBitset(c.succ.n)
-	}
-	sources.Set(a)
+	targets := c.snapshot(&c.dst, c.succ.Row(b), b)
+	sources := c.snapshot(&c.src, c.pred.Row(a), a)
 	sources.Each(func(x int) {
 		row := c.succ.MutRow(x)
+		if fn == nil {
+			row.Or(targets)
+			return
+		}
 		for w, tw := range targets {
 			added := tw &^ row[w]
 			if added == 0 {

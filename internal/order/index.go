@@ -1,6 +1,9 @@
 package order
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file is the interned-index relation core: dense bitset-backed
 // relations over integer node indices. internal/front's reduction engine
@@ -98,17 +101,32 @@ func (b Bitset) Clone() Bitset {
 
 // IndexRelation is a mutable binary relation over the integer indices
 // [0, n): bit j of row i is set iff the pair (i, j) is present. Rows are
-// allocated lazily, so a relation over a large index space whose pairs
-// touch few sources stays small.
+// handed out in first-touch order from a slab of words-wide rows: slot[i]
+// is zero for an empty row, else one plus the row's number. The slab is a
+// few pointer-free chunks, chunk c holding chunkRows<<c rows (the last one
+// only what n still allows), so it grows without moving a row, and both
+// tables wait for the first MutRow: an empty relation costs its struct,
+// and a GC cycle scans next to none of a full one.
+//
+// A Bitset from Row or MutRow stays valid across later MutRows; Grow lays
+// the slab out again, so read rows again after it.
 type IndexRelation struct {
-	n     int
-	words int
-	rows  []Bitset
+	n      int
+	words  int
+	rows   int // rows handed out
+	slot   []int32
+	chunks [][]uint64
 }
+
+// chunkRows is the size of a slab's first chunk; chunkStart is the number
+// of chunk c's first row.
+const chunkRows = 4
+
+func chunkStart(c int) int { return chunkRows * (1<<c - 1) }
 
 // NewIndexRelation returns an empty relation over [0, n).
 func NewIndexRelation(n int) *IndexRelation {
-	return &IndexRelation{n: n, words: (n + 63) / 64, rows: make([]Bitset, n)}
+	return &IndexRelation{n: n, words: (n + 63) / 64}
 }
 
 // N returns the size of the index space.
@@ -124,53 +142,72 @@ func (r *IndexRelation) AddSym(i, j int) {
 }
 
 // Has reports whether the pair (i, j) is present.
-func (r *IndexRelation) Has(i, j int) bool { return r.rows[i].Has(j) }
+func (r *IndexRelation) Has(i, j int) bool { return r.Row(i).Has(j) }
 
 // Row returns the successor bitset of i, or nil when empty. Callers must
 // not mutate it; use MutRow for that.
-func (r *IndexRelation) Row(i int) Bitset { return r.rows[i] }
+func (r *IndexRelation) Row(i int) Bitset {
+	if i >= len(r.slot) || r.slot[i] == 0 {
+		return nil
+	}
+	k := int(r.slot[i] - 1)
+	c := bits.Len(uint(k/chunkRows+1)) - 1
+	off := (k - chunkStart(c)) * r.words
+	return r.chunks[c][off : off+r.words : off+r.words]
+}
 
 // MutRow returns the successor bitset of i, allocating it if needed. The
 // caller may mutate it in place.
 func (r *IndexRelation) MutRow(i int) Bitset {
-	if r.rows[i] == nil {
-		r.rows[i] = make(Bitset, r.words)
+	if r.slot == nil {
+		r.slot = make([]int32, r.n)
 	}
-	return r.rows[i]
+	if r.slot[i] == 0 {
+		r.reserve(r.rows + 1)
+		r.rows++
+		r.slot[i] = int32(r.rows)
+	}
+	return r.Row(i)
 }
 
-// Reset removes every pair in place, keeping the row table and every
-// allocated row for reuse. Only rows [0, used) are cleared — the
-// caller's node high-water mark; rows past it were never touched.
-func (r *IndexRelation) Reset(used int) {
-	if used > len(r.rows) {
-		used = len(r.rows)
+// reserve appends chunks until the slab holds rows rows. A relation over
+// [0, n) never has more than n, so the last chunk stops there.
+func (r *IndexRelation) reserve(rows int) {
+	for c := len(r.chunks); chunkStart(c) < rows; c++ {
+		size := min(chunkRows<<c, r.n-chunkStart(c))
+		r.chunks = append(r.chunks, make([]uint64, size*r.words))
 	}
-	for _, row := range r.rows[:used] {
-		clear(row)
+}
+
+// Reset removes every pair in place, keeping the slot table and the slab
+// for reuse. used is the caller's node high-water mark: every row handed
+// out lies below it, so the slab is cleared chunk by chunk.
+func (r *IndexRelation) Reset(used int) {
+	for _, ch := range r.chunks {
+		clear(ch)
 	}
 }
 
 // Len returns the number of pairs.
 func (r *IndexRelation) Len() int {
 	n := 0
-	for _, row := range r.rows {
-		n += row.Count()
+	for _, ch := range r.chunks {
+		n += Bitset(ch).Count()
 	}
 	return n
 }
 
 // Each calls fn for every pair in ascending (i, j) order.
 func (r *IndexRelation) Each(fn func(i, j int)) {
-	for i, row := range r.rows {
-		row.Each(func(j int) { fn(i, j) })
+	for i := range r.slot {
+		r.Row(i).Each(func(j int) { fn(i, j) })
 	}
 }
 
 // Or adds every pair of other into r.
 func (r *IndexRelation) Or(other *IndexRelation) {
-	for i, row := range other.rows {
-		if row != nil && row.Any() {
+	for i := range other.slot {
+		if row := other.Row(i); row.Any() {
 			r.MutRow(i).Or(row)
 		}
 	}
@@ -178,11 +215,9 @@ func (r *IndexRelation) Or(other *IndexRelation) {
 
 // Clone returns a deep copy.
 func (r *IndexRelation) Clone() *IndexRelation {
-	c := NewIndexRelation(r.n)
-	for i, row := range r.rows {
-		if row != nil {
-			c.rows[i] = row.Clone()
-		}
+	c := &IndexRelation{n: r.n, words: r.words, rows: r.rows, slot: slices.Clone(r.slot)}
+	for _, ch := range r.chunks {
+		c.chunks = append(c.chunks, slices.Clone(ch))
 	}
 	return c
 }
@@ -190,7 +225,8 @@ func (r *IndexRelation) Clone() *IndexRelation {
 // succLists converts the rows to adjacency lists for the SCC machinery.
 func (r *IndexRelation) succLists() [][]int32 {
 	succ := make([][]int32, r.n)
-	for i, row := range r.rows {
+	for i := range r.slot {
+		row := r.Row(i)
 		if row == nil {
 			continue
 		}
@@ -211,49 +247,10 @@ func (r *IndexRelation) TransitiveClosure() *IndexRelation {
 		return out
 	}
 	succ := r.succLists()
-	comp, order := sccCondensation(n, succ)
-
-	nComp := len(order)
-	reach := make([]Bitset, nComp)
-	members := make([][]int32, nComp)
-	cyclic := make([]bool, nComp)
+	comp, reach := componentReach(n, succ)
 	for i := 0; i < n; i++ {
-		members[comp[i]] = append(members[comp[i]], int32(i))
-	}
-	for i := 0; i < n; i++ {
-		for _, j := range succ[i] {
-			if int(j) == i {
-				cyclic[comp[i]] = true
-			}
-		}
-	}
-	for c := range members {
-		if len(members[c]) > 1 {
-			cyclic[c] = true
-		}
-	}
-	for _, c := range order {
-		rs := NewBitset(n)
-		for _, i := range members[c] {
-			for _, j := range succ[i] {
-				cj := comp[j]
-				if cj == c {
-					continue
-				}
-				rs.Set(int(j))
-				rs.Or(reach[cj])
-			}
-		}
-		if cyclic[c] {
-			for _, i := range members[c] {
-				rs.Set(int(i))
-			}
-		}
-		reach[c] = rs
-	}
-	for i := 0; i < n; i++ {
-		if reach[comp[i]].Any() {
-			out.rows[i] = reach[comp[i]].Clone()
+		if rs := reach[comp[i]]; rs.Any() {
+			copy(out.MutRow(i), rs)
 		}
 	}
 	return out
@@ -263,15 +260,12 @@ func (r *IndexRelation) TransitiveClosure() *IndexRelation {
 // contains a cycle (including self-pairs), via SCC condensation: a cycle
 // exists iff some component has more than one member or a self-loop.
 func (r *IndexRelation) HasCycle() bool {
-	succ := r.succLists()
-	for i, s := range succ {
-		for _, j := range s {
-			if int(j) == i {
-				return true
-			}
+	for i := 0; i < r.n; i++ {
+		if r.Has(i, i) {
+			return true
 		}
 	}
-	comp, order := sccCondensation(r.n, succ)
+	comp, order := sccCondensation(r.n, r.succLists())
 	size := make([]int, len(order))
 	for i := 0; i < r.n; i++ {
 		size[comp[i]]++
@@ -294,8 +288,9 @@ func (r *IndexRelation) HasCycle() bool {
 // end up reaching themselves (self-pairs), exactly as TransitiveClosure
 // reports them.
 type ClosedRelation struct {
-	succ *IndexRelation
-	pred *IndexRelation
+	succ     *IndexRelation
+	pred     *IndexRelation
+	src, dst Bitset // InsertFunc's snapshots of pred*(a) and succ*(b), reused
 }
 
 // NewClosedRelation returns an empty closed relation over [0, n).
@@ -303,29 +298,11 @@ func NewClosedRelation(n int) *ClosedRelation {
 	return &ClosedRelation{succ: NewIndexRelation(n), pred: NewIndexRelation(n)}
 }
 
-// Insert adds the pair (a, b) and restores transitive closure. For a pair
-// already implied it is O(1); otherwise it ORs the reach set of b into
-// every node that reaches a (and maintains the transpose), O((|pred*(a)| +
+// Insert adds the pair (a, b) and restores transitive closure: O(1) for a
+// pair already implied; otherwise it ORs the reach set of b into every node
+// that reaches a (and maintains the transpose), O((|pred*(a)| +
 // |succ*(b)|) · n/64) in the worst case and much less in practice.
-func (c *ClosedRelation) Insert(a, b int) {
-	if c.succ.Has(a, b) {
-		return
-	}
-	// Snapshot before mutation: the loops below modify the very rows the
-	// source/target sets are derived from.
-	targets := c.succ.Row(b).Clone()
-	if targets == nil {
-		targets = NewBitset(c.succ.n)
-	}
-	targets.Set(b)
-	sources := c.pred.Row(a).Clone()
-	if sources == nil {
-		sources = NewBitset(c.succ.n)
-	}
-	sources.Set(a)
-	sources.Each(func(x int) { c.succ.MutRow(x).Or(targets) })
-	targets.Each(func(y int) { c.pred.MutRow(y).Or(sources) })
-}
+func (c *ClosedRelation) Insert(a, b int) { c.InsertFunc(a, b, nil) }
 
 // Reset removes every pair in place; see IndexRelation.Reset.
 func (c *ClosedRelation) Reset(used int) {

@@ -236,8 +236,8 @@ func TestNewRecordTypesRoundTrip(t *testing.T) {
 	}
 }
 
-func batchTxn(w, b int) string  { return "T" + string(rune('A'+w)) + "-" + itoa(b) }
-func nodeName(i int) string     { return "n" + itoa(i) }
+func batchTxn(w, b int) string { return "T" + string(rune('A'+w)) + "-" + itoa(b) }
+func nodeName(i int) string    { return "n" + itoa(i) }
 func itoa(n int) (out string) { // tiny positive-int formatter for test names
 	if n == 0 {
 		return "0"
