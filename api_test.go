@@ -120,6 +120,17 @@ func TestPublicRuntime(t *testing.T) {
 	}
 }
 
+func TestPublicParseProtocol(t *testing.T) {
+	for _, p := range []ctx.Protocol{ctx.OpenNested, ctx.ClosedNested, ctx.Global2PL, ctx.Hybrid, ctx.NoCC} {
+		if got, err := ctx.ParseProtocol(p.String()); err != nil || got != p {
+			t.Fatalf("ParseProtocol(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ctx.ParseProtocol("2pc"); err == nil {
+		t.Fatal("ParseProtocol accepted an unknown name")
+	}
+}
+
 func TestPublicJSONRoundTrip(t *testing.T) {
 	sys := ctx.Figure3System()
 	var buf bytes.Buffer

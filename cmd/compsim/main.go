@@ -439,15 +439,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "compsim: unknown topology %q\n", *topoName)
 		exit(2)
 	}
-	protos := map[string]ctx.Protocol{
-		"open-nested":   ctx.OpenNested,
-		"closed-nested": ctx.ClosedNested,
-		"global-2pl":    ctx.Global2PL,
-		"hybrid":        ctx.Hybrid,
-		"nocc":          ctx.NoCC,
-	}
-	proto, ok := protos[*protoName]
-	if !ok {
+	proto, err := ctx.ParseProtocol(*protoName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "compsim: unknown protocol %q\n", *protoName)
 		exit(2)
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -300,7 +299,7 @@ func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTic
 	// An invocation draws its seq when it takes its lock and appends its
 	// event after its subtree's, so every stage with an invocation arrives
 	// out of seq order. Seqs are unique: the order is total.
-	slices.SortFunc(t.evs, func(a, b event) int { return cmp.Compare(a.seq, b.seq) })
+	slices.SortFunc(t.evs, bySeq)
 	for i, e := range t.evs {
 		key := ""
 		for j := i - 1; j >= 0; j-- {

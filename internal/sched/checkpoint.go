@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -431,7 +431,7 @@ func (r *Runtime) checkpointItems(base bool) []wal.Record {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	var items []wal.Record
 	for _, n := range names {
 		store := r.comps[n].store
@@ -537,7 +537,7 @@ func (r *Runtime) relieveOverload() {
 // admit is Submit's backpressure gate: above the high watermark new
 // roots are rejected with ErrOverload until a checkpoint drains the
 // backlog below the low watermark.
-func (r *Runtime) admitRoot() error {
+func (r *Runtime) admit() error {
 	if r.ck.throttle.Load() {
 		r.overloadThrottles.Add(1)
 		return fmt.Errorf("sched: admission of new roots suspended above the high watermark: %w", ErrOverload)

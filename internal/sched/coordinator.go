@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,15 +17,6 @@ import (
 
 // coordName is the coordinator's reserved endpoint name.
 const coordName = "coord"
-
-// dcomp is the coordinator's view of one component: just enough topology
-// to route operations and assemble the recorded system (the component's
-// actual store and locks live at its participant).
-type dcomp struct {
-	name     string
-	hasStore bool
-	modes    *data.ModeTable
-}
 
 // coTxn tracks one durably committed transaction until every updater in
 // pending holds a durable commit record for it (then TypeEnd retires it
@@ -55,23 +45,21 @@ type partDurable struct {
 }
 
 // Coordinator is the root scheduler of the distributed runtime. It walks
-// transaction programs exactly like the single-process Runtime — but
-// every lock grant and store operation is an RPC to the owning
-// participant — and commits through presumed-abort 2PC. It is also the
-// event-sequence authority: sequence numbers are stamped centrally when
-// a grant's reply arrives, which is order-consistent because every
-// participant holds its locks to the decision (two conflicting grants
-// are always separated by a full decision round-trip through here).
+// transaction programs exactly like the single-process Runtime, because
+// it runs them through the same driver (driver.go: one retry loop, one
+// walker) as that driver's cluster scheduler: each lock grant and store
+// operation is an RPC to the owning participant, and a walked attempt
+// commits through presumed-abort 2PC. It is also the event-sequence
+// authority: sequence numbers are stamped centrally when a grant's reply
+// arrives, which is order-consistent because every participant holds its
+// locks to the decision (two conflicting grants are always separated by a
+// full decision round-trip through here).
 type Coordinator struct {
-	protocol Protocol
-	topo     *Topology
-	comps    map[string]*dcomp
-	mux      *comm.Mux
-	wal      journal
-	clock    lamport       // event-sequence authority
-	tsc      atomic.Uint64 // wait-die timestamp source
-	crashed  atomic.Bool
-	crash    *distCrashState
+	driver
+	mux   *comm.Mux
+	wal   journal
+	clock lamport // event-sequence authority
+	crash *distCrashState
 
 	rpcTimeout time.Duration
 	rpcRetries int
@@ -87,7 +75,6 @@ type Coordinator struct {
 	active    int
 
 	commits    atomic.Int64
-	abortRetry atomic.Int64
 	redelivers atomic.Int64
 
 	stop chan struct{}
@@ -95,32 +82,10 @@ type Coordinator struct {
 	bg   sync.WaitGroup
 }
 
-// dattempt is one attempt of one root transaction at the coordinator.
-type dattempt struct {
-	txn     string
-	root    model.NodeID
-	attempt uint32
-	ts      uint64
-	stage   *stagedRecord
-	values  []int64
-	touched map[string]bool
-	rng     *rand.Rand // backoff jitter, built lazily on first retry
-	rngSeed int64
-}
-
-func (a *dattempt) jitter(n int) int {
-	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(a.rngSeed))
-	}
-	return a.rng.Intn(n)
-}
-
 func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coordinator {
 	c := &Coordinator{
-		protocol: cfg.Protocol,
-		topo:     topo,
-		comps:    map[string]*dcomp{},
-		crash:    crash,
+		driver: driver{protocol: cfg.Protocol, comps: map[string]*component{}},
+		crash:  crash,
 
 		rpcTimeout: cfg.RPCTimeout,
 		rpcRetries: cfg.RPCRetries,
@@ -135,12 +100,13 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		stop:      make(chan struct{}),
 		kick:      make(chan struct{}, 1),
 	}
+	c.sch = c
 	for _, spec := range topo.Specs {
 		modes := spec.Modes
 		if modes == nil {
 			modes = data.SemanticTable()
 		}
-		c.comps[spec.Name] = &dcomp{name: spec.Name, hasStore: spec.HasStore, modes: modes}
+		c.comps[spec.Name] = &component{name: spec.Name, modes: modes, hasStore: spec.HasStore}
 		c.durable[spec.Name] = &partDurable{}
 	}
 	return c
@@ -242,81 +208,16 @@ func replyErr(from string, rep comm.Message) error {
 	}
 }
 
-// Submit runs the program as a distributed root transaction: the same
-// retry loop as the single-process Runtime (wait-die sacrifices, lock
-// timeouts, and down participants retry with the attempt's original
-// timestamp), but each failed attempt is aborted at every touched
-// participant before the next begins, and a successful walk commits
-// through 2PC.
+// Submit runs the program as a distributed root transaction through the
+// driver's retry loop: each failed attempt is aborted at every touched
+// participant before the next begins, and a fully walked one commits
+// through 2PC. Remote lock waits are bounded by LockWait, the root by its
+// Invocation.Deadline.
 func (c *Coordinator) Submit(name string, root Invocation) (*TxResult, error) {
-	if _, ok := c.comps[root.Component]; !ok {
-		return nil, fmt.Errorf("sched: unknown component %q", root.Component)
-	}
-	if c.crashed.Load() {
-		return nil, ErrCrashed
-	}
-	if err := c.admit(); err != nil {
-		return nil, err
-	}
-	defer c.release()
-
-	ts := c.tsc.Add(1)
-	rootID := model.NodeID(name)
-	retries := 0
-	for {
-		if c.crashed.Load() {
-			return nil, ErrCrashed
-		}
-		a := &dattempt{
-			txn:     name,
-			root:    rootID,
-			attempt: uint32(retries + 1),
-			ts:      ts,
-			stage:   newStagedRecord(),
-			touched: map[string]bool{},
-			rngSeed: int64(ts)*7919 + int64(retries),
-		}
-		a.stage.declareNode(nodeDecl{id: rootID, sched: root.Component})
-		c.setInflight(name, true)
-		err := c.exec(a, rootID, root)
-		if err == nil {
-			err = c.commit2PC(a)
-			if err == nil {
-				return &TxResult{Root: rootID, Retries: retries, Values: a.values}, nil
-			}
-		} else {
-			c.setInflight(name, false)
-			c.abortAttempt(a)
-		}
-		if errors.Is(err, ErrCrashed) {
-			return nil, ErrCrashed
-		}
-		switch {
-		case errors.Is(err, ErrDie), errors.Is(err, ErrTimeout), errors.Is(err, ErrInjected):
-			// Retryable: sacrifices, expired lock waits and RPC deadlines
-			// (partitions heal, crashed participants recover), abandoned
-			// attempts. The transaction keeps its timestamp and ages into
-			// priority under wait-die.
-		default:
-			return nil, err
-		}
-		retries++
-		c.abortRetry.Add(1)
-		if retries > c.maxRetries {
-			return nil, fmt.Errorf("%w (last abort: %w)", ErrTooManyRetries, err)
-		}
-		shift := retries
-		if shift > 6 {
-			shift = 6
-		}
-		base := 50 << shift
-		select {
-		case <-c.stop:
-			return nil, ErrCrashed
-		case <-time.After(time.Duration(base/2+a.jitter(base)) * time.Microsecond):
-		}
-	}
+	return c.submit(name, root, c.maxRetries, 0)
 }
+
+// The Coordinator is the driver's cluster scheduler.
 
 func (c *Coordinator) admit() error {
 	if c.maxActive <= 0 {
@@ -350,124 +251,76 @@ func (c *Coordinator) setInflight(txn string, v bool) {
 	c.mu.Unlock()
 }
 
-// exec walks one (sub)transaction's steps, issuing Apply RPCs for leaf
-// operations and Lock RPCs plus recursion for invocations.
-func (c *Coordinator) exec(a *dattempt, node model.NodeID, inv Invocation) error {
-	dc := c.comps[inv.Component]
-	if dc == nil {
-		return fmt.Errorf("sched: unknown component %q", inv.Component)
-	}
-	for i, step := range inv.Steps {
-		if c.crashed.Load() {
-			return ErrCrashed
-		}
-		childID := model.NodeID(fmt.Sprintf("%s/%d", node, i+1))
-		if step.Sync != nil {
-			step.Sync()
-		}
-		if step.Fail != nil {
-			return fmt.Errorf("%w: step %s: %w", ErrClientAbort, childID, step.Fail)
-		}
-		switch {
-		case step.Op != nil && step.Invoke != nil:
-			return fmt.Errorf("sched: step %s has both Op and Invoke", childID)
-		case step.Op != nil:
-			if !dc.hasStore {
-				return fmt.Errorf("sched: component %q has no store for %s", dc.name, step.Op)
-			}
-			if err := c.leafOp(a, dc, node, childID, *step.Op); err != nil {
-				return err
-			}
-		case step.Invoke != nil:
-			if err := c.invoke(a, dc, node, childID, *step.Invoke); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("sched: empty step %s", childID)
-		}
-	}
-	return nil
+func (c *Coordinator) begin(a *attempt, _ Invocation) {
+	a.touched = map[string]bool{}
+	c.setInflight(string(a.root), true)
 }
 
-// leafOp sends one store operation to its participant and stamps the
+// Locks are the participants' own, held to the decision.
+func (c *Coordinator) enter(_ *attempt, _ *component, _ model.NodeID, owner string) (string, error) {
+	return owner, nil
+}
+func (c *Coordinator) leave(*attempt, *component, string) {}
+
+// apply sends one store operation to its participant and stamps the
 // event when the reply (the grant) arrives.
-func (c *Coordinator) leafOp(a *dattempt, dc *dcomp, parent, id model.NodeID, op data.Op) error {
-	rep, err := c.call(dc.name, comm.Message{
-		Kind: comm.KindApply, Txn: a.txn, Attempt: a.attempt, TS: a.ts,
-		Node: string(id), Item: op.Item, Mode: string(op.Mode), Impl: string(op.Impl),
-		Arg: op.Arg, Wait: int64(c.lockWait),
-	})
-	a.touched[dc.name] = true
+func (c *Coordinator) apply(a *attempt, comp *component, id model.NodeID, _ string, op data.Op, _ time.Time) (uint64, int64, error) {
+	rep, err := c.grant(a, comp.name, comm.Message{Kind: comm.KindApply, Node: string(id),
+		Item: op.Item, Mode: string(op.Mode), Impl: string(op.Impl), Arg: op.Arg})
 	if err != nil {
-		return fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
+		return 0, 0, fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
 	}
-	if !rep.OK {
-		return fmt.Errorf("sched: apply %s at %s: %w", op, id, replyErr(dc.name, rep))
+	return c.clock.tick(), rep.Value, nil
+}
+
+// lock grants the semantic lock on an invocation at the caller's
+// participant.
+func (c *Coordinator) lock(a *attempt, caller *component, id model.NodeID, item string, mode data.Mode, _ string, _ time.Time) error {
+	if _, err := c.grant(a, caller.name, comm.Message{Kind: comm.KindLock, Node: string(id), Item: item, Mode: string(mode)}); err != nil {
+		return fmt.Errorf("sched: invoke %s at %s: %w", item, id, err)
 	}
-	seq := c.clock.tick()
-	if op.Physical() == data.ModeRead {
-		a.values = append(a.values, rep.Value)
-	}
-	a.stage.declareNode(nodeDecl{id: id, parent: parent})
-	a.stage.addEvent(event{seq: seq, comp: dc.name, op: id, parentTx: parent, item: op.Item, mode: op.Mode})
 	return nil
 }
 
-// invoke grants the semantic lock at the caller's participant (nested
-// protocols only; Global2PL and NoCC take no component-level locks) and
-// recurses into the child component's steps.
-func (c *Coordinator) invoke(a *dattempt, caller *dcomp, parent, id model.NodeID, inv Invocation) error {
-	child := c.comps[inv.Component]
-	if child == nil {
-		return fmt.Errorf("sched: unknown component %q", inv.Component)
+// grant sends an apply or lock request of a to part — which from then on
+// votes on the attempt, or hears its abort — and maps a refusal onto the
+// sentinel errors.
+func (c *Coordinator) grant(a *attempt, part string, req comm.Message) (comm.Message, error) {
+	req.Txn, req.Attempt, req.TS, req.Wait = string(a.root), a.number, a.ts, int64(c.lockWait)
+	rep, err := c.call(part, req)
+	a.touched[part] = true
+	if err == nil && !rep.OK {
+		err = replyErr(part, rep)
 	}
-	if child == caller {
-		return fmt.Errorf("sched: component %q invoking itself (recursion is not allowed)", caller.name)
-	}
-	semItem := inv.Component + "/" + inv.Item
-
-	var seq uint64
-	switch c.protocol {
-	case Global2PL, NoCC:
-		// No component-level locks; the event is sequenced at completion,
-		// where leaf-lock strictness (Global2PL) makes the order
-		// consistent with the leaf serialization.
-	default:
-		rep, err := c.call(caller.name, comm.Message{
-			Kind: comm.KindLock, Txn: a.txn, Attempt: a.attempt, TS: a.ts,
-			Node: string(id), Item: semItem, Mode: string(inv.Mode), Wait: int64(c.lockWait),
-		})
-		a.touched[caller.name] = true
-		if err != nil {
-			return fmt.Errorf("sched: invoke %s at %s: %w", semItem, id, err)
-		}
-		if !rep.OK {
-			return fmt.Errorf("sched: invoke %s at %s: %w", semItem, id, replyErr(caller.name, rep))
-		}
-		seq = c.clock.tick()
-	}
-
-	if err := c.exec(a, id, inv); err != nil {
-		return err
-	}
-	if seq == 0 {
-		seq = c.clock.tick()
-	}
-	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
-	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
-	return nil
+	return rep, err
 }
 
-// abortAttempt tears a failed attempt down at every touched participant.
+func (c *Coordinator) nextSeq() uint64 { return c.clock.tick() }
+
+// A failed subtransaction fails its root: its participants' locks are
+// held to the decision, so there is nothing local to re-run under.
+func (c *Coordinator) retrySub(*attempt, snapshot, int, error) bool { return false }
+
+// commit runs 2PC, which ends the attempt at every participant it touched
+// whatever the outcome: a failed commit2PC has fanned its abort out
+// already (or left it to recovery), so abort has no one left to tell.
+func (c *Coordinator) commit(a *attempt) error {
+	err := c.commit2PC(a)
+	clear(a.touched)
+	return err
+}
+
+// abort tears a failed attempt down at every touched participant.
 // Best-effort: an unreachable participant's sweeper abandons the attempt
 // on its own once it idles past AbandonAfter.
-func (c *Coordinator) abortAttempt(a *dattempt) {
+func (c *Coordinator) abort(a *attempt, _ bool) {
+	c.setInflight(string(a.root), false)
 	var wg sync.WaitGroup
 	for part := range a.touched {
 		wg.Add(1)
 		go func(part string) {
 			defer wg.Done()
-			c.call(part, comm.Message{Kind: comm.KindAbort, Txn: a.txn, Attempt: a.attempt})
+			c.call(part, comm.Message{Kind: comm.KindAbort, Txn: string(a.root), Attempt: a.number})
 		}(part)
 	}
 	wg.Wait()
@@ -532,7 +385,8 @@ func (ct *coTxn) settle(part string) bool {
 // participants that did not vote READ. Their commit records are lazy, so
 // phase two costs a round trip and no force; observe appends the
 // non-forced TypeEnd once every updater's record is known durable.
-func (c *Coordinator) commit2PC(a *dattempt) error {
+func (c *Coordinator) commit2PC(a *attempt) error {
+	txn := string(a.root)
 	// Phase one. Votes are collected in parallel; any no-vote or vote
 	// timeout turns the decision into the (unlogged, presumed) abort.
 	var abortCause error
@@ -544,7 +398,7 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 	ch := make(chan vres, len(a.touched))
 	for part := range a.touched {
 		go func(part string) {
-			rep, err := c.call(part, comm.Message{Kind: comm.KindPrepare, Txn: a.txn, Attempt: a.attempt, TS: a.ts})
+			rep, err := c.call(part, comm.Message{Kind: comm.KindPrepare, Txn: txn, Attempt: a.number, TS: a.ts})
 			ch <- vres{part, rep, err}
 		}(part)
 	}
@@ -570,19 +424,19 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 			abortCause = fmt.Errorf("sched: vote no: %w", replyErr(v.part, v.rep))
 		}
 	}
-	sort.Strings(updaters)
+	slices.Sort(updaters)
 	if errors.Is(abortCause, ErrCrashed) {
 		return ErrCrashed
 	}
 	if abortCause != nil {
-		c.setInflight(a.txn, false)
-		c.fanDecide(a.txn, a.attempt, updaters, false, nil)
+		c.setInflight(txn, false)
+		c.fanDecide(txn, a.number, updaters, false, nil)
 		return abortCause
 	}
 
 	// Crash site: unanimous yes votes, decision not yet durable. Every
 	// updater is prepared and in doubt; recovery presumes abort.
-	if c.crash.fire(DistCrashCoordPre, "", a.txn) {
+	if c.crash.fire(DistCrashCoordPre, "", txn) {
 		c.crashNow()
 		return ErrCrashed
 	}
@@ -592,9 +446,9 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 	// what committed; the updater list in the decision's Meta is what
 	// recovery re-delivers to.
 	partsJSON, _ := json.Marshal(updaters)
-	recs := stageRecords(a.txn, a.stage, wal.Record{
-		Type: wal.TypeDecision, Txn: a.txn, Mode: "commit",
-		Node: attemptStr(a.attempt), Seq: a.ts, Meta: partsJSON,
+	recs := stageRecords(txn, a.stage, wal.Record{
+		Type: wal.TypeDecision, Txn: txn, Mode: "commit",
+		Node: attemptStr(a.number), Seq: a.ts, Meta: partsJSON,
 	})
 	if err := c.wal.force(recs); err != nil {
 		// A non-crash WAL failure means this transaction can never commit
@@ -604,34 +458,34 @@ func (c *Coordinator) commit2PC(a *dattempt) error {
 		// the locks drain now. A crash leaves both to recovery, which
 		// rebuilds from the log.
 		if !errors.Is(err, ErrCrashed) {
-			c.setInflight(a.txn, false)
-			c.fanDecide(a.txn, a.attempt, updaters, false, nil)
+			c.setInflight(txn, false)
+			c.fanDecide(txn, a.number, updaters, false, nil)
 		}
 		return err
 	}
 
-	ct := &coTxn{attempt: a.attempt, parts: updaters, pending: append([]string(nil), updaters...)}
+	ct := &coTxn{attempt: a.number, parts: updaters, pending: append([]string(nil), updaters...)}
 	ct.ended = len(updaters) == 0
 	c.mu.Lock()
-	c.committed[a.txn] = ct
-	delete(c.inflight, a.txn)
+	c.committed[txn] = ct
+	delete(c.inflight, txn)
 	c.rec.merge(a.stage)
 	c.mu.Unlock()
 	c.commits.Add(1)
 	if ct.ended {
-		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: a.txn})
+		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
 	}
 
 	// Crash site: the decision is durable but no participant knows it.
 	// Recovery must re-deliver from the log alone.
-	if c.crash.fire(DistCrashCoordPost, "", a.txn) {
+	if c.crash.fire(DistCrashCoordPost, "", txn) {
 		c.crashNow()
 		return ErrCrashed
 	}
 
 	// Phase two. Undelivered decisions stay pending; the re-delivery loop
 	// (and participant queries) finish them.
-	c.fanDecide(a.txn, a.attempt, updaters, true, ct)
+	c.fanDecide(txn, a.number, updaters, true, ct)
 	return nil
 }
 
@@ -732,10 +586,5 @@ func (c *Coordinator) unended() int {
 func (c *Coordinator) RecordedSystem() *model.System {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return assembleSystem(c.rec, func(comp string) *data.ModeTable {
-		if dc := c.comps[comp]; dc != nil {
-			return dc.modes
-		}
-		return data.SemanticTable()
-	})
+	return assembleSystem(c.rec, c.comps)
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -312,6 +312,16 @@ func (cl *Cluster) participant(name string) *Participant {
 	return cl.parts[name]
 }
 
+func (cl *Cluster) participants() []*Participant {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	parts := make([]*Participant, 0, len(cl.parts))
+	for _, p := range cl.parts {
+		parts = append(parts, p)
+	}
+	return parts
+}
+
 // SetCrash arms one crash-site injection (fires at most once).
 func (cl *Cluster) SetCrash(d DistCrash) { cl.crash.arm(d) }
 
@@ -326,15 +336,13 @@ func (cl *Cluster) CoordinatorCrashed() bool {
 // RecoverParticipant — a dead participant only surfaces to clients as
 // RPC timeouts, never as ErrCrashed.
 func (cl *Cluster) CrashedParticipants() []string {
-	cl.mu.Lock()
 	var out []string
-	for name, p := range cl.parts {
+	for _, p := range cl.participants() {
 		if p.crashed.Load() {
-			out = append(out, name)
+			out = append(out, p.name)
 		}
 	}
-	cl.mu.Unlock()
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -654,13 +662,7 @@ func (cl *Cluster) Settle(timeout time.Duration) error {
 			}
 		}
 		doubt := 0
-		cl.mu.Lock()
-		parts := make([]*Participant, 0, len(cl.parts))
-		for _, p := range cl.parts {
-			parts = append(parts, p)
-		}
-		cl.mu.Unlock()
-		for _, p := range parts {
+		for _, p := range cl.participants() {
 			if !p.crashed.Load() {
 				doubt += p.inDoubt()
 			}
@@ -757,17 +759,11 @@ func (cl *Cluster) Metrics() DistMetrics {
 	}
 	if c := cl.coordinator(); c != nil {
 		m.Commits = c.commits.Load()
-		m.Retries = c.abortRetry.Load()
+		m.Retries = c.retries.Load()
 		m.Redelivers = c.redelivers.Load()
 		addGroup(c.wal)
 	}
-	cl.mu.Lock()
-	parts := make([]*Participant, 0, len(cl.parts))
-	for _, p := range cl.parts {
-		parts = append(parts, p)
-	}
-	cl.mu.Unlock()
-	for _, p := range parts {
+	for _, p := range cl.participants() {
 		m.Unilateral += p.unilats.Load()
 		m.Queries += p.queries.Load()
 		m.Resolved += p.resolves.Load()
@@ -803,13 +799,7 @@ func (cl *Cluster) NetStats() comm.NetStats {
 // runs one re-delivery round, so a cluster closed at rest has ended every
 // transaction and recovery has nothing to re-deliver.
 func (cl *Cluster) Close() error {
-	cl.mu.Lock()
-	coord := cl.coord
-	parts := make([]*Participant, 0, len(cl.parts))
-	for _, p := range cl.parts {
-		parts = append(parts, p)
-	}
-	cl.mu.Unlock()
+	coord, parts := cl.coordinator(), cl.participants()
 	if coord != nil {
 		if !coord.crashed.Load() && len(cl.CrashedParticipants()) == 0 {
 			coord.redeliver()

@@ -1,0 +1,324 @@
+package sched
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync/atomic"
+	"time"
+
+	"compositetx/internal/data"
+	"compositetx/internal/model"
+)
+
+// The driver runs every root transaction, in one process or in a cluster:
+// one retry loop (submit) and one program walker (exec, invoke) over a
+// scheduler — the node half that takes the locks, applies the leaf
+// operations, draws the event sequence numbers and ends the attempt. The
+// Runtime binds it to its own lock managers, stores and journal; the
+// Coordinator binds it to RPCs to the participants and two-phase commit.
+// Child IDs, semantic lock keys, the sequencing rule, deadlines, staging
+// and wait-die retry are the driver's alone, so both record the same
+// execution for the same programs (TestDistDriverParity).
+
+// scheduler is the node half of the driver.
+type scheduler interface {
+	// admit lets a new root in (or refuses it with ErrOverload); release
+	// is called once the root has returned.
+	admit() error
+	release()
+	// begin readies a fresh attempt of root.
+	begin(a *attempt, root Invocation)
+	// enter starts a (sub)transaction at comp and returns the owner its
+	// locks are taken under; leave ends it there, successfully.
+	enter(a *attempt, comp *component, node model.NodeID, owner string) (string, error)
+	leave(a *attempt, comp *component, owner string)
+	// apply locks and applies leaf op at comp and returns the event's
+	// sequence number and, for a read, the value read.
+	apply(a *attempt, comp *component, id model.NodeID, owner string, op data.Op, deadline time.Time) (seq uint64, val int64, err error)
+	// lock takes the semantic lock on an invocation at its caller.
+	lock(a *attempt, caller *component, id model.NodeID, item string, mode data.Mode, owner string, deadline time.Time) error
+	// nextSeq draws an event sequence number.
+	nextSeq() uint64
+	// retrySub decides whether a failed subtransaction re-runs locally
+	// (after undoing it back to snap) instead of failing its root.
+	retrySub(a *attempt, snap snapshot, try int, err error) bool
+	// commit ends a fully walked attempt; abort undoes a failed one, final
+	// when the root will not retry.
+	commit(a *attempt) error
+	abort(a *attempt, final bool)
+}
+
+// driver is the component-independent state every root shares: the
+// components, the protocol, the crash flag, wait-die timestamps and the
+// retry counters.
+type driver struct {
+	sch      scheduler
+	protocol Protocol
+	comps    map[string]*component
+
+	crashed atomic.Bool   // simulated crash: every Submit drains with ErrCrashed
+	tsc     atomic.Uint64 // root timestamps for wait-die
+
+	retries      atomic.Int64 // abort-retry rounds
+	aborts       atomic.Int64 // wait-die sacrifices
+	valAborts    atomic.Int64 // optimistic attempts whose reads were invalidated
+	clientAborts atomic.Int64
+	timeouts     atomic.Int64
+	invokes      atomic.Int64
+}
+
+// attempt carries the per-attempt execution state. The first block is
+// the driver's; the in-process scheduler adds the undo log, the lock
+// owners and the optimistic reads, the cluster the participants touched.
+type attempt struct {
+	root   model.NodeID
+	ts     uint64
+	number uint32 // 1 for a root's first attempt; participants tell attempts apart by it
+	stage  *stagedRecord
+	values []int64
+
+	owners []ownerRef
+	undo   []undoEntry
+
+	// Optimistic execution state (ExecOptimistic / Invocation.SnapshotRead):
+	// per-store snapshot stamps, the snapshot reads to validate at commit,
+	// and the items this attempt mutated (whose reads must bypass the
+	// snapshot to see their own writes).
+	optimistic bool
+	snaps      map[string]uint64
+	reads      []readRec
+	wset       map[string]struct{}
+
+	// Checkpoint-frontier registration (ckState.noteSnap): the oldest
+	// snapshot stamp this attempt may still validate at. Written only by
+	// the attempt's goroutine under ck.gate.RLock and read by the
+	// checkpoint under ck.gate.Lock, so the gate orders every access.
+	snapReg bool
+	snapLow uint64
+
+	// touched lists the participants sent a lock or an apply: the ones
+	// that vote, or hear the abort.
+	touched map[string]bool
+}
+
+// snapshot marks a point in the attempt's logs, so a faulted
+// subtransaction can be rolled back and re-run without discarding the
+// work of the rest of the transaction.
+type snapshot struct {
+	undo, owners, nodes, events, values, reads int
+}
+
+func (a *attempt) snapshot() snapshot {
+	return snapshot{
+		undo:   len(a.undo),
+		owners: len(a.owners),
+		nodes:  len(a.stage.nodes),
+		events: len(a.stage.events),
+		values: len(a.values),
+		reads:  len(a.reads),
+	}
+}
+
+// submit runs the program as a root transaction until it commits,
+// retrying wait-die sacrifices, invalidated optimistic reads, recovered
+// injected faults and deadline expiries with the root's first timestamp.
+// An expired client-supplied deadline is final; an opTimeout window
+// (zero = none) renews per attempt.
+func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout time.Duration) (res *TxResult, err error) {
+	if d.comps[root.Component] == nil {
+		return nil, fmt.Errorf("sched: unknown component %q", root.Component)
+	}
+	// A Runtime crash unwinds the crashing attempt's stack with
+	// crashPanic: convert it to ErrCrashed here, deliberately skipping
+	// every rollback and lock release on the way out — a crashed process
+	// does not get to compensate anything.
+	defer func() {
+		if p := recover(); p != nil {
+			if _, ok := p.(crashPanic); ok {
+				res, err = nil, ErrCrashed
+				return
+			}
+			panic(p)
+		}
+	}()
+	if d.crashed.Load() {
+		return nil, ErrCrashed
+	}
+	if err := d.sch.admit(); err != nil {
+		return nil, err
+	}
+	defer d.sch.release()
+
+	ts := d.tsc.Add(1)
+	rootID := model.NodeID(name)
+	var rng *rand.Rand // backoff jitter, built on the first retry
+	for retries := 0; ; {
+		deadline := root.Deadline
+		if opTimeout > 0 {
+			if w := time.Now().Add(opTimeout); deadline.IsZero() || w.Before(deadline) {
+				deadline = w
+			}
+		}
+		a := &attempt{root: rootID, ts: ts, number: uint32(retries + 1), stage: newStagedRecord()}
+		a.stage.declareNode(nodeDecl{id: rootID, sched: root.Component})
+		d.sch.begin(a, root)
+		err := d.exec(a, rootID, name, root, deadline)
+		if err == nil {
+			if err = d.sch.commit(a); err == nil {
+				return &TxResult{Root: rootID, Retries: retries, Values: a.values}, nil
+			}
+		}
+		if errors.Is(err, ErrCrashed) {
+			// Abandon without undo, exactly like the crashing attempt.
+			return nil, ErrCrashed
+		}
+		retry := true
+		switch {
+		case errors.Is(err, ErrDie):
+			d.aborts.Add(1)
+		case errors.Is(err, ErrValidation):
+			d.valAborts.Add(1)
+		case errors.Is(err, ErrInjected):
+		case errors.Is(err, ErrTimeout):
+			retry = root.Deadline.IsZero() || time.Now().Before(root.Deadline)
+		default:
+			if errors.Is(err, ErrClientAbort) {
+				d.clientAborts.Add(1)
+			}
+			retry = false
+		}
+		if retry {
+			d.retries.Add(1)
+			// The budget check precedes the backoff: the final failed
+			// attempt returns immediately instead of sleeping first.
+			if retries >= maxRetries {
+				err, retry = fmt.Errorf("%w (last abort: %w)", ErrTooManyRetries, err), false
+			}
+		}
+		d.sch.abort(a, !retry)
+		if !retry {
+			return nil, err
+		}
+		retries++
+		// Jittered exponential backoff, 50µs .. 3.2ms: the root keeps its
+		// timestamp, ages, and eventually wins under wait-die. Flat backoff
+		// thrashes when the older conflicting root holds its locks for
+		// milliseconds.
+		base := 50 << min(retries, 6)
+		if rng == nil {
+			rng = rand.New(rand.NewSource(int64(ts) * 7919))
+		}
+		time.Sleep(time.Duration(base/2+rng.Intn(base)) * time.Microsecond)
+		if d.crashed.Load() {
+			return nil, ErrCrashed
+		}
+	}
+}
+
+// exec runs one (sub)transaction at its component. node is its ID, owner
+// the lock owner its caller hands down, and deadline bounds the subtree
+// (zero = none; inv.Deadline tightens it).
+func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocation, deadline time.Time) error {
+	comp := d.comps[inv.Component]
+	if comp == nil {
+		return fmt.Errorf("sched: unknown component %q", inv.Component)
+	}
+	if !inv.Deadline.IsZero() && (deadline.IsZero() || inv.Deadline.Before(deadline)) {
+		deadline = inv.Deadline
+	}
+	owner, err := d.sch.enter(a, comp, node, owner)
+	if err != nil {
+		return err
+	}
+	for i, step := range inv.Steps {
+		if d.crashed.Load() {
+			return ErrCrashed
+		}
+		id := model.NodeID(fmt.Sprintf("%s/%d", node, i+1))
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			d.timeouts.Add(1)
+			return fmt.Errorf("sched: %s at step %s: %w", node, id, ErrTimeout)
+		}
+		if step.Sync != nil {
+			step.Sync()
+		}
+		if step.Fail != nil {
+			return fmt.Errorf("%w: step %s: %w", ErrClientAbort, id, step.Fail)
+		}
+		switch {
+		case step.Op != nil && step.Invoke != nil:
+			return fmt.Errorf("sched: step %s has both Op and Invoke", id)
+		case step.Op != nil:
+			op := *step.Op
+			if !comp.hasStore {
+				return fmt.Errorf("sched: component %q has no store for %s", comp.name, op)
+			}
+			seq, val, err := d.sch.apply(a, comp, id, owner, op, deadline)
+			if err != nil {
+				return err
+			}
+			if op.Physical() == data.ModeRead {
+				a.values = append(a.values, val)
+			}
+			a.stage.declareNode(nodeDecl{id: id, parent: node})
+			a.stage.addEvent(event{seq: seq, comp: comp.name, op: id, parentTx: node, item: op.Item, mode: op.Mode})
+		case step.Invoke != nil:
+			if err := d.invoke(a, comp, node, id, owner, *step.Invoke, deadline); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("sched: empty step %s", id)
+		}
+	}
+	d.sch.leave(a, comp, owner)
+	return nil
+}
+
+// invoke locks the semantic operation at the caller and delegates the
+// subtransaction to the child component.
+func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, owner string, inv Invocation, deadline time.Time) error {
+	child := d.comps[inv.Component]
+	if child == nil {
+		return fmt.Errorf("sched: unknown component %q", inv.Component)
+	}
+	if child == caller {
+		return fmt.Errorf("sched: component %q invoking itself (recursion is not allowed)", caller.name)
+	}
+	d.invokes.Add(1)
+
+	// The semantic identity of an invocation at the caller is the pair
+	// (component, item): operations on the same item name routed to
+	// different components touch disjoint data and must not be declared
+	// conflicting (nor serialized) at the caller.
+	semItem := inv.Component + "/" + inv.Item
+
+	var seq uint64
+	switch d.protocol {
+	case Global2PL, NoCC:
+		// No component-level locks; the event sequence is assigned at
+		// completion, where lock strictness (Global2PL) makes the order
+		// consistent with the leaf serialization.
+	default:
+		if err := d.sch.lock(a, caller, id, semItem, inv.Mode, owner, deadline); err != nil {
+			return err
+		}
+		seq = d.sch.nextSeq()
+	}
+	for try := 0; ; try++ {
+		snap := a.snapshot()
+		err := d.exec(a, id, string(id), inv, deadline)
+		if err == nil {
+			break
+		}
+		if !d.sch.retrySub(a, snap, try, err) {
+			return err
+		}
+	}
+	if seq == 0 {
+		seq = d.sch.nextSeq()
+	}
+	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
+	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
+	return nil
+}

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -183,7 +183,7 @@ func itemRecords(dst []wal.Record, typ wal.Type, comp string, snap map[string]in
 	for it := range snap {
 		keys = append(keys, it)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, it := range keys {
 		dst = append(dst, wal.Record{Type: typ, Comp: comp, Item: it, Prev: snap[it]})
 	}

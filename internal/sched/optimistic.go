@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"compositetx/internal/data"
-	"compositetx/internal/model"
 )
 
 // ExecMode selects how a runtime executes leaf reads: pessimistically
@@ -92,8 +91,9 @@ func (a *attempt) markWrite(comp string, item string) {
 // store write lock, no blocking on concurrent writers. The read is
 // recorded as a normal leaf event (sequenced after the snapshot stamp, so
 // recorded conflict order agrees with the values seen once validation
-// passes) and remembered for validate-at-commit.
-func (r *Runtime) snapshotRead(a *attempt, comp *component, parent, id model.NodeID, op data.Op) error {
+// passes) and remembered for validate-at-commit; the driver stages the
+// value and the event next, at the indices remembered here.
+func (r *Runtime) snapshotRead(a *attempt, comp *component, op data.Op) (uint64, int64, error) {
 	var val int64
 	ts, ok := a.snaps[snapKey(comp.name, op.Item)]
 	if ok {
@@ -119,11 +119,7 @@ func (r *Runtime) snapshotRead(a *attempt, comp *component, parent, id model.Nod
 		comp: comp.name, item: op.Item, mode: op.Mode, ts: ts,
 		valIdx: len(a.values), eventIdx: len(a.stage.events),
 	})
-	a.values = append(a.values, val)
-	seq := r.seq.Add(1)
-	a.stage.declareNode(nodeDecl{id: id, parent: parent})
-	a.stage.addEvent(event{seq: seq, comp: comp.name, op: id, parentTx: parent, item: op.Item, mode: op.Mode})
-	return nil
+	return r.seq.Add(1), val, nil
 }
 
 // setSeal publishes a validation pass's validation point for the root,

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"compositetx/internal/data"
 	"compositetx/internal/model"
@@ -30,6 +31,9 @@ type event struct {
 	item     string
 	mode     data.Mode
 }
+
+// bySeq orders events by sequence number: the conflict order.
+func bySeq(a, b event) int { return cmp.Compare(a.seq, b.seq) }
 
 // stagedRecord buffers one attempt's declarations and events.
 type stagedRecord struct {
@@ -77,9 +81,7 @@ func (r *recorder) merge(s *stagedRecord) {
 func (r *Runtime) RecordedSystem() *model.System {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return assembleSystem(r.rec, func(comp string) *data.ModeTable {
-		return r.comps[comp].modes
-	})
+	return assembleSystem(r.rec, r.comps)
 }
 
 // assembleSystem builds the composite-system model from a recorder's raw
@@ -87,7 +89,7 @@ func (r *Runtime) RecordedSystem() *model.System {
 // distributed Coordinator (whose recorder is fed by participant replies
 // and rebuilt from its WAL at recovery) — the checker sees the same
 // assembly either way.
-func assembleSystem(rec *recorder, modesOf func(string) *data.ModeTable) *model.System {
+func assembleSystem(rec *recorder, comps map[string]*component) *model.System {
 	sys := model.NewSystem()
 	// Schedules: every component that scheduled a transaction.
 	used := map[string]bool{}
@@ -100,7 +102,7 @@ func assembleSystem(rec *recorder, modesOf func(string) *data.ModeTable) *model.
 	for n := range used {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		sys.AddSchedule(model.ScheduleID(n))
 	}
@@ -125,8 +127,13 @@ func assembleSystem(rec *recorder, modesOf func(string) *data.ModeTable) *model.
 	}
 	for _, comp := range names {
 		evs := grouped[comp]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].seq < evs[j].seq })
-		modes := modesOf(comp)
+		slices.SortFunc(evs, bySeq)
+		var modes *data.ModeTable
+		if c := comps[comp]; c != nil {
+			modes = c.modes
+		} else {
+			modes = data.SemanticTable() // a schedule the topology does not name
+		}
 		sc := sys.Schedule(model.ScheduleID(comp))
 		byItem := map[string][]event{}
 		for _, e := range evs {
@@ -170,7 +177,7 @@ func (r *Runtime) Sequences() map[model.ScheduleID][]model.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	evs := append([]event(nil), r.rec.events...)
-	sort.Slice(evs, func(i, j int) bool { return evs[i].seq < evs[j].seq })
+	slices.SortFunc(evs, bySeq)
 	out := map[model.ScheduleID][]model.NodeID{}
 	for _, e := range evs {
 		out[model.ScheduleID(e.comp)] = append(out[model.ScheduleID(e.comp)], e.op)

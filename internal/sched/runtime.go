@@ -30,7 +30,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,10 +101,11 @@ type ComponentSpec struct {
 }
 
 type component struct {
-	name  string
-	modes *data.ModeTable
-	store *data.Store
-	lm    *lockManager
+	name     string
+	modes    *data.ModeTable
+	hasStore bool
+	store    *data.Store // nil in a cluster, where the participant holds it
+	lm       *lockManager
 
 	// holdToRoot marks a join point: under the Hybrid protocol, locks at
 	// this component are owned by the root and held to root commit.
@@ -200,20 +200,14 @@ func (m Metrics) String() string {
 
 // Runtime is a running composite system.
 type Runtime struct {
-	protocol Protocol
-	comps    map[string]*component
+	driver
 	globalLM *lockManager
 	rwTable  *data.ModeTable
 
 	seq atomic.Uint64 // global event sequence (conflict-order recording)
-	tsc atomic.Uint64 // root timestamps for wait-die
 
 	commits      atomic.Int64
-	aborts       atomic.Int64
-	clientAborts atomic.Int64
 	leafOps      atomic.Int64
-	invokes      atomic.Int64
-	timeouts     atomic.Int64
 	subRetries   atomic.Int64
 	compFailures atomic.Int64
 
@@ -224,7 +218,6 @@ type Runtime struct {
 	// EnableCertify and read with one atomic load per commit.
 	cert         atomic.Pointer[certifier]
 	certRejects  atomic.Int64
-	valAborts    atomic.Int64
 	valRefreshes atomic.Int64
 
 	// seals orders optimistic commits: each validation pass registers its
@@ -248,8 +241,7 @@ type Runtime struct {
 
 	// Durability (zero wal = volatile runtime; see EnableWAL, Recover).
 	wal     journal
-	topo    *Topology   // retained for WAL metadata; nil when built via New with bare specs
-	crashed atomic.Bool // simulated-crash flag: every Submit drains with ErrCrashed
+	topo    *Topology // retained for WAL metadata; nil when built via New with bare specs
 	crashes atomic.Int64
 
 	// walMetaJSON is the encoded walMeta document of the attached log,
@@ -306,8 +298,7 @@ type Runtime struct {
 // New builds a runtime for the given protocol and component topology.
 func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 	r := &Runtime{
-		protocol:       protocol,
-		comps:          make(map[string]*component, len(specs)),
+		driver:         driver{protocol: protocol, comps: make(map[string]*component, len(specs))},
 		globalLM:       newLockManager(),
 		rwTable:        data.RWTable(),
 		rec:            newRecorder(),
@@ -318,6 +309,7 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		SubRetries:     2,
 		RefreshRetries: 6,
 	}
+	r.sch = r
 	for _, spec := range specs {
 		if spec.Name == "" {
 			panic("sched: component with empty name")
@@ -329,7 +321,7 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		if modes == nil {
 			modes = data.SemanticTable()
 		}
-		c := &component{name: spec.Name, modes: modes, lm: newLockManager()}
+		c := &component{name: spec.Name, modes: modes, hasStore: spec.HasStore, lm: newLockManager()}
 		c.lm.crashed = &r.crashed
 		if spec.HasStore {
 			c.store = data.NewStore()
@@ -401,13 +393,8 @@ func (r *Runtime) Metrics() Metrics {
 		m.CertifyRebuildNanos = c.rebuildNanos.Load()
 	}
 	m.LockWaits = r.globalLM.waitCount()
-	names := make([]string, 0, len(r.comps))
-	for n := range r.comps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		m.LockWaits += r.comps[n].lm.waitCount()
+	for _, c := range r.comps {
+		m.LockWaits += c.lm.waitCount()
 	}
 	return m
 }

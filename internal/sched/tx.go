@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"slices"
 	"time"
 
 	"compositetx/internal/data"
@@ -70,40 +70,6 @@ var ErrClientAbort = errors.New("sched: transaction aborted by client")
 // before the operation is quarantined.
 const compensationRetries = 3
 
-// attempt carries the per-attempt execution state: the undo log, the lock
-// owners created so far (for release on abort or commit), and the staged
-// execution record.
-type attempt struct {
-	root   model.NodeID
-	ts     uint64
-	owners []ownerRef
-	undo   []undoEntry
-	stage  *stagedRecord
-	values []int64
-
-	// Backoff jitter source, built lazily on the first retry: seeding a
-	// rand.Source is hundreds of words of setup the no-retry fast path
-	// never needs.
-	rng     *rand.Rand
-	rngSeed int64
-
-	// Optimistic execution state (ExecOptimistic / Invocation.SnapshotRead):
-	// per-store snapshot stamps, the snapshot reads to validate at commit,
-	// and the items this attempt mutated (whose reads must bypass the
-	// snapshot to see their own writes).
-	optimistic bool
-	snaps      map[string]uint64
-	reads      []readRec
-	wset       map[string]struct{}
-
-	// Checkpoint-frontier registration (ckState.noteSnap): the oldest
-	// snapshot stamp this attempt may still validate at. Written only by
-	// the attempt's goroutine under ck.gate.RLock and read by the
-	// checkpoint under ck.gate.Lock, so the gate orders every access.
-	snapReg bool
-	snapLow uint64
-}
-
 type ownerRef struct {
 	lm    *lockManager
 	owner string
@@ -117,157 +83,185 @@ type undoEntry struct {
 	lsn   uint64 // WAL position of the TypeApply record (0 = not journaled)
 }
 
-// snapshot marks a point in the attempt's logs, so a faulted
-// subtransaction can be rolled back and re-run without discarding the
-// work of the rest of the transaction.
-type snapshot struct {
-	undo, owners, nodes, events, values, reads int
-}
-
-func (a *attempt) snapshot() snapshot {
-	return snapshot{
-		undo:   len(a.undo),
-		owners: len(a.owners),
-		nodes:  len(a.stage.nodes),
-		events: len(a.stage.events),
-		values: len(a.values),
-		reads:  len(a.reads),
-	}
-}
-
 // Submit runs the program as a root transaction, retrying on wait-die
 // sacrifices, recovered injected faults, and deadline expiries until it
 // commits. It is safe to call from many goroutines. After a simulated
 // crash (FaultCrash) every Submit — in flight or new — returns
 // ErrCrashed; the abandoned state is Recover's job.
-func (r *Runtime) Submit(name string, root Invocation) (res *TxResult, err error) {
-	if _, ok := r.comps[root.Component]; !ok {
-		return nil, fmt.Errorf("sched: unknown component %q", root.Component)
+func (r *Runtime) Submit(name string, root Invocation) (*TxResult, error) {
+	return r.submit(name, root, r.MaxRetries, r.OpTimeout)
+}
+
+// The Runtime is the driver's in-process scheduler: its own lock
+// managers, stores and journal.
+
+func (r *Runtime) release() {}
+
+func (r *Runtime) begin(a *attempt, root Invocation) {
+	a.optimistic = r.Exec == ExecOptimistic || root.SnapshotRead
+}
+
+// enter refuses a (sub)transaction at a component the injector has taken
+// down, and picks the owner of the locks it takes: the root attempt when
+// they must survive to root commit, the instance itself when early
+// release is allowed.
+func (r *Runtime) enter(a *attempt, comp *component, node model.NodeID, instance string) (string, error) {
+	if r.inj.down(comp.name, string(a.root), string(node)) {
+		return "", fmt.Errorf("sched: %q rejected %s: %w", comp.name, node, ErrComponentDown)
 	}
-	// A crash unwinds the crashing attempt's stack with crashPanic:
-	// convert it to ErrCrashed here, deliberately skipping every rollback
-	// and lock release on the way out — a crashed process does not get to
-	// compensate anything.
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(crashPanic); ok {
-				res, err = nil, ErrCrashed
-				return
-			}
-			panic(p)
+	switch r.protocol {
+	case ClosedNested, Global2PL:
+		return string(a.root), nil
+	case Hybrid:
+		if comp.holdToRoot {
+			return string(a.root), nil
 		}
-	}()
-	if r.crashed.Load() {
-		return nil, ErrCrashed
 	}
-	// Overload backpressure: above the high watermark, new roots are
-	// refused until a checkpoint drains the backlog (EnableCheckpoints).
-	if aerr := r.admitRoot(); aerr != nil {
-		return nil, aerr
+	return instance, nil
+}
+
+// leave is subtransaction commit at comp: under open nesting (and under
+// Hybrid away from join points) its locks are released now; the caller
+// keeps only its own semantic lock on this invocation.
+func (r *Runtime) leave(a *attempt, comp *component, owner string) {
+	if (r.protocol == OpenNested || r.protocol == Hybrid) && owner != string(a.root) {
+		comp.lm.release(owner)
+		a.dropOwner(comp.lm, owner)
 	}
-	ts := r.tsc.Add(1)
-	rootID := model.NodeID(name)
-	retries := 0
-	for {
-		deadline := root.Deadline
-		if r.OpTimeout > 0 {
-			if d := time.Now().Add(r.OpTimeout); deadline.IsZero() || d.Before(deadline) {
-				deadline = d
-			}
-		}
-		a := &attempt{
-			root:       rootID,
-			ts:         ts,
-			stage:      newStagedRecord(),
-			rngSeed:    int64(ts)*7919 + int64(retries),
-			optimistic: r.Exec == ExecOptimistic || root.SnapshotRead,
-		}
-		a.stage.declareNode(nodeDecl{id: rootID, sched: root.Component})
-		err := r.exec(a, rootID, string(rootID), root, deadline)
-		if err == nil {
-			// Optimistic commit gate: validate every snapshot read against
-			// the versions committed since its snapshot stamp. Runs before
-			// certification and durability — an invalidated attempt rolls
-			// back and retries with a fresh snapshot.
-			err = r.validate(a)
-		}
-		if err == nil {
-			// Commit-time certification (EnableCertify): the staged record
-			// is admitted against the Comp-C criterion before anything of
-			// the commit becomes durable. The delta is built on this
-			// goroutine, then probed against the conflict index and
-			// admitted under the certifier's mutex, still on this
-			// goroutine — the order in which committers take that mutex
-			// is the certified commit order, and Runtime.mu is never
-			// taken. A rejected commit rolls back like a client abort —
-			// the violation witness rides the error.
-			if cerr := r.certify(a); cerr != nil {
-				r.rollback(a)
-				r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
-				return nil, cerr
-			}
-			if jerr := r.publishCommit(a, rootID); jerr != nil {
-				if errors.Is(jerr, ErrCrashed) {
-					return nil, ErrCrashed
-				}
-				r.rollback(a)
-				return nil, jerr
-			}
-			// Automatic checkpoint cadence (EnableCheckpoints): runs after
-			// the publication releases the cut gate.
-			r.maybeCheckpoint()
-			return &TxResult{Root: rootID, Retries: retries, Values: a.values}, nil
-		}
-		if errors.Is(err, ErrCrashed) {
-			// A crash observed mid-attempt (drained lock wait, closed
-			// log, step-loop check): abandon without rollback, exactly
-			// like the crashing attempt itself.
-			return nil, ErrCrashed
-		}
-		r.rollback(a)
-		switch {
-		case errors.Is(err, ErrDie):
-			r.aborts.Add(1)
-		case errors.Is(err, ErrValidation):
-			// Invalidated snapshot reads: retry with a fresh snapshot.
-			r.valAborts.Add(1)
-		case errors.Is(err, ErrInjected):
-			// Recovered fault: retry as a fresh attempt.
-		case errors.Is(err, ErrTimeout):
-			// A client-supplied deadline is final; an OpTimeout window
-			// renews per attempt.
-			if !root.Deadline.IsZero() && !time.Now().Before(root.Deadline) {
-				r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
-				return nil, err
-			}
-		default:
-			if errors.Is(err, ErrClientAbort) {
-				r.clientAborts.Add(1)
-			}
-			r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
-			return nil, err
-		}
-		retries++
-		// The budget check precedes the backoff: the final failed attempt
-		// returns immediately instead of sleeping first.
-		if retries > r.MaxRetries {
-			r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(rootID)})
-			return nil, fmt.Errorf("%w (last abort: %w)", ErrTooManyRetries, err)
-		}
-		// Jittered exponential backoff before retrying with the same
-		// timestamp (the transaction ages and eventually wins under
-		// wait-die). Flat backoff thrashes badly when the conflicting
-		// older transaction holds its locks for milliseconds.
-		shift := retries
-		if shift > 6 {
-			shift = 6
-		}
-		base := (50 << shift) // 50µs .. 3.2ms
-		if a.rng == nil {
-			a.rng = rand.New(rand.NewSource(a.rngSeed))
-		}
-		time.Sleep(time.Duration(base/2+a.rng.Intn(base)) * time.Microsecond)
+}
+
+// apply locks and applies a leaf operation.
+func (r *Runtime) apply(a *attempt, comp *component, id model.NodeID, owner string, op data.Op, deadline time.Time) (uint64, int64, error) {
+	// Trigger-based apply faults fire here, where the (txn, step)
+	// context exists; probabilistic ones fire inside the store itself
+	// via the Apply hook SetFaults installs.
+	if r.inj != nil && r.inj.fire(FaultApply, comp.name, string(a.root), string(id)) {
+		return 0, 0, fmt.Errorf("sched: apply fault at %s: %w", id, ErrInjected)
 	}
+	// Optimistic leaf reads are served from the store's committed snapshot:
+	// no semantic lock, no blocking. Reads of items this attempt already
+	// mutated fall through to the locked path — the snapshot cannot see the
+	// attempt's own writes, and the write lock is already held, so the
+	// locked read cannot block either.
+	if a.optimistic && op.Physical() == data.ModeRead && !a.wroteItem(comp.name, op.Item) {
+		return r.snapshotRead(a, comp, op)
+	}
+	switch r.protocol {
+	case Global2PL:
+		// One global lock space over component-qualified items, classical
+		// read/write modes only (increments — and any custom mode not
+		// physically a read — are read-modify-writes).
+		mode := op.Physical()
+		if mode != data.ModeRead {
+			mode = data.ModeWrite
+		}
+		if err := r.acquire(a, r.globalLM, r.rwTable, comp.name+"/"+op.Item, mode, string(a.root), comp.name, string(id), deadline); err != nil {
+			return 0, 0, err
+		}
+	case NoCC:
+		// No isolation.
+	default:
+		if err := r.acquire(a, comp.lm, comp.modes, op.Item, op.Mode, owner, comp.name, string(id), deadline); err != nil {
+			return 0, 0, err
+		}
+	}
+	// Write-ahead journal (mutations only): the apply record — with the
+	// before-value recovery needs to invert it — precedes the store
+	// mutation. The leaf crash site sits exactly on this boundary, so
+	// FaultCrash can strand the log mid-append (CrashTear's torn record)
+	// or between journal and apply. Journal and mutation execute under
+	// the checkpoint cut's read side as one unit, so a checkpoint's store
+	// snapshot reflects exactly the applies journaled below its marker.
+	var lsn uint64
+	var res data.Result
+	var err error
+	if op.Physical() != data.ModeRead {
+		rec := applyRecord(string(a.root), string(id), comp.name, op, comp.store.Get(op.Item))
+		r.fireCrash(comp.name, string(a.root), string(id), &rec)
+		err = func() error {
+			r.ck.gate.RLock(a.ts)
+			defer r.ck.gate.RUnlock(a.ts)
+			var jerr error
+			if lsn, jerr = r.wal.append(rec); jerr != nil {
+				return jerr
+			}
+			if lsn != 0 {
+				r.ck.noteApply(string(a.root), lsn)
+			}
+			res, jerr = comp.store.ApplyAs(op, string(a.root))
+			return jerr
+		}()
+		if err != nil && lsn == 0 {
+			return 0, 0, err // journaling failed; nothing to cancel
+		}
+	} else {
+		res, err = comp.store.ApplyAs(op, string(a.root))
+	}
+	if err != nil {
+		if lsn != 0 {
+			// The journaled apply never executed: append a cancellation
+			// so recovery does not replay it.
+			r.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: string(a.root), Ref: lsn})
+		}
+		return 0, 0, fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
+	}
+	r.leafOps.Add(1)
+	a.undo = append(a.undo, undoEntry{store: comp.store, comp: comp.name, op: op, res: res, lsn: lsn})
+	if a.optimistic && res.TS != 0 {
+		a.markWrite(comp.name, op.Item)
+	}
+	// A mutation's event is sequenced at the stamp of the version it
+	// installed (stamps and event sequence numbers share one counter —
+	// Store.UseClock), so the recorded conflict order of store events is
+	// exactly version order; reads are sequenced here, after they executed.
+	seq := res.TS
+	if seq == 0 {
+		seq = r.seq.Add(1)
+	}
+	return seq, res.Value, nil
+}
+
+func (r *Runtime) lock(a *attempt, caller *component, id model.NodeID, item string, mode data.Mode, owner string, deadline time.Time) error {
+	return r.acquire(a, caller.lm, caller.modes, item, mode, owner, caller.name, string(id), deadline)
+}
+
+func (r *Runtime) nextSeq() uint64 { return r.seq.Add(1) }
+
+// retrySub compensates and re-runs locally, under OpenNested and Hybrid,
+// a subtransaction that failed with a recoverable injected fault (up to
+// Runtime.SubRetries times) while the caller keeps its semantic lock — a
+// partial failure does not have to abort the whole root. A wait-die
+// sacrifice must release the whole transaction (progress guarantee) and a
+// deadline expiry would expire again immediately.
+func (r *Runtime) retrySub(a *attempt, snap snapshot, try int, err error) bool {
+	if (r.protocol != OpenNested && r.protocol != Hybrid) || try >= r.SubRetries ||
+		!errors.Is(err, ErrInjected) || errors.Is(err, ErrDie) || errors.Is(err, ErrTimeout) {
+		return false
+	}
+	r.rollbackTo(a, snap)
+	r.subRetries.Add(1)
+	time.Sleep(time.Duration(try+1) * 200 * time.Microsecond)
+	return true
+}
+
+// commit ends a walked attempt: the optimistic commit gate validates
+// every snapshot read against the versions committed since its stamp;
+// certification (EnableCertify) admits the staged record against the
+// Comp-C criterion on this goroutine, under the certifier's mutex, before
+// anything of the commit becomes durable — a rejection rides the error;
+// then the commit is published and the checkpoint cadence runs.
+func (r *Runtime) commit(a *attempt) error {
+	if err := r.validate(a); err != nil {
+		return err
+	}
+	if err := r.certify(a); err != nil {
+		return err
+	}
+	if err := r.publishCommit(a); err != nil {
+		return err
+	}
+	r.maybeCheckpoint()
+	return nil
 }
 
 // publishCommit makes a validated, certified attempt's commit durable
@@ -277,14 +271,14 @@ func (r *Runtime) Submit(name string, root Invocation) (res *TxResult, err error
 // read side, so a checkpoint never observes a commit whose batch is
 // journaled but whose effects are unpublished (or vice versa), and both
 // crash sites fire inside the gated window.
-func (r *Runtime) publishCommit(a *attempt, rootID model.NodeID) error {
+func (r *Runtime) publishCommit(a *attempt) error {
 	r.ck.gate.RLock(a.ts)
 	defer r.ck.gate.RUnlock(a.ts)
+	txn := string(a.root)
 	// Crash site "commit": fires before the commit batch is
 	// journaled, so recovery must undo this transaction.
-	r.fireCrash("", string(rootID), "commit", nil)
+	r.fireCrash("", txn, "commit", nil)
 	if r.wal.attached() {
-		txn := string(rootID)
 		if _, jerr := r.wal.appendBatch(stageRecords(txn, a.stage, wal.Record{Type: wal.TypeCommit, Txn: txn})); jerr != nil {
 			return jerr
 		}
@@ -292,23 +286,15 @@ func (r *Runtime) publishCommit(a *attempt, rootID model.NodeID) error {
 	// Crash site "post-commit": the commit record is durable but
 	// locks are abandoned and the record never merged — recovery
 	// must redo this transaction from the log alone.
-	r.fireCrash("", string(rootID), "post-commit", nil)
+	r.fireCrash("", txn, "post-commit", nil)
 	// Root commit: finalize this root's versions (it will apply
 	// nothing further, so snapshot validation may stop treating
 	// them as dirty), release every lock, publish the record.
-	for _, s := range a.touchedStores() {
-		s.Retire(string(rootID))
-	}
-	r.clearSeal(string(rootID))
-	for i := len(a.owners) - 1; i >= 0; i-- {
-		a.owners[i].lm.release(a.owners[i].owner)
-	}
-	r.wfg.clear(a.ts)
+	r.finish(a, a.touchedStores())
 	r.mu.Lock()
 	r.rec.merge(a.stage)
 	r.mu.Unlock()
 	r.commits.Add(1)
-	r.ck.drop(a)
 	return nil
 }
 
@@ -317,27 +303,33 @@ func (r *Runtime) publishCommit(a *attempt, rootID model.NodeID) error {
 func (a *attempt) touchedStores() []*data.Store {
 	var out []*data.Store
 	for _, u := range a.undo {
-		dup := false
-		for _, s := range out {
-			if s == u.store {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out, u.store) {
 			out = append(out, u.store)
 		}
 	}
 	return out
 }
 
-// rollback compensates the attempt's applied operations in reverse order,
+// abort compensates the attempt's applied operations in reverse order,
 // retires the attempt's version tags (its installs and their
 // compensations net out and none of its events will be recorded — see
-// Store.Retire), and releases its locks.
-func (r *Runtime) rollback(a *attempt) {
+// Store.Retire), and releases its locks; a final abort is journaled.
+func (r *Runtime) abort(a *attempt, final bool) {
 	stores := a.touchedStores()
 	r.compensate(a, 0)
+	// Every journaled apply now has a journaled compensation, so the
+	// attempt may stop pinning the WAL truncation barrier.
+	r.finish(a, stores)
+	if final {
+		r.wal.append(wal.Record{Type: wal.TypeAbort, Txn: string(a.root)})
+	}
+}
+
+// finish ends a committed or undone attempt's hold on the runtime: its
+// version tags retire in stores, its seal clears, its locks are released,
+// and it stops pinning the WAL truncation barrier and, with its snapshot,
+// the compaction frontier.
+func (r *Runtime) finish(a *attempt, stores []*data.Store) {
 	for _, s := range stores {
 		s.Retire(string(a.root))
 	}
@@ -347,9 +339,6 @@ func (r *Runtime) rollback(a *attempt) {
 	}
 	a.owners = a.owners[:0]
 	r.wfg.clear(a.ts)
-	// Every journaled apply now has a journaled compensation, so the
-	// attempt no longer pins the WAL truncation barrier (and its snapshot
-	// no longer pins the compaction frontier).
 	r.ck.drop(a)
 }
 
@@ -432,241 +421,6 @@ func (r *Runtime) compensate(a *attempt, from int) {
 	a.undo = a.undo[:from]
 }
 
-// exec runs one (sub)transaction at its component. node is the node ID of
-// this (sub)transaction; owner is the lock-owner key for locks it takes
-// (its own node ID under open nesting, the root attempt under closed
-// nesting and global 2PL). deadline bounds the subtree (zero = none).
-func (r *Runtime) exec(a *attempt, node model.NodeID, owner string, inv Invocation, deadline time.Time) error {
-	comp := r.comps[inv.Component]
-	if comp == nil {
-		return fmt.Errorf("sched: unknown component %q", inv.Component)
-	}
-	if !inv.Deadline.IsZero() && (deadline.IsZero() || inv.Deadline.Before(deadline)) {
-		deadline = inv.Deadline
-	}
-	if r.inj.down(comp.name, string(a.root), string(node)) {
-		return fmt.Errorf("sched: %q rejected %s: %w", comp.name, node, ErrComponentDown)
-	}
-	stepOwner := r.lockOwner(a, comp, owner)
-
-	for i, step := range inv.Steps {
-		if r.crashed.Load() {
-			return ErrCrashed
-		}
-		childID := model.NodeID(fmt.Sprintf("%s/%d", node, i+1))
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			r.timeouts.Add(1)
-			return fmt.Errorf("sched: %s at step %s: %w", node, childID, ErrTimeout)
-		}
-		if step.Sync != nil {
-			step.Sync()
-		}
-		if step.Fail != nil {
-			return fmt.Errorf("%w: step %s: %w", ErrClientAbort, childID, step.Fail)
-		}
-		switch {
-		case step.Op != nil && step.Invoke != nil:
-			return fmt.Errorf("sched: step %s has both Op and Invoke", childID)
-		case step.Op != nil:
-			if comp.store == nil {
-				return fmt.Errorf("sched: component %q has no store for %s", comp.name, step.Op)
-			}
-			if err := r.leafOp(a, comp, node, childID, stepOwner, *step.Op, deadline); err != nil {
-				return err
-			}
-		case step.Invoke != nil:
-			if err := r.invoke(a, comp, node, childID, stepOwner, *step.Invoke, deadline); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("sched: empty step %s", childID)
-		}
-	}
-	// Subtransaction commit at this component: under open nesting (and
-	// under Hybrid away from join points) its locks are released now; the
-	// caller keeps only its own semantic lock on this invocation.
-	if (r.protocol == OpenNested || r.protocol == Hybrid) && stepOwner != string(a.root) {
-		comp.lm.release(stepOwner)
-		a.dropOwner(comp.lm, stepOwner)
-	}
-	return nil
-}
-
-// lockOwner decides the owner key for locks taken while executing an
-// instance at comp: the root attempt when locks must survive to root
-// commit, the instance itself when early release is allowed.
-func (r *Runtime) lockOwner(a *attempt, comp *component, instance string) string {
-	switch r.protocol {
-	case ClosedNested, Global2PL:
-		return string(a.root)
-	case Hybrid:
-		if comp.holdToRoot {
-			return string(a.root)
-		}
-		return instance
-	default:
-		return instance
-	}
-}
-
-// leafOp locks and applies a leaf operation.
-func (r *Runtime) leafOp(a *attempt, comp *component, parent model.NodeID, id model.NodeID, owner string, op data.Op, deadline time.Time) error {
-	// Trigger-based apply faults fire here, where the (txn, step)
-	// context exists; probabilistic ones fire inside the store itself
-	// via the Apply hook SetFaults installs.
-	if r.inj != nil && r.inj.fire(FaultApply, comp.name, string(a.root), string(id)) {
-		return fmt.Errorf("sched: apply fault at %s: %w", id, ErrInjected)
-	}
-	// Optimistic leaf reads are served from the store's committed snapshot:
-	// no semantic lock, no blocking. Reads of items this attempt already
-	// mutated fall through to the locked path — the snapshot cannot see the
-	// attempt's own writes, and the write lock is already held, so the
-	// locked read cannot block either.
-	if a.optimistic && op.Physical() == data.ModeRead && !a.wroteItem(comp.name, op.Item) {
-		return r.snapshotRead(a, comp, parent, id, op)
-	}
-	switch r.protocol {
-	case Global2PL:
-		// One global lock space over component-qualified items, classical
-		// read/write modes only (increments — and any custom mode not
-		// physically a read — are read-modify-writes).
-		mode := op.Physical()
-		if mode != data.ModeRead {
-			mode = data.ModeWrite
-		}
-		if err := r.acquire(a, r.globalLM, r.rwTable, comp.name+"/"+op.Item, mode, string(a.root), comp.name, string(id), deadline); err != nil {
-			return err
-		}
-	case NoCC:
-		// No isolation.
-	default:
-		if err := r.acquire(a, comp.lm, comp.modes, op.Item, op.Mode, owner, comp.name, string(id), deadline); err != nil {
-			return err
-		}
-	}
-	// Write-ahead journal (mutations only): the apply record — with the
-	// before-value recovery needs to invert it — precedes the store
-	// mutation. The leaf crash site sits exactly on this boundary, so
-	// FaultCrash can strand the log mid-append (CrashTear's torn record)
-	// or between journal and apply. Journal and mutation execute under
-	// the checkpoint cut's read side as one unit, so a checkpoint's store
-	// snapshot reflects exactly the applies journaled below its marker.
-	var lsn uint64
-	var res data.Result
-	var err error
-	if op.Physical() != data.ModeRead {
-		rec := applyRecord(string(a.root), string(id), comp.name, op, comp.store.Get(op.Item))
-		r.fireCrash(comp.name, string(a.root), string(id), &rec)
-		err = func() error {
-			r.ck.gate.RLock(a.ts)
-			defer r.ck.gate.RUnlock(a.ts)
-			var jerr error
-			if lsn, jerr = r.wal.append(rec); jerr != nil {
-				return jerr
-			}
-			if lsn != 0 {
-				r.ck.noteApply(string(a.root), lsn)
-			}
-			res, jerr = comp.store.ApplyAs(op, string(a.root))
-			return jerr
-		}()
-		if err != nil && lsn == 0 {
-			return err // journaling failed; nothing to cancel
-		}
-	} else {
-		res, err = comp.store.ApplyAs(op, string(a.root))
-	}
-	if err != nil {
-		if lsn != 0 {
-			// The journaled apply never executed: append a cancellation
-			// so recovery does not replay it.
-			r.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: string(a.root), Ref: lsn})
-		}
-		return fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
-	}
-	r.leafOps.Add(1)
-	a.undo = append(a.undo, undoEntry{store: comp.store, comp: comp.name, op: op, res: res, lsn: lsn})
-	if op.Physical() == data.ModeRead {
-		a.values = append(a.values, res.Value)
-	}
-	if a.optimistic && res.TS != 0 {
-		a.markWrite(comp.name, op.Item)
-	}
-	// A mutation's event is sequenced at the stamp of the version it
-	// installed (stamps and event sequence numbers share one counter —
-	// Store.UseClock), so the recorded conflict order of store events is
-	// exactly version order; reads are sequenced here, after they executed.
-	seq := res.TS
-	if seq == 0 {
-		seq = r.seq.Add(1)
-	}
-	a.stage.declareNode(nodeDecl{id: id, parent: parent})
-	a.stage.addEvent(event{seq: seq, comp: comp.name, op: id, parentTx: parent, item: op.Item, mode: op.Mode})
-	return nil
-}
-
-// invoke locks the semantic operation at the caller and delegates the
-// subtransaction to the child component. Under OpenNested and Hybrid a
-// subtransaction that fails with a recoverable injected fault is
-// compensated and re-run locally (up to Runtime.SubRetries times) while
-// the caller keeps its semantic lock — a partial failure does not have
-// to abort the whole root.
-func (r *Runtime) invoke(a *attempt, caller *component, parent model.NodeID, id model.NodeID, owner string, inv Invocation, deadline time.Time) error {
-	child := r.comps[inv.Component]
-	if child == nil {
-		return fmt.Errorf("sched: unknown component %q", inv.Component)
-	}
-	if child == caller {
-		return fmt.Errorf("sched: component %q invoking itself (recursion is not allowed)", caller.name)
-	}
-	r.invokes.Add(1)
-
-	// The semantic identity of an invocation at the caller is the pair
-	// (component, item): operations on the same item name routed to
-	// different components touch disjoint data and must not be declared
-	// conflicting (nor serialized) at the caller.
-	semItem := inv.Component + "/" + inv.Item
-
-	var seq uint64
-	switch r.protocol {
-	case Global2PL, NoCC:
-		// No component-level locks; the event sequence is assigned at
-		// completion, where lock strictness (Global2PL) makes the order
-		// consistent with the leaf serialization.
-	default:
-		if err := r.acquire(a, caller.lm, caller.modes, semItem, inv.Mode, owner, caller.name, string(id), deadline); err != nil {
-			return err
-		}
-		seq = r.seq.Add(1)
-	}
-
-	childOwner := string(id)
-	localRetry := r.protocol == OpenNested || r.protocol == Hybrid
-	for attempt := 0; ; attempt++ {
-		snap := a.snapshot()
-		err := r.exec(a, id, childOwner, inv, deadline)
-		if err == nil {
-			break
-		}
-		// Only injected faults are re-run locally: a wait-die sacrifice
-		// must release the whole transaction (progress guarantee) and a
-		// deadline expiry would expire again immediately.
-		if !localRetry || attempt >= r.SubRetries ||
-			!errors.Is(err, ErrInjected) || errors.Is(err, ErrDie) || errors.Is(err, ErrTimeout) {
-			return err
-		}
-		r.rollbackTo(a, snap)
-		r.subRetries.Add(1)
-		time.Sleep(time.Duration(attempt+1) * 200 * time.Microsecond)
-	}
-	if seq == 0 {
-		seq = r.seq.Add(1)
-	}
-	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
-	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
-	return nil
-}
-
 // acquire wraps lockManager.acquireUntil with fault injection, timeout
 // accounting, and owner bookkeeping. comp and step give the injector its
 // (component, txn, step) context.
@@ -699,19 +453,13 @@ func (r *Runtime) acquire(a *attempt, lm *lockManager, table *data.ModeTable, it
 }
 
 func (a *attempt) addOwner(lm *lockManager, owner string) {
-	for _, o := range a.owners {
-		if o.lm == lm && o.owner == owner {
-			return
-		}
+	if o := (ownerRef{lm, owner}); !slices.Contains(a.owners, o) {
+		a.owners = append(a.owners, o)
 	}
-	a.owners = append(a.owners, ownerRef{lm: lm, owner: owner})
 }
 
 func (a *attempt) dropOwner(lm *lockManager, owner string) {
-	for i, o := range a.owners {
-		if o.lm == lm && o.owner == owner {
-			a.owners = append(a.owners[:i], a.owners[i+1:]...)
-			return
-		}
+	if i := slices.Index(a.owners, ownerRef{lm, owner}); i >= 0 {
+		a.owners = slices.Delete(a.owners, i, i+1)
 	}
 }

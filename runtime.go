@@ -123,6 +123,11 @@ const (
 	NoCC         = sched.NoCC
 )
 
+// ParseProtocol inverts Protocol.String: "open-nested", "closed-nested",
+// "global-2pl", "hybrid" or "nocc", the names compsim flags and WAL
+// metadata use.
+func ParseProtocol(s string) (Protocol, error) { return sched.ParseProtocol(s) }
+
 // Fault-injection sites (FaultPlan probabilities and Trigger.Site).
 const (
 	FaultApply        = sched.FaultApply
