@@ -175,9 +175,10 @@ type Store struct {
 	// error (the fault-injection seam; see SetApplyHook).
 	hook atomic.Pointer[func(Op) error]
 
-	// resolve is closed and replaced on every Retire, so a validator
-	// blocked on an in-flight writer can park on a channel instead of
-	// polling (ResolveWait).
+	// resolve is the channel ResolveWait handed out since the last Retire
+	// (nil = none): a validator blocked on an in-flight writer parks on it
+	// instead of polling, and the next Retire closes it. A Retire nobody
+	// waits on makes no channel.
 	resolve chan struct{}
 }
 
@@ -191,10 +192,9 @@ type chainRef struct {
 // NewStore returns an empty store.
 func NewStore() *Store {
 	s := &Store{
-		chains:  make(map[string][]version),
-		tagged:  make(map[string][]chainRef),
-		dirty:   make(map[string]struct{}),
-		resolve: make(chan struct{}),
+		chains: make(map[string][]version),
+		tagged: make(map[string][]chainRef),
+		dirty:  make(map[string]struct{}),
 	}
 	s.stamps = &s.local
 	return s
@@ -350,8 +350,10 @@ func (s *Store) Retire(owner string) {
 		}
 	}
 	delete(s.tagged, owner)
-	close(s.resolve)
-	s.resolve = make(chan struct{})
+	if s.resolve != nil {
+		close(s.resolve)
+		s.resolve = nil
+	}
 }
 
 // ResolveWait returns a channel closed at the next Retire. A validator
@@ -359,8 +361,11 @@ func (s *Store) Retire(owner string) {
 // resolution between check and wait is not lost) and then parks on it
 // instead of polling.
 func (s *Store) ResolveWait() <-chan struct{} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.resolve == nil {
+		s.resolve = make(chan struct{})
+	}
 	return s.resolve
 }
 
@@ -592,6 +597,9 @@ func (s *Store) VersionCount(item string) int {
 // value StableRead reports just below an unresolved version and the
 // value ReadAt falls back to at the frontier.
 //
+// The survivors shift down inside the chain's own backing array, so the
+// chain keeps its capacity for the versions the next commits append.
+//
 // An item's mark is cleared once its chain is down to one resolved
 // version: nothing is left to drop until the next mutation marks it
 // again. An item a live attempt or an old snapshot still pins stays
@@ -613,7 +621,9 @@ func (s *Store) Compact(keepFrom uint64) int {
 		// Keep the newest droppable version as the chain base.
 		cut--
 		if cut > 0 {
-			chain = append([]version(nil), chain[cut:]...)
+			n := copy(chain, chain[cut:])
+			clear(chain[n:])
+			chain = chain[:n]
 			s.chains[item] = chain
 			dropped += cut
 		}

@@ -81,7 +81,10 @@ func (e *CertifyError) Error() string {
 
 func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
-func certKey(comp, item string) string { return comp + "\x00" + item }
+// certKey names one conflict-index slot: an item at a component.
+type certKey struct{ comp, item string }
+
+func keyOf(e event) certKey { return certKey{e.comp, e.item} }
 
 // modeEvents is one key's admitted events of a single mode, in admission
 // order. Segregating per mode lets a probe screen each sublist with ONE
@@ -96,12 +99,12 @@ type modeEvents struct {
 // certIndex is the per-(component, item) conflict index over the events
 // admitted since the last checkpoint fold. It is touched only under the
 // certifier mutex.
-type certIndex map[string][]modeEvents
+type certIndex map[certKey][]modeEvents
 
 // probe calls fn for every admitted event of key whose mode conflicts
 // with mode under the component's table. Commuting sublists are skipped
 // after a single table check each.
-func (ix certIndex) probe(key string, mt *data.ModeTable, mode data.Mode, fn func(event)) {
+func (ix certIndex) probe(key certKey, mt *data.ModeTable, mode data.Mode, fn func(event)) {
 	for _, me := range ix[key] {
 		if !mt.ModeConflicts(me.mode, mode) {
 			continue
@@ -114,11 +117,12 @@ func (ix certIndex) probe(key string, mt *data.ModeTable, mode data.Mode, fn fun
 
 // addStage appends one absorbed stage's events. Events are grouped by key
 // so each distinct key costs one map access instead of one per event.
-func (ix certIndex) addStage(keys []string, evs []event) {
+func (ix certIndex) addStage(evs []event) {
 	for i := range evs {
+		key := keyOf(evs[i])
 		first := true
 		for j := 0; j < i; j++ {
-			if keys[j] == keys[i] {
+			if keyOf(evs[j]) == key {
 				first = false
 				break
 			}
@@ -126,9 +130,9 @@ func (ix certIndex) addStage(keys []string, evs []event) {
 		if !first {
 			continue
 		}
-		entries := ix[keys[i]]
+		entries := ix[key]
 		for j := i; j < len(evs); j++ {
-			if keys[j] != keys[i] {
+			if keyOf(evs[j]) != key {
 				continue
 			}
 			e := evs[j]
@@ -144,7 +148,7 @@ func (ix certIndex) addStage(keys []string, evs []event) {
 				entries = append(entries, modeEvents{mode: e.mode, evs: []event{e}})
 			}
 		}
-		ix[keys[i]] = entries
+		ix[key] = entries
 	}
 }
 
@@ -206,11 +210,7 @@ type certifier struct {
 	fastPath     atomic.Int64 // stages absorbed via the fast path
 	rebuildNanos atomic.Int64 // total wall time spent in rejection rebuilds
 
-	// tickets recycles certTickets across commits. Only the fields the
-	// admitted delta does NOT retain are pooled (the footprint slices);
-	// nodes and pairs end up inside deltas held by the tail and the pending
-	// set, so those are freshly allocated per ticket.
-	tickets sync.Pool
+	tickets sync.Pool // *certTicket, recycled across commits
 }
 
 func newCertifier(r *Runtime) *certifier {
@@ -231,7 +231,9 @@ func newCertifier(r *Runtime) *certifier {
 }
 
 // certTicket is one commit's admission request: what the committing
-// goroutine builds out of lock, plus the scratch admission fills in.
+// goroutine builds out of lock, plus the scratch admission fills in. The
+// nodes and pairs end up in the admitted delta, so they are made fresh
+// per ticket; every other slice is scratch, kept across commits.
 type certTicket struct {
 	root  model.NodeID
 	nodes []front.DeltaNode // topologically ordered node declarations
@@ -240,17 +242,19 @@ type certTicket struct {
 	// conflict and a weak-output pair (directed by seq).
 	localPairs []front.DeltaPair
 
-	// The stage's footprint for the index probe and append: the events in
-	// global seq order with their (component, item) keys precomputed
-	// alongside.
-	evs   []event
-	ekeys []string
+	// The stage's footprint for the index probe and append: its events in
+	// global seq order.
+	evs []event
 
 	// peers lists the counterpart transactions of the probe-derived pairs
 	// (over-approximated, deduped against the previous entry only): the
 	// admitted nodes this stage's pairs reference. Admission flushes any
 	// of them still parked in the pending set before the full Admit.
 	peers []model.NodeID
+
+	// orderDecls' scratch: child lists over declaration indices and the
+	// stage roots.
+	head, tail, next, roots []int32
 }
 
 // notePeer records a pair counterpart for the pre-admission flush.
@@ -261,65 +265,115 @@ func (t *certTicket) notePeer(n model.NodeID) {
 	t.peers = append(t.peers, n)
 }
 
-// getTicket returns a recycled (or fresh) ticket with its pooled fields
-// reset; admit puts it back once the stage is decided.
+// getTicket returns a recycled (or fresh) ticket with its scratch reset;
+// admit puts it back once the stage is decided.
 func (c *certifier) getTicket() *certTicket {
-	if v := c.tickets.Get(); v != nil {
-		t := v.(*certTicket)
-		t.root = ""
-		t.nodes = nil // retained by the admitted delta; never reused
-		t.localPairs = nil
-		t.evs = t.evs[:0]
-		t.ekeys = t.ekeys[:0]
-		t.peers = t.peers[:0]
-		return t
+	t, _ := c.tickets.Get().(*certTicket)
+	if t == nil {
+		return &certTicket{}
 	}
-	return &certTicket{}
+	t.root = ""
+	t.nodes = nil // retained by the admitted delta; never reused
+	t.localPairs = nil
+	t.evs = t.evs[:0]
+	t.peers = t.peers[:0]
+	return t
 }
 
 // buildTicket derives the part of the committing stage's delta that needs
 // no shared state, exactly as RecordedSystem derives it for the full
 // system: the new forest nodes (parents first), the events in global
-// sequence order with their index keys, and — per component, per item — a
-// conflict plus weak-output pair for every mode-conflicting pair of the
-// stage's own events with distinct parent transactions. It runs on the
-// committing goroutine with no lock held. Cross-stage pairs and schedule
+// sequence order, and — per component, per item — a conflict plus
+// weak-output pair for every mode-conflicting pair of the stage's own
+// events with distinct parent transactions. It runs on the committing
+// goroutine with no lock held. Cross-stage pairs and schedule
 // declarations are left to admission: they depend on admission order.
 func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTicket {
 	t := c.getTicket()
 	t.root = root
-	ordered := orderDecls(stage.nodes)
-	t.nodes = make([]front.DeltaNode, 0, len(ordered))
-	for _, n := range ordered {
-		t.nodes = append(t.nodes, front.DeltaNode{
-			ID: n.id, Parent: n.parent, Sched: model.ScheduleID(n.sched),
-		})
-	}
+	t.orderDecls(stage.nodes)
 	t.evs = append(t.evs, stage.events...)
 	// An invocation draws its seq when it takes its lock and appends its
 	// event after its subtree's, so every stage with an invocation arrives
 	// out of seq order. Seqs are unique: the order is total.
 	slices.SortFunc(t.evs, bySeq)
 	for i, e := range t.evs {
-		key := ""
-		for j := i - 1; j >= 0; j-- {
-			if t.evs[j].comp == e.comp && t.evs[j].item == e.item {
-				key = t.ekeys[j]
-				break
-			}
-		}
-		if key == "" {
-			key = certKey(e.comp, e.item)
-		}
-		t.ekeys = append(t.ekeys, key)
 		// Intra-stage sweep: earlier events of the same key pair with e.
 		for j := 0; j < i; j++ {
-			if t.ekeys[j] == key && c.modes[e.comp].ModeConflicts(t.evs[j].mode, e.mode) {
-				pairSeq(&t.localPairs, t.evs[j], e)
+			if p := t.evs[j]; p.comp == e.comp && p.item == e.item && c.modes[e.comp].ModeConflicts(p.mode, e.mode) {
+				pairSeq(&t.localPairs, p, e)
 			}
 		}
 	}
 	return t
+}
+
+// orderDecls fills t.nodes with a stage's node declarations parents-first
+// via a children-map topological emit (the stage declares leaves and
+// events as they execute but a subtransaction only after its subtree
+// completes, so children can precede their parent; the delta format
+// requires the opposite). One pass indexes children by parent, one
+// preorder walk from the stage roots emits them — O(n), sibling order
+// preserved. Unresolvable declarations are appended as-is and surface as
+// delta validation errors.
+func (t *certTicket) orderDecls(decls []nodeDecl) {
+	n := len(decls)
+	t.nodes = make([]front.DeltaNode, 0, n)
+	// Child lists as linked siblings over declaration indices (head/tail
+	// per node, next per child) — no per-stage maps, sibling order is
+	// declaration order. Stages are small, so the parent lookup is a
+	// linear scan.
+	t.head = slices.Grow(t.head[:0], n)[:n]
+	t.tail = slices.Grow(t.tail[:0], n)[:n]
+	t.next = slices.Grow(t.next[:0], n)[:n]
+	for i := range n {
+		t.head[i], t.tail[i], t.next[i] = -1, -1, -1
+	}
+	t.roots = t.roots[:0]
+	for i, d := range decls {
+		p := int32(-1)
+		if d.parent != "" {
+			for j := 0; j < n; j++ {
+				if decls[j].id == d.parent {
+					p = int32(j)
+					break
+				}
+			}
+		}
+		if p < 0 {
+			t.roots = append(t.roots, int32(i))
+			continue
+		}
+		if t.head[p] < 0 {
+			t.head[p] = int32(i)
+		} else {
+			t.next[t.tail[p]] = int32(i)
+		}
+		t.tail[p] = int32(i)
+	}
+	for _, r := range t.roots {
+		t.emit(decls, r)
+	}
+	if len(t.nodes) != n {
+		emitted := make(map[model.NodeID]bool, len(t.nodes))
+		for _, d := range t.nodes {
+			emitted[d.ID] = true
+		}
+		for _, d := range decls {
+			if !emitted[d.id] {
+				t.nodes = append(t.nodes, front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)})
+			}
+		}
+	}
+}
+
+// emit appends declaration i and then, in preorder, its subtree.
+func (t *certTicket) emit(decls []nodeDecl, i int32) {
+	d := decls[i]
+	t.nodes = append(t.nodes, front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)})
+	for c := t.head[i]; c >= 0; c = t.next[c] {
+		t.emit(decls, c)
+	}
 }
 
 // pairSeq appends the conflict/weak-output pair for two events already
@@ -357,8 +411,8 @@ func (c *certifier) admit(root model.NodeID, stage *stagedRecord) (*front.Verdic
 // returned.
 func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	var pairs []front.DeltaPair
-	for i, e := range t.evs {
-		c.index.probe(t.ekeys[i], c.modes[e.comp], e.mode, func(p event) {
+	for _, e := range t.evs {
+		c.index.probe(keyOf(e), c.modes[e.comp], e.mode, func(p event) {
 			t.notePeer(p.parentTx)
 			pairSeq(&pairs, p, e)
 		})
@@ -430,7 +484,7 @@ func (c *certifier) absorbLocked(t *certTicket, d *front.Delta) {
 		}
 	}
 	c.tail = append(c.tail, d)
-	c.index.addStage(t.ekeys, t.evs)
+	c.index.addStage(t.evs)
 }
 
 // flushPeersLocked applies the pending stages owning the given nodes: a
@@ -572,76 +626,6 @@ func (c *certifier) liveNodes() int {
 	return c.inc.LiveNodes() + c.pendingN
 }
 
-// orderDecls orders a stage's node declarations parents-first via a
-// children-map topological emit (the stage declares leaves and events as
-// they execute but a subtransaction only after its subtree completes, so
-// children can precede their parent; the delta format requires the
-// opposite). One pass indexes children by parent, one preorder walk from
-// the stage roots emits them — O(n), sibling order preserved.
-// Unresolvable declarations are appended as-is and surface as delta
-// validation errors.
-func orderDecls(decls []nodeDecl) []nodeDecl {
-	if len(decls) <= 1 {
-		return decls
-	}
-	n := len(decls)
-	// Child lists as linked siblings over declaration indices (head/tail
-	// per node, next per child) — no per-stage maps, sibling order is
-	// declaration order. Stages are small, so the parent lookup is a
-	// linear scan.
-	head := make([]int32, n)
-	tail := make([]int32, n)
-	next := make([]int32, n)
-	for i := range head {
-		head[i], tail[i], next[i] = -1, -1, -1
-	}
-	var roots []int32
-	for i, d := range decls {
-		p := int32(-1)
-		if d.parent != "" {
-			for j := 0; j < n; j++ {
-				if decls[j].id == d.parent {
-					p = int32(j)
-					break
-				}
-			}
-		}
-		if p < 0 {
-			roots = append(roots, int32(i))
-			continue
-		}
-		if head[p] < 0 {
-			head[p] = int32(i)
-		} else {
-			next[tail[p]] = int32(i)
-		}
-		tail[p] = int32(i)
-	}
-	out := make([]nodeDecl, 0, n)
-	var emit func(i int32)
-	emit = func(i int32) {
-		out = append(out, decls[i])
-		for c := head[i]; c >= 0; c = next[c] {
-			emit(c)
-		}
-	}
-	for _, r := range roots {
-		emit(r)
-	}
-	if len(out) != len(decls) {
-		emitted := make(map[model.NodeID]bool, len(out))
-		for _, d := range out {
-			emitted[d.id] = true
-		}
-		for _, d := range decls {
-			if !emitted[d.id] {
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
 // EnableCertify switches the runtime into live certification mode: every
 // subsequent root commit is validated against Comp-C before it is
 // journaled and published, and a violating commit is rejected with a
@@ -717,7 +701,7 @@ func (r *Runtime) certify(a *attempt) error {
 	if c == nil {
 		return nil
 	}
-	v, err := c.admit(a.root, a.stage)
+	v, err := c.admit(a.root, &a.stage)
 	if err != nil {
 		return err
 	}

@@ -252,7 +252,9 @@ func (c *Coordinator) setInflight(txn string, v bool) {
 }
 
 func (c *Coordinator) begin(a *attempt, _ Invocation) {
-	a.touched = map[string]bool{}
+	if a.touched == nil {
+		a.touched = map[string]bool{}
+	}
 	c.setInflight(string(a.root), true)
 }
 
@@ -446,7 +448,7 @@ func (c *Coordinator) commit2PC(a *attempt) error {
 	// what committed; the updater list in the decision's Meta is what
 	// recovery re-delivers to.
 	partsJSON, _ := json.Marshal(updaters)
-	recs := stageRecords(txn, a.stage, wal.Record{
+	recs := stageRecords(txn, &a.stage, wal.Record{
 		Type: wal.TypeDecision, Txn: txn, Mode: "commit",
 		Node: attemptStr(a.number), Seq: a.ts, Meta: partsJSON,
 	})
@@ -469,7 +471,7 @@ func (c *Coordinator) commit2PC(a *attempt) error {
 	c.mu.Lock()
 	c.committed[txn] = ct
 	delete(c.inflight, txn)
-	c.rec.merge(a.stage)
+	c.rec.merge(&a.stage)
 	c.mu.Unlock()
 	c.commits.Add(1)
 	if ct.ended {

@@ -558,7 +558,7 @@ func (cl *Cluster) recoverCoordinator(scan *wal.Scan) error {
 	staged := map[string]*stagedRecord{}
 	stagedOf := func(txn string) *stagedRecord {
 		if staged[txn] == nil {
-			staged[txn] = newStagedRecord()
+			staged[txn] = &stagedRecord{}
 		}
 		return staged[txn]
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,20 +68,27 @@ type driver struct {
 	clientAborts atomic.Int64
 	timeouts     atomic.Int64
 	invokes      atomic.Int64
+
+	// attempts recycles *attempt across roots: a root takes one, resets it
+	// in place for every retry and gives it back when it returns.
+	attempts sync.Pool
 }
 
 // attempt carries the per-attempt execution state. The first block is
 // the driver's; the in-process scheduler adds the undo log, the lock
 // owners and the optimistic reads, the cluster the participants touched.
+// Every slice and map is emptied in place by reset, so a recycled attempt
+// keeps its capacity; only values leaves with the result.
 type attempt struct {
 	root   model.NodeID
 	ts     uint64
 	number uint32 // 1 for a root's first attempt; participants tell attempts apart by it
-	stage  *stagedRecord
+	stage  stagedRecord
 	values []int64
 
 	owners []ownerRef
 	undo   []undoEntry
+	stores []*data.Store // touchedStores' scratch
 
 	// Optimistic execution state (ExecOptimistic / Invocation.SnapshotRead):
 	// per-store snapshot stamps, the snapshot reads to validate at commit,
@@ -100,6 +109,21 @@ type attempt struct {
 	// touched lists the participants sent a lock or an apply: the ones
 	// that vote, or hear the abort.
 	touched map[string]bool
+}
+
+// reset readies a (recycled) attempt for attempt number of root.
+func (a *attempt) reset(root model.NodeID, ts uint64, number uint32) {
+	a.root, a.ts, a.number = root, ts, number
+	a.stage.truncate(0, 0)
+	a.values = a.values[:0]
+	a.owners = a.owners[:0]
+	a.undo = a.undo[:0]
+	a.optimistic = false
+	clear(a.snaps)
+	a.reads = a.reads[:0]
+	clear(a.wset)
+	a.snapReg, a.snapLow = false, 0
+	clear(a.touched)
 }
 
 // snapshot marks a point in the attempt's logs, so a faulted
@@ -152,6 +176,13 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 
 	ts := d.tsc.Add(1)
 	rootID := model.NodeID(name)
+	// One attempt serves every retry of the root. A crash abandons it with
+	// the rest of the process state: it goes back to the pool only from a
+	// return after a commit or a completed abort.
+	a, _ := d.attempts.Get().(*attempt)
+	if a == nil {
+		a = &attempt{}
+	}
 	var rng *rand.Rand // backoff jitter, built on the first retry
 	for retries := 0; ; {
 		deadline := root.Deadline
@@ -160,13 +191,18 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 				deadline = w
 			}
 		}
-		a := &attempt{root: rootID, ts: ts, number: uint32(retries + 1), stage: newStagedRecord()}
+		a.reset(rootID, ts, uint32(retries+1))
 		a.stage.declareNode(nodeDecl{id: rootID, sched: root.Component})
 		d.sch.begin(a, root)
 		err := d.exec(a, rootID, name, root, deadline)
 		if err == nil {
 			if err = d.sch.commit(a); err == nil {
-				return &TxResult{Root: rootID, Retries: retries, Values: a.values}, nil
+				res := &TxResult{Root: rootID, Retries: retries}
+				if len(a.values) > 0 {
+					res.Values, a.values = a.values, nil // the caller owns it now
+				}
+				d.attempts.Put(a)
+				return res, nil
 			}
 		}
 		if errors.Is(err, ErrCrashed) {
@@ -198,6 +234,7 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 		}
 		d.sch.abort(a, !retry)
 		if !retry {
+			d.attempts.Put(a)
 			return nil, err
 		}
 		retries++
@@ -235,7 +272,7 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocatio
 		if d.crashed.Load() {
 			return ErrCrashed
 		}
-		id := model.NodeID(fmt.Sprintf("%s/%d", node, i+1))
+		id := node + "/" + model.NodeID(strconv.Itoa(i+1))
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			d.timeouts.Add(1)
 			return fmt.Errorf("sched: %s at step %s: %w", node, id, ErrTimeout)

@@ -41,13 +41,6 @@ type stagedRecord struct {
 	events []event
 }
 
-func newStagedRecord() *stagedRecord {
-	// Modest initial capacities: a typical attempt declares a handful of
-	// nodes and a dozen-odd events, and the growth ladder from nil is a
-	// measurable share of commit-path allocation.
-	return &stagedRecord{nodes: make([]nodeDecl, 0, 8), events: make([]event, 0, 16)}
-}
-
 func (s *stagedRecord) declareNode(n nodeDecl) { s.nodes = append(s.nodes, n) }
 func (s *stagedRecord) addEvent(e event)       { s.events = append(s.events, e) }
 

@@ -279,7 +279,7 @@ func (r *Runtime) publishCommit(a *attempt) error {
 	// journaled, so recovery must undo this transaction.
 	r.fireCrash("", txn, "commit", nil)
 	if r.wal.attached() {
-		if _, jerr := r.wal.appendBatch(stageRecords(txn, a.stage, wal.Record{Type: wal.TypeCommit, Txn: txn})); jerr != nil {
+		if _, jerr := r.wal.appendBatch(stageRecords(txn, &a.stage, wal.Record{Type: wal.TypeCommit, Txn: txn})); jerr != nil {
 			return jerr
 		}
 	}
@@ -292,22 +292,22 @@ func (r *Runtime) publishCommit(a *attempt) error {
 	// them as dirty), release every lock, publish the record.
 	r.finish(a, a.touchedStores())
 	r.mu.Lock()
-	r.rec.merge(a.stage)
+	r.rec.merge(&a.stage)
 	r.mu.Unlock()
 	r.commits.Add(1)
 	return nil
 }
 
 // touchedStores returns the distinct stores the attempt mutated (small:
-// deduped by pointer).
+// deduped by pointer), in the attempt's scratch slice.
 func (a *attempt) touchedStores() []*data.Store {
-	var out []*data.Store
+	a.stores = a.stores[:0]
 	for _, u := range a.undo {
-		if !slices.Contains(out, u.store) {
-			out = append(out, u.store)
+		if !slices.Contains(a.stores, u.store) {
+			a.stores = append(a.stores, u.store)
 		}
 	}
-	return out
+	return a.stores
 }
 
 // abort compensates the attempt's applied operations in reverse order,
