@@ -45,17 +45,38 @@ type CheckpointSummary struct {
 // Checkpoints counts completed folds.
 func (inc *Incremental) Checkpoints() int { return inc.checkpoints }
 
-// LiveNodes returns the number of forest nodes currently accumulated —
-// the engine's memory watermark gauge.
-func (inc *Incremental) LiveNodes() int { return inc.sys.NumNodes() }
+// LiveNodes returns the number of forest nodes currently accumulated,
+// parked ones included — the engine's memory watermark gauge.
+func (inc *Incremental) LiveNodes() int { return inc.sys.NumNodes() + inc.parkedNodes }
 
 // Checkpoint folds the given committed roots — each with its entire
 // subtree — out of the engine. The engine must not be degraded (only a
 // certified-correct prefix may be folded), and every id must be a root
 // of the accumulated system. After the call, later deltas must not
 // reference any folded node: such a delta is rejected by validation.
-// On error nothing is changed.
+// Parked deltas are absorbed first. On error nothing else is changed.
 func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, error) {
+	if err := inc.absorbAll(); err != nil {
+		return nil, err
+	}
+	return inc.fold(roots)
+}
+
+// Fold is Checkpoint of every root, except that parked deltas are dropped
+// unabsorbed: an isolated vertex needs no reduction to be forgotten.
+func (inc *Incremental) Fold() (*CheckpointSummary, error) {
+	sum, err := inc.fold(inc.sys.Roots())
+	if err != nil {
+		return nil, err
+	}
+	sum.Roots += inc.parkedRoots
+	sum.Nodes += inc.parkedNodes
+	inc.dropParked()
+	return sum, nil
+}
+
+// fold is Checkpoint of roots with nothing parked under them.
+func (inc *Incremental) fold(roots []model.NodeID) (*CheckpointSummary, error) {
 	if inc.failed {
 		return nil, fmt.Errorf("front: cannot checkpoint a degraded engine (the history is not Comp-C)")
 	}

@@ -2,6 +2,9 @@ package front
 
 import "compositetx/internal/model"
 
+// ParkedNodes counts the nodes of the deltas inc holds parked.
+func ParkedNodes(inc *Incremental) int { return inc.parkedNodes }
+
 // LoadedEngine loads sys into a Check-sized engine and returns the
 // checkpoint fold's engine path — reset, then load the same system — for
 // the byte-budget test; reload reports whether the engine failed.

@@ -2,7 +2,6 @@ package front
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -43,6 +42,14 @@ type Incremental struct {
 	failed      bool
 	rebuilds    int
 	checkpoints int
+
+	// Deltas Admit parked, in park order (nil once absorbed), the index
+	// of each of their nodes, and their node and root counts.
+	parked      []*Delta
+	parkedAt    map[model.NodeID]int32
+	parkedNodes int
+	parkedRoots int
+	parks       int // deltas ever parked
 }
 
 // IncrementalOptions configures an Incremental.
@@ -66,9 +73,18 @@ func NewIncremental(opts IncrementalOptions) *Incremental {
 	}
 }
 
-// System returns the accumulated composite system. Callers must not
-// mutate it; append through deltas instead.
-func (inc *Incremental) System() *model.System { return inc.sys }
+// System returns the accumulated composite system, parked deltas
+// absorbed first. Callers must not mutate it; append through deltas
+// instead.
+func (inc *Incremental) System() *model.System {
+	// A parked delta that fails validation stays out of the system, as
+	// Append would have left it; System has no error to report it with.
+	_ = inc.absorbAll()
+	return inc.sys
+}
+
+// Parks counts the deltas Admit has parked since the engine was made.
+func (inc *Incremental) Parks() int { return inc.parks }
 
 // Degraded reports whether the engine has observed a violation
 // (incorrectness is monotone, so every later prefix is incorrect too):
@@ -83,40 +99,67 @@ func (inc *Incremental) Rebuilds() int { return inc.rebuilds }
 // Append applies the delta and returns the verdict for the accumulated
 // execution, identical to CheckReference over the same system. The delta is
 // validated first and rejected all-or-nothing: on error nothing changed.
+// Append never parks, and absorbs every parked delta first.
 func (inc *Incremental) Append(d *Delta) (*Verdict, error) {
+	if err := inc.absorbAll(); err != nil {
+		return nil, err
+	}
 	return inc.append(d, true)
 }
 
 // Admit is Append for certification hot paths: on success it skips
 // materializing the success verdict and returns (nil, nil); on a
 // violation it returns the full failure verdict.
+//
+// Admit parks a delta that carries no schedules, no relation pairs and
+// only invocation edges the engine already has. Such a delta adds only
+// isolated vertices to every constraint relation, and an isolated vertex
+// lies on no cycle, so the engine does not need it until a later delta
+// names one of its nodes: Admit absorbs the parked deltas a delta names
+// (as a parent or a pair endpoint) before admitting it, and System,
+// Append and Checkpoint absorb them all. A parked delta is validated when
+// it is absorbed; Fold drops it unabsorbed.
 func (inc *Incremental) Admit(d *Delta) (*Verdict, error) {
+	if inc.parkable(d) {
+		inc.park(d)
+		return nil, nil
+	}
+	if err := inc.absorbNamed(d); err != nil {
+		return nil, err
+	}
 	return inc.append(d, false)
 }
 
-// ErrNotNodesOnly reports a delta AbsorbNodes cannot take: it carries
-// schedules or relation pairs, names an invocation edge the accumulated
-// IG has not seen, or the engine is not ready (no admission yet, or
-// degraded). The caller should fall back to Admit.
-var ErrNotNodesOnly = errors.New("front: delta is not an engine-ready nodes-only extension")
-
-// AbsorbNodes applies a nodes-only delta without running the admission
-// machinery: no schedules, no relation pairs, and every invocation edge
-// already in the accumulated IG. Such a delta cannot change the level
-// assignment and contributes no generating pair to any level queue, so
-// Admit of the same delta would validate it, apply it to the system, add
-// each node to the engine, and then drain empty queues — absorption
-// performs exactly the first three and leaves the engine byte-identical
-// to the Admit path (an empty extension is trivially Comp-C: a correct
-// history stays correct when a transaction touching nothing conflicting
-// is appended). This is the certifier's footprint-disjointness fast path.
-//
-// Ineligible deltas return ErrNotNodesOnly with nothing changed; a
-// structurally invalid delta returns the validation error, like Admit.
-func (inc *Incremental) AbsorbNodes(d *Delta) error {
-	if !inc.NodesOnlyEligible(d) {
-		return ErrNotNodesOnly
+// park holds d out of the engine until it is named or absorbed.
+func (inc *Incremental) park(d *Delta) {
+	if inc.parkedAt == nil {
+		inc.parkedAt = map[model.NodeID]int32{}
 	}
+	k := int32(len(inc.parked))
+	inc.parked = append(inc.parked, d)
+	for _, n := range d.Nodes {
+		inc.parkedAt[n.ID] = k
+		if n.Parent == "" {
+			inc.parkedRoots++
+		}
+	}
+	inc.parkedNodes += len(d.Nodes)
+	inc.parks++
+}
+
+// absorb validates parked delta k and adds its nodes to the system and
+// the engine: what Admit of the delta would do, minus draining queues
+// that stay empty. A delta that fails validation is dropped.
+func (inc *Incremental) absorb(k int32) error {
+	d := inc.parked[k]
+	inc.parked[k] = nil
+	for _, n := range d.Nodes {
+		delete(inc.parkedAt, n.ID)
+		if n.Parent == "" {
+			inc.parkedRoots--
+		}
+	}
+	inc.parkedNodes -= len(d.Nodes)
 	if err := validateDelta(inc.sys, d); err != nil {
 		return err
 	}
@@ -128,16 +171,60 @@ func (inc *Incremental) AbsorbNodes(d *Delta) error {
 	return nil
 }
 
-// NodesOnlyEligible reports whether AbsorbNodes would take d: the engine
-// is ready, the delta carries no schedules and no relation pairs, and
-// every invocation edge it exercises is already in the accumulated IG (a
-// new edge could change the level assignment, which only a full append
-// handles). It validates nothing and applies nothing — the certifier
-// uses it to park a disjoint stage for lazy absorption: such a stage
-// adds only isolated vertices to every constraint relation, so the
-// engine does not need it until a later admission references one of its
-// nodes.
-func (inc *Incremental) NodesOnlyEligible(d *Delta) bool {
+// absorbNamed absorbs the parked deltas holding a parent or a pair
+// endpoint d names.
+func (inc *Incremental) absorbNamed(d *Delta) error {
+	if len(inc.parkedAt) == 0 {
+		return nil
+	}
+	var err error
+	name := func(id model.NodeID) {
+		if k, ok := inc.parkedAt[id]; ok && err == nil {
+			err = inc.absorb(k)
+		}
+	}
+	for _, n := range d.Nodes {
+		name(n.Parent)
+	}
+	for _, pairs := range [...][]DeltaPair{d.Conflicts, d.WeakOut, d.StrongOut, d.WeakIn, d.StrongIn} {
+		for _, p := range pairs {
+			name(p.A)
+			name(p.B)
+		}
+	}
+	for _, ip := range d.Intra {
+		name(ip.Tx)
+		name(ip.A)
+		name(ip.B)
+	}
+	return err
+}
+
+// absorbAll absorbs every parked delta, in park order, and returns the
+// first validation error.
+func (inc *Incremental) absorbAll() (err error) {
+	for k, d := range inc.parked {
+		if d != nil {
+			err = cmp.Or(err, inc.absorb(int32(k)))
+		}
+	}
+	inc.dropParked()
+	return err
+}
+
+// dropParked forgets every parked delta.
+func (inc *Incremental) dropParked() {
+	clear(inc.parked)
+	inc.parked = inc.parked[:0]
+	clear(inc.parkedAt)
+	inc.parkedNodes, inc.parkedRoots = 0, 0
+}
+
+// parkable reports whether Admit may park d: the engine has admitted a
+// delta and is not degraded, and d carries no schedules, no relation
+// pairs and only invocation edges already in the accumulated IG (a new
+// edge could change the level assignment, which only an append handles).
+func (inc *Incremental) parkable(d *Delta) bool {
 	if inc.failed || inc.eng == nil {
 		return false
 	}
@@ -165,7 +252,7 @@ func (inc *Incremental) NodesOnlyEligible(d *Delta) bool {
 		if !found {
 			nd := inc.sys.Node(n.Parent)
 			if nd == nil {
-				return false // malformed; let full admission report it
+				return false // parked or unknown: admission absorbs or reports it
 			}
 			caller = nd.Sched
 		}

@@ -27,28 +27,20 @@ import (
 // it never touches Runtime.mu:
 //
 //  1. Out of lock, the committer builds what needs no shared state: it
-//     orders its stage's node declarations (children-map topological
-//     emit), sorts its events, derives their (component, item) keys and
-//     pairs the events inside the stage by a seq-ascending sweep.
+//     converts its stage's node declarations (written parents-first),
+//     sorts its events, derives their (component, item) keys and pairs
+//     the events inside the stage by a seq-ascending sweep.
 //  2. It takes the certifier's mutex once. Inside, it probes the conflict
-//     index for the cross-stage pairs, admits the stage (fast path or
-//     engine, below), appends the stage to the index and the delta tail,
-//     and unlocks. Lock order is admission order is certified commit
-//     order; nothing about a stage is decided outside the lock, so there
-//     is no snapshot to reconcile and a checkpoint fold (same mutex)
-//     cannot land between a probe and its admission.
-//  3. Footprint-disjointness fast path. A stage with zero cross-
-//     transaction conflict pairs, no new schedule and no new invocation
-//     edge extends the history trivially (an empty delta is trivially
-//     Comp-C — it adds only isolated vertices to every constraint
-//     relation): instead of engine admission it is parked in the pending
-//     set, its events entering only the conflict index. A later
-//     conflicting admission flushes the parked stages its pairs
-//     reference (front.Incremental.AbsorbNodes, still no admission
-//     machinery); a stage that reaches the next checkpoint fold
-//     unreferenced is dropped with the fold and never touches the engine
-//     at all. Disjoint and read-mostly workloads pay near-zero
-//     serialized certification cost.
+//     index for the cross-stage pairs, admits the stage, appends the
+//     stage to the index and the delta tail, and unlocks. Lock order is
+//     admission order is certified commit order; nothing about a stage is
+//     decided outside the lock, so there is no snapshot to reconcile and
+//     a checkpoint fold (same mutex) cannot land between a probe and its
+//     admission.
+//  3. A stage with no cross-transaction pair, no new schedule and no new
+//     invocation edge is parked by front.Incremental.Admit. Its events
+//     still enter the conflict index, so a later pair against it makes
+//     the engine absorb it.
 //
 // A rejection poisons the incremental engine (incorrectness is monotone);
 // recovery rebuilds a fresh engine by replaying the *admitted delta tail*
@@ -115,40 +107,21 @@ func (ix certIndex) probe(key certKey, mt *data.ModeTable, mode data.Mode, fn fu
 	}
 }
 
-// addStage appends one absorbed stage's events. Events are grouped by key
-// so each distinct key costs one map access instead of one per event.
+// addStage appends one admitted stage's events, each to the sublist of
+// its key and mode.
 func (ix certIndex) addStage(evs []event) {
-	for i := range evs {
-		key := keyOf(evs[i])
-		first := true
-		for j := 0; j < i; j++ {
-			if keyOf(evs[j]) == key {
-				first = false
-				break
-			}
-		}
-		if !first {
-			continue
-		}
+	for _, e := range evs {
+		key := keyOf(e)
 		entries := ix[key]
-		for j := i; j < len(evs); j++ {
-			if keyOf(evs[j]) != key {
-				continue
-			}
-			e := evs[j]
-			found := false
-			for k := range entries {
-				if entries[k].mode == e.mode {
-					entries[k].evs = append(entries[k].evs, e)
-					found = true
-					break
-				}
-			}
-			if !found {
-				entries = append(entries, modeEvents{mode: e.mode, evs: []event{e}})
-			}
+		k := 0
+		for k < len(entries) && entries[k].mode != e.mode {
+			k++
 		}
-		ix[key] = entries
+		if k == len(entries) {
+			ix[key] = append(entries, modeEvents{mode: e.mode, evs: []event{e}})
+		} else {
+			entries[k].evs = append(entries[k].evs, e)
+		}
 	}
 }
 
@@ -191,23 +164,7 @@ type certifier struct {
 	// the baseline: it already re-verified everything before it.
 	tail []*front.Delta
 
-	// pending parks the stages admitted through the fast path but not yet
-	// applied to the engine, keyed by root. A footprint-disjoint stage is
-	// Comp-C without the engine's help — it adds only isolated vertices to
-	// every constraint relation, and an isolated vertex can neither create
-	// nor break a cycle — so its delta is absorbed lazily: only when a
-	// later conflicting admission references one of its nodes (the probe
-	// index still carries its events, so such a reference always surfaces
-	// as a pair whose peer we flush first) or when a reader asks for the
-	// whole certified system. A stage that reaches the next checkpoint
-	// fold unreferenced is dropped with the fold and never pays engine
-	// admission at all — the fold rebuild replays only the live suffix,
-	// which never contained it.
-	pending     map[model.NodeID]*front.Delta
-	pendingNode map[model.NodeID]model.NodeID // any stage node -> its pending root
-	pendingN    int                           // nodes across pending (liveNodes gauge)
-
-	fastPath     atomic.Int64 // stages absorbed via the fast path
+	fastPath     atomic.Int64 // stages the engine parked
 	rebuildNanos atomic.Int64 // total wall time spent in rejection rebuilds
 
 	tickets sync.Pool // *certTicket, recycled across commits
@@ -218,11 +175,9 @@ func newCertifier(r *Runtime) *certifier {
 		modes: make(map[string]*data.ModeTable, len(r.comps)),
 		// PropagateInputs mirrors RecordedSystem's Definition 4 item 7
 		// propagation, so the certified history matches the recorder.
-		inc:         front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
-		scheds:      map[string]bool{},
-		index:       certIndex{},
-		pending:     map[model.NodeID]*front.Delta{},
-		pendingNode: map[model.NodeID]model.NodeID{},
+		inc:    front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
+		scheds: map[string]bool{},
+		index:  certIndex{},
 	}
 	for name, comp := range r.comps {
 		c.modes[name] = comp.modes
@@ -235,8 +190,7 @@ func newCertifier(r *Runtime) *certifier {
 // nodes and pairs end up in the admitted delta, so they are made fresh
 // per ticket; every other slice is scratch, kept across commits.
 type certTicket struct {
-	root  model.NodeID
-	nodes []front.DeltaNode // topologically ordered node declarations
+	nodes []front.DeltaNode // node declarations, parents first
 
 	// localPairs pairs events within the stage. Each entry is both a
 	// conflict and a weak-output pair (directed by seq).
@@ -245,24 +199,6 @@ type certTicket struct {
 	// The stage's footprint for the index probe and append: its events in
 	// global seq order.
 	evs []event
-
-	// peers lists the counterpart transactions of the probe-derived pairs
-	// (over-approximated, deduped against the previous entry only): the
-	// admitted nodes this stage's pairs reference. Admission flushes any
-	// of them still parked in the pending set before the full Admit.
-	peers []model.NodeID
-
-	// orderDecls' scratch: child lists over declaration indices and the
-	// stage roots.
-	head, tail, next, roots []int32
-}
-
-// notePeer records a pair counterpart for the pre-admission flush.
-func (t *certTicket) notePeer(n model.NodeID) {
-	if k := len(t.peers); k > 0 && t.peers[k-1] == n {
-		return
-	}
-	t.peers = append(t.peers, n)
 }
 
 // getTicket returns a recycled (or fresh) ticket with its scratch reset;
@@ -272,26 +208,26 @@ func (c *certifier) getTicket() *certTicket {
 	if t == nil {
 		return &certTicket{}
 	}
-	t.root = ""
 	t.nodes = nil // retained by the admitted delta; never reused
 	t.localPairs = nil
 	t.evs = t.evs[:0]
-	t.peers = t.peers[:0]
 	return t
 }
 
 // buildTicket derives the part of the committing stage's delta that needs
 // no shared state, exactly as RecordedSystem derives it for the full
-// system: the new forest nodes (parents first), the events in global
-// sequence order, and — per component, per item — a conflict plus
-// weak-output pair for every mode-conflicting pair of the stage's own
-// events with distinct parent transactions. It runs on the committing
-// goroutine with no lock held. Cross-stage pairs and schedule
-// declarations are left to admission: they depend on admission order.
-func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTicket {
+// system: the new forest nodes, the events in global sequence order, and —
+// per component, per item — a conflict plus weak-output pair for every
+// mode-conflicting pair of the stage's own events with distinct parent
+// transactions. It runs on the committing goroutine with no lock held.
+// Cross-stage pairs and schedule declarations are left to admission: they
+// depend on admission order.
+func (c *certifier) buildTicket(stage *stagedRecord) *certTicket {
 	t := c.getTicket()
-	t.root = root
-	t.orderDecls(stage.nodes)
+	t.nodes = make([]front.DeltaNode, len(stage.nodes))
+	for i, d := range stage.nodes {
+		t.nodes[i] = front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)}
+	}
 	t.evs = append(t.evs, stage.events...)
 	// An invocation draws its seq when it takes its lock and appends its
 	// event after its subtree's, so every stage with an invocation arrives
@@ -306,74 +242,6 @@ func (c *certifier) buildTicket(root model.NodeID, stage *stagedRecord) *certTic
 		}
 	}
 	return t
-}
-
-// orderDecls fills t.nodes with a stage's node declarations parents-first
-// via a children-map topological emit (the stage declares leaves and
-// events as they execute but a subtransaction only after its subtree
-// completes, so children can precede their parent; the delta format
-// requires the opposite). One pass indexes children by parent, one
-// preorder walk from the stage roots emits them — O(n), sibling order
-// preserved. Unresolvable declarations are appended as-is and surface as
-// delta validation errors.
-func (t *certTicket) orderDecls(decls []nodeDecl) {
-	n := len(decls)
-	t.nodes = make([]front.DeltaNode, 0, n)
-	// Child lists as linked siblings over declaration indices (head/tail
-	// per node, next per child) — no per-stage maps, sibling order is
-	// declaration order. Stages are small, so the parent lookup is a
-	// linear scan.
-	t.head = slices.Grow(t.head[:0], n)[:n]
-	t.tail = slices.Grow(t.tail[:0], n)[:n]
-	t.next = slices.Grow(t.next[:0], n)[:n]
-	for i := range n {
-		t.head[i], t.tail[i], t.next[i] = -1, -1, -1
-	}
-	t.roots = t.roots[:0]
-	for i, d := range decls {
-		p := int32(-1)
-		if d.parent != "" {
-			for j := 0; j < n; j++ {
-				if decls[j].id == d.parent {
-					p = int32(j)
-					break
-				}
-			}
-		}
-		if p < 0 {
-			t.roots = append(t.roots, int32(i))
-			continue
-		}
-		if t.head[p] < 0 {
-			t.head[p] = int32(i)
-		} else {
-			t.next[t.tail[p]] = int32(i)
-		}
-		t.tail[p] = int32(i)
-	}
-	for _, r := range t.roots {
-		t.emit(decls, r)
-	}
-	if len(t.nodes) != n {
-		emitted := make(map[model.NodeID]bool, len(t.nodes))
-		for _, d := range t.nodes {
-			emitted[d.ID] = true
-		}
-		for _, d := range decls {
-			if !emitted[d.id] {
-				t.nodes = append(t.nodes, front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)})
-			}
-		}
-	}
-}
-
-// emit appends declaration i and then, in preorder, its subtree.
-func (t *certTicket) emit(decls []nodeDecl, i int32) {
-	d := decls[i]
-	t.nodes = append(t.nodes, front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)})
-	for c := t.head[i]; c >= 0; c = t.next[c] {
-		t.emit(decls, c)
-	}
 }
 
 // pairSeq appends the conflict/weak-output pair for two events already
@@ -394,8 +262,8 @@ func pairSeq(dst *[]front.DeltaPair, p, e event) {
 // admit certifies one stage: build out of lock, decide under the mutex.
 // A non-nil verdict is the rejection witness; an error reports a
 // malformed stage (certifier state unchanged).
-func (c *certifier) admit(root model.NodeID, stage *stagedRecord) (*front.Verdict, error) {
-	t := c.buildTicket(root, stage)
+func (c *certifier) admit(stage *stagedRecord) (*front.Verdict, error) {
+	t := c.buildTicket(stage)
 	c.mu.Lock()
 	v, err := c.admitLocked(t)
 	c.mu.Unlock()
@@ -405,15 +273,13 @@ func (c *certifier) admit(root model.NodeID, stage *stagedRecord) (*front.Verdic
 
 // admitLocked decides one ticket against the admitted history (under
 // c.mu). It probes the conflict index for the stage's cross-stage pairs,
-// assembles the final delta, and either fast-path absorbs it or runs the
-// full engine admission. On a violation the stage is discarded, the
-// engine rebuilt from the admitted tail, and the failure verdict
-// returned.
+// assembles the final delta and admits it. On a violation the stage is
+// discarded, the engine rebuilt from the admitted tail, and the failure
+// verdict returned.
 func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	var pairs []front.DeltaPair
 	for _, e := range t.evs {
 		c.index.probe(keyOf(e), c.modes[e.comp], e.mode, func(p event) {
-			t.notePeer(p.parentTx)
 			pairSeq(&pairs, p, e)
 		})
 	}
@@ -442,25 +308,7 @@ func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	d.Conflicts = pairs
 	d.WeakOut = pairs
 
-	if len(pairs) == 0 && len(d.Schedules) == 0 && c.inc.NodesOnlyEligible(d) {
-		// Footprint-disjoint: park the stage for lazy absorption instead of
-		// applying it. Its events still enter the conflict index (so a later
-		// conflicting stage finds it and flushes it), but the engine — and
-		// the next fold's rebuild — never sees it unless referenced.
-		c.fastPath.Add(1)
-		c.pending[t.root] = d
-		for _, n := range t.nodes {
-			c.pendingNode[n.ID] = t.root
-		}
-		c.pendingN += len(t.nodes)
-		c.absorbLocked(t, d)
-		return nil, nil
-	}
-	// Full admission references its pair counterparts: any of them still
-	// parked must enter the engine first.
-	if err := c.flushPeersLocked(t.peers); err != nil {
-		return nil, err
-	}
+	parks := c.inc.Parks()
 	v, err := c.inc.Admit(d)
 	if err != nil {
 		return nil, err
@@ -471,13 +319,7 @@ func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 		}
 		return v, nil
 	}
-	c.absorbLocked(t, d)
-	return nil, nil
-}
-
-// absorbLocked commits an admitted stage into the certifier's history:
-// schedules, the delta tail, and the conflict index.
-func (c *certifier) absorbLocked(t *certTicket, d *front.Delta) {
+	c.fastPath.Add(int64(c.inc.Parks() - parks))
 	for _, n := range t.nodes {
 		if n.Sched != "" {
 			c.scheds[string(n.Sched)] = true
@@ -485,53 +327,7 @@ func (c *certifier) absorbLocked(t *certTicket, d *front.Delta) {
 	}
 	c.tail = append(c.tail, d)
 	c.index.addStage(t.evs)
-}
-
-// flushPeersLocked applies the pending stages owning the given nodes: a
-// conflicting admission is about to reference them, so the engine must
-// know them now. Unreferenced pending stages stay parked.
-func (c *certifier) flushPeersLocked(peers []model.NodeID) error {
-	for _, p := range peers {
-		if root, ok := c.pendingNode[p]; ok {
-			if err := c.flushOneLocked(root); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushAllLocked applies every pending stage — a whole-system reader
-// (CertifiedSystem, the foldable-roots helper) needs the engine complete.
-func (c *certifier) flushAllLocked() error {
-	for root := range c.pending {
-		if err := c.flushOneLocked(root); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushOneLocked unparks one pending stage and absorbs it. Eligibility
-// cannot be revoked between parking and flush (the IG only grows, a
-// rejection rebuild clears the pending set under this same mutex), so
-// the fallback full admission is a belt-and-suspenders path.
-func (c *certifier) flushOneLocked(root model.NodeID) error {
-	d := c.pending[root]
-	delete(c.pending, root)
-	for _, n := range d.Nodes {
-		delete(c.pendingNode, n.ID)
-	}
-	c.pendingN -= len(d.Nodes)
-	if err := c.inc.AbsorbNodes(d); err != nil {
-		if !errors.Is(err, front.ErrNotNodesOnly) {
-			return fmt.Errorf("sched: certifier deferred absorb of %s: %w", root, err)
-		}
-		if _, aerr := c.inc.Admit(d); aerr != nil {
-			return fmt.Errorf("sched: certifier deferred absorb of %s: %w", root, aerr)
-		}
-	}
-	return nil
+	return nil, nil
 }
 
 // rebuildLocked replaces the poisoned engine with a fresh one replayed
@@ -577,11 +373,6 @@ func (c *certifier) rebuildLocked() error {
 		}
 	}
 	c.inc = fresh
-	// The tail holds every admitted delta — parked ones included — so the
-	// replay above already applied them; nothing is pending anymore.
-	clear(c.pending)
-	clear(c.pendingNode)
-	c.pendingN = 0
 	return nil
 }
 
@@ -593,37 +384,21 @@ func (c *certifier) rebuildLocked() error {
 func (c *certifier) fold() (roots, nodes int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs := c.inc.System().Roots()
-	if len(rs) > 0 {
-		sum, err := c.inc.Checkpoint(rs)
-		if err != nil {
-			return 0, 0, err
-		}
-		roots, nodes = sum.Roots, sum.Nodes
-	}
-	// Pending stages are committed like everything else accumulated, so
-	// they fold too — by being dropped. They never entered the engine, so
-	// there is nothing to remove; this is where the deferral pays: an
-	// unreferenced disjoint stage costs the engine nothing, ever.
-	roots += len(c.pending)
-	nodes += c.pendingN
-	if len(c.pending) > 0 {
-		clear(c.pending)
-		clear(c.pendingNode)
-		c.pendingN = 0
+	sum, err := c.inc.Fold()
+	if err != nil {
+		return 0, 0, err
 	}
 	c.tail = nil
 	c.index.reset()
-	return roots, nodes, nil
+	return sum.Roots, sum.Nodes, nil
 }
 
-// liveNodes gauges the certifier's accumulated forest — engine plus
-// parked stages (watermark gauge; the backpressure thresholds must see
-// deferred memory too).
+// liveNodes gauges the certifier's accumulated forest, parked stages
+// included (the backpressure watermarks police it).
 func (c *certifier) liveNodes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inc.LiveNodes() + c.pendingN
+	return c.inc.LiveNodes()
 }
 
 // EnableCertify switches the runtime into live certification mode: every
@@ -654,7 +429,7 @@ func (r *Runtime) enableCertify() error {
 	}
 	r.mu.Unlock()
 	if seed != nil {
-		v, err := c.admit("", seed)
+		v, err := c.admit(seed)
 		if err != nil {
 			return err
 		}
@@ -686,10 +461,6 @@ func (r *Runtime) CertifiedSystem() *model.System {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Readers see the complete history: unpark everything first. The flush
-	// cannot fail for certifier-built stages (see flushOneLocked); if it
-	// somehow did, the divergence surfaces in the returned system.
-	_ = c.flushAllLocked()
 	return c.inc.System()
 }
 
@@ -701,7 +472,7 @@ func (r *Runtime) certify(a *attempt) error {
 	if c == nil {
 		return nil
 	}
-	v, err := c.admit(a.root, &a.stage)
+	v, err := c.admit(&a.stage)
 	if err != nil {
 		return err
 	}

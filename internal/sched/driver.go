@@ -342,6 +342,9 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 		}
 		seq = d.sch.nextSeq()
 	}
+	// Declared before its subtree, and before the snapshot a local re-run
+	// truncates back to: every stage is written parents-first.
+	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
 	for try := 0; ; try++ {
 		snap := a.snapshot()
 		err := d.exec(a, id, string(id), inv, deadline)
@@ -355,7 +358,6 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 	if seq == 0 {
 		seq = d.sch.nextSeq()
 	}
-	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
 	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
 	return nil
 }

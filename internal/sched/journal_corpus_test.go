@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"compositetx/internal/data"
 	"compositetx/internal/wal"
 )
 
@@ -142,6 +144,11 @@ func TestCorpusSingleProcessLog(t *testing.T) {
 		stores[name] = rec.Runtime.Store(name).Snapshot()
 	}
 	certifying := rec.Runtime.Certifying()
+	// The log's stages were journaled children-first; the certifier,
+	// rebuilt from them, holds exactly the recovered execution.
+	if got, want := encodeSystem(t, rec.Runtime.CertifiedSystem()), encodeSystem(t, rec.System); !bytes.Equal(got, want) {
+		t.Fatalf("certified system diverged from the recovered one:\ncertified: %s\nrecovered: %s", got, want)
+	}
 	if err := rec.Runtime.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +173,22 @@ func TestCorpusSingleProcessLog(t *testing.T) {
 		if got := again.Runtime.Store(name).Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("second recovery: store %s = %v, want %v", name, got, want)
 		}
+	}
+
+	// A root writing every item at both branches conflicts with the
+	// recovered tail, so the engine admits it instead of parking it.
+	var steps []Step
+	for _, comp := range []string{"east", "west"} {
+		for _, item := range []string{"x1", "x2", "x3", "x4"} {
+			steps = append(steps, leafAt(comp, item, data.Op{Mode: data.ModeWrite, Item: item, Arg: 9}))
+		}
+	}
+	m0 := again.Runtime.Metrics()
+	if _, err := again.Runtime.Submit("T-post", Invocation{Component: "bank", Steps: steps}); err != nil {
+		t.Fatal(err)
+	}
+	if m := again.Runtime.Metrics(); m.Commits != m0.Commits+1 || m.CertifyRejects != 0 || m.CertifyFastPath != m0.CertifyFastPath {
+		t.Fatalf("post-recovery root: %s (before: %s), want one commit through the engine", m, m0)
 	}
 }
 

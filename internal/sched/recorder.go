@@ -14,6 +14,7 @@ import (
 // the assembled system is the committed projection of the run.
 
 // nodeDecl declares a forest node: a transaction (sched != "") or a leaf.
+// A node is declared after its parent.
 type nodeDecl struct {
 	id     model.NodeID
 	parent model.NodeID // "" for roots
@@ -35,7 +36,8 @@ type event struct {
 // bySeq orders events by sequence number: the conflict order.
 func bySeq(a, b event) int { return cmp.Compare(a.seq, b.seq) }
 
-// stagedRecord buffers one attempt's declarations and events.
+// stagedRecord buffers one attempt's declarations, parents first, and
+// events.
 type stagedRecord struct {
 	nodes  []nodeDecl
 	events []event

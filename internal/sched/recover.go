@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"compositetx/internal/data"
 	"compositetx/internal/front"
@@ -220,6 +223,13 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 			tail.absorb(&recs[i])
 		}
 	}
+	// Logs written before stages were journaled parents-first hold a
+	// subtransaction after its subtree. A child's ID is its parent's plus
+	// "/k", so a stable sort on depth puts every parent first and keeps
+	// sibling order.
+	slices.SortStableFunc(tail.nodes, func(a, b nodeDecl) int {
+		return cmp.Compare(strings.Count(string(a.id), "/"), strings.Count(string(b.id), "/"))
+	})
 	rt.rec.nodes, rt.rec.events = tail.nodes, tail.events
 	rt.commits.Store(int64(stats.Committed))
 	// Resume the global sequence past both the journaled high-water mark

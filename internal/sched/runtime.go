@@ -136,9 +136,8 @@ type Metrics struct {
 	// unless EnableCertify is on and a violation was attempted).
 	CertifyRejects int64
 
-	// CertifyFastPath counts certified commits absorbed through the
-	// footprint-disjointness fast path (zero cross-transaction conflict
-	// pairs: the engine's admission machinery was skipped entirely).
+	// CertifyFastPath counts certified commits whose stages the engine
+	// parked (see front.Incremental.Admit).
 	CertifyFastPath int64
 
 	// CertifyRebuildNanos is the total wall time spent rebuilding the
