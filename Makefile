@@ -31,11 +31,14 @@ chaos:
 # deterministic crash site, recovery idempotence, deterministic replay, the
 # crash-chaos conservation soak, the replay law on the journal seam's
 # store-replay core with the parent-written format-freeze corpus
-# (TestJournal, TestCorpus), and the E11 crash matrix.
+# (TestJournal, TestCorpus), and the E11 crash matrix; then, without the
+# race detector, 20 iterations of the scanner benchmark as a smoke
+# (BenchmarkScanDir: B/op and allocs/op of one recovery-shaped log).
 crash:
 	$(GO) test -race -count=1 ./internal/wal
 	$(GO) test -race -count=1 -run 'TestCrash|TestRecover|TestDeterministicReplay|TestEnableWAL|TestJournal|TestCorpus' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestE11' ./internal/sim
+	$(GO) test -run '^$$' -bench ScanDir -benchtime 20x ./internal/wal
 
 # mvcc runs the multi-version data layer and optimistic-execution suite
 # under the race detector: version-chain/clock/claim unit tests in

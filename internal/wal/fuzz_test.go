@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -11,10 +12,12 @@ import (
 // FuzzScanSegment feeds the frame scanner arbitrary bytes after the
 // segment magic — a log's last segment is whatever a crash left there.
 // Whatever they are: no panic, no allocation driven by a length field the
-// bytes merely claim (maxRecordBytes bounds a frame), Open and ReadAll —
+// bytes merely claim (maxRecordBytes bounds a frame; the records slice and
+// the string table are sized from CRC-valid frames), Open and ReadAll —
 // the scanner's two faces — agree on what is valid (both fail, or both
-// find the same records and the same torn tail), the opened log continues
-// at the LSN after the last record read, and after Open has truncated the
+// find the same records and the same torn tail), a successful scan reads
+// what the frame-by-frame reference decodes, the opened log continues at
+// the LSN after the last record read, and after Open has truncated the
 // tail a reopen finds nothing torn.
 func FuzzScanSegment(f *testing.F) {
 	var valid []byte
@@ -44,6 +47,7 @@ func FuzzScanSegment(f *testing.F) {
 		if err := os.WriteFile(seg, append([]byte(segMagic), tail...), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		want, werr := frameDecode(dir)
 		var before, now runtime.MemStats
 		runtime.ReadMemStats(&before)
 		recs, info, rerr := ReadAll(dir)
@@ -57,6 +61,9 @@ func FuzzScanSegment(f *testing.F) {
 		}
 		if rerr != nil {
 			return
+		}
+		if werr != nil || len(recs) != len(want) || len(recs) > 0 && !reflect.DeepEqual(recs, want) {
+			t.Fatalf("ReadAll read %d records, the frame-by-frame decode %d (%v); first difference at %d", len(recs), len(want), werr, firstDiff(recs, want))
 		}
 		if n != uint64(len(recs)) {
 			t.Fatalf("Open counts %d records, ReadAll %d", n, len(recs))

@@ -184,16 +184,21 @@ func appendFrame(b []byte, r Record) []byte {
 
 // decodeBody parses a record body. A decode failure on a CRC-valid frame
 // is real corruption (or a format mismatch), never a torn tail.
-func decodeBody(b []byte) (Record, error) {
-	var r Record
+func decodeBody(b []byte) (r Record, err error) {
+	err = new(decoder).record(&r, b)
+	return r, err
+}
+
+// record decodes the body b into r, as decodeBody does.
+func (d *decoder) record(r *Record, b []byte) error {
 	if len(b) == 0 {
-		return r, fmt.Errorf("wal: empty record body")
+		return fmt.Errorf("wal: empty record body")
 	}
 	r.Type = Type(b[0])
 	if r.Type == 0 || r.Type >= typeMax {
-		return r, fmt.Errorf("wal: unknown record type %d", b[0])
+		return fmt.Errorf("wal: unknown record type %d", b[0])
 	}
-	d := decoder{b: b[1:]}
+	d.b, d.err = b[1:], nil
 	r.Meta = d.blob()
 	r.Txn = d.str()
 	r.Node = d.str()
@@ -208,12 +213,12 @@ func decodeBody(b []byte) (Record, error) {
 	r.Seq = d.uvarint()
 	r.Ref = d.uvarint()
 	if d.err != nil {
-		return r, fmt.Errorf("wal: corrupt %s record: %w", r.Type, d.err)
+		return fmt.Errorf("wal: corrupt %s record: %w", r.Type, d.err)
 	}
 	if len(d.b) != 0 {
-		return r, fmt.Errorf("wal: %d trailing bytes in %s record", len(d.b), r.Type)
+		return fmt.Errorf("wal: %d trailing bytes in %s record", len(d.b), r.Type)
 	}
-	return r, nil
+	return nil
 }
 
 func appendBlob(b, blob []byte) []byte {
@@ -226,12 +231,17 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// decoder reads a record body's fields. Nothing it returns aliases the body:
+// a blob is a private copy, a string one copy — with a table, one per
+// distinct string, shared by the records decoded through it.
 type decoder struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	strs map[string]string // nil: every string is its own copy
 }
 
-func (d *decoder) blob() []byte {
+// field returns the next length-prefixed field, aliasing the body.
+func (d *decoder) field() []byte {
 	n := d.uvarint()
 	if d.err != nil {
 		return nil
@@ -242,13 +252,28 @@ func (d *decoder) blob() []byte {
 	}
 	out := d.b[:n]
 	d.b = d.b[n:]
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]byte(nil), out...)
+	return out
 }
 
-func (d *decoder) str() string { return string(d.blob()) }
+func (d *decoder) blob() []byte {
+	if out := d.field(); len(out) > 0 {
+		return append([]byte(nil), out...)
+	}
+	return nil
+}
+
+func (d *decoder) str() string {
+	b := d.field()
+	if d.strs == nil || len(b) == 0 {
+		return string(b)
+	}
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.strs[s] = s
+	return s
+}
 
 func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)

@@ -40,9 +40,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -176,7 +178,7 @@ type segMeta struct {
 // so a recovering node replays exactly the records its reopened log
 // continues after: the first append returns Info.FirstLSN + len(Records).
 type Scan struct {
-	Records []Record
+	Records []Record // may share string data with each other, never with file bytes
 	Info    ScanInfo
 
 	segs  []segMeta // on-disk segments, each with the LSN of its first record
@@ -188,7 +190,12 @@ var errNoSegments = errors.New("wal: no log segments")
 
 // ScanDir reads the log in dir without touching it — the one scanner Open
 // and ReadAll are faces of. A torn tail on the last segment is reported in
-// Info and skipped; corruption anywhere else is an error.
+// Info and skipped; corruption anywhere else is an error, the first in log
+// order. One buffer holds a segment at a time. A first pass counts whole
+// frames, last segment first; the second starts on the segment still held
+// and decodes, in log order and in place, into Records of that exact
+// length. Records share string data through a per-scan table, never with
+// the file bytes.
 func ScanDir(dir string) (*Scan, error) {
 	paths, err := segmentFiles(dir)
 	if err != nil {
@@ -197,27 +204,45 @@ func ScanDir(dir string) (*Scan, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("%w in %q", errNoSegments, dir)
 	}
-	s := &Scan{Info: ScanInfo{Segments: len(paths)}}
+	var largest int64
+	for _, path := range paths {
+		if fi, err := os.Stat(path); err == nil {
+			largest = max(largest, fi.Size())
+		}
+	}
+	sr := segReader{paths: paths, buf: make([]byte, 0, largest), loaded: -1}
+	frames := 0
+	for i := len(paths) - 1; i >= 0; i-- {
+		n := 0
+		if _, _, err := sr.walk(i, func([]byte) error { n++; return nil }); err != nil {
+			frames = 0 // decoding stops in this segment
+		}
+		frames += n
+	}
+	s := &Scan{Records: make([]Record, 0, frames), Info: ScanInfo{Segments: len(paths)}, segs: make([]segMeta, 0, len(paths))}
+	d := decoder{strs: make(map[string]string, frames)}
 	// Anchor absolute LSNs: the record at scan index j has LSN base+j+1,
 	// where base is the number of records truncated away before the first
 	// surviving segment. An untruncated log has base 0; a truncated one
 	// always retains its checkpoint marker, whose Ref is its own LSN.
 	var base uint64
+	decode := func(body []byte) error {
+		s.Records = append(s.Records, Record{})
+		r := &s.Records[len(s.Records)-1]
+		if err := d.record(r, body); err != nil || r.Type != TypeCheckpoint {
+			return err
+		}
+		n := uint64(len(s.Records))
+		if r.Ref < n {
+			return fmt.Errorf("checkpoint marker at index %d claims LSN %d", n-1, r.Ref)
+		}
+		base, s.Info.CheckpointLSN = r.Ref-n, r.Ref
+		return nil
+	}
 	for i, path := range paths {
 		s.segs = append(s.segs, segMeta{idx: segIndex(path), first: uint64(len(s.Records))})
 		s.tail = path
-		s.valid, s.Info.TornBytes, err = scanSegment(path, i == len(paths)-1, func(r Record) error {
-			s.Records = append(s.Records, r)
-			if r.Type == TypeCheckpoint {
-				n := uint64(len(s.Records))
-				if r.Ref < n {
-					return fmt.Errorf("checkpoint marker at index %d claims LSN %d", n-1, r.Ref)
-				}
-				base, s.Info.CheckpointLSN = r.Ref-n, r.Ref
-			}
-			return nil
-		})
-		if err != nil {
+		if s.valid, s.Info.TornBytes, err = sr.walk(i, decode); err != nil {
 			return nil, err
 		}
 	}
@@ -767,15 +792,47 @@ func (l *Log) Records() uint64 {
 // dropped LSNs out again.
 func (l *Log) SyncedLSN() uint64 { return l.syncedLSN.Load() }
 
-// scanSegment walks one segment, calling fn per valid record. It returns
-// the offset of the first invalid byte (= file size when the segment is
-// fully valid) and the number of torn bytes after it. Invalid frames in a
-// non-final segment are corruption.
-func scanSegment(path string, last bool, fn func(Record) error) (validOff int64, tornBytes int64, err error) {
-	raw, err := os.ReadFile(path)
+// segReader reads a log's segments into one buffer, one segment at a time.
+type segReader struct {
+	paths   []string
+	buf     []byte // the loaded segment; its capacity, the largest segment's size
+	loaded  int    // index of the loaded segment, -1 for none
+	checked int64  // buf[:checked] is whole frames whose CRCs matched
+}
+
+// load reads segment i into the buffer, unless it is there already.
+func (sr *segReader) load(i int) ([]byte, error) {
+	if i == sr.loaded {
+		return sr.buf, nil
+	}
+	sr.loaded, sr.checked = -1, 0
+	f, err := os.Open(sr.paths[i])
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	sr.buf = slices.Grow(sr.buf[:0], int(fi.Size()))[:fi.Size()]
+	if _, err := io.ReadFull(f, sr.buf); err != nil {
+		return nil, fmt.Errorf("wal: reading %s: %w", sr.paths[i], err)
+	}
+	sr.loaded = i
+	return sr.buf, nil
+}
+
+// walk checks the frames of segment i in order, handing each whole one's
+// body to fn. It returns the offset of the first invalid byte (= file size
+// when the segment is fully valid) and the number of torn bytes after it.
+// Invalid frames in a non-final segment are corruption, as is an fn error.
+func (sr *segReader) walk(i int, fn func(body []byte) error) (valid, torn int64, err error) {
+	raw, err := sr.load(i)
 	if err != nil {
 		return 0, 0, err
 	}
+	path, last := sr.paths[i], i == len(sr.paths)-1
 	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != segMagic {
 		if last {
 			// A crash during segment creation can leave a partial header;
@@ -794,7 +851,7 @@ func scanSegment(path string, last bool, fn func(Record) error) (validOff int64,
 		if len(rest) >= frameHeaderLen {
 			if ln := binary.LittleEndian.Uint32(rest); ln <= maxRecordBytes && frameHeaderLen+int64(ln) <= int64(len(rest)) {
 				body = rest[frameHeaderLen : frameHeaderLen+int64(ln)]
-				whole = crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(rest[4:])
+				whole = off < sr.checked || crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(rest[4:])
 			}
 		}
 		if !whole {
@@ -803,14 +860,11 @@ func scanSegment(path string, last bool, fn func(Record) error) (validOff int64,
 			}
 			return off, int64(len(rest)), nil
 		}
-		rec, err := decodeBody(body)
-		if err == nil {
-			err = fn(rec)
-		}
-		if err != nil {
+		if err := fn(body); err != nil {
 			return 0, 0, fmt.Errorf("wal: %s at offset %d: %w", path, off, err)
 		}
 		off += frameHeaderLen + int64(len(body))
+		sr.checked = max(sr.checked, off)
 	}
 	return off, 0, nil
 }
