@@ -101,19 +101,21 @@ distperf:
 # certperf runs the certifier suite: the byte-identity property suite under
 # the race detector, on one P (the schedule the benchmark measures) and
 # on two (admission under the certifier's mutex, engine parking included,
-# must leave the certified system byte-identical to an always-admit oracle
-# engine and to the recorder's, plus fold-between-commits, rejection-
-# rebuild and WAL-ordering regressions), the engine's parking tests (Admit
-# that parks against Append that never does), the recycled commit path (the
-# per-commit allocation budget, logged only under -race, and no state of
-# a recycled attempt reaching the next root), stages journaled
+# must leave the certified system byte-identical to the recorder's, plus
+# fold-between-commits, rollback — rejections amid concurrent commits keep
+# the engine — and WAL-ordering regressions), the engine's parking tests
+# (Admit that parks against Append that never does) and rollback law (a
+# refused delta leaves no trace, on journaled and candidate engines,
+# propagated inputs and checkpoint folds included), the recycled commit
+# path (the per-commit allocation budget, logged only under -race, and no
+# state of a recycled attempt reaching the next root), stages journaled
 # parents-first and the format-freeze corpus certified after recovery, and
 # the E17 cells (8 clients on the 10%-conflict mix: no lost commit, no
 # reject, the engine actually parking) with E12's counts (the engine
 # agrees with a from-scratch Check on every prefix of 256 commits and
 # rebuilds only on level changes).
 certperf:
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestPipeline|TestParking' ./internal/sched ./internal/front
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 

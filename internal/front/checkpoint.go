@@ -50,10 +50,9 @@ func (inc *Incremental) Checkpoints() int { return inc.checkpoints }
 func (inc *Incremental) LiveNodes() int { return inc.sys.NumNodes() + inc.parkedNodes }
 
 // Checkpoint folds the given committed roots — each with its entire
-// subtree — out of the engine. The engine must not be degraded (only a
-// certified-correct prefix may be folded), and every id must be a root
-// of the accumulated system. After the call, later deltas must not
-// reference any folded node: such a delta is rejected by validation.
+// subtree — out of the engine. Every id must be a root of the accumulated
+// system. After the call, later deltas must not reference any folded
+// node: such a delta is rejected by validation.
 // Parked deltas are absorbed first. On error nothing else is changed.
 func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, error) {
 	if err := inc.absorbAll(); err != nil {
@@ -77,9 +76,6 @@ func (inc *Incremental) Fold() (*CheckpointSummary, error) {
 
 // fold is Checkpoint of roots with nothing parked under them.
 func (inc *Incremental) fold(roots []model.NodeID) (*CheckpointSummary, error) {
-	if inc.failed {
-		return nil, fmt.Errorf("front: cannot checkpoint a degraded engine (the history is not Comp-C)")
-	}
 	if len(roots) == 0 {
 		return &CheckpointSummary{}, nil
 	}
@@ -120,9 +116,9 @@ func (inc *Incremental) fold(roots []model.NodeID) (*CheckpointSummary, error) {
 		if inc.eng.failed {
 			// Cannot happen: removing whole composite transactions from a
 			// correct execution only removes constraints (monotonicity),
-			// so the suffix stays correct. Poison the engine rather than
+			// so the suffix stays correct. Drop the engine rather than
 			// certify over broken state.
-			inc.failed = true
+			inc.eng = nil
 			return nil, fmt.Errorf("front: checkpoint rebuild found the pruned suffix incorrect (engine bug)")
 		}
 	}

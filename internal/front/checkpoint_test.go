@@ -61,30 +61,22 @@ func foldableRoots(prefix *model.System, remaining []*front.Delta) []model.NodeI
 
 // replayCheckpointExact streams deltas through an Incremental, folding
 // every foldable committed prefix with Checkpoint every `every` deltas,
-// while applying the same deltas — and the same prunes — to a parallel
-// prefix system. After EVERY delta the engine's Append verdict must be
-// byte-identical to CheckReference over the (pruned) prefix: the stream
-// straddles each checkpoint boundary, so this is the pruned-engine
-// byte-identity property of ISSUE 7. Returns per-outcome counts plus the
-// number of folds that actually dropped state.
-func replayCheckpointExact(t *testing.T, tag string, deltas []*front.Delta, every int) (correct, failed, folds int) {
+// while the stream oracle keeps the admitted prefix — with the same
+// prunes. Every delta's verdict must be byte-identical to CheckReference
+// over the (pruned) prefix plus the delta: the stream straddles each
+// checkpoint boundary, so this is the pruned-engine byte-identity property.
+// Returns the outcome counts plus the number of folds that actually
+// dropped state.
+func replayCheckpointExact(t *testing.T, tag string, deltas []*front.Delta, every int) (sum tally, folds int) {
 	t.Helper()
 	inc := front.NewIncremental(front.IncrementalOptions{})
-	prefix := model.NewSystem()
+	s := newStream()
 	for i, d := range deltas {
-		d.Apply(prefix)
-		gotV, gotErr := inc.Append(d)
-		wantV, wantErr := front.CheckReference(prefix, front.Options{})
-		assertVerdictsEqual(t, fmt.Sprintf("%s/prefix%d", tag, i), gotV, gotErr, wantV, wantErr)
-		if gotErr == nil && gotV.Correct {
-			correct++
-		} else {
-			failed++
-		}
-		if (i+1)%every != 0 || inc.Degraded() {
+		s.step(t, fmt.Sprintf("%s/prefix%d", tag, i), inc, d, true)
+		if (i+1)%every != 0 {
 			continue
 		}
-		targets := foldableRoots(prefix, deltas[i+1:])
+		targets := foldableRoots(s.prefix, deltas[i+1:])
 		if len(targets) == 0 {
 			continue
 		}
@@ -98,23 +90,24 @@ func replayCheckpointExact(t *testing.T, tag string, deltas []*front.Delta, ever
 				tag, i, sum.Roots, len(targets), inc.Checkpoints(), cuts+1)
 		}
 		for _, id := range targets {
-			prefix.RemoveTree(id)
+			s.prefix.RemoveTree(id)
 		}
-		if got, want := inc.LiveNodes(), prefix.NumNodes(); got != want || before-sum.Nodes != got {
+		if got, want := inc.LiveNodes(), s.prefix.NumNodes(); got != want || before-sum.Nodes != got {
 			t.Fatalf("%s/prefix%d: engine holds %d live nodes after folding %d of %d, prefix has %d", tag, i, got, sum.Nodes, before, want)
 		}
 		if sum.Nodes > 0 {
 			folds++
 		}
 	}
-	return correct, failed, folds
+	return s.outcome, folds
 }
 
 // TestCheckpointPrefixExactStack sweeps random stack executions with a
 // fold every few root commits, across conflict densities that produce
 // both correct and violating continuations on the far side of folds.
 func TestCheckpointPrefixExactStack(t *testing.T) {
-	correct, failed, folds := 0, 0, 0
+	var sum tally
+	folds := 0
 	for _, levels := range []int{1, 2, 3} {
 		for _, cr := range []float64{0, 0.3, 0.9} {
 			for seed := int64(1); seed <= 3; seed++ {
@@ -123,13 +116,13 @@ func TestCheckpointPrefixExactStack(t *testing.T) {
 					ConflictRate: cr, StrongRate: 0.2, Seed: seed,
 				})
 				tag := fmt.Sprintf("ckstack/l%d/c%.1f/seed%d", levels, cr, seed)
-				c, f, k := replayCheckpointExact(t, tag, front.DecomposeByRoot(exec.Sys), 2)
-				correct, failed, folds = correct+c, failed+f, folds+k
+				k, f := replayCheckpointExact(t, tag, front.DecomposeByRoot(exec.Sys), 2)
+				sum, folds = sum.plus(k), folds+f
 			}
 		}
 	}
-	if correct == 0 || failed == 0 || folds == 0 {
-		t.Fatalf("sweep must cover both outcomes across real folds: %d correct, %d failed, %d folds", correct, failed, folds)
+	if sum.admitted == 0 || sum.violated == 0 || folds == 0 {
+		t.Fatalf("sweep must cover both verdicts across real folds: %+v, %d folds", sum, folds)
 	}
 }
 
@@ -168,42 +161,43 @@ func renameNodes(deltas []*front.Delta, prefix string) []*front.Delta {
 	return out
 }
 
+// stripKnown drops the schedules the prefix already has from d: epochs
+// share schedules, and a fold keeps them.
+func stripKnown(d *front.Delta, prefix *model.System) {
+	var kept []model.ScheduleID
+	for _, sc := range d.Schedules {
+		if prefix.Schedule(sc) == nil {
+			kept = append(kept, sc)
+		}
+	}
+	d.Schedules = kept
+}
+
 // replayEpochsExact streams several executions through ONE engine as
 // successive epochs — the runtime's checkpoint cadence: after each epoch
-// whose history is still correct, every root is folded away, and the next
-// epoch's stream must stay byte-identical to CheckReference over the
-// pruned prefix. Epochs get disjoint node namespaces; schedules persist
-// across folds (re-declarations are stripped). Returns folds taken.
-func replayEpochsExact(t *testing.T, tag string, systems []*model.System) int {
+// every admitted root is folded away, and the next epoch's stream must
+// stay byte-identical to CheckReference over the pruned prefix. Epochs get
+// disjoint node namespaces; schedules persist across folds (re-declarations
+// are stripped). full picks Append over Admit. Returns the outcome counts
+// and the folds taken.
+func replayEpochsExact(t *testing.T, tag string, systems []*model.System, full bool) (tally, int) {
 	t.Helper()
 	inc := front.NewIncremental(front.IncrementalOptions{})
-	prefix := model.NewSystem()
+	s := newStream()
 	folds := 0
 	for e, sys := range systems {
 		deltas := renameNodes(front.DecomposeByRoot(sys), fmt.Sprintf("e%d.", e))
 		for i, d := range deltas {
-			var kept []model.ScheduleID
-			for _, s := range d.Schedules {
-				if prefix.Schedule(s) == nil {
-					kept = append(kept, s)
-				}
-			}
-			d.Schedules = kept
-			d.Apply(prefix)
-			gotV, gotErr := inc.Append(d)
-			wantV, wantErr := front.CheckReference(prefix, front.Options{})
-			assertVerdictsEqual(t, fmt.Sprintf("%s/epoch%d/prefix%d", tag, e, i), gotV, gotErr, wantV, wantErr)
+			stripKnown(d, s.prefix)
+			s.step(t, fmt.Sprintf("%s/epoch%d/prefix%d", tag, e, i), inc, d, full)
 		}
-		if inc.Degraded() {
-			continue
-		}
-		roots := prefix.Roots()
+		roots := s.prefix.Roots()
 		sum, err := inc.Checkpoint(roots)
 		if err != nil {
 			t.Fatalf("%s/epoch%d: checkpoint: %v", tag, e, err)
 		}
 		for _, r := range roots {
-			prefix.RemoveTree(r)
+			s.prefix.RemoveTree(r)
 		}
 		if inc.LiveNodes() != 0 {
 			t.Fatalf("%s/epoch%d: %d live nodes after a full fold", tag, e, inc.LiveNodes())
@@ -212,7 +206,7 @@ func replayEpochsExact(t *testing.T, tag string, systems []*model.System) int {
 			folds++
 		}
 	}
-	return folds
+	return s.outcome, folds
 }
 
 // TestCheckpointPrefixExactFork streams fork epochs across full folds.
@@ -226,7 +220,8 @@ func TestCheckpointPrefixExactFork(t *testing.T) {
 				ConflictRate: cr, Seed: seed,
 			}).Sys)
 		}
-		folds += replayEpochsExact(t, fmt.Sprintf("ckfork/seed%d", seed), systems)
+		_, k := replayEpochsExact(t, fmt.Sprintf("ckfork/seed%d", seed), systems, true)
+		folds += k
 	}
 	if folds == 0 {
 		t.Fatal("fork sweep folded nothing; loosen the workload")
@@ -244,7 +239,8 @@ func TestCheckpointPrefixExactJoin(t *testing.T) {
 				ConflictRate: tcr / 2, TopConflictRate: tcr, Seed: seed,
 			}).Sys)
 		}
-		folds += replayEpochsExact(t, fmt.Sprintf("ckjoin/seed%d", seed), systems)
+		_, k := replayEpochsExact(t, fmt.Sprintf("ckjoin/seed%d", seed), systems, true)
+		folds += k
 	}
 	if folds == 0 {
 		t.Fatal("join sweep folded nothing; loosen the workload")
@@ -265,8 +261,8 @@ func TestCheckpointPrefixExactGeneral(t *testing.T) {
 				LeafRate: 0.4, ConflictRate: cr, Seed: seed,
 			})
 			tag := fmt.Sprintf("ckgeneral/c%.1f/seed%d", cr, seed)
-			_, _, k1 := replayCheckpointExact(t, tag+"/roots", front.DecomposeByRoot(exec.Sys), 2)
-			_, _, k2 := replayCheckpointExact(t, tag+"/steps", front.DecomposeSteps(exec.Sys), 5)
+			_, k1 := replayCheckpointExact(t, tag+"/roots", front.DecomposeByRoot(exec.Sys), 2)
+			_, k2 := replayCheckpointExact(t, tag+"/steps", front.DecomposeSteps(exec.Sys), 5)
 			folds += k1 + k2
 		}
 	}
@@ -277,53 +273,23 @@ func TestCheckpointPrefixExactGeneral(t *testing.T) {
 
 // TestCheckpointAdmitStream runs the certification fast path across
 // epoch folds: Admit must return (nil, nil) exactly while the pruned
-// prefix stays correct and the reference failure verdict afterwards.
+// prefix plus the delta stays correct, and the reference failure verdict
+// otherwise.
 func TestCheckpointAdmitStream(t *testing.T) {
-	sawFold, sawFailure := false, false
+	var sum tally
+	folds := 0
 	for seed := int64(1); seed <= 4; seed++ {
-		inc := front.NewIncremental(front.IncrementalOptions{})
-		prefix := model.NewSystem()
-		for e, cr := range []float64{0.1, 0.4, 0.8} {
-			sys := workload.Stack(workload.StackParams{
+		var systems []*model.System
+		for _, cr := range []float64{0.1, 0.4, 0.8} {
+			systems = append(systems, workload.Stack(workload.StackParams{
 				Levels: 2, Roots: 4, Fanout: 2, ConflictRate: cr, Seed: seed,
-			}).Sys
-			deltas := renameNodes(front.DecomposeByRoot(sys), fmt.Sprintf("e%d.", e))
-			for i, d := range deltas {
-				var kept []model.ScheduleID
-				for _, s := range d.Schedules {
-					if prefix.Schedule(s) == nil {
-						kept = append(kept, s)
-					}
-				}
-				d.Schedules = kept
-				d.Apply(prefix)
-				gotV, gotErr := inc.Admit(d)
-				wantV, wantErr := front.CheckReference(prefix, front.Options{})
-				tag := fmt.Sprintf("ckadmit/seed%d/epoch%d/prefix%d", seed, e, i)
-				if wantErr == nil && wantV.Correct {
-					if gotV != nil || gotErr != nil {
-						t.Fatalf("%s: correct prefix: Admit = (%v, %v), want (nil, nil)", tag, gotV, gotErr)
-					}
-				} else {
-					sawFailure = true
-					assertVerdictsEqual(t, tag, gotV, gotErr, wantV, wantErr)
-				}
-			}
-			if inc.Degraded() {
-				continue
-			}
-			roots := prefix.Roots()
-			if _, err := inc.Checkpoint(roots); err != nil {
-				t.Fatalf("seed %d epoch %d: checkpoint: %v", seed, e, err)
-			}
-			for _, r := range roots {
-				prefix.RemoveTree(r)
-			}
-			sawFold = true
+			}).Sys)
 		}
+		k, f := replayEpochsExact(t, fmt.Sprintf("ckadmit/seed%d", seed), systems, false)
+		sum, folds = sum.plus(k), folds+f
 	}
-	if !sawFold || !sawFailure {
-		t.Fatalf("admit sweep must fold and fail at least once: folds=%v failures=%v", sawFold, sawFailure)
+	if folds == 0 || sum.violated == 0 {
+		t.Fatalf("admit sweep must fold and fail at least once: %d folds, %+v", folds, sum)
 	}
 }
 
@@ -370,8 +336,8 @@ func TestCheckpointRejectsFoldedReferences(t *testing.T) {
 	assertVerdictsEqual(t, "post-fold-tail", wantV, wantErr, gotV, gotErr)
 }
 
-// TestCheckpointErrors pins the refusal cases: degraded engines, unknown
-// roots, non-roots, duplicates — each must leave the engine untouched.
+// TestCheckpointErrors pins the refusal cases: unknown roots, non-roots,
+// duplicates — each must leave the engine untouched.
 func TestCheckpointErrors(t *testing.T) {
 	sys := workload.Stack(workload.StackParams{
 		Levels: 2, Roots: 2, Fanout: 2, ConflictRate: 0, Seed: 1,
@@ -404,28 +370,5 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 	if inc.Checkpoints() != 0 {
 		t.Fatalf("failed checkpoints counted: %d", inc.Checkpoints())
-	}
-
-	// A degraded engine refuses to fold (the history is not certified).
-	bad := front.NewIncremental(front.IncrementalOptions{})
-	for seed := int64(1); ; seed++ {
-		if seed > 50 {
-			t.Fatal("no violating execution found")
-		}
-		vsys := workload.Stack(workload.StackParams{
-			Levels: 2, Roots: 3, Fanout: 2, ConflictRate: 0.9, Seed: seed,
-		}).Sys
-		bad = front.NewIncremental(front.IncrementalOptions{})
-		for _, d := range front.DecomposeSteps(vsys) {
-			if _, err := bad.Append(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if bad.Degraded() {
-			break
-		}
-	}
-	if _, err := bad.Checkpoint(bad.System().Roots()); err == nil {
-		t.Fatal("degraded engine accepted a checkpoint")
 	}
 }

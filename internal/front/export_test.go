@@ -13,7 +13,7 @@ func LoadedEngine(sys *model.System) (reload func() bool, err error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := newIncEngine(sys, levels, false, len(ids))
+	eng := newIncEngine(levels, false, len(ids))
 	eng.load(sys, ids)
 	return func() bool {
 		eng.reset()

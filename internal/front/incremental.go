@@ -22,10 +22,14 @@ import (
 // conflicts, constraint relations — only grows. Incorrectness is
 // therefore monotone: once any reduction check fails it fails forever,
 // so the engine can propagate just the newly derived pairs ("frontier
-// propagation" through levels 0..N) and poison itself on the first
-// failure. When the delta changes the level assignment (a new schedule,
-// or a new invocation edge), the engine rebuilds from the accumulated
-// system; that happens at most once per topology edge, not per commit.
+// propagation" through levels 0..N) and stop at the first failure.
+//
+// Admission is tentative: the engine journals the words a delta writes
+// (order.Journal), and a violating delta is diagnosed, then rolled back
+// (undo ∘ admit ≡ id). A delta that changes the level assignment (a new
+// schedule, or a new invocation edge) is loaded with the accumulated
+// system into a candidate engine, which replaces the live one only if the
+// delta is admitted; that happens at most once per topology edge.
 //
 // Verdicts are identical to the string-keyed oracle's (CheckReference):
 // on success the engine materializes the same fronts, serial witness and
@@ -39,7 +43,6 @@ type Incremental struct {
 	ig          *order.Relation[model.ScheduleID]
 	levels      map[model.ScheduleID]int
 	eng         *incEngine
-	failed      bool
 	rebuilds    int
 	checkpoints int
 
@@ -86,20 +89,19 @@ func (inc *Incremental) System() *model.System {
 // Parks counts the deltas Admit has parked since the engine was made.
 func (inc *Incremental) Parks() int { return inc.parks }
 
-// Degraded reports whether the engine has observed a violation
-// (incorrectness is monotone, so every later prefix is incorrect too):
-// each later append rebuilds the engine from the accumulated system to
-// diagnose it.
-func (inc *Incremental) Degraded() bool { return inc.failed }
+// Declared reports whether schedule s is part of the accumulated
+// execution (every declared schedule has a level, and levels start at 1).
+func (inc *Incremental) Declared(s model.ScheduleID) bool { return inc.levels[s] > 0 }
 
-// Rebuilds counts level-assignment changes; each forces a full engine
-// rebuild from the accumulated system.
+// Rebuilds counts admitted level-assignment changes; each replaced the
+// engine with one loaded from the accumulated system.
 func (inc *Incremental) Rebuilds() int { return inc.rebuilds }
 
 // Append applies the delta and returns the verdict for the accumulated
-// execution, identical to CheckReference over the same system. The delta is
-// validated first and rejected all-or-nothing: on error nothing changed.
-// Append never parks, and absorbs every parked delta first.
+// execution plus the delta, identical to CheckReference over that system.
+// An invalid or violating delta leaves nothing behind: a later delta
+// naming its nodes fails validation. Append never parks, and absorbs every
+// parked delta first.
 func (inc *Incremental) Append(d *Delta) (*Verdict, error) {
 	if err := inc.absorbAll(); err != nil {
 		return nil, err
@@ -221,11 +223,11 @@ func (inc *Incremental) dropParked() {
 }
 
 // parkable reports whether Admit may park d: the engine has admitted a
-// delta and is not degraded, and d carries no schedules, no relation
-// pairs and only invocation edges already in the accumulated IG (a new
-// edge could change the level assignment, which only an append handles).
+// delta, and d carries no schedules, no relation pairs and only invocation
+// edges already in the accumulated IG (a new edge could change the level
+// assignment, which only an append handles).
 func (inc *Incremental) parkable(d *Delta) bool {
-	if inc.failed || inc.eng == nil {
+	if inc.eng == nil {
 		return false
 	}
 	if len(d.Schedules)+len(d.Conflicts)+len(d.WeakOut)+len(d.StrongOut)+
@@ -280,51 +282,61 @@ func (inc *Incremental) parkable(d *Delta) bool {
 	return true
 }
 
+// append admits d tentatively, on the live engine under its journal or
+// on a candidate engine loaded with a copy of the system plus d. A
+// violation is diagnosed first; then the live engine rolls d back, or the
+// candidate is dropped. Only an admitted d reaches the system and the IG.
 func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 	if err := validateDelta(inc.sys, d); err != nil {
 		return nil, err
 	}
-	levels, changed, err := inc.applyIG(d)
+	ig, levels, changed, err := inc.applyIG(d)
 	if err != nil {
 		return nil, err
 	}
-	d.Apply(inc.sys)
-	rebuild := inc.eng == nil || changed
-	if rebuild {
+	sys, eng, n0 := inc.sys, inc.eng, 0
+	if eng == nil || changed {
+		sys = inc.sys.Clone()
+		d.Apply(sys)
+		// The live engine's capacity carries over: rows are allocated
+		// lazily, and it spares the candidate the slab re-layouts.
+		capN := 0
+		if inc.eng != nil {
+			capN = inc.eng.capN
+		}
+		eng = newIncEngine(levels, inc.opts.PropagateInputs, capN)
+		eng.load(sys, sys.NodeIDs())
+	} else {
+		n0 = len(eng.ids)
+		eng.jr.Begin()
+		eng.apply(d)
+	}
+	if eng.failed {
+		v, err := eng.verdict(false)
+		if eng == inc.eng {
+			eng.rollback(n0)
+		}
+		return v, err
+	}
+	if eng == inc.eng {
+		eng.jr.Commit()
+		d.Apply(sys)
+	} else {
+		inc.sys, inc.eng, inc.levels = sys, eng, levels
 		inc.rebuilds++
 	}
-	if rebuild || inc.failed {
-		inc.levels = levels
-		inc.eng = inc.newEngine()
-		inc.eng.load(inc.sys, inc.sys.NodeIDs())
-	} else {
-		inc.eng.apply(d)
-	}
-	inc.failed = inc.eng.failed
-	if !full && !inc.failed {
+	inc.ig = ig
+	eng.flush(sys)
+	if !full {
 		return nil, nil
 	}
-	return inc.eng.verdict(false)
-}
-
-// newEngine returns an empty engine over the accumulated system and the
-// current level assignment. It carries the previous engine's capacity
-// high-water mark across rebuilds: bitset rows are allocated lazily, so
-// the wide capacity costs only the live rows' width, and it spares the
-// rebuilt engine the doubling ladder of slab re-layouts.
-func (inc *Incremental) newEngine() *incEngine {
-	capN := 0
-	if inc.eng != nil {
-		capN = inc.eng.capN
-	}
-	return newIncEngine(inc.sys, inc.levels, inc.opts.PropagateInputs, capN)
+	return eng.verdict(false)
 }
 
 // applyIG folds the delta's invocation-graph additions (Definition 8)
-// into the accumulated IG, all-or-nothing: a recursive configuration is
-// an error and leaves the graph untouched. It returns the level
-// assignment and whether it changed (forcing an engine rebuild).
-func (inc *Incremental) applyIG(d *Delta) (map[model.ScheduleID]int, bool, error) {
+// into a copy of the accumulated IG; a recursive configuration is an
+// error. It returns the IG, its level assignment and whether that changed.
+func (inc *Incremental) applyIG(d *Delta) (*order.Relation[model.ScheduleID], map[model.ScheduleID]int, bool, error) {
 	dn := make(map[model.NodeID]model.ScheduleID, len(d.Nodes))
 	for _, n := range d.Nodes {
 		dn[n.ID] = n.Sched
@@ -348,7 +360,7 @@ func (inc *Incremental) applyIG(d *Delta) (map[model.ScheduleID]int, bool, error
 		}
 	}
 	if len(d.Schedules) == 0 && len(edges) == 0 {
-		return inc.levels, false, nil
+		return inc.ig, inc.levels, false, nil
 	}
 	wig := inc.ig.Clone()
 	for _, s := range d.Schedules {
@@ -359,13 +371,9 @@ func (inc *Incremental) applyIG(d *Delta) (map[model.ScheduleID]int, bool, error
 	}
 	levels, err := igLevels(wig)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
-	inc.ig = wig
-	if maps.Equal(levels, inc.levels) {
-		return levels, false, nil
-	}
-	return levels, true, nil
+	return wig, levels, !maps.Equal(levels, inc.levels), nil
 }
 
 // igLevels is model.System.Levels on a standalone invocation graph.
@@ -408,10 +416,12 @@ type incLevel struct {
 // words and membership is a bit test, and every per-level structure is
 // maintained incrementally under pair insertion. Node indices are assigned
 // in arrival order (the stream fixes them); everything a verdict exposes
-// is put in NodeID order when it is materialized.
+// is put in NodeID order when it is materialized. Relations and node bits
+// are written through jr, which records while a delta is tentative.
 type incEngine struct {
-	sys       *model.System // indexed system; written only when propagate is set
-	propagate bool          // IncrementalOptions.PropagateInputs
+	jr        *order.Journal
+	propagate bool    // IncrementalOptions.PropagateInputs
+	prop      []ipair // weak-input pairs the pass propagated, for flush
 	failed    bool
 	failedAt  int // level whose queues tripped a reduction check, when failed
 
@@ -453,13 +463,14 @@ type incEngine struct {
 	pObs, pWeakIn, pStrongIn, pE [][]ipair
 }
 
-// newIncEngine returns an empty engine over sys's schedules. capN is the
-// initial width of the index space (at least 64); it grows on demand. The
-// per-node tables are sized from it here, once: reset keeps them.
-func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate bool, capN int) *incEngine {
+// newIncEngine returns an empty engine over the schedules levels assigns.
+// capN is the initial width of the index space (at least 64); it grows on
+// demand. The per-node tables are sized from it here, once: reset keeps
+// them.
+func newIncEngine(levels map[model.ScheduleID]int, propagate bool, capN int) *incEngine {
 	capN = max(capN, 64)
 	eng := &incEngine{
-		sys:       sys,
+		jr:        &order.Journal{},
 		propagate: propagate,
 		schedNum:  map[model.ScheduleID]int{},
 		capN:      capN,
@@ -475,21 +486,23 @@ func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate 
 	for _, l := range levels {
 		eng.orderN = max(eng.orderN, l)
 	}
-	// sys.Schedules() is sorted by ID, so schedule numbers ascend with
-	// ScheduleID — schedsAt iteration order and Reduced concatenation match
-	// the reference without extra sorting.
-	for _, sc := range sys.Schedules() {
-		eng.schedNum[sc.ID] = len(eng.schedIDs)
-		eng.schedIDs = append(eng.schedIDs, sc.ID)
-		eng.slevel = append(eng.slevel, levels[sc.ID])
+	// Schedule numbers ascend with ScheduleID, so schedsAt iteration order
+	// and Reduced concatenation match the reference without extra sorting.
+	for id := range levels {
+		eng.schedIDs = append(eng.schedIDs, id)
+	}
+	slices.Sort(eng.schedIDs)
+	for s, id := range eng.schedIDs {
+		eng.schedNum[id] = s
+		eng.slevel = append(eng.slevel, levels[id])
 		eng.ops = append(eng.ops, order.NewBitset(eng.capN))
 		eng.txs = append(eng.txs, nil)
-		eng.confDecl = append(eng.confDecl, order.NewIndexRelation(eng.capN))
-		eng.confOut = append(eng.confOut, order.NewIndexRelation(eng.capN))
-		eng.weakOutC = append(eng.weakOutC, order.NewClosedRelation(eng.capN))
-		eng.weakInC = append(eng.weakInC, order.NewClosedRelation(eng.capN))
-		eng.strongInC = append(eng.strongInC, order.NewClosedRelation(eng.capN))
-		eng.intraC = append(eng.intraC, order.NewClosedRelation(eng.capN))
+		eng.confDecl = append(eng.confDecl, order.NewIndexRelation(eng.capN).Journaled(eng.jr))
+		eng.confOut = append(eng.confOut, order.NewIndexRelation(eng.capN).Journaled(eng.jr))
+		eng.weakOutC = append(eng.weakOutC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
+		eng.weakInC = append(eng.weakInC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
+		eng.strongInC = append(eng.strongInC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
+		eng.intraC = append(eng.intraC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
 	}
 	eng.schedsAt = make([][]int, eng.orderN+1)
 	for s := range eng.schedIDs {
@@ -498,20 +511,20 @@ func newIncEngine(sys *model.System, levels map[model.ScheduleID]int, propagate 
 		}
 	}
 	eng.isLeaf = order.NewBitset(eng.capN)
-	eng.conf = order.NewIndexRelation(eng.capN)
+	eng.conf = order.NewIndexRelation(eng.capN).Journaled(eng.jr)
 	eng.lv = make([]*incLevel, eng.orderN+1)
 	for l := range eng.lv {
 		st := &incLevel{
 			nodes:    order.NewBitset(eng.capN),
-			obs:      order.NewClosedRelation(eng.capN),
-			cc:       order.NewClosedRelation(eng.capN),
-			con:      order.NewIndexRelation(eng.capN),
-			weakIn:   order.NewIndexRelation(eng.capN),
-			strongIn: order.NewIndexRelation(eng.capN),
+			obs:      order.NewClosedRelation(eng.capN).Journaled(eng.jr),
+			cc:       order.NewClosedRelation(eng.capN).Journaled(eng.jr),
+			con:      order.NewIndexRelation(eng.capN).Journaled(eng.jr),
+			weakIn:   order.NewIndexRelation(eng.capN).Journaled(eng.jr),
+			strongIn: order.NewIndexRelation(eng.capN).Journaled(eng.jr),
 		}
 		if l >= 1 {
-			st.e = order.NewIndexRelation(eng.capN)
-			st.q = order.NewClosedRelation(eng.capN)
+			st.e = order.NewIndexRelation(eng.capN).Journaled(eng.jr)
+			st.q = order.NewClosedRelation(eng.capN).Journaled(eng.jr)
 		}
 		eng.lv[l] = st
 	}
@@ -605,9 +618,6 @@ func (eng *incEngine) ensureCap(n int) {
 // new node and generating pair into per-level pending queues; phase B
 // (drain) empties the queues level by level.
 func (eng *incEngine) apply(d *Delta) {
-	if eng.failed {
-		return
-	}
 	eng.begin(len(d.Nodes))
 	for _, dn := range d.Nodes {
 		eng.addNode(dn)
@@ -711,9 +721,10 @@ func (eng *incEngine) load(sys *model.System, ids []model.NodeID) {
 	eng.drain()
 }
 
-// begin opens one pass: room for n more nodes, empty frontier queues.
+// begin opens one pass: room for n more nodes, empty queues.
 func (eng *incEngine) begin(n int) {
 	eng.ensureCap(len(eng.ids) + n)
+	eng.prop = eng.prop[:0]
 	eng.pObs = resetQueues(eng.pObs, eng.orderN+1)
 	eng.pWeakIn = resetQueues(eng.pWeakIn, eng.orderN+1)
 	eng.pStrongIn = resetQueues(eng.pStrongIn, eng.orderN+1)
@@ -722,9 +733,9 @@ func (eng *incEngine) begin(n int) {
 
 // drain empties the frontier queues level by level (all pushes go strictly
 // upward, so one ascending pass suffices). On the first reduction failure
-// the engine poisons itself and remembers the level: everything below it
-// is fully drained, and the level's own queues still hold every pair the
-// early exit skipped — what diagnose needs.
+// the engine stops and remembers the level: everything below it is fully
+// drained, and the level's own queues still hold every pair the early exit
+// skipped — what diagnose needs.
 func (eng *incEngine) drain() {
 	for l := 0; l <= eng.orderN; l++ {
 		eng.processLevel(l)
@@ -754,6 +765,34 @@ func (eng *incEngine) pushStrongIn(l int, a, b int32) {
 }
 func (eng *incEngine) pushE(l int, a, b int32) { eng.pE[l] = append(eng.pE[l], ipair{a, b}) }
 
+// rollback undoes the pass that began with n0 nodes: the journal restores
+// relation words and node bits; the nodes are dropped, newest first.
+func (eng *incEngine) rollback(n0 int) {
+	eng.jr.Rollback()
+	for i := len(eng.ids) - 1; i >= n0; i-- {
+		delete(eng.idx, eng.ids[i])
+		if p := eng.parent[i]; p >= 0 {
+			eng.children[p] = eng.children[p][:len(eng.children[p])-1]
+		} else {
+			eng.rootCount--
+		}
+		if s := eng.sched[i]; s >= 0 {
+			eng.txs[s] = eng.txs[s][:len(eng.txs[s])-1]
+		}
+	}
+	eng.ids, eng.parent, eng.children = eng.ids[:n0], eng.parent[:n0], eng.children[:n0]
+	eng.sched, eng.opSched = eng.sched[:n0], eng.opSched[:n0]
+	eng.entry, eng.exitL = eng.entry[:n0], eng.exitL[:n0]
+	eng.failed = false
+}
+
+// flush adds the weak-input pairs the admitted pass propagated to sys.
+func (eng *incEngine) flush(sys *model.System) {
+	for _, p := range eng.prop {
+		sys.Schedule(eng.schedIDs[eng.sched[p.a]]).WeakIn.Add(eng.ids[p.a], eng.ids[p.b])
+	}
+}
+
 // addNode interns one forest node and fixes its static membership
 // interval: a node is in the level-l front for entry ≤ l < exit, where
 // leaves enter at 0, transactions at their schedule's level, and every
@@ -776,14 +815,14 @@ func (eng *incEngine) addNode(dn DeltaNode) {
 		si = int32(eng.schedNum[dn.Sched])
 		eng.txs[si] = append(eng.txs[si], i)
 	} else {
-		eng.isLeaf.Set(int(i))
+		eng.jr.Set(eng.isLeaf, int(i))
 	}
 	eng.sched = append(eng.sched, si)
 
 	osi := int32(-1)
 	if pi >= 0 {
 		osi = eng.sched[pi]
-		eng.ops[osi].Set(int(i))
+		eng.jr.Set(eng.ops[osi], int(i))
 	} else {
 		eng.rootCount++
 	}
@@ -800,7 +839,7 @@ func (eng *incEngine) addNode(dn DeltaNode) {
 	eng.entry = append(eng.entry, en)
 	eng.exitL = append(eng.exitL, ex)
 	for l := int(en); l < int(ex) && l <= eng.orderN; l++ {
-		eng.lv[l].nodes.Set(int(i))
+		eng.jr.Set(eng.lv[l].nodes, int(i))
 	}
 }
 
@@ -902,7 +941,8 @@ func (eng *incEngine) addWeakOut(s, a, b int) {
 // leaf pairs seed the level-0 observed order (Definition 10 rule 1),
 // transaction–leaf pairs enter the observed order with the transaction,
 // and transaction pairs of one callee propagate to its input order
-// (Definition 4 item 7) when the engine records runtime executions.
+// (Definition 4 item 7) when the engine records runtime executions; flush
+// adds those to the system once the pass is admitted.
 func (eng *incEngine) weakOutPair(s, x, y int) {
 	xLeaf, yLeaf := eng.isLeaf.Has(x), eng.isLeaf.Has(y)
 	switch {
@@ -916,9 +956,8 @@ func (eng *incEngine) weakOutPair(s, x, y int) {
 		eng.pushObs(int(eng.entry[t]), int32(x), int32(y))
 	default:
 		if eng.propagate && eng.sched[x] == eng.sched[y] && eng.sched[x] >= 0 {
-			c := int(eng.sched[x])
-			eng.addWeakIn(c, x, y, false)
-			eng.sys.Schedule(eng.schedIDs[c]).WeakIn.Add(eng.ids[x], eng.ids[y])
+			eng.addWeakIn(int(eng.sched[x]), x, y, false)
+			eng.prop = append(eng.prop, ipair{int32(x), int32(y)})
 		}
 	}
 	if eng.confDecl[s].Has(x, y) {
@@ -1158,8 +1197,8 @@ func (eng *incEngine) verdict(keepFronts bool) (*Verdict, error) {
 // a group with cyclic internal constraints, smallest NodeID first
 // (FailCalculation); a cycle between groups (FailIsolation); a cycle in
 // observed order ∪ weak input order (FailCC — the only check at level 0).
-// The engine's own state is spent afterwards; a failed engine is never
-// applied to again.
+// Its writes to the engine's relations go through the journal like the
+// pass's own, so a rollback undoes them too.
 func (eng *incEngine) diagnose(rep *StepReport) error {
 	l := rep.Level
 	st := eng.lv[l]

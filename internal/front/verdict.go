@@ -155,7 +155,7 @@ func Check(sys *model.System, opts Options) (*Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := newIncEngine(sys, levels, false, len(ids))
+	eng := newIncEngine(levels, false, len(ids))
 	eng.load(sys, ids)
 	return eng.verdict(opts.KeepFronts)
 }

@@ -116,6 +116,7 @@ type IndexRelation struct {
 	rows   int // rows handed out
 	slot   []int32
 	chunks [][]uint64
+	j      *Journal // see Journaled
 }
 
 // chunkRows is the size of a slab's first chunk; chunkStart is the number
@@ -133,7 +134,7 @@ func NewIndexRelation(n int) *IndexRelation {
 func (r *IndexRelation) N() int { return r.n }
 
 // Add inserts the pair (i, j).
-func (r *IndexRelation) Add(i, j int) { r.MutRow(i).Set(j) }
+func (r *IndexRelation) Add(i, j int) { r.j.Set(r.MutRow(i), j) }
 
 // AddSym inserts both (i, j) and (j, i).
 func (r *IndexRelation) AddSym(i, j int) {

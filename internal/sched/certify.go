@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"compositetx/internal/data"
 	"compositetx/internal/front"
@@ -32,21 +31,17 @@ import (
 //     the events inside the stage by a seq-ascending sweep.
 //  2. It takes the certifier's mutex once. Inside, it probes the conflict
 //     index for the cross-stage pairs, admits the stage, appends the
-//     stage to the index and the delta tail, and unlocks. Lock order is
-//     admission order is certified commit order; nothing about a stage is
-//     decided outside the lock, so there is no snapshot to reconcile and
-//     a checkpoint fold (same mutex) cannot land between a probe and its
-//     admission.
+//     stage to the index, and unlocks. Lock order is admission order is
+//     certified commit order; nothing about a stage is decided outside the
+//     lock, so there is no snapshot to reconcile and a checkpoint fold
+//     (same mutex) cannot land between a probe and its admission.
 //  3. A stage with no cross-transaction pair, no new schedule and no new
 //     invocation edge is parked by front.Incremental.Admit. Its events
 //     still enter the conflict index, so a later pair against it makes
 //     the engine absorb it.
 //
-// A rejection poisons the incremental engine (incorrectness is monotone);
-// recovery rebuilds a fresh engine by replaying the *admitted delta tail*
-// since the last checkpoint fold — no event re-sorting, no re-pairing,
-// and no Runtime.mu held, so an O(history) stall per reject became
-// O(tail-since-fold).
+// A rejection costs its delta: the engine rolls the stage back, so the
+// certifier keeps closure state and the conflict index and nothing else.
 
 // ErrCertifyViolation is the sentinel every CertifyError unwraps to.
 var ErrCertifyViolation = errors.New("sched: commit rejected by certifier")
@@ -150,22 +145,16 @@ func (ix certIndex) reset() {
 type certifier struct {
 	modes map[string]*data.ModeTable // component mode tables (read-only after New)
 
-	// mu guards everything below except the two counters and the ticket
-	// pool. A committer holds it from its first index probe to its stage's
-	// index append — the order in which committers take it is the certified
-	// commit order — and CertifiedSystem, the checkpoint fold and the
-	// liveNodes gauge take it too. Runtime.mu is never acquired inside it.
-	mu     sync.Mutex
-	index  certIndex
-	inc    *front.Incremental
-	scheds map[string]bool // component schedules already declared to the engine
-	// tail holds the deltas admitted since the last checkpoint fold, in
-	// admission order — the rejection-recovery replay source. The fold is
-	// the baseline: it already re-verified everything before it.
-	tail []*front.Delta
+	// mu guards index and inc. A committer holds it from its first index
+	// probe to its stage's index append — the order in which committers
+	// take it is the certified commit order — and CertifiedSystem, the
+	// checkpoint fold and the liveNodes gauge take it too. Runtime.mu is
+	// never acquired inside it.
+	mu    sync.Mutex
+	index certIndex
+	inc   *front.Incremental
 
-	fastPath     atomic.Int64 // stages the engine parked
-	rebuildNanos atomic.Int64 // total wall time spent in rejection rebuilds
+	fastPath atomic.Int64 // stages the engine parked
 
 	tickets sync.Pool // *certTicket, recycled across commits
 }
@@ -175,9 +164,8 @@ func newCertifier(r *Runtime) *certifier {
 		modes: make(map[string]*data.ModeTable, len(r.comps)),
 		// PropagateInputs mirrors RecordedSystem's Definition 4 item 7
 		// propagation, so the certified history matches the recorder.
-		inc:    front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
-		scheds: map[string]bool{},
-		index:  certIndex{},
+		inc:   front.NewIncremental(front.IncrementalOptions{PropagateInputs: true}),
+		index: certIndex{},
 	}
 	for name, comp := range r.comps {
 		c.modes[name] = comp.modes
@@ -273,9 +261,8 @@ func (c *certifier) admit(stage *stagedRecord) (*front.Verdict, error) {
 
 // admitLocked decides one ticket against the admitted history (under
 // c.mu). It probes the conflict index for the stage's cross-stage pairs,
-// assembles the final delta and admits it. On a violation the stage is
-// discarded, the engine rebuilt from the admitted tail, and the failure
-// verdict returned.
+// assembles the final delta and admits it. On a violation the engine has
+// rolled the stage back, and the failure verdict is returned.
 func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	var pairs []front.DeltaPair
 	for _, e := range t.evs {
@@ -285,102 +272,30 @@ func (c *certifier) admitLocked(t *certTicket) (*front.Verdict, error) {
 	}
 	pairs = append(pairs, t.localPairs...)
 
-	d := &front.Delta{Nodes: t.nodes}
-	for _, n := range t.nodes {
-		s := string(n.Sched)
-		if s == "" || c.scheds[s] {
-			continue
-		}
-		dup := false
-		for _, sd := range d.Schedules {
-			if sd == n.Sched {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			d.Schedules = append(d.Schedules, n.Sched)
-		}
-	}
 	// Every derived pair is both a declared conflict and a weak-output
 	// pair (the engine reads both slices; sharing the backing array is
 	// fine, they are never mutated).
-	d.Conflicts = pairs
-	d.WeakOut = pairs
-
+	d := &front.Delta{Nodes: t.nodes, Conflicts: pairs, WeakOut: pairs}
+	for _, n := range t.nodes {
+		if n.Sched != "" && !c.inc.Declared(n.Sched) && !slices.Contains(d.Schedules, n.Sched) {
+			d.Schedules = append(d.Schedules, n.Sched)
+		}
+	}
 	parks := c.inc.Parks()
 	v, err := c.inc.Admit(d)
-	if err != nil {
-		return nil, err
-	}
-	if v != nil {
-		if rerr := c.rebuildLocked(); rerr != nil {
-			return v, rerr
-		}
-		return v, nil
+	if v != nil || err != nil {
+		return v, err
 	}
 	c.fastPath.Add(int64(c.inc.Parks() - parks))
-	for _, n := range t.nodes {
-		if n.Sched != "" {
-			c.scheds[string(n.Sched)] = true
-		}
-	}
-	c.tail = append(c.tail, d)
 	c.index.addStage(t.evs)
 	return nil, nil
 }
 
-// rebuildLocked replaces the poisoned engine with a fresh one replayed
-// from the admitted delta tail — the stages admitted since the last
-// checkpoint fold (the fold already re-verified everything before it, so
-// fold + tail covers the whole admitted history). The stored deltas are
-// replayed verbatim: no event re-sorting, no conflict re-pairing, and no
-// Runtime.mu held — committers keep building their own deltas while the
-// rebuild runs.
-func (c *certifier) rebuildLocked() error {
-	start := time.Now()
-	defer func() { c.rebuildNanos.Add(time.Since(start).Nanoseconds()) }()
-
-	fresh := front.NewIncremental(front.IncrementalOptions{PropagateInputs: true})
-	// Schedules declared before the tail window (their declaring stages
-	// were folded) must be re-seeded; schedules the tail itself declares
-	// must not be (a delta re-declaring one fails validation).
-	inTail := map[model.ScheduleID]bool{}
-	for _, d := range c.tail {
-		for _, s := range d.Schedules {
-			inTail[s] = true
-		}
-	}
-	var seed []model.ScheduleID
-	for s := range c.scheds {
-		if !inTail[model.ScheduleID(s)] {
-			seed = append(seed, model.ScheduleID(s))
-		}
-	}
-	if len(seed) > 0 {
-		slices.Sort(seed)
-		if _, err := fresh.Admit(&front.Delta{Schedules: seed}); err != nil {
-			return fmt.Errorf("sched: certifier rebuild: %w", err)
-		}
-	}
-	for _, d := range c.tail {
-		v, err := fresh.Admit(d)
-		if err != nil {
-			return fmt.Errorf("sched: certifier rebuild: %w", err)
-		}
-		if v != nil {
-			return fmt.Errorf("sched: certifier rebuild: admitted history re-verification failed: %s", v.Reason)
-		}
-	}
-	c.inc = fresh
-	return nil
-}
-
 // fold runs the checkpoint fold under the certifier mutex: fold the
-// committed roots out of the engine, clear the delta tail (the fold is
-// the new rebuild baseline) and empty the conflict index. A committer
-// probes and admits inside one hold of the same mutex, so no stage ever
-// carries a pair derived before the fold into an admission after it.
+// committed roots out of the engine and empty the conflict index. A
+// committer probes and admits inside one hold of the same mutex, so no
+// stage ever carries a pair derived before the fold into an admission
+// after it.
 func (c *certifier) fold() (roots, nodes int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -388,7 +303,6 @@ func (c *certifier) fold() (roots, nodes int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	c.tail = nil
 	c.index.reset()
 	return sum.Roots, sum.Nodes, nil
 }

@@ -140,11 +140,6 @@ type Metrics struct {
 	// parked (see front.Incremental.Admit).
 	CertifyFastPath int64
 
-	// CertifyRebuildNanos is the total wall time spent rebuilding the
-	// certifier engine after rejections (replaying the admitted delta
-	// tail since the last checkpoint fold).
-	CertifyRebuildNanos int64
-
 	// ValidationAborts counts optimistic attempts whose snapshot reads
 	// were invalidated by conflicting commits (each followed by a retry
 	// with a fresh snapshot; zero unless ExecOptimistic/SnapshotRead).
@@ -179,9 +174,8 @@ func (m Metrics) String() string {
 	if m.WALRecords+m.Crashes > 0 {
 		fmt.Fprintf(&b, " wal-records=%d crashes=%d", m.WALRecords, m.Crashes)
 	}
-	if m.CertifyRejects+m.CertifyFastPath+m.CertifyRebuildNanos > 0 {
-		fmt.Fprintf(&b, " certify-rejects=%d certify-fastpath=%d certify-rebuild-ns=%d",
-			m.CertifyRejects, m.CertifyFastPath, m.CertifyRebuildNanos)
+	if m.CertifyRejects+m.CertifyFastPath > 0 {
+		fmt.Fprintf(&b, " certify-rejects=%d certify-fastpath=%d", m.CertifyRejects, m.CertifyFastPath)
 	}
 	if m.ValidationAborts+m.ValidationRefreshes > 0 {
 		fmt.Fprintf(&b, " validation-aborts=%d validation-refreshes=%d",
@@ -389,7 +383,6 @@ func (r *Runtime) Metrics() Metrics {
 	m.WALRecords = int64(r.wal.records())
 	if c := r.certifier(); c != nil {
 		m.CertifyFastPath = c.fastPath.Load()
-		m.CertifyRebuildNanos = c.rebuildNanos.Load()
 	}
 	m.LockWaits = r.globalLM.waitCount()
 	for _, c := range r.comps {

@@ -84,8 +84,8 @@ func measureIncremental(sys *model.System, minDur time.Duration) incrementalCost
 // executions of the prototype runtime on the diamond under the hybrid
 // protocol — exactly what a live certifier sees, and correct by
 // construction (random order-generated workloads are essentially never
-// Comp-C, and a violating prefix would degrade the engine into a rebuild
-// per append, measuring nothing). Short OLTP-style
+// Comp-C, and the engine refuses a violating delta, after which the deltas
+// naming its nodes no longer validate). Short OLTP-style
 // transactions (two steps) keep commits fine-grained, the regime online
 // certification is for.
 func e12Streams() []*model.System {
