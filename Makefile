@@ -100,10 +100,13 @@ distperf:
 
 # certperf runs the certifier suite: the byte-identity property suite under
 # the race detector, on one P (the schedule the benchmark measures) and
-# on two (admission under the certifier's mutex, engine parking included,
-# must leave the certified system byte-identical to the recorder's, plus
-# fold-between-commits, rollback — rejections amid concurrent commits keep
-# the engine — and WAL-ordering regressions), the engine's parking tests
+# on two (admission under the index mutex, engine parking included, must
+# leave the certified system byte-identical to the recorded one, folds
+# after every commit included, plus rollback — rejections amid concurrent
+# commits keep the engine — and WAL-ordering regressions), the certified
+# deterministic replay (a cadence of cuts among concurrent commits: the
+# live recorded and certified systems equal the recovered tail, which pins
+# certification inside the checkpoint gate), the engine's parking tests
 # (Admit that parks against Append that never does) and rollback law (a
 # refused delta leaves no trace, on journaled and candidate engines,
 # propagated inputs and checkpoint folds included), the recycled commit
@@ -116,7 +119,7 @@ distperf:
 # rebuilds only on level changes).
 certperf:
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus' ./internal/sched
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the

@@ -15,7 +15,7 @@
 //	compsim -recover /tmp/bank.wal
 //
 // With -checkpoint-every N the runtime stays bounded over long runs:
-// every N commits it folds the certified history, prunes the recorder,
+// every N commits it folds the execution index and certified history,
 // compacts MVCC version chains and truncates the WAL behind the live
 // barrier, so recovery replays only the tail since the last marker:
 //
@@ -399,7 +399,7 @@ func main() {
 	distCrash := flag.String("dist-crash", "", `distributed crash trigger "txn:site[:participant]", e.g. T5:coord-post-decision or T5:part-prepare:east (requires -distributed and -wal)`)
 	groupCommit := flag.Bool("group-commit", false, "coalesce 2PC force points through the WAL flush daemon: one shared fsync per flush window instead of one per force (requires -distributed)")
 	certify := flag.Bool("certify", false, "certify every commit online against Comp-C and reject violating ones")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every N commits: fold certified history, prune the recorder, compact MVCC chains, truncate the WAL (0 = never)")
+	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every N commits: fold the execution index and certified history, compact MVCC chains, truncate the WAL (0 = never)")
 	optimistic := flag.Bool("optimistic", false, "serve leaf reads from MVCC snapshots and validate them at commit instead of taking semantic read locks")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

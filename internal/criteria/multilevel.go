@@ -60,7 +60,7 @@ func IsLLSR(sys *model.System) (bool, error) {
 // Sequences records, per schedule, the temporal order in which the
 // schedule executed its operations. It is extra information beyond the
 // model (which only keeps the required weak/strong orders); generators and
-// the runtime recorder supply it for the OPSR baseline.
+// the runtime (Runtime.Sequences) supply it for the OPSR baseline.
 type Sequences map[model.ScheduleID][]model.NodeID
 
 // WhollyBefore derives the "transaction t finished before t' started"

@@ -24,8 +24,8 @@ import (
 // verdict. The engine enforces the "nothing references them" contract
 // mechanically: a later delta naming a folded node fails validateDelta
 // with an unknown-node error, exactly like a reference to a truncated
-// LSN. (The runtime certifier guarantees the contract by pruning its
-// event index at the same cadence, so conflict pairs against folded
+// LSN. (The runtime certifier guarantees the contract by emptying its
+// execution index in the same fold, so conflict pairs against folded
 // events are never generated in the first place.)
 //
 // After the fold the engine state is byte-for-byte the state of a fresh

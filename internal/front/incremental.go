@@ -57,8 +57,8 @@ type Incremental struct {
 
 // IncrementalOptions configures an Incremental.
 type IncrementalOptions struct {
-	// PropagateInputs mirrors the runtime recorder's Definition 4 item 7:
-	// whenever the (closed) weak output order of a schedule relates two
+	// PropagateInputs mirrors Definition 4 item 7 as the runtime applies
+	// it: whenever the (closed) weak output order of a schedule relates two
 	// of its operations that are transactions of one common callee
 	// schedule, the pair is added to the callee's weak input order. The
 	// runtime certifier enables this so the accumulated system matches

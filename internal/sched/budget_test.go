@@ -53,7 +53,7 @@ func commutePrograms(seed int64, n int) []Invocation {
 // increments, certified on the fast path, with a checkpoint every 64
 // commits. Both figures average over whole checkpoint cadences, so each
 // includes its share of the fold and the compaction. The budget is what a
-// commit keeps — its delta nodes, index events, recorder copy and MVCC
+// commit keeps — its delta nodes, filed nodes and events, and MVCC
 // versions — plus the result; the attempt, its logs and the certifier's
 // scratch are recycled. At 42f778b, which made a new attempt, staged
 // record and ticket scratch per attempt and copied every compacted chain,

@@ -26,8 +26,9 @@ func encodeSystem(t *testing.T, sys *model.System) []byte {
 // over random workloads — conflicting and disjoint, run by concurrent
 // clients (so admission interleaves with delta construction, and under
 // -race the pipeline's synchronization is exercised for real) — the
-// certifier's accumulated system is byte-identical to the recorder's,
-// which derives every pair post hoc; the fast path must fire on the
+// certifier's accumulated system is byte-identical to RecordedSystem,
+// whose delta() derives every pair post hoc from the index's slots, with
+// and without a fold after every commit; the fast path must fire on the
 // disjoint-leaning mixes.
 func TestCertifyPipelineByteIdentity(t *testing.T) {
 	sawFast := false
@@ -68,25 +69,11 @@ func TestCertifyPipelineByteIdentity(t *testing.T) {
 			if m.CertifyFastPath > 0 {
 				sawFast = true
 			}
-			if mix.fold {
-				// The folds dropped the recorder's prefix, so it has not the
-				// history to compare with; what is left must still be a
-				// Comp-C system.
-				if m.CheckpointsTaken == 0 {
-					t.Fatalf("%s/seed%d: no checkpoint ran", mix.name, seed)
-				}
-				cs := rt.CertifiedSystem()
-				if err := cs.Validate(); err != nil {
-					t.Fatalf("%s/seed%d: folded certified system malformed: %v", mix.name, seed, err)
-				}
-				if ok, err := front.IsCompC(cs); err != nil || !ok {
-					t.Fatalf("%s/seed%d: folded certified system must be Comp-C (ok=%v err=%v)", mix.name, seed, ok, err)
-				}
-				continue
+			if mix.fold && m.CheckpointsTaken == 0 {
+				t.Fatalf("%s/seed%d: no checkpoint ran", mix.name, seed)
 			}
-			// The recorder shares none of the certifier's deltas:
-			// assembleSystem derives every pair post hoc from the
-			// seq-sorted events.
+			// The certifier shares none of delta()'s pairs: those are
+			// derived post hoc from the seq-ordered slots.
 			got := encodeSystem(t, rt.CertifiedSystem())
 			if want := encodeSystem(t, rt.RecordedSystem()); !bytes.Equal(got, want) {
 				t.Fatalf("%s/seed%d: certified system diverged from the recorded one:\ncertified: %s\nrecorded:  %s",
@@ -133,10 +120,10 @@ func TestCertifyAfterWALTypedError(t *testing.T) {
 // fold after every rejection. Each rejection is rolled back inside the
 // engine: the certifier keeps its *front.Incremental and its Rebuilds()
 // across all of them, later commits are certified, and the certified
-// system stays the recorder's byte for byte (Comp-C once folds drop the
-// recorder's prefix). The folds come between the crossed pairs, not from
-// a cadence: a fold between the two commits of a pair would drop the
-// first before the second is certified, and nothing would be rejected.
+// system stays the recorded one byte for byte, folds or not. The folds
+// come between the crossed pairs, not from a cadence: a fold between the
+// two commits of a pair would drop the first before the second is
+// certified, and nothing would be rejected.
 func TestCertifyRejectionRollback(t *testing.T) {
 	for _, fold := range []bool{false, true} {
 		topo := DiamondTopology()
@@ -150,10 +137,10 @@ func TestCertifyRejectionRollback(t *testing.T) {
 		if err := Run(rt, GenPrograms(topo, params), 1); err != nil {
 			t.Fatal(err)
 		}
-		c := rt.certifier()
-		c.mu.Lock()
-		inc, rebuilds := c.inc, c.inc.Rebuilds()
-		c.mu.Unlock()
+		ix := rt.ix
+		ix.mu.Lock()
+		inc, rebuilds := ix.inc, ix.inc.Rebuilds()
+		ix.mu.Unlock()
 
 		const pairs = 4
 		params.Seed = 6
@@ -202,9 +189,9 @@ func TestCertifyRejectionRollback(t *testing.T) {
 		if m.CertifyRejects < pairs {
 			t.Fatalf("fold=%v: %d rejections, want at least one per crossed pair (%d)", fold, m.CertifyRejects, pairs)
 		}
-		c.mu.Lock()
-		same, now := c.inc == inc, c.inc.Rebuilds()
-		c.mu.Unlock()
+		ix.mu.Lock()
+		same, now := ix.inc == inc, ix.inc.Rebuilds()
+		ix.mu.Unlock()
 		if !same || now != rebuilds {
 			t.Fatalf("fold=%v: across %d rejections the engine was replaced (%v) or rebuilt %d times",
 				fold, m.CertifyRejects, !same, now-rebuilds)
@@ -218,7 +205,7 @@ func TestCertifyRejectionRollback(t *testing.T) {
 				t.Fatalf("fold=%v: history after rejections must be Comp-C (ok=%v err=%v)", fold, ok, err)
 			}
 		}
-		if !fold && !bytes.Equal(encodeSystem(t, cs), encodeSystem(t, rec)) {
+		if !bytes.Equal(encodeSystem(t, cs), encodeSystem(t, rec)) {
 			t.Fatalf("certified system diverged from the recorded one:\ncertified: %s\nrecorded:  %s",
 				encodeSystem(t, cs), encodeSystem(t, rec))
 		}
@@ -229,11 +216,10 @@ func TestCertifyRejectionRollback(t *testing.T) {
 }
 
 // TestCertifyCheckpointFoldPipeline runs the pipeline across checkpoint
-// folds: the fold clears the delta tail and conflict index mid-stream,
-// in-flight snapshots are invalidated by the fold generation, and the
-// certifier keeps admitting correctly — with the post-fold tail still
-// replaying cleanly onto the folded engine's contract (no pair may
-// reference a folded node).
+// folds: the fold empties the execution index and the engine
+// mid-stream, and the certifier keeps admitting correctly — with the
+// post-fold tail still replaying cleanly onto the folded engine's
+// contract (no pair may reference a folded node).
 func TestCertifyCheckpointFoldPipeline(t *testing.T) {
 	topo := DiamondTopology()
 	rt := topo.NewRuntime(Hybrid)

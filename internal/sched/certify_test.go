@@ -86,7 +86,7 @@ func TestCertifyRejectsDiamondViolation(t *testing.T) {
 		t.Fatalf("commits = %d, want 1", m.Commits)
 	}
 	// The rejected transaction was rolled back: the committed history —
-	// recorder and certifier views alike — is Comp-C.
+	// recorded and certified views alike — is Comp-C.
 	sys := rt.RecordedSystem()
 	if err := sys.Validate(); err != nil {
 		t.Fatalf("committed history malformed: %v", err)
@@ -96,7 +96,7 @@ func TestCertifyRejectsDiamondViolation(t *testing.T) {
 		t.Fatalf("committed history after rejection must be Comp-C (ok=%v err=%v)", ok, err)
 	}
 	if cs := rt.CertifiedSystem(); cs == nil || cs.NumNodes() != sys.NumNodes() {
-		t.Fatalf("certifier history diverged from recorder (certified=%v)", cs)
+		t.Fatalf("certified history diverged from the recorded one (certified=%v)", cs)
 	}
 }
 
@@ -126,12 +126,12 @@ func TestCertifyAdmitsCorrectWorkloads(t *testing.T) {
 			sys := rt.RecordedSystem()
 			cs := rt.CertifiedSystem()
 			if cs.NumNodes() != sys.NumNodes() {
-				t.Fatalf("certifier has %d nodes, recorder %d", cs.NumNodes(), sys.NumNodes())
+				t.Fatalf("certifier has %d nodes, recorded system %d", cs.NumNodes(), sys.NumNodes())
 			}
 			wantV, wantErr := front.Check(sys, front.Options{})
 			gotV, gotErr := front.Check(cs, front.Options{})
 			if wantErr != nil || gotErr != nil || !wantV.Correct || !gotV.Correct {
-				t.Fatalf("verdicts differ: recorder (%v,%v), certifier (%v,%v)", wantV, wantErr, gotV, gotErr)
+				t.Fatalf("verdicts differ: recorded (%v,%v), certified (%v,%v)", wantV, wantErr, gotV, gotErr)
 			}
 		})
 	}

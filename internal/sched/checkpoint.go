@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"compositetx/internal/model"
 	"compositetx/internal/wal"
 )
 
@@ -17,10 +18,9 @@ import (
 // flat: at a *cut* — a moment with no mutation half-journaled and no
 // commit half-published — the runtime (1) journals the store items
 // mutated since the previous cut as a checkpoint batch (TypeCkItem items
-// + self-anchoring TypeCheckpoint marker), (2) folds the certifier's
-// fully-committed history out of the incremental engine
-// (front.Incremental.Checkpoint) and prunes the recorder and the
-// certifier's event index to match, (3) compacts the MVCC version chains
+// + self-anchoring TypeCheckpoint marker), (2) empties the execution
+// index, folding the certifier's engine with it (front.Incremental.Fold),
+// (3) compacts the MVCC version chains
 // below the oldest active snapshot frontier, and (4) deletes WAL
 // segments wholly older than the truncation barrier. Recovery (sched.Recover) then replays only the
 // tail since the marker. Steps (1) and (3) walk only the stores' dirty
@@ -30,12 +30,12 @@ import (
 // The cut is a sync.RWMutex (ckState.gate): every journal-then-mutate
 // window — a leaf apply, a compensation, a whole commit publication, and
 // the taking of an optimistic snapshot — holds the read side, and the
-// checkpoint holds the write side across [store snapshot, certifier
-// fold, marker append]. With the gate held exclusively, every journaled
+// checkpoint holds the write side across [store snapshot, marker
+// append, index fold]. With the gate held exclusively, every journaled
 // mutation's effect is either fully in the snapshot (record LSN below
 // the marker) or fully after it (LSN above) — never half of each — which
 // is exactly the invariant that lets redo skip everything at or below
-// the marker. Lock order: gate before Runtime.mu, everywhere.
+// the marker. Lock order: gate before the index mutex, everywhere.
 //
 // Base and delta batches. A batch is a *base* — every item of every
 // store — when it is the first of its log (fresh, or re-attached by
@@ -70,7 +70,7 @@ type CheckpointConfig struct {
 	// Every takes a checkpoint after every N commits (0 = no cadence).
 	Every int
 	// HighWater throttles new root admission with ErrOverload — and
-	// triggers an early checkpoint — once the certifier/recorder holds
+	// triggers an early checkpoint — once the execution index holds
 	// this many live forest nodes (0 = no watermark).
 	HighWater int
 	// LowWater re-opens admission once the live node count falls below
@@ -87,8 +87,8 @@ type CheckpointStats struct {
 	LSN             uint64 // LSN of the checkpoint marker (0 without a WAL)
 	Items           int    // TypeCkItem records journaled before the marker
 	Base            bool   // the batch holds every store item, not just the dirty ones
-	Roots           int    // committed roots folded out of the certifier
-	Nodes           int    // forest nodes pruned (certifier or recorder)
+	Roots           int    // committed roots folded out of the execution index
+	Nodes           int    // forest nodes folded out of the execution index
 	SegmentsDeleted int    // WAL segments removed by TruncateBefore
 	VersionsDropped int    // MVCC versions compacted out of the stores
 }
@@ -241,6 +241,9 @@ type ckMeta struct {
 	Seq         uint64         `json:"seq"`       // global clock at the cut
 	Committed   int64          `json:"committed"` // cumulative commits at the cut
 	Quarantines []ckQuarantine `json:"quarantines,omitempty"`
+	// Schedules are those the execution index declared at the cut, which
+	// the fold keeps: the recovered execution declares them too.
+	Schedules []model.ScheduleID `json:"schedules,omitempty"`
 }
 
 // ckQuarantine serializes a leaked compensation for the marker, so
@@ -255,21 +258,9 @@ type ckQuarantine struct {
 	Err       string `json:"err"`
 }
 
-// liveNodes gauges the engine memory the watermarks police: the
-// certifier's accumulated forest when certifying, the recorder's
-// otherwise.
-func (r *Runtime) liveNodes() int {
-	if c := r.certifier(); c != nil {
-		return c.liveNodes()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.rec.nodes)
-}
-
 // Checkpoint takes one checkpoint now: the stores' dirty items (or, for
-// a base, all items) journaled as a WAL checkpoint batch, certifier and
-// recorder folded to their live tails, MVCC chains compacted at the
+// a base, all items) journaled as a WAL checkpoint batch, the execution
+// index (and the certifier's engine) folded, MVCC chains compacted at the
 // active-snapshot frontier, and segments wholly behind the truncation
 // barrier deleted. Concurrent
 // Submits keep running; they only pause for the cut itself. Returns
@@ -321,8 +312,8 @@ func (r *Runtime) Checkpoint() (st *CheckpointStats, err error) {
 }
 
 // checkpointCut performs the gated section of a checkpoint. It holds the
-// cut (gate.Lock) across store snapshots, the certifier/recorder fold,
-// the marker append, and the store compaction, then truncates the log.
+// cut (gate.Lock) across store snapshots, the marker append, the index
+// fold, and the store compaction, then truncates the log.
 func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	r.ck.gate.Lock()
 	defer r.ck.gate.Unlock()
@@ -371,31 +362,16 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 		st.LSN, st.Items, st.Base = markerLSN, len(items), base
 	}
 
-	// 2. Fold the committed history out of the certifier, prune the
-	// recorder. Everything accumulated is committed (admits happen at
-	// commit), so the whole prefix folds; the engine's later verdicts are
-	// unchanged by the multi-level serial-witness argument (see
-	// front.Incremental.Checkpoint). The certifier fold runs under the
-	// certifier's own mutex, the one a committer holds from its index
-	// probe to its admission: it also clears the admitted delta tail and
-	// the conflict index — pairs against folded events must never be
-	// generated again, that is the engine's fold contract — and a commit
-	// is admitted either wholly before the fold or wholly after it.
-	if c := r.certifier(); c != nil {
-		roots, nodes, err := c.fold()
-		if err != nil {
-			return fmt.Errorf("sched: checkpoint fold: %w", err)
-		}
-		st.Roots, st.Nodes = roots, nodes
+	// 2. Fold the execution index. Everything filed is committed, and
+	// every filer holds the gate's read side, so the index holds exactly
+	// the commits journaled below the marker and the whole of it folds;
+	// the engine's later verdicts are unchanged by the multi-level
+	// serial-witness argument (see front.Incremental.Checkpoint).
+	roots, nodes, err := r.ix.fold()
+	if err != nil {
+		return fmt.Errorf("sched: checkpoint fold: %w", err)
 	}
-	r.mu.Lock()
-	st.Nodes += len(r.rec.nodes)
-	// Truncate instead of dropping: the backing arrays are bounded by the
-	// largest window between folds and are immediately refilled, so
-	// keeping them spares the recorder a fresh growth ladder per window.
-	r.rec.nodes = r.rec.nodes[:0]
-	r.rec.events = r.rec.events[:0]
-	r.mu.Unlock()
+	st.Roots, st.Nodes = roots, nodes
 
 	// 3. Compact the MVCC chains. The frontier is the oldest snapshot an
 	// active optimistic attempt may still validate at (snapshots register
@@ -456,10 +432,10 @@ func (r *Runtime) storeItems() int {
 }
 
 // ckMetaBlob encodes the marker's ckMeta: the static walMeta document
-// built once at EnableWAL/Recover, with the cut's clock, commit count and
-// quarantines spliced in as its trailing fields — byte for byte what
-// json.Marshal(ckMeta{...}) writes, without re-encoding the topology
-// inside the cut.
+// built once at EnableWAL/Recover, with the cut's clock, commit count,
+// quarantines and schedules spliced in as its trailing fields — byte for
+// byte what json.Marshal(ckMeta{...}) writes, without re-encoding the
+// topology inside the cut.
 func (r *Runtime) ckMetaBlob() ([]byte, error) {
 	b := make([]byte, 0, len(r.walMetaJSON)+64)
 	b = append(b, r.walMetaJSON[:len(r.walMetaJSON)-1]...)
@@ -485,6 +461,12 @@ func (r *Runtime) ckMetaBlob() ([]byte, error) {
 		b = append(b, `,"quarantines":`...)
 		b = append(b, qb...)
 	}
+	r.ix.mu.Lock()
+	if len(r.ix.scheds) > 0 {
+		sb, _ := json.Marshal(r.ix.scheds) // a string slice always encodes
+		b = append(append(b, `,"schedules":`...), sb...)
+	}
+	r.ix.mu.Unlock()
 	return append(b, '}'), nil
 }
 
@@ -499,7 +481,7 @@ func (r *Runtime) maybeCheckpoint() {
 	}
 	n := r.ck.sinceCk.Add(1)
 	due := cfg.Every > 0 && n >= int64(cfg.Every)
-	if !due && cfg.HighWater > 0 && r.liveNodes() >= cfg.HighWater {
+	if !due && cfg.HighWater > 0 && r.ix.live() >= cfg.HighWater {
 		r.ck.throttle.Store(true)
 		due = true
 	}
@@ -528,7 +510,7 @@ func (r *Runtime) relieveOverload() {
 		return
 	}
 	cfg := r.ck.cfg
-	if cfg.HighWater > 0 && r.liveNodes() >= cfg.LowWater {
+	if cfg.HighWater > 0 && r.ix.live() >= cfg.LowWater {
 		return
 	}
 	r.ck.throttle.Store(false)

@@ -558,6 +558,7 @@ func TestCheckpointMarkerMetaBytes(t *testing.T) {
 			walMeta:   walMeta{Version: 1, Protocol: rt.protocol.String(), Topology: topologyToDoc(rt.topo), Certify: rt.Certifying()},
 			Seq:       rt.seq.Load(),
 			Committed: rt.commits.Load(),
+			Schedules: rt.ix.scheds,
 		}
 		for _, q := range rt.Quarantined() {
 			meta.Quarantines = append(meta.Quarantines, ckQuarantine{

@@ -28,69 +28,88 @@ func submitSerial(t *testing.T, rt *Runtime, progs []Invocation, offset int) {
 
 // TestCheckpointRoundTripRecovery: commit, checkpoint, commit more,
 // close; recovery must start from the marker, replay only the tail, and
-// land on the same state and verdict a full replay would.
+// land on the same state and verdict a full replay would. The cut folds
+// each committed node once, certified or not.
 func TestCheckpointRoundTripRecovery(t *testing.T) {
-	topo := transferTopo()
-	rt := topo.NewRuntime(Hybrid)
-	const initial = 10000
-	rt.Store("east").Set("acct", initial)
-	dir := t.TempDir() + "/wal"
-	// Tiny segments so the checkpoint's truncation has something to delete.
-	if err := rt.EnableWAL(WALConfig{Dir: dir, SegmentBytes: 512}); err != nil {
-		t.Fatal(err)
-	}
-	progs := transferPrograms(30)
-	submitSerial(t, rt, progs[:15], 0)
+	for _, certify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("certify=%v", certify), func(t *testing.T) {
+			topo := transferTopo()
+			rt := topo.NewRuntime(Hybrid)
+			if certify {
+				if err := rt.EnableCertify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const initial = 10000
+			rt.Store("east").Set("acct", initial)
+			dir := t.TempDir() + "/wal"
+			// Tiny segments so the checkpoint's truncation has something to delete.
+			if err := rt.EnableWAL(WALConfig{Dir: dir, SegmentBytes: 512}); err != nil {
+				t.Fatal(err)
+			}
+			progs := transferPrograms(30)
+			submitSerial(t, rt, progs[:15], 0)
+			nodes := rt.RecordedSystem().NumNodes()
+			if certify {
+				rt.ix.mu.Lock()
+				engine := rt.ix.inc.LiveNodes()
+				rt.ix.mu.Unlock()
+				if live := rt.ix.live(); live != nodes || engine != nodes {
+					t.Fatalf("live gauge %d, engine %d, want the 15 roots' %d nodes", live, engine, nodes)
+				}
+			}
 
-	st, err := rt.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LSN == 0 {
-		t.Fatal("checkpoint with a WAL must report a marker LSN")
-	}
-	if st.SegmentsDeleted == 0 {
-		t.Fatal("15 transfers across 512-byte segments left nothing to truncate")
-	}
-	if st.Nodes == 0 {
-		t.Fatal("checkpoint pruned no recorder nodes")
-	}
-	submitSerial(t, rt, progs[15:], 15)
-	liveEast, liveWest := rt.Store("east").Get("acct"), rt.Store("west").Get("acct")
-	if err := rt.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
+			st, err := rt.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LSN == 0 {
+				t.Fatal("checkpoint with a WAL must report a marker LSN")
+			}
+			if st.SegmentsDeleted == 0 {
+				t.Fatal("15 transfers across 512-byte segments left nothing to truncate")
+			}
+			if st.Roots != 15 || st.Nodes != nodes {
+				t.Fatalf("checkpoint folded %d roots, %d nodes; want the 15 roots' %d nodes", st.Roots, st.Nodes, nodes)
+			}
+			submitSerial(t, rt, progs[15:], 15)
+			liveEast, liveWest := rt.Store("east").Get("acct"), rt.Store("west").Get("acct")
+			if err := rt.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
 
-	rec, err := Recover(WALConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if !rec.Verdict.Correct {
-		t.Fatal("recovered execution failed the Comp-C check")
-	}
-	if rec.Stats.CheckpointLSN != st.LSN {
-		t.Fatalf("recovery anchored at LSN %d, want the marker %d", rec.Stats.CheckpointLSN, st.LSN)
-	}
-	if rec.Stats.Skipped == 0 {
-		t.Fatal("recovery from a checkpoint must skip the covered prefix")
-	}
-	if rec.Stats.Committed != 30 {
-		t.Fatalf("recovered %d commits, want 30 (marker metadata + tail)", rec.Stats.Committed)
-	}
-	if got := rec.Runtime.Metrics().Commits; got != 30 {
-		t.Fatalf("recovered commit counter = %d, want 30", got)
-	}
-	// Only the 15 post-checkpoint roots are replayable from the log; the
-	// prefix lives in the snapshot.
-	if n := len(rec.System.Roots()); n != 15 {
-		t.Fatalf("recovered projection holds %d roots, want the 15-root tail", n)
-	}
-	if e, w := rec.Runtime.Store("east").Get("acct"), rec.Runtime.Store("west").Get("acct"); e != liveEast || w != liveWest {
-		t.Fatalf("recovered balances (%d, %d) != live (%d, %d)", e, w, liveEast, liveWest)
-	}
-	conserved(t, rec.Runtime, initial)
-	if _, err := rec.Runtime.Submit("Tnew", transferPrograms(1)[0]); err != nil {
-		t.Fatalf("recovered runtime rejects new transactions: %v", err)
+			rec, err := Recover(WALConfig{Dir: dir})
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if !rec.Verdict.Correct {
+				t.Fatal("recovered execution failed the Comp-C check")
+			}
+			if rec.Stats.CheckpointLSN != st.LSN {
+				t.Fatalf("recovery anchored at LSN %d, want the marker %d", rec.Stats.CheckpointLSN, st.LSN)
+			}
+			if rec.Stats.Skipped == 0 {
+				t.Fatal("recovery from a checkpoint must skip the covered prefix")
+			}
+			if rec.Stats.Committed != 30 {
+				t.Fatalf("recovered %d commits, want 30 (marker metadata + tail)", rec.Stats.Committed)
+			}
+			if got := rec.Runtime.Metrics().Commits; got != 30 {
+				t.Fatalf("recovered commit counter = %d, want 30", got)
+			}
+			// Only the 15 post-checkpoint roots are replayable from the log; the
+			// prefix lives in the snapshot.
+			if n := len(rec.System.Roots()); n != 15 {
+				t.Fatalf("recovered projection holds %d roots, want the 15-root tail", n)
+			}
+			if e, w := rec.Runtime.Store("east").Get("acct"), rec.Runtime.Store("west").Get("acct"); e != liveEast || w != liveWest {
+				t.Fatalf("recovered balances (%d, %d) != live (%d, %d)", e, w, liveEast, liveWest)
+			}
+			conserved(t, rec.Runtime, initial)
+			if _, err := rec.Runtime.Submit("Tnew", transferPrograms(1)[0]); err != nil {
+				t.Fatalf("recovered runtime rejects new transactions: %v", err)
+			}
+		})
 	}
 }
 
@@ -237,7 +256,7 @@ func TestOverloadBackpressure(t *testing.T) {
 	rt.ck.throttle.Store(false)
 
 	// Organic path: the watermark trips at some commit, a checkpoint
-	// drains the recorder, and admission re-opens — serial submission must
+	// drains the execution index, and admission re-opens — serial submission must
 	// therefore never observe the throttle.
 	submitSerial(t, rt, transferPrograms(40), 0)
 	if rt.Throttled() {
@@ -246,7 +265,7 @@ func TestOverloadBackpressure(t *testing.T) {
 	if rt.Checkpoints() == 0 {
 		t.Fatal("the high watermark never triggered a checkpoint")
 	}
-	if n := rt.liveNodes(); n >= 8+6 {
+	if n := rt.ix.live(); n >= 8+6 {
 		t.Fatalf("live nodes = %d: the watermark is not bounding engine memory", n)
 	}
 }
@@ -326,7 +345,7 @@ func TestCheckpointConcurrentOptimistic(t *testing.T) {
 	if rt.Checkpoints() == 0 {
 		t.Fatal("the cadence never fired under load")
 	}
-	// The recorder holds only the tail since the last checkpoint; it must
+	// The index holds only the tail since the last checkpoint; it must
 	// still be a valid, verifiable execution.
 	sys := rt.RecordedSystem()
 	if err := sys.Validate(); err != nil {
@@ -335,7 +354,7 @@ func TestCheckpointConcurrentOptimistic(t *testing.T) {
 }
 
 // TestCheckpointBoundsMemory is the structural soak: with a cadence, the
-// three unbounded structures — recorder/certifier forest, MVCC version
+// three unbounded structures — execution index forest, MVCC version
 // chains, WAL segments — must all stay flat while the commit horizon
 // grows 10x.
 func TestCheckpointBoundsMemory(t *testing.T) {
@@ -360,7 +379,7 @@ func TestCheckpointBoundsMemory(t *testing.T) {
 		if _, err := rt.Submit(fmt.Sprintf("T%d", i+1), transferPrograms(1)[0]); err != nil {
 			t.Fatal(err)
 		}
-		if n := rt.liveNodes(); n > maxNodes {
+		if n := rt.ix.live(); n > maxNodes {
 			maxNodes = n
 		}
 		if v := rt.Store("east").VersionCount("acct"); v > maxVersions {

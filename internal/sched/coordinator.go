@@ -67,8 +67,9 @@ type Coordinator struct {
 	maxActive  int
 	lockWait   time.Duration
 
+	ix *execIndex // the committed distributed execution
+
 	mu        sync.Mutex
-	rec       *recorder
 	inflight  map[string]bool         // txns between first RPC and decision (Query -> retry)
 	committed map[string]*coTxn       // durable commit decisions
 	durable   map[string]*partDurable // per participant: watermark and lazy acks
@@ -93,7 +94,6 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		maxActive:  cfg.MaxActive,
 		lockWait:   cfg.LockWait,
 
-		rec:       newRecorder(),
 		inflight:  map[string]bool{},
 		committed: map[string]*coTxn{},
 		durable:   map[string]*partDurable{},
@@ -109,6 +109,7 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		c.comps[spec.Name] = &component{name: spec.Name, modes: modes, hasStore: spec.HasStore}
 		c.durable[spec.Name] = &partDurable{}
 	}
+	c.ix = newExecIndex(c.comps)
 	return c
 }
 
@@ -471,8 +472,8 @@ func (c *Coordinator) commit2PC(a *attempt) error {
 	c.mu.Lock()
 	c.committed[txn] = ct
 	delete(c.inflight, txn)
-	c.rec.merge(&a.stage)
 	c.mu.Unlock()
+	c.ix.file(&a.stage)
 	c.commits.Add(1)
 	if ct.ended {
 		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
@@ -583,10 +584,6 @@ func (c *Coordinator) unended() int {
 }
 
 // RecordedSystem assembles the committed distributed execution for the
-// Comp-C checker, through the same assembly as the single-process
+// Comp-C checker, through the same execution index as the single-process
 // runtime.
-func (c *Coordinator) RecordedSystem() *model.System {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return assembleSystem(c.rec, c.comps)
-}
+func (c *Coordinator) RecordedSystem() *model.System { return c.ix.system() }

@@ -143,8 +143,8 @@ func TestCrashAtCommit(t *testing.T) {
 }
 
 func TestCrashPostCommit(t *testing.T) {
-	// After the commit batch: the log says committed, the in-memory
-	// recorder never heard of it. Recovery must redo T3 into the
+	// After the commit batch: the log says committed, and the in-memory
+	// index dies with the process. Recovery must redo T3 into the
 	// committed projection.
 	rec := crashSite(t, Trigger{Site: FaultCrash, Txn: "T3", Step: "post-commit"}, false)
 	if rec.System.Node("T3") == nil {
@@ -191,50 +191,70 @@ func TestRecoverIsIdempotent(t *testing.T) {
 // journaled to a WAL, cleanly closed, then recovered twice — the live
 // recorded system and both recoveries must agree byte-for-byte on the
 // normalized encoding (this pins the interner's lexicographic
-// tie-breaking across the recovery path).
+// tie-breaking across the recovery path). The certified case takes a
+// checkpoint every 7 commits, so the folds land among concurrent commits
+// and a tail survives the last cut: the live recorded and certified
+// systems must then equal the recovered tail, which holds only if every
+// cut folds exactly the commits journaled below its marker.
 func TestDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
 	}
-	topo := DiamondTopology()
-	rt := topo.NewRuntime(Hybrid)
-	dir := t.TempDir() + "/wal"
-	if err := rt.EnableWAL(WALConfig{Dir: dir, SyncEvery: 8}); err != nil {
-		t.Fatal(err)
-	}
-	rt.SetFaults(FaultPlan{Seed: 11, ApplyProb: 0.05, LockFailProb: 0.03})
-	progs := GenPrograms(topo, WorkloadParams{
-		Roots: 40, StepsPerTx: 3, Items: 3, ReadRatio: 0.25, WriteRatio: 0.3, Seed: 11,
-	})
-	progs = Jitter(progs, 100*time.Microsecond, 11)
-	if err := Run(rt, progs, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	live := normalEncoding(t, rt.RecordedSystem())
+	for _, certify := range []bool{false, true} {
+		topo := DiamondTopology()
+		rt := topo.NewRuntime(Hybrid)
+		if certify {
+			if err := rt.EnableCertify(); err != nil {
+				t.Fatal(err)
+			}
+			rt.EnableCheckpoints(CheckpointConfig{Every: 7})
+		}
+		dir := t.TempDir() + "/wal"
+		if err := rt.EnableWAL(WALConfig{Dir: dir, SyncEvery: 8}); err != nil {
+			t.Fatal(err)
+		}
+		rt.SetFaults(FaultPlan{Seed: 11, ApplyProb: 0.05, LockFailProb: 0.03})
+		progs := GenPrograms(topo, WorkloadParams{
+			Roots: 40, StepsPerTx: 3, Items: 3, ReadRatio: 0.25, WriteRatio: 0.3, Seed: 11,
+		})
+		progs = Jitter(progs, 100*time.Microsecond, 11)
+		if err := Run(rt, progs, 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		live := normalEncoding(t, rt.RecordedSystem())
+		if certify {
+			if rt.Checkpoints() == 0 {
+				t.Fatal("certify: no checkpoint ran")
+			}
+			if cs := normalEncoding(t, rt.CertifiedSystem().Clone()); !bytes.Equal(live, cs) {
+				t.Fatalf("certify: live certified system differs from the recorded one:\ncertified: %s\nrecorded:  %s", cs, live)
+			}
+		}
 
-	recA, err := Recover(WALConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recA.Runtime.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	recB, err := Recover(WALConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := normalEncoding(t, recA.System), normalEncoding(t, recB.System)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two recoveries of the same WAL disagree")
-	}
-	if !bytes.Equal(live, a) {
-		t.Fatal("recovered execution differs from the live recorded one")
-	}
-	if recA.Stats.Committed != 40 {
-		t.Fatalf("recovered %d commits, want 40", recA.Stats.Committed)
+		recA, err := Recover(WALConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recA.Runtime.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		recB, err := Recover(WALConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := normalEncoding(t, recA.System), normalEncoding(t, recB.System)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("certify=%v: two recoveries of the same WAL disagree", certify)
+		}
+		if !bytes.Equal(live, a) {
+			t.Fatalf("certify=%v: recovered execution differs from the live recorded one:\nrecovered: %s\nlive:      %s", certify, a, live)
+		}
+		if recA.Stats.Committed != 40 {
+			t.Fatalf("certify=%v: recovered %d commits, want 40", certify, recA.Stats.Committed)
+		}
 	}
 }
 

@@ -588,7 +588,7 @@ func (cl *Cluster) recoverCoordinator(scan *wal.Scan) error {
 			ct.pending = append([]string(nil), ct.parts...)
 			ct.ended = len(ct.parts) == 0
 			c.committed[rec.Txn] = ct
-			c.rec.merge(stagedOf(rec.Txn))
+			c.ix.file(stagedOf(rec.Txn))
 			delete(staged, rec.Txn)
 			if rec.Seq > maxTS {
 				maxTS = rec.Seq

@@ -28,7 +28,7 @@ import (
 // records for the tail.
 //
 // Finally the committed projection (node/event records of transactions
-// committed since the checkpoint) is rebuilt into the recorder and
+// committed since the checkpoint) is filed into the execution index and
 // re-checked with the Comp-C reduction (front.Check). The pre-checkpoint
 // prefix was folded out of the live engine at the cut with verdicts
 // provably unchanged, so verifying the tail is verifying everything the
@@ -215,8 +215,9 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	stats.Quarantined = len(rt.quarantined)
 
 	// --- Rebuild the committed projection (tail since the checkpoint) ---
-	// The recorder holds only the tail, exactly as the live runtime's did
-	// after the cut pruned it; the folded prefix's verdict is sealed.
+	// The index holds only the tail and the schedules declared before the
+	// cut, exactly as the live runtime's did after the cut folded it; the
+	// folded prefix's verdict is sealed.
 	var tail stagedRecord
 	for i := range recs {
 		if sl.lsn(i) > ckLSN && committed[recs[i].Txn] {
@@ -230,7 +231,8 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	slices.SortStableFunc(tail.nodes, func(a, b nodeDecl) int {
 		return cmp.Compare(strings.Count(string(a.id), "/"), strings.Count(string(b.id), "/"))
 	})
-	rt.rec.nodes, rt.rec.events = tail.nodes, tail.events
+	rt.ix.scheds = ck.Schedules
+	rt.ix.file(&tail)
 	rt.commits.Store(int64(stats.Committed))
 	// Resume the global sequence past both the journaled high-water mark
 	// (including the checkpoint's recorded clock) and anything the

@@ -155,7 +155,7 @@ type Metrics struct {
 	CheckpointsTaken  int64 // completed checkpoint cuts
 	CheckpointItems   int64 // TypeCkItem records those cuts journaled (base and delta batches)
 	CheckpointBases   int64 // cuts whose batch was a base (every store item)
-	NodesPruned       int64 // forest nodes folded out of the certifier engine
+	NodesPruned       int64 // forest nodes folded out of the execution index
 	SegmentsTruncated int64 // WAL segments deleted by TruncateBefore
 	VersionsCompacted int64 // MVCC versions dropped by Store.Compact at checkpoints
 	OverloadThrottles int64 // Submits rejected with ErrOverload at the high watermark
@@ -204,12 +204,11 @@ type Runtime struct {
 	subRetries   atomic.Int64
 	compFailures atomic.Int64
 
-	mu  sync.Mutex
-	rec *recorder
+	ix *execIndex // the committed execution (and the certifier's engine)
 
-	// cert is the live Comp-C certifier (nil = off), published once by
-	// EnableCertify and read with one atomic load per commit.
-	cert         atomic.Pointer[certifier]
+	// certifying is set once, by EnableCertify, after it has given ix its
+	// engine; a commit reads it with one atomic load.
+	certifying   atomic.Bool
 	certRejects  atomic.Int64
 	valRefreshes atomic.Int64
 
@@ -294,7 +293,6 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		driver:         driver{protocol: protocol, comps: make(map[string]*component, len(specs))},
 		globalLM:       newLockManager(),
 		rwTable:        data.RWTable(),
-		rec:            newRecorder(),
 		wfg:            newWaitGraph(),
 		sealM:          make(map[string]uint64),
 		ck:             newCkState(),
@@ -326,6 +324,7 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		r.comps[spec.Name] = c
 	}
 	r.globalLM.crashed = &r.crashed
+	r.ix = newExecIndex(r.comps)
 	// Bare-specs topology, so a WAL can be attached to runtimes built
 	// without Topology.NewRuntime (which overwrites this with the full
 	// invocation graph).
@@ -351,13 +350,10 @@ func (r *Runtime) Protocol() Protocol { return r.protocol }
 // forward is Recover on the WAL directory.
 func (r *Runtime) Crashed() bool { return r.crashed.Load() }
 
-// Metrics returns a snapshot of the runtime counters. The snapshot is
-// taken under the runtime mutex, so it is consistent with the committed
-// record (a commit counted here is visible to RecordedSystem and its WAL
-// batch is journaled).
+// Metrics returns a snapshot of the runtime counters, one atomic load
+// each. A commit is counted after it is filed and its WAL batch is
+// journaled, so a commit counted here is visible to RecordedSystem.
 func (r *Runtime) Metrics() Metrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m := Metrics{
 		Commits:              r.commits.Load(),
 		Aborts:               r.aborts.Load(),
@@ -370,6 +366,7 @@ func (r *Runtime) Metrics() Metrics {
 		CompensationFailures: r.compFailures.Load(),
 		Crashes:              r.crashes.Load(),
 		CertifyRejects:       r.certRejects.Load(),
+		CertifyFastPath:      r.ix.fastPath.Load(),
 		ValidationAborts:     r.valAborts.Load(),
 		ValidationRefreshes:  r.valRefreshes.Load(),
 		CheckpointsTaken:     r.ckTaken.Load(),
@@ -379,10 +376,7 @@ func (r *Runtime) Metrics() Metrics {
 		SegmentsTruncated:    r.ckSegsTruncated.Load(),
 		VersionsCompacted:    r.ckVersionsDropped.Load(),
 		OverloadThrottles:    r.overloadThrottles.Load(),
-	}
-	m.WALRecords = int64(r.wal.records())
-	if c := r.certifier(); c != nil {
-		m.CertifyFastPath = c.fastPath.Load()
+		WALRecords:           int64(r.wal.records()),
 	}
 	m.LockWaits = r.globalLM.waitCount()
 	for _, c := range r.comps {

@@ -246,15 +246,10 @@ func (r *Runtime) retrySub(a *attempt, snap snapshot, try int, err error) bool {
 
 // commit ends a walked attempt: the optimistic commit gate validates
 // every snapshot read against the versions committed since its stamp;
-// certification (EnableCertify) admits the staged record against the
-// Comp-C criterion on this goroutine, under the certifier's mutex, before
-// anything of the commit becomes durable — a rejection rides the error;
-// then the commit is published and the checkpoint cadence runs.
+// then the commit is certified and published, and the checkpoint cadence
+// runs.
 func (r *Runtime) commit(a *attempt) error {
 	if err := r.validate(a); err != nil {
-		return err
-	}
-	if err := r.certify(a); err != nil {
 		return err
 	}
 	if err := r.publishCommit(a); err != nil {
@@ -264,16 +259,25 @@ func (r *Runtime) commit(a *attempt) error {
 	return nil
 }
 
-// publishCommit makes a validated, certified attempt's commit durable
-// and visible: the commit batch is journaled, the root's versions
-// retired, its locks released, and the staged record merged into the
-// committed projection. The whole publication holds the checkpoint cut's
+// publishCommit makes a validated attempt's commit durable and visible:
+// certification (EnableCertify) admits and files the staged record on
+// this goroutine before anything of the commit becomes durable — a
+// rejection rides the error — then the commit batch is journaled, the
+// root's versions retired, its locks released, and (uncertified) the
+// staged record filed. The whole publication holds the checkpoint cut's
 // read side, so a checkpoint never observes a commit whose batch is
-// journaled but whose effects are unpublished (or vice versa), and both
-// crash sites fire inside the gated window.
+// journaled but whose effects are unpublished (or vice versa), a cut
+// folds exactly the commits journaled below its marker, and both crash
+// sites fire inside the gated window.
 func (r *Runtime) publishCommit(a *attempt) error {
 	r.ck.gate.RLock(a.ts)
 	defer r.ck.gate.RUnlock(a.ts)
+	certified := r.Certifying()
+	if certified {
+		if err := r.certify(a); err != nil {
+			return err
+		}
+	}
 	txn := string(a.root)
 	// Crash site "commit": fires before the commit batch is
 	// journaled, so recovery must undo this transaction.
@@ -284,16 +288,16 @@ func (r *Runtime) publishCommit(a *attempt) error {
 		}
 	}
 	// Crash site "post-commit": the commit record is durable but
-	// locks are abandoned and the record never merged — recovery
-	// must redo this transaction from the log alone.
+	// locks are abandoned and the index dies with the process —
+	// recovery must redo this transaction from the log alone.
 	r.fireCrash("", txn, "post-commit", nil)
 	// Root commit: finalize this root's versions (it will apply
 	// nothing further, so snapshot validation may stop treating
 	// them as dirty), release every lock, publish the record.
 	r.finish(a, a.touchedStores())
-	r.mu.Lock()
-	r.rec.merge(&a.stage)
-	r.mu.Unlock()
+	if !certified {
+		r.ix.file(&a.stage)
+	}
 	r.commits.Add(1)
 	return nil
 }

@@ -12,9 +12,9 @@ import (
 // every state mutation *before* performing it — write-ahead applies with
 // their undo values, write-ahead compensations, and at root commit the
 // whole staged record (nodes, events, commit marker) as one contiguous
-// batch. The in-memory stores and recorder stay volatile; the log is the
-// single source of truth a crash leaves behind, and Recover (recover.go)
-// rebuilds both halves from it.
+// batch. The in-memory stores and execution index stay volatile; the log
+// is the single source of truth a crash leaves behind, and Recover
+// (recover.go) rebuilds both halves from it.
 
 // WALConfig configures the runtime's write-ahead log.
 type WALConfig struct {

@@ -106,7 +106,7 @@ func runE17Cell(m certMode, conflictPct, clients, perClient, legs int) (*e17Poin
 		}
 	}
 	// Sustained load runs checkpointed (the PR-6 bounded-memory cadence):
-	// periodic folds keep the certifier engine and the recorder at the
+	// periodic folds keep the execution index and its engine at the
 	// live tail, so every mode — uncertified included — is measured at
 	// its steady state instead of against an unboundedly growing history.
 	rt.EnableCheckpoints(sched.CheckpointConfig{Every: 64})

@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"errors"
+	"io/fs"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -247,4 +250,16 @@ func itoa(n int) (out string) { // tiny positive-int formatter for test names
 		n /= 10
 	}
 	return out
+}
+
+// TestSyncDirReportsErrors: the directory fsync behind segment creation
+// and deletion reports its failure instead of dropping it.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir(existing) = %v, want nil", err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("syncDir(missing) = %v, want fs.ErrNotExist", err)
+	}
 }

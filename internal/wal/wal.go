@@ -409,7 +409,7 @@ func (l *Log) TruncateBefore(lsn uint64) (int, error) {
 		deleted++
 	}
 	if deleted > 0 {
-		syncDir(l.dir)
+		return deleted, syncDir(l.dir)
 	}
 	return deleted, nil
 }
@@ -690,11 +690,10 @@ func (l *Log) createSegment(idx int) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := errors.Join(f.Sync(), syncDir(l.dir)); err != nil {
 		f.Close()
 		return err
 	}
-	syncDir(l.dir)
 	l.f = f
 	l.seg = idx
 	l.buf = l.buf[:0]
@@ -896,12 +895,12 @@ func segmentFiles(dir string) ([]string, error) {
 	return out, nil
 }
 
-// syncDir fsyncs a directory so a freshly created segment file survives a
-// crash of the directory entry itself. Best effort: some filesystems
-// reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so a segment file's creation or deletion
+// survives a crash of the directory entry itself.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	return errors.Join(d.Sync(), d.Close())
 }

@@ -73,7 +73,7 @@ type (
 
 	// CheckpointConfig installs the bounded-memory checkpoint cadence and
 	// overload watermarks (Runtime.EnableCheckpoints): every N commits the
-	// runtime folds the certified history, prunes the recorder, compacts
+	// runtime folds its execution index and certified history, compacts
 	// MVCC chains and truncates the WAL behind the snapshot barrier.
 	CheckpointConfig = sched.CheckpointConfig
 	// CheckpointStats reports one checkpoint: marker LSN, folded roots and
