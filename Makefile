@@ -101,11 +101,13 @@ distperf:
 # certperf runs the certifier suite: the byte-identity property suite under
 # the race detector, on one P (the schedule the benchmark measures) and
 # on two (admission under the index mutex, engine parking included, must
-# leave the certified system byte-identical to the recorded one, folds
-# after every commit included, plus rollback — rejections amid concurrent
-# commits keep the engine — and WAL-ordering regressions), the certified
+# leave the engine byte-identical to the committed execution while a held
+# root keeps every root unretired, cuts after every commit included, plus
+# rollback — rejections amid concurrent commits keep the engine — and
+# WAL-ordering regressions), the crossed-pair reproduction at cadences
+# 0, 1 and 64 and the always-keep oracle (TestRetireAgainstAlwaysKeep), the certified
 # deterministic replay (a cadence of cuts among concurrent commits: the
-# live recorded and certified systems equal the recovered tail, which pins
+# live recorded system equals the recovered tail, which pins
 # certification inside the checkpoint gate), the engine's parking tests
 # (Admit that parks against Append that never does) and rollback law (a
 # refused delta leaves no trace, on journaled and candidate engines,
@@ -118,7 +120,7 @@ distperf:
 # agrees with a from-scratch Check on every prefix of 256 commits and
 # rebuilds only on level changes).
 certperf:
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 

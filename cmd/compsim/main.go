@@ -350,7 +350,7 @@ func runDistributed(topoName string, topo *ctx.Topology, proto ctx.Protocol, cfg
 		fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
 		exit(2)
 	}
-	fmt.Printf("recorded execution: %s\n", v)
+	printVerdict(v, len(cl.RecordedSystem().Roots()), m.Commits)
 	if !v.Correct {
 		exit(1)
 	}
@@ -572,8 +572,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "compsim: %v\n", err)
 		exit(2)
 	}
-	fmt.Printf("recorded execution: %s\n", v)
+	printVerdict(v, len(sys.Roots()), m.Commits)
 	if !v.Correct {
 		exit(1)
 	}
+}
+
+// printVerdict prints a verdict with its scope: the committed roots it
+// covers, and those a checkpoint cut dropped before it (commits minus
+// covered roots), so a verdict over an empty suffix is not read as
+// evidence about the run.
+func printVerdict(v *ctx.Verdict, roots int, commits int64) {
+	fmt.Printf("recorded execution (%d roots, %d cut before it): %s\n", roots, commits-int64(roots), v)
 }

@@ -2,6 +2,7 @@ package front
 
 import (
 	"fmt"
+	"slices"
 
 	"compositetx/internal/model"
 )
@@ -9,31 +10,27 @@ import (
 // Checkpointing: once a prefix of roots is fully committed and certified
 // correct, the engine no longer needs its nodes to decide the correctness
 // of what follows — provided nothing that arrives later references them.
-// Checkpoint folds such a prefix: it drops the folded nodes from the
-// accumulated system and from every per-level closure, so the engine's
-// memory tracks the live suffix instead of the whole history.
+// Checkpoint and Retire drop such a prefix from the accumulated system and
+// from every per-level closure, so the engine's memory tracks the live
+// suffix instead of the whole history.
 //
 // Soundness is the multi-level serial-witness argument (Börger/Schewe/
-// Wang; Biswas & Enea for the flat case): a fully committed, certified
-// prefix is equivalent to a serial execution, and in a runtime stream
-// every event of a committed root carries a smaller clock stamp than
-// every future event, so every cross-boundary order or conflict pair is
-// directed prefix → suffix. A correctness violation is a cycle, a cycle
-// needs an edge pointing back into the prefix, and no such edge can ever
-// be generated — hence folding the prefix cannot change any later
-// verdict. The engine enforces the "nothing references them" contract
-// mechanically: a later delta naming a folded node fails validateDelta
-// with an unknown-node error, exactly like a reference to a truncated
-// LSN. (The runtime certifier guarantees the contract by emptying its
-// execution index in the same fold, so conflict pairs against folded
-// events are never generated in the first place.)
+// Wang; Biswas & Enea for the flat case): a committed, certified prefix
+// whose every event precedes every later event is equivalent to a serial
+// execution, every cross-boundary order or conflict pair is directed
+// prefix → suffix, a correctness violation is a cycle, and a cycle needs
+// an edge pointing back into the prefix — so dropping the prefix cannot
+// change any later verdict. The runtime certifier enforces the premise: it
+// retires a root only once no live attempt can draw a seq below the
+// root's events (sched's execution index). The engine enforces the "nothing
+// references them" contract mechanically: a later delta naming a dropped
+// node fails validateDelta with an unknown-node error.
 //
-// After the fold the engine state is byte-for-byte the state of a fresh
+// After a drop the engine state is byte-for-byte the state of a fresh
 // engine fed the pruned system: Append/Admit verdicts over any later
 // stream are byte-identical to CheckReference over the accumulated
 // (pruned) system — the checkpoint property tests assert this prefix by
-// prefix across fold boundaries, on the same random stack/fork/join/
-// general streams the incremental engine is tested on.
+// prefix across fold boundaries.
 
 // CheckpointSummary describes one fold: the composite transactions and
 // forest nodes it dropped.
@@ -61,17 +58,36 @@ func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, er
 	return inc.fold(roots)
 }
 
-// Fold is Checkpoint of every root, except that parked deltas are dropped
-// unabsorbed: an isolated vertex needs no reduction to be forgotten.
-func (inc *Incremental) Fold() (*CheckpointSummary, error) {
-	sum, err := inc.fold(inc.sys.Roots())
-	if err != nil {
-		return nil, err
+// Retire is Checkpoint of the given roots, except that a parked root is
+// dropped unabsorbed — an isolated vertex needs no reduction to be
+// forgotten — and with it the rest of its parked delta. Every id must be
+// a root of the accumulated system or of a parked delta.
+func (inc *Incremental) Retire(roots []model.NodeID) error {
+	var kept []model.NodeID
+	var buf [4]int32
+	parked := buf[:0]
+	for _, id := range roots {
+		if k, ok := inc.parkedAt[id]; !ok {
+			kept = append(kept, id)
+		} else if !slices.Contains(parked, k) {
+			parked = append(parked, k)
+		}
 	}
-	sum.Roots += inc.parkedRoots
-	sum.Nodes += inc.parkedNodes
-	inc.dropParked()
-	return sum, nil
+	if _, err := inc.fold(kept); err != nil {
+		return err
+	}
+	nodes := 0
+	for _, k := range parked {
+		nodes += len(inc.parked[k].Nodes)
+	}
+	if nodes == inc.parkedNodes {
+		inc.dropParked() // every parked delta goes: one clear beats a delete per node
+	} else {
+		for _, k := range parked {
+			inc.unpark(k)
+		}
+	}
+	return nil
 }
 
 // fold is Checkpoint of roots with nothing parked under them.

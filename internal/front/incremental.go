@@ -120,7 +120,7 @@ func (inc *Incremental) Append(d *Delta) (*Verdict, error) {
 // names one of its nodes: Admit absorbs the parked deltas a delta names
 // (as a parent or a pair endpoint) before admitting it, and System,
 // Append and Checkpoint absorb them all. A parked delta is validated when
-// it is absorbed; Fold drops it unabsorbed.
+// it is absorbed; Retire drops it unabsorbed.
 func (inc *Incremental) Admit(d *Delta) (*Verdict, error) {
 	if inc.parkable(d) {
 		inc.park(d)
@@ -153,15 +153,7 @@ func (inc *Incremental) park(d *Delta) {
 // the engine: what Admit of the delta would do, minus draining queues
 // that stay empty. A delta that fails validation is dropped.
 func (inc *Incremental) absorb(k int32) error {
-	d := inc.parked[k]
-	inc.parked[k] = nil
-	for _, n := range d.Nodes {
-		delete(inc.parkedAt, n.ID)
-		if n.Parent == "" {
-			inc.parkedRoots--
-		}
-	}
-	inc.parkedNodes -= len(d.Nodes)
+	d := inc.unpark(k)
 	if err := validateDelta(inc.sys, d); err != nil {
 		return err
 	}
@@ -171,6 +163,20 @@ func (inc *Incremental) absorb(k int32) error {
 		inc.eng.addNode(n)
 	}
 	return nil
+}
+
+// unpark takes parked delta k out of the parked set and returns it.
+func (inc *Incremental) unpark(k int32) *Delta {
+	d := inc.parked[k]
+	inc.parked[k] = nil
+	for _, n := range d.Nodes {
+		delete(inc.parkedAt, n.ID)
+		if n.Parent == "" {
+			inc.parkedRoots--
+		}
+	}
+	inc.parkedNodes -= len(d.Nodes)
+	return d
 }
 
 // absorbNamed absorbs the parked deltas holding a parent or a pair

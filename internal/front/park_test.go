@@ -166,9 +166,8 @@ func TestParkingEligibility(t *testing.T) {
 	}
 }
 
-// TestParkingFold: Fold on a parking engine reports what Checkpoint of
-// every root reports on an engine that never parked, and leaves both
-// empty.
+// TestParkingFold: Retire of every root leaves a parking engine empty, as
+// Checkpoint of every root leaves an engine that never parked.
 func TestParkingFold(t *testing.T) {
 	foldedParked := false
 	parkingStreams(func(tag string, deltas []*front.Delta) {
@@ -181,16 +180,12 @@ func TestParkingFold(t *testing.T) {
 			appending.Append(d)
 		}
 		foldedParked = foldedParked || front.ParkedNodes(parking) > 0
-		want, err := appending.Checkpoint(appending.System().Roots())
-		if err != nil {
+		roots := appending.System().Roots()
+		if _, err := appending.Checkpoint(roots); err != nil {
 			t.Fatalf("%s: Checkpoint: %v", tag, err)
 		}
-		got, err := parking.Fold()
-		if err != nil {
-			t.Fatalf("%s: Fold: %v", tag, err)
-		}
-		if *got != *want {
-			t.Fatalf("%s: Fold folded %+v, Checkpoint %+v", tag, *got, *want)
+		if err := parking.Retire(roots); err != nil {
+			t.Fatalf("%s: Retire: %v", tag, err)
 		}
 		if parking.LiveNodes() != 0 || appending.LiveNodes() != 0 || front.ParkedNodes(parking) != 0 {
 			t.Fatalf("%s: live nodes after the fold: parking %d (%d parked), appending %d",
@@ -199,5 +194,50 @@ func TestParkingFold(t *testing.T) {
 	})
 	if !foldedParked {
 		t.Fatal("no fold dropped a parked delta")
+	}
+}
+
+// TestParkingRetire retires the foldable roots of each stream's first
+// half from a parking engine: the parked ones go unabsorbed, and every
+// later Append verdict, and the final system, is byte-identical to a
+// fresh engine's fed the pruned system.
+func TestParkingRetire(t *testing.T) {
+	droppedParked := false
+	parkingStreams(func(tag string, deltas []*front.Delta) {
+		half := len(deltas) / 2
+		inc := front.NewIncremental(front.IncrementalOptions{})
+		keep := front.NewIncremental(front.IncrementalOptions{})
+		for _, d := range deltas[:half] {
+			inc.Admit(d)
+			keep.Append(d)
+		}
+		pruned := keep.System().Clone()
+		targets := foldableRoots(pruned, deltas[half:])
+		parked := front.ParkedNodes(inc)
+		if err := inc.Retire(targets); err != nil {
+			t.Fatalf("%s: Retire: %v", tag, err)
+		}
+		droppedParked = droppedParked || front.ParkedNodes(inc) < parked
+		for _, id := range targets {
+			pruned.RemoveTree(id)
+		}
+		if got, want := inc.LiveNodes(), pruned.NumNodes(); got != want {
+			t.Fatalf("%s: %d live nodes after Retire, the pruned system has %d", tag, got, want)
+		}
+		fresh := front.NewIncremental(front.IncrementalOptions{})
+		if _, err := fresh.Append(front.SystemDelta(pruned)); err != nil {
+			t.Fatalf("%s: fresh engine: %v", tag, err)
+		}
+		for i, d := range deltas[half:] {
+			gotV, gotErr := inc.Append(d)
+			wantV, wantErr := fresh.Append(d)
+			assertVerdictsEqual(t, fmt.Sprintf("%s/after%d", tag, i), gotV, gotErr, wantV, wantErr)
+		}
+		if got, want := encodeSys(t, inc.System()), encodeSys(t, fresh.System()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: retired engine diverged from the fresh one:\n%s\n%s", tag, got, want)
+		}
+	})
+	if !droppedParked {
+		t.Fatal("no Retire dropped a parked root")
 	}
 }

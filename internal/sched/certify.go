@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -12,32 +13,33 @@ import (
 // Commit-time certification: with EnableCertify, every root commit is
 // validated against the Comp-C criterion *before* it is journaled and
 // published. The execution index holds a front.Incremental over the
-// committed history; at commit the committer derives its transaction's
-// delta — the same nodes, conflicts and weak output orders the index's
-// delta() pairs for RecordedSystem — and admits it. A violating
-// interleaving is rejected at the commit point with the checker's
-// violation witness, instead of being detected post-hoc; the transaction
-// is rolled back like a client abort and the committed history stays
-// Comp-C by construction.
+// committed roots not yet retired; at commit the committer derives its
+// transaction's delta — the same nodes, conflicts and weak output orders
+// the index's delta() pairs for RecordedSystem, minus pairs with retired
+// roots — and admits it. A violating interleaving is rejected at the
+// commit point with the checker's violation witness, instead of being
+// detected post-hoc; the transaction is rolled back like a client abort
+// and the committed history stays Comp-C by construction.
 //
 // Certification is one critical section on the committing goroutine,
 // inside publishCommit's hold of the checkpoint gate's read side, so a
-// cut folds exactly the commits journaled below its marker:
+// cut drops exactly the commits journaled below its marker:
 //
 //  1. Out of lock, the committer builds what needs no shared state: it
 //     converts its stage's node declarations (written parents-first),
 //     sorts its events, derives their (component, item) keys and pairs
 //     the events inside the stage by a seq-ascending sweep.
-//  2. It takes the index mutex once. Inside, it probes the slots for the
-//     cross-stage pairs, admits the stage, files it in the index, and
-//     unlocks. Lock order is admission order is certified commit order;
-//     nothing about a stage is decided outside the lock, so there is no
-//     snapshot to reconcile and a checkpoint fold (same mutex) cannot land
+//  2. It takes the index mutex once. Inside, it probes the slots and the
+//     carry for the cross-stage pairs, admits the stage, files it, retires
+//     what no live attempt can still be ordered before (execIndex.retire),
+//     and unlocks. Lock order is admission order is certified commit
+//     order; nothing about a stage is decided outside the lock, so there
+//     is no snapshot to reconcile and a cut (same mutex) cannot land
 //     between a probe and its admission.
 //  3. A stage with no cross-transaction pair, no new schedule and no new
 //     invocation edge is parked by front.Incremental.Admit. Its events
 //     are still filed, so a later pair against it makes the engine absorb
-//     it.
+//     it; retired unabsorbed, it never reaches the engine.
 //
 // A rejection costs its delta: the engine rolls the stage back and
 // nothing is filed.
@@ -133,14 +135,19 @@ func pairSeq(dst *[]front.DeltaPair, comp string, p, e filed) {
 
 // admit certifies one stage: it builds the ticket out of lock, then,
 // under the mutex, probes the slots for the stage's cross-stage pairs,
-// admits the final delta and files the stage. A non-nil verdict is the
-// rejection witness (the engine has rolled the stage back); an error
-// reports a malformed stage. Either way nothing is filed.
-func (ix *execIndex) admit(stage *stagedRecord) (*front.Verdict, error) {
+// admits the final delta, files the stage and retires up to w (see
+// retire). A non-nil verdict is the rejection witness (the engine has
+// rolled the stage back); an error reports a malformed stage or a broken
+// engine. Either way nothing is filed. A failed retire (an engine bug)
+// keeps the stage admitted and fails every later admission.
+func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error) {
 	t := ix.buildTicket(stage)
 	defer ix.tickets.Put(t)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.broken != nil {
+		return nil, ix.broken
+	}
 	var pairs []front.DeltaPair
 	for _, e := range t.evs {
 		f := e.filed()
@@ -166,6 +173,18 @@ func (ix *execIndex) admit(stage *stagedRecord) (*front.Verdict, error) {
 	}
 	ix.fastPath.Add(int64(ix.inc.Parks() - parks))
 	ix.fileLocked(stage.nodes, t.evs)
+	if ix.observe != nil {
+		ix.observe(d, stage.nodes, t.evs)
+	}
+	o := openRoot{id: t.nodes[0].ID}
+	if n := len(t.evs); n > 0 {
+		o.first, o.last = t.evs[0].seq, t.evs[n-1].seq
+	}
+	i, _ := slices.BinarySearchFunc(ix.open, o.first, func(x openRoot, f uint64) int { return cmp.Compare(x.first, f) })
+	ix.open = slices.Insert(ix.open, i, o)
+	if err := ix.retire(w); err != nil {
+		ix.broken = fmt.Errorf("sched: certifier retire: %w", err)
+	}
 	return nil, nil
 }
 
@@ -188,7 +207,7 @@ func (r *Runtime) EnableCertify() error {
 // enableCertify is EnableCertify without the WAL-ordering guard. Recover
 // calls it after attaching the recovered log, whose metadata already
 // records certify mode. The engine is seeded with the index's delta in
-// one admission.
+// one admission; no attempt is live yet, so every seeded root retires.
 func (r *Runtime) enableCertify() error {
 	ix := r.ix
 	ix.mu.Lock()
@@ -205,7 +224,10 @@ func (r *Runtime) enableCertify() error {
 			return &CertifyError{Verdict: v}
 		}
 	}
-	ix.inc = inc
+	if err := inc.Retire(inc.System().Roots()); err != nil {
+		return err
+	}
+	ix.inc, ix.retiredTo = inc, r.seq.Load()
 	r.certifying.Store(true)
 	return nil
 }
@@ -213,23 +235,22 @@ func (r *Runtime) enableCertify() error {
 // Certifying reports whether live certification is enabled.
 func (r *Runtime) Certifying() bool { return r.certifying.Load() }
 
-// CertifiedSystem returns the certifier's accumulated composite system
-// (nil when certification is off). It equals RecordedSystem over the
-// same commits; callers must not mutate it.
+// CertifiedSystem returns the certified commits since the last
+// checkpoint cut (nil when certification is off): the index's system,
+// which RecordedSystem returns too. The engine itself holds only the
+// roots it has not retired.
 func (r *Runtime) CertifiedSystem() *model.System {
 	if !r.Certifying() {
 		return nil
 	}
-	r.ix.mu.Lock()
-	defer r.ix.mu.Unlock()
-	return r.ix.inc.System()
+	return r.ix.system()
 }
 
 // certify admits a committing attempt's staged record on this goroutine,
 // under the index mutex, and files it. A nil return admits the commit; a
 // CertifyError rejects it.
 func (r *Runtime) certify(a *attempt) error {
-	v, err := r.ix.admit(&a.stage)
+	v, err := r.ix.admit(&a.stage, r.ck.low(a, &r.seq))
 	if err != nil {
 		return err
 	}

@@ -19,8 +19,8 @@ import (
 // commit half-published — the runtime (1) journals the store items
 // mutated since the previous cut as a checkpoint batch (TypeCkItem items
 // + self-anchoring TypeCheckpoint marker), (2) empties the execution
-// index, folding the certifier's engine with it (front.Incremental.Fold),
-// (3) compacts the MVCC version chains
+// index's record — the certifier's engine is not touched: it drops roots
+// at admission, as they retire — (3) compacts the MVCC version chains
 // below the oldest active snapshot frontier, and (4) deletes WAL
 // segments wholly older than the truncation barrier. Recovery (sched.Recover) then replays only the
 // tail since the marker. Steps (1) and (3) walk only the stores' dirty
@@ -31,7 +31,7 @@ import (
 // window — a leaf apply, a compensation, a whole commit publication, and
 // the taking of an optimistic snapshot — holds the read side, and the
 // checkpoint holds the write side across [store snapshot, marker
-// append, index fold]. With the gate held exclusively, every journaled
+// append, index cut]. With the gate held exclusively, every journaled
 // mutation's effect is either fully in the snapshot (record LSN below
 // the marker) or fully after it (LSN above) — never half of each — which
 // is exactly the invariant that lets redo skip everything at or below
@@ -70,8 +70,8 @@ type CheckpointConfig struct {
 	// Every takes a checkpoint after every N commits (0 = no cadence).
 	Every int
 	// HighWater throttles new root admission with ErrOverload — and
-	// triggers an early checkpoint — once the execution index holds
-	// this many live forest nodes (0 = no watermark).
+	// triggers an early checkpoint — once the execution index's record or
+	// the certifier's engine holds this many forest nodes (0 = none).
 	HighWater int
 	// LowWater re-opens admission once the live node count falls below
 	// it (default HighWater/2).
@@ -87,8 +87,8 @@ type CheckpointStats struct {
 	LSN             uint64 // LSN of the checkpoint marker (0 without a WAL)
 	Items           int    // TypeCkItem records journaled before the marker
 	Base            bool   // the batch holds every store item, not just the dirty ones
-	Roots           int    // committed roots folded out of the execution index
-	Nodes           int    // forest nodes folded out of the execution index
+	Roots           int    // committed roots cut from the execution index's record
+	Nodes           int    // forest nodes cut from the execution index's record
 	SegmentsDeleted int    // WAL segments removed by TruncateBefore
 	VersionsDropped int    // MVCC versions compacted out of the stores
 }
@@ -137,8 +137,8 @@ type ckState struct {
 	cfg CheckpointConfig
 
 	mu       sync.Mutex
-	inflight map[string]uint64     // txn -> first journaled-apply LSN of its live attempt
-	snaps    map[*attempt]struct{} // active attempts with a registered snapshot (oldest stamp in attempt.snapLow)
+	inflight map[*attempt]liveAttempt // every live attempt, from begin to finish
+	snaps    map[*attempt]struct{}    // active attempts with a registered snapshot (oldest stamp in attempt.snapLow)
 
 	// Base/delta bookkeeping, touched only inside the cut (gate.Lock).
 	baseFirst uint64 // first LSN of this log's last complete base batch (0 = none yet)
@@ -149,21 +149,45 @@ type ckState struct {
 	throttle atomic.Bool  // high watermark tripped; Submit rejects with ErrOverload
 }
 
+// liveAttempt is what the runtime knows of a live attempt: the clock when
+// it began, below every seq it draws (the certifier's retirement
+// watermark), and its first journaled-apply LSN (the truncation barrier).
+type liveAttempt struct {
+	lo, lsn uint64
+}
+
 func newCkState() *ckState {
 	return &ckState{
-		inflight: map[string]uint64{},
+		inflight: map[*attempt]liveAttempt{},
 		snaps:    map[*attempt]struct{}{},
 	}
 }
 
 // noteApply registers an attempt's first journaled apply; the truncation
 // barrier never passes it while the attempt is live.
-func (ck *ckState) noteApply(txn string, lsn uint64) {
+func (ck *ckState) noteApply(a *attempt, lsn uint64) {
 	ck.mu.Lock()
-	if _, ok := ck.inflight[txn]; !ok {
-		ck.inflight[txn] = lsn
+	if l := ck.inflight[a]; l.lsn == 0 {
+		l.lsn = lsn
+		ck.inflight[a] = l
 	}
 	ck.mu.Unlock()
+}
+
+// low returns a seq that no live attempt but self can draw at or below:
+// the clock, or the lowest begin-time clock of the others. Read under
+// ck.mu, as Runtime.begin reads the clock, it stays so for every attempt
+// that begins later.
+func (ck *ckState) low(self *attempt, clock *atomic.Uint64) uint64 {
+	ck.mu.Lock()
+	w := clock.Load()
+	for a, l := range ck.inflight {
+		if a != self && l.lo < w {
+			w = l.lo
+		}
+	}
+	ck.mu.Unlock()
+	return w
 }
 
 // noteSnap registers an optimistic attempt's snapshot stamp (keeping the
@@ -189,7 +213,7 @@ func (ck *ckState) noteSnap(a *attempt, ts uint64) {
 // drop deregisters a finished attempt (committed or fully rolled back).
 func (ck *ckState) drop(a *attempt) {
 	ck.mu.Lock()
-	delete(ck.inflight, string(a.root))
+	delete(ck.inflight, a)
 	delete(ck.snaps, a)
 	ck.mu.Unlock()
 }
@@ -199,9 +223,9 @@ func (ck *ckState) drop(a *attempt) {
 func (ck *ckState) barrier() uint64 {
 	b := ck.baseFirst
 	ck.mu.Lock()
-	for _, lsn := range ck.inflight {
-		if lsn < b {
-			b = lsn
+	for _, l := range ck.inflight {
+		if l.lsn != 0 && l.lsn < b {
+			b = l.lsn
 		}
 	}
 	ck.mu.Unlock()
@@ -242,7 +266,7 @@ type ckMeta struct {
 	Committed   int64          `json:"committed"` // cumulative commits at the cut
 	Quarantines []ckQuarantine `json:"quarantines,omitempty"`
 	// Schedules are those the execution index declared at the cut, which
-	// the fold keeps: the recovered execution declares them too.
+	// the cut keeps: the recovered execution declares them too.
 	Schedules []model.ScheduleID `json:"schedules,omitempty"`
 }
 
@@ -260,9 +284,8 @@ type ckQuarantine struct {
 
 // Checkpoint takes one checkpoint now: the stores' dirty items (or, for
 // a base, all items) journaled as a WAL checkpoint batch, the execution
-// index (and the certifier's engine) folded, MVCC chains compacted at the
-// active-snapshot frontier, and segments wholly behind the truncation
-// barrier deleted. Concurrent
+// index's record cut, MVCC chains compacted at the active-snapshot
+// frontier, and segments wholly behind the truncation barrier deleted. Concurrent
 // Submits keep running; they only pause for the cut itself. Returns
 // (nil, nil) when another checkpoint is already in progress. A crash
 // injected at the "checkpoint" fault sites surfaces as ErrCrashed, like
@@ -313,7 +336,7 @@ func (r *Runtime) Checkpoint() (st *CheckpointStats, err error) {
 
 // checkpointCut performs the gated section of a checkpoint. It holds the
 // cut (gate.Lock) across store snapshots, the marker append, the index
-// fold, and the store compaction, then truncates the log.
+// cut, and the store compaction, then truncates the log.
 func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 	r.ck.gate.Lock()
 	defer r.ck.gate.Unlock()
@@ -362,16 +385,11 @@ func (r *Runtime) checkpointCut(st *CheckpointStats) error {
 		st.LSN, st.Items, st.Base = markerLSN, len(items), base
 	}
 
-	// 2. Fold the execution index. Everything filed is committed, and
-	// every filer holds the gate's read side, so the index holds exactly
-	// the commits journaled below the marker and the whole of it folds;
-	// the engine's later verdicts are unchanged by the multi-level
-	// serial-witness argument (see front.Incremental.Checkpoint).
-	roots, nodes, err := r.ix.fold()
-	if err != nil {
-		return fmt.Errorf("sched: checkpoint fold: %w", err)
-	}
-	st.Roots, st.Nodes = roots, nodes
+	// 2. Cut the execution index's record. Everything filed is committed,
+	// and every filer holds the gate's read side, so the record holds
+	// exactly the commits journaled below the marker and the whole of it
+	// goes. The certifier keeps the roots it has not retired.
+	st.Roots, st.Nodes = r.ix.cut()
 
 	// 3. Compact the MVCC chains. The frontier is the oldest snapshot an
 	// active optimistic attempt may still validate at (snapshots register
@@ -494,6 +512,8 @@ func (r *Runtime) maybeCheckpoint() {
 		}
 	}
 	if !due {
+		// The certifier's engine drops roots at admission, between cuts.
+		r.relieveOverload()
 		return
 	}
 	// Checkpoint handles its own crash conversion; an error here is
@@ -503,8 +523,9 @@ func (r *Runtime) maybeCheckpoint() {
 	}
 }
 
-// relieveOverload re-checks the watermark after a checkpoint and lifts
-// the admission throttle once the backlog has drained below LowWater.
+// relieveOverload re-checks the watermark after a commit or checkpoint
+// and lifts the admission throttle once the backlog has drained below
+// LowWater.
 func (r *Runtime) relieveOverload() {
 	if !r.ck.throttle.Load() {
 		return

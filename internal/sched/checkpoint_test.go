@@ -28,8 +28,8 @@ func submitSerial(t *testing.T, rt *Runtime, progs []Invocation, offset int) {
 
 // TestCheckpointRoundTripRecovery: commit, checkpoint, commit more,
 // close; recovery must start from the marker, replay only the tail, and
-// land on the same state and verdict a full replay would. The cut folds
-// each committed node once, certified or not.
+// land on the same state and verdict a full replay would. The cut drops
+// each committed node from the record once, certified or not.
 func TestCheckpointRoundTripRecovery(t *testing.T) {
 	for _, certify := range []bool{false, true} {
 		t.Run(fmt.Sprintf("certify=%v", certify), func(t *testing.T) {
@@ -50,12 +50,16 @@ func TestCheckpointRoundTripRecovery(t *testing.T) {
 			progs := transferPrograms(30)
 			submitSerial(t, rt, progs[:15], 0)
 			nodes := rt.RecordedSystem().NumNodes()
+			if live := rt.ix.live(); live != nodes {
+				t.Fatalf("live gauge %d, want the 15 roots' %d nodes", live, nodes)
+			}
 			if certify {
+				// Serial submits: each admission retires its own root.
 				rt.ix.mu.Lock()
 				engine := rt.ix.inc.LiveNodes()
 				rt.ix.mu.Unlock()
-				if live := rt.ix.live(); live != nodes || engine != nodes {
-					t.Fatalf("live gauge %d, engine %d, want the 15 roots' %d nodes", live, engine, nodes)
+				if engine != 0 {
+					t.Fatalf("engine holds %d nodes, want none: every root retired", engine)
 				}
 			}
 
@@ -267,6 +271,44 @@ func TestOverloadBackpressure(t *testing.T) {
 	}
 	if n := rt.ix.live(); n >= 8+6 {
 		t.Fatalf("live nodes = %d: the watermark is not bounding engine memory", n)
+	}
+}
+
+// TestOverloadCountsPinnedEngine: a live attempt pins every root
+// admitted after it began in the certifier's engine, which a cut does not
+// drop. The watermark counts the engine, so admission is throttled until
+// the attempt finishes; its commit retires every root and re-opens it.
+func TestOverloadCountsPinnedEngine(t *testing.T) {
+	topo := DiamondTopology()
+	rt := topo.NewRuntime(Hybrid)
+	if err := rt.EnableCertify(); err != nil {
+		t.Fatal(err)
+	}
+	rt.EnableCheckpoints(CheckpointConfig{HighWater: 64})
+	progs := GenPrograms(topo, WorkloadParams{Roots: 200, StepsPerTx: 3, Items: 8, ReadRatio: 0.3, WriteRatio: 0.3, Seed: 2})
+	release := holdRetirement(t, rt)
+	admitted := 0
+	for ; admitted < len(progs); admitted++ {
+		_, err := rt.Submit(fmt.Sprintf("T%d", admitted), progs[admitted])
+		if errors.Is(err, ErrOverload) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if admitted == len(progs) {
+		t.Fatalf("%d roots committed behind a live attempt and the throttle never tripped (live gauge %d)", admitted, rt.ix.live())
+	}
+	if rt.Checkpoints() == 0 || rt.ix.live() < 64 {
+		t.Fatalf("throttled after %d roots with %d checkpoints and a live gauge of %d", admitted, rt.Checkpoints(), rt.ix.live())
+	}
+	release()
+	if rt.Throttled() {
+		t.Fatalf("the held root committed, yet admission stays throttled (live gauge %d)", rt.ix.live())
+	}
+	if _, err := rt.Submit("T-next", progs[admitted]); err != nil {
+		t.Fatalf("admission after the pin lifted: %v", err)
 	}
 }
 

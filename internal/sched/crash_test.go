@@ -192,10 +192,10 @@ func TestRecoverIsIdempotent(t *testing.T) {
 // recorded system and both recoveries must agree byte-for-byte on the
 // normalized encoding (this pins the interner's lexicographic
 // tie-breaking across the recovery path). The certified case takes a
-// checkpoint every 7 commits, so the folds land among concurrent commits
-// and a tail survives the last cut: the live recorded and certified
-// systems must then equal the recovered tail, which holds only if every
-// cut folds exactly the commits journaled below its marker.
+// checkpoint every 7 commits, so the cuts land among concurrent commits
+// and a tail survives the last cut: the live recorded system must then
+// equal the recovered tail, which holds only if every cut drops exactly
+// the commits journaled below its marker.
 func TestDeterministicReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -228,9 +228,6 @@ func TestDeterministicReplay(t *testing.T) {
 		if certify {
 			if rt.Checkpoints() == 0 {
 				t.Fatal("certify: no checkpoint ran")
-			}
-			if cs := normalEncoding(t, rt.CertifiedSystem().Clone()); !bytes.Equal(live, cs) {
-				t.Fatalf("certify: live certified system differs from the recorded one:\ncertified: %s\nrecorded:  %s", cs, live)
 			}
 		}
 

@@ -12,7 +12,7 @@ import (
 )
 
 // The execution index is the one in-memory record of a scheduler's
-// committed execution since the last checkpoint fold: the committed node
+// committed execution since the last checkpoint cut: the committed node
 // declarations, and the events filed per (component, item) slot and per
 // mode. A runtime and a coordinator each keep one. Aborted attempts stage
 // their records and are discarded on rollback, so what is filed is the
@@ -84,9 +84,17 @@ func (e event) filed() filed { return filed{e.seq, e.op, e.parentTx} }
 type modeEvents struct {
 	mode data.Mode
 	evs  []filed
+	skip int // evs[:skip] are retired: the probe starts past them
 }
 
-// execIndex is the committed execution since the last checkpoint fold.
+// openRoot is an admitted root the certifier has not retired: its ID and
+// the seqs of its first and last events.
+type openRoot struct {
+	id          model.NodeID
+	first, last uint64
+}
+
+// execIndex is the committed execution since the last checkpoint cut.
 // A certifying runtime files a stage when the certifier admits it; an
 // uncertified runtime and a coordinator file it at publication.
 type execIndex struct {
@@ -95,12 +103,26 @@ type execIndex struct {
 	// mu guards everything below, the engine included. A certifying
 	// committer holds it from its first probe to its filing — the order in
 	// which committers take it is the certified commit order — and the
-	// checkpoint fold and every reader take it too.
+	// checkpoint cut and every reader take it too.
 	mu     sync.Mutex
-	scheds []model.ScheduleID // schedules filed nodes declared; a fold keeps them, as the engine does
+	scheds []model.ScheduleID // schedules filed nodes declared; a cut keeps them, as the engine does
 	nodes  []nodeDecl
 	slots  map[slotKey][]modeEvents
 	inc    *front.Incremental // the certifier's engine (nil = not certifying)
+
+	// Retirement (certifying only; see retire). Every filed event with
+	// seq ≤ retiredTo belongs to a retired root, and the probe skips it.
+	// The engine holds the open roots and the retired roots in pending.
+	// carry keeps, for the probe only, the events of open roots filed
+	// before the last cut.
+	retiredTo uint64
+	open      []openRoot // by first seq
+	pending   []model.NodeID
+	carry     map[slotKey][]modeEvents
+	broken    error // a failed retire: the engine is unusable from then on
+
+	// observe, if set, sees each admitted delta and stage, under mu (tests).
+	observe func(d *front.Delta, nodes []nodeDecl, evs []event)
 
 	fastPath atomic.Int64 // stages the engine parked
 	tickets  sync.Pool    // *certTicket, recycled across commits
@@ -127,30 +149,40 @@ func (ix *execIndex) fileLocked(nodes []nodeDecl, evs []event) {
 	}
 	ix.nodes = append(ix.nodes, nodes...)
 	for _, e := range evs {
-		key := keyOf(e)
-		subs := ix.slots[key]
-		k := 0
-		for k < len(subs) && subs[k].mode != e.mode {
-			k++
-		}
-		if k == len(subs) {
-			ix.slots[key] = append(subs, modeEvents{mode: e.mode, evs: []filed{e.filed()}})
-		} else {
-			subs[k].evs = append(subs[k].evs, e.filed())
-		}
+		fileInto(ix.slots, keyOf(e), e.mode, e.filed())
 	}
 }
 
-// probe calls fn for every filed event of key whose mode conflicts with
-// mode under the component's table. Commuting sublists are skipped after
-// a single table check each.
-func (ix *execIndex) probe(key slotKey, mt *data.ModeTable, mode data.Mode, fn func(filed)) {
-	for _, me := range ix.slots[key] {
-		if !mt.ModeConflicts(me.mode, mode) {
-			continue
+// fileInto appends f to the sublist of mode in slots[key].
+func fileInto(slots map[slotKey][]modeEvents, key slotKey, mode data.Mode, f filed) {
+	subs := slots[key]
+	for k := range subs {
+		if subs[k].mode == mode {
+			subs[k].evs = append(subs[k].evs, f)
+			return
 		}
-		for _, p := range me.evs {
-			fn(p)
+	}
+	slots[key] = append(subs, modeEvents{mode: mode, evs: []filed{f}})
+}
+
+// probe calls fn for every unretired filed or carried event of key whose
+// mode conflicts with mode under the component's table. Commuting
+// sublists are skipped after a single table check each.
+func (ix *execIndex) probe(key slotKey, mt *data.ModeTable, mode data.Mode, fn func(filed)) {
+	for _, subs := range [2][]modeEvents{ix.slots[key], ix.carry[key]} {
+		for j := range subs {
+			me := &subs[j]
+			if !mt.ModeConflicts(me.mode, mode) {
+				continue
+			}
+			for me.skip < len(me.evs) && me.evs[me.skip].seq <= ix.retiredTo {
+				me.skip++
+			}
+			for _, p := range me.evs[me.skip:] {
+				if p.seq > ix.retiredTo {
+					fn(p)
+				}
+			}
 		}
 	}
 }
@@ -215,35 +247,79 @@ func (ix *execIndex) system() *model.System {
 	return sys
 }
 
-// fold empties the index at a checkpoint cut, after folding the engine
-// when certifying: pairs against folded events must never be generated
-// again, which is the engine's fold contract. The declared schedules
-// stay, as they do in the engine. It returns the roots and nodes folded.
-func (ix *execIndex) fold() (roots, nodes int, err error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.inc != nil {
-		if _, err := ix.inc.Fold(); err != nil {
-			return 0, 0, err
+// retire runs after an admission, under ix.mu. No live attempt other
+// than the admitting one can draw a seq at or below w. Take the open
+// roots in first-seq order and retire the longest prefix whose events all
+// lie at or below w and below the first event of the next open root.
+// Every event of a retired root then precedes every event not yet
+// retired, filed or future, so every pair between them runs out of the
+// retired root and no cycle can pass through it (the fold argument of
+// front/checkpoint.go, here enforced). The retired events are exactly
+// those at or below retiredTo. The engine drops retired roots once they
+// are at least as many as the open ones, so each reload of the open
+// suffix (front.Incremental.Retire) is paid for by the roots it drops.
+func (ix *execIndex) retire(w uint64) error {
+	k, top := 0, ix.retiredTo
+	for i, o := range ix.open {
+		if top = max(top, o.last); top > w {
+			break
+		}
+		if i+1 == len(ix.open) || top < ix.open[i+1].first {
+			k, ix.retiredTo = i+1, top
 		}
 	}
+	for _, o := range ix.open[:k] {
+		ix.pending = append(ix.pending, o.id)
+	}
+	ix.open = append(ix.open[:0], ix.open[k:]...)
+	if len(ix.pending) == 0 || len(ix.pending) < len(ix.open) {
+		return nil
+	}
+	err := ix.inc.Retire(ix.pending)
+	ix.pending = ix.pending[:0]
+	return err
+}
+
+// cut drops the record at a checkpoint: every filed node and event. The
+// declared schedules stay, as they do in the engine. The engine keeps the
+// open roots, so a certifying index moves their events into the carry,
+// where the probe still finds them; delta(), system() and Sequences
+// never read it. It returns the roots and nodes dropped.
+func (ix *execIndex) cut() (roots, nodes int) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	for _, n := range ix.nodes {
 		if n.parent == "" {
 			roots++
 		}
 	}
 	nodes = len(ix.nodes)
+	if ix.inc != nil {
+		carry := map[slotKey][]modeEvents{}
+		for _, from := range [2]map[slotKey][]modeEvents{ix.carry, ix.slots} {
+			for key, subs := range from {
+				for _, me := range subs {
+					for _, f := range me.evs {
+						if f.seq > ix.retiredTo {
+							fileInto(carry, key, me.mode, f)
+						}
+					}
+				}
+			}
+		}
+		ix.carry = carry
+	}
 	// Truncate instead of dropping: the backing arrays are bounded by the
-	// largest window between folds and are immediately refilled. Sublists
+	// largest window between cuts and are immediately refilled. Sublists
 	// of slots that were active this window are kept the same way, while
-	// slots idle since the previous fold are dropped, so a retired item
+	// slots idle since the previous cut are dropped, so a retired item
 	// does not pin its slot forever.
 	ix.nodes = ix.nodes[:0]
 	for k, subs := range ix.slots {
 		active := false
 		for j := range subs {
 			if len(subs[j].evs) > 0 {
-				subs[j].evs = subs[j].evs[:0]
+				subs[j].evs, subs[j].skip = subs[j].evs[:0], 0
 				active = true
 			}
 		}
@@ -251,20 +327,24 @@ func (ix *execIndex) fold() (roots, nodes int, err error) {
 			delete(ix.slots, k)
 		}
 	}
-	return roots, nodes, nil
+	return roots, nodes
 }
 
 // live gauges the forest the watermarks police: the nodes filed since the
-// last fold (the certifier's engine holds exactly these).
+// last cut or, if more, the certifier engine's, which a cut never drops
+// (the carry holds only their events): a live attempt pins them.
 func (ix *execIndex) live() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if ix.inc != nil {
+		return max(len(ix.nodes), ix.inc.LiveNodes())
+	}
 	return len(ix.nodes)
 }
 
 // RecordedSystem assembles the committed execution into a composite-system
 // model: one schedule per component that executed at least one
-// transaction (a fold keeps it), conflicts derived from each component's
+// transaction (a cut keeps it), conflicts derived from each component's
 // mode table, the weak output order over conflicting pairs in global
 // sequence order, and input orders propagated per Definition 4 item 7.
 // A certifying runtime files a commit when the certifier admits it, so a

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -144,11 +143,6 @@ func TestCorpusSingleProcessLog(t *testing.T) {
 		stores[name] = rec.Runtime.Store(name).Snapshot()
 	}
 	certifying := rec.Runtime.Certifying()
-	// The log's stages were journaled children-first; the certifier,
-	// rebuilt from them, holds exactly the recovered execution.
-	if got, want := encodeSystem(t, rec.Runtime.CertifiedSystem()), encodeSystem(t, rec.System); !bytes.Equal(got, want) {
-		t.Fatalf("certified system diverged from the recovered one:\ncertified: %s\nrecovered: %s", got, want)
-	}
 	if err := rec.Runtime.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +169,21 @@ func TestCorpusSingleProcessLog(t *testing.T) {
 		}
 	}
 
-	// A root writing every item at both branches conflicts with the
-	// recovered tail, so the engine admits it instead of parking it.
+	// No attempt was live at the crash, so every recovered root retired
+	// and the engine holds none of them. A root writing every item twice
+	// at both branches conflicts with itself across its subtransactions,
+	// so the engine admits it instead of parking it.
+	again.Runtime.ix.mu.Lock()
+	held := again.Runtime.ix.inc.LiveNodes()
+	again.Runtime.ix.mu.Unlock()
+	if held != 0 {
+		t.Fatalf("the recovered certifier's engine holds %d nodes, want every recovered root retired", held)
+	}
 	var steps []Step
 	for _, comp := range []string{"east", "west"} {
 		for _, item := range []string{"x1", "x2", "x3", "x4"} {
-			steps = append(steps, leafAt(comp, item, data.Op{Mode: data.ModeWrite, Item: item, Arg: 9}))
+			w := leafAt(comp, item, data.Op{Mode: data.ModeWrite, Item: item, Arg: 9})
+			steps = append(steps, w, w)
 		}
 	}
 	m0 := again.Runtime.Metrics()

@@ -30,9 +30,10 @@ import (
 // Finally the committed projection (node/event records of transactions
 // committed since the checkpoint) is filed into the execution index and
 // re-checked with the Comp-C reduction (front.Check). The pre-checkpoint
-// prefix was folded out of the live engine at the cut with verdicts
-// provably unchanged, so verifying the tail is verifying everything the
-// recovered process can still be asked about.
+// prefix was certified before the cut dropped it, and no attempt outlives
+// the crash, so every recovered event precedes every later one: verifying
+// the tail is verifying everything the recovered process can still be
+// asked about.
 
 // ErrRecoveredViolation is returned by Recover when the recovered
 // committed execution fails the Comp-C check. The Recovered value is
@@ -216,8 +217,8 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 
 	// --- Rebuild the committed projection (tail since the checkpoint) ---
 	// The index holds only the tail and the schedules declared before the
-	// cut, exactly as the live runtime's did after the cut folded it; the
-	// folded prefix's verdict is sealed.
+	// cut, exactly as the live runtime's record did after the cut; the cut
+	// prefix's verdict is sealed.
 	var tail stagedRecord
 	for i := range recs {
 		if sl.lsn(i) > ckLSN && committed[recs[i].Txn] {

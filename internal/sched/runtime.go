@@ -155,7 +155,7 @@ type Metrics struct {
 	CheckpointsTaken  int64 // completed checkpoint cuts
 	CheckpointItems   int64 // TypeCkItem records those cuts journaled (base and delta batches)
 	CheckpointBases   int64 // cuts whose batch was a base (every store item)
-	NodesPruned       int64 // forest nodes folded out of the execution index
+	NodesPruned       int64 // forest nodes cut from the execution index's record
 	SegmentsTruncated int64 // WAL segments deleted by TruncateBefore
 	VersionsCompacted int64 // MVCC versions dropped by Store.Compact at checkpoints
 	OverloadThrottles int64 // Submits rejected with ErrOverload at the high watermark

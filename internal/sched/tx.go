@@ -97,8 +97,13 @@ func (r *Runtime) Submit(name string, root Invocation) (*TxResult, error) {
 
 func (r *Runtime) release() {}
 
+// begin registers the attempt as live, with the clock read under ck.mu
+// (see ckState.low).
 func (r *Runtime) begin(a *attempt, root Invocation) {
 	a.optimistic = r.Exec == ExecOptimistic || root.SnapshotRead
+	r.ck.mu.Lock()
+	r.ck.inflight[a] = liveAttempt{lo: r.seq.Load()}
+	r.ck.mu.Unlock()
 }
 
 // enter refuses a (sub)transaction at a component the injector has taken
@@ -186,7 +191,7 @@ func (r *Runtime) apply(a *attempt, comp *component, id model.NodeID, owner stri
 				return jerr
 			}
 			if lsn != 0 {
-				r.ck.noteApply(string(a.root), lsn)
+				r.ck.noteApply(a, lsn)
 			}
 			res, jerr = comp.store.ApplyAs(op, string(a.root))
 			return jerr
@@ -267,7 +272,7 @@ func (r *Runtime) commit(a *attempt) error {
 // staged record filed. The whole publication holds the checkpoint cut's
 // read side, so a checkpoint never observes a commit whose batch is
 // journaled but whose effects are unpublished (or vice versa), a cut
-// folds exactly the commits journaled below its marker, and both crash
+// drops exactly the commits journaled below its marker, and both crash
 // sites fire inside the gated window.
 func (r *Runtime) publishCommit(a *attempt) error {
 	r.ck.gate.RLock(a.ts)

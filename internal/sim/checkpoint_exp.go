@@ -249,9 +249,9 @@ func E14Checkpoint(cfg CheckpointSoakConfig) *Table {
 			verdict,
 		)
 	}
-	t.Note = "expected: in the unbounded rows the retained heap, on-disk log (bytes and records), records replayed at " +
-		"recovery, and recovery time all grow ~10x with the horizon — and throughput collapses, because " +
-		"the certifier's per-commit cost grows with the unfolded forest; in the checkpointed rows all of " +
+	t.Note = "expected: in the unbounded rows the on-disk log (bytes and records), records replayed at recovery, " +
+		"and recovery time grow ~10x with the horizon, and the retained heap with the record (throughput " +
+		"does not collapse: the certifier retires roots at admission); in the checkpointed rows all of " +
 		"them stay flat — bounded by the cadence, not the horizon — recovery replays only the tail since " +
 		"the last marker, and every cell still recovers to a Comp-C-correct, conserved state"
 	return t
