@@ -31,12 +31,15 @@ chaos:
 # deterministic crash site, recovery idempotence, deterministic replay, the
 # crash-chaos conservation soak, the replay law on the journal seam's
 # store-replay core with the parent-written format-freeze corpus
-# (TestJournal, TestCorpus), and the E11 crash matrix; then, without the
+# (TestJournal, TestCorpus), the certifier seeded at recovery and by
+# EnableCertify over a recorded history (TestRecoverCertifiedCrossedPairs,
+# TestEnableCertify; the recovery allocation budget TestRecoverAllocBudget
+# is logged only under -race), and the E11 crash matrix; then, without the
 # race detector, 20 iterations of the scanner benchmark as a smoke
 # (BenchmarkScanDir: B/op and allocs/op of one recovery-shaped log).
 crash:
 	$(GO) test -race -count=1 ./internal/wal
-	$(GO) test -race -count=1 -run 'TestCrash|TestRecover|TestDeterministicReplay|TestEnableWAL|TestJournal|TestCorpus' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestCrash|TestRecover|TestDeterministicReplay|TestEnableWAL|TestEnableCertify|TestJournal|TestCorpus' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestE11' ./internal/sim
 	$(GO) test -run '^$$' -bench ScanDir -benchtime 20x ./internal/wal
 
@@ -105,7 +108,9 @@ distperf:
 # root keeps every root unretired, cuts after every commit included, plus
 # rollback — rejections amid concurrent commits keep the engine — and
 # WAL-ordering regressions), the crossed-pair reproduction at cadences
-# 0, 1 and 64 and the always-keep oracle (TestRetireAgainstAlwaysKeep), the certified
+# 0, 1 and 64 and the always-keep oracle (TestRetireAgainstAlwaysKeep), the
+# seeding law (TestSeedEqualsRetiredAdmit: front.Seed is admit-then-retire
+# of every root, without the reduction), the certified
 # deterministic replay (a cadence of cuts among concurrent commits: the
 # live recorded system equals the recovered tail, which pins
 # certification inside the checkpoint gate), the engine's parking tests
@@ -120,7 +125,7 @@ distperf:
 # agrees with a from-scratch Check on every prefix of 256 commits and
 # rebuilds only on level changes).
 certperf:
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestSeedEqualsRetiredAdmit|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 

@@ -26,11 +26,11 @@ import (
 // references them" contract mechanically: a later delta naming a dropped
 // node fails validateDelta with an unknown-node error.
 //
-// After a drop the engine state is byte-for-byte the state of a fresh
-// engine fed the pruned system: Append/Admit verdicts over any later
-// stream are byte-identical to CheckReference over the accumulated
-// (pruned) system — the checkpoint property tests assert this prefix by
-// prefix across fold boundaries.
+// After a drop the engine state is byte-for-byte a fresh engine's fed the
+// pruned system, save that the invocation graph keeps the dropped roots'
+// edges: Append/Admit verdicts over any later stream are byte-identical to
+// CheckReference over the accumulated (pruned) system when its levels
+// agree — the checkpoint property tests assert this across fold boundaries.
 
 // CheckpointSummary describes one fold: the composite transactions and
 // forest nodes it dropped.
@@ -88,6 +88,32 @@ func (inc *Incremental) Retire(roots []model.NodeID) error {
 		}
 	}
 	return nil
+}
+
+// Seed returns the engine that Admit of sys followed by Retire of every
+// root leaves, without running the reduction: sys's schedules with no
+// nodes, its invocation graph and the levels that graph assigns, and an
+// empty engine over them, so the next Admit takes the journaled path. It
+// is how a caller that has already decided sys (Check) hands it to a
+// certifier once no root of sys can be ordered after a later one. sys
+// must be structurally valid; a recursive configuration is an error.
+func Seed(sys *model.System, opts IncrementalOptions) (*Incremental, error) {
+	ig := sys.InvocationGraph()
+	levels, err := igLevels(ig)
+	if err != nil {
+		return nil, err
+	}
+	seeded := model.NewSystem()
+	for _, sc := range sys.Schedules() {
+		seeded.AddSchedule(sc.ID)
+	}
+	return &Incremental{
+		opts:   opts,
+		sys:    seeded,
+		ig:     ig,
+		levels: levels,
+		eng:    newIncEngine(levels, opts.PropagateInputs, 0),
+	}, nil
 }
 
 // fold is Checkpoint of roots with nothing parked under them.

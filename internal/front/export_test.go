@@ -21,3 +21,9 @@ func LoadedEngine(sys *model.System) (reload func() bool, err error) {
 		return eng.failed
 	}, nil
 }
+
+// InvocationGraph returns inc's accumulated invocation graph — its
+// schedules and edges, sorted — and the levels it assigns.
+func InvocationGraph(inc *Incremental) (scheds []model.ScheduleID, edges [][2]model.ScheduleID, levels map[model.ScheduleID]int) {
+	return inc.ig.Nodes(), inc.ig.Pairs(), inc.levels
+}

@@ -72,20 +72,22 @@ func (s *stream) mark(d *front.Delta, refused bool) {
 }
 
 // step feeds d to inc — through Append when full, else through Admit,
-// whose success is (nil, nil) — and checks the three rules.
-func (s *stream) step(t *testing.T, tag string, inc *front.Incremental, d *front.Delta, full bool) {
+// whose success is (nil, nil) — checks the three rules and returns what
+// inc returned.
+func (s *stream) step(t *testing.T, tag string, inc *front.Incremental, d *front.Delta, full bool) (*front.Verdict, error) {
 	t.Helper()
 	admit := inc.Admit
 	if full {
 		admit = inc.Append
 	}
 	if s.names(d) {
-		if v, err := admit(d); err == nil {
+		v, err := admit(d)
+		if err == nil {
 			t.Fatalf("%s: a delta naming a refused node or schedule was accepted (verdict %v)", tag, v)
 		}
 		s.outcome.invalid++
 		s.refused(t, tag, inc, d)
-		return
+		return v, err
 	}
 	next := s.prefix.Clone()
 	d.Apply(next)
@@ -111,6 +113,7 @@ func (s *stream) step(t *testing.T, tag string, inc *front.Incremental, d *front
 		s.outcome.invalid++
 		s.refused(t, tag, inc, d)
 	}
+	return gotV, gotErr
 }
 
 // refused records a refused delta and checks that it left no trace.

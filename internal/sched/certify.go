@@ -192,42 +192,40 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 // subsequent root commit is validated against Comp-C before it is
 // journaled and published, and a violating commit is rejected with a
 // CertifyError carrying the violation witness. An existing committed
-// history is admitted as the seed (after Recover, this rebuilds the
-// certifier over the recovered execution). Call before submitting
-// transactions. Calling it after EnableWAL returns ErrCertifyAfterWAL:
-// the journaled metadata record would not carry the certify flag, so a
-// recovery of that log would silently drop certification.
+// history is checked once (front.Check); a violating one is refused with
+// a CertifyError whose Root is empty, and certification stays off. Call
+// before submitting transactions. Calling it after EnableWAL returns
+// ErrCertifyAfterWAL: the journaled metadata record would not carry the
+// certify flag, so a recovery of that log would silently drop
+// certification.
 func (r *Runtime) EnableCertify() error {
 	if r.wal.attached() {
 		return ErrCertifyAfterWAL
 	}
-	return r.enableCertify()
+	sys := r.RecordedSystem()
+	if v, err := front.Check(sys, front.Options{}); err != nil {
+		return err
+	} else if !v.Correct {
+		return &CertifyError{Verdict: v}
+	}
+	return r.enableCertify(sys)
 }
 
-// enableCertify is EnableCertify without the WAL-ordering guard. Recover
-// calls it after attaching the recovered log, whose metadata already
-// records certify mode. The engine is seeded with the index's delta in
-// one admission; no attempt is live yet, so every seeded root retires.
-func (r *Runtime) enableCertify() error {
-	ix := r.ix
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+// enableCertify is EnableCertify without the WAL-ordering guard, over sys,
+// the committed history already checked correct. Recover calls it after
+// attaching the recovered log, whose metadata already records certify
+// mode. No attempt is live, so every root of sys would retire at its
+// admission: the engine is seeded with what that leaves (front.Seed).
+func (r *Runtime) enableCertify(sys *model.System) error {
 	// PropagateInputs mirrors RecordedSystem's Definition 4 item 7
 	// propagation, so the certified history matches the recorded one.
-	inc := front.NewIncremental(front.IncrementalOptions{PropagateInputs: true})
-	if len(ix.nodes)+len(ix.scheds) > 0 {
-		v, err := inc.Admit(ix.delta())
-		if err != nil {
-			return err
-		}
-		if v != nil {
-			return &CertifyError{Verdict: v}
-		}
-	}
-	if err := inc.Retire(inc.System().Roots()); err != nil {
+	inc, err := front.Seed(sys, front.IncrementalOptions{PropagateInputs: true})
+	if err != nil {
 		return err
 	}
-	ix.inc, ix.retiredTo = inc, r.seq.Load()
+	r.ix.mu.Lock()
+	r.ix.inc, r.ix.retiredTo = inc, r.seq.Load()
+	r.ix.mu.Unlock()
 	r.certifying.Store(true)
 	return nil
 }

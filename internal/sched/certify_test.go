@@ -173,7 +173,7 @@ func TestCertifyAdmitsCorrectWorkloads(t *testing.T) {
 }
 
 // TestCertifySurvivesRecover checks the durability story: certify mode is
-// journaled in the WAL metadata, Recover rebuilds the certifier over the
+// journaled in the WAL metadata, Recover seeds the certifier from the
 // recovered committed history, and the recovered runtime keeps rejecting
 // violating interleavings at commit time.
 func TestCertifySurvivesRecover(t *testing.T) {
@@ -224,5 +224,119 @@ func TestCertifySurvivesRecover(t *testing.T) {
 	ok, err := front.IsCompC(sys)
 	if err != nil || !ok {
 		t.Fatalf("recovered+certified history must be Comp-C (ok=%v err=%v)", ok, err)
+	}
+}
+
+// seededEngine asserts that rt certifies from a seeded engine: no node
+// held and no rebuild, so the only reduction of its history was the check
+// that preceded seeding.
+func seededEngine(t *testing.T, tag string, rt *Runtime) {
+	t.Helper()
+	if !rt.Certifying() {
+		t.Fatalf("%s: the runtime is not certifying", tag)
+	}
+	rt.ix.mu.Lock()
+	live, rebuilds := rt.ix.inc.LiveNodes(), rt.ix.inc.Rebuilds()
+	rt.ix.mu.Unlock()
+	if live != 0 || rebuilds != 0 {
+		t.Fatalf("%s: the seeded engine holds %d nodes after %d rebuilds, want 0/0", tag, live, rebuilds)
+	}
+}
+
+// ledgerWrite is one root at entry comp writing item at the ledger.
+func ledgerWrite(comp, item string) Invocation {
+	return Invocation{Component: comp, Steps: []Step{{Invoke: &Invocation{Component: "ledger", Item: item, Mode: data.ModeWrite,
+		Steps: []Step{{Op: &data.Op{Mode: data.ModeWrite, Item: item, Arg: 1}}}}}}}
+}
+
+// TestRecoverCertifiedCrossedPairs crashes a certified open-nested diamond
+// runtime with a cut every 7 commits, among crossed-write pairs, and
+// recovers it. The recovered certifier is seeded, not re-run, and holds
+// the same line as before the crash: each crossed pair rejects exactly one
+// root, as TestCertifyCrossedPairsAtEveryCadence requires.
+func TestRecoverCertifiedCrossedPairs(t *testing.T) {
+	dir := t.TempDir() + "/wal"
+	rt := DiamondTopology().NewRuntime(OpenNested)
+	if err := rt.EnableCertify(); err != nil {
+		t.Fatal(err)
+	}
+	rt.EnableCheckpoints(CheckpointConfig{Every: 7})
+	if err := rt.EnableWAL(WALConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	pairs := func(rt *Runtime, tag string) {
+		for k := 0; k < 5; k++ {
+			errA, errB := submitCrossedWrites(t, rt, fmt.Sprintf("%sA%d", tag, k), fmt.Sprintf("%sB%d", tag, k))
+			if n := crossedRejects(t, errA, errB); n != 1 {
+				t.Fatalf("%s: pair %d: %d roots rejected, want exactly one (A=%v B=%v)", tag, k, n, errA, errB)
+			}
+			for i, comp := range []string{"agencyA", "agencyB"} {
+				if _, err := rt.Submit(fmt.Sprintf("%sP%d.%d", tag, k, i), ledgerWrite(comp, "x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	pairs(rt, "pre")
+	rt.SetFaults(FaultPlan{Triggers: []Trigger{{Site: FaultCrash, Txn: "crash", Step: "commit"}}})
+	if _, err := rt.Submit("crash", ledgerWrite("agencyA", "z")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crash injection: Submit returned %v, want ErrCrashed", err)
+	}
+	if rt.Checkpoints() == 0 {
+		t.Fatal("no checkpoint ran before the crash")
+	}
+
+	rec, err := Recover(WALConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Runtime.CloseWAL()
+	if !rec.Verdict.Correct || rec.Stats.Committed != 15 {
+		t.Fatalf("recovered %d commits, verdict %v; want 15, correct", rec.Stats.Committed, rec.Verdict)
+	}
+	seededEngine(t, "recovered", rec.Runtime)
+	rec.Runtime.EnableCheckpoints(CheckpointConfig{Every: 7})
+	pairs(rec.Runtime, "post")
+	if m := rec.Runtime.Metrics(); m.Commits != 30 || m.CertifyRejects != 5 {
+		t.Fatalf("after recovery: commits=%d rejects=%d, want 30/5", m.Commits, m.CertifyRejects)
+	}
+}
+
+// TestEnableCertifyOverHistory turns certification on over an uncertified
+// history. A violating one — the crossed writes open nesting lets through
+// — is refused with a CertifyError naming no root, and certification
+// stays off; a correct one is checked once and seeds the engine, which
+// then rejects a crossed pair as a runtime certified from the start does.
+func TestEnableCertifyOverHistory(t *testing.T) {
+	bad := DiamondTopology().NewRuntime(OpenNested)
+	if errA, errB := submitCrossedWrites(t, bad, "TA", "TB"); errA != nil || errB != nil {
+		t.Fatalf("uncertified crossed writes: A=%v B=%v, want both committed", errA, errB)
+	}
+	err := bad.EnableCertify()
+	var cerr *CertifyError
+	if !errors.As(err, &cerr) || !errors.Is(err, ErrCertifyViolation) || cerr.Root != "" ||
+		cerr.Verdict == nil || cerr.Verdict.Correct {
+		t.Fatalf("EnableCertify over a violating history: %v, want a CertifyError with no root and a failure verdict", err)
+	}
+	if want, _ := front.Check(bad.RecordedSystem(), front.Options{}); cerr.Verdict.String() != want.String() {
+		t.Fatalf("seed verdict %q, Check of the recorded system %q", cerr.Verdict, want)
+	}
+	if bad.Certifying() {
+		t.Fatal("a refused history left certification on")
+	}
+
+	good := DiamondTopology().NewRuntime(OpenNested)
+	for i, comp := range []string{"agencyA", "agencyB", "agencyA"} {
+		if _, err := good.Submit(fmt.Sprintf("T%d", i), ledgerWrite(comp, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := good.EnableCertify(); err != nil {
+		t.Fatal(err)
+	}
+	seededEngine(t, "seeded", good)
+	errA, errB := submitCrossedWrites(t, good, "TA", "TB")
+	if n := crossedRejects(t, errA, errB); n != 1 {
+		t.Fatalf("%d roots of the crossed pair rejected, want exactly one (A=%v B=%v)", n, errA, errB)
 	}
 }

@@ -683,14 +683,14 @@ func (cl *Cluster) Settle(timeout time.Duration) error {
 // logs at rest or just crashed (Abandon leaves exactly the durable
 // prefix); of a live log it sees what is written, fsynced or not.
 func CheckEnded(root string) error {
-	recs, _, err := wal.ReadAll(coordDir(root))
+	scan, err := wal.ScanDir(coordDir(root))
 	if err != nil {
 		return err
 	}
 	updaters := map[string][]string{}
 	committedAt := map[string]map[string]bool{}
-	for i := range recs {
-		rec := &recs[i]
+	for i := range scan.Records {
+		rec := &scan.Records[i]
 		if rec.Type == wal.TypeDecision && rec.Mode == "commit" {
 			var parts []string
 			if err := json.Unmarshal(rec.Meta, &parts); err != nil {
@@ -703,12 +703,12 @@ func CheckEnded(root string) error {
 		}
 		for _, part := range updaters[rec.Txn] {
 			if committedAt[part] == nil {
-				precs, _, err := wal.ReadAll(partDir(root, part))
+				pscan, err := wal.ScanDir(partDir(root, part))
 				if err != nil {
 					return err
 				}
 				committedAt[part] = map[string]bool{}
-				for _, pr := range precs {
+				for _, pr := range pscan.Records {
 					if pr.Type == wal.TypeDecision && pr.Mode == "commit" {
 						committedAt[part][pr.Txn] = true
 					}

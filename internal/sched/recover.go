@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,7 +32,8 @@ import (
 // prefix was certified before the cut dropped it, and no attempt outlives
 // the crash, so every recovered event precedes every later one: verifying
 // the tail is verifying everything the recovered process can still be
-// asked about.
+// asked about. That check is the recovery's one reduction: a certified
+// log's certifier is seeded from the checked system (enableCertify).
 
 // ErrRecoveredViolation is returned by Recover when the recovered
 // committed execution fails the Comp-C check. The Recovered value is
@@ -73,9 +73,9 @@ type Recovered struct {
 // Recover rebuilds a runtime from the write-ahead log in cfg.Dir: torn
 // tail truncated, the last durable checkpoint restored as the baseline,
 // the committed tail redone, in-flight work undone and journaled,
-// quarantines re-reported, and the recovered execution re-verified
-// against Comp-C. On a verdict failure the Recovered value is returned
-// together with ErrRecoveredViolation.
+// quarantines re-reported, and the recovered execution validated and
+// checked against Comp-C, once. On a verdict failure the Recovered value
+// is returned together with ErrRecoveredViolation.
 func Recover(cfg WALConfig) (*Recovered, error) {
 	scan, err := wal.ScanDir(cfg.Dir)
 	if err != nil {
@@ -227,11 +227,17 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	}
 	// Logs written before stages were journaled parents-first hold a
 	// subtransaction after its subtree. A child's ID is its parent's plus
-	// "/k", so a stable sort on depth puts every parent first and keeps
-	// sibling order.
-	slices.SortStableFunc(tail.nodes, func(a, b nodeDecl) int {
-		return cmp.Compare(strings.Count(string(a.id), "/"), strings.Count(string(b.id), "/"))
-	})
+	// "/k", so a stable sort on depth (bucketed, each counted once) puts
+	// every parent first and keeps sibling order.
+	var byDepth [][]nodeDecl
+	for _, n := range tail.nodes {
+		d := strings.Count(string(n.id), "/")
+		for len(byDepth) <= d {
+			byDepth = append(byDepth, nil)
+		}
+		byDepth[d] = append(byDepth[d], n)
+	}
+	tail.nodes = slices.Concat(byDepth...)
 	rt.ix.scheds = ck.Schedules
 	rt.ix.file(&tail)
 	rt.commits.Store(int64(stats.Committed))
@@ -256,15 +262,11 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	if !verdict.Correct {
 		return out, ErrRecoveredViolation
 	}
-	// Certify mode survives the crash: rebuild the certifier over the
-	// recovered committed history, so the recovered runtime keeps
-	// rejecting violating commits exactly where the crashed one would.
-	// (The unguarded variant: the recovered log's metadata already
-	// records certify mode, so the EnableCertify/EnableWAL ordering
-	// check does not apply.)
+	// Certify mode survives the crash, seeded from the system just
+	// checked: no attempt outlives the crash, so every root retires.
 	if meta.Certify {
-		if err := rt.enableCertify(); err != nil {
-			return out, fmt.Errorf("sched: rebuilding certifier from recovered history: %w", err)
+		if err := rt.enableCertify(sys); err != nil {
+			return out, fmt.Errorf("sched: seeding certifier from recovered history: %w", err)
 		}
 	}
 	return out, nil

@@ -48,8 +48,8 @@ type walMeta struct {
 	Protocol string       `json:"protocol"`
 	Topology topologyJSON `json:"topology"`
 	// Certify records live-certification mode (EnableCertify before
-	// EnableWAL), so Recover rebuilds the certifier over the recovered
-	// history.
+	// EnableWAL), so Recover turns certification back on, seeded from the
+	// recovered history it has just checked.
 	Certify bool `json:"certify,omitempty"`
 	// Dist marks a distributed coordinator log (2PC decisions instead of
 	// commit markers): recover it with RecoverCoordinator, not Recover.

@@ -173,12 +173,12 @@ func retainedLog(dir string, storeItems int) (bytes int64, sinceBase int, err er
 		}
 		bytes += fi.Size()
 	}
-	recs, _, err := wal.ReadAll(dir)
+	scan, err := wal.ScanDir(dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	batch := 0
-	for _, rec := range recs {
+	for _, rec := range scan.Records {
 		switch rec.Type {
 		case wal.TypeCkItem:
 			batch++
