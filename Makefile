@@ -116,18 +116,22 @@ distperf:
 # certification inside the checkpoint gate), the engine's parking tests
 # (Admit that parks against Append that never does) and rollback law (a
 # refused delta leaves no trace, on journaled and candidate engines,
-# propagated inputs and checkpoint folds included), the recycled commit
+# propagated inputs and retire folds included), the recycled commit
 # path (the per-commit allocation budget, logged only under -race, and no
 # state of a recycled attempt reaching the next root), stages journaled
 # parents-first and the format-freeze corpus certified after recovery, and
 # the E17 cells (8 clients on the 10%-conflict mix: no lost commit, no
 # reject, the engine actually parking) with E12's counts (the engine
 # agrees with a from-scratch Check on every prefix of 256 commits and
-# rebuilds only on level changes).
+# rebuilds only on level changes). The race lines also hold Check to its
+# frozen verdicts and Encode bytes (TestCheckGolden); then, without the
+# race detector, 20 iterations of the checker benchmark run as a smoke
+# (BenchmarkCheckGeneral: B/op and allocs/op of one check-general system).
 certperf:
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestSeedEqualsRetiredAdmit|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit' ./internal/sched ./internal/front
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestSeedEqualsRetiredAdmit|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit|TestCheckGolden' ./internal/sched ./internal/front
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
+	$(GO) test -run '^$$' -bench CheckGeneral -benchtime 20x ./internal/front
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
 # seeds alone run under `go test ./...`, so under `make verify` too): the

@@ -38,14 +38,22 @@ func allocated(fn func()) uint64 {
 // execution of the check-general shape (seed 7: 605 nodes, Comp-C). At
 // the parent of the slot-table change (ae2da8b: a []Bitset row table per
 // relation, a map per node in ValidateStructure, three sort.Slice passes)
-// the same call allocated 2 067 672 B; the budget is 40 % of that, and
-// the change measured 514 624 B (25 %). The second budget is the
-// checkpoint fold's engine path: reset + load of the same system on an
-// already-loaded engine keeps every table and slab, so it must stay under
-// 5 % of a cold Check (measured 8 160 B, 1.6 %) — an engine that re-made
-// its per-node tables in load would pay for them on every fold.
+// the same call allocated 2 067 672 B. At 78226f6 (string-keyed forest,
+// sorted IDs, an interning map per check, the final front rebuilt as
+// strings for its serial witness) it allocated 514 632 B in 1 575
+// allocations; loading the engine from the forest's refs measured
+// 421 688 B in 766. The budgets sit between the two: 460 000 B and 850
+// allocations. The second budget is the retire fold's engine path: reset
+// + load of the same system on an already-loaded engine keeps every table
+// and slab, so it must stay under 5 % of a cold Check (measured 5 448 B,
+// 1.3 %) — an engine that re-made its per-node tables in load would pay
+// for them on every fold.
 func TestCheckByteBudget(t *testing.T) {
-	const parentBytes = 2067672
+	const (
+		parentBytes = 514632
+		budgetBytes = 460000
+		budgetAlloc = 850
+	)
 	sys := generalCorpus(7, 1)[0].Sys
 
 	var v *front.Verdict
@@ -54,9 +62,13 @@ func TestCheckByteBudget(t *testing.T) {
 	if err != nil || !v.Correct {
 		t.Fatalf("Check = %v, %v; the fixed execution is Comp-C", v, err)
 	}
-	t.Logf("cold Check: %d B (%.1f %% of the parent's %d B)", cold, 100*float64(cold)/parentBytes, parentBytes)
-	if cold > parentBytes*40/100 {
-		t.Errorf("cold Check allocates %d B, budget %d B", cold, parentBytes*40/100)
+	allocs := testing.AllocsPerRun(3, func() { front.Check(sys, front.Options{}) })
+	t.Logf("cold Check: %d B (%.1f %% of the parent's %d B), %.0f allocations", cold, 100*float64(cold)/parentBytes, parentBytes, allocs)
+	if cold > budgetBytes {
+		t.Errorf("cold Check allocates %d B, budget %d B", cold, budgetBytes)
+	}
+	if allocs > budgetAlloc {
+		t.Errorf("cold Check makes %.0f allocations, budget %d", allocs, budgetAlloc)
 	}
 
 	reload, err := front.LoadedEngine(sys)

@@ -159,88 +159,6 @@ func validateDelta(sys *model.System, d *Delta) error {
 		newNodes[dn.ID] = dn
 	}
 
-	// opSchedule of a node once the delta is applied: its parent's Sched.
-	opSched := func(id model.NodeID) (model.ScheduleID, bool) {
-		if dn := newNodes[id]; dn != nil {
-			if dn.Parent == "" {
-				return "", true
-			}
-			ps, _ := node(dn.Parent)
-			return ps, true
-		}
-		if nd := sys.Node(id); nd != nil {
-			if nd.Parent == "" {
-				return "", true
-			}
-			ps, _ := node(nd.Parent)
-			return ps, true
-		}
-		return "", false
-	}
-
-	checkOpPair := func(kind string, p DeltaPair) error {
-		if !hasSched(p.Sched) {
-			return fmt.Errorf("front: delta %s pair references unknown schedule %q", kind, p.Sched)
-		}
-		if p.A == p.B {
-			return fmt.Errorf("front: delta %s pair (%s, %s) of %s is reflexive", kind, p.A, p.B, p.Sched)
-		}
-		for _, id := range []model.NodeID{p.A, p.B} {
-			os, ok := opSched(id)
-			if !ok {
-				return fmt.Errorf("front: delta %s pair references unknown node %q", kind, id)
-			}
-			if os != p.Sched {
-				return fmt.Errorf("front: delta %s pair endpoint %q is not an operation of %s", kind, id, p.Sched)
-			}
-		}
-		return nil
-	}
-	for _, p := range d.Conflicts {
-		if err := checkOpPair("conflict", p); err != nil {
-			return err
-		}
-	}
-	for _, p := range d.WeakOut {
-		if err := checkOpPair("weak-output", p); err != nil {
-			return err
-		}
-	}
-	for _, p := range d.StrongOut {
-		if err := checkOpPair("strong-output", p); err != nil {
-			return err
-		}
-	}
-
-	checkTxPair := func(kind string, p DeltaPair) error {
-		if !hasSched(p.Sched) {
-			return fmt.Errorf("front: delta %s pair references unknown schedule %q", kind, p.Sched)
-		}
-		if p.A == p.B {
-			return fmt.Errorf("front: delta %s pair (%s, %s) of %s is reflexive", kind, p.A, p.B, p.Sched)
-		}
-		for _, id := range []model.NodeID{p.A, p.B} {
-			sched, ok := node(id)
-			if !ok {
-				return fmt.Errorf("front: delta %s pair references unknown node %q", kind, id)
-			}
-			if sched != p.Sched {
-				return fmt.Errorf("front: delta %s pair endpoint %q is not a transaction of %s", kind, id, p.Sched)
-			}
-		}
-		return nil
-	}
-	for _, p := range d.WeakIn {
-		if err := checkTxPair("weak-input", p); err != nil {
-			return err
-		}
-	}
-	for _, p := range d.StrongIn {
-		if err := checkTxPair("strong-input", p); err != nil {
-			return err
-		}
-	}
-
 	parentOf := func(id model.NodeID) (model.NodeID, bool) {
 		if dn := newNodes[id]; dn != nil {
 			return dn.Parent, true
@@ -250,6 +168,45 @@ func validateDelta(sys *model.System, d *Delta) error {
 		}
 		return "", false
 	}
+	// opSched of a node once the delta is applied: its parent's Sched.
+	opSched := func(id model.NodeID) (model.ScheduleID, bool) {
+		p, ok := parentOf(id)
+		ps, _ := node(p)
+		return ps, ok
+	}
+
+	// Conflicts and output orders pair operations of the schedule, input
+	// orders its transactions.
+	for _, c := range []struct {
+		kind, role string
+		pairs      []DeltaPair
+		sched      func(model.NodeID) (model.ScheduleID, bool)
+	}{
+		{"conflict", "an operation", d.Conflicts, opSched},
+		{"weak-output", "an operation", d.WeakOut, opSched},
+		{"strong-output", "an operation", d.StrongOut, opSched},
+		{"weak-input", "a transaction", d.WeakIn, node},
+		{"strong-input", "a transaction", d.StrongIn, node},
+	} {
+		for _, p := range c.pairs {
+			if !hasSched(p.Sched) {
+				return fmt.Errorf("front: delta %s pair references unknown schedule %q", c.kind, p.Sched)
+			}
+			if p.A == p.B {
+				return fmt.Errorf("front: delta %s pair (%s, %s) of %s is reflexive", c.kind, p.A, p.B, p.Sched)
+			}
+			for _, id := range []model.NodeID{p.A, p.B} {
+				s, ok := c.sched(id)
+				if !ok {
+					return fmt.Errorf("front: delta %s pair references unknown node %q", c.kind, id)
+				}
+				if s != p.Sched {
+					return fmt.Errorf("front: delta %s pair endpoint %q is not %s of %s", c.kind, id, c.role, p.Sched)
+				}
+			}
+		}
+	}
+
 	for _, ip := range d.Intra {
 		tsched, ok := node(ip.Tx)
 		if !ok {
@@ -282,19 +239,21 @@ func SystemDelta(sys *model.System) *Delta {
 	for _, sc := range sys.Schedules() {
 		d.Schedules = append(d.Schedules, sc.ID)
 	}
-	var walk func(id model.NodeID)
-	walk = func(id model.NodeID) {
-		nd := sys.Node(id)
-		d.Nodes = append(d.Nodes, DeltaNode{ID: id, Parent: nd.Parent, Sched: nd.Sched})
-		for _, k := range sys.Children(id) {
-			walk(k)
-		}
-	}
 	for _, r := range sys.Roots() {
-		walk(r)
+		walkSorted(sys, r, func(dn DeltaNode) { d.Nodes = append(d.Nodes, dn) })
 	}
 	appendSchedulePairs(sys, d, nil)
 	return d
+}
+
+// walkSorted calls fn on the subtree of id, parents first and children
+// in ID order.
+func walkSorted(sys *model.System, id model.NodeID, fn func(DeltaNode)) {
+	nd := sys.Node(id)
+	fn(DeltaNode{ID: id, Parent: nd.Parent, Sched: nd.Sched})
+	for _, k := range sys.Children(id) {
+		walkSorted(sys, k, fn)
+	}
 }
 
 // DecomposeByRoot splits a system into one delta per root transaction, in
@@ -311,18 +270,10 @@ func DecomposeByRoot(sys *model.System) []*Delta {
 	rootOf := make(map[model.NodeID]int, sys.NumNodes())
 	for k, r := range roots {
 		deltas[k] = &Delta{}
-		for _, id := range sys.CompositeTransaction(r) {
-			rootOf[id] = k
-		}
-		var walk func(id model.NodeID)
-		walk = func(id model.NodeID) {
-			nd := sys.Node(id)
-			deltas[k].Nodes = append(deltas[k].Nodes, DeltaNode{ID: id, Parent: nd.Parent, Sched: nd.Sched})
-			for _, c := range sys.Children(id) {
-				walk(c)
-			}
-		}
-		walk(r)
+		walkSorted(sys, r, func(dn DeltaNode) {
+			deltas[k].Nodes = append(deltas[k].Nodes, dn)
+			rootOf[dn.ID] = k
+		})
 	}
 	for _, sc := range sys.Schedules() {
 		deltas[0].Schedules = append(deltas[0].Schedules, sc.ID)
@@ -345,17 +296,11 @@ func DecomposeByRoot(sys *model.System) []*Delta {
 func DecomposeSteps(sys *model.System) []*Delta {
 	pos := make(map[model.NodeID]int, sys.NumNodes())
 	var deltas []*Delta
-	var walk func(id model.NodeID)
-	walk = func(id model.NodeID) {
-		nd := sys.Node(id)
-		pos[id] = len(deltas)
-		deltas = append(deltas, &Delta{Nodes: []DeltaNode{{ID: id, Parent: nd.Parent, Sched: nd.Sched}}})
-		for _, k := range sys.Children(id) {
-			walk(k)
-		}
-	}
 	for _, r := range sys.Roots() {
-		walk(r)
+		walkSorted(sys, r, func(dn DeltaNode) {
+			pos[dn.ID] = len(deltas)
+			deltas = append(deltas, &Delta{Nodes: []DeltaNode{dn}})
+		})
 	}
 	if len(deltas) == 0 {
 		return []*Delta{SystemDelta(sys)}
@@ -383,26 +328,21 @@ func appendSchedulePairs(sys *model.System, d *Delta, pick func(a, b model.NodeI
 		return pick(a, b)
 	}
 	for _, sc := range sys.Schedules() {
-		sc.Conflicts.Each(func(a, b model.NodeID) {
-			t := target(a, b)
-			t.Conflicts = append(t.Conflicts, DeltaPair{Sched: sc.ID, A: a, B: b})
-		})
-		sc.WeakOut.Each(func(a, b model.NodeID) {
-			t := target(a, b)
-			t.WeakOut = append(t.WeakOut, DeltaPair{Sched: sc.ID, A: a, B: b})
-		})
-		sc.StrongOut.Each(func(a, b model.NodeID) {
-			t := target(a, b)
-			t.StrongOut = append(t.StrongOut, DeltaPair{Sched: sc.ID, A: a, B: b})
-		})
-		sc.WeakIn.Each(func(a, b model.NodeID) {
-			t := target(a, b)
-			t.WeakIn = append(t.WeakIn, DeltaPair{Sched: sc.ID, A: a, B: b})
-		})
-		sc.StrongIn.Each(func(a, b model.NodeID) {
-			t := target(a, b)
-			t.StrongIn = append(t.StrongIn, DeltaPair{Sched: sc.ID, A: a, B: b})
-		})
+		for _, rel := range []struct {
+			each func(func(a, b model.NodeID))
+			to   func(*Delta) *[]DeltaPair
+		}{
+			{sc.Conflicts.Each, func(t *Delta) *[]DeltaPair { return &t.Conflicts }},
+			{sc.WeakOut.Each, func(t *Delta) *[]DeltaPair { return &t.WeakOut }},
+			{sc.StrongOut.Each, func(t *Delta) *[]DeltaPair { return &t.StrongOut }},
+			{sc.WeakIn.Each, func(t *Delta) *[]DeltaPair { return &t.WeakIn }},
+			{sc.StrongIn.Each, func(t *Delta) *[]DeltaPair { return &t.StrongIn }},
+		} {
+			rel.each(func(a, b model.NodeID) {
+				to := rel.to(target(a, b))
+				*to = append(*to, DeltaPair{Sched: sc.ID, A: a, B: b})
+			})
+		}
 	}
 	for _, id := range sys.NodeIDs() {
 		nd := sys.Node(id)

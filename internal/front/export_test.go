@@ -9,15 +9,15 @@ func ParkedNodes(inc *Incremental) int { return inc.parkedNodes }
 // checkpoint fold's engine path — reset, then load the same system — for
 // the byte-budget test; reload reports whether the engine failed.
 func LoadedEngine(sys *model.System) (reload func() bool, err error) {
-	ids, levels, err := sys.Structure()
+	pre, levels, err := sys.Structure()
 	if err != nil {
 		return nil, err
 	}
-	eng := newIncEngine(levels, false, len(ids))
-	eng.load(sys, ids)
+	eng := newIncEngine(levels, false, len(pre))
+	eng.load(sys, pre)
 	return func() bool {
 		eng.reset()
-		eng.load(sys, ids)
+		eng.load(sys, pre)
 		return eng.failed
 	}, nil
 }

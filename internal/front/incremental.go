@@ -38,13 +38,12 @@ import (
 // reason, witness cycle, failed level, byte for byte. The property tests
 // in incremental_test.go assert this prefix by prefix.
 type Incremental struct {
-	opts        IncrementalOptions
-	sys         *model.System
-	ig          *order.Relation[model.ScheduleID]
-	levels      map[model.ScheduleID]int
-	eng         *incEngine
-	rebuilds    int
-	checkpoints int
+	opts     IncrementalOptions
+	sys      *model.System
+	ig       *order.Relation[model.ScheduleID]
+	levels   map[model.ScheduleID]int
+	eng      *incEngine
+	rebuilds int
 
 	// Deltas Admit parked, in park order (nil once absorbed), the index
 	// of each of their nodes, and their node and root counts.
@@ -118,9 +117,9 @@ func (inc *Incremental) Append(d *Delta) (*Verdict, error) {
 // isolated vertices to every constraint relation, and an isolated vertex
 // lies on no cycle, so the engine does not need it until a later delta
 // names one of its nodes: Admit absorbs the parked deltas a delta names
-// (as a parent or a pair endpoint) before admitting it, and System,
-// Append and Checkpoint absorb them all. A parked delta is validated when
-// it is absorbed; Retire drops it unabsorbed.
+// (as a parent or a pair endpoint) before admitting it, and System and
+// Append absorb them all. A parked delta is validated when it is
+// absorbed; Retire drops it unabsorbed.
 func (inc *Incremental) Admit(d *Delta) (*Verdict, error) {
 	if inc.parkable(d) {
 		inc.park(d)
@@ -160,7 +159,7 @@ func (inc *Incremental) absorb(k int32) error {
 	d.Apply(inc.sys)
 	inc.eng.ensureCap(len(inc.eng.ids) + len(d.Nodes))
 	for _, n := range d.Nodes {
-		inc.eng.addNode(n)
+		inc.eng.pos = append(inc.eng.pos, inc.eng.addDeltaNode(inc.sys, n))
 	}
 	return nil
 }
@@ -311,11 +310,11 @@ func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 			capN = inc.eng.capN
 		}
 		eng = newIncEngine(levels, inc.opts.PropagateInputs, capN)
-		eng.load(sys, sys.NodeIDs())
+		eng.load(sys, sys.Preorder())
 	} else {
 		n0 = len(eng.ids)
 		eng.jr.Begin()
-		eng.apply(d)
+		eng.apply(sys, d)
 	}
 	if eng.failed {
 		v, err := eng.verdict(false)
@@ -327,6 +326,7 @@ func (inc *Incremental) append(d *Delta, full bool) (*Verdict, error) {
 	if eng == inc.eng {
 		eng.jr.Commit()
 		d.Apply(sys)
+		eng.commit(n0)
 	} else {
 		inc.sys, inc.eng, inc.levels = sys, eng, levels
 		inc.rebuilds++
@@ -418,16 +418,20 @@ type incLevel struct {
 }
 
 // incEngine holds the interned-index reduction state for a fixed level
-// assignment: every NodeID becomes an int32 so relation rows are bitset
-// words and membership is a bit test, and every per-level structure is
-// maintained incrementally under pair insertion. Node indices are assigned
-// in arrival order (the stream fixes them); everything a verdict exposes
-// is put in NodeID order when it is materialized. Relations and node bits
-// are written through jr, which records while a delta is tentative.
+// assignment: every node is an int32 so relation rows are bitset words and
+// membership is a bit test, and every per-level structure is maintained
+// incrementally under pair insertion. A load numbers the system's nodes in
+// its parents-first preorder (model.System.Preorder), so each composite
+// transaction's rows are contiguous; later deltas' nodes are numbered in
+// arrival order. pos maps the system's refs to these indices; everything a
+// verdict exposes is put in NodeID order when it is materialized.
+// Relations and node bits are written through jr, which records while a
+// delta is tentative.
 type incEngine struct {
 	jr        *order.Journal
 	propagate bool    // IncrementalOptions.PropagateInputs
 	prop      []ipair // weak-input pairs the pass propagated, for flush
+	closed    []ipair // processLevel's scratch: the pairs one observed insert closed
 	failed    bool
 	failedAt  int // level whose queues tripped a reduction check, when failed
 
@@ -439,7 +443,8 @@ type incEngine struct {
 
 	capN      int
 	ids       []model.NodeID
-	idx       map[model.NodeID]int32
+	pos       []int32                // engine index of every node of the system, by model.NodeRef
+	tent      map[model.NodeID]int32 // engine index of the tentative delta's nodes
 	parent    []int32
 	sched     []int32 // schedule the node is a transaction of; -1 for leaves
 	opSched   []int32 // schedule the node is an operation of; -1 for roots
@@ -465,6 +470,12 @@ type incEngine struct {
 
 	lv []*incLevel
 
+	// Every relation and bitset over the index space, for reset and
+	// ensureCap.
+	rels    []*order.IndexRelation
+	closeds []*order.ClosedRelation
+	bitsets []*order.Bitset
+
 	// Pending frontier queues of the in-flight apply, indexed by level.
 	pObs, pWeakIn, pStrongIn, pE [][]ipair
 }
@@ -481,7 +492,6 @@ func newIncEngine(levels map[model.ScheduleID]int, propagate bool, capN int) *in
 		schedNum:  map[model.ScheduleID]int{},
 		capN:      capN,
 		ids:       make([]model.NodeID, 0, capN),
-		idx:       make(map[model.NodeID]int32, capN),
 		parent:    make([]int32, 0, capN),
 		sched:     make([]int32, 0, capN),
 		opSched:   make([]int32, 0, capN),
@@ -498,17 +508,18 @@ func newIncEngine(levels map[model.ScheduleID]int, propagate bool, capN int) *in
 		eng.schedIDs = append(eng.schedIDs, id)
 	}
 	slices.Sort(eng.schedIDs)
+	eng.ops = make([]order.Bitset, len(eng.schedIDs))
+	eng.txs = make([][]int32, len(eng.schedIDs))
 	for s, id := range eng.schedIDs {
 		eng.schedNum[id] = s
 		eng.slevel = append(eng.slevel, levels[id])
-		eng.ops = append(eng.ops, order.NewBitset(eng.capN))
-		eng.txs = append(eng.txs, nil)
-		eng.confDecl = append(eng.confDecl, order.NewIndexRelation(eng.capN).Journaled(eng.jr))
-		eng.confOut = append(eng.confOut, order.NewIndexRelation(eng.capN).Journaled(eng.jr))
-		eng.weakOutC = append(eng.weakOutC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
-		eng.weakInC = append(eng.weakInC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
-		eng.strongInC = append(eng.strongInC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
-		eng.intraC = append(eng.intraC, order.NewClosedRelation(eng.capN).Journaled(eng.jr))
+		eng.bitset(&eng.ops[s])
+		eng.confDecl = append(eng.confDecl, eng.rel())
+		eng.confOut = append(eng.confOut, eng.rel())
+		eng.weakOutC = append(eng.weakOutC, eng.closedRel())
+		eng.weakInC = append(eng.weakInC, eng.closedRel())
+		eng.strongInC = append(eng.strongInC, eng.closedRel())
+		eng.intraC = append(eng.intraC, eng.closedRel())
 	}
 	eng.schedsAt = make([][]int, eng.orderN+1)
 	for s := range eng.schedIDs {
@@ -516,70 +527,64 @@ func newIncEngine(levels map[model.ScheduleID]int, propagate bool, capN int) *in
 			eng.schedsAt[l] = append(eng.schedsAt[l], s)
 		}
 	}
-	eng.isLeaf = order.NewBitset(eng.capN)
-	eng.conf = order.NewIndexRelation(eng.capN).Journaled(eng.jr)
+	eng.bitset(&eng.isLeaf)
+	eng.conf = eng.rel()
 	eng.lv = make([]*incLevel, eng.orderN+1)
 	for l := range eng.lv {
-		st := &incLevel{
-			nodes:    order.NewBitset(eng.capN),
-			obs:      order.NewClosedRelation(eng.capN).Journaled(eng.jr),
-			cc:       order.NewClosedRelation(eng.capN).Journaled(eng.jr),
-			con:      order.NewIndexRelation(eng.capN).Journaled(eng.jr),
-			weakIn:   order.NewIndexRelation(eng.capN).Journaled(eng.jr),
-			strongIn: order.NewIndexRelation(eng.capN).Journaled(eng.jr),
-		}
+		st := &incLevel{obs: eng.closedRel(), cc: eng.closedRel(), con: eng.rel(), weakIn: eng.rel(), strongIn: eng.rel()}
+		eng.bitset(&st.nodes)
 		if l >= 1 {
-			st.e = order.NewIndexRelation(eng.capN).Journaled(eng.jr)
-			st.q = order.NewClosedRelation(eng.capN).Journaled(eng.jr)
+			st.e, st.q = eng.rel(), eng.closedRel()
 		}
 		eng.lv[l] = st
 	}
 	return eng
 }
 
+// rel, closedRel and bitset make and register a structure over the index
+// space.
+func (eng *incEngine) rel() *order.IndexRelation {
+	r := order.NewIndexRelation(eng.capN).Journaled(eng.jr)
+	eng.rels = append(eng.rels, r)
+	return r
+}
+
+func (eng *incEngine) closedRel() *order.ClosedRelation {
+	c := order.NewClosedRelation(eng.capN).Journaled(eng.jr)
+	eng.closeds = append(eng.closeds, c)
+	return c
+}
+
+func (eng *incEngine) bitset(b *order.Bitset) {
+	*b = order.NewBitset(eng.capN)
+	eng.bitsets = append(eng.bitsets, b)
+}
+
 // reset returns the engine to its empty state in place, keeping every
-// allocated structure — the interning map's buckets, the per-node tables,
-// the slot tables and the slabs — for the replay that follows a
-// checkpoint fold. Valid only while the level assignment is unchanged:
-// the per-schedule and per-level skeletons (and capN, so row widths stay
-// consistent) are retained, which spares the fold both the ~dozens of
-// fresh relation allocations and the doubling ladder of slab
-// re-layouts as the next window refills.
+// allocated structure — the per-node tables, the slot tables and the
+// slabs — for the replay that follows a retirement fold. Valid only while
+// the level assignment is unchanged: the per-schedule and per-level
+// skeletons (and capN, so row widths stay consistent) are retained, which
+// spares the fold both the ~dozens of fresh relation allocations and the
+// doubling ladder of slab re-layouts as the next window refills.
 func (eng *incEngine) reset() {
 	used := len(eng.ids)
 	eng.failed = false
-	eng.ids = eng.ids[:0]
-	clear(eng.idx)
-	eng.parent = eng.parent[:0]
-	eng.sched = eng.sched[:0]
-	eng.opSched = eng.opSched[:0]
-	eng.entry = eng.entry[:0]
-	eng.exitL = eng.exitL[:0]
-	clear(eng.isLeaf)
-	eng.children = eng.children[:0]
+	eng.ids, eng.pos, eng.parent, eng.sched = eng.ids[:0], eng.pos[:0], eng.parent[:0], eng.sched[:0]
+	eng.opSched, eng.entry, eng.exitL, eng.children = eng.opSched[:0], eng.entry[:0], eng.exitL[:0], eng.children[:0]
+	clear(eng.tent)
 	eng.rootCount = 0
-	eng.conf.Reset(used)
-	for s := range eng.schedIDs {
-		clear(eng.ops[s])
+	for s := range eng.txs {
 		eng.txs[s] = eng.txs[s][:0]
-		eng.confDecl[s].Reset(used)
-		eng.confOut[s].Reset(used)
-		eng.weakOutC[s].Reset(used)
-		eng.weakInC[s].Reset(used)
-		eng.strongInC[s].Reset(used)
-		eng.intraC[s].Reset(used)
 	}
-	for _, st := range eng.lv {
-		clear(st.nodes)
-		st.obs.Reset(used)
-		st.cc.Reset(used)
-		st.con.Reset(used)
-		st.weakIn.Reset(used)
-		st.strongIn.Reset(used)
-		if st.e != nil {
-			st.e.Reset(used)
-			st.q.Reset(used)
-		}
+	for _, r := range eng.rels {
+		r.Reset(used)
+	}
+	for _, c := range eng.closeds {
+		c.Reset(used)
+	}
+	for _, b := range eng.bitsets {
+		clear(*b)
 	}
 }
 
@@ -590,97 +595,148 @@ func (eng *incEngine) ensureCap(n int) {
 	if n <= eng.capN {
 		return
 	}
-	c := eng.capN
-	for c < n {
-		c *= 2
+	for eng.capN < n {
+		eng.capN *= 2
 	}
-	eng.capN = c
-	eng.isLeaf = eng.isLeaf.Grow(c)
-	eng.conf.Grow(c)
-	for s := range eng.schedIDs {
-		eng.ops[s] = eng.ops[s].Grow(c)
-		eng.confDecl[s].Grow(c)
-		eng.confOut[s].Grow(c)
-		eng.weakOutC[s].Grow(c)
-		eng.weakInC[s].Grow(c)
-		eng.strongInC[s].Grow(c)
-		eng.intraC[s].Grow(c)
+	for _, r := range eng.rels {
+		r.Grow(eng.capN)
 	}
-	for _, st := range eng.lv {
-		st.nodes = st.nodes.Grow(c)
-		st.obs.Grow(c)
-		st.cc.Grow(c)
-		st.con.Grow(c)
-		st.weakIn.Grow(c)
-		st.strongIn.Grow(c)
-		if st.e != nil {
-			st.e.Grow(c)
-			st.q.Grow(c)
-		}
+	for _, c := range eng.closeds {
+		c.Grow(eng.capN)
+	}
+	for _, b := range eng.bitsets {
+		*b = b.Grow(eng.capN)
 	}
 }
 
-// apply runs one validated delta through the engine: phase A routes every
-// new node and generating pair into per-level pending queues; phase B
-// (drain) empties the queues level by level.
-func (eng *incEngine) apply(d *Delta) {
+// apply runs one validated delta for sys through the engine, tentatively:
+// phase A routes every new node and generating pair into per-level
+// pending queues; phase B (drain) empties the queues level by level. The
+// delta's nodes are not in sys yet; commit maps them once it is applied.
+func (eng *incEngine) apply(sys *model.System, d *Delta) {
 	eng.begin(len(d.Nodes))
-	for _, dn := range d.Nodes {
-		eng.addNode(dn)
+	if eng.tent == nil {
+		eng.tent = make(map[model.NodeID]int32, len(d.Nodes))
 	}
+	for _, dn := range d.Nodes {
+		eng.tent[dn.ID] = eng.addDeltaNode(sys, dn)
+	}
+	at := func(id model.NodeID) int { return int(eng.index(sys, id)) }
 	for _, p := range d.Conflicts {
-		eng.addConflict(eng.schedNum[p.Sched], int(eng.idx[p.A]), int(eng.idx[p.B]))
+		eng.addConflict(eng.schedNum[p.Sched], at(p.A), at(p.B))
 	}
 	for _, p := range d.WeakOut {
-		eng.addWeakOut(eng.schedNum[p.Sched], int(eng.idx[p.A]), int(eng.idx[p.B]))
+		eng.addWeakOut(eng.schedNum[p.Sched], at(p.A), at(p.B))
 	}
 	for _, p := range d.StrongOut {
-		eng.addWeakOut(eng.schedNum[p.Sched], int(eng.idx[p.A]), int(eng.idx[p.B])) // ≪ ⊆ ≺
+		eng.addWeakOut(eng.schedNum[p.Sched], at(p.A), at(p.B)) // ≪ ⊆ ≺
 	}
 	for _, p := range d.WeakIn {
-		eng.addWeakIn(eng.schedNum[p.Sched], int(eng.idx[p.A]), int(eng.idx[p.B]), false)
+		eng.addWeakIn(eng.schedNum[p.Sched], at(p.A), at(p.B), false)
 	}
 	for _, p := range d.StrongIn {
-		eng.addWeakIn(eng.schedNum[p.Sched], int(eng.idx[p.A]), int(eng.idx[p.B]), true)
+		eng.addWeakIn(eng.schedNum[p.Sched], at(p.A), at(p.B), true)
 	}
 	for _, ip := range d.Intra {
-		eng.addIntra(int(eng.idx[ip.Tx]), int(eng.idx[ip.A]), int(eng.idx[ip.B]))
+		eng.addIntra(at(ip.Tx), at(ip.A), at(ip.B))
 	}
 	eng.drain()
 }
 
+// index returns the engine index of node id: a node of sys, or one of the
+// tentative delta's.
+func (eng *incEngine) index(sys *model.System, id model.NodeID) int32 {
+	if r := sys.Ref(id); r != model.NoRef {
+		return eng.pos[r]
+	}
+	return eng.tent[id]
+}
+
+// addDeltaNode adds a delta's node, whose parent is a node of sys or an
+// earlier node of the delta, and returns its engine index.
+func (eng *incEngine) addDeltaNode(sys *model.System, dn DeltaNode) int32 {
+	pi, si := int32(-1), int32(-1)
+	if dn.Parent != "" {
+		pi = eng.index(sys, dn.Parent)
+	}
+	if dn.Sched != "" {
+		si = int32(eng.schedNum[dn.Sched])
+	}
+	return eng.addNode(dn.ID, pi, si)
+}
+
+// commit maps the nodes the admitted pass added from index n0 on — now
+// applied to the system, whose refs they take in delta order.
+func (eng *incEngine) commit(n0 int) {
+	for i := n0; i < len(eng.ids); i++ {
+		eng.pos = append(eng.pos, int32(i))
+	}
+	clear(eng.tent)
+}
+
 // load runs a whole system through an empty engine as one delta, reading
 // sys in place: no Delta is built and nothing is copied. sys must be
-// structurally valid and ids its sorted node IDs (model.System.Structure
-// gives both); its relation pairs need not be valid — a pair naming an unknown node, or a node outside the
-// domain Definitions 2–3 give the relation (operations of the schedule
-// for conflicts and output orders, its transactions for input orders, the
-// transaction's own operations for intra orders), is ignored, which is
-// what validateDelta guarantees apply never sees.
-func (eng *incEngine) load(sys *model.System, ids []model.NodeID) {
-	eng.begin(len(ids))
-	var add func(id model.NodeID)
-	add = func(id model.NodeID) {
-		if _, done := eng.idx[id]; done {
-			return
+// structurally valid and pre its parents-first preorder
+// (model.System.Structure or Preorder gives it); the engine numbers the
+// nodes in that order. Its relation pairs need not be valid — a pair
+// naming an unknown node, or a node outside the domain Definitions 2–3
+// give the relation (operations of the schedule for conflicts and output
+// orders, its transactions for input orders, the transaction's own
+// operations for intra orders), is ignored, which is what validateDelta
+// guarantees apply never sees.
+func (eng *incEngine) load(sys *model.System, pre []model.NodeRef) {
+	eng.begin(len(pre))
+	snum := make([]int32, sys.NumSchedules()) // system schedule number → engine's
+	for k := range snum {
+		snum[k] = -1
+		if s, ok := eng.schedNum[sys.ScheduleAt(k).ID]; ok {
+			snum[k] = int32(s)
 		}
-		nd := sys.Node(id)
-		if nd.Parent != "" {
-			add(nd.Parent) // parents first
-		}
-		eng.addNode(DeltaNode{ID: id, Parent: nd.Parent, Sched: nd.Sched})
 	}
-	for _, id := range ids {
-		add(id)
+	// The engine is empty, so the k-th node of pre gets index k. Size every
+	// child list and transaction list up front: one backing array holds
+	// all the child lists.
+	eng.pos = slices.Grow(eng.pos[:0], sys.NumNodes())[:sys.NumNodes()]
+	for k, r := range pre {
+		eng.pos[r] = int32(k)
+	}
+	nkids := make([]int32, len(pre))
+	ntxs := make([]int, len(eng.txs))
+	for _, r := range pre {
+		nd := sys.At(r)
+		if p := nd.ParentRef(); p != model.NoRef {
+			nkids[eng.pos[p]]++
+		}
+		if k := nd.SchedNum(); k >= 0 && snum[k] >= 0 {
+			ntxs[snum[k]]++
+		}
+	}
+	for s, n := range ntxs {
+		eng.txs[s] = slices.Grow(eng.txs[s], n)
+	}
+	kids := make([]int32, len(pre))
+	for k, r := range pre {
+		nd := sys.At(r)
+		pi, si := int32(-1), int32(-1)
+		if p := nd.ParentRef(); p != model.NoRef {
+			pi = eng.pos[p] // parents first
+		}
+		if k := nd.SchedNum(); k >= 0 {
+			si = snum[k]
+		}
+		eng.addNode(nd.ID, pi, si)
+		eng.children[k], kids = kids[:0:nkids[k]], kids[nkids[k]:]
 	}
 
 	// pair resolves (a, b) to indices when both nodes are known and of[·]
 	// (opSched, sched or parent) maps both to want.
 	pair := func(of []int32, want int, a, b model.NodeID) (i, j int32, ok bool) {
-		i, iok := eng.idx[a]
-		j, jok := eng.idx[b]
-		ok = iok && jok && of[i] == int32(want) && of[j] == int32(want)
-		return i, j, ok
+		ra, rb := sys.Ref(a), sys.Ref(b)
+		if ra == model.NoRef || rb == model.NoRef {
+			return 0, 0, false
+		}
+		i, j = eng.pos[ra], eng.pos[rb]
+		return i, j, of[i] == int32(want) && of[j] == int32(want)
 	}
 	for s, id := range eng.schedIDs {
 		sc := sys.Schedule(id)
@@ -707,7 +763,7 @@ func (eng *incEngine) load(sys *model.System, ids []model.NodeID) {
 			}
 		})
 	}
-	for t, id := range eng.ids {
+	for t, r := range pre {
 		if eng.sched[t] < 0 {
 			continue
 		}
@@ -716,7 +772,7 @@ func (eng *incEngine) load(sys *model.System, ids []model.NodeID) {
 				eng.addIntra(t, int(i), int(j))
 			}
 		}
-		nd := sys.Node(id)
+		nd := sys.At(r)
 		if nd.WeakIntra != nil {
 			nd.WeakIntra.Each(intra)
 		}
@@ -775,8 +831,8 @@ func (eng *incEngine) pushE(l int, a, b int32) { eng.pE[l] = append(eng.pE[l], i
 // relation words and node bits; the nodes are dropped, newest first.
 func (eng *incEngine) rollback(n0 int) {
 	eng.jr.Rollback()
+	clear(eng.tent)
 	for i := len(eng.ids) - 1; i >= n0; i-- {
-		delete(eng.idx, eng.ids[i])
 		if p := eng.parent[i]; p >= 0 {
 			eng.children[p] = eng.children[p][:len(eng.children[p])-1]
 		} else {
@@ -799,26 +855,23 @@ func (eng *incEngine) flush(sys *model.System) {
 	}
 }
 
-// addNode interns one forest node and fixes its static membership
+// addNode numbers one forest node — its parent's index pi and its home
+// schedule si, or -1 for a root or a leaf — and fixes its static membership
 // interval: a node is in the level-l front for entry ≤ l < exit, where
 // leaves enter at 0, transactions at their schedule's level, and every
 // non-root is reduced at its operation schedule's level (roots never are).
-func (eng *incEngine) addNode(dn DeltaNode) {
+// It returns the node's index.
+func (eng *incEngine) addNode(id model.NodeID, pi, si int32) int32 {
 	i := int32(len(eng.ids))
-	eng.ids = append(eng.ids, dn.ID)
-	eng.idx[dn.ID] = i
+	eng.ids = append(eng.ids, id)
 	eng.children = append(eng.children, nil)
 
-	pi := int32(-1)
-	if dn.Parent != "" {
-		pi = eng.idx[dn.Parent]
+	if pi >= 0 {
 		eng.children[pi] = append(eng.children[pi], i)
 	}
 	eng.parent = append(eng.parent, pi)
 
-	si := int32(-1)
-	if dn.Sched != "" {
-		si = int32(eng.schedNum[dn.Sched])
+	if si >= 0 {
 		eng.txs[si] = append(eng.txs[si], i)
 	} else {
 		eng.jr.Set(eng.isLeaf, int(i))
@@ -847,6 +900,7 @@ func (eng *incEngine) addNode(dn DeltaNode) {
 	for l := int(en); l < int(ex) && l <= eng.orderN; l++ {
 		eng.jr.Set(eng.lv[l].nodes, int(i))
 	}
+	return i
 }
 
 // group maps a node to its level-l reduction group: its parent when the
@@ -1092,13 +1146,14 @@ func (eng *incEngine) processLevel(l int) {
 			break
 		}
 		st.cc.Insert(a, b)
-		var closed []ipair
+		closed := eng.closed[:0]
 		st.obs.InsertFunc(a, b, func(x, y int) {
 			closed = append(closed, ipair{int32(x), int32(y)})
 		})
 		for _, c := range closed {
 			eng.obsPair(l, int(c.a), int(c.b))
 		}
+		eng.closed = closed
 	}
 	if eng.failed {
 		return
@@ -1143,8 +1198,8 @@ func (eng *incEngine) processLevel(l int) {
 // verdict assembles the verdict of the accumulated execution, identical
 // to the reference's: the same step reports (schedule-ascending,
 // NodeID-sorted Reduced lists), the same materialized fronts (every level
-// the reduction built when keepFronts, else the final one on success), and
-// on success the same serial witness, on failure the same diagnostics.
+// the reduction built, when keepFronts), and on success the same serial
+// witness, on failure the same diagnostics.
 func (eng *incEngine) verdict(keepFronts bool) (*Verdict, error) {
 	v := &Verdict{Order: eng.orderN, FailedLevel: -1}
 	last := eng.orderN // level of the last step attempted
@@ -1174,16 +1229,16 @@ func (eng *incEngine) verdict(keepFronts bool) (*Verdict, error) {
 		return v, nil
 	}
 
-	for l := 0; l <= last; l++ {
-		if keepFronts || l == last {
+	if keepFronts {
+		for l := 0; l <= last; l++ {
 			v.Fronts = append(v.Fronts, eng.materialize(l))
 		}
 	}
-	final := v.Fronts[len(v.Fronts)-1]
-	if final.Len() != eng.rootCount {
-		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", eng.orderN, final.Len(), eng.rootCount)
+	final := eng.lv[last]
+	if n := final.nodes.Count(); n != eng.rootCount {
+		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", eng.orderN, n, eng.rootCount)
 	}
-	serial, ok := final.SerialWitness()
+	serial, ok := eng.serialOrder(final)
 	if !ok {
 		// Cannot happen: every insert passed the CC sentinel.
 		return nil, fmt.Errorf("front: CC level-%d front has no topological order", eng.orderN)
@@ -1266,6 +1321,36 @@ func (eng *incEngine) diagnose(rep *StepReport) error {
 		return nil
 	}
 	return fmt.Errorf("front: reduction failed at level %d but no violated check was found (engine bug)", l)
+}
+
+// serialOrder is the reference's SerialWitness — Relation.TopoSort of
+// <o ∪ → over the final front — on indices: Kahn's algorithm, always
+// taking the ready node of smallest NodeID. It fails iff the union is
+// cyclic over the front.
+func (eng *incEngine) serialOrder(st *incLevel) ([]model.NodeID, bool) {
+	nodes := eng.sortedByID(st.nodes)
+	row := order.NewBitset(eng.capN)
+	succ := func(u int32, fn func(v int)) {
+		clear(row)
+		row.OrAnd(st.obs.Row(int(u)), st.nodes)
+		row.OrAnd(st.weakIn.Row(int(u)), st.nodes)
+		row.Each(fn)
+	}
+	indeg := make([]int32, len(eng.ids))
+	for _, u := range nodes {
+		succ(u, func(v int) { indeg[v]++ })
+	}
+	out := make([]model.NodeID, 0, len(nodes))
+	for len(out) < len(nodes) {
+		k := slices.IndexFunc(nodes, func(u int32) bool { return indeg[u] == 0 })
+		if k < 0 {
+			return nil, false
+		}
+		indeg[nodes[k]] = -1
+		out = append(out, eng.ids[nodes[k]])
+		succ(nodes[k], func(v int) { indeg[v]-- })
+	}
+	return out, true
 }
 
 // sortedByID lists the node indices of set in ascending NodeID order — the

@@ -167,7 +167,7 @@ func TestParkingEligibility(t *testing.T) {
 }
 
 // TestParkingFold: Retire of every root leaves a parking engine empty, as
-// Checkpoint of every root leaves an engine that never parked.
+// it leaves an engine that never parked.
 func TestParkingFold(t *testing.T) {
 	foldedParked := false
 	parkingStreams(func(tag string, deltas []*front.Delta) {
@@ -181,8 +181,8 @@ func TestParkingFold(t *testing.T) {
 		}
 		foldedParked = foldedParked || front.ParkedNodes(parking) > 0
 		roots := appending.System().Roots()
-		if _, err := appending.Checkpoint(roots); err != nil {
-			t.Fatalf("%s: Checkpoint: %v", tag, err)
+		if err := appending.Retire(roots); err != nil {
+			t.Fatalf("%s: Retire of the appending engine: %v", tag, err)
 		}
 		if err := parking.Retire(roots); err != nil {
 			t.Fatalf("%s: Retire: %v", tag, err)

@@ -7,12 +7,12 @@ import (
 	"compositetx/internal/model"
 )
 
-// Checkpointing: once a prefix of roots is fully committed and certified
+// Retirement: once a prefix of roots is fully committed and certified
 // correct, the engine no longer needs its nodes to decide the correctness
 // of what follows — provided nothing that arrives later references them.
-// Checkpoint and Retire drop such a prefix from the accumulated system and
-// from every per-level closure, so the engine's memory tracks the live
-// suffix instead of the whole history.
+// Retire drops such a prefix from the accumulated system and from every
+// per-level closure, so the engine's memory tracks the live suffix instead
+// of the whole history; Seed builds the engine a full retirement leaves.
 //
 // Soundness is the multi-level serial-witness argument (Börger/Schewe/
 // Wang; Biswas & Enea for the flat case): a committed, certified prefix
@@ -30,38 +30,20 @@ import (
 // pruned system, save that the invocation graph keeps the dropped roots'
 // edges: Append/Admit verdicts over any later stream are byte-identical to
 // CheckReference over the accumulated (pruned) system when its levels
-// agree — the checkpoint property tests assert this across fold boundaries.
-
-// CheckpointSummary describes one fold: the composite transactions and
-// forest nodes it dropped.
-type CheckpointSummary struct {
-	Roots int
-	Nodes int
-}
-
-// Checkpoints counts completed folds.
-func (inc *Incremental) Checkpoints() int { return inc.checkpoints }
+// agree — the retire property tests (retire_test.go) assert this across
+// fold boundaries.
 
 // LiveNodes returns the number of forest nodes currently accumulated,
 // parked ones included — the engine's memory watermark gauge.
 func (inc *Incremental) LiveNodes() int { return inc.sys.NumNodes() + inc.parkedNodes }
 
-// Checkpoint folds the given committed roots — each with its entire
-// subtree — out of the engine. Every id must be a root of the accumulated
-// system. After the call, later deltas must not reference any folded
-// node: such a delta is rejected by validation.
-// Parked deltas are absorbed first. On error nothing else is changed.
-func (inc *Incremental) Checkpoint(roots []model.NodeID) (*CheckpointSummary, error) {
-	if err := inc.absorbAll(); err != nil {
-		return nil, err
-	}
-	return inc.fold(roots)
-}
-
-// Retire is Checkpoint of the given roots, except that a parked root is
-// dropped unabsorbed — an isolated vertex needs no reduction to be
-// forgotten — and with it the rest of its parked delta. Every id must be
-// a root of the accumulated system or of a parked delta.
+// Retire folds the given committed roots — each with its entire subtree —
+// out of the engine. A parked root is dropped unabsorbed — an isolated
+// vertex needs no reduction to be forgotten — and with it the rest of its
+// parked delta. Every id must be a root of the accumulated system or of a
+// parked delta, named once. After the call, later deltas must not
+// reference any retired node: such a delta is rejected by validation. On
+// error nothing is changed.
 func (inc *Incremental) Retire(roots []model.NodeID) error {
 	var kept []model.NodeID
 	var buf [4]int32
@@ -73,7 +55,7 @@ func (inc *Incremental) Retire(roots []model.NodeID) error {
 			parked = append(parked, k)
 		}
 	}
-	if _, err := inc.fold(kept); err != nil {
+	if err := inc.fold(kept); err != nil {
 		return err
 	}
 	nodes := 0
@@ -116,35 +98,25 @@ func Seed(sys *model.System, opts IncrementalOptions) (*Incremental, error) {
 	}, nil
 }
 
-// fold is Checkpoint of roots with nothing parked under them.
-func (inc *Incremental) fold(roots []model.NodeID) (*CheckpointSummary, error) {
+// fold is Retire of roots with nothing parked under them.
+func (inc *Incremental) fold(roots []model.NodeID) error {
 	if len(roots) == 0 {
-		return &CheckpointSummary{}, nil
+		return nil
 	}
 	seen := make(map[model.NodeID]struct{}, len(roots))
 	for _, id := range roots {
 		nd := inc.sys.Node(id)
 		if nd == nil {
-			return nil, fmt.Errorf("front: checkpoint of unknown root %q", id)
+			return fmt.Errorf("front: retire of unknown root %q", id)
 		}
 		if nd.Parent != "" {
-			return nil, fmt.Errorf("front: checkpoint target %q is not a root (parent %q)", id, nd.Parent)
+			return fmt.Errorf("front: retire target %q is not a root (parent %q)", id, nd.Parent)
 		}
 		if _, dup := seen[id]; dup {
-			return nil, fmt.Errorf("front: checkpoint names root %q twice", id)
+			return fmt.Errorf("front: retire names root %q twice", id)
 		}
 		seen[id] = struct{}{}
 	}
-
-	sum := &CheckpointSummary{Roots: len(roots)}
-	doomed := make(map[model.NodeID]struct{}, len(roots)*4)
-	for id := range seen {
-		doomed[id] = struct{}{}
-		for _, d := range inc.sys.Descendants(id) {
-			doomed[d] = struct{}{}
-		}
-	}
-	sum.Nodes = len(doomed)
 
 	inc.sys.RemoveTrees(roots)
 	// Rebuild over the pruned system. The level assignment is untouched
@@ -154,16 +126,15 @@ func (inc *Incremental) fold(roots []model.NodeID) (*CheckpointSummary, error) {
 	// steady-state window then allocates almost nothing.
 	if inc.eng != nil {
 		inc.eng.reset()
-		inc.eng.load(inc.sys, inc.sys.NodeIDs())
+		inc.eng.load(inc.sys, inc.sys.Preorder())
 		if inc.eng.failed {
 			// Cannot happen: removing whole composite transactions from a
 			// correct execution only removes constraints (monotonicity),
 			// so the suffix stays correct. Drop the engine rather than
 			// certify over broken state.
 			inc.eng = nil
-			return nil, fmt.Errorf("front: checkpoint rebuild found the pruned suffix incorrect (engine bug)")
+			return fmt.Errorf("front: retire rebuild found the pruned suffix incorrect (engine bug)")
 		}
 	}
-	inc.checkpoints++
-	return sum, nil
+	return nil
 }

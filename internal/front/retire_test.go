@@ -60,7 +60,7 @@ func foldableRoots(prefix *model.System, remaining []*front.Delta) []model.NodeI
 }
 
 // replayCheckpointExact streams deltas through an Incremental, folding
-// every foldable committed prefix with Checkpoint every `every` deltas,
+// every foldable committed prefix with Retire every `every` deltas,
 // while the stream oracle keeps the admitted prefix — with the same
 // prunes. Every delta's verdict must be byte-identical to CheckReference
 // over the (pruned) prefix plus the delta: the stream straddles each
@@ -80,22 +80,18 @@ func replayCheckpointExact(t *testing.T, tag string, deltas []*front.Delta, ever
 		if len(targets) == 0 {
 			continue
 		}
-		before, cuts := inc.LiveNodes(), inc.Checkpoints()
-		sum, err := inc.Checkpoint(targets)
-		if err != nil {
-			t.Fatalf("%s/prefix%d: checkpoint: %v", tag, i, err)
-		}
-		if sum.Roots != len(targets) || inc.Checkpoints() != cuts+1 {
-			t.Fatalf("%s/prefix%d: summary folded %d roots, want %d; %d folds counted, want %d",
-				tag, i, sum.Roots, len(targets), inc.Checkpoints(), cuts+1)
+		before, prefixBefore := inc.LiveNodes(), s.prefix.NumNodes()
+		if err := inc.Retire(targets); err != nil {
+			t.Fatalf("%s/prefix%d: retire: %v", tag, i, err)
 		}
 		for _, id := range targets {
 			s.prefix.RemoveTree(id)
 		}
-		if got, want := inc.LiveNodes(), s.prefix.NumNodes(); got != want || before-sum.Nodes != got {
-			t.Fatalf("%s/prefix%d: engine holds %d live nodes after folding %d of %d, prefix has %d", tag, i, got, sum.Nodes, before, want)
+		dropped := prefixBefore - s.prefix.NumNodes()
+		if got, want := inc.LiveNodes(), s.prefix.NumNodes(); got != want || before-dropped != got {
+			t.Fatalf("%s/prefix%d: engine holds %d live nodes after folding %d of %d, prefix has %d", tag, i, got, dropped, before, want)
 		}
-		if sum.Nodes > 0 {
+		if dropped > 0 {
 			folds++
 		}
 	}
@@ -192,18 +188,17 @@ func replayEpochsExact(t *testing.T, tag string, systems []*model.System, full b
 			s.step(t, fmt.Sprintf("%s/epoch%d/prefix%d", tag, e, i), inc, d, full)
 		}
 		roots := s.prefix.Roots()
-		sum, err := inc.Checkpoint(roots)
-		if err != nil {
-			t.Fatalf("%s/epoch%d: checkpoint: %v", tag, e, err)
+		if err := inc.Retire(roots); err != nil {
+			t.Fatalf("%s/epoch%d: retire: %v", tag, e, err)
+		}
+		if s.prefix.NumNodes() > 0 {
+			folds++
 		}
 		for _, r := range roots {
 			s.prefix.RemoveTree(r)
 		}
 		if inc.LiveNodes() != 0 {
 			t.Fatalf("%s/epoch%d: %d live nodes after a full fold", tag, e, inc.LiveNodes())
-		}
-		if sum.Nodes > 0 {
-			folds++
 		}
 	}
 	return s.outcome, folds
@@ -317,7 +312,7 @@ func TestCheckpointRejectsFoldedReferences(t *testing.T) {
 			}
 			folded = targets[0]
 			sched := prefix.Node(folded).Sched
-			if _, err := inc.Checkpoint(targets[:1]); err != nil {
+			if err := inc.Retire(targets[:1]); err != nil {
 				t.Fatal(err)
 			}
 			prefix.RemoveTree(folded)
@@ -336,8 +331,8 @@ func TestCheckpointRejectsFoldedReferences(t *testing.T) {
 	assertVerdictsEqual(t, "post-fold-tail", wantV, wantErr, gotV, gotErr)
 }
 
-// TestCheckpointErrors pins the refusal cases: unknown roots, non-roots,
-// duplicates — each must leave the engine untouched.
+// TestCheckpointErrors pins Retire's refusal cases: unknown roots,
+// non-roots, duplicates — each must leave the engine untouched.
 func TestCheckpointErrors(t *testing.T) {
 	sys := workload.Stack(workload.StackParams{
 		Levels: 2, Roots: 2, Fanout: 2, ConflictRate: 0, Seed: 1,
@@ -348,9 +343,9 @@ func TestCheckpointErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	roots := inc.System().Roots()
-	if _, err := inc.Checkpoint([]model.NodeID{"no-such-root"}); err == nil {
-		t.Fatal("checkpoint of unknown root accepted")
+	roots, live := inc.System().Roots(), inc.LiveNodes()
+	if err := inc.Retire([]model.NodeID{"no-such-root"}); err == nil {
+		t.Fatal("retire of unknown root accepted")
 	}
 	var nonRoot model.NodeID
 	for _, id := range inc.System().NodeIDs() {
@@ -359,16 +354,13 @@ func TestCheckpointErrors(t *testing.T) {
 			break
 		}
 	}
-	if _, err := inc.Checkpoint([]model.NodeID{nonRoot}); err == nil {
-		t.Fatalf("checkpoint of non-root %q accepted", nonRoot)
+	if err := inc.Retire([]model.NodeID{nonRoot}); err == nil {
+		t.Fatalf("retire of non-root %q accepted", nonRoot)
 	}
-	if _, err := inc.Checkpoint([]model.NodeID{roots[0], roots[0]}); err == nil {
-		t.Fatal("checkpoint naming a root twice accepted")
+	if err := inc.Retire([]model.NodeID{roots[0], roots[0]}); err == nil {
+		t.Fatal("retire naming a root twice accepted")
 	}
-	if got, want := inc.LiveNodes(), len(inc.System().NodeIDs()); got != want {
-		t.Fatalf("failed checkpoints changed live node count: %d != %d", got, want)
-	}
-	if inc.Checkpoints() != 0 {
-		t.Fatalf("failed checkpoints counted: %d", inc.Checkpoints())
+	if got, want := inc.LiveNodes(), live; got != want {
+		t.Fatalf("failed retires changed live node count: %d != %d", got, want)
 	}
 }

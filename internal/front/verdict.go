@@ -53,7 +53,7 @@ type Verdict struct {
 	Steps []*StepReport
 
 	// Fronts holds every successfully constructed front, index = level,
-	// when tracing was requested; otherwise only the final front.
+	// when tracing was requested (Options.KeepFronts); otherwise nil.
 	Fronts []*Front
 
 	// SerialOrder is a total order over the root transactions witnessing
@@ -132,8 +132,8 @@ func (v *Verdict) MarshalJSON() ([]byte, error) {
 
 // Options configures Check.
 type Options struct {
-	// KeepFronts retains every intermediate front in the verdict for
-	// tracing; otherwise only the final front is kept.
+	// KeepFronts retains every constructed front in the verdict for
+	// tracing; otherwise the verdict holds none.
 	KeepFronts bool
 }
 
@@ -144,19 +144,19 @@ type Options struct {
 //
 // Check is a single-delta run of the package's one reduction engine
 // (incremental.go): after the one structural pass (model.System.Structure:
-// validation, levels, sorted node IDs) the engine indexes sys in place —
+// validation, levels, the forest's preorder) the engine indexes sys in place —
 // it neither clones, normalizes nor writes to it, so any number of
 // goroutines may check one System at once — and drains every level.
 // Verdicts, failure diagnostics included, are identical to those of the
 // string-keyed oracle CheckReference, which the property tests compare
 // against byte for byte.
 func Check(sys *model.System, opts Options) (*Verdict, error) {
-	ids, levels, err := sys.Structure()
+	pre, levels, err := sys.Structure()
 	if err != nil {
 		return nil, err
 	}
-	eng := newIncEngine(levels, false, len(ids))
-	eng.load(sys, ids)
+	eng := newIncEngine(levels, false, len(pre))
+	eng.load(sys, pre)
 	return eng.verdict(opts.KeepFronts)
 }
 
@@ -182,15 +182,12 @@ func failReason(rep *StepReport) string {
 // not mutate sys. Use Check; this exists for testing and benchmarking
 // only.
 func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
-	if err := sys.ValidateStructure(); err != nil {
+	_, levels, err := sys.Structure()
+	if err != nil {
 		return nil, err
 	}
 	ns := sys.Clone()
 	ns.Normalize()
-	levels, err := ns.Levels()
-	if err != nil {
-		return nil, err
-	}
 	n := 0
 	for _, l := range levels {
 		if l > n {
@@ -222,10 +219,6 @@ func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
 		if opts.KeepFronts {
 			v.Fronts = append(v.Fronts, f)
 		}
-	}
-
-	if !opts.KeepFronts {
-		v.Fronts = []*Front{f}
 	}
 
 	// The level-N front must consist of exactly the root transactions.

@@ -25,6 +25,11 @@ func FuzzDecodeCheck(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schedules":[{"id":"S"}],"nodes":[{"id":"T","schedule":"S"}]}`))
 	f.Add([]byte(`not json`))
+	// Children before their parents, schedules before nothing: the
+	// decoder adds nodes in file order, and a parent adopts its children.
+	f.Add([]byte(`{"schedules":[{"id":"S2"},{"id":"S1","conflicts":[["x","y"]],"weakOut":[["x","y"]]}],` +
+		`"nodes":[{"id":"x","parent":"t1"},{"id":"y","parent":"t2"},{"id":"t1","parent":"T","schedule":"S1"},` +
+		`{"id":"t2","parent":"U","schedule":"S1"},{"id":"T","schedule":"S2"},{"id":"U","schedule":"S2"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sys := model.NewSystem()

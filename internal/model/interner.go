@@ -1,17 +1,15 @@
 package model
 
-import "slices"
-
-// Interner assigns every node of a System a stable dense int32 index, the
-// bridge between the string-keyed construction surface and the
-// interned-index relation core (order.IndexRelation). The reduction engine
-// of internal/front interns on its own, in arrival order; this one serves
-// callers that want a whole system's relations on dense rows (bench/'s
-// order probes).
+// Interner assigns every node of a System a dense int32 index in
+// lexicographic NodeID order, so ascending index iteration over dense rows
+// reproduces the lexicographic iteration order of the string-keyed code
+// paths.
 //
-// Indices are assigned in lexicographic NodeID order, so ascending index
-// iteration over dense rows reproduces the deterministic lexicographic
-// iteration order the string-keyed code paths use.
+// A System is its own interner now — its NodeRefs are dense indices, and
+// internal/front loads its engine from them — so Intern has one caller
+// left: the order probe of the repo benchmark (bench/workload_check.go),
+// which times the order layer on a whole system's relations. It stays
+// for that caller and goes when the benchmark moves to refs.
 //
 // An Interner is immutable once built. The System caches one lazily and
 // invalidates the cache whenever its node set changes.
@@ -27,11 +25,7 @@ type Interner struct {
 // The cached build is NOT safe for concurrent first use.
 func (s *System) Intern() *Interner {
 	if s.interner == nil {
-		ids := make([]NodeID, 0, len(s.nodes))
-		for id := range s.nodes {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
+		ids := s.NodeIDs()
 		idx := make(map[NodeID]int32, len(ids))
 		for i, id := range ids {
 			idx[id] = int32(i)

@@ -46,7 +46,23 @@ type Node struct {
 	// Nil means empty. Always nil for leaves.
 	WeakIntra   *order.Relation[NodeID]
 	StrongIntra *order.Relation[NodeID]
+
+	// The forest by ref: the parent (NoRef for roots and while Parent is
+	// not added), the home schedule's number (-1 for leaves and while
+	// Sched is not added), and the operations as a chain — kid is the
+	// newest, next the sibling added before this node.
+	parent, kid, next NodeRef
+	sched             int32
 }
+
+// ParentRef returns the ref of the node's parent: NoRef for a root, and
+// for a node whose parent is not (yet) in the system.
+func (n *Node) ParentRef() NodeRef { return n.parent }
+
+// SchedNum returns the number of the node's home schedule (see
+// System.ScheduleAt): -1 for a leaf, and for a transaction whose schedule
+// is not (yet) in the system.
+func (n *Node) SchedNum() int { return int(n.sched) }
 
 // IsLeaf reports whether the node is a leaf operation.
 func (n *Node) IsLeaf() bool { return n.Sched == "" }
@@ -58,7 +74,8 @@ func (n *Node) IsRoot() bool { return n.Parent == "" }
 // scheduler's dynamic result: which transactions it received, with which
 // input orders, and in which output order it executed their operations.
 type Schedule struct {
-	ID ScheduleID
+	ID  ScheduleID
+	num int32 // System.ScheduleAt index
 
 	// Conflicts is CON_S, the schedule's conflict predicate over its
 	// operations: two operations conflict iff they do not commute. The

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,39 +163,75 @@ func TestValidateStructureErrorText(t *testing.T) {
 
 // TestStructureIsTheOnePass checks the method ValidateStructure and Levels
 // are thin callers of: the same error from all three on every malformed
-// system, and on a sound one the sorted IDs and the level assignment.
+// system, and on a sound one the forest's preorder and the level
+// assignment.
 func TestStructureIsTheOnePass(t *testing.T) {
 	for _, tc := range malformed {
 		s := NewSystem()
 		tc.build(s)
-		ids, levels, err := s.Structure()
+		pre, levels, err := s.Structure()
 		if tc.want == "" {
-			if err != nil || !reflect.DeepEqual(ids, s.NodeIDs()) || !reflect.DeepEqual(levels, map[ScheduleID]int{"S": 1}) {
-				t.Errorf("%s: Structure = %v, %v, %v", tc.name, ids, levels, err)
+			if err != nil || !isPreorder(s, pre) || !reflect.DeepEqual(levels, map[ScheduleID]int{"S": 1}) {
+				t.Errorf("%s: Structure = %v, %v, %v", tc.name, pre, levels, err)
 			}
 			continue
 		}
-		if err == nil || err.Error() != tc.want || ids != nil || levels != nil {
-			t.Errorf("%s: Structure = %v, %v, %v", tc.name, ids, levels, err)
+		if err == nil || err.Error() != tc.want || pre != nil || levels != nil {
+			t.Errorf("%s: Structure = %v, %v, %v", tc.name, pre, levels, err)
 		}
 		if l, lerr := s.Levels(); l != nil || lerr == nil || lerr.Error() != tc.want {
 			t.Errorf("%s: Levels = %v, %v", tc.name, l, lerr)
 		}
 	}
 	s := buildGeneral(t)
-	ids, levels, err := s.Structure()
+	pre, levels, err := s.Structure()
 	want := map[ScheduleID]int{"SD": 1, "SM": 2, "SB": 2, "SA": 3}
-	if err != nil || !reflect.DeepEqual(ids, s.NodeIDs()) || !reflect.DeepEqual(levels, want) {
-		t.Errorf("Structure = %v, %v, %v; want the sorted IDs and %v", ids, levels, err, want)
+	if err != nil || !isPreorder(s, pre) || !reflect.DeepEqual(pre, s.Preorder()) || !reflect.DeepEqual(levels, want) {
+		t.Errorf("Structure = %v, %v, %v; want the preorder and %v", pre, levels, err, want)
 	}
+}
+
+// isPreorder reports whether pre lists every node of s once, each parent
+// before its children and each subtree as one contiguous run.
+func isPreorder(s *System, pre []NodeRef) bool {
+	if len(pre) != s.NumNodes() {
+		return false
+	}
+	at := make(map[NodeRef]int, len(pre))
+	for k, r := range pre {
+		if _, dup := at[r]; dup || r < 0 || int(r) >= s.NumNodes() {
+			return false
+		}
+		at[r] = k
+	}
+	for k, r := range pre {
+		n := s.At(r)
+		if p := n.ParentRef(); p != NoRef && at[p] >= k {
+			return false
+		}
+		if s.Node(n.ID) != n || s.Ref(n.ID) != r {
+			return false
+		}
+		size := 1 + len(s.Descendants(n.ID))
+		if k+size > len(pre) {
+			return false
+		}
+		for _, m := range pre[k : k+size] {
+			if m != r && !slices.Contains(s.Descendants(n.ID), s.At(m).ID) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestStructureDeepChainAllocations validates a 5 000-deep parent chain —
 // one transaction and one schedule per level, so the invocation graph is
-// a 5 000-long path too. The parent-chain check is one colour table over
-// all nodes: allocations stay linear in n (≈ 5 per node, the invocation
-// graph's). A map per node, each as large as the chain above it, made
-// 162 039 of them and took 4.5 s.
+// a 5 000-long path too. Structure walks refs and schedule numbers: its
+// allocations are a constant handful of slices plus the levels map's,
+// whatever n (measured 24). The string-keyed pass it replaced made ≈ 5
+// per node (25 149: the string invocation graph); a map per node, each as
+// large as the chain above it, once made 162 039 and took 4.5 s.
 func TestStructureDeepChainAllocations(t *testing.T) {
 	const n = 5000
 	s := NewSystem()
@@ -214,7 +251,7 @@ func TestStructureDeepChainAllocations(t *testing.T) {
 		t.Fatalf("Structure: err = %v, level(S0000) = %d, want %d", err, levels["S0000"], n)
 	}
 	t.Logf("%d nodes: %.0f allocations", n+1, allocs)
-	if allocs > 8*n {
-		t.Errorf("%.0f allocations for %d nodes, want at most %d", allocs, n+1, 8*n)
+	if allocs > 64 {
+		t.Errorf("%.0f allocations for %d nodes, want at most 64", allocs, n+1)
 	}
 }

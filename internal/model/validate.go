@@ -17,98 +17,137 @@ func (s *System) ValidateStructure() error {
 }
 
 // Structure is the one structural pass behind ValidateStructure and
-// Levels: the node IDs sorted and the level of every schedule (Definition
-// 9: one plus the length of the longest IG path starting at it), or an
-// error joining every violation. front.Check needs all three and pays
-// for one sort and one invocation graph.
-func (s *System) Structure() (sortedIDs []NodeID, levels map[ScheduleID]int, err error) {
+// Levels: the forest in parents-first preorder (Preorder) and the level of
+// every schedule (Definition 9: one plus the length of the longest IG path
+// starting at it), or an error joining every violation. front.Check needs
+// both. The pass walks refs and schedule numbers; only a system with
+// violations pays for sorting IDs, to word them in ID order.
+func (s *System) Structure() (preorder []NodeRef, levels map[ScheduleID]int, err error) {
+	bad := false
+	for _, n := range s.nodes {
+		s.checkNode(n, func(string, ...any) { bad = true })
+	}
+	if !bad {
+		preorder = s.Preorder()
+		// Every parent exists, so a node no root reaches is on or below a
+		// parent cycle.
+		bad = len(preorder) != len(s.nodes)
+	}
+	if bad {
+		return nil, nil, s.forestErrors()
+	}
+	if levels = s.levels(preorder); levels == nil {
+		return nil, nil, s.igErrors()
+	}
+	return preorder, levels, nil
+}
+
+// checkNode reports n's own forest violations to add: a missing or leaf
+// parent, a missing schedule, a leaf with operations or intra orders.
+func (s *System) checkNode(n *Node, add func(format string, args ...any)) {
+	if n.Parent != "" {
+		switch {
+		case n.parent == NoRef:
+			add("node %s: parent %s does not exist", n.ID, n.Parent)
+			return
+		case s.nodes[n.parent].IsLeaf():
+			add("node %s: parent %s is a leaf; only transactions have operations", n.ID, n.Parent)
+		}
+	}
+	if n.Sched != "" {
+		if n.sched < 0 {
+			add("transaction %s: schedule %s does not exist", n.ID, n.Sched)
+		}
+	} else if n.kid != NoRef {
+		add("leaf %s has children %v", n.ID, s.Children(n.ID))
+	}
+	if n.IsLeaf() && (n.WeakIntra != nil && n.WeakIntra.Len() > 0 || n.StrongIntra != nil && n.StrongIntra.Len() > 0) {
+		add("leaf %s carries intra-transaction orders", n.ID)
+	}
+}
+
+// levels assigns every schedule its level by relaxing the invocation
+// edges (caller ≥ callee + 1, one per transaction invoked by a
+// transaction) over the forest, children first, until nothing changes.
+// A pass fixes every longest path one edge further, so an acyclic graph
+// settles within NumSchedules passes; it returns nil for one that does
+// not.
+func (s *System) levels(preorder []NodeRef) map[ScheduleID]int {
+	level := make([]int32, len(s.scheds))
+	for changed, pass := true, 0; changed; pass++ {
+		if pass > len(s.scheds) {
+			return nil
+		}
+		changed = false
+		for i := len(preorder) - 1; i >= 0; i-- {
+			n := s.nodes[preorder[i]]
+			if n.sched < 0 || n.parent == NoRef {
+				continue
+			}
+			if p := s.nodes[n.parent].sched; p >= 0 && level[p] <= level[n.sched] {
+				level[p], changed = level[n.sched]+1, true
+			}
+		}
+	}
+	levels := make(map[ScheduleID]int, len(s.scheds))
+	for k, sc := range s.scheds {
+		levels[sc.ID] = int(level[k]) + 1
+	}
+	return levels
+}
+
+// forestErrors words the forest's violations: per node in ID order, then
+// the parent cycles.
+func (s *System) forestErrors() error {
 	var errs []error
 	add := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-
 	ids := s.NodeIDs()
 	// walk colours each node with the number of the parent-chain walk that
 	// first reached it; a walk that runs into its own colour found a cycle.
-	walk := make(map[*Node]int, len(ids))
+	walk := make([]int32, len(s.nodes))
 	cyclic := false
 	for k, id := range ids {
-		n := s.nodes[id]
-		for cur := n; cur != nil; cur = s.nodes[cur.Parent] {
+		for cur := s.refs[id]; cur != NoRef; cur = s.nodes[cur].parent {
 			if walk[cur] != 0 {
-				cyclic = cyclic || walk[cur] == k+1
+				cyclic = cyclic || walk[cur] == int32(k+1)
 				break
 			}
-			walk[cur] = k + 1
+			walk[cur] = int32(k + 1)
 		}
-		if n.Parent != "" {
-			p := s.nodes[n.Parent]
-			switch {
-			case p == nil:
-				add("node %s: parent %s does not exist", id, n.Parent)
-				continue
-			case p.IsLeaf():
-				add("node %s: parent %s is a leaf; only transactions have operations", id, n.Parent)
-			}
-		}
-		if n.Sched != "" {
-			if s.schedules[n.Sched] == nil {
-				add("transaction %s: schedule %s does not exist", id, n.Sched)
-			}
-		} else if len(s.children[id]) > 0 {
-			add("leaf %s has children %v", id, s.Children(id))
-		}
-		if n.IsLeaf() && (n.WeakIntra != nil && n.WeakIntra.Len() > 0 || n.StrongIntra != nil && n.StrongIntra.Len() > 0) {
-			add("leaf %s carries intra-transaction orders", id)
-		}
+		s.checkNode(s.Node(id), add)
 	}
 	if cyclic {
 		// Only a cycle pays for the per-node walk that words its errors.
 		for _, id := range ids {
-			seen := map[NodeID]bool{}
-			for cur := id; cur != ""; {
+			seen := map[NodeRef]bool{}
+			for cur := s.refs[id]; cur != NoRef; cur = s.nodes[cur].parent {
 				if seen[cur] {
-					add("node %s: cyclic parent chain through %s", id, cur)
+					add("node %s: cyclic parent chain through %s", id, s.nodes[cur].ID)
 					break
 				}
 				seen[cur] = true
-				n := s.nodes[cur]
-				if n == nil {
-					break
-				}
-				cur = n.Parent
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return nil, nil, errors.Join(errs...)
-	}
+	return errors.Join(errs...)
+}
 
-	// Definition 4 item 6: no recursion; IG acyclic.
+// igErrors words a recursive configuration (Definition 4 item 6: no
+// recursion, IG acyclic) on the string-keyed invocation graph.
+func (s *System) igErrors() error {
+	var errs []error
 	ig := s.InvocationGraph()
 	for _, sc := range s.Schedules() {
 		if ig.Has(sc.ID, sc.ID) {
-			add("schedule %s invokes itself", sc.ID)
+			errs = append(errs, fmt.Errorf("schedule %s invokes itself", sc.ID))
 		}
 	}
-	sorted, ok := ig.TopoSort()
-	if !ok {
-		add("invocation graph is cyclic: %v", ig.FindCycle())
+	if _, ok := ig.TopoSort(); !ok {
+		errs = append(errs, fmt.Errorf("invocation graph is cyclic: %v", ig.FindCycle()))
 	}
-	if len(errs) > 0 {
-		return nil, nil, errors.Join(errs...)
-	}
-	levels = make(map[ScheduleID]int, len(sorted))
-	// Longest path from each node: process in reverse topological order.
-	for i := len(sorted) - 1; i >= 0; i-- {
-		sc := sorted[i]
-		longest := 0
-		for _, succ := range ig.Successors(sc) {
-			longest = max(longest, levels[succ])
-		}
-		levels[sc] = longest + 1
-	}
-	return ids, levels, nil
+	return errors.Join(errs...)
 }
 
 // Validate checks the system against the model's axioms (Definitions 2, 3
@@ -134,21 +173,16 @@ func (s *System) Validate() error {
 
 	// Per-transaction intra orders (Definition 2).
 	for _, id := range ns.NodeIDs() {
-		n := ns.nodes[id]
+		n := ns.Node(id)
 		if n.IsLeaf() {
 			continue
 		}
-		kids := map[NodeID]struct{}{}
-		for _, k := range ns.children[id] {
-			kids[k] = struct{}{}
-		}
 		if n.WeakIntra != nil {
 			for _, p := range n.WeakIntra.Pairs() {
-				if _, ok := kids[p[0]]; !ok {
-					add("transaction %s: intra order mentions non-operation %s", id, p[0])
-				}
-				if _, ok := kids[p[1]]; !ok {
-					add("transaction %s: intra order mentions non-operation %s", id, p[1])
+				for _, o := range p {
+					if ns.Parent(o) != id || o == id {
+						add("transaction %s: intra order mentions non-operation %s", id, o)
+					}
 				}
 			}
 			if n.WeakIntra.HasCycle() {
@@ -163,29 +197,22 @@ func (s *System) Validate() error {
 	// Per-schedule axioms (Definition 3).
 	for _, sc := range ns.Schedules() {
 		trans := ns.Transactions(sc.ID)
-		ops := ns.Ops(sc.ID)
-		isTx := map[NodeID]bool{}
-		for _, t := range trans {
-			isTx[t] = true
-		}
-		isOp := map[NodeID]bool{}
-		for _, o := range ops {
-			isOp[o] = true
-		}
+		isTx := func(id NodeID) bool { n := ns.Node(id); return n != nil && n.Sched == sc.ID }
+		isOp := func(id NodeID) bool { return ns.OpSchedule(id) == sc.ID }
 
 		// Domains.
 		sc.Conflicts.Each(func(a, b NodeID) {
-			if !isOp[a] || !isOp[b] {
+			if !isOp(a) || !isOp(b) {
 				add("schedule %s: conflict (%s,%s) mentions a non-operation", sc.ID, a, b)
 			}
 		})
 		for _, p := range sc.WeakIn.Pairs() {
-			if !isTx[p[0]] || !isTx[p[1]] {
+			if !isTx(p[0]) || !isTx(p[1]) {
 				add("schedule %s: weak input order (%s,%s) mentions a non-transaction", sc.ID, p[0], p[1])
 			}
 		}
 		for _, p := range sc.WeakOut.Pairs() {
-			if !isOp[p[0]] || !isOp[p[1]] {
+			if !isOp(p[0]) || !isOp(p[1]) {
 				add("schedule %s: weak output order (%s,%s) mentions a non-operation", sc.ID, p[0], p[1])
 			}
 		}
@@ -229,7 +256,7 @@ func (s *System) Validate() error {
 		// Definition 3 item 2 (interpretation D1): output orders respect
 		// each transaction's intra orders.
 		for _, t := range trans {
-			n := ns.nodes[t]
+			n := ns.Node(t)
 			if n.WeakIntra != nil && !sc.WeakOut.Contains(n.WeakIntra) {
 				add("schedule %s: weak output order violates intra order of %s (Def 3.2)", sc.ID, t)
 			}
@@ -255,14 +282,14 @@ func (s *System) Validate() error {
 	// schedule both operations are sent to.
 	for _, sc := range ns.Schedules() {
 		for _, p := range sc.WeakOut.Pairs() {
-			a, b := ns.nodes[p[0]], ns.nodes[p[1]]
+			a, b := ns.Node(p[0]), ns.Node(p[1])
 			if a == nil || b == nil || a.IsLeaf() || b.IsLeaf() {
 				continue
 			}
 			if a.Sched != b.Sched {
 				continue
 			}
-			target := ns.schedules[a.Sched]
+			target := ns.Schedule(a.Sched)
 			if target == nil {
 				continue
 			}
