@@ -261,45 +261,30 @@ func walkSorted(sys *model.System, id model.NodeID, fn func(DeltaNode)) {
 // The first delta additionally carries every schedule; each relation pair
 // rides with the later of its two roots, so every prefix of the stream is
 // itself a well-formed system.
-func DecomposeByRoot(sys *model.System) []*Delta {
-	roots := sys.Roots()
-	if len(roots) == 0 {
-		return []*Delta{SystemDelta(sys)}
-	}
-	deltas := make([]*Delta, len(roots))
-	rootOf := make(map[model.NodeID]int, sys.NumNodes())
-	for k, r := range roots {
-		deltas[k] = &Delta{}
-		walkSorted(sys, r, func(dn DeltaNode) {
-			deltas[k].Nodes = append(deltas[k].Nodes, dn)
-			rootOf[dn.ID] = k
-		})
-	}
-	for _, sc := range sys.Schedules() {
-		deltas[0].Schedules = append(deltas[0].Schedules, sc.ID)
-	}
-	appendSchedulePairs(sys, nil, func(a, b model.NodeID) *Delta {
-		ka, kb := rootOf[a], rootOf[b]
-		if kb > ka {
-			ka = kb
-		}
-		return deltas[ka]
-	})
-	return deltas
-}
+func DecomposeByRoot(sys *model.System) []*Delta { return decompose(sys, false) }
 
 // DecomposeSteps splits a system into the finest append stream: one delta
 // per forest node (parents before children, roots in sorted order), each
 // relation pair riding with the later of its two endpoints. The first
 // delta carries the schedules. Every prefix is a well-formed system —
 // this is the op-by-op stream the prefix-exactness property tests replay.
-func DecomposeSteps(sys *model.System) []*Delta {
-	pos := make(map[model.NodeID]int, sys.NumNodes())
+func DecomposeSteps(sys *model.System) []*Delta { return decompose(sys, true) }
+
+// decompose is DecomposeSteps when perNode, else DecomposeByRoot.
+func decompose(sys *model.System, perNode bool) []*Delta {
+	at := make(map[model.NodeID]int, sys.NumNodes()) // the delta each node rides in
 	var deltas []*Delta
 	for _, r := range sys.Roots() {
+		if !perNode {
+			deltas = append(deltas, &Delta{})
+		}
 		walkSorted(sys, r, func(dn DeltaNode) {
-			pos[dn.ID] = len(deltas)
-			deltas = append(deltas, &Delta{Nodes: []DeltaNode{dn}})
+			if perNode {
+				deltas = append(deltas, &Delta{})
+			}
+			d := deltas[len(deltas)-1]
+			d.Nodes = append(d.Nodes, dn)
+			at[dn.ID] = len(deltas) - 1
 		})
 	}
 	if len(deltas) == 0 {
@@ -308,13 +293,7 @@ func DecomposeSteps(sys *model.System) []*Delta {
 	for _, sc := range sys.Schedules() {
 		deltas[0].Schedules = append(deltas[0].Schedules, sc.ID)
 	}
-	appendSchedulePairs(sys, nil, func(a, b model.NodeID) *Delta {
-		k := pos[a]
-		if pos[b] > k {
-			k = pos[b]
-		}
-		return deltas[k]
-	})
+	appendSchedulePairs(sys, nil, func(a, b model.NodeID) *Delta { return deltas[max(at[a], at[b])] })
 	return deltas
 }
 

@@ -1,11 +1,9 @@
 package model
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"compositetx/internal/order"
 )
@@ -57,9 +55,8 @@ func pairsToRel(ps [][2]string) *order.Relation[NodeID] {
 // MarshalJSON encodes the system in the cmd tools' file format.
 func (s *System) MarshalJSON() ([]byte, error) {
 	var doc systemJSON
-	nodes := slices.Clone(s.nodes)
-	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
-	for _, n := range nodes {
+	for _, id := range s.NodeIDs() {
+		n := s.Node(id)
 		doc.Nodes = append(doc.Nodes, nodeJSON{
 			ID:          string(n.ID),
 			Parent:      string(n.Parent),

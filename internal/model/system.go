@@ -166,12 +166,12 @@ func (s *System) link(p, k NodeRef) {
 	s.nodes[p].kid = k
 }
 
-// kidsOf returns the refs of id's children, the orphans naming it when id
-// is not a node.
+// kidsOf returns a new slice of the refs of id's children, the orphans
+// naming it when id is not a node.
 func (s *System) kidsOf(id NodeID) []NodeRef {
 	r, ok := s.refs[id]
 	if !ok {
-		return s.orphans[id]
+		return slices.Clone(s.orphans[id])
 	}
 	var out []NodeRef
 	for k := s.nodes[r].kid; k != NoRef; k = s.nodes[k].next {
@@ -180,8 +180,11 @@ func (s *System) kidsOf(id NodeID) []NodeRef {
 	return out
 }
 
-// idsOf returns the IDs of refs, sorted.
+// idsOf returns the IDs of refs, sorted; nil for none.
 func (s *System) idsOf(refs []NodeRef) []NodeID {
+	if len(refs) == 0 {
+		return nil
+	}
 	out := make([]NodeID, len(refs))
 	for i, r := range refs {
 		out[i] = s.nodes[r].ID
@@ -195,7 +198,7 @@ func (s *System) Schedule(id ScheduleID) *Schedule { return s.schedules[id] }
 
 // Schedules returns all schedules sorted by ID.
 func (s *System) Schedules() []*Schedule {
-	out := slices.Clone(s.scheds)
+	out := append(make([]*Schedule, 0, len(s.scheds)), s.scheds...)
 	slices.SortFunc(out, func(a, b *Schedule) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }

@@ -363,3 +363,31 @@ func TestLeafAndInternalSchedules(t *testing.T) {
 		t.Error("SA should have both a leaf op and a transaction op")
 	}
 }
+
+// TestOrphansAdoptedOnArrival adds children before their parent: until the
+// parent arrives they are reachable by its ID (Children, Descendants) and
+// the forest is unsound; reading them leaves them intact, and the parent
+// adopts them when it is added.
+func TestOrphansAdoptedOnArrival(t *testing.T) {
+	s := NewSystem()
+	s.AddLeaf("l", "t")
+	s.AddTx("t", "T", "S1") // schedule S1 and root T come later
+	if got := s.Descendants("T"); !reflect.DeepEqual(got, []NodeID{"l", "t"}) {
+		t.Fatalf("Descendants(T) before T = %v", got)
+	}
+	if err := s.ValidateStructure(); err == nil {
+		t.Fatal("a forest with a missing parent and schedule validated")
+	}
+	s.AddSchedule("S2")
+	s.AddSchedule("S1")
+	s.AddRoot("T", "S2")
+	if got := s.Children("T"); !reflect.DeepEqual(got, []NodeID{"t"}) {
+		t.Fatalf("Children(T) = %v, want [t]", got)
+	}
+	if s.Node("t").ParentRef() != s.Ref("T") || s.ScheduleAt(s.Node("t").SchedNum()).ID != "S1" {
+		t.Fatalf("t not adopted: parent %d (T is %d), schedule %d", s.Node("t").ParentRef(), s.Ref("T"), s.Node("t").SchedNum())
+	}
+	if err := s.ValidateStructure(); err != nil {
+		t.Fatalf("adopted forest: %v", err)
+	}
+}
