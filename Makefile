@@ -105,7 +105,9 @@ distperf:
 # the race detector, on one P (the schedule the benchmark measures) and
 # on two (admission under the index mutex, engine parking included, must
 # leave the engine byte-identical to the committed execution while a held
-# root keeps every root unretired, cuts after every commit included, plus
+# root keeps every root unretired, on a conflicting and a disjoint-leaning
+# mix, each also with a cut after every commit — the disjoint-leaning one
+# parks stages whose delta nodes outlive the cut that drops them — plus
 # rollback — rejections amid concurrent commits keep the engine — and
 # WAL-ordering regressions), the crossed-pair reproduction at cadences
 # 0, 1 and 64 and the always-keep oracle (TestRetireAgainstAlwaysKeep), the

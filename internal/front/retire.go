@@ -37,6 +37,11 @@ import (
 // parked ones included — the engine's memory watermark gauge.
 func (inc *Incremental) LiveNodes() int { return inc.sys.NumNodes() + inc.parkedNodes }
 
+// ParkedNodes returns the number of nodes in parked deltas: the engine
+// holds those deltas, Nodes slices included, until it absorbs or retires
+// them.
+func (inc *Incremental) ParkedNodes() int { return inc.parkedNodes }
+
 // Retire folds the given committed roots — each with its entire subtree —
 // out of the engine. A parked root is dropped unabsorbed — an isolated
 // vertex needs no reduction to be forgotten — and with it the rest of its

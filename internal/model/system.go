@@ -316,13 +316,24 @@ func (s *System) Ops(sched ScheduleID) []NodeID {
 }
 
 // descendants returns the refs of Act(T) for the node named id, in no
-// particular order (the node itself excluded).
+// particular order (the node itself excluded). The builder does not
+// refuse a parent cycle (AddTx("t", "t", …), or two nodes naming each
+// other); Validate does. The walk visits each ref once, so it returns on
+// such a forest too.
 func (s *System) descendants(id NodeID) []NodeRef {
+	seen := make([]bool, len(s.nodes))
+	if r, ok := s.refs[id]; ok {
+		seen[r] = true
+	}
 	var out []NodeRef
 	stack := s.kidsOf(id)
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
 		out = append(out, r)
 		for k := s.nodes[r].kid; k != NoRef; k = s.nodes[k].next {
 			stack = append(stack, k)

@@ -3,6 +3,7 @@ package model
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"compositetx/internal/order"
 )
@@ -136,6 +137,48 @@ func TestDescendantsAndCompositeTransaction(t *testing.T) {
 	}
 	if got, want := s.CompositeTransaction("TB"), []NodeID{"TB", "d2", "tb"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("CompositeTransaction(TB) = %v, want %v", got, want)
+	}
+}
+
+// TestDescendantsReturnOnParentCycle builds the two parent cycles the
+// builder adopts: a transaction under itself, and two transactions each
+// naming the other. The walks return, each node once, and Validate
+// rejects both forests.
+func TestDescendantsReturnOnParentCycle(t *testing.T) {
+	self := NewSystem()
+	self.AddSchedule("S")
+	self.AddTx("t", "t", "S")
+	two := NewSystem()
+	two.AddSchedule("S")
+	two.AddTx("a", "b", "S")
+	two.AddTx("b", "a", "S")
+	for _, c := range []struct {
+		name      string
+		sys       *System
+		root      NodeID
+		desc, ctx []NodeID
+	}{
+		{"self", self, "t", nil, []NodeID{"t"}},
+		{"two", two, "a", []NodeID{"b"}, []NodeID{"a", "b"}},
+	} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if got := c.sys.Descendants(c.root); !reflect.DeepEqual(got, c.desc) {
+				t.Errorf("%s: Descendants(%s) = %v, want %v", c.name, c.root, got, c.desc)
+			}
+			if got := c.sys.CompositeTransaction(c.root); !reflect.DeepEqual(got, c.ctx) {
+				t.Errorf("%s: CompositeTransaction(%s) = %v, want %v", c.name, c.root, got, c.ctx)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: the descendant walk did not return", c.name)
+		}
+		if err := c.sys.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a parent cycle", c.name)
+		}
 	}
 }
 

@@ -53,16 +53,19 @@ func commutePrograms(seed int64, n int) []Invocation {
 // increments, certified on the fast path, with a checkpoint every 64
 // commits. Both figures average over whole checkpoint cadences, so each
 // includes its share of the fold and the compaction. The budget is what a
-// commit keeps — its delta nodes, filed nodes and events, and MVCC
-// versions — plus the result; the attempt, its logs and the certifier's
-// scratch are recycled. At 42f778b, which made a new attempt, staged
-// record and ticket scratch per attempt and copied every compacted chain,
-// the same roots allocated 21.2 KB and 149 objects each.
+// commit keeps — its filed nodes, which its delta shares, its events and
+// MVCC versions — plus the result; the attempt, its logs and the
+// certifier's scratch are recycled. At 42f778b, which made a new attempt,
+// staged record and ticket scratch per attempt and copied every compacted
+// chain, the same roots allocated 21.2 KB and 149 objects each; at
+// ea2a7d7, which copied the stage's nodes into a delta of their own,
+// 3 945 B and 71.1. With the delta taking the filed nodes: 2 663 B and
+// 70.1.
 func TestCommitAllocBudget(t *testing.T) {
 	const (
 		every       = 64
-		budgetBytes = 6 << 10
-		budgetAlloc = 90
+		budgetBytes = 4 << 10
+		budgetAlloc = 80
 		warm, bytes = 4, 8 // cadences
 		allocRuns   = 4    // cadences, after AllocsPerRun's own warm-up one
 	)
@@ -121,7 +124,9 @@ func TestCommitAllocBudget(t *testing.T) {
 // and retired every root it had admitted, the same recovery cost 2.20 MB
 // and 9 405 allocations; without that second reduction, 1.84 MB and
 // 7 581 (7 573 at 78226f6). With the forest stored by ref and the check
-// loading the engine from refs: 1.72 MB and 6 770.
+// loading the engine from refs: 1.72 MB and 6 770. With RecordedSystem
+// applying the index's nodes without a copy: 1.68 MB and 6 538 (1.69 MB
+// and 6 538 at ea2a7d7).
 func TestRecoverAllocBudget(t *testing.T) {
 	const (
 		every       = 64

@@ -26,23 +26,22 @@ import (
 // cut drops exactly the commits journaled below its marker:
 //
 //  1. Out of lock, the committer builds what needs no shared state: it
-//     converts its stage's node declarations (written parents-first),
-//     sorts its events, derives their (component, item) keys and pairs
-//     the events inside the stage by a seq-ascending sweep.
+//     sorts its stage's events, derives their (component, item) keys and
+//     pairs the events inside the stage by a seq-ascending sweep.
 //  2. It takes the index mutex once. Inside, it probes the slots and the
-//     carry for the cross-stage pairs, admits the stage, files it, retires
-//     what no live attempt can still be ordered before (execIndex.retire),
-//     and unlocks. Lock order is admission order is certified commit
-//     order; nothing about a stage is decided outside the lock, so there
-//     is no snapshot to reconcile and a cut (same mutex) cannot land
-//     between a probe and its admission.
+//     carry for the cross-stage pairs, admits the stage over its filed
+//     nodes, files its events, retires what no live attempt can still be
+//     ordered before (execIndex.retire), and unlocks. Lock order is
+//     admission order is certified commit order; nothing about a stage is
+//     decided outside the lock, so there is no snapshot to reconcile and
+//     a cut (same mutex) cannot land between a probe and its admission.
 //  3. A stage with no cross-transaction pair, no new schedule and no new
 //     invocation edge is parked by front.Incremental.Admit. Its events
 //     are still filed, so a later pair against it makes the engine absorb
 //     it; retired unabsorbed, it never reaches the engine.
 //
 // A rejection costs its delta: the engine rolls the stage back and
-// nothing is filed.
+// nothing stays filed.
 
 // ErrCertifyViolation is the sentinel every CertifyError unwraps to.
 var ErrCertifyViolation = errors.New("sched: commit rejected by certifier")
@@ -70,12 +69,10 @@ func (e *CertifyError) Error() string {
 func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
 // certTicket is one commit's admission request: what the committing
-// goroutine builds out of lock, plus the scratch admission fills in. The
-// nodes and pairs end up in the admitted delta, so they are made fresh
-// per ticket; every other slice is scratch, kept across commits.
+// goroutine builds out of lock. The pairs end up in the admitted delta,
+// so they are made fresh per ticket; the events are scratch, kept across
+// commits.
 type certTicket struct {
-	nodes []front.DeltaNode // node declarations, parents first
-
 	// localPairs pairs events within the stage. Each entry is both a
 	// conflict and a weak-output pair (directed by seq).
 	localPairs []front.DeltaPair
@@ -87,10 +84,10 @@ type certTicket struct {
 
 // buildTicket derives the part of the committing stage's delta that needs
 // no shared state, exactly as delta() derives it for the whole index: the
-// new forest nodes, the events in global sequence order, and — per slot —
-// a conflict plus weak-output pair for every mode-conflicting pair of the
-// stage's own events with distinct parent transactions. It runs on the
-// committing goroutine with no lock held. Cross-stage pairs and schedule
+// events in global sequence order and — per slot — a conflict plus
+// weak-output pair for every mode-conflicting pair of the stage's own
+// events with distinct parent transactions. It runs on the committing
+// goroutine with no lock held. The nodes, cross-stage pairs and schedule
 // declarations are left to admission: they depend on admission order.
 // The ticket is a recycled one when the pool has it; admit puts it back.
 func (ix *execIndex) buildTicket(stage *stagedRecord) *certTicket {
@@ -98,11 +95,7 @@ func (ix *execIndex) buildTicket(stage *stagedRecord) *certTicket {
 	if t == nil {
 		t = &certTicket{}
 	}
-	t.localPairs = nil // the admitted delta retains it and t.nodes
-	t.nodes = make([]front.DeltaNode, len(stage.nodes))
-	for i, d := range stage.nodes {
-		t.nodes[i] = front.DeltaNode{ID: d.id, Parent: d.parent, Sched: model.ScheduleID(d.sched)}
-	}
+	t.localPairs = nil // the admitted delta retains it
 	t.evs = append(t.evs[:0], stage.events...)
 	// An invocation draws its seq when it takes its lock and appends its
 	// event after its subtree's, so every stage with an invocation arrives
@@ -135,11 +128,12 @@ func pairSeq(dst *[]front.DeltaPair, comp string, p, e filed) {
 
 // admit certifies one stage: it builds the ticket out of lock, then,
 // under the mutex, probes the slots for the stage's cross-stage pairs,
-// admits the final delta, files the stage and retires up to w (see
-// retire). A non-nil verdict is the rejection witness (the engine has
-// rolled the stage back); an error reports a malformed stage or a broken
-// engine. Either way nothing is filed. A failed retire (an engine bug)
-// keeps the stage admitted and fails every later admission.
+// files the nodes, admits the final delta over them (see cut), files the
+// events and retires up to w (see retire). A non-nil verdict is the
+// rejection witness (the engine has rolled the stage back); an error
+// reports a malformed stage or a broken engine. Either way nothing stays
+// filed. A failed retire (an engine bug) keeps the stage admitted and
+// fails every later admission.
 func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error) {
 	t := ix.buildTicket(stage)
 	defer ix.tickets.Put(t)
@@ -160,8 +154,10 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 	// Every derived pair is both a declared conflict and a weak-output
 	// pair (the engine reads both slices; sharing the backing array is
 	// fine, they are never mutated).
-	d := &front.Delta{Nodes: t.nodes, Conflicts: pairs, WeakOut: pairs}
-	for _, n := range t.nodes {
+	n0 := len(ix.nodes)
+	ix.nodes = append(ix.nodes, stage.nodes...)
+	d := &front.Delta{Nodes: slices.Clip(ix.nodes[n0:]), Conflicts: pairs, WeakOut: pairs}
+	for _, n := range d.Nodes {
 		if n.Sched != "" && !ix.inc.Declared(n.Sched) && !slices.Contains(d.Schedules, n.Sched) {
 			d.Schedules = append(d.Schedules, n.Sched)
 		}
@@ -169,14 +165,15 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 	parks := ix.inc.Parks()
 	v, err := ix.inc.Admit(d)
 	if v != nil || err != nil {
+		ix.nodes = ix.nodes[:n0]
 		return v, err
 	}
 	ix.fastPath.Add(int64(ix.inc.Parks() - parks))
-	ix.fileLocked(stage.nodes, t.evs)
+	ix.fileLocked(d.Nodes, t.evs)
 	if ix.observe != nil {
-		ix.observe(d, stage.nodes, t.evs)
+		ix.observe(d, t.evs)
 	}
-	o := openRoot{id: t.nodes[0].ID}
+	o := openRoot{id: d.Nodes[0].ID}
 	if n := len(t.evs); n > 0 {
 		o.first, o.last = t.evs[0].seq, t.evs[n-1].seq
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,7 +54,7 @@ func engineEmpty(t *testing.T, tag string, rt *Runtime) {
 // admission is in flight.
 func fileWhole(rt *Runtime) *execIndex {
 	whole := newExecIndex(rt.comps)
-	rt.ix.observe = func(_ *front.Delta, nodes []nodeDecl, evs []event) { whole.fileLocked(nodes, evs) }
+	rt.ix.observe = func(d *front.Delta, evs []event) { whole.file(&stagedRecord{d.Nodes, evs}) }
 	return whole
 }
 
@@ -106,6 +107,9 @@ func TestCertifyPipelineByteIdentity(t *testing.T) {
 			// every stage's build and its admission, and the events of the
 			// roots the engine keeps live on in the carry only.
 			{"conflicting-folded", 2, 0.2, 0.6, true},
+			// Cuts while the engine parks: a parked delta's nodes outlive
+			// the cut that drops them from the index.
+			{"disjoint-leaning-folded", 64, 0.7, 0.1, true},
 		} {
 			tag := fmt.Sprintf("%s/seed%d", mix.name, seed)
 			topo := DiamondTopology()
@@ -331,11 +335,15 @@ func TestRetireAgainstAlwaysKeep(t *testing.T) {
 			keep := front.NewIncremental(front.IncrementalOptions{PropagateInputs: true})
 			whole := newExecIndex(rt.comps)
 			var refused error
-			rt.ix.observe = func(d *front.Delta, nodes []nodeDecl, evs []event) {
-				if v, err := keep.Admit(d); (v != nil || err != nil) && refused == nil {
-					refused = fmt.Errorf("the always-keep engine refused %s: verdict %v, err %v", nodes[0].id, v, err)
+			rt.ix.observe = func(d *front.Delta, evs []event) {
+				// The second engine may park its delta past a cut that
+				// reuses the index's nodes in place: it gets its own copy.
+				kd := *d
+				kd.Nodes = slices.Clone(d.Nodes)
+				if v, err := keep.Admit(&kd); (v != nil || err != nil) && refused == nil {
+					refused = fmt.Errorf("the always-keep engine refused %s: verdict %v, err %v", d.Nodes[0].ID, v, err)
 				}
-				whole.fileLocked(nodes, evs)
+				whole.file(&stagedRecord{d.Nodes, evs})
 			}
 			progs := GenPrograms(topo, WorkloadParams{
 				Roots: 48, StepsPerTx: 3, Items: 4,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"compositetx/internal/data"
+	"compositetx/internal/front"
 	"compositetx/internal/model"
 )
 
@@ -192,7 +193,7 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 			}
 		}
 		a.reset(rootID, ts, uint32(retries+1))
-		a.stage.declareNode(nodeDecl{id: rootID, sched: root.Component})
+		a.stage.declareNode(front.DeltaNode{ID: rootID, Sched: model.ScheduleID(root.Component)})
 		d.sch.begin(a, root)
 		err := d.exec(a, rootID, name, root, deadline)
 		if err == nil {
@@ -298,7 +299,7 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocatio
 			if op.Physical() == data.ModeRead {
 				a.values = append(a.values, val)
 			}
-			a.stage.declareNode(nodeDecl{id: id, parent: node})
+			a.stage.declareNode(front.DeltaNode{ID: id, Parent: node})
 			a.stage.addEvent(event{seq: seq, comp: comp.name, op: id, parentTx: node, item: op.Item, mode: op.Mode})
 		case step.Invoke != nil:
 			if err := d.invoke(a, comp, node, id, owner, *step.Invoke, deadline); err != nil {
@@ -344,7 +345,7 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 	}
 	// Declared before its subtree, and before the snapshot a local re-run
 	// truncates back to: every stage is written parents-first.
-	a.stage.declareNode(nodeDecl{id: id, parent: parent, sched: inv.Component})
+	a.stage.declareNode(front.DeltaNode{ID: id, Parent: parent, Sched: model.ScheduleID(inv.Component)})
 	for try := 0; ; try++ {
 		snap := a.snapshot()
 		err := d.exec(a, id, string(id), inv, deadline)

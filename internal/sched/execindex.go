@@ -20,14 +20,6 @@ import (
 // committing stage's conflict pairs; RecordedSystem and Sequences
 // assemble the Comp-C checker's model from the same slots.
 
-// nodeDecl declares a forest node: a transaction (sched != "") or a leaf.
-// A node is declared after its parent.
-type nodeDecl struct {
-	id     model.NodeID
-	parent model.NodeID // "" for roots
-	sched  string       // component name for transactions, "" for leaves
-}
-
 // event is one granted semantic operation at a component: a leaf access or
 // a subtransaction invocation, with the global sequence number that fixes
 // the conflict order.
@@ -43,15 +35,15 @@ type event struct {
 // bySeq orders events by sequence number: the conflict order.
 func bySeq(a, b event) int { return cmp.Compare(a.seq, b.seq) }
 
-// stagedRecord buffers one attempt's declarations, parents first, and
-// events.
+// stagedRecord buffers one attempt's node declarations, parents first,
+// and events.
 type stagedRecord struct {
-	nodes  []nodeDecl
+	nodes  []front.DeltaNode
 	events []event
 }
 
-func (s *stagedRecord) declareNode(n nodeDecl) { s.nodes = append(s.nodes, n) }
-func (s *stagedRecord) addEvent(e event)       { s.events = append(s.events, e) }
+func (s *stagedRecord) declareNode(n front.DeltaNode) { s.nodes = append(s.nodes, n) }
+func (s *stagedRecord) addEvent(e event)              { s.events = append(s.events, e) }
 
 // truncate drops the staged declarations and events past the given
 // lengths: the record-side of a subtransaction-scoped rollback, so a
@@ -106,7 +98,7 @@ type execIndex struct {
 	// checkpoint cut and every reader take it too.
 	mu     sync.Mutex
 	scheds []model.ScheduleID // schedules filed nodes declared; a cut keeps them, as the engine does
-	nodes  []nodeDecl
+	nodes  []front.DeltaNode
 	slots  map[slotKey][]modeEvents
 	inc    *front.Incremental // the certifier's engine (nil = not certifying)
 
@@ -121,8 +113,9 @@ type execIndex struct {
 	carry     map[slotKey][]modeEvents
 	broken    error // a failed retire: the engine is unusable from then on
 
-	// observe, if set, sees each admitted delta and stage, under mu (tests).
-	observe func(d *front.Delta, nodes []nodeDecl, evs []event)
+	// observe, if set, sees each admitted delta and its events, under mu
+	// (tests). One that keeps the delta copies its Nodes (see cut).
+	observe func(d *front.Delta, evs []event)
 
 	fastPath atomic.Int64 // stages the engine parked
 	tickets  sync.Pool    // *certTicket, recycled across commits
@@ -135,19 +128,19 @@ func newExecIndex(comps map[string]*component) *execIndex {
 // file adds one committed stage to the index.
 func (ix *execIndex) file(s *stagedRecord) {
 	ix.mu.Lock()
+	ix.nodes = append(ix.nodes, s.nodes...)
 	ix.fileLocked(s.nodes, s.events)
 	ix.mu.Unlock()
 }
 
-// fileLocked appends nodes, declares their schedules, and files each
-// event in the sublist of its slot and mode (under ix.mu).
-func (ix *execIndex) fileLocked(nodes []nodeDecl, evs []event) {
+// fileLocked declares the schedules of nodes, already in ix.nodes, and
+// files each event in the sublist of its slot and mode (under ix.mu).
+func (ix *execIndex) fileLocked(nodes []front.DeltaNode, evs []event) {
 	for _, n := range nodes {
-		if s := model.ScheduleID(n.sched); s != "" && !slices.Contains(ix.scheds, s) {
-			ix.scheds = append(ix.scheds, s)
+		if n.Sched != "" && !slices.Contains(ix.scheds, n.Sched) {
+			ix.scheds = append(ix.scheds, n.Sched)
 		}
 	}
-	ix.nodes = append(ix.nodes, nodes...)
 	for _, e := range evs {
 		fileInto(ix.slots, keyOf(e), e.mode, e.filed())
 	}
@@ -191,12 +184,10 @@ func (ix *execIndex) probe(key slotKey, mt *data.ModeTable, mode data.Mode, fn f
 // declared schedules, the nodes parents first, and per slot a conflict
 // and weak-output pair for every mode-conflicting pair of its events
 // with distinct parent transactions, directed by seq (pairSeq) — the
-// same pairs the certifier derived stage by stage.
+// same pairs the certifier derived stage by stage. Its Nodes are
+// ix.nodes itself (see cut).
 func (ix *execIndex) delta() *front.Delta {
-	d := &front.Delta{Schedules: slices.Clone(ix.scheds), Nodes: make([]front.DeltaNode, len(ix.nodes))}
-	for i, n := range ix.nodes {
-		d.Nodes[i] = front.DeltaNode{ID: n.id, Parent: n.parent, Sched: model.ScheduleID(n.sched)}
-	}
+	d := &front.Delta{Schedules: slices.Clone(ix.scheds), Nodes: slices.Clip(ix.nodes)}
 	var pairs []front.DeltaPair
 	semantic := data.SemanticTable() // for a component the topology does not name
 	for key, subs := range ix.slots {
@@ -230,11 +221,10 @@ func (ix *execIndex) delta() *front.Delta {
 // (closed) weak output order of each schedule propagated to the weak
 // input order of the callee schedule its transaction pairs share.
 func (ix *execIndex) system() *model.System {
-	ix.mu.Lock()
-	d := ix.delta()
-	ix.mu.Unlock()
 	sys := model.NewSystem()
-	d.Apply(sys)
+	ix.mu.Lock()
+	ix.delta().Apply(sys)
+	ix.mu.Unlock()
 	for _, sc := range sys.Schedules() {
 		sc.WeakOut.TransitiveClosure().Each(func(a, b model.NodeID) {
 			na, nb := sys.Node(a), sys.Node(b)
@@ -289,7 +279,7 @@ func (ix *execIndex) cut() (roots, nodes int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, n := range ix.nodes {
-		if n.parent == "" {
+		if n.Parent == "" {
 			roots++
 		}
 	}
@@ -313,8 +303,14 @@ func (ix *execIndex) cut() (roots, nodes int) {
 	// largest window between cuts and are immediately refilled. Sublists
 	// of slots that were active this window are kept the same way, while
 	// slots idle since the previous cut are dropped, so a retired item
-	// does not pin its slot forever.
+	// does not pin its slot forever. An admitted delta's Nodes are a region
+	// of ix.nodes, and no delta the engine keeps may alias a region a later
+	// filing writes over: while the engine holds a parked delta, the nodes
+	// start a fresh array and the delta keeps the old one until Retire.
 	ix.nodes = ix.nodes[:0]
+	if ix.inc != nil && ix.inc.ParkedNodes() > 0 {
+		ix.nodes = make([]front.DeltaNode, 0, cap(ix.nodes))
+	}
 	for k, subs := range ix.slots {
 		active := false
 		for j := range subs {

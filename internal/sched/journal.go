@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"compositetx/internal/data"
+	"compositetx/internal/front"
 	"compositetx/internal/model"
 	"compositetx/internal/wal"
 )
@@ -202,7 +203,7 @@ func stageRecords(txn string, stage *stagedRecord, terminator wal.Record) []wal.
 	for _, n := range stage.nodes {
 		recs = append(recs, wal.Record{
 			Type: wal.TypeNode, Txn: txn,
-			Node: string(n.id), Parent: string(n.parent), Sched: n.sched,
+			Node: string(n.ID), Parent: string(n.Parent), Sched: string(n.Sched),
 		})
 	}
 	for _, e := range stage.events {
@@ -220,8 +221,8 @@ func stageRecords(txn string, stage *stagedRecord, terminator wal.Record) []wal.
 func (s *stagedRecord) absorb(rec *wal.Record) {
 	switch rec.Type {
 	case wal.TypeNode:
-		s.declareNode(nodeDecl{
-			id: model.NodeID(rec.Node), parent: model.NodeID(rec.Parent), sched: rec.Sched,
+		s.declareNode(front.DeltaNode{
+			ID: model.NodeID(rec.Node), Parent: model.NodeID(rec.Parent), Sched: model.ScheduleID(rec.Sched),
 		})
 	case wal.TypeEvent:
 		s.addEvent(event{

@@ -229,9 +229,9 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	// subtransaction after its subtree. A child's ID is its parent's plus
 	// "/k", so a stable sort on depth (bucketed, each counted once) puts
 	// every parent first and keeps sibling order.
-	var byDepth [][]nodeDecl
+	var byDepth [][]front.DeltaNode
 	for _, n := range tail.nodes {
-		d := strings.Count(string(n.id), "/")
+		d := strings.Count(string(n.ID), "/")
 		for len(byDepth) <= d {
 			byDepth = append(byDepth, nil)
 		}
