@@ -48,18 +48,8 @@ func (p *PairSet) Remove(a, b NodeID) {
 	delete(p.m, canonical(a, b))
 }
 
-// RemoveInvolving deletes every pair with n as an endpoint.
-func (p *PairSet) RemoveInvolving(n NodeID) {
-	for k := range p.m {
-		if k[0] == n || k[1] == n {
-			delete(p.m, k)
-		}
-	}
-}
-
-// RemoveInvolvingSet deletes every pair with an endpoint in set — one
-// sweep over the pairs regardless of the set's size (RemoveInvolving
-// per node would sweep once per node).
+// RemoveInvolvingSet deletes every pair with an endpoint in set, in one
+// sweep over the pairs.
 func (p *PairSet) RemoveInvolvingSet(set map[NodeID]struct{}) {
 	for k := range p.m {
 		if _, ok := set[k[0]]; ok {
@@ -113,19 +103,4 @@ func (p *PairSet) Union(other *PairSet) *PairSet {
 		p.m[k] = struct{}{}
 	}
 	return p
-}
-
-// Involving returns the partners of n, sorted.
-func (p *PairSet) Involving(n NodeID) []NodeID {
-	var out []NodeID
-	for k := range p.m {
-		switch n {
-		case k[0]:
-			out = append(out, k[1])
-		case k[1]:
-			out = append(out, k[0])
-		}
-	}
-	slices.Sort(out)
-	return out
 }

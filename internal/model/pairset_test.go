@@ -29,12 +29,12 @@ func TestPairSetIrreflexive(t *testing.T) {
 	}
 }
 
-func TestPairSetRemoveInvolving(t *testing.T) {
+func TestPairSetRemoveInvolvingSet(t *testing.T) {
 	p := NewPairSet()
 	p.Add("a", "b")
 	p.Add("b", "c")
 	p.Add("c", "d")
-	p.RemoveInvolving("b")
+	p.RemoveInvolvingSet(map[NodeID]struct{}{"b": {}})
 	if p.Has("a", "b") || p.Has("b", "c") {
 		t.Fatal("pairs involving b survived")
 	}
@@ -50,19 +50,6 @@ func TestPairSetPairsCanonicalOrder(t *testing.T) {
 	want := [][2]NodeID{{"a", "z"}, {"b", "m"}}
 	if got := p.Pairs(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Pairs = %v, want %v", got, want)
-	}
-}
-
-func TestPairSetInvolving(t *testing.T) {
-	p := NewPairSet()
-	p.Add("a", "b")
-	p.Add("c", "a")
-	p.Add("b", "c")
-	if got, want := p.Involving("a"), []NodeID{"b", "c"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Involving(a) = %v, want %v", got, want)
-	}
-	if got := p.Involving("x"); got != nil {
-		t.Fatalf("Involving(x) = %v, want nil", got)
 	}
 }
 

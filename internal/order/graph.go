@@ -1,31 +1,5 @@
 package order
 
-import "slices"
-
-// Reachable reports whether b is reachable from a via one or more pairs.
-func (r *Relation[T]) Reachable(a, b T) bool {
-	seen := make(map[T]struct{})
-	stack := []T{}
-	for n := range r.succ[a] {
-		stack = append(stack, n)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == b {
-			return true
-		}
-		if _, ok := seen[n]; ok {
-			continue
-		}
-		seen[n] = struct{}{}
-		for m := range r.succ[n] {
-			stack = append(stack, m)
-		}
-	}
-	return false
-}
-
 // HasCycle reports whether the relation, viewed as a directed graph,
 // contains a cycle (including self-pairs).
 func (r *Relation[T]) HasCycle() bool {
@@ -156,83 +130,4 @@ func mergeSorted[T ~string](a, b []T) []T {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// SCCs returns the strongly connected components of the relation with at
-// least one internal pair (i.e. real cycles, including self-pairs), each
-// component sorted lexicographically, components ordered by their smallest
-// member. Used to report every independent inconsistency at once.
-func (r *Relation[T]) SCCs() [][]T {
-	// Tarjan's algorithm, iterative to avoid deep recursion on long chains.
-	index := make(map[T]int, len(r.nodes))
-	low := make(map[T]int, len(r.nodes))
-	onStack := make(map[T]bool, len(r.nodes))
-	var stack []T
-	next := 0
-	var comps [][]T
-
-	type frame struct {
-		n    T
-		succ []T
-		i    int
-	}
-
-	for _, start := range r.Nodes() {
-		if _, ok := index[start]; ok {
-			continue
-		}
-		frames := []frame{{n: start, succ: r.Successors(start)}}
-		index[start] = next
-		low[start] = next
-		next++
-		stack = append(stack, start)
-		onStack[start] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.i < len(f.succ) {
-				m := f.succ[f.i]
-				f.i++
-				if _, ok := index[m]; !ok {
-					index[m] = next
-					low[m] = next
-					next++
-					stack = append(stack, m)
-					onStack[m] = true
-					frames = append(frames, frame{n: m, succ: r.Successors(m)})
-				} else if onStack[m] {
-					if index[m] < low[f.n] {
-						low[f.n] = index[m]
-					}
-				}
-				continue
-			}
-			// Finished f.n.
-			if low[f.n] == index[f.n] {
-				var comp []T
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[m] = false
-					comp = append(comp, m)
-					if m == f.n {
-						break
-					}
-				}
-				if len(comp) > 1 || r.Has(comp[0], comp[0]) {
-					sortSlice(comp)
-					comps = append(comps, comp)
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.n] < low[p.n] {
-					low[p.n] = low[f.n]
-				}
-			}
-		}
-	}
-	slices.SortFunc(comps, func(a, b []T) int { return cmpString(a[0], b[0]) })
-	return comps
 }

@@ -157,35 +157,3 @@ func TestTopoSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSCCs(t *testing.T) {
-	r := FromPairs(
-		[2]string{"a", "b"}, [2]string{"b", "a"}, // component {a,b}
-		[2]string{"c", "c"}, // self-pair component {c}
-		[2]string{"d", "e"}, // acyclic, no component
-		[2]string{"b", "c"},
-	)
-	got := r.SCCs()
-	want := [][]string{{"a", "b"}, {"c"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SCCs = %v, want %v", got, want)
-	}
-}
-
-func TestSCCsEmptyOnDAG(t *testing.T) {
-	r := FromPairs([2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"a", "c"})
-	if got := r.SCCs(); len(got) != 0 {
-		t.Fatalf("SCCs on DAG = %v, want none", got)
-	}
-}
-
-// Property: relation has a cycle iff it has at least one SCC with a pair.
-func TestSCCsAgreeWithHasCycle(t *testing.T) {
-	f := func(seed int64) bool {
-		r := randomRelation(rand.New(rand.NewSource(seed)), 10, 15)
-		return (len(r.SCCs()) > 0) == r.HasCycle()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

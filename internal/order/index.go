@@ -46,20 +46,6 @@ func (b Bitset) OrAnd(x, y Bitset) {
 	}
 }
 
-// OrAndNot sets b |= x &^ y. A nil x is a no-op; a nil y is empty.
-func (b Bitset) OrAndNot(x, y Bitset) {
-	if x == nil {
-		return
-	}
-	if y == nil {
-		b.Or(x)
-		return
-	}
-	for i := range b {
-		b[i] |= x[i] &^ y[i]
-	}
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

@@ -59,31 +59,3 @@ func (r *Relation[T]) GroupableBy(groupOf func(T) T) (ok bool, badGroup T, quoti
 	}
 	return true, badGroup, nil
 }
-
-// GroupedTopoSort returns a total order of all nodes in which every group is
-// contiguous and every pair of r is respected, or ok=false when impossible.
-// Within the result, groups appear in quotient topological order and nodes
-// within a group in the group's internal topological order.
-func (r *Relation[T]) GroupedTopoSort(groupOf func(T) T) (sorted []T, ok bool) {
-	okG, _, _ := r.GroupableBy(groupOf)
-	if !okG {
-		return nil, false
-	}
-	q := r.Quotient(groupOf)
-	groupOrder, ok := q.TopoSort()
-	if !ok {
-		return nil, false
-	}
-	for _, g := range groupOrder {
-		inner := r.Restrict(func(n T) bool { return groupOf(n) == g })
-		innerSorted, ok := inner.TopoSort()
-		if !ok {
-			return nil, false
-		}
-		sorted = append(sorted, innerSorted...)
-	}
-	if len(sorted) != len(r.nodes) {
-		return nil, false
-	}
-	return sorted, true
-}

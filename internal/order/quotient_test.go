@@ -47,59 +47,27 @@ func TestGroupableByInternalCycle(t *testing.T) {
 	}
 }
 
-func TestGroupedTopoSortContiguity(t *testing.T) {
-	r := FromPairs(
-		[2]string{"a1", "a2"},
-		[2]string{"a2", "b1"},
-		[2]string{"b1", "b2"},
-		[2]string{"c1", "b2"},
-	)
-	r.AddNode("c2")
-	sorted, ok := r.GroupedTopoSort(groupByPrefix)
+// groupedTopoSort orders every node so that each group is contiguous and
+// every pair of r is respected: groups in quotient topological order, each
+// group in its internal topological order. ok is false when that fails.
+func groupedTopoSort(r *Relation[string], groupOf func(string) string) (sorted []string, ok bool) {
+	groups, ok := r.Quotient(groupOf).TopoSort()
 	if !ok {
-		t.Fatal("GroupedTopoSort failed on a groupable relation")
+		return nil, false
 	}
-	if len(sorted) != 6 {
-		t.Fatalf("sorted has %d nodes, want 6: %v", len(sorted), sorted)
-	}
-	assertContiguousGroups(t, sorted, groupByPrefix)
-	pos := map[string]int{}
-	for i, n := range sorted {
-		pos[n] = i
-	}
-	r.Each(func(a, b string) {
-		if pos[a] >= pos[b] {
-			t.Errorf("order violates pair (%s,%s): %v", a, b, sorted)
+	for _, g := range groups {
+		inner, ok := r.Restrict(func(n string) bool { return groupOf(n) == g }).TopoSort()
+		if !ok {
+			return nil, false
 		}
-	})
-}
-
-func TestGroupedTopoSortFailure(t *testing.T) {
-	r := FromPairs([2]string{"a1", "b1"}, [2]string{"b1", "a2"})
-	if _, ok := r.GroupedTopoSort(groupByPrefix); ok {
-		t.Fatal("GroupedTopoSort should fail when grouping is impossible")
+		sorted = append(sorted, inner...)
 	}
+	return sorted, len(sorted) == len(r.Nodes())
 }
 
-func assertContiguousGroups(t *testing.T, sorted []string, groupOf func(string) string) {
-	t.Helper()
-	seen := map[string]bool{}
-	var cur string
-	for _, n := range sorted {
-		g := groupOf(n)
-		if g != cur {
-			if seen[g] {
-				t.Fatalf("group %q is not contiguous in %v", g, sorted)
-			}
-			seen[g] = true
-			cur = g
-		}
-	}
-}
-
-// Property: whenever GroupableBy says yes, GroupedTopoSort produces a valid
-// witness (contiguous groups, all pairs respected); whenever it says no,
-// GroupedTopoSort fails too.
+// Property: whenever GroupableBy says yes, a grouped topological sort
+// produces a valid witness (contiguous groups, all pairs respected);
+// whenever it says no, the sort fails too.
 func TestGroupableByWitnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -120,7 +88,7 @@ func TestGroupableByWitnessProperty(t *testing.T) {
 			}
 		}
 		ok, _, _ := r.GroupableBy(groupByPrefix)
-		sorted, sortOK := r.GroupedTopoSort(groupByPrefix)
+		sorted, sortOK := groupedTopoSort(r, groupByPrefix)
 		if ok != sortOK {
 			return false
 		}

@@ -70,21 +70,8 @@ func (r *Relation[T]) Remove(a, b T) {
 	}
 }
 
-// RemoveNode deletes an identifier and every pair involving it.
-func (r *Relation[T]) RemoveNode(n T) {
-	delete(r.nodes, n)
-	delete(r.succ, n)
-	for a, s := range r.succ {
-		delete(s, n)
-		if len(s) == 0 {
-			delete(r.succ, a)
-		}
-	}
-}
-
 // RemoveNodes deletes every identifier in set and every pair involving
-// one — a single sweep over the successor rows regardless of the set's
-// size (RemoveNode per node would sweep once per node).
+// one, in a single sweep over the successor rows.
 func (r *Relation[T]) RemoveNodes(set map[T]struct{}) {
 	for n := range set {
 		delete(r.nodes, n)
@@ -109,12 +96,6 @@ func (r *Relation[T]) Has(a, b T) bool {
 		return false
 	}
 	_, ok = s[b]
-	return ok
-}
-
-// HasNode reports whether n has been registered (as a node or pair endpoint).
-func (r *Relation[T]) HasNode(n T) bool {
-	_, ok := r.nodes[n]
 	return ok
 }
 

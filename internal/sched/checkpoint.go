@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -72,14 +71,8 @@ type CheckpointConfig struct {
 	// HighWater throttles new root admission with ErrOverload — and
 	// triggers an early checkpoint — once the execution index's record or
 	// the certifier's engine holds this many forest nodes (0 = none).
+	// Admission re-opens once the live node count falls below HighWater/2.
 	HighWater int
-	// LowWater re-opens admission once the live node count falls below
-	// it (default HighWater/2).
-	LowWater int
-	// HeapHighWater, when nonzero, additionally trips the throttle when
-	// runtime.MemStats.HeapAlloc exceeds this many bytes. The gauge is
-	// sampled at commit points, at most once per 64 commits.
-	HeapHighWater uint64
 }
 
 // CheckpointStats reports one completed checkpoint.
@@ -251,9 +244,6 @@ func (ck *ckState) frontier(def uint64) uint64 {
 // EnableCheckpoints installs the automatic checkpoint cadence and
 // overload watermarks. Call before submitting transactions.
 func (r *Runtime) EnableCheckpoints(cfg CheckpointConfig) {
-	if cfg.LowWater == 0 {
-		cfg.LowWater = cfg.HighWater / 2
-	}
 	r.ck.cfg = cfg
 }
 
@@ -494,7 +484,7 @@ func (r *Runtime) ckMetaBlob() ([]byte, error) {
 // via the running flag.
 func (r *Runtime) maybeCheckpoint() {
 	cfg := r.ck.cfg
-	if cfg.Every <= 0 && cfg.HighWater <= 0 && cfg.HeapHighWater == 0 {
+	if cfg.Every <= 0 && cfg.HighWater <= 0 {
 		return
 	}
 	n := r.ck.sinceCk.Add(1)
@@ -502,14 +492,6 @@ func (r *Runtime) maybeCheckpoint() {
 	if !due && cfg.HighWater > 0 && r.ix.live() >= cfg.HighWater {
 		r.ck.throttle.Store(true)
 		due = true
-	}
-	if !due && cfg.HeapHighWater > 0 && n%64 == 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > cfg.HeapHighWater {
-			r.ck.throttle.Store(true)
-			due = true
-		}
 	}
 	if !due {
 		// The certifier's engine drops roots at admission, between cuts.
@@ -525,13 +507,13 @@ func (r *Runtime) maybeCheckpoint() {
 
 // relieveOverload re-checks the watermark after a commit or checkpoint
 // and lifts the admission throttle once the backlog has drained below
-// LowWater.
+// HighWater/2.
 func (r *Runtime) relieveOverload() {
 	if !r.ck.throttle.Load() {
 		return
 	}
 	cfg := r.ck.cfg
-	if cfg.HighWater > 0 && r.ix.live() >= cfg.LowWater {
+	if cfg.HighWater > 0 && r.ix.live() >= cfg.HighWater/2 {
 		return
 	}
 	r.ck.throttle.Store(false)
@@ -539,7 +521,7 @@ func (r *Runtime) relieveOverload() {
 
 // admit is Submit's backpressure gate: above the high watermark new
 // roots are rejected with ErrOverload until a checkpoint drains the
-// backlog below the low watermark.
+// backlog below HighWater/2.
 func (r *Runtime) admit() error {
 	if r.ck.throttle.Load() {
 		r.overloadThrottles.Add(1)
