@@ -10,12 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the CI gate: gofmt-clean + vet + build + the full test suite
-# under the race detector (covering the sched runtime, the fault-injection
-# chaos soak — see `make chaos` for the soak alone — and the CheckBatch
-# worker pool).
+# verify is the CI gate: gofmt-clean + no CHANGES.md line over 100
+# characters + vet + build + the full test suite under the race detector
+# (covering the sched runtime, the fault-injection chaos soak — see
+# `make chaos` for the soak alone — and the CheckBatch worker pool).
 verify:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l . prints:"; echo "$$out"; exit 1; }
+	@out=$$(LC_ALL=C.UTF-8 grep -n '.\{101\}' CHANGES.md); test -z "$$out" || { echo "CHANGES.md lines over 100 characters:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -147,11 +148,14 @@ fuzz:
 
 # loc prints the non-test Go lines per package and in total (bench/ is its
 # own module and not counted) — the number CHANGES.md quotes when a PR
-# claims lines removed.
+# claims lines removed — then the line counts of the three design docs
+# and the byte size of CHANGES.md.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
 		printf '%6d %s\n' $$(cat $$(ls $$dir/*.go | grep -v _test.go) | wc -l) $$pkg; \
 	done | awk '{print; n += $$1} END {printf "%6d total\n", n}'
+	@wc -l DESIGN.md EXPERIMENTS.md README.md | awk '{printf "%6d %s lines\n", $$1, $$2}'
+	@wc -c CHANGES.md | awk '{printf "%6d %s bytes\n", $$1, $$2}'
 
 # benchtest vets and tests the repo benchmark (bench/ is its own module,
 # so `go test ./...` at the root does not reach it). Every number the repo

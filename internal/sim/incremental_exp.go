@@ -132,10 +132,7 @@ func measureCertify(name string, mk func() *sched.Topology, cfg RunConfig) certi
 				panic(err)
 			}
 		}
-		progs := sched.GenPrograms(topo, sched.WorkloadParams{
-			Roots: cfg.Roots, StepsPerTx: cfg.StepsPerTx, Items: cfg.Items,
-			ReadRatio: cfg.ReadRatio, WriteRatio: cfg.WriteRatio, Seed: cfg.Seed,
-		})
+		progs := sched.GenPrograms(topo, cfg.Workload())
 		if cfg.StepDelay > 0 {
 			progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 		}

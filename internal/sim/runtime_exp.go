@@ -23,6 +23,14 @@ type RunConfig struct {
 	Seed      int64
 }
 
+// Workload is the program generator's view of the configuration.
+func (c RunConfig) Workload() sched.WorkloadParams {
+	return sched.WorkloadParams{
+		Roots: c.Roots, StepsPerTx: c.StepsPerTx, Items: c.Items,
+		ReadRatio: c.ReadRatio, WriteRatio: c.WriteRatio, Seed: c.Seed,
+	}
+}
+
 // DefaultRunConfig is the configuration used by compbench.
 func DefaultRunConfig() RunConfig {
 	return RunConfig{
@@ -36,10 +44,7 @@ func DefaultRunConfig() RunConfig {
 // reports throughput plus the checker verdict on the recorded execution.
 func runOnce(topo *sched.Topology, p sched.Protocol, cfg RunConfig) (row []string, correct bool) {
 	rt := topo.NewRuntime(p)
-	progs := sched.GenPrograms(topo, sched.WorkloadParams{
-		Roots: cfg.Roots, StepsPerTx: cfg.StepsPerTx, Items: cfg.Items,
-		ReadRatio: cfg.ReadRatio, WriteRatio: cfg.WriteRatio, Seed: cfg.Seed,
-	})
+	progs := sched.GenPrograms(topo, cfg.Workload())
 	if cfg.StepDelay > 0 {
 		progs = sched.Jitter(progs, cfg.StepDelay, cfg.Seed)
 	}
