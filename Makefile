@@ -127,14 +127,21 @@ distperf:
 # reject, the engine actually parking) with E12's counts (the engine
 # agrees with a from-scratch Check on every prefix of 256 commits and
 # rebuilds only on level changes). The race lines also hold Check to its
-# frozen verdicts and Encode bytes (TestCheckGolden); then, without the
-# race detector, 20 iterations of the checker benchmark run as a smoke
-# (BenchmarkCheckGeneral: B/op and allocs/op of one check-general system).
+# frozen verdicts and Encode bytes (TestCheckGolden), stages to seq order
+# (TestStagesParentsFirst checks every journaled batch; the certifier
+# refuses a stage out of order) and the lock manager to its flat
+# reference model (TestLockModel: release by held items, recycled entry
+# lists); then, without the race detector, 20 iterations of the checker
+# benchmark run as a smoke (BenchmarkCheckGeneral: B/op and allocs/op of
+# one check-general system), and 2000 of the disjoint lock benchmark
+# (BenchmarkLockManagerDisjoint: an uncontended acquire and release,
+# 0 allocs/op).
 certperf:
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestSeedEqualsRetiredAdmit|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit|TestCheckGolden' ./internal/sched ./internal/front
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay' ./internal/sched
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay|TestLockModel' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 	$(GO) test -run '^$$' -bench CheckGeneral -benchtime 20x ./internal/front
+	$(GO) test -run '^$$' -bench LockManagerDisjoint -benchmem -benchtime 2000x ./internal/sched
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
 # seeds alone run under `go test ./...`, so under `make verify` too): the

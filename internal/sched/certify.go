@@ -25,9 +25,11 @@ import (
 // inside publishCommit's hold of the checkpoint gate's read side, so a
 // cut drops exactly the commits journaled below its marker:
 //
-//  1. Out of lock, the committer builds what needs no shared state: it
-//     sorts its stage's events, derives their (component, item) keys and
-//     pairs the events inside the stage by a seq-ascending sweep.
+//  1. Out of lock, the committer builds what needs no shared state. Its
+//     stage is already in seq order — the driver stages each event when
+//     it draws the event's seq, and a read refresh moves the re-sequenced
+//     reads to the end — so it checks that order in one pass, and pairs
+//     the events inside the stage by a sweep over the stage in place.
 //  2. It takes the index mutex once. Inside, it probes the slots and the
 //     carry for the cross-stage pairs, admits the stage over its filed
 //     nodes, files its events, retires what no live attempt can still be
@@ -68,48 +70,43 @@ func (e *CertifyError) Error() string {
 
 func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
-// certTicket is one commit's admission request: what the committing
-// goroutine builds out of lock. The pairs end up in the admitted delta,
-// so they are made fresh per ticket; the events are scratch, kept across
-// commits.
-type certTicket struct {
-	// localPairs pairs events within the stage. Each entry is both a
-	// conflict and a weak-output pair (directed by seq).
-	localPairs []front.DeltaPair
-
-	// The stage's footprint for the probe and the filing: its events in
-	// global seq order.
-	evs []event
-}
-
-// buildTicket derives the part of the committing stage's delta that needs
-// no shared state, exactly as delta() derives it for the whole index: the
-// events in global sequence order and — per slot — a conflict plus
-// weak-output pair for every mode-conflicting pair of the stage's own
-// events with distinct parent transactions. It runs on the committing
-// goroutine with no lock held. The nodes, cross-stage pairs and schedule
-// declarations are left to admission: they depend on admission order.
-// The ticket is a recycled one when the pool has it; admit puts it back.
-func (ix *execIndex) buildTicket(stage *stagedRecord) *certTicket {
-	t, _ := ix.tickets.Get().(*certTicket)
-	if t == nil {
-		t = &certTicket{}
-	}
-	t.localPairs = nil // the admitted delta retains it
-	t.evs = append(t.evs[:0], stage.events...)
-	// An invocation draws its seq when it takes its lock and appends its
-	// event after its subtree's, so every stage with an invocation arrives
-	// out of seq order. Seqs are unique: the order is total.
-	slices.SortFunc(t.evs, bySeq)
-	for i, e := range t.evs {
-		// Intra-stage sweep: earlier events of the same key pair with e.
-		for j := 0; j < i; j++ {
-			if p := t.evs[j]; p.comp == e.comp && p.item == e.item && ix.comps[e.comp].modes.ModeConflicts(p.mode, e.mode) {
-				pairSeq(&t.localPairs, e.comp, p.filed(), e.filed())
+// localPairs derives the part of the committing stage's delta that
+// needs no shared state, exactly as delta() derives it for the whole
+// index: per slot, a conflict plus weak-output pair for every
+// mode-conflicting pair of the stage's own events with distinct parent
+// transactions. It runs on the committing goroutine with no lock held.
+// The nodes, cross-stage pairs and schedule declarations are left to
+// admission: they depend on admission order. The pairs end up in the
+// admitted delta, so they are made fresh per commit.
+func (ix *execIndex) localPairs(evs []event) []front.DeltaPair {
+	var pairs []front.DeltaPair
+	for i := range evs {
+		e := &evs[i]
+		// Earlier events of the same key pair with e.
+		for j := range i {
+			if p := &evs[j]; p.item == e.item && p.comp == e.comp && ix.comps[e.comp].modes.ModeConflicts(p.mode, e.mode) {
+				pairSeq(&pairs, e.comp, p.filed(), e.filed())
 			}
 		}
 	}
-	return t
+	return pairs
+}
+
+// inSeqOrder checks that a stage's events strictly ascend in seq, as the
+// driver stages them: an attempt draws its seqs in the order it stages
+// their events.
+func inSeqOrder(stage *stagedRecord) error {
+	for i := 1; i < len(stage.events); i++ {
+		if stage.events[i].seq <= stage.events[i-1].seq {
+			root := model.NodeID("")
+			if len(stage.nodes) > 0 {
+				root = stage.nodes[0].ID
+			}
+			return fmt.Errorf("sched: stage of %s out of seq order: event %s (seq %d) follows %s (seq %d)",
+				root, stage.events[i].op, stage.events[i].seq, stage.events[i-1].op, stage.events[i-1].seq)
+		}
+	}
+	return nil
 }
 
 // pairSeq appends the conflict/weak-output pair for two events of
@@ -126,30 +123,34 @@ func pairSeq(dst *[]front.DeltaPair, comp string, p, e filed) {
 	*dst = append(*dst, front.DeltaPair{Sched: model.ScheduleID(comp), A: p.op, B: e.op})
 }
 
-// admit certifies one stage: it builds the ticket out of lock, then,
-// under the mutex, probes the slots for the stage's cross-stage pairs,
-// files the nodes, admits the final delta over them (see cut), files the
-// events and retires up to w (see retire). A non-nil verdict is the
-// rejection witness (the engine has rolled the stage back); an error
-// reports a malformed stage or a broken engine. Either way nothing stays
-// filed. A failed retire (an engine bug) keeps the stage admitted and
-// fails every later admission.
+// admit certifies one stage, whose events are in seq order (inSeqOrder):
+// it derives the local pairs out of lock, then, under the mutex, probes
+// the slots for the stage's cross-stage pairs, files the nodes, admits
+// the final delta over them (see cut), files the events and retires up
+// to w (see retire). A non-nil verdict is the rejection witness (the
+// engine has rolled the stage back); an error reports a malformed stage
+// or a broken engine. Either way nothing stays filed. A failed retire (an
+// engine bug) keeps the stage admitted and fails every later admission.
 func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error) {
-	t := ix.buildTicket(stage)
-	defer ix.tickets.Put(t)
+	if err := inSeqOrder(stage); err != nil {
+		return nil, err
+	}
+	evs := stage.events
+	local := ix.localPairs(evs)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.broken != nil {
 		return nil, ix.broken
 	}
 	var pairs []front.DeltaPair
-	for _, e := range t.evs {
+	for i := range evs {
+		e := &evs[i]
 		f := e.filed()
-		ix.probe(keyOf(e), ix.comps[e.comp].modes, e.mode, func(p filed) {
+		ix.probe(slotKey{e.comp, e.item}, ix.comps[e.comp].modes, e.mode, func(p filed) {
 			pairSeq(&pairs, e.comp, p, f)
 		})
 	}
-	pairs = append(pairs, t.localPairs...)
+	pairs = append(pairs, local...)
 
 	// Every derived pair is both a declared conflict and a weak-output
 	// pair (the engine reads both slices; sharing the backing array is
@@ -169,13 +170,13 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 		return v, err
 	}
 	ix.fastPath.Add(int64(ix.inc.Parks() - parks))
-	ix.fileLocked(d.Nodes, t.evs)
+	ix.fileLocked(d.Nodes, evs)
 	if ix.observe != nil {
-		ix.observe(d, t.evs)
+		ix.observe(d, evs)
 	}
 	o := openRoot{id: d.Nodes[0].ID}
-	if n := len(t.evs); n > 0 {
-		o.first, o.last = t.evs[0].seq, t.evs[n-1].seq
+	if n := len(evs); n > 0 {
+		o.first, o.last = evs[0].seq, evs[n-1].seq
 	}
 	i, _ := slices.BinarySearchFunc(ix.open, o.first, func(x openRoot, f uint64) int { return cmp.Compare(x.first, f) })
 	ix.open = slices.Insert(ix.open, i, o)

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -338,5 +339,43 @@ func TestEnableCertifyOverHistory(t *testing.T) {
 	errA, errB := submitCrossedWrites(t, good, "TA", "TB")
 	if n := crossedRejects(t, errA, errB); n != 1 {
 		t.Fatalf("%d roots of the crossed pair rejected, want exactly one (A=%v B=%v)", n, errA, errB)
+	}
+}
+
+// TestCertifyRefusesOutOfOrderStage: admission takes a stage's events in
+// seq order, as the driver stages them, and checks that it does. A stage
+// out of order — or with a seq drawn twice — is refused with an error
+// naming its root, and nothing of it is filed; in order, the same stage is
+// admitted.
+func TestCertifyRefusesOutOfOrderStage(t *testing.T) {
+	rt := BankTopology().NewRuntime(Hybrid)
+	if err := rt.EnableCertify(); err != nil {
+		t.Fatal(err)
+	}
+	invoke := event{seq: 4, comp: "bank", op: "T9/1", parentTx: "T9", item: "east/x", mode: data.ModeIncr}
+	leaf := event{seq: 5, comp: "east", op: "T9/1/1", parentTx: "T9/1", item: "x", mode: data.ModeIncr}
+	stage := func(evs ...event) *stagedRecord {
+		return &stagedRecord{
+			nodes: []front.DeltaNode{
+				{ID: "T9", Sched: "bank"},
+				{ID: "T9/1", Parent: "T9", Sched: "east"},
+				{ID: "T9/1/1", Parent: "T9/1"},
+			},
+			events: evs,
+		}
+	}
+	twice := leaf
+	twice.seq = invoke.seq
+	for _, bad := range []*stagedRecord{stage(leaf, invoke), stage(invoke, twice)} {
+		v, err := rt.ix.admit(bad, 0)
+		if v != nil || err == nil || !strings.Contains(err.Error(), "T9 out of seq order") {
+			t.Fatalf("out-of-order stage: verdict %v, err %v; want an error naming T9", v, err)
+		}
+		if n := rt.ix.live(); n != 0 {
+			t.Fatalf("a refused stage left %d nodes filed", n)
+		}
+	}
+	if v, err := rt.ix.admit(stage(invoke, leaf), 0); v != nil || err != nil {
+		t.Fatalf("in-order stage: verdict %v, err %v", v, err)
 	}
 }

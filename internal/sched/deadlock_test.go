@@ -59,7 +59,7 @@ func TestDetectWFGYoungerMayWait(t *testing.T) {
 		t.Fatalf("younger request should wait, not return: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	lm.release("old")
+	lm.release("old", "x")
 	if err := <-done; err != nil {
 		t.Fatalf("younger request should be granted after release: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestDetectWFGDeadlockCycle(t *testing.T) {
 	}
 	// t2 rolls back and releases; t1 proceeds.
 	wg.clear(2)
-	lm.release("t2")
+	lm.release("t2", "y")
 	select {
 	case err := <-done:
 		if err != nil {

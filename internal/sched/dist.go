@@ -497,6 +497,7 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 					log.close()
 					return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.name, u.op.Item, txn, err)
 				}
+				tx.locks = append(tx.locks, u.op.Item)
 			}
 		}
 		p.txns[txn] = tx

@@ -76,8 +76,8 @@ type driver struct {
 }
 
 // attempt carries the per-attempt execution state. The first block is
-// the driver's; the in-process scheduler adds the undo log, the lock
-// owners and the optimistic reads, the cluster the participants touched.
+// the driver's; the in-process scheduler adds the locks held, the undo
+// log and the optimistic reads, the cluster the participants touched.
 // Every slice and map is emptied in place by reset, so a recycled attempt
 // keeps its capacity; only values leaves with the result.
 type attempt struct {
@@ -87,7 +87,7 @@ type attempt struct {
 	stage  stagedRecord
 	values []int64
 
-	owners []ownerRef
+	locks  []lockRef // one per grant, released by item
 	undo   []undoEntry
 	stores []*data.Store // touchedStores' scratch
 
@@ -117,7 +117,7 @@ func (a *attempt) reset(root model.NodeID, ts uint64, number uint32) {
 	a.root, a.ts, a.number = root, ts, number
 	a.stage.truncate(0, 0)
 	a.values = a.values[:0]
-	a.owners = a.owners[:0]
+	a.locks = a.locks[:0]
 	a.undo = a.undo[:0]
 	a.optimistic = false
 	clear(a.snaps)
@@ -131,13 +131,13 @@ func (a *attempt) reset(root model.NodeID, ts uint64, number uint32) {
 // subtransaction can be rolled back and re-run without discarding the
 // work of the rest of the transaction.
 type snapshot struct {
-	undo, owners, nodes, events, values, reads int
+	undo, locks, nodes, events, values, reads int
 }
 
 func (a *attempt) snapshot() snapshot {
 	return snapshot{
 		undo:   len(a.undo),
-		owners: len(a.owners),
+		locks:  len(a.locks),
 		nodes:  len(a.stage.nodes),
 		events: len(a.stage.events),
 		values: len(a.values),
@@ -195,7 +195,7 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 		a.reset(rootID, ts, uint32(retries+1))
 		a.stage.declareNode(front.DeltaNode{ID: rootID, Sched: model.ScheduleID(root.Component)})
 		d.sch.begin(a, root)
-		err := d.exec(a, rootID, name, root, deadline)
+		err := d.exec(a, rootID, name, &root, deadline)
 		if err == nil {
 			if err = d.sch.commit(a); err == nil {
 				res := &TxResult{Root: rootID, Retries: retries}
@@ -257,7 +257,7 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 // exec runs one (sub)transaction at its component. node is its ID, owner
 // the lock owner its caller hands down, and deadline bounds the subtree
 // (zero = none; inv.Deadline tightens it).
-func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocation, deadline time.Time) error {
+func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv *Invocation, deadline time.Time) error {
 	comp := d.comps[inv.Component]
 	if comp == nil {
 		return fmt.Errorf("sched: unknown component %q", inv.Component)
@@ -269,7 +269,8 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocatio
 	if err != nil {
 		return err
 	}
-	for i, step := range inv.Steps {
+	for i := range inv.Steps {
+		step := &inv.Steps[i]
 		if d.crashed.Load() {
 			return ErrCrashed
 		}
@@ -302,7 +303,7 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocatio
 			a.stage.declareNode(front.DeltaNode{ID: id, Parent: node})
 			a.stage.addEvent(event{seq: seq, comp: comp.name, op: id, parentTx: node, item: op.Item, mode: op.Mode})
 		case step.Invoke != nil:
-			if err := d.invoke(a, comp, node, id, owner, *step.Invoke, deadline); err != nil {
+			if err := d.invoke(a, comp, node, id, owner, step.Invoke, deadline); err != nil {
 				return err
 			}
 		default:
@@ -315,7 +316,7 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv Invocatio
 
 // invoke locks the semantic operation at the caller and delegates the
 // subtransaction to the child component.
-func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, owner string, inv Invocation, deadline time.Time) error {
+func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, owner string, inv *Invocation, deadline time.Time) error {
 	child := d.comps[inv.Component]
 	if child == nil {
 		return fmt.Errorf("sched: unknown component %q", inv.Component)
@@ -331,17 +332,16 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 	// conflicting (nor serialized) at the caller.
 	semItem := inv.Component + "/" + inv.Item
 
-	var seq uint64
-	switch d.protocol {
-	case Global2PL, NoCC:
-		// No component-level locks; the event sequence is assigned at
-		// completion, where lock strictness (Global2PL) makes the order
-		// consistent with the leaf serialization.
-	default:
+	// The invocation's event is staged when its seq is drawn, so every
+	// stage is in seq order: the seqs an attempt draws ascend.
+	ev := event{comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode}
+	locked := d.protocol != Global2PL && d.protocol != NoCC
+	if locked {
 		if err := d.sch.lock(a, caller, id, semItem, inv.Mode, owner, deadline); err != nil {
 			return err
 		}
-		seq = d.sch.nextSeq()
+		ev.seq = d.sch.nextSeq()
+		a.stage.addEvent(ev)
 	}
 	// Declared before its subtree, and before the snapshot a local re-run
 	// truncates back to: every stage is written parents-first.
@@ -356,9 +356,12 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 			return err
 		}
 	}
-	if seq == 0 {
-		seq = d.sch.nextSeq()
+	if !locked {
+		// No component-level locks: the event is sequenced at completion,
+		// where lock strictness (Global2PL) makes the order consistent with
+		// the leaf serialization.
+		ev.seq = d.sch.nextSeq()
+		a.stage.addEvent(ev)
 	}
-	a.stage.addEvent(event{seq: seq, comp: caller.name, op: id, parentTx: parent, item: semItem, mode: inv.Mode})
 	return nil
 }

@@ -57,8 +57,6 @@ func (s *stagedRecord) truncate(nodes, events int) {
 // slotKey names one slot of the index: an item at a component.
 type slotKey struct{ comp, item string }
 
-func keyOf(e event) slotKey { return slotKey{e.comp, e.item} }
-
 // filed is an event as its slot keeps it: the slot names the component
 // and item, the sublist the mode.
 type filed struct {
@@ -66,7 +64,7 @@ type filed struct {
 	op, parentTx model.NodeID
 }
 
-func (e event) filed() filed { return filed{e.seq, e.op, e.parentTx} }
+func (e *event) filed() filed { return filed{e.seq, e.op, e.parentTx} }
 
 // modeEvents is one slot's filed events of a single mode, in filing
 // order. Segregating per mode lets a probe screen each sublist with ONE
@@ -118,7 +116,6 @@ type execIndex struct {
 	observe func(d *front.Delta, evs []event)
 
 	fastPath atomic.Int64 // stages the engine parked
-	tickets  sync.Pool    // *certTicket, recycled across commits
 }
 
 func newExecIndex(comps map[string]*component) *execIndex {
@@ -141,8 +138,9 @@ func (ix *execIndex) fileLocked(nodes []front.DeltaNode, evs []event) {
 			ix.scheds = append(ix.scheds, n.Sched)
 		}
 	}
-	for _, e := range evs {
-		fileInto(ix.slots, keyOf(e), e.mode, e.filed())
+	for i := range evs {
+		e := &evs[i]
+		fileInto(ix.slots, slotKey{e.comp, e.item}, e.mode, e.filed())
 	}
 }
 

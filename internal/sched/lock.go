@@ -28,9 +28,10 @@ const lockShardCount = 16
 // The item table is hash-striped: every item maps to one of
 // lockShardCount shards, each with its own mutex and condition variable,
 // so concurrent acquisitions on distinct items contend only on their
-// stripe instead of one manager-wide mutex. Item-wise operations
-// (acquire) touch one shard; owner-wise operations (release, heldBy)
-// sweep all shards — they run once per (sub)transaction, not per lock.
+// stripe instead of one manager-wide mutex. Every operation is item-wise
+// and touches one shard: the caller keeps what it acquired (lockRef) and
+// releases exactly those items, so a release costs the locks the owner
+// took, not the size of the table.
 type lockManager struct {
 	shards [lockShardCount]lockShard
 
@@ -41,24 +42,31 @@ type lockManager struct {
 	crashed *atomic.Bool
 }
 
-// lockShard is one stripe of the item table.
+// lockShard is one stripe of the item table. An item is in items while
+// someone holds it; the list of an item released by its last holder goes
+// to free and serves the next item the stripe grants, so an uncontended
+// acquire allocates nothing and the stripe keeps at most as many lists as
+// it ever held items at once.
 type lockShard struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	items map[string][]lockEntry
+	free  [][]lockEntry
 	waits int64 // number of times a request had to wait (metrics)
-
-	// n counts live entries. Owner-wise sweeps (release, heldBy) load it
-	// to skip empty shards without taking the mutex: an owner's own
-	// entries are always counted from its perspective, because the whole
-	// attempt — acquires and the final release — runs on one goroutine.
-	n atomic.Int64
 }
 
 type lockEntry struct {
 	mode  data.Mode
 	owner string // release key: subtransaction or root-attempt node ID
 	ts    uint64 // root transaction timestamp (wait-die)
+}
+
+// lockRef is one granted acquisition as its holder keeps it: what
+// release needs to find the entry again.
+type lockRef struct {
+	lm    *lockManager
+	owner string
+	item  string
 }
 
 func newLockManager() *lockManager {
@@ -123,9 +131,10 @@ func (lm *lockManager) acquireUntil(table *data.ModeTable, item string, mode dat
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			return ErrTimeout
 		}
+		entries := sh.items[item]
 		var holders []uint64
 		die := false
-		for _, e := range sh.items[item] {
+		for _, e := range entries {
 			if e.owner == owner || e.ts == ts {
 				continue // same transaction (possibly a different level)
 			}
@@ -144,8 +153,11 @@ func (lm *lockManager) acquireUntil(table *data.ModeTable, item string, mode dat
 			if pol == DetectWFG && wg != nil {
 				wg.clear(ts)
 			}
-			sh.items[item] = append(sh.items[item], lockEntry{mode: mode, owner: owner, ts: ts})
-			sh.n.Add(1)
+			if len(entries) == 0 && len(sh.free) > 0 {
+				entries = sh.free[len(sh.free)-1]
+				sh.free = sh.free[:len(sh.free)-1]
+			}
+			sh.items[item] = append(entries, lockEntry{mode: mode, owner: owner, ts: ts})
 			return nil
 		}
 		if pol == DetectWFG && wg != nil && wg.setWaits(ts, holders) {
@@ -159,38 +171,31 @@ func (lm *lockManager) acquireUntil(table *data.ModeTable, item string, mode dat
 	}
 }
 
-// release drops every lock held by owner and wakes waiters. Owners are
-// not tracked per shard, so this sweeps all stripes — one sweep per
-// (sub)transaction completion.
-func (lm *lockManager) release(owner string) {
-	for i := range lm.shards {
-		sh := &lm.shards[i]
-		if sh.n.Load() == 0 {
-			continue
+// release drops owner's entries on item and wakes the item's waiters.
+// An owner that locked the item more than once loses every entry at the
+// first call; a later one finds none and changes nothing.
+func (lm *lockManager) release(owner, item string) {
+	sh := lm.shardOf(item)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	entries := sh.items[item]
+	kept := entries[:0]
+	for _, e := range entries {
+		if e.owner != owner {
+			kept = append(kept, e)
 		}
-		sh.mu.Lock()
-		changed := false
-		for item, entries := range sh.items {
-			kept := entries[:0]
-			for _, e := range entries {
-				if e.owner == owner {
-					changed = true
-					sh.n.Add(-1)
-					continue
-				}
-				kept = append(kept, e)
-			}
-			if len(kept) == 0 {
-				delete(sh.items, item)
-			} else {
-				sh.items[item] = kept
-			}
-		}
-		if changed {
-			sh.cond.Broadcast()
-		}
-		sh.mu.Unlock()
 	}
+	if len(kept) == len(entries) {
+		return
+	}
+	clear(entries[len(kept):]) // the recycled tail pins no owner string
+	if len(kept) == 0 {
+		delete(sh.items, item)
+		sh.free = append(sh.free, kept)
+	} else {
+		sh.items[item] = kept
+	}
+	sh.cond.Broadcast()
 }
 
 // wake broadcasts on every shard without changing lock state, so sleeping
@@ -202,27 +207,6 @@ func (lm *lockManager) wake() {
 		sh.cond.Broadcast()
 		sh.mu.Unlock()
 	}
-}
-
-// heldBy reports whether owner holds any lock (tests).
-func (lm *lockManager) heldBy(owner string) bool {
-	for i := range lm.shards {
-		sh := &lm.shards[i]
-		if sh.n.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		for _, entries := range sh.items {
-			for _, e := range entries {
-				if e.owner == owner {
-					sh.mu.Unlock()
-					return true
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return false
 }
 
 // waitCount returns how many requests had to wait.

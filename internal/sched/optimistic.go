@@ -332,11 +332,14 @@ func (r *Runtime) checkReads(a *attempt, mine map[*data.Store]map[uint64]bool, s
 // stable frontier: the values are re-read at the new stamps and the
 // reads' recorded events are re-sequenced, in program order, from the
 // shared clock — so the recorded conflict order still matches what the
-// refreshed reads saw. Reads have no side effects and no later program
-// step depends on a read value mid-flight (programs are static operation
-// lists), so this re-serializes the attempt's reads at commit time for
-// the cost of a few chain lookups instead of a full re-execution. The
-// TicToc-style timestamp extension: only when refreshing keeps failing
+// refreshed reads saw. The re-sequenced events now carry the attempt's
+// newest seqs, so they move behind the stage's other events, keeping the
+// stage in seq order and each readRec pointing at its event. Reads have
+// no side effects and no later program step depends on a read value
+// mid-flight (programs are static operation lists), so this re-serializes
+// the attempt's reads at commit time for the cost of a few chain lookups
+// instead of a full re-execution. The TicToc-style timestamp
+// extension: only when refreshing keeps failing
 // (RefreshRetries passes, e.g. a writer parked on a hot item) does the
 // attempt pay the full validation abort.
 func (r *Runtime) refreshReads(a *attempt) {
@@ -359,5 +362,21 @@ func (r *Runtime) refreshReads(a *attempt) {
 	}
 	for k, ts := range fresh {
 		a.snaps[k] = ts
+	}
+	evs := a.stage.events
+	moved := make([]event, len(a.reads))
+	n, k := 0, 0
+	for i := range evs {
+		if k < len(a.reads) && a.reads[k].eventIdx == i {
+			moved[k] = evs[i]
+			k++
+			continue
+		}
+		evs[n] = evs[i]
+		n++
+	}
+	for i := range a.reads {
+		a.reads[i].eventIdx = n + i
+		evs[n+i] = moved[i]
 	}
 }

@@ -125,6 +125,7 @@ type ptxn struct {
 	ts        uint64 // root wait-die timestamp
 	steps     map[string]*pdedup
 	undo      []pundo
+	locks     []string      // items granted to the attempt, released at its end
 	prepDone  chan struct{} // non-nil once a Prepare is being processed
 	vote      comm.Message  // recorded vote, valid after prepDone closes
 	prepared  bool
@@ -395,12 +396,8 @@ func (p *Participant) handleApply(m comm.Message) {
 	// that attempt's decision). The journal + store mutation + undo append
 	// happen under p.mu so no abort can interleave with them.
 	p.mu.Lock()
-	if p.txns[m.Txn] != tx || p.resolved[m.Txn] {
-		gone := p.txns[m.Txn] == nil
+	if !p.keepGrant(m.Txn, tx, table != nil, op.Item) {
 		p.mu.Unlock()
-		if gone && table != nil {
-			p.lm.release(m.Txn)
-		}
 		p.finish(m, st, comm.Message{Kind: comm.KindApplyReply, Code: dcodeStale})
 		return
 	}
@@ -458,18 +455,40 @@ func (p *Participant) handleLock(m comm.Message) {
 	}
 	// Same stale-grant re-validation as handleApply.
 	p.mu.Lock()
-	if p.txns[m.Txn] != tx || p.resolved[m.Txn] {
-		gone := p.txns[m.Txn] == nil
+	if !p.keepGrant(m.Txn, tx, true, m.Item) {
 		p.mu.Unlock()
-		if gone {
-			p.lm.release(m.Txn)
-		}
 		p.finish(m, st, comm.Message{Kind: comm.KindLockReply, Code: dcodeStale})
 		return
 	}
 	tx.lastTouch = time.Now()
 	p.mu.Unlock()
 	p.finish(m, st, comm.Message{Kind: comm.KindLockReply, OK: true})
+}
+
+// keepGrant files a lock on item just granted to txn (locked: whether one
+// was taken at all) under p.mu, and reports whether tx, the attempt it
+// was requested for, is still the live one. A stale grant is released
+// at once when the transaction is gone, and otherwise filed with the
+// newer attempt of the same root (same lock owner), which releases it at
+// its decision.
+func (p *Participant) keepGrant(txn string, tx *ptxn, locked bool, item string) bool {
+	cur := p.txns[txn]
+	if locked {
+		if cur == nil {
+			p.lm.release(txn, item)
+		} else {
+			cur.locks = append(cur.locks, item)
+		}
+	}
+	return cur == tx && !p.resolved[txn]
+}
+
+// releaseLocked drops every lock tx holds (under p.mu).
+func (p *Participant) releaseLocked(txn string, tx *ptxn) {
+	for _, item := range tx.locks {
+		p.lm.release(txn, item)
+	}
+	tx.locks = nil
 }
 
 func lockErrReply(kind comm.Kind, err error) comm.Message {
@@ -524,7 +543,7 @@ func (p *Participant) handlePrepare(m comm.Message) {
 	if len(tx.undo) == 0 {
 		delete(p.txns, m.Txn)
 		p.readVoted[m.Txn] = m.Attempt
-		p.lm.release(m.Txn)
+		p.releaseLocked(m.Txn, tx)
 		p.mu.Unlock()
 		p.reply(m, readVote)
 		return
@@ -640,7 +659,7 @@ func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 		}
 	}
 	delete(p.txns, txn)
-	p.lm.release(txn)
+	p.releaseLocked(txn, tx)
 }
 
 // decideLocked journals and applies a decision under p.mu: a commit record

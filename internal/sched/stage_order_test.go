@@ -1,15 +1,19 @@
 package sched
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
+	"compositetx/internal/data"
 	"compositetx/internal/wal"
 )
 
 // assertBatchesParentsFirst reads the log in dir back and checks every
 // commit batch (the node, event and terminator records one stageRecords
-// call journals) declares each node after its parent.
+// call journals) declares each node after its parent and journals its
+// events in strictly ascending seq order.
 func assertBatchesParentsFirst(t *testing.T, dir string, terminator wal.Type) {
 	t.Helper()
 	recs, _, err := wal.ReadAll(dir)
@@ -17,6 +21,7 @@ func assertBatchesParentsFirst(t *testing.T, dir string, terminator wal.Type) {
 		t.Fatal(err)
 	}
 	declared := map[string]bool{}
+	var last uint64 // seq of the batch's previous event
 	batches := 0
 	for _, r := range recs {
 		switch r.Type {
@@ -25,8 +30,14 @@ func assertBatchesParentsFirst(t *testing.T, dir string, terminator wal.Type) {
 				t.Fatalf("%s: node %s is journaled before its parent %s", r.Txn, r.Node, r.Parent)
 			}
 			declared[r.Node] = true
+		case wal.TypeEvent:
+			if r.Seq <= last {
+				t.Fatalf("%s: event %s (seq %d) is journaled after seq %d", r.Txn, r.Node, r.Seq, last)
+			}
+			last = r.Seq
 		case terminator:
 			clear(declared)
+			last = 0
 			batches++
 		}
 	}
@@ -36,10 +47,11 @@ func assertBatchesParentsFirst(t *testing.T, dir string, terminator wal.Type) {
 }
 
 // TestStagesParentsFirst: a stage declares every subtransaction before
-// its subtree, under every protocol, through subtransaction retries
-// (OpenNested and Hybrid re-run a faulted subtree and truncate the stage
-// back to the declaration) and optimistic roots, and in a cluster's
-// coordinator log. The certifier and recovery read stages in this order.
+// its subtree and stages its events in seq order, under every protocol,
+// through subtransaction retries (OpenNested and Hybrid re-run a faulted
+// subtree and truncate the stage back to the declaration), optimistic
+// roots and a commit-time read refresh, and in a cluster's coordinator
+// log. The certifier and recovery read stages in this order.
 func TestStagesParentsFirst(t *testing.T) {
 	topo := StackTopology(3)
 	for _, proto := range []Protocol{OpenNested, ClosedNested, Global2PL, Hybrid, NoCC} {
@@ -85,5 +97,53 @@ func TestStagesParentsFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBatchesParentsFirst(t, coordDir(cfg.WALRoot), wal.TypeDecision)
+	})
+	// T1 snapshot-reads x at east, a writer commits an increment of x, and
+	// T1 goes on to increment y at west. Validation finds the read stale
+	// and refreshes it, which re-sequences the read after T1's later
+	// events: the certifier admits the stage only in seq order.
+	t.Run("refresh", func(t *testing.T) {
+		dir := t.TempDir()
+		rt := BankTopology().NewRuntime(Hybrid)
+		rt.Exec = ExecOptimistic
+		if err := rt.EnableCertify(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.EnableWAL(WALConfig{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		// The two roots declare distinct semantic items at the bank, so
+		// the writer never waits on the reader's invocation lock.
+		at := func(comp, item string, mode data.Mode, step Step) Step {
+			return Step{Invoke: &Invocation{Component: comp, Item: item, Mode: mode, Steps: []Step{step}}}
+		}
+		writerGo, writerDone := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(writerDone)
+			<-writerGo
+			if _, err := rt.Submit("T2", Invocation{Component: "bank", Steps: []Step{
+				at("east", "w", data.ModeIncr, stepIncr("x", 5)),
+			}}); err != nil {
+				t.Error(err)
+			}
+		}()
+		var once sync.Once
+		second := at("west", "y", data.ModeIncr, stepIncr("y", 1))
+		second.Sync = func() { once.Do(func() { close(writerGo); <-writerDone }) }
+		res, err := rt.Submit("T1", Invocation{Component: "bank", Steps: []Step{
+			at("east", "r", data.ModeRead, stepRead("x")),
+			second,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := rt.Metrics(); m.ValidationRefreshes == 0 || res.Retries != 0 || !slices.Equal(res.Values, []int64{5}) {
+			t.Fatalf("refreshes=%d retries=%d values=%v: want the read refreshed to 5 on the first attempt",
+				m.ValidationRefreshes, res.Retries, res.Values)
+		}
+		if err := rt.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		assertBatchesParentsFirst(t, dir, wal.TypeCommit)
 	})
 }

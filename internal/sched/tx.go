@@ -70,11 +70,6 @@ var ErrClientAbort = errors.New("sched: transaction aborted by client")
 // before the operation is quarantined.
 const compensationRetries = 3
 
-type ownerRef struct {
-	lm    *lockManager
-	owner string
-}
-
 type undoEntry struct {
 	store *data.Store
 	comp  string
@@ -130,8 +125,15 @@ func (r *Runtime) enter(a *attempt, comp *component, node model.NodeID, instance
 // keeps only its own semantic lock on this invocation.
 func (r *Runtime) leave(a *attempt, comp *component, owner string) {
 	if (r.protocol == OpenNested || r.protocol == Hybrid) && owner != string(a.root) {
-		comp.lm.release(owner)
-		a.dropOwner(comp.lm, owner)
+		kept := a.locks[:0]
+		for _, l := range a.locks {
+			if l.lm == comp.lm && l.owner == owner {
+				l.lm.release(l.owner, l.item)
+			} else {
+				kept = append(kept, l)
+			}
+		}
+		a.locks = kept
 	}
 }
 
@@ -343,10 +345,10 @@ func (r *Runtime) finish(a *attempt, stores []*data.Store) {
 		s.Retire(string(a.root))
 	}
 	r.clearSeal(string(a.root))
-	for i := len(a.owners) - 1; i >= 0; i-- {
-		a.owners[i].lm.release(a.owners[i].owner)
+	for i := len(a.locks) - 1; i >= 0; i-- {
+		a.locks[i].lm.release(a.locks[i].owner, a.locks[i].item)
 	}
-	a.owners = a.owners[:0]
+	a.locks = a.locks[:0]
 	r.wfg.clear(a.ts)
 	r.ck.drop(a)
 }
@@ -358,15 +360,15 @@ func (r *Runtime) finish(a *attempt, stores []*data.Store) {
 // released at root commit/abort).
 func (r *Runtime) rollbackTo(a *attempt, snap snapshot) {
 	r.compensate(a, snap.undo)
-	kept := a.owners[:snap.owners]
-	for _, o := range a.owners[snap.owners:] {
-		if o.owner == string(a.root) {
-			kept = append(kept, o)
+	kept := a.locks[:snap.locks]
+	for _, l := range a.locks[snap.locks:] {
+		if l.owner == string(a.root) {
+			kept = append(kept, l)
 		} else {
-			o.lm.release(o.owner)
+			l.lm.release(l.owner, l.item)
 		}
 	}
-	a.owners = kept
+	a.locks = kept
 	a.stage.truncate(snap.nodes, snap.events)
 	a.values = a.values[:snap.values]
 	a.reads = a.reads[:snap.reads]
@@ -431,8 +433,8 @@ func (r *Runtime) compensate(a *attempt, from int) {
 }
 
 // acquire wraps lockManager.acquireUntil with fault injection, timeout
-// accounting, and owner bookkeeping. comp and step give the injector its
-// (component, txn, step) context.
+// accounting, and the attempt's record of the locks it holds. comp and
+// step give the injector its (component, txn, step) context.
 func (r *Runtime) acquire(a *attempt, lm *lockManager, table *data.ModeTable, item string, mode data.Mode, owner, comp, step string, deadline time.Time) error {
 	if r.inj != nil {
 		if r.inj.fire(FaultLockFail, comp, string(a.root), step) {
@@ -457,18 +459,6 @@ func (r *Runtime) acquire(a *attempt, lm *lockManager, table *data.ModeTable, it
 		}
 		return err
 	}
-	a.addOwner(lm, owner)
+	a.locks = append(a.locks, lockRef{lm, owner, item})
 	return nil
-}
-
-func (a *attempt) addOwner(lm *lockManager, owner string) {
-	if o := (ownerRef{lm, owner}); !slices.Contains(a.owners, o) {
-		a.owners = append(a.owners, o)
-	}
-}
-
-func (a *attempt) dropOwner(lm *lockManager, owner string) {
-	if i := slices.Index(a.owners, ownerRef{lm, owner}); i >= 0 {
-		a.owners = slices.Delete(a.owners, i, i+1)
-	}
 }
