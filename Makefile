@@ -126,22 +126,28 @@ distperf:
 # the E17 cells (8 clients on the 10%-conflict mix: no lost commit, no
 # reject, the engine actually parking) with E12's counts (the engine
 # agrees with a from-scratch Check on every prefix of 256 commits and
-# rebuilds only on level changes). The race lines also hold Check to its
+# rebuilds only on level changes). The race lines also pin the node IDs and
+# semantic items the driver spells into a root's one ID buffer, across a
+# wait-die retry, a local re-run and 100 later roots on the recycled
+# attempt (TestSpelledIDs), and the certifier's screened local pairs to the
+# plain pairwise test (TestLocalPairsMatchesPairwise). They hold Check to its
 # frozen verdicts and Encode bytes (TestCheckGolden), stages to seq order
 # (TestStagesParentsFirst checks every journaled batch; the certifier
 # refuses a stage out of order) and the lock manager to its flat
 # reference model (TestLockModel: release by held items, recycled entry
 # lists); then, without the race detector, 20 iterations of the checker
 # benchmark run as a smoke (BenchmarkCheckGeneral: B/op and allocs/op of
-# one check-general system), and 2000 of the disjoint lock benchmark
+# one check-general system), 2000 of the disjoint lock benchmark
 # (BenchmarkLockManagerDisjoint: an uncontended acquire and release,
-# 0 allocs/op).
+# 0 allocs/op) and 2000 of the commit benchmark (BenchmarkCommitCommute:
+# B/op and allocs/op of one warm commit-commute root).
 certperf:
 	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCertify|TestRetire|TestSeedEqualsRetiredAdmit|TestPipeline|TestParking|TestIncremental|TestCheckpointPrefixExact|TestCheckpointAdmit|TestCheckGolden' ./internal/sched ./internal/front
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay|TestLockModel' ./internal/sched
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestCommitAllocBudget|TestAttemptReuse|TestSpelledIDs|TestLocalPairs|TestStagesParentsFirst|TestCorpus|TestDeterministicReplay|TestLockModel' ./internal/sched
 	$(GO) test -count=1 -v -run 'TestE12Incremental|TestE17' ./internal/sim
 	$(GO) test -run '^$$' -bench CheckGeneral -benchtime 20x ./internal/front
 	$(GO) test -run '^$$' -bench LockManagerDisjoint -benchmem -benchtime 2000x ./internal/sched
+	$(GO) test -run '^$$' -bench CommitCommute -benchmem -benchtime 2000x ./internal/sched
 
 # fuzz runs each fuzz target for 20 s beyond its checked-in seeds (the
 # seeds alone run under `go test ./...`, so under `make verify` too): the

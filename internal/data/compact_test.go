@@ -237,3 +237,72 @@ func TestResolveWaitOnlyWhenWaited(t *testing.T) {
 		t.Fatalf("%d Retires with no waiter made %d allocations, want 0", owners, n)
 	}
 }
+
+// TestRetireRecyclesTagLists: once warm, ApplyAs and Retire over owner
+// names the store has never seen, two owners in flight at a time, make
+// no allocation: a list Retire empties serves the next owner's first
+// install. Four owners in flight at the start leave more spares than a
+// round takes, so an owner's later installs must keep its own list. A
+// recycled list carries nothing of its last owner, and an owner in flight
+// throughout keeps its version tagged through every other owner's Retire.
+func TestRetireRecyclesTagLists(t *testing.T) {
+	s := NewStore()
+	items := []string{"a", "b", "c", "d"}
+	if _, err := s.ApplyAs(Op{Mode: ModeWrite, Item: "held", Arg: 7}, "H"); err != nil {
+		t.Fatal(err)
+	}
+	for _, owner := range []string{"F1", "F2", "F3", "F4"} {
+		if _, err := s.ApplyAs(Op{Mode: ModeIncr, Item: "a", Arg: 0}, owner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, owner := range []string{"F1", "F2", "F3", "F4"} {
+		s.Retire(owner)
+	}
+	const warm, rounds = 8, 64
+	names := make([]string, 2*rounds)
+	for i := range names {
+		names[i] = fmt.Sprintf("R%d", i)
+	}
+	round := func(r int) {
+		a, b := names[2*r], names[2*r+1]
+		for _, item := range items {
+			for _, owner := range [2]string{a, b} {
+				if _, err := s.ApplyAs(Op{Mode: ModeIncr, Item: item, Arg: 1}, owner); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s.Retire(a)
+		s.Retire(b)
+		s.Compact(s.Clock() + 1)
+	}
+	for r := 0; r < warm; r++ {
+		round(r)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := warm; r < rounds; r++ {
+		round(r)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d warm rounds of ApplyAs and Retire made %d allocations, want 0", rounds-warm, n)
+	}
+
+	for _, item := range items {
+		if got := s.Get(item); got != 2*rounds {
+			t.Errorf("%s = %d, want %d", item, got, 2*rounds)
+		}
+		if _, frontier := s.StableRead(item, ""); frontier != s.Clock() {
+			t.Errorf("%s: stable frontier %d below the clock %d after every owner retired", item, frontier, s.Clock())
+		}
+	}
+	if v, _ := s.StableRead("held", ""); v != 0 {
+		t.Fatalf("H's in-flight write reads as stable (%d) after the other owners retired", v)
+	}
+	s.Retire("H")
+	if v, frontier := s.StableRead("held", ""); v != 7 || frontier != s.Clock() {
+		t.Fatalf("after H retired: held = %d at frontier %d, want 7 at %d", v, frontier, s.Clock())
+	}
+}

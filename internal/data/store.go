@@ -141,8 +141,14 @@ type Store struct {
 
 	// tagged indexes, per owner, the versions still tagged as in-flight
 	// (installed by ApplyAs, not yet Retired) so Retire need not scan
-	// every chain.
+	// every chain. A list Retire empties goes to spare and serves the next
+	// owner's first install, so a warm store tags without allocating. The
+	// spares sit in a fixed array, so keeping one never allocates either;
+	// a list past the array, or longer than maxSpareTags, is dropped. Four
+	// cover as many roots retiring between two first installs.
 	tagged map[string][]chainRef
+	spare  [4][]chainRef
+	spares int
 
 	// dirty marks the items whose chain grew since Compact last left it
 	// fully compacted (a single resolved version). Every installing
@@ -188,6 +194,10 @@ type chainRef struct {
 	item string
 	ts   uint64
 }
+
+// maxSpareTags bounds the length of a tag list Store keeps for reuse, so
+// one large transaction does not pin its list for the store's lifetime.
+const maxSpareTags = 256
 
 // NewStore returns an empty store.
 func NewStore() *Store {
@@ -308,7 +318,12 @@ func (s *Store) applyVersion(op Op, owner string, pair uint64) (Result, error) {
 	if owner == "" {
 		v.retired = ts // no attempt to wait for: final on arrival
 	} else {
-		s.tagged[owner] = append(s.tagged[owner], chainRef{item: op.Item, ts: ts})
+		refs := s.tagged[owner]
+		if len(refs) == 0 && s.spares > 0 {
+			s.spares--
+			refs, s.spare[s.spares] = s.spare[s.spares], nil
+		}
+		s.tagged[owner] = append(refs, chainRef{item: op.Item, ts: ts})
 	}
 	s.chains[op.Item] = append(chain, v)
 	s.dirty[op.Item] = struct{}{}
@@ -350,6 +365,11 @@ func (s *Store) Retire(owner string) {
 		}
 	}
 	delete(s.tagged, owner)
+	if s.spares < len(s.spare) && cap(refs) <= maxSpareTags {
+		clear(refs) // the kept list pins no item name
+		s.spare[s.spares] = refs[:0]
+		s.spares++
+	}
 	if s.resolve != nil {
 		close(s.resolve)
 		s.resolve = nil

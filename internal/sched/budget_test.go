@@ -53,23 +53,27 @@ func commutePrograms(seed int64, n int) []Invocation {
 // increments, certified on the fast path, with a checkpoint every 64
 // commits. Both figures average over whole checkpoint cadences, so each
 // includes its share of the fold and the compaction. The budget is what a
-// commit keeps — its filed nodes, which its delta shares, its events and
-// MVCC versions — plus the result; the attempt, its logs and the
-// certifier's scratch are recycled. At 42f778b, which made a new attempt,
-// staged record and ticket scratch per attempt and copied every compacted
-// chain, the same roots allocated 21.2 KB and 149 objects each; at
-// ea2a7d7, which copied the stage's nodes into a delta of their own,
-// 3 945 B and 71.1. With the delta taking the filed nodes: 2 663 B and
-// 70.1. With locks released by the items they hold, into entry lists the
-// lock manager recycles, and stages staged in seq order, so the certifier
-// neither sorts nor copies them: 1 500 B and 46.1.
+// commit keeps — the one buffer its node IDs are spelled into, its
+// admitted delta — plus the result; the attempt, its logs, the
+// certifier's scratch and the stores' tag lists are recycled. At 42f778b,
+// which made a new attempt, staged record and ticket scratch per attempt
+// and copied every compacted chain, the same roots allocated 21.2 KB and
+// 149 objects each; at ea2a7d7, which copied the stage's nodes into a
+// delta of their own, 3 945 B and 71.1. With the delta taking the filed
+// nodes: 2 663 B and 70.1. With locks released by the items they hold,
+// into entry lists the lock manager recycles, and stages staged in seq
+// order, so the certifier neither sorts nor copies them: 1 500 B and 46.1.
+// With every ID of a root spelled into one buffer and the stores' emptied
+// tag lists reused: 767 B and 3.1 after 4 warm cadences, and 579 to 592 B
+// and 3.1 after 16, by when the index's and the engine's arrays have
+// stopped growing; the test warms 16 since.
 func TestCommitAllocBudget(t *testing.T) {
 	const (
 		every       = 64
-		budgetBytes = 1600
-		budgetAlloc = 50
-		warm, bytes = 4, 8 // cadences
-		allocRuns   = 4    // cadences, after AllocsPerRun's own warm-up one
+		budgetBytes = 800
+		budgetAlloc = 8
+		warm, bytes = 16, 8 // cadences
+		allocRuns   = 4     // cadences, after AllocsPerRun's own warm-up one
 	)
 	rt := commuteRuntime(t, every)
 	progs := commutePrograms(1, 1024)
@@ -113,6 +117,32 @@ func TestCommitAllocBudget(t *testing.T) {
 	}
 	if allocs > budgetAlloc {
 		t.Errorf("a commit makes %.1f allocations, budget %d", allocs, budgetAlloc)
+	}
+}
+
+// BenchmarkCommitCommute commits warm roots of TestCommitAllocBudget's
+// shape one after another on one goroutine: time, bytes and allocations
+// per root. The root names are built before the timer starts.
+func BenchmarkCommitCommute(b *testing.B) {
+	const every, warm = 64, 4 * 64
+	rt := commuteRuntime(b, every)
+	progs := commutePrograms(1, 1024)
+	names := make([]string, warm+b.N)
+	for i := range names {
+		names[i] = "T" + strconv.Itoa(i+1)
+	}
+	submit := func(i int) {
+		if _, err := rt.Submit(names[i], progs[i%len(progs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		submit(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit(warm + i)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"compositetx/internal/data"
 	"compositetx/internal/front"
 	"compositetx/internal/model"
 )
@@ -70,6 +71,13 @@ func (e *CertifyError) Error() string {
 
 func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 
+// resolvedMode is an event's mode as admission tests it: its component's
+// mode table and its class among the stage's distinct modes (localPairs).
+type resolvedMode struct {
+	table *data.ModeTable
+	class uint8
+}
+
 // localPairs derives the part of the committing stage's delta that
 // needs no shared state, exactly as delta() derives it for the whole
 // index: per slot, a conflict plus weak-output pair for every
@@ -78,18 +86,78 @@ func (e *CertifyError) Unwrap() error { return ErrCertifyViolation }
 // The nodes, cross-stage pairs and schedule declarations are left to
 // admission: they depend on admission order. The pairs end up in the
 // admitted delta, so they are made fresh per commit.
-func (ix *execIndex) localPairs(evs []event) []front.DeltaPair {
+//
+// Each event is resolved once, appended to modes and returned with the
+// pairs: its component's mode table, which admission's probes use too,
+// and its mode's class among the stage's distinct modes. Which earlier
+// classes conflict with an event's is asked of its table once per table
+// and class, so a pair is screened by one bit test before any name is
+// compared, and an event whose mode commutes with every earlier one visits
+// none: a stage of commuting operations costs one pass. Modes past the
+// first otherClass distinct ones share otherClass, whose pairs are tested
+// in full.
+func (ix *execIndex) localPairs(evs []event, modes []resolvedMode) ([]front.DeltaPair, []resolvedMode) {
+	const otherClass = 15
+	var classes [otherClass]data.Mode
+	n, others := 0, false
+	// rows remembers, per table and class, which classes conflict with
+	// it, until a new class appears.
+	var rows [8]struct {
+		table *data.ModeTable
+		class int
+		row   uint64
+	}
+	nrows := 0
 	var pairs []front.DeltaPair
 	for i := range evs {
 		e := &evs[i]
+		mt := ix.comps[e.comp].modes
+		c := slices.Index(classes[:n], e.mode)
+		if c < 0 {
+			c = otherClass
+			if n < otherClass {
+				classes[n], c = e.mode, n
+				n++
+				nrows = 0
+			}
+		}
+		modes = append(modes, resolvedMode{table: mt, class: uint8(c)})
+		row, known := uint64(0), false
+		for _, r := range rows[:nrows] {
+			if r.table == mt && r.class == c {
+				row, known = r.row, true
+				break
+			}
+		}
+		if !known {
+			for k, m := range classes[:n] {
+				if mt.ModeConflicts(m, e.mode) {
+					row |= 1 << k
+				}
+			}
+			if c != otherClass && nrows < len(rows) {
+				rows[nrows].table, rows[nrows].class, rows[nrows].row = mt, c, row
+				nrows++
+			}
+		}
+		conflicts := row // bit k: an earlier event of class k may conflict with e
+		if others {
+			conflicts |= 1 << otherClass
+		}
+		others = others || c == otherClass
+		if conflicts == 0 {
+			continue
+		}
 		// Earlier events of the same key pair with e.
 		for j := range i {
-			if p := &evs[j]; p.item == e.item && p.comp == e.comp && ix.comps[e.comp].modes.ModeConflicts(p.mode, e.mode) {
+			pc := modes[j].class
+			if p := &evs[j]; conflicts>>pc&1 != 0 && p.item == e.item && p.comp == e.comp &&
+				(pc != otherClass || mt.ModeConflicts(p.mode, e.mode)) {
 				pairSeq(&pairs, e.comp, p.filed(), e.filed())
 			}
 		}
 	}
-	return pairs
+	return pairs, modes
 }
 
 // inSeqOrder checks that a stage's events strictly ascend in seq, as the
@@ -136,7 +204,8 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 		return nil, err
 	}
 	evs := stage.events
-	local := ix.localPairs(evs)
+	var onStack [64]resolvedMode // a stage of up to 64 events resolves without allocating
+	local, modes := ix.localPairs(evs, onStack[:0])
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.broken != nil {
@@ -146,7 +215,7 @@ func (ix *execIndex) admit(stage *stagedRecord, w uint64) (*front.Verdict, error
 	for i := range evs {
 		e := &evs[i]
 		f := e.filed()
-		ix.probe(slotKey{e.comp, e.item}, ix.comps[e.comp].modes, e.mode, func(p filed) {
+		ix.probe(slotKey{e.comp, e.item}, modes[i].table, e.mode, func(p filed) {
 			pairSeq(&pairs, e.comp, p, f)
 		})
 	}

@@ -3,12 +3,15 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"compositetx/internal/data"
 	"compositetx/internal/front"
+	"compositetx/internal/model"
 )
 
 // submitCrossedWrites drives the Figure 3 interference of
@@ -377,5 +380,62 @@ func TestCertifyRefusesOutOfOrderStage(t *testing.T) {
 	}
 	if v, err := rt.ix.admit(stage(invoke, leaf), 0); v != nil || err != nil {
 		t.Fatalf("in-order stage: verdict %v, err %v", v, err)
+	}
+}
+
+// TestLocalPairsMatchesPairwise holds localPairs' screened sweep to the
+// plain test of every pair of a stage's events (same item, same component,
+// conflicting modes under that component's table), on seeded stages over
+// two components with different tables and up to 24 distinct modes: past
+// the screen's 15 classes into its overflow class. Every mode is a fresh
+// copy of its name, so no test can pass by pointer equality.
+func TestLocalPairsMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	modes := make([]data.Mode, 24)
+	for i := range modes {
+		modes[i] = data.Mode(fmt.Sprintf("m%d", i))
+	}
+	mode := func(n int) data.Mode { return data.Mode(strings.Clone(string(modes[rng.Intn(n)]))) }
+	comps := map[string]*component{}
+	for _, name := range []string{"c0", "c1"} {
+		mt := data.NewModeTable()
+		for k := 0; k < 60; k++ {
+			mt.Declare(mode(len(modes)), mode(len(modes)))
+		}
+		comps[name] = &component{name: name, modes: mt}
+	}
+	ix := newExecIndex(comps)
+	var evs []event
+	for trial := 0; trial < 300; trial++ {
+		distinct := 1 + rng.Intn(len(modes))
+		evs = evs[:0]
+		for i := range 1 + rng.Intn(40) {
+			evs = append(evs, event{
+				seq:      uint64(i + 1),
+				comp:     fmt.Sprintf("c%d", rng.Intn(2)),
+				op:       model.NodeID(fmt.Sprintf("T/%d", i+1)),
+				parentTx: model.NodeID(fmt.Sprintf("T/p%d", rng.Intn(4))),
+				item:     fmt.Sprintf("x%d", rng.Intn(3)),
+				mode:     mode(distinct),
+			})
+		}
+		var want []front.DeltaPair
+		for i := range evs {
+			for j := range i {
+				p, e := &evs[j], &evs[i]
+				if p.item == e.item && p.comp == e.comp && comps[e.comp].modes.ModeConflicts(p.mode, e.mode) {
+					pairSeq(&want, e.comp, p.filed(), e.filed())
+				}
+			}
+		}
+		got, resolved := ix.localPairs(evs, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d events, %d modes): localPairs\n%v\nwant\n%v", trial, len(evs), distinct, got, want)
+		}
+		for i, rm := range resolved {
+			if rm.table != comps[evs[i].comp].modes {
+				t.Fatalf("trial %d: event %d resolved to another component's table", trial, i)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,13 +80,21 @@ type driver struct {
 // the driver's; the in-process scheduler adds the locks held, the undo
 // log and the optimistic reads, the cluster the participants touched.
 // Every slice and map is emptied in place by reset, so a recycled attempt
-// keeps its capacity; only values leaves with the result.
+// keeps its capacity; only values leaves with the result, and ids starts
+// a fresh buffer per root, the last one staying with the names it holds.
 type attempt struct {
 	root   model.NodeID
 	ts     uint64
 	number uint32 // 1 for a root's first attempt; participants tell attempts apart by it
 	stage  stagedRecord
 	values []int64
+
+	// ids holds the node IDs and semantic items the driver spells for the
+	// root (childID, joinID); each is a substring of it. A root starts a
+	// fresh buffer, sized for one pass of its program, and its retries
+	// append to it, so no byte a filed or parked node still points at is
+	// ever written again.
+	ids strings.Builder
 
 	locks  []lockRef // one per grant, released by item
 	undo   []undoEntry
@@ -184,6 +193,8 @@ func (d *driver) submit(name string, root Invocation, maxRetries int, opTimeout 
 	if a == nil {
 		a = &attempt{}
 	}
+	a.ids.Reset()
+	a.ids.Grow(idBytes(len(rootID), &root))
 	var rng *rand.Rand // backoff jitter, built on the first retry
 	for retries := 0; ; {
 		deadline := root.Deadline
@@ -274,7 +285,7 @@ func (d *driver) exec(a *attempt, node model.NodeID, owner string, inv *Invocati
 		if d.crashed.Load() {
 			return ErrCrashed
 		}
-		id := node + "/" + model.NodeID(strconv.Itoa(i+1))
+		id := a.childID(node, i+1)
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			d.timeouts.Add(1)
 			return fmt.Errorf("sched: %s at step %s: %w", node, id, ErrTimeout)
@@ -330,7 +341,7 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 	// (component, item): operations on the same item name routed to
 	// different components touch disjoint data and must not be declared
 	// conflicting (nor serialized) at the caller.
-	semItem := inv.Component + "/" + inv.Item
+	semItem := a.joinID(inv.Component, inv.Item)
 
 	// The invocation's event is staged when its seq is drawn, so every
 	// stage is in seq order: the seqs an attempt draws ascend.
@@ -364,4 +375,47 @@ func (d *driver) invoke(a *attempt, caller *component, parent, id model.NodeID, 
 		a.stage.addEvent(ev)
 	}
 	return nil
+}
+
+// childID spells the ID of step i of node, node + "/" + i, into the
+// root's ID buffer.
+func (a *attempt) childID(node model.NodeID, i int) model.NodeID {
+	start := a.ids.Len()
+	a.ids.WriteString(string(node))
+	a.ids.WriteByte('/')
+	var digits [20]byte
+	a.ids.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	return model.NodeID(a.ids.String()[start:])
+}
+
+// joinID spells comp + "/" + item into the root's ID buffer.
+func (a *attempt) joinID(comp, item string) string {
+	start := a.ids.Len()
+	a.ids.WriteString(comp)
+	a.ids.WriteByte('/')
+	a.ids.WriteString(item)
+	return a.ids.String()[start:]
+}
+
+// idBytes is how many bytes childID and joinID spell for inv's subtree
+// under a node ID of n bytes when every step runs once.
+func idBytes(n int, inv *Invocation) int {
+	total := 0
+	for i := range inv.Steps {
+		id := n + 1 + decimalLen(i+1)
+		total += id
+		if sub := inv.Steps[i].Invoke; sub != nil {
+			total += len(sub.Component) + 1 + len(sub.Item) + idBytes(id, sub)
+		}
+	}
+	return total
+}
+
+// decimalLen is len(strconv.Itoa(i)) for i > 0.
+func decimalLen(i int) int {
+	n := 1
+	for ; i >= 10; i /= 10 {
+		n++
+	}
+	return n
 }

@@ -305,14 +305,19 @@ func (ix *execIndex) cut() (roots, nodes int) {
 	// of ix.nodes, and no delta the engine keeps may alias a region a later
 	// filing writes over: while the engine holds a parked delta, the nodes
 	// start a fresh array and the delta keeps the old one until Retire.
-	ix.nodes = ix.nodes[:0]
+	// A truncated array is cleared first: its stale entries would pin the
+	// ID buffers of roots long cut.
 	if ix.inc != nil && ix.inc.ParkedNodes() > 0 {
 		ix.nodes = make([]front.DeltaNode, 0, cap(ix.nodes))
+	} else {
+		clear(ix.nodes)
+		ix.nodes = ix.nodes[:0]
 	}
 	for k, subs := range ix.slots {
 		active := false
 		for j := range subs {
 			if len(subs[j].evs) > 0 {
+				clear(subs[j].evs)
 				subs[j].evs, subs[j].skip = subs[j].evs[:0], 0
 				active = true
 			}
