@@ -31,8 +31,9 @@ chaos:
 # and rotation cases (and the frame-scanner fuzz seeds), every
 # deterministic crash site, recovery idempotence, deterministic replay, the
 # crash-chaos conservation soak, the replay law on the journal seam's
-# store-replay core with the parent-written format-freeze corpus
-# (TestJournal, TestCorpus), the certifier seeded at recovery and by
+# store-replay core with the parent-written format-freeze corpus, and the
+# leaf-log parity of a runtime and a one-participant cluster (TestJournal,
+# TestCorpus), the certifier seeded at recovery and by
 # EnableCertify over a recorded history (TestRecoverCertifiedCrossedPairs,
 # TestEnableCertify; the recovery allocation budget TestRecoverAllocBudget
 # is logged only under -race), and the E11 crash matrix; then, without the
@@ -84,8 +85,9 @@ soak:
 # protocols x both transports, sentinel errors through the RPC layer,
 # crash windows + recovery, the duplicate/reorder idempotence seed
 # sweep, and the lazy-commit protocol tests: a lost lazy record, the
-# LSN-reuse schedule, the read-only vote, the counted cost, CheckEnded),
-# and the E15 network-chaos atomicity gate.
+# LSN-reuse schedule, the read-only vote, the counted cost, CheckEnded;
+# a quarantined compensation on both front doors, participant stores
+# compacted at each decision), and the E15 network-chaos atomicity gate.
 net:
 	$(GO) test -race -count=1 ./internal/comm
 	$(GO) test -race -count=1 -run 'TestDist' ./internal/sched

@@ -451,16 +451,15 @@ func (r *Runtime) ckMetaBlob() ([]byte, error) {
 	b = strconv.AppendUint(b, r.seq.Load(), 10)
 	b = append(b, `,"committed":`...)
 	b = strconv.AppendInt(b, r.commits.Load(), 10)
-	r.qmu.Lock()
-	qs := make([]ckQuarantine, 0, len(r.quarantined))
-	for _, q := range r.quarantined {
+	leaked := r.leaks.all()
+	qs := make([]ckQuarantine, 0, len(leaked))
+	for _, q := range leaked {
 		qs = append(qs, ckQuarantine{
 			Component: q.Component, Txn: q.Txn,
 			Item: q.Op.Item, Mode: string(q.Op.Mode), Impl: string(q.Op.Impl),
 			Arg: q.Op.Arg, Err: q.Err.Error(),
 		})
 	}
-	r.qmu.Unlock()
 	if len(qs) > 0 {
 		qb, err := json.Marshal(qs)
 		if err != nil {

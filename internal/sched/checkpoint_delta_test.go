@@ -584,6 +584,6 @@ func TestCheckpointMarkerMetaBytes(t *testing.T) {
 	}
 	check("fresh runtime")
 	submitDelta(t, rt, "T1", deltaTraffic(rand.New(rand.NewSource(1)), 1)[0])
-	rt.quarantine(Quarantine{Component: "east", Txn: "T9", Op: data.Op{Mode: data.ModeIncr, Item: "a1", Arg: -3, Impl: data.ModeIncr}, Err: errors.New(`disk "gone"`)})
+	rt.leaks.report(Quarantine{Component: "east", Txn: "T9", Op: data.Op{Mode: data.ModeIncr, Item: "a1", Arg: -3, Impl: data.ModeIncr}, Err: errors.New(`disk "gone"`)})
 	check("after a commit and a quarantine")
 }

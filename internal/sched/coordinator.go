@@ -102,11 +102,7 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 	}
 	c.sch = c
 	for _, spec := range topo.Specs {
-		modes := spec.Modes
-		if modes == nil {
-			modes = data.SemanticTable()
-		}
-		c.comps[spec.Name] = &component{name: spec.Name, modes: modes, hasStore: spec.HasStore}
+		c.comps[spec.Name] = newComponent(spec)
 		c.durable[spec.Name] = &partDurable{}
 	}
 	c.ix = newExecIndex(c.comps)
@@ -467,15 +463,17 @@ func (c *Coordinator) commit2PC(a *attempt) error {
 		return err
 	}
 
-	ct := &coTxn{attempt: a.number, parts: updaters, pending: append([]string(nil), updaters...)}
-	ct.ended = len(updaters) == 0
+	// Once published, ct is the re-delivery loop's too (it may settle it
+	// under c.mu): whether it starts ended is decided here.
+	readOnly := len(updaters) == 0
+	ct := &coTxn{attempt: a.number, parts: updaters, pending: append([]string(nil), updaters...), ended: readOnly}
 	c.mu.Lock()
 	c.committed[txn] = ct
 	delete(c.inflight, txn)
 	c.mu.Unlock()
 	c.ix.file(&a.stage)
 	c.commits.Add(1)
-	if ct.ended {
+	if readOnly {
 		c.wal.append(wal.Record{Type: wal.TypeEnd, Txn: txn})
 	}
 

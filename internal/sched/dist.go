@@ -220,20 +220,20 @@ func StartCluster(cfg DistConfig) (*Cluster, error) {
 	cl := newCluster(cfg)
 
 	for _, spec := range cfg.Topo.Specs {
-		p := newParticipant(spec.Name, spec, cfg, cl.crash)
-		if p.store != nil {
+		p := newParticipant(spec, cfg, cl.crash)
+		if p.c.store != nil {
 			for item, v := range cfg.Seeds[spec.Name] {
-				p.store.Set(item, v)
+				p.c.store.Set(item, v)
 			}
 			if cfg.WALRoot != "" {
-				meta, err := json.Marshal(partMeta{Version: 1, Part: p.name})
+				meta, err := json.Marshal(partMeta{Version: 1, Part: p.c.name})
 				if err == nil {
-					seeds := itemRecords(nil, wal.TypeSeed, p.name, p.store.Snapshot())
-					p.wal, err = attachFresh(partDir(cfg.WALRoot, p.name), cl.walOptions(), meta, seeds)
+					seeds := itemRecords(nil, wal.TypeSeed, p.c.name, p.c.store.Snapshot())
+					p.wal, err = attachFresh(partDir(cfg.WALRoot, p.c.name), cl.walOptions(), meta, seeds)
 				}
 				if err != nil {
 					cl.Close()
-					return nil, fmt.Errorf("sched: participant %s: %w", p.name, err)
+					return nil, fmt.Errorf("sched: participant %s: %w", p.c.name, err)
 				}
 			}
 		}
@@ -267,7 +267,7 @@ func StartCluster(cfg DistConfig) (*Cluster, error) {
 // join puts a fully built (or rebuilt) participant on the network and
 // registers it; on failure its log is closed.
 func (cl *Cluster) join(p *Participant) error {
-	ep, err := cl.net.Endpoint(p.name)
+	ep, err := cl.net.Endpoint(p.c.name)
 	if err != nil {
 		p.wal.close()
 		return err
@@ -275,7 +275,7 @@ func (cl *Cluster) join(p *Participant) error {
 	p.connect(ep)
 	p.start()
 	cl.mu.Lock()
-	cl.parts[p.name] = p
+	cl.parts[p.c.name] = p
 	cl.mu.Unlock()
 	return nil
 }
@@ -339,7 +339,7 @@ func (cl *Cluster) CrashedParticipants() []string {
 	var out []string
 	for _, p := range cl.participants() {
 		if p.crashed.Load() {
-			out = append(out, p.name)
+			out = append(out, p.c.name)
 		}
 	}
 	slices.Sort(out)
@@ -360,11 +360,13 @@ func (cl *Cluster) CrashParticipant(name string) error {
 }
 
 // RecoverParticipant rebuilds a crashed participant from its log:
-// baseline seeds, redo of every journaled apply and compensation in log
-// order, undo (with fresh journaled compensations) of loser
-// transactions, and re-registration of in-doubt transactions — prepared
-// but undecided — whose locks are re-acquired at their original wait-die
-// timestamps and whose outcomes the termination protocol resolves.
+// baseline seeds, redo in log order of every journaled apply and
+// compensation that took effect (a cancelled apply and a quarantined
+// compensation are skipped), undo (with fresh journaled compensations) of
+// loser transactions, quarantines re-reported, and re-registration of
+// in-doubt transactions — prepared but undecided — whose locks are
+// re-acquired at their original wait-die timestamps and whose outcomes
+// the termination protocol resolves.
 func (cl *Cluster) RecoverParticipant(name string) error {
 	var spec ComponentSpec
 	found := false
@@ -381,11 +383,11 @@ func (cl *Cluster) RecoverParticipant(name string) error {
 		return fmt.Errorf("sched: participant %q has not crashed", name)
 	}
 
-	p := newParticipant(name, spec, cl.cfg, cl.crash)
+	p := newParticipant(spec, cl.cfg, cl.crash)
 	if old != nil {
 		p.inc = old.inc + 1
 	}
-	if p.store != nil && cl.cfg.WALRoot != "" {
+	if p.c.store != nil && cl.cfg.WALRoot != "" {
 		if err := cl.rebuildParticipant(p); err != nil {
 			return err
 		}
@@ -394,24 +396,16 @@ func (cl *Cluster) RecoverParticipant(name string) error {
 }
 
 func (cl *Cluster) rebuildParticipant(p *Participant) error {
-	scan, err := wal.ScanDir(partDir(cl.cfg.WALRoot, p.name))
+	scan, err := wal.ScanDir(partDir(cl.cfg.WALRoot, p.c.name))
 	if err != nil {
 		return err
 	}
 	recs := scan.Records
+	sl := scanStoreLog(recs, scan.Info)
 
-	// Analysis. Prepared state is last-wins per transaction: a decision
-	// (or a fresh prepare of a later attempt) supersedes earlier marks.
-	type pstate struct {
-		attempt uint32
-		ts      uint64
-	}
-	var (
-		sl        = scanStoreLog(recs, scan.Info)
-		prepared  = map[string]pstate{}
-		committed = map[string]bool{}
-		abortedAt = map[string]uint32{}
-	)
+	// Analysis, straight into the fresh participant's tables. Prepared
+	// state is last-wins per transaction: a decision (or a fresh prepare
+	// of a later attempt) supersedes earlier marks.
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Type != wal.TypePrepare && rec.Type != wal.TypeDecision {
@@ -419,29 +413,20 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 		}
 		at, err := parseAttempt(rec.Node)
 		if err != nil {
-			return fmt.Errorf("sched: participant %s: %s record at LSN %d: %w", p.name, rec.Type, sl.lsn(i), err)
+			return fmt.Errorf("sched: participant %s: %s record at LSN %d: %w", p.c.name, rec.Type, sl.lsn(i), err)
 		}
-		if rec.Type == wal.TypePrepare {
-			prepared[rec.Txn] = pstate{attempt: at, ts: rec.Seq}
+		switch {
+		case rec.Type == wal.TypePrepare:
+			p.txns[rec.Txn] = &ptxn{attempt: at, ts: rec.Seq, steps: map[string]*pdedup{}, prepared: true}
 			continue
+		case rec.Mode == "commit":
+			p.resolved[rec.Txn] = true
+		case at > p.aborted[rec.Txn]:
+			p.aborted[rec.Txn] = at
 		}
-		if rec.Mode == "commit" {
-			committed[rec.Txn] = true
-		} else if at > abortedAt[rec.Txn] {
-			abortedAt[rec.Txn] = at
-		}
-		delete(prepared, rec.Txn)
+		delete(p.txns, rec.Txn)
 	}
-
-	storeOf := func(comp string) (*data.Store, error) {
-		if comp != p.name {
-			return nil, fmt.Errorf("sched: participant %s: log references store component %q", p.name, comp)
-		}
-		return p.store, nil
-	}
-	if _, err := sl.redo(storeOf); err != nil {
-		return err
-	}
+	sl.leaked(&p.leaks)
 
 	// Undo: un-compensated applies of transactions with no durable
 	// outcome and no prepare — they can never commit (a commit decision
@@ -449,19 +434,15 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 	// applies. In-doubt transactions keep their effects; their applies
 	// come back to rebuild each one's undo log (in log order), so a later
 	// abort decision can still compensate it.
-	log, err := reopen(scan, cl.walOptions())
-	if err != nil {
-		return err
-	}
-	_, kept, err := sl.undo(log, storeOf, func(txn string) txnFate {
-		if committed[txn] {
+	log, _, _, kept, err := sl.replay(scan, cl.walOptions(), map[string]*component{p.c.name: p.c}, func(txn string) txnFate {
+		if p.resolved[txn] {
 			return fateWinner
 		}
-		if _, ok := prepared[txn]; ok {
+		if p.txns[txn] != nil {
 			return fateInDoubt
 		}
 		return fateLoser
-	})
+	}, &p.leaks)
 	if err != nil {
 		return err
 	}
@@ -470,44 +451,26 @@ func (cl *Cluster) rebuildParticipant(p *Participant) error {
 		return err
 	}
 	p.wal = log
-	inDoubtUndo := map[string][]pundo{}
 	for k := len(kept) - 1; k >= 0; k-- {
-		i := kept[k]
-		rec := &recs[i]
-		inDoubtUndo[rec.Txn] = append(inDoubtUndo[rec.Txn],
-			pundo{op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: sl.lsn(int(i))})
+		rec := &recs[kept[k]]
+		tx := p.txns[rec.Txn]
+		tx.undo = append(tx.undo, undoEntry{comp: p.c, op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: sl.lsn(int(kept[k]))})
 	}
 
-	// Register in-doubt transactions: prepared, effects intact, locks
-	// re-acquired at the original timestamps, outcome owed by the
-	// coordinator (the sweeper's termination protocol collects it).
-	for txn, st := range prepared {
-		tx := &ptxn{
-			attempt:   st.attempt,
-			ts:        st.ts,
-			steps:     map[string]*pdedup{},
-			undo:      inDoubtUndo[txn],
-			prepared:  true,
-			lastTouch: time.Now(),
-		}
+	// In-doubt transactions keep their effects and get their locks back
+	// at the original timestamps; the coordinator owes their outcome (the
+	// sweeper's termination protocol collects it).
+	for txn, tx := range p.txns {
+		tx.lastTouch = time.Now()
 		for _, u := range tx.undo {
-			if table, mode := p.lockSpace(u.op); table != nil {
+			if table, mode := p.c.lockSpace(p.cfg.Protocol, u.op); table != nil {
 				deadline := time.Now().Add(cl.cfg.LockWait)
-				if err := p.lm.acquireUntil(table, u.op.Item, mode, txn, st.ts, WaitDie, nil, deadline); err != nil {
+				if err := p.c.lm.acquireUntil(table, u.op.Item, mode, txn, tx.ts, WaitDie, nil, deadline); err != nil {
 					log.close()
-					return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.name, u.op.Item, txn, err)
+					return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.c.name, u.op.Item, txn, err)
 				}
 				tx.locks = append(tx.locks, u.op.Item)
 			}
-		}
-		p.txns[txn] = tx
-	}
-	for txn := range committed {
-		p.resolved[txn] = true
-	}
-	for txn, at := range abortedAt {
-		if at > p.aborted[txn] {
-			p.aborted[txn] = at
 		}
 	}
 	return nil
@@ -738,10 +701,10 @@ func (cl *Cluster) Audit() (*front.Verdict, error) {
 // StoreSnapshot returns a copy of one participant's store state.
 func (cl *Cluster) StoreSnapshot(name string) map[string]int64 {
 	p := cl.participant(name)
-	if p == nil || p.store == nil {
+	if p == nil || p.c.store == nil {
 		return nil
 	}
-	return p.store.Snapshot()
+	return p.c.store.Snapshot()
 }
 
 // Metrics snapshots cluster-wide counters.

@@ -317,16 +317,5 @@ func (r *Runtime) SetFaults(plan FaultPlan) {
 // permanently (their forward effects leaked into the stores). The slice
 // is a copy.
 func (r *Runtime) Quarantined() []Quarantine {
-	r.qmu.Lock()
-	defer r.qmu.Unlock()
-	out := make([]Quarantine, len(r.quarantined))
-	copy(out, r.quarantined)
-	return out
-}
-
-func (r *Runtime) quarantine(q Quarantine) {
-	r.compFailures.Add(1)
-	r.qmu.Lock()
-	r.quarantined = append(r.quarantined, q)
-	r.qmu.Unlock()
+	return append([]Quarantine{}, r.leaks.all()...)
 }

@@ -345,7 +345,7 @@ func scanStoreLog(recs []wal.Record, info wal.ScanInfo) *storeLog {
 // applies of other transactions, so the replay must preserve the logged
 // interleaving exactly — compensated applies then net out, whatever the
 // crash interleaved. Returns the number of operations replayed.
-func (sl *storeLog) redo(storeOf func(comp string) (*data.Store, error)) (int, error) {
+func (sl *storeLog) redo(compOf func(name string) (*component, error)) (int, error) {
 	redone := 0
 	for i := range sl.recs {
 		rec, lsn := &sl.recs[i], sl.lsn(i)
@@ -372,20 +372,60 @@ func (sl *storeLog) redo(storeOf func(comp string) (*data.Store, error)) (int, e
 		default:
 			continue
 		}
-		s, err := storeOf(rec.Comp)
+		c, err := compOf(rec.Comp)
 		if err != nil {
 			return redone, err
 		}
 		if baseline {
-			s.Set(rec.Item, rec.Prev)
+			c.store.Set(rec.Item, rec.Prev)
 			continue
 		}
-		if _, err := s.Apply(opOf(rec)); err != nil {
+		if _, err := c.store.Apply(opOf(rec)); err != nil {
 			return redone, fmt.Errorf("sched: redo of %s record %d: %w", rec.Type, lsn, err)
 		}
 		redone++
 	}
 	return redone, nil
+}
+
+// replay runs the store-replay core over a scanned log for the stores of
+// comps: redo, the log reopened for appending after the scan, and undo of
+// fate's losers journaled on it — unsynced, so a caller's own markers
+// share one sync — with any leak reported to lk. The log is closed on
+// error.
+func (sl *storeLog) replay(scan *wal.Scan, opts wal.Options, comps map[string]*component, fate func(txn string) txnFate, lk *leaks) (j journal, redone, undone int, inDoubt []int32, err error) {
+	compOf := func(name string) (*component, error) {
+		if c := comps[name]; c != nil && c.store != nil {
+			return c, nil
+		}
+		return nil, fmt.Errorf("sched: log references unknown store component %q", name)
+	}
+	if redone, err = sl.redo(compOf); err != nil {
+		return j, 0, 0, nil, err
+	}
+	if j, err = reopen(scan, opts); err != nil {
+		return j, 0, 0, nil, err
+	}
+	undone, inDoubt, err = sl.undo(j, compOf, fate, lk)
+	return j, redone, undone, inDoubt, err
+}
+
+// leaked re-reports into lk, in log order, every compensation the log
+// quarantined above its checkpoint (a leak below it is the marker's to
+// carry).
+func (sl *storeLog) leaked(lk *leaks) {
+	for i := range sl.recs {
+		if sl.recs[i].Type != wal.TypeQuarantine || sl.lsn(i) <= sl.ckLSN {
+			continue
+		}
+		if a, ok := sl.applyAt(sl.recs[i].Ref); ok {
+			apl := &sl.recs[a]
+			lk.report(Quarantine{
+				Component: apl.Comp, Txn: apl.Txn, Op: opOf(apl),
+				Err: errors.New("sched: compensation quarantined before crash (from WAL)"),
+			})
+		}
+	}
 }
 
 // txnFate is what the owner of a log says about a transaction with
@@ -400,8 +440,9 @@ const (
 
 // undo inverts — in reverse log order — each surviving apply of a loser
 // transaction that has neither a cancellation, a compensation nor a
-// quarantine on record, journaling each inverse through j before applying
-// it. Applies of transactions in flight at the checkpoint are included:
+// quarantine on record, journaling each inverse through j before the
+// component's undo step applies it; one the store keeps refusing is
+// quarantined there and reported to lk, as at run time. Applies of transactions in flight at the checkpoint are included:
 // they survive truncation by construction (the truncation barrier never
 // passes an in-flight attempt's first apply), and their effects are
 // inside the snapshot with no durable outcome, so the inversion is
@@ -413,8 +454,8 @@ const (
 // transaction keeps its effects; the indices of its applies are handed
 // back, last apply first, so the caller can rebuild its undo list. The
 // log is closed on every error path. Returns the number of inverses
-// applied.
-func (sl *storeLog) undo(j journal, storeOf func(comp string) (*data.Store, error), fate func(txn string) txnFate) (undone int, inDoubt []int32, err error) {
+// journaled.
+func (sl *storeLog) undo(j journal, compOf func(name string) (*component, error), fate func(txn string) txnFate, lk *leaks) (undone int, inDoubt []int32, err error) {
 	defer func() {
 		if err != nil {
 			j.close()
@@ -433,20 +474,19 @@ func (sl *storeLog) undo(j journal, storeOf func(comp string) (*data.Store, erro
 			inDoubt = append(inDoubt, int32(i))
 			continue
 		}
-		inv, ok := data.Inverse(opOf(rec), data.Result{Prev: rec.Prev})
-		if !ok {
-			continue
-		}
-		if _, err := j.append(compRecord(rec.Txn, rec.Comp, inv, lsn)); err != nil {
-			return undone, nil, err
-		}
-		s, err := storeOf(rec.Comp)
+		c, err := compOf(rec.Comp)
 		if err != nil {
 			return undone, nil, err
 		}
-		if _, err := s.Apply(inv); err != nil {
-			return undone, nil, fmt.Errorf("sched: undo of apply record %d: %w", lsn, err)
+		u := undoEntry{comp: c, op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: lsn}
+		crec, ok := u.compRecord(rec.Txn)
+		if !ok {
+			continue
 		}
+		if _, err := j.append(crec); err != nil {
+			return undone, nil, err
+		}
+		u.revert(rec.Txn, "", j, nil, lk)
 		undone++
 	}
 	return undone, inDoubt, nil

@@ -228,7 +228,7 @@ func TestCorpusClusterLogs(t *testing.T) {
 		}
 		p.mu.Unlock()
 		parts[name] = map[string]any{
-			"store": p.store.Snapshot(), "inDoubt": inDoubt, "resolved": resolved, "aborted": aborted,
+			"store": p.c.store.Snapshot(), "inDoubt": inDoubt, "resolved": resolved, "aborted": aborted,
 		}
 	}
 	c := cl.coordinator()

@@ -308,21 +308,22 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 	}
 	recs := scan.Records
 	sl := scanStoreLog(recs, scan.Info)
-	stores := map[string]*data.Store{}
-	storeOf := func(comp string) (*data.Store, error) {
-		if stores[comp] == nil {
-			stores[comp] = data.NewStore()
+	comps := map[string]*component{}
+	compOf := func(name string) (*component, error) {
+		if comps[name] == nil {
+			comps[name] = newComponent(ComponentSpec{Name: name, HasStore: true}).local(nil)
 		}
-		return stores[comp], nil
+		return comps[name], nil
 	}
-	if _, err := sl.redo(storeOf); err != nil {
+	if _, err := sl.redo(compOf); err != nil {
 		t.Fatal(err)
 	}
 	j, err := reopen(scan, wal.Options{SyncEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	undone, kept, err := sl.undo(j, storeOf, lawFate(recs, twoPC))
+	var lk leaks
+	undone, kept, err := sl.undo(j, compOf, lawFate(recs, twoPC), &lk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,9 +337,12 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 	if len(after)-len(recs) != undone {
 		t.Fatalf("undo reports %d inverses but appended %d records", undone, len(after)-len(recs))
 	}
+	if leaked := lk.all(); len(leaked) > 0 {
+		t.Fatalf("undo quarantined %+v: the law's inverses never fail", leaked)
+	}
 	got := map[string]int64{}
-	for comp, s := range stores {
-		for item, v := range s.Snapshot() {
+	for comp, c := range comps {
+		for item, v := range c.store.Snapshot() {
 			got[lawKey(comp, item)] = v
 		}
 	}

@@ -249,10 +249,10 @@ func (r *Runtime) validate(a *attempt) error {
 		if mine == nil {
 			mine = make(map[*data.Store]map[uint64]bool, 2)
 		}
-		m := mine[u.store]
+		m := mine[u.comp.store]
 		if m == nil {
 			m = make(map[uint64]bool, 4)
-			mine[u.store] = m
+			mine[u.comp.store] = m
 		}
 		m[u.res.TS] = true
 	}

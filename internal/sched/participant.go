@@ -112,19 +112,12 @@ type pdedup struct {
 	reply comm.Message
 }
 
-// pundo is one journaled mutation of an attempt, with what Inverse needs.
-type pundo struct {
-	op  data.Op
-	res data.Result
-	lsn uint64
-}
-
 // ptxn is the participant-side state of one root transaction attempt.
 type ptxn struct {
 	attempt   uint32
 	ts        uint64 // root wait-die timestamp
 	steps     map[string]*pdedup
-	undo      []pundo
+	undo      []undoEntry   // journaled mutations, with what Inverse needs
 	locks     []string      // items granted to the attempt, released at its end
 	prepDone  chan struct{} // non-nil once a Prepare is being processed
 	vote      comm.Message  // recorded vote, valid after prepDone closes
@@ -133,34 +126,25 @@ type ptxn struct {
 	lastTouch time.Time
 }
 
-// Participant is one component's half of the distributed runtime: its
-// semantic lock manager, its store (nil for pure scheduling components),
-// its write-ahead log, and the message handlers that make duplicated and
-// reordered delivery idempotent.
+// Participant is the message front door of one component in a cluster:
+// the component itself (its lock manager, its store — nil for pure
+// scheduling components — and its leaf path), its write-ahead log, and
+// the message handlers that make duplicated and reordered delivery
+// idempotent.
 type Participant struct {
-	name     string
-	coord    string
-	protocol Protocol
-	modes    *data.ModeTable
-	rwTable  *data.ModeTable
-	store    *data.Store // nil for components without stores
-	lm       *lockManager
-	mux      *comm.Mux
-	wal      journal // zero when volatile or storeless
-	clock    lamport
-	crashed  atomic.Bool
-	crash    *distCrashState
+	c       *component
+	cfg     DistConfig // normalized: protocol, liveness and RPC policy
+	mux     *comm.Mux
+	wal     journal // zero when volatile or storeless
+	clock   lamport
+	crashed atomic.Bool
+	crash   *distCrashState
+	leaks   leaks // quarantined compensations
 
 	// inc is the incarnation, bumped by RecoverParticipant and stamped on
 	// every vote and ack beside the log's durable watermark: a crash drops
 	// the unsynced tail and the next life re-uses its LSNs.
 	inc uint64
-
-	abandonAfter time.Duration
-	queryAfter   time.Duration
-	sweepEvery   time.Duration
-	rpcTimeout   time.Duration
-	rpcRetries   int
 
 	mu        sync.Mutex
 	txns      map[string]*ptxn
@@ -175,26 +159,11 @@ type Participant struct {
 	resolves atomic.Int64 // in-doubt transactions resolved by query
 }
 
-func newParticipant(name string, spec ComponentSpec, cfg DistConfig, crash *distCrashState) *Participant {
-	modes := spec.Modes
-	if modes == nil {
-		modes = data.SemanticTable()
-	}
+func newParticipant(spec ComponentSpec, cfg DistConfig, crash *distCrashState) *Participant {
 	p := &Participant{
-		name:     name,
-		coord:    coordName,
-		protocol: cfg.Protocol,
-		modes:    modes,
-		rwTable:  data.RWTable(),
-		lm:       newLockManager(),
-		crash:    crash,
-		inc:      1,
-
-		abandonAfter: cfg.AbandonAfter,
-		queryAfter:   cfg.QueryAfter,
-		sweepEvery:   cfg.SweepEvery,
-		rpcTimeout:   cfg.RPCTimeout,
-		rpcRetries:   cfg.RPCRetries,
+		cfg:   cfg,
+		crash: crash,
+		inc:   1,
 
 		txns:      map[string]*ptxn{},
 		aborted:   map[string]uint32{},
@@ -202,10 +171,7 @@ func newParticipant(name string, spec ComponentSpec, cfg DistConfig, crash *dist
 		readVoted: map[string]uint32{},
 		stop:      make(chan struct{}),
 	}
-	p.lm.crashed = &p.crashed
-	if spec.HasStore {
-		p.store = data.NewStore()
-	}
+	p.c = newComponent(spec).local(&p.crashed)
 	return p
 }
 
@@ -236,7 +202,7 @@ func (p *Participant) crashNow() {
 		return
 	}
 	p.wal.abandon(nil)
-	p.lm.wake()
+	p.c.lm.wake()
 	close(p.stop)
 	p.mux.Close()
 }
@@ -244,7 +210,7 @@ func (p *Participant) crashNow() {
 // close shuts the participant down cleanly (tests and cluster teardown).
 func (p *Participant) close() {
 	if p.crashed.CompareAndSwap(false, true) {
-		p.lm.wake()
+		p.c.lm.wake()
 		close(p.stop)
 		p.mux.Close()
 		p.wal.close()
@@ -262,10 +228,8 @@ func (p *Participant) handle(m comm.Message) {
 	}
 	p.clock.merge(m.Clock)
 	switch m.Kind {
-	case comm.KindApply:
-		p.handleApply(m)
-	case comm.KindLock:
-		p.handleLock(m)
+	case comm.KindApply, comm.KindLock:
+		p.handleGrant(m)
 	case comm.KindPrepare:
 		p.handlePrepare(m)
 	case comm.KindDecide:
@@ -307,12 +271,8 @@ func (p *Participant) admit(m comm.Message) (tx *ptxn, st *pdedup, first, stale 
 		// a prepared one durably (the newer attempt proves the coordinator
 		// decided against it; presumed abort never commits a superseded
 		// attempt), an unprepared one with a plain rollback.
-		if tx.prepared {
-			if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
-				return nil, nil, false, true
-			}
-		} else {
-			p.rollbackLocked(m.Txn, tx)
+		if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
+			return nil, nil, false, true
 		}
 		tx = nil
 	}
@@ -341,30 +301,19 @@ func (p *Participant) finish(req comm.Message, st *pdedup, rep comm.Message) {
 	p.reply(req, rep)
 }
 
-// lockSpace picks the lock table and mode a store operation is locked
-// under (a nil table takes no lock). Distributed commit is strict at
-// every protocol: locks are held to the decision (2PC's prepared state
-// pins them anyway), so the protocols differ only in the lock space —
-// semantic mode-table locks for the nested protocols, physical read/write
-// locks under Global2PL, nothing under NoCC.
-func (p *Participant) lockSpace(op data.Op) (*data.ModeTable, data.Mode) {
-	switch p.protocol {
-	case Global2PL:
-		if op.Physical() == data.ModeRead {
-			return p.rwTable, data.ModeRead
-		}
-		return p.rwTable, data.ModeWrite
-	case NoCC:
-		return nil, op.Mode
-	default:
-		return p.modes, op.Mode
+// handleGrant serves an Apply — lock and apply one store operation at
+// the component — or a Lock, the semantic lock of a subtransaction
+// invocation at this (caller) component: no store is involved, and the
+// grant itself is the recorded event, sequenced by the coordinator on
+// reply receipt.
+func (p *Participant) handleGrant(m comm.Message) {
+	kind := comm.KindApplyReply
+	if m.Kind == comm.KindLock {
+		kind = comm.KindLockReply
 	}
-}
-
-func (p *Participant) handleApply(m comm.Message) {
 	tx, st, first, stale := p.admit(m)
 	if stale {
-		p.reply(m, comm.Message{Kind: comm.KindApplyReply, Code: dcodeStale})
+		p.reply(m, comm.Message{Kind: kind, Code: dcodeStale})
 		return
 	}
 	if !first {
@@ -372,18 +321,21 @@ func (p *Participant) handleApply(m comm.Message) {
 		p.reply(m, st.reply)
 		return
 	}
-	if p.store == nil {
-		p.finish(m, st, comm.Message{Kind: comm.KindApplyReply, Code: dcodeFatal,
-			Err: fmt.Sprintf("component %q has no store", p.name)})
-		return
-	}
+	c := p.c
 	op := data.Op{Mode: data.Mode(m.Mode), Item: m.Item, Arg: m.Arg, Impl: data.Mode(m.Impl)}
-
-	table, mode := p.lockSpace(op)
+	table, mode := c.modes, op.Mode
+	if m.Kind == comm.KindApply {
+		if c.store == nil {
+			p.finish(m, st, comm.Message{Kind: kind, Code: dcodeFatal,
+				Err: fmt.Sprintf("component %q has no store", c.name)})
+			return
+		}
+		table, mode = c.lockSpace(p.cfg.Protocol, op)
+	}
 	if table != nil {
 		deadline := time.Now().Add(time.Duration(m.Wait))
-		if err := p.lm.acquireUntil(table, op.Item, mode, m.Txn, m.TS, WaitDie, nil, deadline); err != nil {
-			p.finish(m, st, lockErrReply(comm.KindApplyReply, err))
+		if err := c.lm.acquireUntil(table, op.Item, mode, m.Txn, m.TS, WaitDie, nil, deadline); err != nil {
+			p.finish(m, st, errReply(kind, err))
 			return
 		}
 	}
@@ -393,76 +345,33 @@ func (p *Participant) handleApply(m comm.Message) {
 	// lock wait blocked, and a stale grant must not mutate the store. A
 	// grant for a gone transaction is released; one racing a newer attempt
 	// of the same root is left in place (same lock owner — it drains at
-	// that attempt's decision). The journal + store mutation + undo append
+	// that attempt's decision). The write-ahead apply and the undo append
 	// happen under p.mu so no abort can interleave with them.
 	p.mu.Lock()
 	if !p.keepGrant(m.Txn, tx, table != nil, op.Item) {
 		p.mu.Unlock()
-		p.finish(m, st, comm.Message{Kind: comm.KindApplyReply, Code: dcodeStale})
+		p.finish(m, st, comm.Message{Kind: kind, Code: dcodeStale})
 		return
 	}
-
-	// Write-ahead journal (mutations only), then the store mutation — the
-	// same discipline as the single-process leafOp, minus checkpoint
-	// gating (participants fold their history at recovery instead).
-	var lsn uint64
 	var res data.Result
 	var err error
-	if op.Physical() != data.ModeRead {
-		rec := applyRecord(m.Txn, m.Node, p.name, op, p.store.Get(op.Item))
-		if lsn, err = p.wal.append(rec); err != nil {
-			p.mu.Unlock()
-			p.finish(m, st, lockErrReply(comm.KindApplyReply, err))
-			return
+	switch {
+	case m.Kind == comm.KindLock:
+	case op.Physical() == data.ModeRead:
+		res, err = c.store.Apply(op)
+	default:
+		rec := applyRecord(m.Txn, m.Node, c.name, op, c.store.Get(op.Item))
+		var lsn uint64
+		if lsn, res, err = c.writeAhead(p.wal, &rec, op, ""); err == nil {
+			tx.undo = append(tx.undo, undoEntry{comp: c, op: op, res: res, lsn: lsn})
 		}
-		res, err = p.store.Apply(op)
-		if err != nil && lsn != 0 {
-			p.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: m.Txn, Ref: lsn})
-		}
-	} else {
-		res, err = p.store.Apply(op)
 	}
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
-		p.finish(m, st, comm.Message{Kind: comm.KindApplyReply, Code: dcodeFatal, Err: err.Error()})
+		p.finish(m, st, errReply(kind, err))
 		return
 	}
-	if op.Physical() != data.ModeRead {
-		tx.undo = append(tx.undo, pundo{op: op, res: res, lsn: lsn})
-	}
-	p.mu.Unlock()
-	p.finish(m, st, comm.Message{Kind: comm.KindApplyReply, OK: true, Value: res.Value})
-}
-
-// handleLock grants the semantic lock of a subtransaction invocation at
-// this (caller) component. No store is involved; the grant itself is the
-// recorded event, sequenced by the coordinator on reply receipt.
-func (p *Participant) handleLock(m comm.Message) {
-	tx, st, first, stale := p.admit(m)
-	if stale {
-		p.reply(m, comm.Message{Kind: comm.KindLockReply, Code: dcodeStale})
-		return
-	}
-	if !first {
-		<-st.done
-		p.reply(m, st.reply)
-		return
-	}
-	deadline := time.Now().Add(time.Duration(m.Wait))
-	if err := p.lm.acquireUntil(p.modes, m.Item, data.Mode(m.Mode), m.Txn, m.TS, WaitDie, nil, deadline); err != nil {
-		p.finish(m, st, lockErrReply(comm.KindLockReply, err))
-		return
-	}
-	// Same stale-grant re-validation as handleApply.
-	p.mu.Lock()
-	if !p.keepGrant(m.Txn, tx, true, m.Item) {
-		p.mu.Unlock()
-		p.finish(m, st, comm.Message{Kind: comm.KindLockReply, Code: dcodeStale})
-		return
-	}
-	tx.lastTouch = time.Now()
-	p.mu.Unlock()
-	p.finish(m, st, comm.Message{Kind: comm.KindLockReply, OK: true})
+	p.finish(m, st, comm.Message{Kind: kind, OK: true, Value: res.Value})
 }
 
 // keepGrant files a lock on item just granted to txn (locked: whether one
@@ -475,7 +384,7 @@ func (p *Participant) keepGrant(txn string, tx *ptxn, locked bool, item string) 
 	cur := p.txns[txn]
 	if locked {
 		if cur == nil {
-			p.lm.release(txn, item)
+			p.c.lm.release(txn, item)
 		} else {
 			cur.locks = append(cur.locks, item)
 		}
@@ -486,12 +395,14 @@ func (p *Participant) keepGrant(txn string, tx *ptxn, locked bool, item string) 
 // releaseLocked drops every lock tx holds (under p.mu).
 func (p *Participant) releaseLocked(txn string, tx *ptxn) {
 	for _, item := range tx.locks {
-		p.lm.release(txn, item)
+		p.c.lm.release(txn, item)
 	}
 	tx.locks = nil
 }
 
-func lockErrReply(kind comm.Kind, err error) comm.Message {
+// errReply maps a refusal — a lock wait, a journal or a store error —
+// onto a reply code (replyErr's inverse at the coordinator).
+func errReply(kind comm.Kind, err error) comm.Message {
 	rep := comm.Message{Kind: kind}
 	switch {
 	case errors.Is(err, ErrDie):
@@ -556,10 +467,10 @@ func (p *Participant) handlePrepare(m comm.Message) {
 	vote := comm.Message{Kind: comm.KindVote, OK: true}
 	rec := wal.Record{
 		Type: wal.TypePrepare, Txn: m.Txn, Node: attemptStr(m.Attempt),
-		Comp: p.name, Seq: m.TS,
+		Comp: p.c.name, Seq: m.TS,
 	}
 	if err := p.wal.force([]wal.Record{rec}); err != nil {
-		vote = lockErrReply(comm.KindVote, err)
+		vote = errReply(comm.KindVote, err)
 	}
 	p.mu.Lock()
 	if p.txns[m.Txn] != tx {
@@ -573,7 +484,7 @@ func (p *Participant) handlePrepare(m comm.Message) {
 	tx.lastTouch = time.Now()
 	p.mu.Unlock()
 	close(done)
-	if vote.OK && p.crash.fire(DistCrashPartPrepare, p.name, m.Txn) {
+	if vote.OK && p.crash.fire(DistCrashPartPrepare, p.c.name, m.Txn) {
 		p.crashNow()
 		return
 	}
@@ -611,71 +522,65 @@ func (p *Participant) handleDecide(m comm.Message) {
 	if err != nil {
 		return // crashed mid-decision; recovery resolves it
 	}
-	if p.crash.fire(DistCrashPartDecide, p.name, m.Txn) {
+	if p.crash.fire(DistCrashPartDecide, p.c.name, m.Txn) {
 		p.crashNow()
 		return
 	}
 	p.reply(m, comm.Message{Kind: comm.KindAck, OK: true, Seq: lsn})
 }
 
-func decisionRecord(txn string, tx *ptxn, mode string) wal.Record {
-	return wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: mode}
-}
-
-// abortRecords builds what the abort of a prepared attempt must force
-// before any inverse executes: the compensations and the decision record
-// as one batch — recovery replays applies and compensations in log order,
-// so any crash in between nets out. Empty when nothing was journaled.
-func (p *Participant) abortRecords(txn string, tx *ptxn) []wal.Record {
-	if len(tx.undo) == 0 {
-		return nil
-	}
-	return append(p.compRecords(txn, tx), decisionRecord(txn, tx, "abort"))
-}
-
-// compRecords encodes an attempt's rollback: one compensation record per
-// invertible mutation, in reverse order.
-func (p *Participant) compRecords(txn string, tx *ptxn) []wal.Record {
-	recs := make([]wal.Record, 0, len(tx.undo)+1)
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		if inv, ok := data.Inverse(u.op, u.res); ok {
-			recs = append(recs, compRecord(txn, p.name, inv, u.lsn))
+// decideLocked journals and applies a decision under p.mu. A commit
+// record is appended lazily (its LSN returned for the ack). The abort of
+// a prepared attempt forces its compensations and decision record as one
+// batch before any inverse executes — recovery replays applies and
+// compensations in log order, so any crash in between nets out — and
+// that of an unprepared one appends them unforced, closed by TypeAbort
+// (recovery undoes uncommitted applies on its own if they are lost). An
+// attempt that journaled nothing journals nothing. Then commit keeps the
+// effects, abort runs the component's undo step on each, in reverse;
+// locks release, tombstones update. A decided attempt's versions are
+// final and a participant's store has no snapshot readers, so each item
+// it touched is compacted to its latest version. Every path that settles
+// an attempt goes through here: Decide, attempt upgrades, coordinator
+// aborts, abandonment, termination-protocol answers.
+func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) (lsn uint64, err error) {
+	if len(tx.undo) > 0 {
+		dec := wal.Record{Type: wal.TypeDecision, Txn: txn, Node: attemptStr(tx.attempt), Mode: "commit"}
+		if commit {
+			lsn, err = p.wal.append(dec)
+		} else {
+			recs := make([]wal.Record, 0, len(tx.undo)+1)
+			for i := len(tx.undo) - 1; i >= 0; i-- {
+				if rec, ok := tx.undo[i].compRecord(txn); ok {
+					recs = append(recs, rec)
+				}
+			}
+			if tx.prepared {
+				dec.Mode = "abort"
+				err = p.wal.force(append(recs, dec))
+			} else {
+				_, _ = p.wal.appendBatch(append(recs, wal.Record{Type: wal.TypeAbort, Txn: txn}))
+			}
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
-	return recs
-}
-
-// applyDecisionLocked finalizes a decided attempt under p.mu once its
-// records are journaled: commit keeps the effects, abort compensates in
-// reverse; locks release, tombstones update.
-func (p *Participant) applyDecisionLocked(txn string, tx *ptxn, commit bool) {
 	if commit {
 		p.resolved[txn] = true
 	} else {
-		p.undoLocked(tx)
+		for i := len(tx.undo) - 1; i >= 0; i-- {
+			tx.undo[i].revert(txn, "", p.wal, nil, &p.leaks)
+		}
 		if tx.attempt > p.aborted[txn] {
 			p.aborted[txn] = tx.attempt
 		}
 	}
+	if len(tx.undo) > 0 {
+		p.c.store.Compact(p.c.store.Clock() + 1)
+	}
 	delete(p.txns, txn)
 	p.releaseLocked(txn, tx)
-}
-
-// decideLocked journals and applies a decision under p.mu: a commit record
-// appended lazily (its LSN returned for the ack), an abort batch forced.
-// Every path that settles a prepared attempt goes through it: Decide,
-// attempt upgrades, coordinator aborts, termination-protocol answers.
-func (p *Participant) decideLocked(txn string, tx *ptxn, commit bool) (lsn uint64, err error) {
-	if !commit {
-		err = p.wal.force(p.abortRecords(txn, tx))
-	} else if len(tx.undo) > 0 {
-		lsn, err = p.wal.append(decisionRecord(txn, tx, "commit"))
-	}
-	if err != nil {
-		return 0, err
-	}
-	p.applyDecisionLocked(txn, tx, commit)
 	return lsn, nil
 }
 
@@ -695,37 +600,12 @@ func (p *Participant) handleAbort(m comm.Message) {
 		p.reply(m, comm.Message{Kind: comm.KindAbortReply, OK: true})
 		return
 	}
-	if tx.prepared {
-		if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
-			p.mu.Unlock()
-			return
-		}
-	} else {
-		p.rollbackLocked(m.Txn, tx)
+	if _, err := p.decideLocked(m.Txn, tx, false); err != nil {
+		p.mu.Unlock()
+		return
 	}
 	p.mu.Unlock()
 	p.reply(m, comm.Message{Kind: comm.KindAbortReply, OK: true})
-}
-
-// rollbackLocked undoes an unprepared attempt under p.mu: journaled
-// compensations (non-forced — recovery undoes uncommitted applies on its
-// own if they are lost), inverse applies in reverse order, lock release,
-// tombstone.
-func (p *Participant) rollbackLocked(txn string, tx *ptxn) {
-	if len(tx.undo) > 0 {
-		p.wal.appendBatch(append(p.compRecords(txn, tx), wal.Record{Type: wal.TypeAbort, Txn: txn}))
-	}
-	p.applyDecisionLocked(txn, tx, false)
-}
-
-func (p *Participant) undoLocked(tx *ptxn) {
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		if inv, ok := data.Inverse(u.op, u.res); ok {
-			p.store.Apply(inv)
-		}
-	}
-	tx.undo = nil
 }
 
 // sweeper is the participant's liveness loop. Unprepared attempts idle
@@ -736,7 +616,7 @@ func (p *Participant) undoLocked(tx *ptxn) {
 // (the vote round is still in flight).
 func (p *Participant) sweeper() {
 	defer p.sweeps.Done()
-	tick := time.NewTicker(p.sweepEvery)
+	tick := time.NewTicker(p.cfg.SweepEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -755,16 +635,16 @@ func (p *Participant) sweeper() {
 		for txn, tx := range p.txns {
 			idle := now.Sub(tx.lastTouch)
 			switch {
-			case !tx.prepared && tx.prepDone == nil && idle > p.abandonAfter:
+			case !tx.prepared && tx.prepDone == nil && idle > p.cfg.AbandonAfter:
 				abandon = append(abandon, txn)
-			case tx.prepared && !tx.querying && idle > p.queryAfter:
+			case tx.prepared && !tx.querying && idle > p.cfg.QueryAfter:
 				tx.querying = true
 				query = append(query, inDoubtQuery{txn, tx})
 			}
 		}
 		for _, txn := range abandon {
 			if tx := p.txns[txn]; tx != nil && !tx.prepared && tx.prepDone == nil {
-				p.rollbackLocked(txn, tx)
+				_, _ = p.decideLocked(txn, tx, false) // unprepared: cannot fail
 				p.unilats.Add(1)
 			}
 		}
@@ -784,9 +664,9 @@ func (p *Participant) sweeper() {
 // may be committing at the coordinator.
 func (p *Participant) resolveInDoubt(txn string, tx *ptxn) {
 	p.queries.Add(1)
-	rep, err := p.mux.Call(p.coord,
+	rep, err := p.mux.Call(coordName,
 		comm.Message{Kind: comm.KindQuery, Txn: txn, Attempt: tx.attempt, Clock: p.clock.tick()},
-		p.rpcTimeout, p.rpcRetries)
+		p.cfg.RPCTimeout, p.cfg.RPCRetries)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.txns[txn] != tx || !tx.prepared {

@@ -59,7 +59,7 @@ type RecoveryStats struct {
 
 	Redone      int // applies + compensations replayed into the stores
 	Undone      int // inverse operations applied (and journaled) here
-	Quarantined int // leaked compensations re-reported (metadata + log)
+	Quarantined int // leaked compensations reported (metadata, log, and undo's own)
 }
 
 // Recovered is the result of a WAL recovery.
@@ -142,31 +142,32 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		}
 	}
 
+	// Re-report quarantined compensations: pre-checkpoint leaks from the
+	// marker metadata (their records may be truncated), tail leaks from
+	// the surviving TypeQuarantine records; undo reports its own after
+	// them.
+	for _, q := range ck.Quarantines {
+		rt.leaks.report(Quarantine{
+			Component: q.Component, Txn: q.Txn,
+			Op:  data.Op{Mode: data.Mode(q.Mode), Item: q.Item, Arg: q.Arg, Impl: data.Mode(q.Impl)},
+			Err: errors.New(q.Err),
+		})
+	}
+	sl.leaked(&rt.leaks)
+
 	// --- Redo, undo ---
-	storeOf := func(comp string) (*data.Store, error) {
-		c := rt.comps[comp]
-		if c == nil || c.store == nil {
-			return nil, fmt.Errorf("sched: WAL references unknown store component %q", comp)
-		}
-		return c.store, nil
-	}
-	if stats.Redone, err = sl.redo(storeOf); err != nil {
-		return nil, err
-	}
-	log, err := reopen(scan, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes})
+	log, redone, undone, _, err := sl.replay(scan, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes}, rt.comps,
+		func(txn string) txnFate {
+			if committed[txn] {
+				return fateWinner
+			}
+			return fateLoser
+		}, &rt.leaks)
 	if err != nil {
 		return nil, err
 	}
-	rt.wal = log
-	stats.Undone, _, err = sl.undo(log, storeOf, func(txn string) txnFate {
-		if committed[txn] {
-			return fateWinner
-		}
-		return fateLoser
-	})
-	if err != nil {
-		return nil, err
-	}
+	rt.wal, stats.Redone, stats.Undone = log, redone, undone
+	stats.Quarantined = len(rt.leaks.all())
 	// Abort markers, one per in-flight transaction (marking it aborted as
 	// it goes), in log order of their first journaled mutations; then one
 	// fsync for everything recovery appended.
@@ -188,32 +189,6 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		log.close()
 		return nil, err
 	}
-
-	// Re-report quarantined compensations: pre-checkpoint leaks from the
-	// marker metadata (their records may be truncated), tail leaks from
-	// the surviving TypeQuarantine records.
-	for _, q := range ck.Quarantines {
-		rt.quarantine(Quarantine{
-			Component: q.Component, Txn: q.Txn,
-			Op:  data.Op{Mode: data.Mode(q.Mode), Item: q.Item, Arg: q.Arg, Impl: data.Mode(q.Impl)},
-			Err: errors.New(q.Err),
-		})
-	}
-	for i := range recs {
-		if recs[i].Type != wal.TypeQuarantine || sl.lsn(i) <= ckLSN {
-			continue
-		}
-		a, ok := sl.applyAt(recs[i].Ref)
-		if !ok {
-			continue
-		}
-		apl := &recs[a]
-		rt.quarantine(Quarantine{
-			Component: apl.Comp, Txn: apl.Txn, Op: opOf(apl),
-			Err: errors.New("sched: compensation quarantined before crash (from WAL)"),
-		})
-	}
-	stats.Quarantined = len(rt.quarantined)
 
 	// --- Rebuild the committed projection (tail since the checkpoint) ---
 	// The index holds only the tail and the schedules declared before the

@@ -100,18 +100,6 @@ type ComponentSpec struct {
 	HasStore bool
 }
 
-type component struct {
-	name     string
-	modes    *data.ModeTable
-	hasStore bool
-	store    *data.Store // nil in a cluster, where the participant holds it
-	lm       *lockManager
-
-	// holdToRoot marks a join point: under the Hybrid protocol, locks at
-	// this component are owned by the root and held to root commit.
-	holdToRoot bool
-}
-
 // Metrics aggregates runtime counters.
 type Metrics struct {
 	Commits      int64
@@ -195,14 +183,12 @@ func (m Metrics) String() string {
 type Runtime struct {
 	driver
 	globalLM *lockManager
-	rwTable  *data.ModeTable
 
 	seq atomic.Uint64 // global event sequence (conflict-order recording)
 
-	commits      atomic.Int64
-	leafOps      atomic.Int64
-	subRetries   atomic.Int64
-	compFailures atomic.Int64
+	commits    atomic.Int64
+	leafOps    atomic.Int64
+	subRetries atomic.Int64
 
 	ix *execIndex // the committed execution (and the certifier's engine)
 
@@ -228,8 +214,7 @@ type Runtime struct {
 
 	inj *injector // fault injection (nil = off); see SetFaults
 
-	qmu         sync.Mutex
-	quarantined []Quarantine
+	leaks leaks // quarantined compensations
 
 	// Durability (zero wal = volatile runtime; see EnableWAL, Recover).
 	wal     journal
@@ -292,7 +277,6 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 	r := &Runtime{
 		driver:         driver{protocol: protocol, comps: make(map[string]*component, len(specs))},
 		globalLM:       newLockManager(),
-		rwTable:        data.RWTable(),
 		wfg:            newWaitGraph(),
 		sealM:          make(map[string]uint64),
 		ck:             newCkState(),
@@ -308,14 +292,8 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		if _, dup := r.comps[spec.Name]; dup {
 			panic(fmt.Sprintf("sched: duplicate component %q", spec.Name))
 		}
-		modes := spec.Modes
-		if modes == nil {
-			modes = data.SemanticTable()
-		}
-		c := &component{name: spec.Name, modes: modes, hasStore: spec.HasStore, lm: newLockManager()}
-		c.lm.crashed = &r.crashed
-		if spec.HasStore {
-			c.store = data.NewStore()
+		c := newComponent(spec).local(&r.crashed)
+		if c.store != nil {
 			// Version stamps and event sequence numbers share one clock,
 			// so version order and recorded conflict order agree by
 			// construction (see Runtime.validate's soundness note).
@@ -363,7 +341,7 @@ func (r *Runtime) Metrics() Metrics {
 		Timeouts:             r.timeouts.Load(),
 		InjectedFaults:       r.inj.total(),
 		SubRetries:           r.subRetries.Load(),
-		CompensationFailures: r.compFailures.Load(),
+		CompensationFailures: int64(len(r.leaks.all())),
 		Crashes:              r.crashes.Load(),
 		CertifyRejects:       r.certRejects.Load(),
 		CertifyFastPath:      r.ix.fastPath.Load(),

@@ -66,18 +66,6 @@ var ErrTooManyRetries = errors.New("sched: transaction exceeded retry budget")
 // transaction is rolled back (compensated) and not retried.
 var ErrClientAbort = errors.New("sched: transaction aborted by client")
 
-// compensationRetries bounds the re-attempts of one failing compensation
-// before the operation is quarantined.
-const compensationRetries = 3
-
-type undoEntry struct {
-	store *data.Store
-	comp  string
-	op    data.Op
-	res   data.Result
-	lsn   uint64 // WAL position of the TypeApply record (0 = not journaled)
-}
-
 // Submit runs the program as a root transaction, retrying on wait-die
 // sacrifices, recovered injected faults, and deadline expiries until it
 // commits. It is safe to call from many goroutines. After a simulated
@@ -153,67 +141,47 @@ func (r *Runtime) apply(a *attempt, comp *component, id model.NodeID, owner stri
 	if a.optimistic && op.Physical() == data.ModeRead && !a.wroteItem(comp.name, op.Item) {
 		return r.snapshotRead(a, comp, op)
 	}
-	switch r.protocol {
-	case Global2PL:
-		// One global lock space over component-qualified items, classical
-		// read/write modes only (increments — and any custom mode not
-		// physically a read — are read-modify-writes).
-		mode := op.Physical()
-		if mode != data.ModeRead {
-			mode = data.ModeWrite
+	txn := string(a.root)
+	if table, mode := comp.lockSpace(r.protocol, op); table != nil {
+		lm, item := comp.lm, op.Item
+		if r.protocol == Global2PL {
+			// One global lock space over component-qualified items (enter
+			// made the root their owner).
+			lm, item = r.globalLM, comp.name+"/"+op.Item
 		}
-		if err := r.acquire(a, r.globalLM, r.rwTable, comp.name+"/"+op.Item, mode, string(a.root), comp.name, string(id), deadline); err != nil {
-			return 0, 0, err
-		}
-	case NoCC:
-		// No isolation.
-	default:
-		if err := r.acquire(a, comp.lm, comp.modes, op.Item, op.Mode, owner, comp.name, string(id), deadline); err != nil {
+		if err := r.acquire(a, lm, table, item, mode, owner, comp.name, string(id), deadline); err != nil {
 			return 0, 0, err
 		}
 	}
-	// Write-ahead journal (mutations only): the apply record — with the
-	// before-value recovery needs to invert it — precedes the store
-	// mutation. The leaf crash site sits exactly on this boundary, so
-	// FaultCrash can strand the log mid-append (CrashTear's torn record)
-	// or between journal and apply. Journal and mutation execute under
-	// the checkpoint cut's read side as one unit, so a checkpoint's store
-	// snapshot reflects exactly the applies journaled below its marker.
 	var lsn uint64
 	var res data.Result
 	var err error
-	if op.Physical() != data.ModeRead {
-		rec := applyRecord(string(a.root), string(id), comp.name, op, comp.store.Get(op.Item))
-		r.fireCrash(comp.name, string(a.root), string(id), &rec)
-		err = func() error {
-			r.ck.gate.RLock(a.ts)
-			defer r.ck.gate.RUnlock(a.ts)
-			var jerr error
-			if lsn, jerr = r.wal.append(rec); jerr != nil {
-				return jerr
-			}
-			if lsn != 0 {
-				r.ck.noteApply(a, lsn)
-			}
-			res, jerr = comp.store.ApplyAs(op, string(a.root))
-			return jerr
-		}()
+	if op.Physical() == data.ModeRead {
+		res, err = comp.store.ApplyAs(op, txn)
+	} else {
+		// The leaf crash site sits exactly on the write-ahead boundary, so
+		// FaultCrash can strand the log mid-append (CrashTear's torn
+		// record) or between journal and apply. Journal and mutation
+		// execute under the checkpoint cut's read side as one unit, so a
+		// checkpoint's store snapshot reflects exactly the applies
+		// journaled below its marker.
+		rec := applyRecord(txn, string(id), comp.name, op, comp.store.Get(op.Item))
+		r.fireCrash(comp.name, txn, string(id), &rec)
+		r.ck.gate.RLock(a.ts)
+		lsn, res, err = comp.writeAhead(r.wal, &rec, op, txn)
+		if lsn != 0 {
+			r.ck.noteApply(a, lsn)
+		}
+		r.ck.gate.RUnlock(a.ts)
 		if err != nil && lsn == 0 {
 			return 0, 0, err // journaling failed; nothing to cancel
 		}
-	} else {
-		res, err = comp.store.ApplyAs(op, string(a.root))
 	}
 	if err != nil {
-		if lsn != 0 {
-			// The journaled apply never executed: append a cancellation
-			// so recovery does not replay it.
-			r.wal.append(wal.Record{Type: wal.TypeApplyFail, Txn: string(a.root), Ref: lsn})
-		}
 		return 0, 0, fmt.Errorf("sched: apply %s at %s: %w", op, id, err)
 	}
 	r.leafOps.Add(1)
-	a.undo = append(a.undo, undoEntry{store: comp.store, comp: comp.name, op: op, res: res, lsn: lsn})
+	a.undo = append(a.undo, undoEntry{comp: comp, op: op, res: res, lsn: lsn})
 	if a.optimistic && res.TS != 0 {
 		a.markWrite(comp.name, op.Item)
 	}
@@ -314,8 +282,8 @@ func (r *Runtime) publishCommit(a *attempt) error {
 func (a *attempt) touchedStores() []*data.Store {
 	a.stores = a.stores[:0]
 	for _, u := range a.undo {
-		if !slices.Contains(a.stores, u.store) {
-			a.stores = append(a.stores, u.store)
+		if !slices.Contains(a.stores, u.comp.store) {
+			a.stores = append(a.stores, u.comp.store)
 		}
 	}
 	return a.stores
@@ -375,16 +343,15 @@ func (r *Runtime) rollbackTo(a *attempt, snap snapshot) {
 	r.wfg.clear(a.ts)
 }
 
-// compensate undoes a.undo[from:] in reverse order. A failing
-// compensation (store error or injected FaultCompensation) is retried
-// with backoff up to compensationRetries times and then quarantined: the
-// runtime keeps running, the counter and Quarantined() report the leak.
-// Compensations never panic — a faulted rollback must not take the
-// process down with it.
+// compensate undoes a.undo[from:] in reverse order, journaling each
+// compensation before the component's undo step (undoEntry.revert) runs
+// it: a failing one is retried and then quarantined — the runtime keeps
+// running, the counter and Quarantined() report the leak.
 func (r *Runtime) compensate(a *attempt, from int) {
+	txn := string(a.root)
 	for i := len(a.undo) - 1; i >= from; i-- {
-		u := a.undo[i]
-		inv, ok := data.Inverse(u.op, u.res)
+		u := &a.undo[i]
+		rec, ok := u.compRecord(txn)
 		if !ok {
 			continue
 		}
@@ -397,7 +364,7 @@ func (r *Runtime) compensate(a *attempt, from int) {
 		// of any checkpoint cut, like the forward apply they invert.
 		r.ck.gate.RLock(a.ts)
 		if u.lsn != 0 {
-			if _, jerr := r.wal.append(compRecord(string(a.root), u.comp, inv, u.lsn)); jerr != nil {
+			if _, jerr := r.wal.append(rec); jerr != nil {
 				r.ck.gate.RUnlock(a.ts)
 				// The log is gone (crash) or unwritable: the process is
 				// effectively dead, recovery owns the remaining undo.
@@ -405,28 +372,7 @@ func (r *Runtime) compensate(a *attempt, from int) {
 				return
 			}
 		}
-		var err error
-		for try := 0; try <= compensationRetries; try++ {
-			if try > 0 {
-				time.Sleep(time.Duration(try) * 50 * time.Microsecond)
-			}
-			if r.inj.fire(FaultCompensation, u.comp, string(a.root), "") {
-				err = fmt.Errorf("sched: compensation fault at %q: %w", u.comp, ErrInjected)
-				continue
-			}
-			if _, err = u.store.ApplyUndo(inv, string(a.root), u.res.TS); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			if u.lsn != 0 {
-				// Supersede the journaled compensation: it never took
-				// effect, recovery must keep the forward effect leaked
-				// and re-report the quarantine.
-				r.wal.append(wal.Record{Type: wal.TypeQuarantine, Txn: string(a.root), Ref: u.lsn})
-			}
-			r.quarantine(Quarantine{Component: u.comp, Txn: string(a.root), Op: u.op, Err: err})
-		}
+		u.revert(txn, txn, r.wal, r.inj, &r.leaks)
 		r.ck.gate.RUnlock(a.ts)
 	}
 	a.undo = a.undo[:from]
