@@ -11,12 +11,17 @@ test:
 	$(GO) test ./...
 
 # verify is the CI gate: gofmt-clean + no CHANGES.md line over 100
-# characters + vet + build + the full test suite under the race detector
-# (covering the sched runtime, the fault-injection chaos soak — see
-# `make chaos` for the soak alone — and the CheckBatch worker pool).
+# characters and no entry over 10 lines (an entry is a line that does not
+# start with a space, plus the indented lines under it) + the Comp-C oracle
+# named by no non-test file outside internal/front (bench/ is its own
+# module and may) + vet + build + the full test suite under the race
+# detector (covering the sched runtime, the fault-injection chaos soak —
+# see `make chaos` for the soak alone — and the CheckBatch worker pool).
 verify:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l . prints:"; echo "$$out"; exit 1; }
 	@out=$$(LC_ALL=C.UTF-8 grep -n '.\{101\}' CHANGES.md); test -z "$$out" || { echo "CHANGES.md lines over 100 characters:"; echo "$$out"; exit 1; }
+	@out=$$(awk '/^[^ ]/ {if (n > 10) print at; at = NR; n = 0} {n++} END {if (n > 10) print at}' CHANGES.md); test -z "$$out" || { echo "CHANGES.md entries over 10 lines, starting at line:"; echo "$$out"; exit 1; }
+	@out=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench CheckReference . | grep -v '^\./internal/front/'); test -z "$$out" || { echo "non-test files outside internal/front name CheckReference:"; echo "$$out"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

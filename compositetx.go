@@ -66,7 +66,8 @@ type (
 	Verdict = front.Verdict
 	// CheckOptions configures Check.
 	CheckOptions = front.Options
-	// Front is a computational front (advanced use: stepwise reduction).
+	// Front is a computational front (Definition 12): Verdict.Fronts holds
+	// one per level under CheckOptions.KeepFronts, which Verdict.Trace prints.
 	Front = front.Front
 	// Sequences records temporal operation sequences per schedule, the
 	// extra information the OPSR baseline needs.

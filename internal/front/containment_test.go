@@ -5,18 +5,20 @@ import (
 	"compositetx/internal/order"
 )
 
-// This file implements the comparison machinery of Definitions 17–20
+// This file states the comparison machinery of Definitions 17–20
 // directly: serial fronts, level-i-equivalence, level-i-containment, and
 // composite correctness in its original containment form. Theorem 1
 // states that the containment definition coincides with reachability of a
-// level-N front; TestTheorem1BothDirections verifies the equivalence of
-// the two implementations.
+// level-N front; TestTheorem1BothDirections (equivalence_test.go) checks
+// the two against each other. The fronts come from the oracle
+// (CheckReference); SerialFront and levelContained are the part that is
+// independent of the reduction.
 
-// Equal reports whether two fronts are identical: same nodes, observed
+// equal reports whether two fronts are identical: same nodes, observed
 // order, generalized conflicts, and input orders (levels are not
 // compared; Definition 18 explicitly allows comparing fronts of different
 // levels from different systems).
-func (f *Front) Equal(other *Front) bool {
+func (f *Front) equal(other *Front) bool {
 	if f.Len() != other.Len() {
 		return false
 	}
@@ -44,28 +46,32 @@ func conflictsEqual(a, b *model.PairSet) bool {
 	return eq
 }
 
-// FrontAtLevel runs the reduction up to the given level and returns that
-// front, or ok=false when the reduction fails earlier. Level 0 returns
-// the all-leaves front.
-func FrontAtLevel(sys *model.System, level int) (*Front, bool) {
-	ns := sys.Clone()
-	ns.Normalize()
-	levels, err := ns.Levels()
-	if err != nil {
-		return nil, false
-	}
-	f := Level0(ns)
-	if !f.IsCC() {
-		return nil, false
-	}
-	for f.Level < level {
-		nf, _ := Step(ns, f, levels)
-		if nf == nil {
-			return nil, false
+// IsSerial reports whether the front is serial (Definition 17): its
+// elements are totally ordered by the strong input order. A topologically
+// sorted acyclic level-N front is equivalent to a serial one (Theorem 1
+// proof), which serialWitness produces.
+func (f *Front) IsSerial() bool {
+	nodes := f.Nodes()
+	closed := f.StrongIn.TransitiveClosure()
+	for i, a := range nodes {
+		for _, b := range nodes[i+1:] {
+			if !closed.Has(a, b) && !closed.Has(b, a) {
+				return false
+			}
 		}
-		f = nf
 	}
-	return f, true
+	return true
+}
+
+// FrontAtLevel returns the system's front of the given level, or
+// ok=false when the reduction fails at or before it. Level 0 returns the
+// all-leaves front.
+func FrontAtLevel(sys *model.System, level int) (*Front, bool) {
+	v, err := CheckReference(sys, Options{KeepFronts: true})
+	if err != nil || level >= len(v.Fronts) || !v.Correct && level >= v.FailedLevel {
+		return nil, false
+	}
+	return v.Fronts[level], true
 }
 
 // LevelEquivalent reports whether the composite system is
@@ -73,7 +79,7 @@ func FrontAtLevel(sys *model.System, level int) (*Front, bool) {
 // i front identical to it.
 func LevelEquivalent(sys *model.System, i int, f *Front) bool {
 	own, ok := FrontAtLevel(sys, i)
-	return ok && own.Equal(f)
+	return ok && own.equal(f)
 }
 
 // SerialFront builds the serial front (Definition 17) over the given
@@ -99,11 +105,11 @@ func SerialFront(nodes []model.NodeID, con *model.PairSet) *Front {
 	return f
 }
 
-// LevelContained reports whether the composite system is
+// levelContained reports whether the composite system is
 // level-i-contained in the front (Definition 19): the system is
 // level-i-equivalent to some front F* whose nodes and conflicts match F
 // and whose combined orders (→ ∪ <o) are contained in F's input order.
-func LevelContained(sys *model.System, i int, f *Front) bool {
+func levelContained(sys *model.System, i int, f *Front) bool {
 	own, ok := FrontAtLevel(sys, i)
 	if !ok {
 		return false
@@ -140,10 +146,9 @@ func IsCompCByContainment(sys *model.System) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	serialOrder, ok := top.SerialWitness()
+	serialOrder, ok := top.serialWitness()
 	if !ok {
 		return false, nil
 	}
-	serial := SerialFront(serialOrder, top.Con)
-	return LevelContained(sys, n, serial), nil
+	return levelContained(sys, n, SerialFront(serialOrder, top.Con)), nil
 }

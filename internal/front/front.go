@@ -6,6 +6,9 @@
 // Comp-C decision procedure of Theorem 1: a composite schedule is correct
 // iff the reduction reaches a level-N front.
 //
+// Check and Incremental run the one reduction engine (incremental.go);
+// CheckReference (reference.go) is its string-keyed test oracle.
+//
 // The under-specified corners of the definitions are resolved per DESIGN.md
 // §3 (interpretations D1–D7); the relevant decision is cited at each site.
 package front
@@ -64,88 +67,6 @@ func (f *Front) Has(n model.NodeID) bool {
 
 // Len returns the number of front nodes.
 func (f *Front) Len() int { return len(f.nodes) }
-
-// IsCC reports conflict consistency (Definition 13): the union of the
-// observed order and the weak input orders is acyclic.
-func (f *Front) IsCC() bool {
-	return order.UnionOf(f.Obs, f.WeakIn).IsAcyclic()
-}
-
-// ccCycle returns a cycle witnessing the CC violation, or nil.
-func (f *Front) ccCycle() []model.NodeID {
-	return order.UnionOf(f.Obs, f.WeakIn).FindCycle()
-}
-
-// IsSerial reports whether the front is serial (Definition 17): its
-// elements are totally ordered by the strong input order. A topologically
-// sorted acyclic level-N front is equivalent to a serial one (Theorem 1
-// proof), which SerialWitness produces.
-func (f *Front) IsSerial() bool {
-	nodes := f.Nodes()
-	closed := f.StrongIn.TransitiveClosure()
-	for i, a := range nodes {
-		for _, b := range nodes[i+1:] {
-			if !closed.Has(a, b) && !closed.Has(b, a) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SerialWitness returns a total order over the front's nodes consistent
-// with <o and →, i.e. the serial front the composite schedule is
-// level-N-contained in (Definition 20, via topological sorting as in the
-// proof of Theorem 1). It fails iff the front is not CC.
-func (f *Front) SerialWitness() ([]model.NodeID, bool) {
-	return order.UnionOf(f.Obs, f.WeakIn).TopoSort()
-}
-
-// Level0 builds the level 0 front of a composite system (Definition 15):
-// its nodes are all leaves; the observed order comes from Definition 10
-// rule 1 (pairs of same-schedule operations involving a leaf, ordered as
-// the schedule's weak output order); conflicts are the schedules' own
-// predicates (Definition 11 case 1); input orders are empty because leaves
-// are transactions of no schedule.
-//
-// The system must already be normalized (transitively closed orders);
-// CheckReference normalizes a clone before calling this.
-func Level0(sys *model.System) *Front {
-	f := &Front{
-		Level:    0,
-		nodes:    make(map[model.NodeID]struct{}),
-		Obs:      order.New[model.NodeID](),
-		Con:      model.NewPairSet(),
-		WeakIn:   order.New[model.NodeID](),
-		StrongIn: order.New[model.NodeID](),
-	}
-	for _, l := range sys.Leaves() {
-		f.nodes[l] = struct{}{}
-		f.Obs.AddNode(l)
-	}
-	for _, sc := range sys.Schedules() {
-		ops := sys.Ops(sc.ID)
-		for _, a := range ops {
-			if !f.Has(a) {
-				continue
-			}
-			for _, b := range ops {
-				if a == b || !f.Has(b) {
-					continue
-				}
-				// Both leaves of the same schedule: Definition 10 rule 1.
-				if sc.WeakOut.Has(a, b) {
-					f.Obs.Add(a, b)
-				}
-				if sc.Conflict(a, b) {
-					f.Con.Add(a, b)
-				}
-			}
-		}
-	}
-	f.Obs = f.Obs.TransitiveClosure()
-	return f
-}
 
 func (f *Front) String() string {
 	return fmt.Sprintf("level %d front: %d nodes, %d observed pairs, %d conflicts",

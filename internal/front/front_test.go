@@ -43,7 +43,7 @@ func flatSystem(conflicts [][2]model.NodeID, weakOut [][2]model.NodeID) *model.S
 func TestLevel0Front(t *testing.T) {
 	sys := Figure2System()
 	sys.Normalize()
-	f := Level0(sys)
+	f := level0(sys)
 	want := []model.NodeID{"o13", "o25", "p1", "p2"}
 	if got := f.Nodes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("level 0 nodes = %v, want %v", got, want)
@@ -57,7 +57,7 @@ func TestLevel0Front(t *testing.T) {
 	if f.WeakIn.Len() != 0 {
 		t.Error("leaves are transactions of no schedule; level 0 input orders must be empty")
 	}
-	if !f.IsCC() {
+	if f.ccCycle() != nil {
 		t.Error("level 0 front should be conflict consistent")
 	}
 }

@@ -1323,7 +1323,7 @@ func (eng *incEngine) diagnose(rep *StepReport) error {
 	return fmt.Errorf("front: reduction failed at level %d but no violated check was found (engine bug)", l)
 }
 
-// serialOrder is the reference's SerialWitness — Relation.TopoSort of
+// serialOrder is the reference's serialWitness — Relation.TopoSort of
 // <o ∪ → over the final front — on indices: Kahn's algorithm, always
 // taking the ready node of smallest NodeID. It fails iff the union is
 // cyclic over the front.

@@ -2,53 +2,155 @@ package front
 
 import (
 	"fmt"
+	"slices"
 
 	"compositetx/internal/model"
 	"compositetx/internal/order"
 )
 
-// FailureKind classifies why a reduction step could not be completed.
-type FailureKind int
+// This file is the oracle: the readable string-keyed reduction of
+// Definitions 15–16 that the engine (incremental.go) is tested against.
+// It shares no code with the engine beyond the Front, StepReport and
+// Verdict it reports in.
 
-const (
-	// FailNone means the step succeeded.
-	FailNone FailureKind = iota
-	// FailCalculation means some transaction has contradictory internal
-	// constraints: no isolated execution sequence involving all of its
-	// operations exists (Definition 14).
-	FailCalculation
-	// FailIsolation means the transactions being reduced cannot all be
-	// made contiguous: the quotient constraint graph is cyclic, i.e. the
-	// rearranged front F** of Definition 16 step 1 does not exist.
-	FailIsolation
-	// FailCC means the new front violates conflict consistency
-	// (Definition 13, checked by Definition 16 step 6).
-	FailCC
-)
-
-func (k FailureKind) String() string {
-	switch k {
-	case FailNone:
-		return "ok"
-	case FailCalculation:
-		return "no calculation (cyclic constraints inside a transaction)"
-	case FailIsolation:
-		return "no isolated rearrangement (cycle between transactions)"
-	case FailCC:
-		return "front not conflict consistent"
-	default:
-		return fmt.Sprintf("FailureKind(%d)", int(k))
+// CheckReference decides composite correctness like Check, by the
+// string-keyed reduction of this file: level0 builds the level 0 front
+// (Definition 15), step each next one (Definition 16), and the serial
+// witness is a topological sort of the level-N front (Theorem 1 proof).
+// The property tests assert the engine ≡ CheckReference on random
+// workloads, every stream prefix included, and bench/ compares verdicts
+// and times the two (the front.reference_ratio probe, see
+// bench/README.md). It works on a normalized clone and does not mutate
+// sys. Use Check; this exists for testing and benchmarking only.
+func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
+	_, levels, err := sys.Structure()
+	if err != nil {
+		return nil, err
 	}
+	ns := sys.Clone()
+	ns.Normalize()
+	n := 0
+	for _, l := range levels {
+		if l > n {
+			n = l
+		}
+	}
+
+	v := &Verdict{Order: n, FailedLevel: -1}
+	f := level0(ns)
+	v.Steps = append(v.Steps, &StepReport{Level: 0})
+	if opts.KeepFronts {
+		v.Fronts = append(v.Fronts, f)
+	}
+	if c := f.ccCycle(); c != nil {
+		v.FailedLevel = 0
+		v.Reason = failReason(&StepReport{Level: 0, Failure: FailCC, Cycle: c})
+		return v, nil
+	}
+
+	for f.Level < n {
+		nf, rep := step(ns, f, levels)
+		v.Steps = append(v.Steps, rep)
+		if nf == nil {
+			v.FailedLevel = rep.Level
+			v.Reason = failReason(rep)
+			return v, nil
+		}
+		f = nf
+		if opts.KeepFronts {
+			v.Fronts = append(v.Fronts, f)
+		}
+	}
+
+	// The level-N front must consist of exactly the root transactions.
+	roots := ns.Roots()
+	if f.Len() != len(roots) {
+		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", n, f.Len(), len(roots))
+	}
+	for _, r := range roots {
+		if !f.Has(r) {
+			return nil, fmt.Errorf("front: root %s missing from level %d front", r, n)
+		}
+	}
+
+	serial, ok := f.serialWitness()
+	if !ok {
+		// Cannot happen: the final front passed the CC check.
+		return nil, fmt.Errorf("front: CC level-%d front has no topological order", n)
+	}
+	v.Correct = true
+	v.SerialOrder = serial
+	return v, nil
 }
 
-// Step performs one reduction step (Definition 16): it builds the level
+// ccCycle returns a cycle of <o ∪ → witnessing that f violates conflict
+// consistency (Definition 13), or nil when f is CC.
+func (f *Front) ccCycle() []model.NodeID {
+	return order.UnionOf(f.Obs, f.WeakIn).FindCycle()
+}
+
+// serialWitness returns a total order over the front's nodes consistent
+// with <o and →, i.e. the serial front the composite schedule is
+// level-N-contained in (Definition 20, via topological sorting as in the
+// proof of Theorem 1). It fails iff the front is not CC.
+func (f *Front) serialWitness() ([]model.NodeID, bool) {
+	return order.UnionOf(f.Obs, f.WeakIn).TopoSort()
+}
+
+// level0 builds the level 0 front of a composite system (Definition 15):
+// its nodes are all leaves; the observed order comes from Definition 10
+// rule 1 (pairs of same-schedule operations involving a leaf, ordered as
+// the schedule's weak output order); conflicts are the schedules' own
+// predicates (Definition 11 case 1); input orders are empty because leaves
+// are transactions of no schedule.
+//
+// The system must already be normalized (transitively closed orders);
+// CheckReference normalizes a clone before calling this.
+func level0(sys *model.System) *Front {
+	f := &Front{
+		Level:    0,
+		nodes:    make(map[model.NodeID]struct{}),
+		Obs:      order.New[model.NodeID](),
+		Con:      model.NewPairSet(),
+		WeakIn:   order.New[model.NodeID](),
+		StrongIn: order.New[model.NodeID](),
+	}
+	for _, l := range sys.Leaves() {
+		f.nodes[l] = struct{}{}
+		f.Obs.AddNode(l)
+	}
+	for _, sc := range sys.Schedules() {
+		ops := sys.Ops(sc.ID)
+		for _, a := range ops {
+			if !f.Has(a) {
+				continue
+			}
+			for _, b := range ops {
+				if a == b || !f.Has(b) {
+					continue
+				}
+				// Both leaves of the same schedule: Definition 10 rule 1.
+				if sc.WeakOut.Has(a, b) {
+					f.Obs.Add(a, b)
+				}
+				if sc.Conflict(a, b) {
+					f.Con.Add(a, b)
+				}
+			}
+		}
+	}
+	f.Obs = f.Obs.TransitiveClosure()
+	return f
+}
+
+// step performs one reduction step (Definition 16): it builds the level
 // f.Level+1 front from f by replacing the operations of every schedule of
 // that level with the schedule's transactions. It reports failure when the
 // rearranged front F** does not exist or the new front is not conflict
 // consistent; on failure the returned front is nil.
 //
 // levels must come from sys.Levels(); sys must be normalized.
-func Step(sys *model.System, f *Front, levels map[model.ScheduleID]int) (*Front, *StepReport) {
+func step(sys *model.System, f *Front, levels map[model.ScheduleID]int) (*Front, *StepReport) {
 	level := f.Level + 1
 	rep := &StepReport{Level: level}
 
@@ -122,11 +224,8 @@ func Step(sys *model.System, f *Front, levels map[model.ScheduleID]int) (*Front,
 			e.Union(n.WeakIntra)
 		}
 	}
-	for n := range f.nodes {
-		e.AddNode(n)
-	}
 
-	ok, badGroup, qCycle := e.GroupableBy(group)
+	ok, badGroup, qCycle := groupable(e, group)
 	if !ok {
 		if badGroup != "" {
 			rep.Failure = FailCalculation
@@ -255,12 +354,61 @@ func Step(sys *model.System, f *Front, levels map[model.ScheduleID]int) (*Front,
 	recomputeCon(sys, nf)
 
 	// Definition 16 step 6: the new front must be conflict consistent.
-	if !nf.IsCC() {
+	if c := nf.ccCycle(); c != nil {
 		rep.Failure = FailCC
-		rep.Cycle = nf.ccCycle()
+		rep.Cycle = c
 		return nil, rep
 	}
 	return nf, rep
+}
+
+// groupable decides Definition 16 step 1: whether the nodes of the
+// constraint relation e can be arranged in a total order that (a) respects
+// every pair of e and (b) keeps each group contiguous, where each
+// transaction being reduced is one group and every surviving front node
+// its own singleton. On failure it reports which stage failed:
+//
+//   - a group that is internally cyclic (no calculation of it exists),
+//     the smallest such group, or
+//   - a cycle between groups in the quotient graph — e contracted by
+//     groupOf, pairs inside one group dropped (no isolated placement of
+//     the groups exists).
+//
+// This is the classical reducibility argument: given an acyclic quotient,
+// topologically sort the groups, then each group internally; conversely any
+// contiguous arrangement induces a total group order consistent with all
+// cross-group pairs, so the quotient must be acyclic. A node no pair of e
+// touches can close no cycle, so only the pairs are visited.
+func groupable(e *order.Relation[model.NodeID], groupOf func(model.NodeID) model.NodeID) (ok bool, badGroup model.NodeID, quotientCycle []model.NodeID) {
+	inner := make(map[model.NodeID]*order.Relation[model.NodeID])
+	q := order.New[model.NodeID]()
+	e.Each(func(a, b model.NodeID) {
+		ga, gb := groupOf(a), groupOf(b)
+		if ga != gb {
+			q.Add(ga, gb)
+			return
+		}
+		r, ok := inner[ga]
+		if !ok {
+			r = order.New[model.NodeID]()
+			inner[ga] = r
+		}
+		r.Add(a, b)
+	})
+	groups := make([]model.NodeID, 0, len(inner))
+	for g := range inner {
+		groups = append(groups, g)
+	}
+	slices.Sort(groups)
+	for _, g := range groups {
+		if inner[g].HasCycle() {
+			return false, g, nil
+		}
+	}
+	if c := q.FindCycle(); c != nil {
+		return false, "", c
+	}
+	return true, "", nil
 }
 
 // recomputeCon rebuilds the generalized conflict relation of a front per

@@ -1,4 +1,4 @@
-package order
+package front
 
 import (
 	"fmt"
@@ -6,39 +6,42 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"compositetx/internal/model"
+	"compositetx/internal/order"
 )
 
 // groupByPrefix groups node names by their first rune ("a1" -> "a").
-func groupByPrefix(n string) string { return n[:1] }
+func groupByPrefix(n model.NodeID) model.NodeID { return n[:1] }
 
-func TestGroupableBySimple(t *testing.T) {
+func TestGroupableSimple(t *testing.T) {
 	// Two groups a{a1,a2} and b{b1}: a1 -> b1 -> is fine, groups contiguous.
-	r := FromPairs([2]string{"a1", "a2"}, [2]string{"a2", "b1"})
-	ok, _, _ := r.GroupableBy(groupByPrefix)
+	r := order.FromPairs([2]model.NodeID{"a1", "a2"}, [2]model.NodeID{"a2", "b1"})
+	ok, _, _ := groupable(r, groupByPrefix)
 	if !ok {
 		t.Fatal("straight-line grouping should be possible")
 	}
 }
 
-func TestGroupableByInterleavingForced(t *testing.T) {
+func TestGroupableInterleavingForced(t *testing.T) {
 	// a1 -> b1 -> a2 forces b1 in between a's operations: quotient cycle a<->b.
-	r := FromPairs([2]string{"a1", "b1"}, [2]string{"b1", "a2"})
-	ok, _, cyc := r.GroupableBy(groupByPrefix)
+	r := order.FromPairs([2]model.NodeID{"a1", "b1"}, [2]model.NodeID{"b1", "a2"})
+	ok, _, cyc := groupable(r, groupByPrefix)
 	if ok {
 		t.Fatal("interleaving a1->b1->a2 must not be groupable")
 	}
 	if len(cyc) == 0 {
 		t.Fatal("expected a quotient cycle to be reported")
 	}
-	joined := strings.Join(cyc, "")
+	joined := fmt.Sprint(cyc)
 	if !strings.Contains(joined, "a") || !strings.Contains(joined, "b") {
 		t.Fatalf("quotient cycle %v should involve groups a and b", cyc)
 	}
 }
 
-func TestGroupableByInternalCycle(t *testing.T) {
-	r := FromPairs([2]string{"a1", "a2"}, [2]string{"a2", "a1"})
-	ok, bad, _ := r.GroupableBy(groupByPrefix)
+func TestGroupableInternalCycle(t *testing.T) {
+	r := order.FromPairs([2]model.NodeID{"a1", "a2"}, [2]model.NodeID{"a2", "a1"})
+	ok, bad, _ := groupable(r, groupByPrefix)
 	if ok {
 		t.Fatal("internally cyclic group must fail")
 	}
@@ -50,13 +53,13 @@ func TestGroupableByInternalCycle(t *testing.T) {
 // groupedTopoSort orders every node so that each group is contiguous and
 // every pair of r is respected: groups in quotient topological order, each
 // group in its internal topological order. ok is false when that fails.
-func groupedTopoSort(r *Relation[string], groupOf func(string) string) (sorted []string, ok bool) {
-	groups, ok := r.Quotient(groupOf).TopoSort()
+func groupedTopoSort(r *order.Relation[model.NodeID], groupOf func(model.NodeID) model.NodeID) (sorted []model.NodeID, ok bool) {
+	groups, ok := r.Map(groupOf).TopoSort()
 	if !ok {
 		return nil, false
 	}
 	for _, g := range groups {
-		inner, ok := r.Restrict(func(n string) bool { return groupOf(n) == g }).TopoSort()
+		inner, ok := r.Restrict(func(n model.NodeID) bool { return groupOf(n) == g }).TopoSort()
 		if !ok {
 			return nil, false
 		}
@@ -65,17 +68,17 @@ func groupedTopoSort(r *Relation[string], groupOf func(string) string) (sorted [
 	return sorted, len(sorted) == len(r.Nodes())
 }
 
-// Property: whenever GroupableBy says yes, a grouped topological sort
+// Property: whenever groupable says yes, a grouped topological sort
 // produces a valid witness (contiguous groups, all pairs respected);
 // whenever it says no, the sort fails too.
-func TestGroupableByWitnessProperty(t *testing.T) {
+func TestGroupableWitnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := New[string]()
-		nodes := []string{}
+		r := order.New[model.NodeID]()
+		nodes := []model.NodeID{}
 		for g := 0; g < 3; g++ {
 			for i := 0; i < 3; i++ {
-				n := fmt.Sprintf("%c%d", 'a'+g, i)
+				n := model.NodeID(fmt.Sprintf("%c%d", 'a'+g, i))
 				nodes = append(nodes, n)
 				r.AddNode(n)
 			}
@@ -87,7 +90,7 @@ func TestGroupableByWitnessProperty(t *testing.T) {
 				r.Add(a, b)
 			}
 		}
-		ok, _, _ := r.GroupableBy(groupByPrefix)
+		ok, _, _ := groupable(r, groupByPrefix)
 		sorted, sortOK := groupedTopoSort(r, groupByPrefix)
 		if ok != sortOK {
 			return false
@@ -95,18 +98,18 @@ func TestGroupableByWitnessProperty(t *testing.T) {
 		if !ok {
 			return true
 		}
-		pos := map[string]int{}
+		pos := map[model.NodeID]int{}
 		for i, n := range sorted {
 			pos[n] = i
 		}
 		good := true
-		r.Each(func(a, b string) {
+		r.Each(func(a, b model.NodeID) {
 			if pos[a] >= pos[b] {
 				good = false
 			}
 		})
 		// Contiguity.
-		cur, seen := "", map[string]bool{}
+		cur, seen := model.NodeID(""), map[model.NodeID]bool{}
 		for _, n := range sorted {
 			g := groupByPrefix(n)
 			if g != cur {

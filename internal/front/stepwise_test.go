@@ -8,8 +8,8 @@ import (
 	"compositetx/internal/model"
 )
 
-// TestStepwiseReduction drives the reduction manually with the exported
-// Level0/Step API (advanced use: inspecting each front).
+// TestStepwiseReduction drives the oracle's reduction by hand, level0 then
+// step per level, inspecting each front.
 func TestStepwiseReduction(t *testing.T) {
 	sys := Figure4System()
 	sys.Normalize()
@@ -17,12 +17,12 @@ func TestStepwiseReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := Level0(sys)
+	f := level0(sys)
 	if f.Level != 0 || f.Len() != 4 {
 		t.Fatalf("level 0 front: %s", f)
 	}
 	for f.Level < 3 {
-		nf, rep := Step(sys, f, levels)
+		nf, rep := step(sys, f, levels)
 		if nf == nil {
 			t.Fatalf("unexpected failure: %s", rep)
 		}
@@ -34,10 +34,10 @@ func TestStepwiseReduction(t *testing.T) {
 		}
 		f = nf
 	}
-	if !f.IsCC() {
+	if f.ccCycle() != nil {
 		t.Fatal("final front must be CC")
 	}
-	w, ok := f.SerialWitness()
+	w, ok := f.serialWitness()
 	if !ok || len(w) != 2 {
 		t.Fatalf("witness = %v, %v", w, ok)
 	}

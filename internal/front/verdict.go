@@ -8,6 +8,40 @@ import (
 	"compositetx/internal/model"
 )
 
+// FailureKind classifies why a reduction step could not be completed.
+type FailureKind int
+
+const (
+	// FailNone means the step succeeded.
+	FailNone FailureKind = iota
+	// FailCalculation means some transaction has contradictory internal
+	// constraints: no isolated execution sequence involving all of its
+	// operations exists (Definition 14).
+	FailCalculation
+	// FailIsolation means the transactions being reduced cannot all be
+	// made contiguous: the quotient constraint graph is cyclic, i.e. the
+	// rearranged front F** of Definition 16 step 1 does not exist.
+	FailIsolation
+	// FailCC means the new front violates conflict consistency
+	// (Definition 13, checked by Definition 16 step 6).
+	FailCC
+)
+
+func (k FailureKind) String() string {
+	switch k {
+	case FailNone:
+		return "ok"
+	case FailCalculation:
+		return "no calculation (cyclic constraints inside a transaction)"
+	case FailIsolation:
+		return "no isolated rearrangement (cycle between transactions)"
+	case FailCC:
+		return "front not conflict consistent"
+	default:
+		return fmt.Sprintf("FailureKind(%d)", int(k))
+	}
+}
+
 // StepReport describes one reduction step for tracing and diagnostics.
 type StepReport struct {
 	Level          int
@@ -171,75 +205,6 @@ func failReason(rep *StepReport) string {
 	default:
 		return fmt.Sprintf("level %d front not conflict consistent: cycle %v", rep.Level, rep.Cycle)
 	}
-}
-
-// CheckReference is the oracle: the readable string-keyed reduction of
-// Definitions 15–16 (Level0 and Step in front.go and reduce.go), sharing
-// no code with the engine. The property tests assert the engine ≡
-// CheckReference on random workloads, every stream prefix included, and
-// bench/ compares verdicts and times the two (the front.reference_ratio
-// probe, see bench/README.md). It works on a normalized clone and does
-// not mutate sys. Use Check; this exists for testing and benchmarking
-// only.
-func CheckReference(sys *model.System, opts Options) (*Verdict, error) {
-	_, levels, err := sys.Structure()
-	if err != nil {
-		return nil, err
-	}
-	ns := sys.Clone()
-	ns.Normalize()
-	n := 0
-	for _, l := range levels {
-		if l > n {
-			n = l
-		}
-	}
-
-	v := &Verdict{Order: n, FailedLevel: -1}
-	f := Level0(ns)
-	v.Steps = append(v.Steps, &StepReport{Level: 0})
-	if opts.KeepFronts {
-		v.Fronts = append(v.Fronts, f)
-	}
-	if !f.IsCC() {
-		v.FailedLevel = 0
-		v.Reason = failReason(&StepReport{Level: 0, Failure: FailCC, Cycle: f.ccCycle()})
-		return v, nil
-	}
-
-	for f.Level < n {
-		nf, rep := Step(ns, f, levels)
-		v.Steps = append(v.Steps, rep)
-		if nf == nil {
-			v.FailedLevel = rep.Level
-			v.Reason = failReason(rep)
-			return v, nil
-		}
-		f = nf
-		if opts.KeepFronts {
-			v.Fronts = append(v.Fronts, f)
-		}
-	}
-
-	// The level-N front must consist of exactly the root transactions.
-	roots := ns.Roots()
-	if f.Len() != len(roots) {
-		return nil, fmt.Errorf("front: level %d front has %d nodes, want %d roots", n, f.Len(), len(roots))
-	}
-	for _, r := range roots {
-		if !f.Has(r) {
-			return nil, fmt.Errorf("front: root %s missing from level %d front", r, n)
-		}
-	}
-
-	serial, ok := f.SerialWitness()
-	if !ok {
-		// Cannot happen: the final front passed the CC check.
-		return nil, fmt.Errorf("front: CC level-%d front has no topological order", n)
-	}
-	v.Correct = true
-	v.SerialOrder = serial
-	return v, nil
 }
 
 // IsCompC is a convenience wrapper returning just the boolean verdict.

@@ -312,12 +312,3 @@ func (c *ClosedRelation) Len() int { return c.succ.Len() }
 
 // Each calls fn for every pair of the closure in ascending order.
 func (c *ClosedRelation) Each(fn func(i, j int)) { c.succ.Each(fn) }
-
-// ToRelation materializes an index relation as a string-keyed Relation,
-// mapping index i to ids[i]. Only pair endpoints are registered as nodes;
-// register extra nodes on the result as needed.
-func ToRelation[T ~string](r *IndexRelation, ids []T) *Relation[T] {
-	out := New[T]()
-	r.Each(func(i, j int) { out.Add(ids[i], ids[j]) })
-	return out
-}

@@ -234,3 +234,12 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 		}
 	}
 }
+
+// ToRelation materializes an index relation as a string-keyed Relation,
+// mapping index i to ids[i]. Only pair endpoints are registered as nodes;
+// register extra nodes on the result as needed.
+func ToRelation[T ~string](r *IndexRelation, ids []T) *Relation[T] {
+	out := New[T]()
+	r.Each(func(i, j int) { out.Add(ids[i], ids[j]) })
+	return out
+}
