@@ -34,11 +34,15 @@ chaos:
 
 # crash runs the durability suite under the race detector: WAL torn-tail
 # and rotation cases (and the frame-scanner fuzz seeds), every
-# deterministic crash site, recovery idempotence, deterministic replay, the
-# crash-chaos conservation soak, the replay law on the journal seam's
-# store-replay core with the parent-written format-freeze corpus, and the
-# leaf-log parity of a runtime and a one-participant cluster (TestJournal,
-# TestCorpus), the certifier seeded at recovery and by
+# deterministic crash site, recovery idempotence, the every-prefix
+# explorer (TestRecoverEveryPrefix: every durable prefix of a runtime,
+# checkpointed, certified and cluster log recovers, twice to the same
+# state, conserving, re-reporting its quarantines, CheckEnded holding),
+# deterministic replay, the crash-chaos conservation soak, the replay law
+# on the journal seam's recovery core with the parent-written
+# format-freeze corpus, and the leaf-log parity of a runtime and a
+# one-participant cluster (TestJournal, TestCorpus), the certifier seeded
+# at recovery and by
 # EnableCertify over a recorded history (TestRecoverCertifiedCrossedPairs,
 # TestEnableCertify; the recovery allocation budget TestRecoverAllocBudget
 # is logged only under -race), and the E11 crash matrix; then, without the

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -286,5 +287,63 @@ func TestJournalLeafParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecoverRefusedCompensation: a log whose compensation record is
+// durable but whose quarantine is not. Under NoCC the store refuses T1's
+// inverse at its log position (T2 holds the seats), though at run time a
+// retry may have found the seats T3 released after it. Recovery takes the
+// refusal for the quarantine the run would have written: it succeeds,
+// keeps the leak, journals its quarantine and reports it once, and a
+// second recovery changes nothing.
+func TestRecoverRefusedCompensation(t *testing.T) {
+	meta, err := json.Marshal(walMeta{Version: 1, Protocol: NoCC.String(), Topology: topologyToDoc(seatsTopo())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, reserve := data.Op{Mode: data.ModeRelease, Item: "n", Arg: 5}, data.Op{Mode: data.ModeReserve, Item: "n", Arg: 5}
+	dir := writeLog(t, wal.Options{}, func(l *wal.Log) {
+		l.AppendBatch([]wal.Record{
+			{Type: wal.TypeMeta, Meta: meta},
+			{Type: wal.TypeSeed, Comp: "seats", Item: "n"},
+			applyRecord("T1", "T1/1", "seats", release, 0), // LSN 3
+			applyRecord("T2", "T2/1", "seats", reserve, 5),
+			{Type: wal.TypeCommit, Txn: "T2"},
+			compRecord("T1", "seats", reserve, 3),
+			applyRecord("T3", "T3/1", "seats", release, 0),
+			{Type: wal.TypeCommit, Txn: "T3"},
+		})
+	})
+	want := []string{"seats T1 " + release.String()}
+	var first []wal.Record
+	for _, pass := range []string{"first", "second"} {
+		before := recordCount(t, dir)
+		rec, err := Recover(WALConfig{Dir: dir})
+		if err != nil {
+			t.Fatalf("%s recovery: %v", pass, err)
+		}
+		if n := rec.Runtime.Store("seats").Get("n"); n != 5 {
+			t.Errorf("%s recovery: n = %d, want 5 (T1's release leaked, T3's kept)", pass, n)
+		}
+		if got := leakKeys(rec.Runtime.Quarantined()); !slices.Equal(got, want) {
+			t.Errorf("%s recovery reports %v, want %v", pass, got, want)
+		}
+		if err := rec.Runtime.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := wal.ReadAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == "first" {
+			first = recs
+			added := recs[before:]
+			if len(added) != 2 || added[0].Type != wal.TypeQuarantine || added[0].Ref != 3 || added[1].Type != wal.TypeAbort {
+				t.Fatalf("first recovery appended %+v, want T1's quarantine and abort marker", added)
+			}
+		} else if len(recs) != len(first) {
+			t.Fatalf("second recovery appended %d records", len(recs)-len(first))
+		}
 	}
 }

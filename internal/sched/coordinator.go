@@ -56,8 +56,6 @@ type partDurable struct {
 // full decision round-trip through here).
 type Coordinator struct {
 	driver
-	mux   *comm.Mux
-	wal   journal
 	clock lamport // event-sequence authority
 	crash *distCrashState
 
@@ -78,9 +76,7 @@ type Coordinator struct {
 	commits    atomic.Int64
 	redelivers atomic.Int64
 
-	stop chan struct{}
 	kick chan struct{} // buffered(1): run a re-delivery round now
-	bg   sync.WaitGroup
 }
 
 func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coordinator {
@@ -97,49 +93,15 @@ func newCoordinator(cfg DistConfig, topo *Topology, crash *distCrashState) *Coor
 		inflight:  map[string]bool{},
 		committed: map[string]*coTxn{},
 		durable:   map[string]*partDurable{},
-		stop:      make(chan struct{}),
 		kick:      make(chan struct{}, 1),
 	}
-	c.sch = c
+	c.sch, c.stop = c, make(chan struct{})
 	for _, spec := range topo.Specs {
 		c.comps[spec.Name] = newComponent(spec)
 		c.durable[spec.Name] = &partDurable{}
 	}
 	c.ix = newExecIndex(c.comps)
 	return c
-}
-
-// connect registers the coordinator on the network (after any recovery
-// rebuild, so queries never observe partial state).
-func (c *Coordinator) connect(ep comm.Endpoint) {
-	c.mux = comm.NewMux(ep, c.handle)
-	c.mux.Start()
-}
-
-// start launches the decision re-delivery loop.
-func (c *Coordinator) start(every time.Duration) {
-	c.bg.Add(1)
-	go c.redeliverLoop(every)
-}
-
-// crashNow simulates a coordinator crash: log abandoned, endpoint closed
-// (participant queries go unanswered until recovery re-registers it).
-func (c *Coordinator) crashNow() {
-	if !c.crashed.CompareAndSwap(false, true) {
-		return
-	}
-	c.wal.abandon(nil)
-	close(c.stop)
-	c.mux.Close()
-}
-
-func (c *Coordinator) close() {
-	if c.crashed.CompareAndSwap(false, true) {
-		close(c.stop)
-		c.mux.Close()
-		c.wal.close()
-	}
-	c.bg.Wait()
 }
 
 // handle answers the termination protocol: a prepared participant asking
@@ -512,7 +474,6 @@ func (c *Coordinator) fanDecide(txn string, attempt uint32, parts []string, comm
 // crashes and lost Decides, and what ends the last lazy commit of an idle
 // participant. Presumed-abort needs no counterpart for aborts.
 func (c *Coordinator) redeliverLoop(every time.Duration) {
-	defer c.bg.Done()
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {

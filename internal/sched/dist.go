@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"compositetx/internal/comm"
-	"compositetx/internal/data"
 	"compositetx/internal/front"
 	"compositetx/internal/model"
 	"compositetx/internal/wal"
@@ -264,16 +263,15 @@ func StartCluster(cfg DistConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// join puts a fully built (or rebuilt) participant on the network and
+// join runs a fully built (or rebuilt) participant on the network and
 // registers it; on failure its log is closed.
 func (cl *Cluster) join(p *Participant) error {
 	ep, err := cl.net.Endpoint(p.c.name)
 	if err != nil {
-		p.wal.close()
+		p.close()
 		return err
 	}
-	p.connect(ep)
-	p.start()
+	p.run(ep, p.handle, p.sweeper)
 	cl.mu.Lock()
 	cl.parts[p.c.name] = p
 	cl.mu.Unlock()
@@ -284,11 +282,10 @@ func (cl *Cluster) join(p *Participant) error {
 func (cl *Cluster) joinCoordinator(c *Coordinator) error {
 	ep, err := cl.net.Endpoint(coordName)
 	if err != nil {
-		c.wal.close()
+		c.close()
 		return err
 	}
-	c.connect(ep)
-	c.start(cl.cfg.QueryAfter)
+	c.run(ep, c.handle, func() { c.redeliverLoop(cl.cfg.QueryAfter) })
 	cl.mu.Lock()
 	cl.coord = c
 	cl.mu.Unlock()
@@ -368,112 +365,68 @@ func (cl *Cluster) CrashParticipant(name string) error {
 // re-acquired at their original wait-die timestamps and whose outcomes
 // the termination protocol resolves.
 func (cl *Cluster) RecoverParticipant(name string) error {
-	var spec ComponentSpec
-	found := false
-	for _, s := range cl.topo.Specs {
-		if s.Name == name {
-			spec, found = s, true
-		}
-	}
-	if !found {
+	i := slices.IndexFunc(cl.topo.Specs, func(s ComponentSpec) bool { return s.Name == name })
+	if i < 0 {
 		return fmt.Errorf("sched: unknown participant %q", name)
 	}
 	old := cl.participant(name)
 	if old != nil && !old.crashed.Load() {
 		return fmt.Errorf("sched: participant %q has not crashed", name)
 	}
-
-	p := newParticipant(spec, cl.cfg, cl.crash)
+	p := newParticipant(cl.topo.Specs[i], cl.cfg, cl.crash)
 	if old != nil {
 		p.inc = old.inc + 1
 	}
-	if p.c.store != nil && cl.cfg.WALRoot != "" {
-		if err := cl.rebuildParticipant(p); err != nil {
-			return err
-		}
+	if p.c.store == nil || cl.cfg.WALRoot == "" {
+		return cl.join(p)
 	}
-	return cl.join(p)
-}
-
-func (cl *Cluster) rebuildParticipant(p *Participant) error {
 	scan, err := wal.ScanDir(partDir(cl.cfg.WALRoot, p.c.name))
 	if err != nil {
 		return err
 	}
-	recs := scan.Records
-	sl := scanStoreLog(recs, scan.Info)
-
-	// Analysis, straight into the fresh participant's tables. Prepared
-	// state is last-wins per transaction: a decision (or a fresh prepare
-	// of a later attempt) supersedes earlier marks.
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Type != wal.TypePrepare && rec.Type != wal.TypeDecision {
-			continue
-		}
-		at, err := parseAttempt(rec.Node)
-		if err != nil {
-			return fmt.Errorf("sched: participant %s: %s record at LSN %d: %w", p.c.name, rec.Type, sl.lsn(i), err)
-		}
-		switch {
-		case rec.Type == wal.TypePrepare:
-			p.txns[rec.Txn] = &ptxn{attempt: at, ts: rec.Seq, steps: map[string]*pdedup{}, prepared: true}
-			continue
-		case rec.Mode == "commit":
-			p.resolved[rec.Txn] = true
-		case at > p.aborted[rec.Txn]:
-			p.aborted[rec.Txn] = at
-		}
-		delete(p.txns, rec.Txn)
-	}
-	sl.leaked(&p.leaks)
-
 	// Undo: un-compensated applies of transactions with no durable
 	// outcome and no prepare — they can never commit (a commit decision
 	// requires this participant's durable prepare), so presumed abort
-	// applies. In-doubt transactions keep their effects; their applies
-	// come back to rebuild each one's undo log (in log order), so a later
-	// abort decision can still compensate it.
-	log, _, _, kept, err := sl.replay(scan, cl.walOptions(), map[string]*component{p.c.name: p.c}, func(txn string) txnFate {
-		if p.resolved[txn] {
-			return fateWinner
-		}
-		if p.txns[txn] != nil {
-			return fateInDoubt
-		}
-		return fateLoser
-	}, &p.leaks)
-	if err != nil {
-		return err
+	// applies.
+	sl, log, err := recoverLog(scan, false, cl.walOptions(), map[string]*component{p.c.name: p.c}, &p.leaks)
+	if err == nil {
+		err = log.sync()
 	}
-	if err := log.sync(); err != nil {
+	if err != nil {
 		log.close()
-		return err
+		return fmt.Errorf("sched: participant %s: %w", p.c.name, err)
 	}
 	p.wal = log
-	for k := len(kept) - 1; k >= 0; k-- {
-		rec := &recs[kept[k]]
-		tx := p.txns[rec.Txn]
-		tx.undo = append(tx.undo, undoEntry{comp: p.c, op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: sl.lsn(int(kept[k]))})
-	}
-
-	// In-doubt transactions keep their effects and get their locks back
-	// at the original timestamps; the coordinator owes their outcome (the
-	// sweeper's termination protocol collects it).
-	for txn, tx := range p.txns {
-		tx.lastTouch = time.Now()
-		for _, u := range tx.undo {
-			if table, mode := p.c.lockSpace(p.cfg.Protocol, u.op); table != nil {
-				deadline := time.Now().Add(cl.cfg.LockWait)
-				if err := p.c.lm.acquireUntil(table, u.op.Item, mode, txn, tx.ts, WaitDie, nil, deadline); err != nil {
-					log.close()
-					return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.c.name, u.op.Item, txn, err)
-				}
-				tx.locks = append(tx.locks, u.op.Item)
-			}
+	for txn, o := range sl.txns {
+		switch o.fate {
+		case fateWinner:
+			p.resolved[txn] = true
+		case fateInDoubt:
+			p.txns[txn] = &ptxn{attempt: o.attempt, ts: o.ts, steps: map[string]*pdedup{}, prepared: true, lastTouch: time.Now()}
+		}
+		if o.aborted > 0 {
+			p.aborted[txn] = o.aborted
 		}
 	}
-	return nil
+	// In-doubt transactions keep their effects, get their undo lists back
+	// (in log order), so a later abort decision can still compensate
+	// them, and their locks at the original timestamps; the coordinator
+	// owes their outcome (the sweeper's termination protocol collects it).
+	for k := len(sl.inDoubt) - 1; k >= 0; k-- {
+		u := sl.undoEntry(int(sl.inDoubt[k]), p.c)
+		txn := sl.recs[sl.inDoubt[k]].Txn
+		tx := p.txns[txn]
+		tx.undo = append(tx.undo, u)
+		if table, mode := p.c.lockSpace(p.cfg.Protocol, u.op); table != nil {
+			deadline := time.Now().Add(cl.cfg.LockWait)
+			if err := p.c.lm.acquireUntil(table, u.op.Item, mode, txn, tx.ts, WaitDie, nil, deadline); err != nil {
+				log.close()
+				return fmt.Errorf("sched: participant %s re-acquiring %s for in-doubt %s: %w", p.c.name, u.op.Item, txn, err)
+			}
+			tx.locks = append(tx.locks, u.op.Item)
+		}
+	}
+	return cl.join(p)
 }
 
 // readCoordLog reads a coordinator's decision log once and decodes the
@@ -513,64 +466,28 @@ func (cl *Cluster) RecoverCoordinator() error {
 	return cl.recoverCoordinator(scan)
 }
 
-// recoverCoordinator is RecoverCoordinator over a log already read (a
-// decision log is never truncated: recs[i] has LSN i+1).
+// recoverCoordinator is RecoverCoordinator over a log already read: every
+// commit decision not ended comes back pending at each updater it names,
+// the committed projection is filed, and the clocks resume past the log.
 func (cl *Cluster) recoverCoordinator(scan *wal.Scan) error {
 	c := newCoordinator(cl.cfg, cl.topo, cl.crash)
-	recs := scan.Records
-	var maxSeq, maxTS uint64
-	staged := map[string]*stagedRecord{}
-	stagedOf := func(txn string) *stagedRecord {
-		if staged[txn] == nil {
-			staged[txn] = &stagedRecord{}
+	sl, log, err := recoverLog(scan, true, cl.walOptions(), nil, new(leaks)) // no store records, no leaks
+	if err != nil {
+		return fmt.Errorf("sched: coordinator log: %w", err)
+	}
+	c.wal = log
+	for _, d := range sl.decided {
+		txn := sl.recs[d].Txn
+		o, parts := sl.txns[txn], sl.updaters[txn]
+		ct := &coTxn{attempt: o.attempt, parts: parts, ended: o.ended || len(parts) == 0}
+		if !ct.ended {
+			ct.pending = slices.Clone(parts)
 		}
-		return staged[txn]
+		c.committed[txn] = ct
 	}
-	for i := range recs {
-		switch rec := &recs[i]; rec.Type {
-		case wal.TypeNode, wal.TypeEvent:
-			stagedOf(rec.Txn).absorb(rec)
-			if rec.Seq > maxSeq {
-				maxSeq = rec.Seq
-			}
-		case wal.TypeDecision:
-			if rec.Mode != "commit" {
-				continue
-			}
-			// A commit decision that does not decode must not be guessed
-			// at: without its participants it would be retired unheard,
-			// under attempt 0 every query for the real attempt would be
-			// answered "abort" for a committed transaction.
-			ct := &coTxn{}
-			var err error
-			if ct.attempt, err = parseAttempt(rec.Node); err == nil {
-				err = json.Unmarshal(rec.Meta, &ct.parts)
-			}
-			if err != nil {
-				return fmt.Errorf("sched: coordinator log: commit decision of %s at LSN %d: %w", rec.Txn, i+1, err)
-			}
-			ct.pending = append([]string(nil), ct.parts...)
-			ct.ended = len(ct.parts) == 0
-			c.committed[rec.Txn] = ct
-			c.ix.file(stagedOf(rec.Txn))
-			delete(staged, rec.Txn)
-			if rec.Seq > maxTS {
-				maxTS = rec.Seq
-			}
-		case wal.TypeEnd:
-			if ct := c.committed[rec.Txn]; ct != nil {
-				ct.ended = true
-				ct.pending = nil
-			}
-		}
-	}
-	c.clock.Store(maxSeq)
-	c.tsc.Store(maxTS + 1<<32)
-
-	var err error
-	if c.wal, err = reopen(scan, cl.walOptions()); err != nil {
-		return err
-	}
+	sl.fileCommitted(c.ix)
+	c.clock.Store(sl.maxSeq)
+	c.tsc.Store(sl.maxTS + 1<<32)
 	return cl.joinCoordinator(c)
 }
 
@@ -647,39 +564,31 @@ func (cl *Cluster) Settle(timeout time.Duration) error {
 // logs at rest or just crashed (Abandon leaves exactly the durable
 // prefix); of a live log it sees what is written, fsynced or not.
 func CheckEnded(root string) error {
-	scan, err := wal.ScanDir(coordDir(root))
+	analyze := func(dir string, coord bool) (*storeLog, error) {
+		scan, err := wal.ScanDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		return scanStoreLog(scan.Records, scan.Info, coord)
+	}
+	coord, err := analyze(coordDir(root), true)
 	if err != nil {
 		return err
 	}
-	updaters := map[string][]string{}
-	committedAt := map[string]map[string]bool{}
-	for i := range scan.Records {
-		rec := &scan.Records[i]
-		if rec.Type == wal.TypeDecision && rec.Mode == "commit" {
-			var parts []string
-			if err := json.Unmarshal(rec.Meta, &parts); err != nil {
-				return fmt.Errorf("sched: commit decision of %s: %w", rec.Txn, err)
-			}
-			updaters[rec.Txn] = parts
-		}
-		if rec.Type != wal.TypeEnd {
+	parts := map[string]*storeLog{}
+	for _, d := range coord.decided {
+		txn := coord.recs[d].Txn
+		if !coord.txns[txn].ended {
 			continue
 		}
-		for _, part := range updaters[rec.Txn] {
-			if committedAt[part] == nil {
-				pscan, err := wal.ScanDir(partDir(root, part))
-				if err != nil {
+		for _, part := range coord.updaters[txn] {
+			if parts[part] == nil {
+				if parts[part], err = analyze(partDir(root, part), false); err != nil {
 					return err
 				}
-				committedAt[part] = map[string]bool{}
-				for _, pr := range pscan.Records {
-					if pr.Type == wal.TypeDecision && pr.Mode == "commit" {
-						committedAt[part][pr.Txn] = true
-					}
-				}
 			}
-			if !committedAt[part][rec.Txn] {
-				return fmt.Errorf("sched: %s is ended in the decision log but %s holds no commit record for it", rec.Txn, part)
+			if parts[part].fate(txn) != fateWinner {
+				return fmt.Errorf("sched: %s is ended in the decision log but %s holds no commit record for it", txn, part)
 			}
 		}
 	}

@@ -75,8 +75,8 @@ func TestDistQueryPerAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.connect(ep)
-	t.Cleanup(c.close)
+	c.run(ep, c.handle, nil)
+	t.Cleanup(func() { c.close() })
 	c.mu.Lock()
 	c.committed["Tc"] = &coTxn{attempt: 2, parts: []string{"east"}, ended: true}
 	c.inflight["Tf"] = true

@@ -54,15 +54,16 @@ type scheduler interface {
 }
 
 // driver is the component-independent state every root shares: the
-// components, the protocol, the crash flag, wait-die timestamps and the
-// retry counters.
+// components, the protocol, the node's lifecycle (its crash flag drains
+// every Submit with ErrCrashed), wait-die timestamps and the retry
+// counters.
 type driver struct {
+	lifecycle
 	sch      scheduler
 	protocol Protocol
 	comps    map[string]*component
 
-	crashed atomic.Bool   // simulated crash: every Submit drains with ErrCrashed
-	tsc     atomic.Uint64 // root timestamps for wait-die
+	tsc atomic.Uint64 // root timestamps for wait-die
 
 	retries      atomic.Int64 // abort-retry rounds
 	aborts       atomic.Int64 // wait-die sacrifices

@@ -18,12 +18,13 @@ import (
 // single-process Runtime, the distributed Coordinator and each Participant
 // — know about the write-ahead log lives in this file. Writing is the
 // journal type (append, force, attaching a fresh log) and the record
-// codecs that map runtime structs onto wal.Record fields; reading is the
-// store-replay core (scanStoreLog, redo, undo), which rebuilds stores from
-// any log that journals applies and compensations. The nodes differ only
-// in *whose log this is*: which records decide a transaction's fate, and
-// what they do with the applies of a transaction that is neither winner
-// nor loser — and that difference is one fate function handed to undo.
+// codecs that map runtime structs onto wal.Record fields; reading is
+// recovery's core: one analysis (scanStoreLog) that classifies every
+// apply and every transaction of any node's log, redo and undo, which
+// rebuild the stores, and the committed projection (fileCommitted). The
+// nodes differ only in what they do with the outcomes: a runtime journals
+// an abort marker per loser, a participant re-acquires the locks of its
+// in-doubt transactions, a coordinator re-drives its un-ended decisions.
 
 // journal is a node's handle on its write-ahead log; the zero value is a
 // volatile node and every method is a no-op on it. An append against a
@@ -235,15 +236,23 @@ func (s *stagedRecord) absorb(rec *wal.Record) {
 
 func attemptStr(a uint32) string { return fmt.Sprintf("attempt-%d", a) }
 
-// parseAttempt inverts attemptStr. Log bytes are input from outside the
-// program: an attempt that does not parse is an error, never attempt 0.
-func parseAttempt(node string) (uint32, error) {
-	digits, ok := strings.CutPrefix(node, "attempt-")
+// decodeOutcome decodes what a prepare or decision record holds beyond its
+// type: the attempt (attemptStr's inverse) and, for a coordinator's commit
+// decision, the updaters it names. Log bytes are input from outside the
+// program: a record that does not decode is an error naming its LSN, never
+// attempt 0 or a decision nobody is told.
+func decodeOutcome(rec *wal.Record, lsn uint64, coord bool) (attempt uint32, updaters []string, err error) {
+	digits, ok := strings.CutPrefix(rec.Node, "attempt-")
 	n, err := strconv.ParseUint(digits, 10, 32)
 	if !ok || err != nil {
-		return 0, fmt.Errorf("malformed attempt %q", node)
+		err = fmt.Errorf("malformed attempt %q", rec.Node)
+	} else if coord && rec.Type == wal.TypeDecision && rec.Mode == "commit" {
+		err = json.Unmarshal(rec.Meta, &updaters)
 	}
-	return uint32(n), nil
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s of %s at LSN %d: %w", rec.Type, rec.Txn, lsn, err)
+	}
+	return uint32(n), updaters, nil
 }
 
 // readLogMeta decodes the configuration a runtime or coordinator log was
@@ -270,23 +279,54 @@ func readLogMeta(dir string, recs []wal.Record, info wal.ScanInfo) (ck ckMeta, p
 	return ck, protocol, topo, nil
 }
 
-// --- Store replay: analysis, redo, undo ---
+// --- Recovery: analysis, redo, undo ---
 
 // Classification of one journaled apply, per record index.
 const (
 	markCancelled   uint8 = 1 << iota // TypeApplyFail: the apply never executed
 	markCompensated                   // TypeComp: an inverse is on record
-	markQuarantined                   // TypeQuarantine: the inverse never took effect
+	markQuarantined                   // TypeQuarantine, or refused at redo: the inverse never took effect
 )
 
-// storeLog is the analysis of one log's store records. It indexes into
-// the records as read — nothing is copied.
+// txnFate is what a log's outcome records say about a transaction.
+type txnFate uint8
+
+const (
+	fateLoser   txnFate = iota // no durable outcome and none possible: undo
+	fateWinner                 // durably committed: keep
+	fateInDoubt                // prepared, outcome owed by someone else: keep, hand back
+)
+
+// txnOutcome is one transaction's entry in a log's analysis.
+type txnOutcome struct {
+	fate    txnFate
+	closed  bool   // an abort is on record (marker or decision)
+	ended   bool   // TypeEnd: every updater holds its commit record
+	attempt uint32 // of the last prepare or decision
+	aborted uint32 // highest attempt an abort decision names
+	ts      uint64 // the last prepare's wait-die timestamp
+}
+
+// storeLog is the analysis of one log — the runtime's, a participant's or
+// a coordinator's. It indexes into the records as read — nothing is
+// copied.
 type storeLog struct {
 	recs    []wal.Record
 	first   uint64  // LSN of recs[0]
 	ckLSN   uint64  // last complete checkpoint marker (0 = none)
 	applies []int32 // indices of the TypeApply records, in log order
 	marks   []uint8 // per record index: mark* bits of the apply journaled there
+
+	txns     map[string]txnOutcome
+	decided  []int32             // index of each winner's deciding record, in log order
+	updaters map[string][]string // a coordinator log's commit decisions: txn -> updaters
+	maxSeq   uint64              // highest event sequence number journaled
+	maxTS    uint64              // highest decision timestamp journaled
+
+	refused []int32 // compensations a store refused at redo
+	redone  int     // applies and compensations redo replayed
+	undone  int     // inverses undo journaled
+	inDoubt []int32 // applies of in-doubt transactions, last first
 }
 
 func (sl *storeLog) lsn(i int) uint64 { return sl.first + uint64(i) }
@@ -307,15 +347,23 @@ func (sl *storeLog) mark(ref uint64, m uint8) {
 	}
 }
 
-// scanStoreLog is the analysis pass: it walks the log once and classifies
-// every journaled apply (cancelled by TypeApplyFail, compensated by
-// TypeComp, leaked by TypeQuarantine). The last *complete* checkpoint —
-// TypeCkItem batches terminated by a TypeCheckpoint marker — comes with
-// the scan; trailing items without a marker are a crash mid-checkpoint
-// and are ignored. Classifying *transactions* is the caller's half of
-// analysis: its answer reaches undo as the fate function.
-func scanStoreLog(recs []wal.Record, info wal.ScanInfo) *storeLog {
-	sl := &storeLog{recs: recs, first: info.FirstLSN, ckLSN: info.CheckpointLSN, marks: make([]uint8, len(recs))}
+// fate is what the log says about txn; a transaction it names no outcome
+// for is a loser.
+func (sl *storeLog) fate(txn string) txnFate { return sl.txns[txn].fate }
+
+// scanStoreLog is the analysis pass, the one walk over a log that decides
+// anything. It classifies every journaled apply (cancelled by
+// TypeApplyFail, compensated by TypeComp, leaked by TypeQuarantine) and
+// every transaction, from whichever outcome records the log holds: a
+// runtime's commit and abort markers, a participant's prepares and
+// decisions (the last one wins), a coordinator's commit decisions and
+// ends. The last *complete* checkpoint — TypeCkItem batches terminated by
+// a TypeCheckpoint marker — comes with the scan; trailing items without a
+// marker are a crash mid-checkpoint and are ignored. coord says the log is
+// a coordinator's, whose commit decisions name their updaters.
+func scanStoreLog(recs []wal.Record, info wal.ScanInfo, coord bool) (*storeLog, error) {
+	sl := &storeLog{recs: recs, first: info.FirstLSN, ckLSN: info.CheckpointLSN, marks: make([]uint8, len(recs)),
+		txns: map[string]txnOutcome{}, updaters: map[string][]string{}}
 	for i := range recs {
 		switch rec := &recs[i]; rec.Type {
 		case wal.TypeApply:
@@ -326,9 +374,68 @@ func scanStoreLog(recs []wal.Record, info wal.ScanInfo) *storeLog {
 			sl.mark(rec.Ref, markCompensated)
 		case wal.TypeQuarantine:
 			sl.mark(rec.Ref, markQuarantined)
+		case wal.TypeEvent:
+			sl.maxSeq = max(sl.maxSeq, rec.Seq)
+		case wal.TypeCommit, wal.TypeAbort, wal.TypePrepare, wal.TypeDecision, wal.TypeEnd:
+			if err := sl.outcome(i, coord); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return sl
+	return sl, nil
+}
+
+// outcome folds the outcome record at index i into its transaction's
+// entry.
+func (sl *storeLog) outcome(i int, coord bool) error {
+	rec := &sl.recs[i]
+	o := sl.txns[rec.Txn]
+	switch rec.Type {
+	case wal.TypeAbort:
+		o.closed = true
+	case wal.TypeEnd:
+		o.ended = true
+	case wal.TypePrepare, wal.TypeDecision:
+		at, updaters, err := decodeOutcome(rec, sl.lsn(i), coord)
+		if err != nil {
+			return err
+		}
+		o.attempt = at
+		if rec.Type == wal.TypePrepare {
+			o.fate, o.ts = fateInDoubt, rec.Seq
+		} else if rec.Mode != "commit" {
+			o.fate, o.closed, o.aborted = fateLoser, true, max(o.aborted, at)
+		} else if coord {
+			sl.updaters[rec.Txn] = updaters
+		}
+	}
+	if rec.Type == wal.TypeCommit || rec.Type == wal.TypeDecision && rec.Mode == "commit" {
+		o.fate = fateWinner
+		sl.decided = append(sl.decided, int32(i))
+		sl.maxTS = max(sl.maxTS, rec.Seq)
+	}
+	sl.txns[rec.Txn] = o
+	return nil
+}
+
+// fileCommitted files into ix the committed projection above the
+// checkpoint: for every winner decided there, in log order, the nodes and
+// events of the batch its deciding record closes (stageRecords).
+func (sl *storeLog) fileCommitted(ix *execIndex) {
+	var tail stagedRecord
+	for _, d := range sl.decided {
+		if sl.lsn(int(d)) <= sl.ckLSN {
+			continue
+		}
+		txn, from := sl.recs[d].Txn, int(d)
+		for from > 0 && (sl.recs[from-1].Type == wal.TypeNode || sl.recs[from-1].Type == wal.TypeEvent) && sl.recs[from-1].Txn == txn {
+			from--
+		}
+		for i := from; i < int(d); i++ {
+			tail.absorb(&sl.recs[i])
+		}
+	}
+	ix.file(&tail)
 }
 
 // redo replays, against freshly built stores, the baseline and then the
@@ -344,9 +451,11 @@ func scanStoreLog(recs []wal.Record, info wal.ScanInfo) *storeLog {
 // compensations write back Prev and are non-commutative with later
 // applies of other transactions, so the replay must preserve the logged
 // interleaving exactly — compensated applies then net out, whatever the
-// crash interleaved. Returns the number of operations replayed.
-func (sl *storeLog) redo(compOf func(name string) (*component, error)) (int, error) {
-	redone := 0
+// crash interleaved. A compensation the store refuses at its log position
+// is the quarantine the run would have written next, had it not crashed
+// first: its apply is marked quarantined, the compensation skipped, and
+// recoverLog journals and reports the leak.
+func (sl *storeLog) redo(compOf func(name string) (*component, error)) error {
 	for i := range sl.recs {
 		rec, lsn := &sl.recs[i], sl.lsn(i)
 		baseline := false
@@ -374,40 +483,59 @@ func (sl *storeLog) redo(compOf func(name string) (*component, error)) (int, err
 		}
 		c, err := compOf(rec.Comp)
 		if err != nil {
-			return redone, err
+			return err
 		}
 		if baseline {
 			c.store.Set(rec.Item, rec.Prev)
 			continue
 		}
 		if _, err := c.store.Apply(opOf(rec)); err != nil {
-			return redone, fmt.Errorf("sched: redo of %s record %d: %w", rec.Type, lsn, err)
+			a, ok := sl.applyAt(rec.Ref)
+			if rec.Type != wal.TypeComp || !ok {
+				return fmt.Errorf("sched: redo of %s record %d: %w", rec.Type, lsn, err)
+			}
+			sl.marks[a] |= markQuarantined
+			sl.refused = append(sl.refused, int32(i))
+			continue
 		}
-		redone++
+		sl.redone++
 	}
-	return redone, nil
+	return nil
 }
 
-// replay runs the store-replay core over a scanned log for the stores of
-// comps: redo, the log reopened for appending after the scan, and undo of
-// fate's losers journaled on it — unsynced, so a caller's own markers
-// share one sync — with any leak reported to lk. The log is closed on
-// error.
-func (sl *storeLog) replay(scan *wal.Scan, opts wal.Options, comps map[string]*component, fate func(txn string) txnFate, lk *leaks) (j journal, redone, undone int, inDoubt []int32, err error) {
+// recoverLog is recovery's core over a scanned log, for every node kind:
+// the analysis, the logged quarantines re-reported to lk, redo into the
+// stores of comps, the log reopened for appending after the scan, the
+// quarantines redo found journaled and reported, and undo of the losers
+// journaled on it — all unsynced, so a caller's own records share one
+// sync. A log that does not decode is refused unopened; the reopened log
+// is closed on error.
+func recoverLog(scan *wal.Scan, coord bool, opts wal.Options, comps map[string]*component, lk *leaks) (sl *storeLog, j journal, err error) {
+	if sl, err = scanStoreLog(scan.Records, scan.Info, coord); err != nil {
+		return nil, j, err
+	}
 	compOf := func(name string) (*component, error) {
 		if c := comps[name]; c != nil && c.store != nil {
 			return c, nil
 		}
 		return nil, fmt.Errorf("sched: log references unknown store component %q", name)
 	}
-	if redone, err = sl.redo(compOf); err != nil {
-		return j, 0, 0, nil, err
+	sl.leaked(lk)
+	if err = sl.redo(compOf); err != nil {
+		return nil, j, err
 	}
 	if j, err = reopen(scan, opts); err != nil {
-		return j, 0, 0, nil, err
+		return nil, j, err
 	}
-	undone, inDoubt, err = sl.undo(j, compOf, fate, lk)
-	return j, redone, undone, inDoubt, err
+	for _, i := range sl.refused {
+		rec := &sl.recs[i]
+		if _, err = j.append(wal.Record{Type: wal.TypeQuarantine, Txn: rec.Txn, Ref: rec.Ref}); err != nil {
+			j.close()
+			return nil, j, err
+		}
+		sl.report(rec.Ref, lk, "sched: compensation refused at redo, quarantined at recovery")
+	}
+	return sl, j, sl.undo(j, compOf, lk)
 }
 
 // leaked re-reports into lk, in log order, every compensation the log
@@ -418,44 +546,36 @@ func (sl *storeLog) leaked(lk *leaks) {
 		if sl.recs[i].Type != wal.TypeQuarantine || sl.lsn(i) <= sl.ckLSN {
 			continue
 		}
-		if a, ok := sl.applyAt(sl.recs[i].Ref); ok {
-			apl := &sl.recs[a]
-			lk.report(Quarantine{
-				Component: apl.Comp, Txn: apl.Txn, Op: opOf(apl),
-				Err: errors.New("sched: compensation quarantined before crash (from WAL)"),
-			})
-		}
+		sl.report(sl.recs[i].Ref, lk, "sched: compensation quarantined before crash (from WAL)")
 	}
 }
 
-// txnFate is what the owner of a log says about a transaction with
-// surviving un-compensated applies.
-type txnFate uint8
-
-const (
-	fateLoser   txnFate = iota // no durable outcome and none possible: undo
-	fateWinner                 // durably committed: keep
-	fateInDoubt                // prepared, outcome owed by someone else: keep, hand back
-)
+// report reports to lk the leak of the apply at LSN ref.
+func (sl *storeLog) report(ref uint64, lk *leaks, why string) {
+	if a, ok := sl.applyAt(ref); ok {
+		apl := &sl.recs[a]
+		lk.report(Quarantine{Component: apl.Comp, Txn: apl.Txn, Op: opOf(apl), Err: errors.New(why)})
+	}
+}
 
 // undo inverts — in reverse log order — each surviving apply of a loser
 // transaction that has neither a cancellation, a compensation nor a
 // quarantine on record, journaling each inverse through j before the
 // component's undo step applies it; one the store keeps refusing is
-// quarantined there and reported to lk, as at run time. Applies of transactions in flight at the checkpoint are included:
-// they survive truncation by construction (the truncation barrier never
-// passes an in-flight attempt's first apply), and their effects are
-// inside the snapshot with no durable outcome, so the inversion is
-// exactly right. The journaled inverses make recovery idempotent in the
-// ARIES compensation-log-record sense: recovering the recovered log again
-// finds every loser apply already compensated and has nothing to undo.
+// quarantined there and reported to lk, as at run time. Applies of
+// transactions in flight at the checkpoint are included: they survive
+// truncation by construction (the truncation barrier never passes an
+// in-flight attempt's first apply), and their effects are inside the
+// snapshot with no durable outcome, so the inversion is exactly right.
+// The journaled inverses make recovery idempotent in the ARIES
+// compensation-log-record sense: recovering the recovered log again finds
+// every loser apply already compensated and has nothing to undo.
 // Quarantined compensations are deliberately NOT repaired: the leak
 // happened, and the recovered node re-reports it. An in-doubt
-// transaction keeps its effects; the indices of its applies are handed
-// back, last apply first, so the caller can rebuild its undo list. The
-// log is closed on every error path. Returns the number of inverses
-// journaled.
-func (sl *storeLog) undo(j journal, compOf func(name string) (*component, error), fate func(txn string) txnFate, lk *leaks) (undone int, inDoubt []int32, err error) {
+// transaction keeps its effects; its applies are listed in sl.inDoubt,
+// last first, so the caller can rebuild its undo list. The log is closed
+// on every error path.
+func (sl *storeLog) undo(j journal, compOf func(name string) (*component, error), lk *leaks) (err error) {
 	defer func() {
 		if err != nil {
 			j.close()
@@ -466,28 +586,34 @@ func (sl *storeLog) undo(j journal, compOf func(name string) (*component, error)
 		if sl.marks[i] != 0 {
 			continue
 		}
-		rec, lsn := &sl.recs[i], sl.lsn(i)
-		switch fate(rec.Txn) {
+		rec := &sl.recs[i]
+		switch sl.fate(rec.Txn) {
 		case fateWinner:
 			continue
 		case fateInDoubt:
-			inDoubt = append(inDoubt, int32(i))
+			sl.inDoubt = append(sl.inDoubt, int32(i))
 			continue
 		}
 		c, err := compOf(rec.Comp)
 		if err != nil {
-			return undone, nil, err
+			return err
 		}
-		u := undoEntry{comp: c, op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: lsn}
+		u := sl.undoEntry(i, c)
 		crec, ok := u.compRecord(rec.Txn)
 		if !ok {
 			continue
 		}
 		if _, err := j.append(crec); err != nil {
-			return undone, nil, err
+			return err
 		}
 		u.revert(rec.Txn, "", j, nil, lk)
-		undone++
+		sl.undone++
 	}
-	return undone, inDoubt, nil
+	return nil
+}
+
+// undoEntry is the undo step of the apply journaled at index i, at c.
+func (sl *storeLog) undoEntry(i int, c *component) undoEntry {
+	rec := &sl.recs[i]
+	return undoEntry{comp: c, op: opOf(rec), res: data.Result{Prev: rec.Prev}, lsn: sl.lsn(i)}
 }

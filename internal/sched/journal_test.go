@@ -240,7 +240,8 @@ func genLawLog(seed int64, twoPC bool) *lawLog {
 
 // lawFate classifies transactions from the outcome records alone, the way
 // the owner of such a log does: a runtime by commit markers, a participant
-// by prepares and decisions (last one wins).
+// by prepares and decisions (last one wins). It is the shadow of the
+// analysis in scanStoreLog, which must agree with it.
 func lawFate(recs []wal.Record, twoPC bool) func(string) txnFate {
 	fates := map[string]txnFate{}
 	for _, rec := range recs {
@@ -307,7 +308,16 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 		t.Fatal(err)
 	}
 	recs := scan.Records
-	sl := scanStoreLog(recs, scan.Info)
+	sl, err := scanStoreLog(recs, scan.Info, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := lawFate(recs, twoPC)
+	for _, rec := range recs {
+		if got, want := sl.fate(rec.Txn), shadow(rec.Txn); rec.Txn != "" && got != want {
+			t.Fatalf("the analysis classifies %s as %d, the shadow model as %d", rec.Txn, got, want)
+		}
+	}
 	comps := map[string]*component{}
 	compOf := func(name string) (*component, error) {
 		if comps[name] == nil {
@@ -315,7 +325,7 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 		}
 		return comps[name], nil
 	}
-	if _, err := sl.redo(compOf); err != nil {
+	if err := sl.redo(compOf); err != nil {
 		t.Fatal(err)
 	}
 	j, err := reopen(scan, wal.Options{SyncEvery: -1})
@@ -323,10 +333,10 @@ func lawReplay(t *testing.T, dir string, twoPC bool) (map[string]int64, []uint64
 		t.Fatal(err)
 	}
 	var lk leaks
-	undone, kept, err := sl.undo(j, compOf, lawFate(recs, twoPC), &lk)
-	if err != nil {
+	if err := sl.undo(j, compOf, &lk); err != nil {
 		t.Fatal(err)
 	}
+	undone, kept := sl.undone, sl.inDoubt
 	if err := j.close(); err != nil {
 		t.Fatal(err)
 	}

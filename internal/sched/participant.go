@@ -132,14 +132,12 @@ type ptxn struct {
 // the message handlers that make duplicated and reordered delivery
 // idempotent.
 type Participant struct {
-	c       *component
-	cfg     DistConfig // normalized: protocol, liveness and RPC policy
-	mux     *comm.Mux
-	wal     journal // zero when volatile or storeless
-	clock   lamport
-	crashed atomic.Bool
-	crash   *distCrashState
-	leaks   leaks // quarantined compensations
+	lifecycle
+	c     *component
+	cfg   DistConfig // normalized: protocol, liveness and RPC policy
+	clock lamport
+	crash *distCrashState
+	leaks leaks // quarantined compensations
 
 	// inc is the incarnation, bumped by RecoverParticipant and stamped on
 	// every vote and ack beside the log's durable watermark: a crash drops
@@ -152,8 +150,6 @@ type Participant struct {
 	resolved  map[string]bool   // txn -> terminally committed
 	readVoted map[string]uint32 // txn -> attempt voted READ and forgotten
 
-	stop     chan struct{}
-	sweeps   sync.WaitGroup
 	unilats  atomic.Int64 // unilateral abandon-aborts
 	queries  atomic.Int64 // termination-protocol queries sent
 	resolves atomic.Int64 // in-doubt transactions resolved by query
@@ -169,53 +165,10 @@ func newParticipant(spec ComponentSpec, cfg DistConfig, crash *distCrashState) *
 		aborted:   map[string]uint32{},
 		resolved:  map[string]bool{},
 		readVoted: map[string]uint32{},
-		stop:      make(chan struct{}),
 	}
 	p.c = newComponent(spec).local(&p.crashed)
+	p.lms, p.stop = []*lockManager{p.c.lm}, make(chan struct{})
 	return p
-}
-
-// connect registers the participant on the network. Recovery rebuilds the
-// store and lock state before connecting, so no message ever observes a
-// half-rebuilt participant. p.mux is published before Start so a handler
-// replying to an immediately-delivered message (the coordinator may
-// already be retrying against a recovering node) never races the
-// assignment.
-func (p *Participant) connect(ep comm.Endpoint) {
-	p.mux = comm.NewMux(ep, p.handle)
-	p.mux.Start()
-}
-
-// start launches the background sweeper (unilateral aborts of abandoned
-// attempts, termination-protocol queries for in-doubt transactions).
-func (p *Participant) start() {
-	p.sweeps.Add(1)
-	go p.sweeper()
-}
-
-// crashNow simulates a participant crash: the log is abandoned (its
-// unsynced tail discarded), lock waiters drain with ErrCrashed, and the
-// endpoint closes so in-flight messages to this node vanish. Recovery is
-// RecoverParticipant's job.
-func (p *Participant) crashNow() {
-	if !p.crashed.CompareAndSwap(false, true) {
-		return
-	}
-	p.wal.abandon(nil)
-	p.c.lm.wake()
-	close(p.stop)
-	p.mux.Close()
-}
-
-// close shuts the participant down cleanly (tests and cluster teardown).
-func (p *Participant) close() {
-	if p.crashed.CompareAndSwap(false, true) {
-		p.c.lm.wake()
-		close(p.stop)
-		p.mux.Close()
-		p.wal.close()
-	}
-	p.sweeps.Wait()
 }
 
 // handle dispatches one inbound request. The mux runs each delivery on
@@ -615,7 +568,6 @@ func (p *Participant) handleAbort(m comm.Message) {
 // answers commit (it has a durable decision), abort (presumed), or retry
 // (the vote round is still in flight).
 func (p *Participant) sweeper() {
-	defer p.sweeps.Done()
 	tick := time.NewTicker(p.cfg.SweepEvery)
 	defer tick.Stop()
 	for {
@@ -650,7 +602,11 @@ func (p *Participant) sweeper() {
 		}
 		p.mu.Unlock()
 		for _, q := range query {
-			go p.resolveInDoubt(q.txn, q.tx)
+			p.bg.Add(1)
+			go func() {
+				defer p.bg.Done()
+				p.resolveInDoubt(q.txn, q.tx)
+			}()
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 
 	"compositetx/internal/data"
 	"compositetx/internal/front"
@@ -15,10 +13,10 @@ import (
 
 // Crash recovery: rebuild a runtime — stores AND recorded execution —
 // from nothing but a WAL directory. The stores come back through the
-// store-replay core (journal.go: analysis, redo, undo); what is the
-// runtime's own is the classification of transactions — committed iff the
-// commit marker is durable, aborted iff marked, in flight otherwise — and
-// everything a runtime has beside its stores.
+// recovery core (journal.go: analysis, redo, undo) — a transaction is
+// committed iff its commit marker is durable, aborted iff marked, in
+// flight otherwise; what is the runtime's own is what it does with those
+// outcomes and everything a runtime has beside its stores.
 //
 // Every in-flight transaction is a loser: its surviving applies are
 // undone, and a final abort marker per transaction is journaled after the
@@ -81,8 +79,8 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, info := scan.Records, scan.Info
-	ck, protocol, topo, err := readLogMeta(cfg.Dir, recs, info)
+	info := scan.Info
+	ck, protocol, topo, err := readLogMeta(cfg.Dir, scan.Records, info)
 	if err != nil {
 		return nil, err
 	}
@@ -100,52 +98,9 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 		return nil, err
 	}
 
-	// --- Analysis ---
-	sl := scanStoreLog(recs, info)
-	ckLSN := sl.ckLSN
-	var (
-		committed   = map[string]bool{}
-		aborted     = map[string]bool{}
-		tailCommits int // commit markers above the checkpoint
-		maxSeq      = ck.Seq
-	)
-	for i := range recs {
-		switch rec := &recs[i]; rec.Type {
-		case wal.TypeCommit:
-			committed[rec.Txn] = true
-			if sl.lsn(i) > ckLSN {
-				tailCommits++
-			}
-		case wal.TypeAbort:
-			aborted[rec.Txn] = true
-		case wal.TypeEvent:
-			if rec.Seq > maxSeq {
-				maxSeq = rec.Seq
-			}
-		}
-	}
-	stats := RecoveryStats{
-		Segments:      info.Segments,
-		Records:       info.Records,
-		TornBytes:     info.TornBytes,
-		CheckpointLSN: ckLSN,
-	}
-	if ckLSN > 0 {
-		stats.Skipped = int(ckLSN - info.FirstLSN + 1)
-		stats.Committed = int(ck.Committed) + tailCommits
-	} else {
-		stats.Committed = len(committed)
-	}
-	for txn := range aborted {
-		if !committed[txn] {
-			stats.Aborted++
-		}
-	}
-
 	// Re-report quarantined compensations: pre-checkpoint leaks from the
-	// marker metadata (their records may be truncated), tail leaks from
-	// the surviving TypeQuarantine records; undo reports its own after
-	// them.
+	// marker metadata (their records may be truncated); recovery reports
+	// the tail's after them.
 	for _, q := range ck.Quarantines {
 		rt.leaks.report(Quarantine{
 			Component: q.Component, Txn: q.Txn,
@@ -153,30 +108,45 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 			Err: errors.New(q.Err),
 		})
 	}
-	sl.leaked(&rt.leaks)
-
-	// --- Redo, undo ---
-	log, redone, undone, _, err := sl.replay(scan, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes}, rt.comps,
-		func(txn string) txnFate {
-			if committed[txn] {
-				return fateWinner
-			}
-			return fateLoser
-		}, &rt.leaks)
+	sl, log, err := recoverLog(scan, false, wal.Options{SyncEvery: cfg.SyncEvery, SegmentBytes: cfg.SegmentBytes}, rt.comps, &rt.leaks)
 	if err != nil {
 		return nil, err
 	}
-	rt.wal, stats.Redone, stats.Undone = log, redone, undone
-	stats.Quarantined = len(rt.leaks.all())
-	// Abort markers, one per in-flight transaction (marking it aborted as
-	// it goes), in log order of their first journaled mutations; then one
+	rt.wal = log
+	stats := RecoveryStats{
+		Segments:      info.Segments,
+		Records:       info.Records,
+		TornBytes:     info.TornBytes,
+		CheckpointLSN: sl.ckLSN,
+		Committed:     int(ck.Committed), // cut before the marker; none without one
+		Redone:        sl.redone,
+		Undone:        sl.undone,
+		Quarantined:   len(rt.leaks.all()),
+	}
+	if sl.ckLSN > 0 {
+		stats.Skipped = int(sl.ckLSN - info.FirstLSN + 1)
+	}
+	for _, d := range sl.decided {
+		if sl.lsn(int(d)) > sl.ckLSN {
+			stats.Committed++
+		}
+	}
+	for _, o := range sl.txns {
+		if o.closed && o.fate != fateWinner {
+			stats.Aborted++
+		}
+	}
+	// Abort markers, one per in-flight transaction (closing it as it
+	// goes), in log order of their first journaled mutations; then one
 	// fsync for everything recovery appended.
 	for _, i := range sl.applies {
-		txn := recs[i].Txn
-		if committed[txn] || aborted[txn] {
+		txn := sl.recs[i].Txn
+		o := sl.txns[txn]
+		if o.fate == fateWinner || o.closed {
 			continue
 		}
-		aborted[txn] = true
+		o.closed = true
+		sl.txns[txn] = o
 		stats.InFlight++
 		if _, err = log.append(wal.Record{Type: wal.TypeAbort, Txn: txn}); err != nil {
 			break
@@ -194,33 +164,14 @@ func Recover(cfg WALConfig) (*Recovered, error) {
 	// The index holds only the tail and the schedules declared before the
 	// cut, exactly as the live runtime's record did after the cut; the cut
 	// prefix's verdict is sealed.
-	var tail stagedRecord
-	for i := range recs {
-		if sl.lsn(i) > ckLSN && committed[recs[i].Txn] {
-			tail.absorb(&recs[i])
-		}
-	}
-	// Logs written before stages were journaled parents-first hold a
-	// subtransaction after its subtree. A child's ID is its parent's plus
-	// "/k", so a stable sort on depth (bucketed, each counted once) puts
-	// every parent first and keeps sibling order.
-	var byDepth [][]front.DeltaNode
-	for _, n := range tail.nodes {
-		d := strings.Count(string(n.ID), "/")
-		for len(byDepth) <= d {
-			byDepth = append(byDepth, nil)
-		}
-		byDepth[d] = append(byDepth[d], n)
-	}
-	tail.nodes = slices.Concat(byDepth...)
 	rt.ix.scheds = ck.Schedules
-	rt.ix.file(&tail)
+	sl.fileCommitted(rt.ix)
 	rt.commits.Store(int64(stats.Committed))
 	// Resume the global sequence past both the journaled high-water mark
 	// (including the checkpoint's recorded clock) and anything the
 	// redo/undo passes allocated (version stamps come off this counter too
 	// — rewinding it would hand out duplicate stamps).
-	if cur := rt.seq.Load(); maxSeq > cur {
+	if maxSeq := max(ck.Seq, sl.maxSeq); maxSeq > rt.seq.Load() {
 		rt.seq.Store(maxSeq)
 	}
 

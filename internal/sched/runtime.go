@@ -216,8 +216,7 @@ type Runtime struct {
 
 	leaks leaks // quarantined compensations
 
-	// Durability (zero wal = volatile runtime; see EnableWAL, Recover).
-	wal     journal
+	// Durability (a zero journal = volatile runtime; see EnableWAL, Recover).
 	topo    *Topology // retained for WAL metadata; nil when built via New with bare specs
 	crashes atomic.Int64
 
@@ -284,7 +283,8 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 		SubRetries:     2,
 		RefreshRetries: 6,
 	}
-	r.sch = r
+	r.sch, r.stop = r, make(chan struct{})
+	r.lms = append(r.lms, r.globalLM)
 	for _, spec := range specs {
 		if spec.Name == "" {
 			panic("sched: component with empty name")
@@ -300,6 +300,7 @@ func New(protocol Protocol, specs []ComponentSpec) *Runtime {
 			c.store.UseClock(&r.seq)
 		}
 		r.comps[spec.Name] = c
+		r.lms = append(r.lms, c.lm)
 	}
 	r.globalLM.crashed = &r.crashed
 	r.ix = newExecIndex(r.comps)
@@ -323,9 +324,10 @@ func (r *Runtime) Store(name string) *data.Store {
 // Protocol returns the runtime's concurrency-control discipline.
 func (r *Runtime) Protocol() Protocol { return r.protocol }
 
-// Crashed reports whether a simulated crash (FaultCrash) has killed the
-// runtime; once true, every Submit returns ErrCrashed and the only way
-// forward is Recover on the WAL directory.
+// Crashed reports whether the runtime is down: a simulated crash
+// (FaultCrash) has killed it, or CloseWAL has shut it. Once true, every
+// Submit returns ErrCrashed and the only way forward is Recover on the
+// WAL directory.
 func (r *Runtime) Crashed() bool { return r.crashed.Load() }
 
 // Metrics returns a snapshot of the runtime counters, one atomic load

@@ -80,9 +80,9 @@ func (r *Runtime) EnableWAL(cfg WALConfig) error {
 	return nil
 }
 
-// CloseWAL flushes and closes the log (a clean shutdown; the log stays
-// recoverable and replayable).
-func (r *Runtime) CloseWAL() error { return r.wal.close() }
+// CloseWAL shuts the runtime down cleanly: the log is flushed and closed,
+// and stays recoverable and replayable.
+func (r *Runtime) CloseWAL() error { return r.close() }
 
 // WALRecords returns the number of records journaled so far (0 without a
 // WAL).
@@ -113,24 +113,19 @@ func (r *Runtime) WALError() error {
 // propagating.
 type crashPanic struct{}
 
-// crashNow simulates a process crash at the current point: the runtime's
-// crash flag flips (every other Submit drains via lock-wait and step-loop
-// checks), the WAL is abandoned exactly as the OS would leave it (the
-// unsynced buffer is lost; torn, when non-nil, remains as a half-written
-// record), all lock managers wake their sleepers, and the calling attempt
-// unwinds without any rollback — its locks stay abandoned, its applied
-// operations stay in the stores, just like a real crash. Never returns.
+// crashNow simulates a process crash at the current point (see
+// lifecycle.abandon: every other Submit drains via lock-wait and
+// step-loop checks; torn, when non-nil, remains as a half-written record),
+// and the calling attempt unwinds without any rollback — its locks stay
+// abandoned, its applied operations stay in the stores, just like a real
+// crash. Never returns.
 func (r *Runtime) crashNow(torn *wal.Record) {
-	if r.crashed.CompareAndSwap(false, true) {
+	if first, err := r.abandon(torn); first {
 		r.crashes.Add(1)
-		if err := r.wal.abandon(torn); err != nil {
+		if err != nil {
 			// A real crash gets no error handling either; record the
 			// staging failure so tests surface filesystem problems.
 			r.noteWALErr(err)
-		}
-		r.globalLM.wake()
-		for _, c := range r.comps {
-			c.lm.wake()
 		}
 	}
 	panic(crashPanic{})
